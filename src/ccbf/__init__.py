@@ -15,6 +15,7 @@ from .barrier import (
     Psi2Decomposition,
     QuadraticForm,
     decompose_psi2,
+    decompose_psi2_all,
     max_capability,
     psi0,
     psi1,
@@ -30,6 +31,7 @@ from .collab import (
 )
 from .config import ScenarioConfig, load_config, normalize_config, parse_config
 from .dynamics import (
+    LieArrays,
     LieTable,
     NeighborhoodState,
     NetworkedSystem,
@@ -59,7 +61,7 @@ from .geometry import (
     project_point,
     weakly_non_interfering,
 )
-from .graph import NetworkGraph, NeighborSets, in_neighbors, neighbor_sets, out_neighbors
+from .graph import NetworkGraph, in_neighbors, out_neighbors
 from .graph import validate as validate_graph
 from .simulate import (
     ScenarioResult,
@@ -83,13 +85,12 @@ __all__ = [
     "TerminallyInfeasibleError",
     "UnsupportedModelError",
     "NetworkGraph",
-    "NeighborSets",
     "in_neighbors",
     "out_neighbors",
-    "neighbor_sets",
     "validate_graph",
     "NeighborhoodState",
     "LieTable",
+    "LieArrays",
     "SisParams",
     "SisModel",
     "NetworkedSystem",
@@ -101,6 +102,7 @@ __all__ = [
     "psi0",
     "psi1",
     "decompose_psi2",
+    "decompose_psi2_all",
     "max_capability",
     "Halfspace",
     "ControlRegion",

@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dynamics import LieTable
+from .dynamics import LieArrays, LieTable
 from .errors import DimensionError, EmptyRegionError, NumericsError
 from .geometry import NEGLIGIBLE_NORMAL, ControlRegion, box_center, box_vertices, project_point
 
@@ -135,6 +135,40 @@ def decompose_psi2(spec: BarrierSpec, lie: LieTable, state: np.ndarray,
     linear = lie.lf_lg_h + lie.lg_lf_h + (spec.eta + spec.kappa) * lie.lg_h
     coupling = {j: lie.lgj_lf_h[j] for j in sorted(lie.lgj_lf_h)}
     return Psi2Decomposition(coupling, QuadraticForm(constant, linear, lie.lg2_h))
+
+
+def decompose_psi2_all(specs: Mapping[int, BarrierSpec], lie: LieArrays,
+                       udot: np.ndarray) -> dict[int, Psi2Decomposition]:
+    """decompose_psi2 for every scalar node at once, bit for bit.
+
+    udot is the packed control rate.  Every block is elementwise array
+    arithmetic in decompose_psi2's operation order; the cross-drift sums
+    one in-neighbor column at a time in ascending id order.
+    """
+    x = lie.x
+    udot = np.asarray(udot, dtype=float)
+    if udot.shape != x.shape:
+        raise DimensionError(f"udot has shape {udot.shape}, expected {x.shape}")
+    nodes = range(1, x.shape[0] + 1)
+    threshold = np.array([specs[i].threshold for i in nodes])
+    eta = np.array([specs[i].eta for i in nodes])
+    kappa = np.array([specs[i].kappa for i in nodes])
+    h0 = threshold - x
+    cross_drift = np.zeros_like(x)
+    for c in range(lie.in_mask.shape[1]):
+        cross_drift = np.where(lie.in_mask[:, c], cross_drift + lie.lfj_lf_h[:, c], cross_drift)
+    constant = (cross_drift + lie.lf2_h + x * udot
+                + eta * lie.lf_h + kappa * (lie.lf_h + eta * h0))
+    linear = lie.drift + lie.dfdx * x + (eta + kappa) * x
+    # one length-1 row per node (and per edge), as the scalar path builds
+    linear_rows = linear[:, None]
+    quadratic_rows = -x[:, None, None]
+    coupling_rows = lie.lgj_lf_h[:, :, None]
+    return {
+        i: Psi2Decomposition(dict(zip(nbrs, rows)), QuadraticForm(c, lin, quad))
+        for i, nbrs, rows, c, lin, quad in zip(nodes, lie.in_neighbors, coupling_rows,
+                                                constant.tolist(), linear_rows, quadratic_rows)
+    }
 
 
 def _max_quadratic_on_interval(c: float, l: float, q: float,

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -267,7 +267,6 @@ def collaborative_safety(graph: NetworkGraph,
                          weights_mode: str = "coupling",
                          messages: list[CollabMessage] | None = None,
                          initial_allocations: Mapping[int, Mapping[int, float]] | None = None,
-                         on_round: Callable[[int, dict[int, CollabLedger]], None] | None = None,
                          tol: float = MARGIN_TOL) -> ProtocolOutcome:
     """Negotiate regions until every node's safety margin is nonnegative.
 
@@ -293,8 +292,6 @@ def collaborative_safety(graph: NetworkGraph,
             ledgers[i].capability = value
             ledgers[i].capability_point = point
             ledgers[i].deficit = value - _allocated(ledgers[i])
-        if on_round is not None:
-            on_round(outer, ledgers)
         if all(ledgers[i].deficit >= -tol for i in nodes):
             break
         if outer >= outer_cap:

@@ -28,12 +28,16 @@ D = d f_i / d x_i = -gamma_i - S + (1 - x_i) beta_ii:
     L_gi L_fi h =  D x_i                L_fi L_gi h = f_i
 
 Each closed form is pinned to a central finite difference in the tests.
+`SisModel.lie_arrays` evaluates every node's table at once with array
+arithmetic for the closed loop; the per-node `lie_table` on a snapshot is
+its reference, which it matches bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +78,28 @@ class LieTable:
     lf_lg_h: np.ndarray
 
 
+class LieArrays(NamedTuple):
+    """Every node's constraint Lie terms at one packed state, scalar nodes only.
+
+    Entry i-1 of a node array belongs to node i, whose L_g h is x[i-1],
+    L_f L_g h is drift[i-1] and L_g L_f h is dfdx[i-1] * x[i-1].  Edge
+    arrays have one row per node and one column per in-neighbor slot:
+    column c of row i-1 belongs to in_neighbors[i-1][c], node i's c-th
+    in-neighbor in ascending id order, and in_mask is False on the padding
+    of nodes with fewer in-neighbors (where the terms are 0).
+    """
+
+    x: np.ndarray
+    drift: np.ndarray
+    dfdx: np.ndarray
+    lf_h: np.ndarray
+    lf2_h: np.ndarray
+    lfj_lf_h: np.ndarray
+    lgj_lf_h: np.ndarray
+    in_mask: np.ndarray
+    in_neighbors: tuple[tuple[int, ...], ...]
+
+
 def neighborhood(graph: NetworkGraph, states: dict[int, np.ndarray], i: int) -> NeighborhoodState:
     """Build node i's two-hop snapshot from a full state map."""
     nbrs = in_neighbors(graph, i)
@@ -92,9 +118,9 @@ class NodeModel:
     """Interface for pluggable per-node dynamics.
 
     Subclasses must provide drift and control_matrix; models that cannot
-    supply closed-form constraint derivatives inherit a lie_table that
-    raises UnsupportedModelError, which keeps them usable for plain
-    simulation but not for the safety machinery.
+    supply closed-form constraint derivatives inherit a lie_table and a
+    lie_arrays that raise UnsupportedModelError, which keeps them usable
+    for plain simulation but not for the safety machinery.
     """
 
     graph: NetworkGraph
@@ -108,6 +134,12 @@ class NodeModel:
     def lie_table(self, nbr: NeighborhoodState, i: int, barrier) -> LieTable:
         raise UnsupportedModelError(
             f"{type(self).__name__} does not provide constraint Lie derivatives"
+        )
+
+    def lie_arrays(self, x: np.ndarray) -> LieArrays:
+        """Every node's Lie terms at packed state x; the closed loop runs on these."""
+        raise UnsupportedModelError(
+            f"{type(self).__name__} does not provide array constraint Lie derivatives"
         )
 
     def control_box(self, i: int) -> tuple[tuple[float, float], ...]:
@@ -182,6 +214,21 @@ class SisModel(NodeModel):
             raise DimensionError("; ".join(bad))
         self.graph = graph
         self.params = params
+        n = graph.node_count
+        nbrs = tuple(in_neighbors(graph, i) for i in graph.nodes())
+        width = max((len(v) for v in nbrs), default=0)
+        # padding slots point at the node itself with weight 0 and are
+        # masked out of every sum
+        self._in_neighbors = nbrs
+        self._in_index = np.repeat(np.arange(n, dtype=np.intp)[:, None], width, axis=1)
+        self._in_weight = np.zeros((n, width))
+        self._in_mask = np.zeros((n, width), dtype=bool)
+        for row, js in enumerate(nbrs):
+            for col, j in enumerate(js):
+                self._in_index[row, col] = j - 1
+                self._in_weight[row, col] = params.beta[row, j - 1]
+                self._in_mask[row, col] = True
+        self._self_weight = np.diagonal(params.beta).copy()
 
     def _check_neighborhood(self, nbr: NeighborhoodState, i: int) -> None:
         if np.shape(nbr.self_state) != (1,):
@@ -216,6 +263,7 @@ class SisModel(NodeModel):
         return np.array([[-float(x_i[0])]])
 
     def lie_table(self, nbr: NeighborhoodState, i: int, barrier=None) -> LieTable:
+        """One node's table from its snapshot: the reference for lie_arrays."""
         # The constraint h = xbar - x_i has slope -1 everywhere, so the
         # table does not depend on the threshold; barrier is accepted for
         # interface uniformity.
@@ -254,6 +302,40 @@ class SisModel(NodeModel):
         if not all(math.isfinite(v) for v in flat):
             raise NumericsError(f"node {i}: non-finite Lie derivative")
         return table
+
+    def lie_arrays(self, x: np.ndarray) -> LieArrays:
+        """Every node's lie_table at once, bit for bit.
+
+        Each expression keeps lie_table's operation order, and the pressure
+        sums one in-neighbor column at a time in ascending id order, as the
+        scalar loop does; a reduction (`@`, `np.sum`) would reorder the
+        floating-point additions.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.graph.node_count,):
+            raise DimensionError(f"SIS packed state must have shape ({self.graph.node_count},)")
+        index, weight, mask = self._in_index, self._in_weight, self._in_mask
+        gamma = self.params.gamma
+        b_ii = self._self_weight
+        pressure = b_ii * x
+        for c in range(index.shape[1]):
+            pressure = np.where(mask[:, c], pressure + weight[:, c] * x[index[:, c]], pressure)
+        f = -gamma * x + (1.0 - x) * pressure
+        dfdx = -gamma - pressure + (1.0 - x) * b_ii
+        one_minus = (1.0 - x)[:, None]
+        lfj = np.where(mask, -one_minus * weight * f[index], 0.0)
+        lgj = np.where(mask, one_minus * weight * x[index], 0.0)
+        lf_h = -f
+        lf2_h = -dfdx * f
+        own = (np.isfinite(x) & np.isfinite(f) & np.isfinite(lf2_h)
+               & np.isfinite(dfdx * x))
+        ok = own & np.all(np.isfinite(lfj) & np.isfinite(lgj), axis=1)
+        if not ok.all():
+            i = int(np.flatnonzero(~ok)[0]) + 1
+            raise NumericsError(f"node {i}: non-finite Lie derivative")
+        return LieArrays(x=x, drift=f, dfdx=dfdx, lf_h=lf_h, lf2_h=lf2_h,
+                         lfj_lf_h=lfj, lgj_lf_h=lgj, in_mask=mask,
+                         in_neighbors=self._in_neighbors)
 
     def control_box(self, i: int) -> tuple[tuple[float, float], ...]:
         return ((0.0, float(self.params.u_max[i - 1])),)

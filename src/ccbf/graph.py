@@ -10,8 +10,6 @@ the whole pipeline relies on that for determinism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 def _dim_map(node_count: int, dims) -> dict[int, int]:
     if isinstance(dims, int):
@@ -63,14 +61,6 @@ class NetworkGraph:
         return f"NetworkGraph(node_count={self.node_count}, edges={len(self.edges)})"
 
 
-@dataclass(frozen=True)
-class NeighborSets:
-    """In- and out-neighbor ids of one node, each ascending."""
-
-    inward: tuple[int, ...]
-    outward: tuple[int, ...]
-
-
 def _check_node(graph: NetworkGraph, i: int) -> None:
     if not isinstance(i, int) or i < 1 or i > graph.node_count:
         raise IndexError(f"node id {i!r} outside 1..{graph.node_count}")
@@ -86,10 +76,6 @@ def out_neighbors(graph: NetworkGraph, i: int) -> tuple[int, ...]:
     """Nodes whose dynamics node i's state enters, ascending."""
     _check_node(graph, i)
     return graph._outward[i]
-
-
-def neighbor_sets(graph: NetworkGraph, i: int) -> NeighborSets:
-    return NeighborSets(in_neighbors(graph, i), out_neighbors(graph, i))
 
 
 def validate(graph: NetworkGraph) -> list[str]:

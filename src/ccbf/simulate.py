@@ -1,7 +1,8 @@
 """Closed-loop simulation: snapshot, negotiate, filter, integrate.
 
-Every step runs the same pipeline at the current state: build each node's
-Lie table and psi2 decomposition, negotiate admissible control regions
+Every step runs the same pipeline at the current state: build every
+node's Lie terms and psi2 decomposition at once from the model's array
+kernel, negotiate admissible control regions
 (or hand every node its full box when collaboration is off), pass each
 node's nominal control through its safety filter, record a row, then
 advance one RK4 step with the controls held constant over the interval.
@@ -18,12 +19,14 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .barrier import BarrierSpec, Psi2Decomposition, QuadraticForm, decompose_psi2, max_capability
+from .barrier import (BarrierSpec, Psi2Decomposition, QuadraticForm, decompose_psi2_all,
+                      max_capability)
 from .collab import CollabMessage, collaborative_safety
-from .dynamics import NetworkedSystem, neighborhood, rk4_step
+from .dynamics import NetworkedSystem, rk4_step
 from .errors import EmptyRegionError, GeometryConvergenceError, TerminallyInfeasibleError
 from .geometry import NEGLIGIBLE_NORMAL, ControlRegion, Halfspace, project_point
 
@@ -37,7 +40,12 @@ CERT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Trajectory plus per-step protocol accounting for one closed-loop run."""
+    """Trajectory plus per-step protocol accounting for one closed-loop run.
+
+    cap_tripped_steps counts the steps whose negotiation hit the outer
+    round cap with some node's margin still open: such a step is neither
+    halted nor certified safe.
+    """
 
     times: np.ndarray
     states: np.ndarray
@@ -49,6 +57,7 @@ class ScenarioResult:
     halted_at: float | None = None
     infeasible_nodes: tuple[int, ...] = ()
     max_clamp: float = 0.0
+    cap_tripped_steps: int = 0
     messages: list[tuple[float, CollabMessage]] = field(default_factory=list)
 
     @property
@@ -82,12 +91,20 @@ def _certificate_pieces(form: QuadraticForm, slack: float) -> list[tuple[float, 
     return [(-inf, r1), (r2, inf)]
 
 
+class _Psi1Terms(NamedTuple):
+    """The Lie terms safety_filter reads: L_f h and L_g h of one node."""
+
+    lf_h: float
+    lg_h: np.ndarray
+
+
 def safety_filter(nominal: np.ndarray, region: ControlRegion, spec: BarrierSpec,
                   lie, state: np.ndarray,
                   certificate: QuadraticForm | None = None) -> tuple[np.ndarray, bool]:
     """Least deviation from the nominal control that keeps psi1 nonnegative.
 
-    The search stays inside the negotiated region.  `certificate` carries
+    `lie` is anything carrying lf_h and lg_h, such as a LieTable.  The
+    search stays inside the negotiated region.  `certificate` carries
     the node's own second-order margin (its share of the chain, guaranteed
     neighbor help folded into the constant); it is honored whenever a
     feasible point exists and dropped otherwise, since obligations to
@@ -204,22 +221,22 @@ def run_scenario(system: NetworkedSystem, specs: dict[int, BarrierSpec], x0: np.
     inner_rounds = np.zeros(nsteps + 1, dtype=int)
     all_messages: list[tuple[float, CollabMessage]] = []
 
-    control_history: dict[int, list[np.ndarray]] = {i: [] for i in nodes}
+    model = system.model
+    history: list[np.ndarray] = []  # the last two applied packed controls
     warned = [False]
     carried: dict[int, dict[int, float]] | None = None
     halted_at: float | None = None
     infeasible_nodes: tuple[int, ...] = ()
     max_clamp = 0.0
+    cap_tripped_steps = 0
     rows = 0
 
     for k in range(nsteps + 1):
         t = k * dt
         sts = system.split_state(x)
-        lies = {i: system.model.lie_table(neighborhood(graph, sts, i), i) for i in nodes}
-        decomps = {}
-        for i in nodes:
-            udot = _udot_for(udot_policy, control_history[i], graph.control_dims[i], dt, warned)
-            decomps[i] = decompose_psi2(specs[i], lies[i], sts[i], udot)
+        lie = model.lie_arrays(x)
+        udot = _udot_for(udot_policy, history, total_u, dt, warned)
+        decomps = decompose_psi2_all(specs, lie, udot)
 
         step_messages: list[CollabMessage] = []
         if collaboration:
@@ -246,6 +263,7 @@ def run_scenario(system: NetworkedSystem, specs: dict[int, BarrierSpec], x0: np.
             caps = {i: outcome.ledgers[i].capability for i in nodes}
             outer_rounds[k] = outcome.outer_rounds
             inner_rounds[k] = outcome.sub_rounds
+            cap_tripped_steps += outcome.cap_tripped
             if persist_allocations:
                 carried = {i: dict(outcome.ledgers[i].out_alloc) for i in nodes}
         else:
@@ -257,6 +275,7 @@ def run_scenario(system: NetworkedSystem, specs: dict[int, BarrierSpec], x0: np.
 
         u = np.zeros(total_u)
         nom = nominal(t, sts) if callable(nominal) else nominal
+        lf_h = lie.lf_h.tolist()
         for i in nodes:
             want = np.zeros(graph.control_dims[i]) if nom is None \
                 else np.atleast_1d(np.asarray(nom[i], dtype=float))
@@ -269,15 +288,15 @@ def run_scenario(system: NetworkedSystem, specs: dict[int, BarrierSpec], x0: np.
                     own = decomps[i].self_term
                     certificate = QuadraticForm(own.constant + help_floor,
                                                 own.linear, own.quadratic)
-            u_i, relaxed = safety_filter(want, regions[i], specs[i], lies[i], sts[i],
+            # L_g h of a scalar node is its own state
+            terms = _Psi1Terms(lf_h[i - 1], sts[i])
+            u_i, relaxed = safety_filter(want, regions[i], specs[i], terms, sts[i],
                                          certificate=certificate)
             if relaxed:
                 log.debug("t=%.6g node %d: psi1 constraint relaxed", t, i)
             off = control_offsets[i]
             u[off:off + graph.control_dims[i]] = u_i
-            control_history[i].append(u_i)
-            if len(control_history[i]) > 2:
-                control_history[i].pop(0)
+        history = [*history[-1:], u]
 
         times[k] = t
         states[k] = x
@@ -286,18 +305,19 @@ def run_scenario(system: NetworkedSystem, specs: dict[int, BarrierSpec], x0: np.
         rows = k + 1
 
         if k < nsteps:
-            x_next = rk4_step(system, x, u, dt)
-            clipped = np.clip(x_next, 0.0, 1.0)
-            max_clamp = max(max_clamp, float(np.max(np.abs(x_next - clipped))))
-            x = clipped
+            x, moved = model.clamp_state(rk4_step(system, x, u, dt))
+            max_clamp = max(max_clamp, moved)
 
+    if cap_tripped_steps:
+        log.warning("%d of %d steps hit the outer round cap (%d) with negotiation still open",
+                    cap_tripped_steps, rows, outer_cap)
     thresholds = tuple(specs[i].threshold for i in nodes)
     return ScenarioResult(
         times=times[:rows], states=states[:rows], controls=controls[:rows],
         capabilities=capabilities[:rows], outer_rounds=outer_rounds[:rows],
         inner_rounds=inner_rounds[:rows], thresholds=thresholds,
         halted_at=halted_at, infeasible_nodes=infeasible_nodes,
-        max_clamp=max_clamp, messages=all_messages)
+        max_clamp=max_clamp, cap_tripped_steps=cap_tripped_steps, messages=all_messages)
 
 
 def run_uncontrolled(system: NetworkedSystem, x0: np.ndarray, *,
@@ -312,7 +332,7 @@ def run_uncontrolled(system: NetworkedSystem, x0: np.ndarray, *,
     states = np.zeros((nsteps + 1, n))
     states[0] = x
     for k in range(nsteps):
-        x = np.clip(rk4_step(system, x, u, dt), 0.0, 1.0)
+        x, _ = system.model.clamp_state(rk4_step(system, x, u, dt))
         times[k + 1] = (k + 1) * dt
         states[k + 1] = x
     return times, states

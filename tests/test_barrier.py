@@ -6,20 +6,23 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccbf.barrier import (
     BarrierSpec,
     Psi2Decomposition,
     QuadraticForm,
     decompose_psi2,
+    decompose_psi2_all,
     max_capability,
     psi0,
     psi1,
 )
 from ccbf.dynamics import NetworkedSystem, SisModel, SisParams, neighborhood, rk4_step
-from ccbf.errors import DimensionError, EmptyRegionError
+from ccbf.errors import DimensionError, EmptyRegionError, NumericsError
 from ccbf.geometry import ControlRegion, Halfspace
 from ccbf.graph import NetworkGraph
+from ccbf.simulate import _udot_for
 
 from conftest import PAPER_BETA, PAPER_GAMMA, PAPER_UMAX, PAPER_X0, PAPER_XBAR
 
@@ -208,3 +211,81 @@ def test_decompose_udot_shape_check():
     lie = model.lie_table(neighborhood(graph, states, 1), 1)
     with pytest.raises(DimensionError):
         decompose_psi2(spec, lie, states[1], np.array([0.0, 0.0]))
+    specs = {i: spec for i in graph.nodes()}
+    with pytest.raises(DimensionError):
+        decompose_psi2_all(specs, model.lie_arrays(np.array(PAPER_X0)), np.zeros(2))
+
+
+def _random_network(seed: int):
+    """Seeded SIS network with random in-degrees, at least one of them 0."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    isolated = int(rng.integers(1, n + 1))
+    edges = []
+    for i in range(1, n + 1):
+        others = [j for j in range(1, n + 1) if j != i]
+        degree = 0 if i == isolated else int(rng.integers(0, n))
+        edges += [(int(j), i) for j in rng.choice(others, size=degree, replace=False)]
+    graph = NetworkGraph(n, edges)
+    beta = np.zeros((n, n))
+    beta[np.diag_indices(n)] = rng.uniform(0.0, 0.8, n)
+    for j, i in edges:
+        beta[i - 1, j - 1] = rng.uniform(0.05, 1.0)
+    model = SisModel(graph, SisParams(beta, rng.uniform(0.05, 0.6, n), rng.uniform(0.0, 1.0, n)))
+    x = rng.uniform(0.0, 1.0, n)
+    x[rng.random(n) < 0.15] = 0.0
+    x[rng.random(n) < 0.15] = 1.0
+    specs = {i: BarrierSpec(rng.uniform(0.05, 0.9), eta=rng.uniform(0.2, 3.0),
+                            kappa=rng.uniform(0.2, 3.0)) for i in graph.nodes()}
+    history = [rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)]
+    return graph, model, x, specs, history
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), policy=st.sampled_from(["zero", "backward_difference"]))
+def test_batched_decomposition_is_bit_identical_to_per_node(seed, policy):
+    graph, model, x, specs, history = _random_network(seed)
+    udot = _udot_for(policy, history, graph.node_count, 0.01, [True])
+    lie = model.lie_arrays(x)
+    batched = decompose_psi2_all(specs, lie, udot)
+    states = {i: np.array([x[i - 1]]) for i in graph.nodes()}
+    assert sorted(batched) == list(graph.nodes())
+    for i in graph.nodes():
+        table = model.lie_table(neighborhood(graph, states, i), i)
+        ref = decompose_psi2(specs[i], table, states[i], udot[i - 1:i])
+        got = batched[i]
+        assert lie.lf_h[i - 1] == table.lf_h
+        assert _bits(lie.lf_h[i - 1]) == _bits(table.lf_h)
+        assert got.self_term.constant == ref.self_term.constant
+        assert _bits(got.self_term.constant) == _bits(ref.self_term.constant)
+        assert np.array_equal(got.self_term.linear, ref.self_term.linear)
+        assert _bits(got.self_term.linear) == _bits(ref.self_term.linear)
+        assert np.array_equal(got.self_term.quadratic, ref.self_term.quadratic)
+        assert _bits(got.self_term.quadratic) == _bits(ref.self_term.quadratic)
+        assert list(got.coupling) == list(ref.coupling)
+        for j in ref.coupling:
+            assert np.array_equal(got.coupling[j], ref.coupling[j])
+            assert _bits(got.coupling[j]) == _bits(ref.coupling[j])
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_batched_lie_terms_name_lowest_non_finite_node(seed, data):
+    graph, model, x, _, _ = _random_network(seed)
+    bad = data.draw(st.integers(1, graph.node_count))
+    x[bad - 1] = np.nan
+    states = {i: np.array([x[i - 1]]) for i in graph.nodes()}
+    expected = None
+    for i in graph.nodes():
+        try:
+            model.lie_table(neighborhood(graph, states, i), i)
+        except NumericsError:
+            expected = i
+            break
+    assert expected is not None and expected <= bad
+    with pytest.raises(NumericsError, match=rf"^node {expected}: "):
+        model.lie_arrays(x)

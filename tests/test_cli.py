@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -11,7 +14,15 @@ from pathlib import Path
 
 import pytest
 
-from ccbf.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
+from ccbf.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main, read_scenario_text, run_config
+from ccbf.config import normalize_config, parse_config
+
+# sha256 of the bundled paper_sis3 outputs over its first 20 s with the
+# message log on; any change to these bytes must be explained
+PAPER_20S_SHA256 = {
+    "result.csv": "06fd9d8fbe9d898bb40db18902629c11991ad1dc19dff8fb68f7090a487554b2",
+    "messages.csv": "727cbdf93db57dc4d66dfddea79448fa9f888b9d2e7435acc169dc394e281403",
+}
 
 WEAK = """\
 graph.nodes = 2
@@ -58,9 +69,38 @@ def test_run_writes_artifacts_and_trace(tmp_path):
     assert (out / "messages.csv").exists()
     meta = json.loads((out / "meta.json").read_text())
     assert meta["halted_at"] is None
+    assert meta["cap_tripped_steps"] == 0
     assert meta["versions"]["ccbf"]
     assert "sim.trace = on" in meta["config"]
     assert "sim.t_final = 1.0" in meta["config"]
+
+
+def _paper_config(**overrides):
+    cfg = parse_config(read_scenario_text("paper_sis3"))
+    return parse_config(normalize_config(cfg.replace(**overrides)))
+
+
+def test_paper_scenario_golden_digests(tmp_path):
+    cfg = _paper_config(t_final=20.0, trace=True)
+    assert run_config(cfg, tmp_path) == EXIT_OK
+    for name, digest in PAPER_20S_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_outer_cap_trips_are_counted_and_reported(tmp_path, caplog):
+    # one capability round can never close a deficit: every negotiating
+    # step trips the cap, the run breaches, and nothing halts it
+    cfg = _paper_config(t_final=20.0, outer_cap=1)
+    with caplog.at_level(logging.WARNING, logger="ccbf.simulate"):
+        assert run_config(cfg, tmp_path) == EXIT_OK
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    with open(tmp_path / "result.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert meta["halted_at"] is None
+    assert all(row["outer_rounds"] == "1" for row in rows)
+    assert min(float(row["viol_1"]) for row in rows) < -0.01
+    assert 0 < meta["cap_tripped_steps"] <= len(rows)
+    assert any("outer round cap" in r.getMessage() for r in caplog.records)
 
 
 def test_manifest_reproduces_result_bytes(tmp_path):

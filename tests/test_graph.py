@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ccbf.graph import NetworkGraph, in_neighbors, neighbor_sets, out_neighbors, validate
+from ccbf.graph import NetworkGraph, in_neighbors, out_neighbors, validate
 
 COMPLETE3 = [(2, 1), (3, 1), (1, 2), (3, 2), (1, 3), (2, 3)]
 
@@ -51,13 +51,6 @@ def test_validate_reports_every_violation():
     assert "target 0" in text
     assert "state_dims[2]" in text
     assert len(problems) >= 4
-
-
-def test_neighbor_sets_bundle():
-    g = NetworkGraph(3, COMPLETE3)
-    ns = neighbor_sets(g, 2)
-    assert ns.inward == (1, 3)
-    assert ns.outward == (1, 3)
 
 
 def test_duality_on_random_graphs():

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from ccbf.barrier import BarrierSpec
-from ccbf.dynamics import NetworkedSystem, SisModel, SisParams
+from ccbf.dynamics import NetworkedSystem, NodeModel, SisModel, SisParams
+from ccbf.errors import UnsupportedModelError
 from ccbf.geometry import ControlRegion, Halfspace
 from ccbf.graph import NetworkGraph
 from ccbf.simulate import (
@@ -315,3 +316,37 @@ def test_bad_x0_shape_rejected():
     system, specs = _paper_system()
     with pytest.raises(ValueError):
         run_scenario(system, specs, np.zeros(4), dt=0.01, t_final=1.0)
+
+
+def test_model_without_array_lie_terms_is_rejected():
+    class Boxed(NodeModel):
+        def __init__(self, graph):
+            self.graph = graph
+
+        def control_box(self, i):
+            return ((0.0, 1.0),)
+
+    graph = NetworkGraph(2, [(1, 2), (2, 1)])
+    system = NetworkedSystem(graph, Boxed(graph))
+    specs = {1: BarrierSpec(0.5), 2: BarrierSpec(0.5)}
+    with pytest.raises(UnsupportedModelError):
+        run_scenario(system, specs, np.array([0.1, 0.1]), dt=0.1, t_final=1.0)
+
+
+def test_state_projection_goes_through_the_model():
+    class Counting(SisModel):
+        def __init__(self, graph, params):
+            super().__init__(graph, params)
+            self.clamps = 0
+
+        def clamp_state(self, x):
+            self.clamps += 1
+            return super().clamp_state(x)
+
+    base, specs = _paper_system()
+    model = Counting(base.graph, base.model.params)
+    system = NetworkedSystem(base.graph, model)
+    run_scenario(system, specs, np.array(PAPER_X0), dt=0.1, t_final=1.0)
+    assert model.clamps == 10
+    run_uncontrolled(system, np.array(PAPER_X0), dt=0.1, t_final=1.0)
+    assert model.clamps == 20
