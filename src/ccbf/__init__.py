@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 
 from .barrier import (
     BarrierSpec,
+    Psi2Arrays,
     Psi2Decomposition,
     QuadraticForm,
     decompose_psi2,
@@ -26,7 +27,9 @@ from .collab import (
     ProtocolOutcome,
     collaborate,
     collaborative_safety,
+    collaborative_safety_arrays,
     coordinate,
+    edge_layout,
     partition,
 )
 from .config import ScenarioConfig, load_config, normalize_config, parse_config
@@ -56,6 +59,7 @@ from .errors import (
 from .geometry import (
     ControlRegion,
     Halfspace,
+    IntervalRegions,
     closest_point,
     is_empty,
     project_point,
@@ -68,6 +72,7 @@ from .simulate import (
     run_scenario,
     run_uncontrolled,
     safety_filter,
+    safety_filter_arrays,
     write_messages_csv,
     write_result_csv,
 )
@@ -99,6 +104,7 @@ __all__ = [
     "BarrierSpec",
     "QuadraticForm",
     "Psi2Decomposition",
+    "Psi2Arrays",
     "psi0",
     "psi1",
     "decompose_psi2",
@@ -106,6 +112,7 @@ __all__ = [
     "max_capability",
     "Halfspace",
     "ControlRegion",
+    "IntervalRegions",
     "closest_point",
     "project_point",
     "is_empty",
@@ -117,8 +124,11 @@ __all__ = [
     "coordinate",
     "collaborate",
     "collaborative_safety",
+    "collaborative_safety_arrays",
+    "edge_layout",
     "ScenarioResult",
     "safety_filter",
+    "safety_filter_arrays",
     "run_scenario",
     "run_uncontrolled",
     "write_result_csv",

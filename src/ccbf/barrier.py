@@ -28,13 +28,14 @@ the coupling terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .dynamics import LieArrays, LieTable
 from .errors import DimensionError, EmptyRegionError, NumericsError
-from .geometry import NEGLIGIBLE_NORMAL, ControlRegion, box_center, box_vertices, project_point
+from .geometry import (NEGLIGIBLE_NORMAL, ControlRegion, IntervalRegions, box_center,
+                       box_vertices, project_point)
 
 # stop coordinate ascent once a full sweep moves no coordinate by more
 ASCENT_TOL = 1e-10
@@ -137,8 +138,23 @@ def decompose_psi2(spec: BarrierSpec, lie: LieTable, state: np.ndarray,
     return Psi2Decomposition(coupling, QuadraticForm(constant, linear, lie.lg2_h))
 
 
+class Psi2Arrays(NamedTuple):
+    """Every scalar node's psi2 decomposition at one state, as arrays.
+
+    Entry i-1 of constant, linear and quadratic is node i's self term
+    constant + linear u + quadratic u^2.  coupling has LieArrays' edge
+    layout: coupling[i-1, c] multiplies the control of node i's c-th
+    in-neighbor, and padding slots hold 0.
+    """
+
+    constant: np.ndarray
+    linear: np.ndarray
+    quadratic: np.ndarray
+    coupling: np.ndarray
+
+
 def decompose_psi2_all(specs: Mapping[int, BarrierSpec], lie: LieArrays,
-                       udot: np.ndarray) -> dict[int, Psi2Decomposition]:
+                       udot: np.ndarray) -> Psi2Arrays:
     """decompose_psi2 for every scalar node at once, bit for bit.
 
     udot is the packed control rate.  Every block is elementwise array
@@ -160,15 +176,7 @@ def decompose_psi2_all(specs: Mapping[int, BarrierSpec], lie: LieArrays,
     constant = (cross_drift + lie.lf2_h + x * udot
                 + eta * lie.lf_h + kappa * (lie.lf_h + eta * h0))
     linear = lie.drift + lie.dfdx * x + (eta + kappa) * x
-    # one length-1 row per node (and per edge), as the scalar path builds
-    linear_rows = linear[:, None]
-    quadratic_rows = -x[:, None, None]
-    coupling_rows = lie.lgj_lf_h[:, :, None]
-    return {
-        i: Psi2Decomposition(dict(zip(nbrs, rows)), QuadraticForm(c, lin, quad))
-        for i, nbrs, rows, c, lin, quad in zip(nodes, lie.in_neighbors, coupling_rows,
-                                                constant.tolist(), linear_rows, quadratic_rows)
-    }
+    return Psi2Arrays(constant, linear, -x, lie.lgj_lf_h)
 
 
 def _max_quadratic_on_interval(c: float, l: float, q: float,
@@ -247,3 +255,34 @@ def max_capability(decomp: Psi2Decomposition, region: ControlRegion,
         if val > best_val:
             best_val, best_u = val, u
     return best_val, best_u
+
+
+def max_capability_arrays(psi2: Psi2Arrays, region: IntervalRegions) -> np.ndarray:
+    """max_capability for every scalar node at once, bit for bit.
+
+    A frozen node takes its own quadratic's value at the frozen point,
+    rounded as QuadraticForm.value rounds it; any other node takes the
+    exact maximum over [lo, hi], comparing the candidates lo, hi and the
+    interior stationary point in that order and keeping the first of equal
+    values.
+    """
+    c, l, q = psi2.constant, psi2.linear, psi2.quadratic
+    lo, hi, frozen, p = region
+    if (lo > hi).any():
+        empty = ~frozen & (lo > hi)
+        if empty.any():
+            i = int(np.flatnonzero(empty)[0])
+            raise EmptyRegionError(f"node {i + 1}: admissible interval is empty "
+                                   f"({lo[i]} > {hi[i]})")
+    best = c + l * lo + q * lo * lo
+    f_hi = c + l * hi + q * hi * hi
+    best = np.where(f_hi > best, f_hi, best)
+    curved = q != 0.0
+    t = np.divide(-l, 2.0 * q, out=np.zeros(q.shape), where=curved)
+    f_t = c + l * t + q * t * t
+    best = np.where(curved & (lo < t) & (t < hi) & (f_t > best), f_t, best)
+    if frozen.any():
+        # QuadraticForm.value: its one-element dot products add to +0.0
+        at_point = (c + (l * p + 0.0)) + ((p * q + 0.0) * p + 0.0)
+        best = np.where(frozen, at_point, best)
+    return best

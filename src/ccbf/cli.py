@@ -2,7 +2,10 @@
 
 Exit codes separate the failure families: 0 success, 1 internal error,
 2 configuration or schema error, 3 scenario halted as terminally
-infeasible.  `CCBF_LOG` picks the log level (debug, info, warning, ...).
+infeasible, 4 scenario halted because a negotiation stalled (no agreement
+within `sim.inner_cap` sub-rounds).  Halted runs still write their
+artifacts up to the halt.  `CCBF_LOG` picks the log level (debug, info,
+warning, ...).
 
 A scenario argument is a file path, or the name of a bundled scenario
 (`paper_sis3`) when no such file exists.  `run` writes result.csv, a
@@ -35,6 +38,7 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
+EXIT_STALL = 4
 
 log = logging.getLogger("ccbf.cli")
 
@@ -96,6 +100,7 @@ def run_config(cfg: ScenarioConfig, out_dir: Path) -> int:
         },
         "wall_time_s": round(elapsed, 6),
         "halted_at": result.halted_at,
+        "halt_reason": result.halt_reason,
         "infeasible_nodes": list(result.infeasible_nodes),
         "max_state_clamp": result.max_clamp,
         "cap_tripped_steps": result.cap_tripped_steps,
@@ -104,6 +109,10 @@ def run_config(cfg: ScenarioConfig, out_dir: Path) -> int:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
+    if result.halt_reason == "stall":
+        print(f"negotiation stalled at t={result.halted_at:g} (no agreement within "
+              f"{cfg.inner_cap} sub-rounds); partial results in {out_dir}", file=sys.stderr)
+        return EXIT_STALL
     if result.halted_at is not None:
         nodes = ", ".join(str(i) for i in result.infeasible_nodes)
         print(f"terminally infeasible at t={result.halted_at:g} (nodes {nodes}); "
@@ -178,7 +187,8 @@ def cmd_sweep(args) -> int:
     worst = EXIT_OK
     with ProcessPoolExecutor(max_workers=args.workers) as pool:
         for name, code in pool.map(_sweep_one, jobs):
-            status = {EXIT_OK: "ok", EXIT_INFEASIBLE: "halted"}.get(code, "error")
+            status = {EXIT_OK: "ok", EXIT_INFEASIBLE: "halted",
+                      EXIT_STALL: "stalled"}.get(code, "error")
             print(f"{name}: {status}")
             worst = max(worst, code)
     return worst

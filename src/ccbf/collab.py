@@ -23,24 +23,31 @@ Three nested loops:
   * outer round (collaborative_safety): commitments shrink regions, which
     shrinks capabilities, so capabilities are re-maximized over the new
     regions and the sub-rounds rerun until every margin is nonnegative.
-  * per step: the simulator rebuilds everything from the current state
-    (commitments reset unless allocation persistence is requested).
+  * per step: the simulator rebuilds everything from the current state;
+    commitments start from zero at every step.
 
 All iteration is in ascending node order and all exchanges are
 synchronous, which makes the protocol bit-for-bit deterministic.
+
+`collaborative_safety` runs the protocol on per-node ledgers and regions
+for any control dimension.  For scalar networks the closed loop runs
+`collaborative_safety_arrays`, the same protocol on edge arrays: every
+sub-round is O(E) array arithmetic, and its results match the per-node
+protocol bit for bit.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .barrier import Psi2Decomposition, max_capability
+from .barrier import Psi2Arrays, Psi2Decomposition, max_capability, max_capability_arrays
 from .errors import (
     DegenerateWeightsError,
+    GeometryConvergenceError,
     ProtocolStallError,
     TerminallyInfeasibleError,
 )
@@ -48,6 +55,7 @@ from .geometry import (
     NEGLIGIBLE_NORMAL,
     ControlRegion,
     Halfspace,
+    IntervalRegions,
     closest_point,
     intersect,
     is_empty,
@@ -96,6 +104,14 @@ class ProtocolOutcome:
     outer_rounds: int
     sub_rounds: int
     cap_tripped: bool = False
+
+
+def _infeasible(stuck: tuple[int, ...]) -> TerminallyInfeasibleError:
+    return TerminallyInfeasibleError(
+        "nodes "
+        + ", ".join(str(i) for i in stuck)
+        + " cannot close their safety margin with every in-neighbor refusing",
+        nodes=stuck)
 
 
 def _allocated(ledger: CollabLedger) -> float:
@@ -237,27 +253,6 @@ def collaborate(graph: NetworkGraph, decomps: Mapping[int, Psi2Decomposition],
             return sub
 
 
-def _rebuild_from_commitments(graph: NetworkGraph,
-                              decomps: Mapping[int, Psi2Decomposition],
-                              ledgers: dict[int, CollabLedger]) -> None:
-    """Re-anchor carried-over commitments at the current state.
-
-    Coupling rows move with the state, so commitments that were feasible
-    last step may not be now; refusals are folded back into the
-    requesters' allocations without marking anyone constrained.
-    """
-    rows_for = _coupling_rows(graph, decomps)
-    for i in graph.nodes():
-        for k in out_neighbors(graph, i):
-            carried = ledgers[k].out_alloc.get(i, 0.0)
-            if carried != 0.0:
-                ledgers[i].in_req[k] = carried
-        _, eps = coordinate(graph, i, ledgers[i], rows_for[i], {})
-        for k in out_neighbors(graph, i):
-            if eps[k] != 0.0:
-                ledgers[k].out_alloc[i] = ledgers[k].out_alloc.get(i, 0.0) + eps[k]
-
-
 def collaborative_safety(graph: NetworkGraph,
                          decomps: Mapping[int, Psi2Decomposition],
                          boxes: Mapping[int, tuple],
@@ -266,7 +261,6 @@ def collaborative_safety(graph: NetworkGraph,
                          inner_cap: int = DEFAULT_INNER_CAP,
                          weights_mode: str = "coupling",
                          messages: list[CollabMessage] | None = None,
-                         initial_allocations: Mapping[int, Mapping[int, float]] | None = None,
                          tol: float = MARGIN_TOL) -> ProtocolOutcome:
     """Negotiate regions until every node's safety margin is nonnegative.
 
@@ -276,11 +270,6 @@ def collaborative_safety(graph: NetworkGraph,
     """
     nodes = list(graph.nodes())
     ledgers = {i: CollabLedger(node=i, region=ControlRegion(tuple(boxes[i]))) for i in nodes}
-    if initial_allocations:
-        for i in nodes:
-            carried = initial_allocations.get(i, {})
-            ledgers[i].out_alloc = {j: float(carried[j]) for j in sorted(carried)}
-        _rebuild_from_commitments(graph, decomps, ledgers)
 
     total_sub = 0
     outer = 0
@@ -299,11 +288,7 @@ def collaborative_safety(graph: NetworkGraph,
                           if ledgers[i].deficit < -tol
                           and ledgers[i].constrained == set(in_neighbors(graph, i)))
             if stuck:
-                raise TerminallyInfeasibleError(
-                    "nodes "
-                    + ", ".join(str(i) for i in stuck)
-                    + " cannot close their safety margin with every in-neighbor refusing",
-                    nodes=stuck)
+                raise _infeasible(stuck)
             cap_tripped = True
             break
         total_sub += collaborate(graph, decomps, ledgers,
@@ -311,3 +296,246 @@ def collaborative_safety(graph: NetworkGraph,
                                  messages=messages, sub_round_start=total_sub)
     regions = {i: ledgers[i].region for i in nodes}
     return ProtocolOutcome(regions, ledgers, outer, total_sub, cap_tripped)
+
+
+class EdgeLayout(NamedTuple):
+    """Both edge layouts of a scalar network, built once per run.
+
+    By target, as in LieArrays: row i-1, column c is the edge into node i
+    from its c-th in-neighbor in ascending id order; in_source holds that
+    neighbor's 0-based index (padding points at the row's own node) and
+    in_mask is False on padding.  By source: row j-1, column d is the edge
+    from node j to its d-th out-neighbor; out_slot is that edge's flat
+    index in the by-target layout and out_mask is False on padding.
+    requests[s] is the (requester, helper) pair of by-target slot s;
+    adjusts lists the (helper, requester) pairs of every edge in by-source
+    order, and adjust_slots their by-target slots.
+    """
+
+    in_source: np.ndarray
+    in_mask: np.ndarray
+    out_slot: np.ndarray
+    out_mask: np.ndarray
+    requests: tuple[tuple[int, int], ...]
+    adjusts: tuple[tuple[int, int], ...]
+    adjust_slots: np.ndarray
+
+
+def edge_layout(graph: NetworkGraph) -> EdgeLayout:
+    """The graph's by-target and by-source edge layouts."""
+    nodes = graph.nodes()
+    n = graph.node_count
+    ins = [in_neighbors(graph, i) for i in nodes]
+    outs = [out_neighbors(graph, j) for j in nodes]
+    w_in = max((len(v) for v in ins), default=0)
+    w_out = max((len(v) for v in outs), default=0)
+    in_source = np.repeat(np.arange(n, dtype=np.intp)[:, None], w_in, axis=1)
+    in_mask = np.zeros((n, w_in), dtype=bool)
+    slot_of: dict[tuple[int, int], int] = {}
+    for i, js in zip(nodes, ins):
+        for c, j in enumerate(js):
+            in_source[i - 1, c] = j - 1
+            in_mask[i - 1, c] = True
+            slot_of[j, i] = (i - 1) * w_in + c
+    out_slot = np.zeros((n, w_out), dtype=np.intp)
+    out_mask = np.zeros((n, w_out), dtype=bool)
+    for j, ks in zip(nodes, outs):
+        for d, k in enumerate(ks):
+            out_slot[j - 1, d] = slot_of[j, k]
+            out_mask[j - 1, d] = True
+    requests = tuple((row + 1, int(src) + 1) for (row, _), src in np.ndenumerate(in_source))
+    adjusts = tuple((j, k) for j, ks in zip(nodes, outs) for k in ks)
+    return EdgeLayout(in_source, in_mask, out_slot, out_mask, requests, adjusts,
+                      out_slot[out_mask])
+
+
+class ArrayOutcome(NamedTuple):
+    """What collaborative_safety_arrays settled on, as arrays.
+
+    regions and capability hold node i's final region and capability at
+    entry i-1.  out_alloc and in_req use the by-target edge layout: slot
+    (i-1, c) of out_alloc is what node i counts on from its c-th
+    in-neighbor j (CollabLedger.out_alloc[j] of node i), and of in_req what
+    j committed to node i (CollabLedger.in_req[i] of node j); padding
+    holds 0.
+    """
+
+    regions: IntervalRegions
+    capability: np.ndarray
+    out_alloc: np.ndarray
+    in_req: np.ndarray
+    outer_rounds: int
+    sub_rounds: int
+    cap_tripped: bool = False
+
+    def allocated(self) -> np.ndarray:
+        """Each node's total allocation, summed as _allocated sums a ledger's."""
+        return _row_sum(self.out_alloc)
+
+
+def _row_sum(values: np.ndarray) -> np.ndarray:
+    """Row sums one column at a time, as sum() adds in ascending id order.
+
+    Padding must hold 0: a running total that starts at +0.0 never becomes
+    -0.0, so adding a 0.0 leaves it unchanged.
+    """
+    total = np.zeros(values.shape[0])
+    for c in range(values.shape[1]):
+        total = total + values[:, c]
+    return total
+
+
+def partition_arrays(deficit: np.ndarray, weights: np.ndarray,
+                     eligible: np.ndarray) -> np.ndarray:
+    """partition for every node at once, bit for bit.
+
+    Row i-1 splits deficit[i-1] over the eligible slots of that row in
+    proportion to their weights; negligible weights and slots that are not
+    eligible get exactly 0.  Totals sum one column at a time.
+    """
+    live = eligible & (weights > NEGLIGIBLE_NORMAL)
+    asking = eligible.any(axis=1)
+    if (asking & ~live.any(axis=1)).any():
+        raise DegenerateWeightsError(
+            "every eligible neighbor has negligible coupling weight")
+    total = np.zeros(deficit.shape)
+    for c in range(weights.shape[1]):
+        total = np.where(live[:, c], total + weights[:, c], total)
+    ratio = np.divide(weights, total[:, None], out=np.zeros(weights.shape), where=live)
+    shares = np.where(live, deficit[:, None] * ratio, 0.0)
+    spread = _row_sum(shares) - deficit
+    assert (~asking | (np.abs(spread) <= 1e-12 * np.maximum(1.0, np.abs(deficit)))).all(), \
+        "partition must conserve the margin"
+    return shares
+
+
+def _fold_bounds(bound: np.ndarray, rising: np.ndarray, falling: np.ndarray,
+                 lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tighten each node's [lo, hi] by its request bounds, one column at a time.
+
+    A rising request raises lo and a falling one lowers hi, as
+    ControlRegion.interval folds them; ties keep the earlier value.
+    """
+    for d in range(bound.shape[1]):
+        b = bound[:, d]
+        lo = np.where(rising[:, d] & (b > lo), b, lo)
+        hi = np.where(falling[:, d] & (b < hi), b, hi)
+    return lo, hi
+
+
+def _closest_points(frozen: np.ndarray, bound: np.ndarray, rising: np.ndarray,
+                    falling: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray) -> np.ndarray:
+    """closest_point of each node's box to its request polytope (1-D)."""
+    plo, phi = _fold_bounds(bound, rising, falling, np.full(box_lo.shape, -np.inf),
+                            np.full(box_lo.shape, np.inf))
+    contradictory = frozen & (plo > phi)
+    if contradictory.any():
+        i = int(np.flatnonzero(contradictory)[0])
+        raise GeometryConvergenceError("empty request polytope",
+                                       last_iterate=np.array([box_lo[i]]),
+                                       residual=plo[i] - phi[i])
+    inside = np.where(box_lo > plo, box_lo, plo)
+    inside = np.where(box_hi < inside, box_hi, inside)
+    return np.where(phi < box_lo, box_lo, np.where(plo > box_hi, box_hi, inside))
+
+
+def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
+                                box_lo: np.ndarray, box_hi: np.ndarray,
+                                *,
+                                outer_cap: int = DEFAULT_OUTER_CAP,
+                                inner_cap: int = DEFAULT_INNER_CAP,
+                                weights_mode: str = "coupling",
+                                messages: list[CollabMessage] | None = None,
+                                tol: float = MARGIN_TOL) -> ArrayOutcome:
+    """collaborative_safety for a scalar network, on edge arrays.
+
+    Node i's control box is [box_lo[i-1], box_hi[i-1]].  Every sub-round
+    runs partition, coordinate and the requesters' bookkeeping for all
+    nodes at once with collaborate's synchronous, ascending-id semantics:
+    the rounds, regions, capabilities, ledgers, messages and raised errors
+    are the per-node protocol's, bit for bit.  A stall raises
+    ProtocolStallError without ledgers.
+    """
+    a = psi2.coupling
+    in_mask, in_source, out_slot = layout.in_mask, layout.in_source, layout.out_slot
+    live = in_mask & (np.abs(a) > NEGLIGIBLE_NORMAL)
+    dead = in_mask & ~live
+    a_live = np.where(live, a, 1.0)
+    # which requests bound each helper's interval from below and from above,
+    # in its out-neighbors' ascending order
+    rising = (live & (a > 0.0)).ravel()[out_slot] & layout.out_mask
+    falling = (live & (a < 0.0)).ravel()[out_slot] & layout.out_mask
+    weights = np.ones_like(a) if weights_mode == "uniform" else np.abs(a)
+    # padding counts as constrained, so it is never eligible
+    padding = ~in_mask
+
+    out_alloc, in_req = np.zeros(a.shape), np.zeros(a.shape)
+    constrained = padding
+    n = box_lo.shape[0]
+    lo, hi, frozen, point = box_lo, box_hi, np.zeros(n, dtype=bool), np.zeros(n)
+    outer = total_sub = 0
+    cap_tripped = False
+    while True:
+        outer += 1
+        capability = max_capability_arrays(psi2, IntervalRegions(lo, hi, frozen, point))
+        deficit = capability - _row_sum(out_alloc)
+        if (deficit >= -tol).all():
+            break
+        if outer >= outer_cap:
+            stuck = (deficit < -tol) & constrained.all(axis=1)
+            if stuck.any():
+                raise _infeasible(tuple(int(i) + 1 for i in np.flatnonzero(stuck)))
+            cap_tripped = True
+            break
+        constrained = padding
+        sub = 0
+        while True:
+            if sub >= inner_cap:
+                raise ProtocolStallError(f"no agreement after {inner_cap} sub-rounds")
+            sub += 1
+            idx = total_sub + sub
+
+            # every node splits its margin over unconstrained in-neighbors
+            eligible = ~constrained
+            try:
+                shares = partition_arrays(deficit, weights, eligible)
+            except DegenerateWeightsError:
+                degenerate = eligible.any(axis=1) & \
+                    ~(eligible & (weights > NEGLIGIBLE_NORMAL)).any(axis=1)
+                for i in np.flatnonzero(degenerate):
+                    log.warning("node %d: all coupling weights negligible, splitting uniformly",
+                                i + 1)
+                shares = partition_arrays(deficit, np.where(degenerate[:, None], 1.0, weights),
+                                          eligible)
+
+            # every helper re-derives its interval from the demands on it
+            target = in_req + shares
+            eps = np.where(dead & (target < 0.0), -target, 0.0)
+            bound = (-target / a_live).ravel()[out_slot]
+            lo, hi = _fold_bounds(bound, rising, falling, box_lo, box_hi)
+            frozen = lo > hi
+            if frozen.any():
+                point = _closest_points(frozen, bound, rising, falling, box_lo, box_hi)
+                short = a * point[in_source] + target
+                eps = np.where(live & frozen[in_source] & (short < 0.0), -short, eps)
+            in_req = target + eps
+            out_alloc = (out_alloc + shares) + eps
+
+            if messages is not None:
+                asked = np.flatnonzero(eligible)
+                messages.extend(CollabMessage(idx, "request", *layout.requests[s], v)
+                                for s, v in zip(asked.tolist(), shares.ravel()[asked].tolist()))
+                messages.extend(CollabMessage(idx, "adjust", j, k, v)
+                                for (j, k), v in zip(layout.adjusts,
+                                                     eps.ravel()[layout.adjust_slots].tolist()))
+
+            refused = eps > 0.0
+            constrained = constrained | refused
+            touched = refused.any(axis=1)
+            touched[in_source[refused]] = True
+            deficit = capability - _row_sum(out_alloc)
+            if (constrained.all(axis=1) | ~touched).all():
+                break
+        total_sub += sub
+    return ArrayOutcome(IntervalRegions(lo, hi, frozen, point), capability, out_alloc, in_req,
+                        outer, total_sub, cap_tripped)

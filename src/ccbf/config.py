@@ -46,7 +46,6 @@ KNOWN_KEYS = (
     "sim.inner_cap",
     "sim.trace",
     "sim.continue_on_infeasible",
-    "sim.persist_allocations",
     "output.dir",
 )
 
@@ -78,7 +77,6 @@ class ScenarioConfig:
     inner_cap: int
     trace: bool
     continue_on_infeasible: bool
-    persist_allocations: bool
     output_dir: str
 
     def replace(self, **kw) -> "ScenarioConfig":
@@ -102,16 +100,13 @@ class ScenarioConfig:
         """Keyword arguments for run_scenario, minus the trajectory inputs."""
         import numpy as np
 
-        nominal = None
-        if any(v != 0.0 for v in self.nominal):
-            nominal = {i: np.array([self.nominal[i - 1]]) for i in range(1, self.nodes + 1)}
+        nominal = np.array(self.nominal) if any(v != 0.0 for v in self.nominal) else None
         return dict(
             dt=self.dt, t_final=self.t_final, nominal=nominal,
             udot_policy=self.udot_policy, collaboration=self.collaboration,
             weights_mode=self.weights, outer_cap=self.outer_cap,
             inner_cap=self.inner_cap,
             continue_on_infeasible=self.continue_on_infeasible,
-            persist_allocations=self.persist_allocations,
             collect_messages=self.trace)
 
 
@@ -385,7 +380,6 @@ def parse_config(text: str) -> ScenarioConfig:
     inner_cap = _want_int(raw, "sim.inner_cap", problems, default=64, minimum=1)
     trace = _want_bool(raw, "sim.trace", problems, False)
     continue_on_infeasible = _want_bool(raw, "sim.continue_on_infeasible", problems, False)
-    persist_allocations = _want_bool(raw, "sim.persist_allocations", problems, False)
     output_dir = raw.get("output.dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
         problems.append(("output.dir", f"must be a non-empty string, got {output_dir!r}"))
@@ -398,8 +392,7 @@ def parse_config(text: str) -> ScenarioConfig:
         u_max=u_max, x_bar=x_bar, eta=eta, kappa=kappa, udot_policy=udot_policy,
         x0=x0, nominal=nominal, dt=dt, t_final=t_final, collaboration=collaboration,
         weights=weights, outer_cap=outer_cap, inner_cap=inner_cap, trace=trace,
-        continue_on_infeasible=continue_on_infeasible,
-        persist_allocations=persist_allocations, output_dir=output_dir)
+        continue_on_infeasible=continue_on_infeasible, output_dir=output_dir)
 
 
 def _emit(value) -> str:
@@ -407,15 +400,7 @@ def _emit(value) -> str:
         return "on" if value else "off"
     if isinstance(value, str):
         return value
-    if isinstance(value, tuple):
-        return json.dumps(_untuple(value))
     return json.dumps(value)
-
-
-def _untuple(value):
-    if isinstance(value, tuple):
-        return [_untuple(v) for v in value]
-    return value
 
 
 def normalize_config(cfg: ScenarioConfig) -> str:
@@ -441,7 +426,6 @@ def normalize_config(cfg: ScenarioConfig) -> str:
         ("sim.inner_cap", cfg.inner_cap),
         ("sim.trace", cfg.trace),
         ("sim.continue_on_infeasible", cfg.continue_on_infeasible),
-        ("sim.persist_allocations", cfg.persist_allocations),
         ("output.dir", cfg.output_dir),
     )
     return "".join(f"{key} = {_emit(value)}\n" for key, value in pairs)

@@ -191,17 +191,19 @@ class SisParams:
             problems.append("gamma entries must be > 0")
         if np.any(self.u_max < 0.0):
             problems.append("u_max entries must be >= 0")
-        edges = set(graph.edges)
-        for i in graph.nodes():
-            for j in graph.nodes():
-                if i == j:
-                    continue
-                present = (j, i) in edges
-                positive = self.beta[i - 1, j - 1] > 0.0
-                if positive and not present:
-                    problems.append(f"beta[{i - 1}][{j - 1}] > 0 but edge ({j}, {i}) is missing")
-                if present and not positive:
-                    problems.append(f"edge ({j}, {i}) present but beta[{i - 1}][{j - 1}] is 0")
+        present = np.zeros((n, n), dtype=bool)
+        rows = [i - 1 for i in graph.nodes() for _ in in_neighbors(graph, i)]
+        cols = [j - 1 for i in graph.nodes() for j in in_neighbors(graph, i)]
+        present[rows, cols] = True
+        positive = self.beta > 0.0
+        np.fill_diagonal(positive, False)  # on-node rates need no edge
+        # row-major, so problems come in (i, j) order
+        for row, col in np.argwhere(positive != present):
+            i, j = int(row) + 1, int(col) + 1
+            if positive[row, col]:
+                problems.append(f"beta[{i - 1}][{j - 1}] > 0 but edge ({j}, {i}) is missing")
+            else:
+                problems.append(f"edge ({j}, {i}) present but beta[{i - 1}][{j - 1}] is 0")
         return problems
 
 
@@ -381,7 +383,8 @@ class NetworkedSystem:
     def derivative(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         fast = getattr(self.model, "packed_derivative", None)
         if fast is not None and np.shape(x) == (self.graph.node_count,):
-            self.split_control(u)
+            if np.shape(u) != (self.control_size,):
+                raise DimensionError(f"packed control must have shape ({self.control_size},)")
             return fast(x, u)
         states = self.split_state(x)
         controls = self.split_control(u)

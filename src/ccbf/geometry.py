@@ -12,6 +12,7 @@ converges for this polyhedral family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,6 +149,20 @@ class ControlRegion:
             else:
                 hi = min(hi, bound)
         return lo, hi
+
+
+class IntervalRegions(NamedTuple):
+    """Every scalar node's admissible region, as arrays.
+
+    Entry i-1 belongs to node i: the interval [lo, hi], or, where frozen is
+    True, the single point `point` (lo, hi and point are then as the
+    negotiation left them).
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    frozen: np.ndarray
+    point: np.ndarray
 
 
 def intersect(box, halfspaces) -> ControlRegion:

@@ -1,11 +1,14 @@
 """Closed-loop simulation: snapshot, negotiate, filter, integrate.
 
 Every step runs the same pipeline at the current state: build every
-node's Lie terms and psi2 decomposition at once from the model's array
-kernel, negotiate admissible control regions
-(or hand every node its full box when collaboration is off), pass each
-node's nominal control through its safety filter, record a row, then
-advance one RK4 step with the controls held constant over the interval.
+node's Lie terms and psi2 blocks at once from the model's array kernel,
+negotiate admissible control regions with the array protocol (or hand
+every node its full box when collaboration is off), pass the nominal
+controls through the array safety filter, record a row, then advance one
+RK4 step with the controls held constant over the interval.  Every stage
+works on arrays over nodes and edges; the per-node `safety_filter` and
+`collaborative_safety` are the reference they match bit for bit, and the
+path for vector controls.
 
 The recorded row at t = k dt carries the state at t, the control applied
 on [t, t+dt), the negotiated capability, and the round counts for that
@@ -19,16 +22,17 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .barrier import (BarrierSpec, Psi2Decomposition, QuadraticForm, decompose_psi2_all,
-                      max_capability)
-from .collab import CollabMessage, collaborative_safety
+from .barrier import (BarrierSpec, Psi2Arrays, Psi2Decomposition, QuadraticForm,
+                      decompose_psi2_all, max_capability, max_capability_arrays)
+from .collab import CollabMessage, collaborative_safety_arrays, edge_layout
 from .dynamics import NetworkedSystem, rk4_step
-from .errors import EmptyRegionError, GeometryConvergenceError, TerminallyInfeasibleError
-from .geometry import NEGLIGIBLE_NORMAL, ControlRegion, Halfspace, project_point
+from .errors import (EmptyRegionError, GeometryConvergenceError, ProtocolStallError,
+                     TerminallyInfeasibleError)
+from .geometry import (NEGLIGIBLE_NORMAL, ControlRegion, Halfspace, IntervalRegions,
+                       normalize_box, project_point)
 
 log = logging.getLogger("ccbf.simulate")
 
@@ -44,7 +48,9 @@ class ScenarioResult:
 
     cap_tripped_steps counts the steps whose negotiation hit the outer
     round cap with some node's margin still open: such a step is neither
-    halted nor certified safe.
+    halted nor certified safe.  A halted run stops at halted_at, and
+    halt_reason says why: "infeasible" (terminal infeasibility at
+    infeasible_nodes) or "stall" (no agreement within the sub-round cap).
     """
 
     times: np.ndarray
@@ -55,6 +61,7 @@ class ScenarioResult:
     inner_rounds: np.ndarray
     thresholds: tuple[float, ...]
     halted_at: float | None = None
+    halt_reason: str | None = None
     infeasible_nodes: tuple[int, ...] = ()
     max_clamp: float = 0.0
     cap_tripped_steps: int = 0
@@ -89,13 +96,6 @@ def _certificate_pieces(form: QuadraticForm, slack: float) -> list[tuple[float, 
     if q < 0.0:
         return [(r1, r2)]
     return [(-inf, r1), (r2, inf)]
-
-
-class _Psi1Terms(NamedTuple):
-    """The Lie terms safety_filter reads: L_f h and L_g h of one node."""
-
-    lf_h: float
-    lg_h: np.ndarray
 
 
 def safety_filter(nominal: np.ndarray, region: ControlRegion, spec: BarrierSpec,
@@ -175,6 +175,101 @@ def safety_filter(nominal: np.ndarray, region: ControlRegion, spec: BarrierSpec,
     return point, True
 
 
+def _clamp(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """min(max(v, lo), hi) elementwise, keeping the first argument on ties."""
+    v = np.where(lo > v, lo, v)
+    return np.where(hi < v, hi, v)
+
+
+def _certificate_choice(certificate: Psi2Arrays, want: np.ndarray, flo: np.ndarray,
+                        fhi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scalar filter's certificate step for every node at once.
+
+    Returns the point of the certificate pieces (_certificate_pieces with
+    CERT_TOL slack) inside [flo, fhi] nearest the nominal, first piece
+    first, and whether any piece met [flo, fhi].
+    """
+    q, l = certificate.quadratic, certificate.linear
+    c = certificate.constant + CERT_TOL
+    inf = np.inf
+    disc = l * l - 4.0 * q * c
+    flat = np.abs(q) <= NEGLIGIBLE_NORMAL
+    curved = ~flat
+    crossing = curved & (disc > 0.0)
+    root = np.sqrt(disc, out=np.zeros(c.shape), where=crossing)
+    two_q = 2.0 * q
+    ra = np.divide(-l - root, two_q, out=np.zeros(c.shape), where=curved)
+    rb = np.divide(-l + root, two_q, out=np.zeros(c.shape), where=curved)
+    swap = rb < ra
+    r1, r2 = np.where(swap, rb, ra), np.where(swap, ra, rb)
+    concave = q < 0.0
+    cup = crossing & ~concave  # two pieces, outside the roots
+    # first piece: between the roots, below the lower root, or the whole
+    # line where the curve never crosses zero and opens upward
+    lo1 = np.where(crossing & concave, r1, -inf)
+    hi1 = np.where(crossing, np.where(concave, r2, r1), inf)
+    has1 = crossing | ~concave
+    if flat.any():
+        level = flat & (np.abs(l) <= NEGLIGIBLE_NORMAL)
+        sloped = flat & ~level
+        cut = np.divide(-c, l, out=np.zeros(c.shape), where=sloped)
+        rising = l > 0.0
+        lo1 = np.where(sloped & rising, cut, lo1)
+        hi1 = np.where(sloped & ~rising, cut, hi1)
+        has1 = np.where(level, c >= 0.0, has1 | sloped)
+    seg_lo = np.where(lo1 > flo, lo1, flo)
+    seg_hi = np.where(hi1 < fhi, hi1, fhi)
+    found = has1 & ~(seg_lo > seg_hi)
+    best = _clamp(want, seg_lo, seg_hi)
+    if cup.any():
+        seg_lo = np.where(r2 > flo, r2, flo)
+        usable = cup & ~(seg_lo > fhi)
+        u = _clamp(want, seg_lo, fhi)
+        better = usable & (~found | (np.abs(u - want) < np.abs(best - want)))
+        best = np.where(better, u, best)
+        found = found | usable
+    return best, found
+
+
+def safety_filter_arrays(nominal: np.ndarray, regions: IntervalRegions, base: np.ndarray,
+                         lg_h: np.ndarray, certificate: Psi2Arrays | None = None,
+                         certified: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """safety_filter for every scalar node at once, bit for bit.
+
+    base is each node's psi1 at zero control, L_f h + eta * h, and lg_h its
+    L_g h.  The self-term blocks of `certificate` are the own-margin forms
+    of the nodes where `certified` is True; the other nodes filter without
+    one.  Returns the packed controls and the per-node relaxation flags.
+    """
+    lo, hi, frozen, point = regions
+    if (lo > hi).any():
+        empty = ~frozen & (lo > hi)
+        if empty.any():
+            raise EmptyRegionError(
+                f"node {int(np.flatnonzero(empty)[0]) + 1}: negotiated region is empty")
+    a = lg_h
+    steer = np.abs(a) > NEGLIGIBLE_NORMAL
+    up = steer & (a > 0.0)
+    bound = np.divide(-base, a, out=np.zeros(a.shape), where=steer)
+    flo = np.where(up & (bound > lo), bound, lo)
+    fhi = np.where(steer & ~up & (bound < hi), bound, hi)
+    blind = ~steer & (base < -PSI1_TOL)  # control cannot reach psi1 at all
+    if blind.any():
+        flo, fhi = np.where(blind, hi, flo), np.where(blind, lo, fhi)
+    feasible = flo <= fhi
+    u = _clamp(nominal, flo, fhi)
+    if certificate is not None and certified.any():
+        best, found = _certificate_choice(certificate, nominal, flo, fhi)
+        u = np.where(certified & found, best, u)
+    relaxed = ~feasible
+    if relaxed.any():
+        u = np.where(feasible, u, np.where(steer, np.where(up, hi, lo), _clamp(nominal, lo, hi)))
+    if frozen.any():
+        u = np.where(frozen, point, u)
+        relaxed = np.where(frozen, base + a * point < -PSI1_TOL, relaxed)
+    return u, relaxed
+
+
 def _udot_for(policy: str, history: list[np.ndarray], dims: int, dt: float,
               warned: list[bool]) -> np.ndarray:
     if policy == "zero":
@@ -191,41 +286,52 @@ def run_scenario(system: NetworkedSystem, specs: dict[int, BarrierSpec], x0: np.
                  *,
                  dt: float = 0.01,
                  t_final: float = 100.0,
-                 nominal=None,
+                 nominal: np.ndarray | None = None,
                  udot_policy: str = "zero",
                  collaboration: bool = True,
                  weights_mode: str = "coupling",
                  outer_cap: int = 16,
                  inner_cap: int = 64,
                  continue_on_infeasible: bool = False,
-                 persist_allocations: bool = False,
                  collect_messages: bool = False) -> ScenarioResult:
-    """Run the closed loop from x0 to t_final and record every step."""
+    """Run the closed loop from x0 to t_final and record every step.
+
+    nominal is the packed nominal control, zero when None.  Each step runs
+    on arrays: the model's Lie terms, the psi2 blocks, the array protocol
+    and the array filter; only scalar models with lie_arrays are supported.
+    A terminally infeasible step halts the run unless continue_on_infeasible
+    is set; a stalled negotiation always halts it.
+    """
     graph = system.graph
     nodes = list(graph.nodes())
     n = len(nodes)
-    total_x = sum(graph.state_dims[i] for i in nodes)
-    total_u = sum(graph.control_dims[i] for i in nodes)
     x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (total_x,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({total_x},) for this graph")
-    boxes = {i: system.model.control_box(i) for i in nodes}
-    control_offsets = graph.control_offsets()
+    if x.shape != (system.state_size,):
+        raise ValueError(f"x0 has shape {x.shape}, expected ({system.state_size},) for this graph")
+    want = np.zeros(n) if nominal is None else np.asarray(nominal, dtype=float)
+    if want.shape != (n,):
+        raise ValueError(f"nominal has shape {want.shape}, expected ({n},) for this graph")
+    model = system.model
+    box = np.array([normalize_box(model.control_box(i))[0] for i in nodes])
+    box_lo, box_hi = box[:, 0].copy(), box[:, 1].copy()
+    full_boxes = IntervalRegions(box_lo, box_hi, np.zeros(n, dtype=bool), np.zeros(n))
+    threshold = np.array([specs[i].threshold for i in nodes])
+    eta = np.array([specs[i].eta for i in nodes])
+    layout = edge_layout(graph) if collaboration else None
     nsteps = int(round(t_final / dt))
 
     times = np.zeros(nsteps + 1)
-    states = np.zeros((nsteps + 1, total_x))
-    controls = np.zeros((nsteps + 1, total_u))
+    states = np.zeros((nsteps + 1, n))
+    controls = np.zeros((nsteps + 1, n))
     capabilities = np.zeros((nsteps + 1, n))
     outer_rounds = np.zeros(nsteps + 1, dtype=int)
     inner_rounds = np.zeros(nsteps + 1, dtype=int)
     all_messages: list[tuple[float, CollabMessage]] = []
 
-    model = system.model
     history: list[np.ndarray] = []  # the last two applied packed controls
     warned = [False]
-    carried: dict[int, dict[int, float]] | None = None
     halted_at: float | None = None
+    halt_reason: str | None = None
     infeasible_nodes: tuple[int, ...] = ()
     max_clamp = 0.0
     cap_tripped_steps = 0
@@ -233,75 +339,63 @@ def run_scenario(system: NetworkedSystem, specs: dict[int, BarrierSpec], x0: np.
 
     for k in range(nsteps + 1):
         t = k * dt
-        sts = system.split_state(x)
         lie = model.lie_arrays(x)
-        udot = _udot_for(udot_policy, history, total_u, dt, warned)
-        decomps = decompose_psi2_all(specs, lie, udot)
+        udot = _udot_for(udot_policy, history, n, dt, warned)
+        psi2 = decompose_psi2_all(specs, lie, udot)
 
         step_messages: list[CollabMessage] = []
+        outcome = None
         if collaboration:
             try:
-                outcome = collaborative_safety(
-                    graph, decomps, boxes,
+                outcome = collaborative_safety_arrays(
+                    layout, psi2, box_lo, box_hi,
                     outer_cap=outer_cap, inner_cap=inner_cap, weights_mode=weights_mode,
-                    messages=step_messages if collect_messages else None,
-                    initial_allocations=carried)
+                    messages=step_messages if collect_messages else None)
             except TerminallyInfeasibleError as err:
                 if not continue_on_infeasible:
                     log.error("t=%.6g: %s", t, err)
-                    halted_at = t
+                    halted_at, halt_reason = t, "infeasible"
                     infeasible_nodes = err.nodes
                     break
                 log.warning("t=%.6g: %s; continuing with unconstrained boxes", t, err)
                 infeasible_nodes = tuple(sorted(set(infeasible_nodes) | set(err.nodes)))
-                outcome = None
-        else:
-            outcome = None
+            except ProtocolStallError as err:
+                log.error("t=%.6g: negotiation stalled: %s", t, err)
+                halted_at, halt_reason = t, "stall"
+                break
 
+        certified = None
         if outcome is not None:
             regions = outcome.regions
-            caps = {i: outcome.ledgers[i].capability for i in nodes}
+            caps = outcome.capability
             outer_rounds[k] = outcome.outer_rounds
             inner_rounds[k] = outcome.sub_rounds
             cap_tripped_steps += outcome.cap_tripped
-            if persist_allocations:
-                carried = {i: dict(outcome.ledgers[i].out_alloc) for i in nodes}
+            # A node that negotiated help owes its own share of the closed
+            # margin; self-sufficient nodes stay minimally invasive.
+            help_floor = -outcome.allocated()
+            certified = help_floor > 0.0
+            certificate = psi2._replace(constant=psi2.constant + help_floor)
         else:
-            regions = {i: ControlRegion(boxes[i]) for i in nodes}
-            caps = {i: max_capability(decomps[i], regions[i])[0] for i in nodes}
+            regions = full_boxes
+            caps = max_capability_arrays(psi2, regions)
+            certificate = None
 
         if collect_messages:
             all_messages.extend((t, m) for m in step_messages)
 
-        u = np.zeros(total_u)
-        nom = nominal(t, sts) if callable(nominal) else nominal
-        lf_h = lie.lf_h.tolist()
-        for i in nodes:
-            want = np.zeros(graph.control_dims[i]) if nom is None \
-                else np.atleast_1d(np.asarray(nom[i], dtype=float))
-            # A node that negotiated help owes its own share of the closed
-            # margin; self-sufficient nodes stay minimally invasive.
-            certificate = None
-            if outcome is not None:
-                help_floor = -sum(outcome.ledgers[i].out_alloc.values())
-                if help_floor > 0.0:
-                    own = decomps[i].self_term
-                    certificate = QuadraticForm(own.constant + help_floor,
-                                                own.linear, own.quadratic)
-            # L_g h of a scalar node is its own state
-            terms = _Psi1Terms(lf_h[i - 1], sts[i])
-            u_i, relaxed = safety_filter(want, regions[i], specs[i], terms, sts[i],
-                                         certificate=certificate)
-            if relaxed:
-                log.debug("t=%.6g node %d: psi1 constraint relaxed", t, i)
-            off = control_offsets[i]
-            u[off:off + graph.control_dims[i]] = u_i
+        base = lie.lf_h + eta * (threshold - x)
+        # L_g h of a scalar node is its own state
+        u, relaxed = safety_filter_arrays(want, regions, base, x, certificate, certified)
+        if relaxed.any() and log.isEnabledFor(logging.DEBUG):
+            for i in np.flatnonzero(relaxed):
+                log.debug("t=%.6g node %d: psi1 constraint relaxed", t, i + 1)
         history = [*history[-1:], u]
 
         times[k] = t
         states[k] = x
         controls[k] = u
-        capabilities[k] = [caps[i] for i in nodes]
+        capabilities[k] = caps
         rows = k + 1
 
         if k < nsteps:
@@ -316,7 +410,7 @@ def run_scenario(system: NetworkedSystem, specs: dict[int, BarrierSpec], x0: np.
         times=times[:rows], states=states[:rows], controls=controls[:rows],
         capabilities=capabilities[:rows], outer_rounds=outer_rounds[:rows],
         inner_rounds=inner_rounds[:rows], thresholds=thresholds,
-        halted_at=halted_at, infeasible_nodes=infeasible_nodes,
+        halted_at=halted_at, halt_reason=halt_reason, infeasible_nodes=infeasible_nodes,
         max_clamp=max_clamp, cap_tripped_steps=cap_tripped_steps, messages=all_messages)
 
 

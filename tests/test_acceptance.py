@@ -350,16 +350,19 @@ def test_criterion_7_geometry_grid_oracle(capsys):
 
 
 def test_criterion_8_partition_conservation(capsys, monkeypatch):
-    real = collab_mod.partition
+    # the closed loop splits every node's margin at once; each row of a
+    # split with an eligible in-neighbor is one node's partition
+    real = collab_mod.partition_arrays
     residuals: list[float] = []
 
-    def recording(deficit, weights):
-        shares = real(deficit, weights)
-        total = sum(shares[j] for j in sorted(shares))
-        residuals.append(abs(total - deficit) / max(1.0, abs(deficit)))
+    def recording(deficit, weights, eligible):
+        shares = real(deficit, weights, eligible)
+        for row in np.flatnonzero(eligible.any(axis=1)):
+            total = sum(float(v) for v in shares[row][eligible[row]])
+            residuals.append(abs(total - deficit[row]) / max(1.0, abs(deficit[row])))
         return shares
 
-    monkeypatch.setattr(collab_mod, "partition", recording)
+    monkeypatch.setattr(collab_mod, "partition_arrays", recording)
     system, specs = _paper_system()
     run_scenario(system, specs, np.asarray(PAPER_X0, dtype=float))
     worst = max(residuals) if residuals else float("inf")

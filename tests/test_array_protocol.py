@@ -1,0 +1,271 @@
+"""The array protocol and filter against the per-node reference, bit for bit.
+
+Seeded random scalar networks drive `collaborative_safety_arrays` and
+`collaborative_safety` side by side, and random regions and certificates
+drive `safety_filter_arrays` and `safety_filter`.  Each comparison is exact
+on the float bits.  The instances are drawn wide enough to reach every
+branch of the protocol and the filter, and the tests assert that they did:
+no bench workload refuses a request, so the output digests do not cover
+these branches.
+"""
+
+from __future__ import annotations
+
+import itertools
+import logging
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from ccbf.barrier import (BarrierSpec, Psi2Arrays, Psi2Decomposition, QuadraticForm,
+                          max_capability, max_capability_arrays)
+from ccbf.collab import (CollabMessage, collaborative_safety, collaborative_safety_arrays,
+                         edge_layout)
+from ccbf.errors import CcbfError
+from ccbf.geometry import ControlRegion, IntervalRegions
+from ccbf.graph import NetworkGraph, in_neighbors
+from ccbf.simulate import safety_filter, safety_filter_arrays
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def _value(rng, scale: float) -> float:
+    """A float that is sometimes exactly 0, sometimes negligible, else random."""
+    pick = rng.random()
+    if pick < 0.1:
+        return 0.0
+    if pick < 0.15:
+        return float(rng.choice([-1.0, 1.0])) * 1e-14
+    return float(rng.uniform(-scale, scale))
+
+
+def _random_instance(rng):
+    """A scalar network with synthetic psi2 blocks, boxes and protocol caps."""
+    n = int(rng.integers(1, 7))
+    edges = []
+    for i in range(1, n + 1):
+        others = [j for j in range(1, n + 1) if j != i]
+        degree = int(rng.integers(0, n))
+        edges += [(int(j), i) for j in rng.choice(others, size=degree, replace=False)]
+    graph = NetworkGraph(n, edges)
+    layout = edge_layout(graph)
+    width = layout.in_mask.shape[1]
+    coupling = np.zeros((n, width))
+    positive = rng.random() < 0.6  # SIS couplings are never negative
+    for i in graph.nodes():
+        for c, _ in enumerate(in_neighbors(graph, i)):
+            v = _value(rng, 1.0)
+            coupling[i - 1, c] = abs(v) if positive else v
+    psi2 = Psi2Arrays(
+        constant=rng.uniform(-0.6, 0.4, n),
+        linear=np.array([_value(rng, 0.5) for _ in range(n)]),
+        quadratic=np.array([_value(rng, 0.5) for _ in range(n)]),
+        coupling=coupling)
+    lo = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-0.3, 0.3, n))
+    hi = lo + np.where(rng.random(n) < 0.1, 0.0, rng.uniform(0.0, 1.5, n))
+    options = dict(outer_cap=int(rng.choice([1, 2, 16, 16])),
+                   inner_cap=int(rng.choice([1, 64, 64])),
+                   weights_mode=str(rng.choice(["coupling", "uniform"])))
+    return graph, layout, psi2, lo, hi, options
+
+
+def _per_node(graph, psi2):
+    decomps = {}
+    for i in graph.nodes():
+        coupling = {j: np.array([psi2.coupling[i - 1, c]])
+                    for c, j in enumerate(in_neighbors(graph, i))}
+        form = QuadraticForm(float(psi2.constant[i - 1]), np.array([psi2.linear[i - 1]]),
+                             np.array([[psi2.quadratic[i - 1]]]))
+        decomps[i] = Psi2Decomposition(coupling, form)
+    return decomps
+
+
+def _run(call):
+    messages: list[CollabMessage] = []
+    try:
+        return call(messages), messages, None
+    except (CcbfError, AssertionError) as exc:
+        return None, messages, exc
+
+
+def _message_bits(messages):
+    return [(m.sub_round, m.kind, m.from_node, m.to_node, _bits(m.value)) for m in messages]
+
+
+def test_array_protocol_matches_per_node_protocol(caplog):
+    rng = np.random.default_rng(20240611)
+    hits = dict.fromkeys(["frozen", "dead_channel", "degenerate", "uniform", "cap_trip",
+                          "infeasible", "stall", "settled"], 0)
+    with caplog.at_level(logging.WARNING, logger="ccbf.collab"):
+        for _ in range(2000):
+            graph, layout, psi2, lo, hi, options = _random_instance(rng)
+            boxes = {i: ((float(lo[i - 1]), float(hi[i - 1])),) for i in graph.nodes()}
+            caplog.clear()
+            ref, ref_msgs, ref_err = _run(lambda m: collaborative_safety(
+                graph, _per_node(graph, psi2), boxes, messages=m, **options))
+            warned = [r.getMessage() for r in caplog.records]
+            caplog.clear()
+            got, got_msgs, got_err = _run(lambda m: collaborative_safety_arrays(
+                layout, psi2, lo, hi, messages=m, **options))
+            assert [r.getMessage() for r in caplog.records] == warned
+
+            assert type(got_err) is type(ref_err)
+            if ref_err is not None:
+                assert getattr(got_err, "nodes", None) == getattr(ref_err, "nodes", None)
+                assert str(got_err) == str(ref_err)
+                hits["infeasible"] += type(ref_err).__name__ == "TerminallyInfeasibleError"
+                hits["stall"] += type(ref_err).__name__ == "ProtocolStallError"
+                continue
+            assert _message_bits(got_msgs) == _message_bits(ref_msgs)
+            assert (got.outer_rounds, got.sub_rounds, got.cap_tripped) == \
+                (ref.outer_rounds, ref.sub_rounds, ref.cap_tripped)
+            for i in graph.nodes():
+                ledger, region = ref.ledgers[i], ref.regions[i]
+                assert _bits(got.capability[i - 1]) == _bits(ledger.capability)
+                assert bool(got.regions.frozen[i - 1]) == region.frozen
+                if region.frozen:
+                    assert _bits(got.regions.point[i - 1]) == _bits(region.frozen_point[0])
+                else:
+                    assert _bits([got.regions.lo[i - 1], got.regions.hi[i - 1]]) == \
+                        _bits(region.interval())
+                for c, j in enumerate(in_neighbors(graph, i)):
+                    assert _bits(got.out_alloc[i - 1, c]) == _bits(ledger.out_alloc.get(j, 0.0))
+                    assert _bits(got.in_req[i - 1, c]) == _bits(ref.ledgers[j].in_req.get(i, 0.0))
+            assert _bits(got.allocated()) == _bits(
+                [sum(ref.ledgers[i].out_alloc.values()) for i in graph.nodes()])
+
+            # a refusal on a live channel comes from a frozen region, one on
+            # a dead channel refuses the whole net demand
+            refused = [abs(psi2.coupling[m.to_node - 1,
+                                         in_neighbors(graph, m.to_node).index(m.from_node)])
+                       for m in ref_msgs if m.kind == "adjust" and m.value > 0.0]
+            hits["frozen"] += any(a > 1e-12 for a in refused)
+            hits["dead_channel"] += any(a <= 1e-12 for a in refused)
+            hits["degenerate"] += bool(warned)
+            hits["uniform"] += options["weights_mode"] == "uniform" and ref.sub_rounds > 0
+            hits["cap_trip"] += ref.cap_tripped
+            hits["settled"] += ref.sub_rounds > 0 and not ref.cap_tripped
+    assert all(hits.values()), hits
+
+
+def _random_form(rng):
+    """(c, l, q) of a certificate that is flat, negligibly curved, concave or convex."""
+    kind = int(rng.integers(0, 5))
+    if kind == 0:
+        q = 0.0
+    elif kind == 1:
+        q = 1e-14
+    elif kind == 2:
+        q = -float(rng.uniform(0.1, 1.0))
+    else:
+        q = float(rng.uniform(0.1, 1.0))
+    return _value(rng, 0.5), _value(rng, 1.0), q
+
+
+def test_array_filter_matches_per_node_filter():
+    rng = np.random.default_rng(7)
+    hits = dict.fromkeys(["frozen", "relaxed", "blind", "dropped", "second_piece",
+                          "level", "sloped", "concave", "convex"], 0)
+    for _ in range(600):
+        n = int(rng.integers(1, 8))
+        lo = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-0.5, 0.5, n))
+        hi = lo + np.where(rng.random(n) < 0.1, 0.0, rng.uniform(0.0, 1.0, n))
+        frozen = rng.random(n) < 0.2
+        point = rng.uniform(-0.5, 1.0, n)
+        x = rng.uniform(0.0, 1.0, n)
+        x[rng.random(n) < 0.2] = 0.0
+        lf_h = rng.uniform(-1.0, 1.0, n)
+        threshold = rng.uniform(0.0, 1.0, n)
+        eta = rng.uniform(0.2, 3.0, n)
+        gain = np.array([_value(rng, 1.0) for _ in range(n)])
+        nominal = rng.uniform(-0.5, 1.0, n)
+        nominal[rng.random(n) < 0.2] = rng.choice([0.0, -0.0])  # ties with a box end
+        forms = [_random_form(rng) for _ in range(n)]
+        certified = rng.random(n) < 0.7
+        certificate = Psi2Arrays(np.array([f[0] for f in forms]), np.array([f[1] for f in forms]),
+                                 np.array([f[2] for f in forms]), np.zeros((n, 0)))
+        regions = IntervalRegions(lo, hi, frozen, np.where(frozen, point, 0.0))
+        base = lf_h + eta * (threshold - x)
+        u, relaxed = safety_filter_arrays(nominal, regions, base, gain, certificate, certified)
+        for i in range(n):
+            region = ControlRegion(((lo[i], hi[i]),),
+                                   frozen_point=np.array([point[i]]) if frozen[i] else None)
+            spec = BarrierSpec(threshold[i], eta=eta[i])
+            lie = SimpleNamespace(lf_h=lf_h[i], lg_h=np.array([gain[i]]))
+            cert = QuadraticForm(forms[i][0], np.array([forms[i][1]]),
+                                 np.array([[forms[i][2]]])) if certified[i] else None
+            ref_u, ref_relaxed = safety_filter(np.array([nominal[i]]), region, spec, lie,
+                                               np.array([x[i]]), certificate=cert)
+            assert _bits(u[i]) == _bits(ref_u)
+            assert bool(relaxed[i]) == ref_relaxed
+            hits["frozen"] += bool(frozen[i])
+            hits["relaxed"] += ref_relaxed and not frozen[i]
+            hits["blind"] += abs(gain[i]) <= 1e-12 and base[i] < -1e-9
+            if cert is not None and not frozen[i] and not ref_relaxed:
+                c, l, q = forms[i]
+                disc = l * l - 4.0 * q * (c + 1e-9)
+                hits["level"] += abs(q) <= 1e-12 and abs(l) <= 1e-12
+                hits["sloped"] += abs(q) <= 1e-12 < abs(l)
+                hits["concave"] += q < -1e-12
+                hits["convex"] += q > 1e-12
+                # convex with two pieces, and the control in the upper one
+                hits["second_piece"] += q > 1e-12 and disc > 0.0 and ref_u[0] > -l / (2.0 * q)
+                # concave and negative everywhere: no piece, certificate dropped
+                hits["dropped"] += q < -1e-12 and disc <= 0.0
+    assert all(hits.values()), hits
+
+
+def test_empty_region_and_contradictory_demands_raise_like_the_reference():
+    # nodes 1 and 3 both ask node 2 for help through channels of opposite
+    # sign, for u_2 >= 10 and u_2 <= -10: node 2's request polytope is empty
+    graph = NetworkGraph(3, [(2, 1), (2, 3)])
+    layout = edge_layout(graph)
+    psi2 = Psi2Arrays(np.array([-1.0, 0.0, -1.0]), np.zeros(3), np.zeros(3),
+                      np.array([[1.0], [0.0], [-1.0]]))
+    lo, hi = np.zeros(3), np.full(3, 0.1)
+    boxes = {i: ((0.0, 0.1),) for i in (1, 2, 3)}
+    with pytest.raises(CcbfError) as ref:
+        collaborative_safety(graph, _per_node(graph, psi2), boxes)
+    with pytest.raises(type(ref.value)) as got:
+        collaborative_safety_arrays(layout, psi2, lo, hi)
+    assert type(ref.value).__name__ == "GeometryConvergenceError"
+    assert str(got.value) == str(ref.value)
+
+
+def test_array_filter_takes_the_first_of_equidistant_pieces():
+    # convex certificate with roots at -r and r: the nominal 0 is as far
+    # from (-inf, -r] as from [r, inf), and the per-node loop keeps the first
+    certificate = Psi2Arrays(np.array([-0.25]), np.zeros(1), np.ones(1), np.zeros((1, 0)))
+    regions = IntervalRegions(np.array([-1.0]), np.array([1.0]), np.zeros(1, dtype=bool),
+                              np.zeros(1))
+    u, relaxed = safety_filter_arrays(np.zeros(1), regions, np.ones(1), np.ones(1),
+                                      certificate, np.ones(1, dtype=bool))
+    ref, _ = safety_filter(np.zeros(1), ControlRegion(((-1.0, 1.0),)), BarrierSpec(1.0),
+                           SimpleNamespace(lf_h=1.0, lg_h=np.ones(1)), np.ones(1),
+                           certificate=QuadraticForm(-0.25, np.zeros(1), np.ones((1, 1))))
+    assert u[0] < 0.0 and not relaxed[0]
+    assert _bits(u) == _bits(ref)
+
+
+def test_array_capability_matches_per_node_on_signed_zeros():
+    # every sign of zero in every block, frozen and on intervals: the
+    # capability lands in result.csv, where 0 and -0 print differently
+    combos = list(itertools.product([0.0, -0.0, 0.5], [0.0, -0.0, 1.0, -1.0],
+                                    [0.0, -0.0, 1.0, -1.0],
+                                    [None, 0.0, -0.0, 0.5],
+                                    [(0.0, 0.0), (-0.0, 0.0), (0.0, 1.0), (-1.0, -0.0)]))
+    c, l, q, p, box = zip(*combos)
+    frozen = np.array([v is not None for v in p])
+    point = np.array([0.0 if v is None else v for v in p])
+    lo, hi = np.array([b[0] for b in box]), np.array([b[1] for b in box])
+    got = max_capability_arrays(
+        Psi2Arrays(np.array(c), np.array(l), np.array(q), np.zeros((len(c), 0))),
+        IntervalRegions(lo, hi, frozen, point))
+    for k, (ck, lk, qk, pk, bk) in enumerate(combos):
+        form = QuadraticForm(ck, np.array([lk]), np.array([[qk]]))
+        region = ControlRegion((bk,), frozen_point=None if pk is None else np.array([pk]))
+        ref, _ = max_capability(Psi2Decomposition({}, form), region)
+        assert _bits(got[k]) == _bits(ref), combos[k]

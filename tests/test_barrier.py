@@ -253,23 +253,20 @@ def test_batched_decomposition_is_bit_identical_to_per_node(seed, policy):
     lie = model.lie_arrays(x)
     batched = decompose_psi2_all(specs, lie, udot)
     states = {i: np.array([x[i - 1]]) for i in graph.nodes()}
-    assert sorted(batched) == list(graph.nodes())
+    assert batched.coupling.shape == lie.in_mask.shape
+    assert not batched.coupling[~lie.in_mask].any()
     for i in graph.nodes():
         table = model.lie_table(neighborhood(graph, states, i), i)
         ref = decompose_psi2(specs[i], table, states[i], udot[i - 1:i])
-        got = batched[i]
         assert lie.lf_h[i - 1] == table.lf_h
         assert _bits(lie.lf_h[i - 1]) == _bits(table.lf_h)
-        assert got.self_term.constant == ref.self_term.constant
-        assert _bits(got.self_term.constant) == _bits(ref.self_term.constant)
-        assert np.array_equal(got.self_term.linear, ref.self_term.linear)
-        assert _bits(got.self_term.linear) == _bits(ref.self_term.linear)
-        assert np.array_equal(got.self_term.quadratic, ref.self_term.quadratic)
-        assert _bits(got.self_term.quadratic) == _bits(ref.self_term.quadratic)
-        assert list(got.coupling) == list(ref.coupling)
-        for j in ref.coupling:
-            assert np.array_equal(got.coupling[j], ref.coupling[j])
-            assert _bits(got.coupling[j]) == _bits(ref.coupling[j])
+        assert batched.constant[i - 1] == ref.self_term.constant
+        assert _bits(batched.constant[i - 1]) == _bits(ref.self_term.constant)
+        assert _bits(batched.linear[i - 1:i]) == _bits(ref.self_term.linear)
+        assert _bits(batched.quadratic[i - 1:i]) == _bits(ref.self_term.quadratic)
+        assert lie.in_neighbors[i - 1] == tuple(ref.coupling)
+        for c, j in enumerate(ref.coupling):
+            assert _bits(batched.coupling[i - 1, c:c + 1]) == _bits(ref.coupling[j])
 
 
 @settings(max_examples=60)

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from ccbf.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main, read_scenario_text, run_config
+from ccbf.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_STALL, main,
+                      read_scenario_text, run_config)
 from ccbf.config import normalize_config, parse_config
 
 # sha256 of the bundled paper_sis3 outputs over its first 20 s with the
@@ -153,7 +154,27 @@ def test_terminal_halt_exits_with_distinct_code(tmp_path, capsys):
     assert (out / "result.csv").exists()
     meta = json.loads((out / "meta.json").read_text())
     assert meta["halted_at"] == pytest.approx(0.92)
+    assert meta["halt_reason"] == "infeasible"
     assert meta["infeasible_nodes"] == [1]
+
+
+@pytest.mark.parametrize("keep_going", ["off", "on"])
+def test_stalled_negotiation_halts_with_its_own_code(tmp_path, capsys, keep_going):
+    # one sub-round cannot settle the weak pair's negotiation at t = 0.92;
+    # continue_on_infeasible covers terminal infeasibility only, so the
+    # stall halts the run either way
+    cfg = tmp_path / "stall.cfg"
+    cfg.write_text(WEAK + f"sim.inner_cap = 1\nsim.continue_on_infeasible = {keep_going}\n")
+    out = tmp_path / "stallout"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_STALL
+    assert "negotiation stalled at t=0.92" in capsys.readouterr().err
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["halt_reason"] == "stall"
+    assert meta["halted_at"] == pytest.approx(0.92)
+    assert meta["infeasible_nodes"] == []
+    # partial artifacts hold every step before the stalled one
+    with open(out / "result.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 92
 
 
 def test_no_collab_flag_disables_negotiation(tmp_path):

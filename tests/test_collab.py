@@ -204,23 +204,6 @@ def test_degenerate_weights_fall_back_to_uniform(caplog):
     assert any("negligible" in rec.message for rec in caplog.records)
 
 
-def test_persisted_allocations_short_circuit_renegotiation():
-    graph = _two_node_graph()
-    decomps = {
-        1: Psi2Decomposition({2: np.array([1.0])}, _const(-0.3)),
-        2: Psi2Decomposition({1: np.array([0.5])}, _const(0.2)),
-    }
-    boxes = {1: ((0.0, 1.0),), 2: ((0.0, 1.0),)}
-    first = collaborative_safety(graph, decomps, boxes)
-    carried = {i: dict(first.ledgers[i].out_alloc) for i in (1, 2)}
-    second = collaborative_safety(graph, decomps, boxes, initial_allocations=carried)
-    assert second.outer_rounds == 1
-    assert second.sub_rounds == 0
-    lo, hi = second.regions[2].interval()
-    assert lo == pytest.approx(0.3, abs=1e-15)
-    assert hi == 1.0
-
-
 def _paper_decomps(x, spec_by_node=None):
     graph = NetworkGraph(3, [(j, i) for j in range(1, 4) for i in range(1, 4) if i != j])
     model = SisModel(graph, SisParams(PAPER_BETA, PAPER_GAMMA, PAPER_UMAX))

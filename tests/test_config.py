@@ -44,7 +44,6 @@ def test_parse_good_text_fills_defaults():
     assert (cfg.outer_cap, cfg.inner_cap) == (16, 64)
     assert cfg.trace is False
     assert cfg.continue_on_infeasible is False
-    assert cfg.persist_allocations is False
     assert cfg.output_dir == "out"
 
 
@@ -177,11 +176,11 @@ def test_builders_produce_runnable_pieces():
     assert kwargs["nominal"] is None
 
 
-def test_nonzero_nominal_becomes_per_node_mapping():
+def test_nonzero_nominal_becomes_packed_array():
     cfg = parse_config(GOOD + "sim.nominal = [0.1, 0.0, 0.2]\n")
     nominal = cfg.run_kwargs()["nominal"]
-    assert set(nominal) == {1, 2, 3}
-    assert nominal[3][0] == pytest.approx(0.2)
+    assert isinstance(nominal, np.ndarray)
+    assert nominal.tolist() == [0.1, 0.0, 0.2]
 
 
 def test_replace_then_normalize_round_trips():

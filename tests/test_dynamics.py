@@ -91,6 +91,19 @@ def test_params_edge_consistency(paper_graph):
         SisModel(paper_graph, params)
 
 
+def test_params_edge_consistency_lists_every_mismatch_in_order():
+    # beta[0][1] = 0 on edge (2, 1); beta[1][2] and beta[2][0] > 0 with
+    # edges (3, 2) and (1, 3) missing; the diagonal needs no edge
+    graph = NetworkGraph(3, [(2, 1), (3, 1), (1, 2)])
+    params = SisParams([[0.5, 0.0, 0.25], [0.25, 0.5, 0.3], [0.1, 0.0, 0.5]],
+                       [0.3, 0.3, 0.3], [0.75, 0.75, 0.75])
+    assert params.validate(graph) == [
+        "edge (2, 1) present but beta[0][1] is 0",
+        "beta[1][2] > 0 but edge (3, 2) is missing",
+        "beta[2][0] > 0 but edge (1, 3) is missing",
+    ]
+
+
 def test_base_model_rejects_lie_queries(paper_graph):
     class Plain(NodeModel):
         pass
@@ -201,6 +214,14 @@ def test_packed_derivative_matches_per_node_path(paper_graph, paper_model):
             for i in paper_graph.nodes()
         ])
         assert np.max(np.abs(fast - slow)) < 1e-14
+
+
+def test_packed_derivative_rejects_wrong_control_shape(paper_graph, paper_model):
+    system = NetworkedSystem(paper_graph, paper_model)
+    x = np.array(PAPER_X0)
+    for u in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
+        with pytest.raises(DimensionError, match="packed control"):
+            system.derivative(x, u)
 
 
 def test_rk4_raises_numerics_error_on_nan(paper_graph, paper_model):

@@ -127,14 +127,6 @@ def test_continue_on_infeasible_runs_to_completion():
     assert res.violations().min() < 0.0
 
 
-def test_persisted_allocations_keep_safety():
-    system, specs = _paper_system()
-    res = run_scenario(system, specs, np.array(PAPER_X0), dt=0.01, t_final=3.0,
-                       persist_allocations=True)
-    assert res.violations().min() >= -1e-3
-    assert res.halted_at is None
-
-
 def test_backward_difference_policy_runs_and_matches_zero_at_start():
     system, specs = _paper_system()
     res = run_scenario(system, specs, np.array(PAPER_X0), dt=0.01, t_final=2.0,
@@ -310,6 +302,18 @@ def test_random_interior_starts_stay_safe():
         assert res.halted_at is None
         assert res.violations().min() >= -1e-3
         assert res.max_clamp < 1e-9
+
+
+def test_packed_nominal_passes_where_safe():
+    # far from every threshold the filter leaves an in-box nominal untouched
+    system, specs = _paper_system()
+    nominal = np.array([0.1, 0.2, 0.3])
+    res = run_scenario(system, specs, np.full(3, 0.01), dt=0.01, t_final=0.1,
+                       nominal=nominal)
+    assert np.array_equal(res.controls[0], nominal)
+    with pytest.raises(ValueError, match="nominal"):
+        run_scenario(system, specs, np.full(3, 0.01), dt=0.01, t_final=0.1,
+                     nominal=np.zeros(2))
 
 
 def test_bad_x0_shape_rejected():
