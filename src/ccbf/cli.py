@@ -31,7 +31,6 @@ import numpy as np
 from . import __version__
 from .config import ScenarioConfig, load_config, normalize_config, parse_config
 from .errors import CcbfError, ConfigError
-from .plot import write_plot
 from .simulate import run_scenario, write_messages_csv, write_result_csv
 
 EXIT_OK = 0
@@ -137,6 +136,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from .plot import write_plot  # only this command draws
+
     out = args.out
     if out is None:
         source = Path(args.result)

@@ -2,9 +2,10 @@
 
 One assignment per line, `dotted.key = value`.  Values are JSON literals
 (numbers, strings, nested arrays) or bare tokens; the booleans are written
-`on` and `off`.  A `#` outside brackets starts a comment.  An assignment
-whose brackets are still open continues on the following lines, so
-matrices can be written one row per line.
+`on` and `off`.  Numbers must be finite: the JSON literals NaN and
++-Infinity are rejected like any other bad entry.  A `#` outside brackets
+starts a comment.  An assignment whose brackets are still open continues on
+the following lines, so matrices can be written one row per line.
 
 `parse_config` collects every violation with a path such as
 `model.beta[0][1]` (array indices are 0-based positions, node ids in
@@ -18,7 +19,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
+from itertools import compress
 
 from .barrier import BarrierSpec
 from .dynamics import NetworkedSystem, SisModel, SisParams
@@ -111,6 +114,8 @@ class ScenarioConfig:
 
 
 def _strip_comment(line: str) -> str:
+    if "#" not in line:
+        return line
     depth = 0
     for pos, ch in enumerate(line):
         if ch == "[":
@@ -141,15 +146,17 @@ def _parse_value(text: str):
 def _raw_assignments(text: str, problems: list[tuple[str, str]]) -> dict[str, object]:
     raw: dict[str, object] = {}
     pending_key = None
-    pending_value = ""
+    pending_pieces: list[str] = []
+    depth = 0  # bracket depth of the pending value, counted once per line
     for lineno, original in enumerate(text.splitlines(), start=1):
         line = _strip_comment(original)
         if pending_key is not None:
-            pending_value += " " + line.strip()
-            if _bracket_depth(pending_value) > 0:
+            pending_pieces.append(line.strip())
+            depth += _bracket_depth(line)
+            if depth > 0:
                 continue
-            raw[pending_key] = _parse_value(pending_value)
-            pending_key, pending_value = None, ""
+            raw[pending_key] = _parse_value(" ".join(pending_pieces))
+            pending_key, pending_pieces = None, []
             continue
         if not line.strip():
             continue
@@ -161,19 +168,31 @@ def _raw_assignments(text: str, problems: list[tuple[str, str]]) -> dict[str, ob
         if not key:
             problems.append((f"line {lineno}", "missing key before `=`"))
             continue
-        if key in raw or key == pending_key:
+        if key in raw:
             problems.append((key, "duplicate key"))
             continue
         if key not in KNOWN_KEYS:
             problems.append((key, "unknown key"))
             continue
-        if _bracket_depth(value) > 0:
-            pending_key, pending_value = key, value.strip()
+        depth = _bracket_depth(value)
+        if depth > 0:
+            pending_key, pending_pieces = key, [value.strip()]
             continue
         raw[key] = _parse_value(value)
     if pending_key is not None:
         problems.append((pending_key, "unterminated array value"))
     return raw
+
+
+def _number_fault(v) -> str | None:
+    """Why a parsed value is not a finite number, or None when it is one."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return f"must be a number, got {v!r}"
+    try:
+        finite = math.isfinite(v)
+    except OverflowError:  # an integer literal beyond the float range
+        finite = False
+    return None if finite else f"must be finite, got {v}"
 
 
 def _want_int(raw, key, problems, default=None, minimum=None):
@@ -199,8 +218,9 @@ def _want_float(raw, key, problems, default=None, positive=False):
             return None
         return default
     v = raw[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        problems.append((key, f"must be a number, got {v!r}"))
+    fault = _number_fault(v)
+    if fault is not None:
+        problems.append((key, fault))
         return None
     v = float(v)
     if positive and v <= 0.0:
@@ -251,8 +271,9 @@ def _want_vector(raw, key, problems, n, default=None, low=None, high=None,
     out = []
     ok = True
     for idx, entry in enumerate(v):
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            problems.append((f"{key}[{idx}]", f"must be a number, got {entry!r}"))
+        fault = _number_fault(entry)
+        if fault is not None:
+            problems.append((f"{key}[{idx}]", fault))
             ok = False
             continue
         entry = float(entry)
@@ -299,7 +320,25 @@ def _want_edges(raw, problems, n):
     return tuple(sorted(set(edges))) if ok else None
 
 
+def _beta_row_faults(key, i, row) -> list[tuple[str, str]]:
+    """Each entry of row i that is not a finite number >= 0, in column order."""
+    faults = []
+    for j, entry in enumerate(row):
+        fault = _number_fault(entry)
+        if fault is None and entry < 0:
+            fault = f"must be >= 0, got {float(entry)}"
+        if fault is not None:
+            faults.append((f"{key}[{i}][{j}]", fault))
+    return faults
+
+
 def _want_beta(raw, problems, n, edges):
+    """The n x n infection matrix, checked one row at a time.
+
+    Entry faults come first, in row-major order; edge consistency is only
+    checked once every entry is a finite number >= 0.  A row's entries are
+    walked one by one only when the row has a fault, to name each one.
+    """
     key = "model.beta"
     if key not in raw:
         problems.append((key, "required key is missing"))
@@ -309,42 +348,37 @@ def _want_beta(raw, problems, n, edges):
             not isinstance(row, list) or len(row) != n for row in v):
         problems.append((key, f"must be a {n}x{n} matrix"))
         return None
-    ok = True
+    faults = []
     beta = []
     for i, row in enumerate(v):
-        out_row = []
-        for j, entry in enumerate(row):
-            path = f"{key}[{i}][{j}]"
-            if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-                problems.append((path, f"must be a number, got {entry!r}"))
-                ok = False
+        if set(map(type, row)) <= {float, int}:
+            try:
+                floats = tuple(map(float, row))  # reuses the parsed float objects
+            except OverflowError:  # an integer literal beyond the float range
+                floats = (math.inf,)
+            if all(map(math.isfinite, floats)) and min(floats) >= 0.0:
+                beta.append(floats)
                 continue
-            entry = float(entry)
-            if entry < 0.0:
-                problems.append((path, f"must be >= 0, got {entry}"))
-                ok = False
-                continue
-            out_row.append(entry)
-        beta.append(tuple(out_row))
-    if not ok:
+        faults += _beta_row_faults(key, i, row)
+    if not faults and edges is not None:
+        # beta rows are 0-based storage; node ids are 1-based
+        sources = [set() for _ in range(n)]
+        for j, i in edges:
+            sources[i - 1].add(j - 1)
+        for i, row in enumerate(beta):
+            positive = set(compress(range(n), row))
+            positive.discard(i)
+            for j in sorted(positive ^ sources[i]):
+                if j in positive:
+                    faults.append((f"{key}[{i}][{j}]",
+                                   f"positive but edge ({j + 1}, {i + 1}) is missing"))
+                else:
+                    faults.append((f"{key}[{i}][{j}]",
+                                   f"zero but edge ({j + 1}, {i + 1}) is present"))
+    if faults:
+        problems.extend(faults)
         return None
-    if edges is not None:
-        edge_set = set(edges)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                # beta rows are 0-based storage; node ids are 1-based
-                present = (j + 1, i + 1) in edge_set
-                if beta[i][j] > 0.0 and not present:
-                    problems.append((f"{key}[{i}][{j}]",
-                                     f"positive but edge ({j + 1}, {i + 1}) is missing"))
-                    ok = False
-                elif beta[i][j] == 0.0 and present:
-                    problems.append((f"{key}[{i}][{j}]",
-                                     f"zero but edge ({j + 1}, {i + 1}) is present"))
-                    ok = False
-    return tuple(beta) if ok else None
+    return tuple(beta)
 
 
 def parse_config(text: str) -> ScenarioConfig:

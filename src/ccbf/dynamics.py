@@ -131,7 +131,7 @@ class NodeModel:
     def control_matrix(self, x_i: np.ndarray, i: int) -> np.ndarray:
         raise NotImplementedError
 
-    def lie_table(self, nbr: NeighborhoodState, i: int, barrier) -> LieTable:
+    def lie_table(self, nbr: NeighborhoodState, i: int, barrier=None) -> LieTable:
         raise UnsupportedModelError(
             f"{type(self).__name__} does not provide constraint Lie derivatives"
         )

@@ -18,7 +18,6 @@ further, so a run over N steps yields N+1 rows.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -432,12 +431,13 @@ def run_uncontrolled(system: NetworkedSystem, x0: np.ndarray, *,
     return times, states
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_result_csv(path, result: ScenarioResult) -> None:
-    """One row per step: state, control, capability, rounds, violation."""
+    """One row per step: state, control, capability, rounds, violation.
+
+    Floats are written with 17 significant digits, enough to read back
+    every value bit for bit.  Rows are formatted one at a time, so the
+    table's text is never held whole.
+    """
     n = result.node_count
     viol = result.violations()
     header = (["t"]
@@ -446,24 +446,21 @@ def write_result_csv(path, result: ScenarioResult) -> None:
               + [f"cbar_{i}" for i in range(1, n + 1)]
               + ["outer_rounds", "inner_rounds"]
               + [f"viol_{i}" for i in range(1, n + 1)])
+    floats_before = 1 + n + result.controls.shape[1] + result.capabilities.shape[1]
+    row_format = ",".join(["%.17g"] * floats_before + ["%d", "%d"] + ["%.17g"] * n) + "\n"
+    rows = zip(result.times.tolist(), result.states, result.controls, result.capabilities,
+               result.outer_rounds.tolist(), result.inner_rounds.tolist(), viol)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for k in range(result.times.shape[0]):
-            row = ([_fmt(result.times[k])]
-                   + [_fmt(v) for v in result.states[k]]
-                   + [_fmt(v) for v in result.controls[k]]
-                   + [_fmt(v) for v in result.capabilities[k]]
-                   + [str(int(result.outer_rounds[k])), str(int(result.inner_rounds[k]))]
-                   + [_fmt(v) for v in viol[k]])
-            writer.writerow(row)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row_format % (t, *x.tolist(), *u.tolist(), *cbar.tolist(),
+                                    outer, inner, *v.tolist())
+                      for t, x, u, cbar, outer, inner, v in rows)
 
 
 def write_messages_csv(path, result: ScenarioResult) -> None:
     """Protocol trace: every request and adjustment, in exchange order."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sim_time", "sub_round", "kind", "from", "to", "value"])
-        for t, m in result.messages:
-            writer.writerow([_fmt(t), str(m.sub_round), m.kind,
-                             str(m.from_node), str(m.to_node), _fmt(m.value)])
+        fh.write("sim_time,sub_round,kind,from,to,value\n")
+        fh.writelines("%.17g,%d,%s,%d,%d,%.17g\n"
+                      % (t, m.sub_round, m.kind, m.from_node, m.to_node, m.value)
+                      for t, m in result.messages)

@@ -291,6 +291,14 @@ def test_console_entry_point_exists():
     assert proc.stdout.startswith("ccbf ")
 
 
+def test_run_path_does_not_import_plot():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ccbf.cli; print('ccbf.plot' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_bundled_scenario_file_is_packaged():
     import importlib.resources
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccbf import ConfigError, normalize_config, parse_config
 
@@ -120,6 +123,38 @@ def test_vector_bounds_are_per_element():
     assert "sim.x0[2]" in paths(excinfo)
 
 
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("old, new, violations", [
+    # NaN and +-Infinity are JSON literals to the parser, so each is caught by path
+    ("[0.25, 0.5, 0.25],", "[0.25, NaN, 0.25],",
+     [("model.beta[1][1]", "must be finite, got nan")]),
+    ("[0.25, 0.25, 0.5]]", "[-Infinity, 0.25, 0.5]]",
+     [("model.beta[2][0]", "must be finite, got -inf")]),
+    ("model.gamma = 0.3", "model.gamma = [NaN, 0.3, Infinity]",
+     [("model.gamma[0]", "must be finite, got nan"),
+      ("model.gamma[2]", "must be finite, got inf")]),
+    ("sim.x0 = [0.04, 0.01, 0.02]", "sim.x0 = NaN",
+     [("sim.x0[0]", "must be finite, got nan"), ("sim.x0[1]", "must be finite, got nan"),
+      ("sim.x0[2]", "must be finite, got nan")]),
+    ("sim.x0 = [0.04, 0.01, 0.02]", "sim.x0 = [0.04, 0.01, 0.02]\nsim.dt = NaN",
+     [("sim.dt", "must be finite, got nan")]),
+    ("sim.x0 = [0.04, 0.01, 0.02]", "sim.x0 = [0.04, 0.01, 0.02]\nsim.t_final = -Infinity",
+     [("sim.t_final", "must be finite, got -inf")]),
+    # an integer literal too large for a float would otherwise overflow on conversion
+    ("[0.25, 0.5, 0.25],", f"[0.25, 0.5, {HUGE}],",
+     [("model.beta[1][2]", f"must be finite, got {HUGE}")]),
+    ("sim.x0 = [0.04, 0.01, 0.02]", f"sim.x0 = [0.04, 0.01, 0.02]\nsim.dt = -{HUGE}",
+     [("sim.dt", f"must be finite, got -{HUGE}")]),
+], ids=["beta-nan", "beta-minus-inf", "vector-entries", "broadcast-scalar", "dt-nan",
+        "t-final-minus-inf", "beta-huge-int", "dt-huge-int"])
+def test_non_finite_numbers_are_rejected(old, new, violations):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(GOOD.replace(old, new))
+    assert excinfo.value.violations == violations
+
+
 def test_unknown_duplicate_and_malformed_lines():
     with pytest.raises(ConfigError) as excinfo:
         parse_config(GOOD + "mystery.key = 1\nsim.dt = 0.01\nsim.dt = 0.02\nnoequals\n")
@@ -187,3 +222,140 @@ def test_replace_then_normalize_round_trips():
     cfg = parse_config(GOOD).replace(dt=0.05, collaboration=False)
     again = parse_config(normalize_config(cfg))
     assert again == cfg
+
+
+# a beta whose entry faults (bool, string, null, negative) sit beside edge faults:
+# beta[0][1] is positive without an edge, and beta[0][2] and beta[1][0] are zero
+# with their edges (3, 1) and (1, 2) present
+MIXED_EDGES = "graph.edges = [[1, 2], [1, 3], [3, 1]]"
+MIXED_BETA = """model.beta = [[0.5, 0.25, 0.0],
+              [0.0, true, 0.0],
+              [null, "x", -0.25]]"""
+MIXED = (GOOD.replace("graph.edges = [[1, 2], [1, 3], [2, 1], [2, 3], [3, 1], [3, 2]]",
+                      MIXED_EDGES)
+         .replace("""model.beta = [[0.5, 0.25, 0.25],
+              [0.25, 0.5, 0.25],
+              [0.25, 0.25, 0.5]]""", MIXED_BETA))
+
+
+def test_beta_entry_faults_are_listed_in_row_major_order_before_edges():
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(MIXED)
+    # edge consistency is only checked once every entry is a number >= 0
+    assert excinfo.value.violations == [
+        ("model.beta[1][1]", "must be a number, got True"),
+        ("model.beta[2][0]", "must be a number, got None"),
+        ("model.beta[2][1]", "must be a number, got 'x'"),
+        ("model.beta[2][2]", "must be >= 0, got -0.25"),
+    ]
+
+
+def test_beta_edge_faults_are_listed_in_row_major_order():
+    text = (MIXED.replace("[0.0, true, 0.0]", "[0.0, 0.5, 0.0]")
+            .replace('[null, "x", -0.25]', "[0.25, 0.125, 0]"))
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert excinfo.value.violations == [
+        ("model.beta[0][1]", "positive but edge (2, 1) is missing"),
+        ("model.beta[0][2]", "zero but edge (3, 1) is present"),
+        ("model.beta[1][0]", "zero but edge (1, 2) is present"),
+        ("model.beta[2][1]", "positive but edge (2, 3) is missing"),
+    ]
+
+
+@pytest.mark.parametrize("old, new, field, want", [
+    # outside brackets, after a scalar and after a closing `]`
+    ("model.gamma = 0.3", "model.gamma = 0.3 # [not an array]", "gamma", (0.3, 0.3, 0.3)),
+    ("sim.x0 = [0.04, 0.01, 0.02]", "sim.x0 = [0.04, 0.01, 0.02]  # start",
+     "x0", (0.04, 0.01, 0.02)),
+    # on continuation lines, after the line's own brackets close
+    ("[0.25, 0.5, 0.25],", "[0.25, 0.5, 0.25],  # row 2", "beta",
+     ((0.5, 0.25, 0.25), (0.25, 0.5, 0.25), (0.25, 0.25, 0.5))),
+    ("[0.25, 0.25, 0.5]]", "[0.25, 0.25, 0.5]]  # last row", "beta",
+     ((0.5, 0.25, 0.25), (0.25, 0.5, 0.25), (0.25, 0.25, 0.5))),
+    # a whole comment line and a blank line inside an open matrix
+    ("              [0.25, 0.5, 0.25],",
+     "              # the middle row\n\n              [0.25, 0.5, 0.25],", "beta",
+     ((0.5, 0.25, 0.25), (0.25, 0.5, 0.25), (0.25, 0.25, 0.5))),
+    # a continuation line with no brackets of its own
+    ("sim.x0 = [0.04, 0.01, 0.02]", "sim.x0 = [0.04,\n  0.01, # two\n  0.02]",
+     "x0", (0.04, 0.01, 0.02)),
+], ids=["after-scalar", "after-closing-bracket", "continuation-row", "continuation-last-row",
+        "comment-and-blank-lines", "continuation-without-brackets"])
+def test_comments_outside_brackets_are_stripped(old, new, field, want):
+    cfg = parse_config(GOOD.replace(old, new))
+    assert getattr(cfg, field) == want
+
+
+@pytest.mark.parametrize("old, new, violation", [
+    # inside the line's brackets on a first line: kept, so the value is not JSON
+    ("sim.x0 = [0.04, 0.01, 0.02]", "sim.x0 = [0.04, # one\n 0.01, 0.02]",
+     ("sim.x0", "must be an array of 3 numbers")),
+    # inside the line's brackets on a continuation line
+    ("[0.25, 0.5, 0.25],", "[0.25, # two\n 0.5, 0.25],",
+     ("model.beta", "must be a 3x3 matrix")),
+    # depth is per line: a `]` in the kept comment closes the value early
+    ("[[0.5, 0.25, 0.25],", "[[0.5, 0.25, 0.25],  # see ] below",
+     ("model.beta", "must be a 3x3 matrix")),
+], ids=["first-line", "continuation-line", "bracket-in-comment"])
+def test_comments_inside_brackets_are_kept(old, new, violation):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(GOOD.replace(old, new))
+    assert violation in excinfo.value.violations
+
+
+_entries = st.one_of(st.integers(0, 9),
+                     st.floats(0.0, 9.0, allow_nan=False, allow_infinity=False))
+
+
+def _rows_text(rows, break_after, comment) -> str:
+    """One JSON array per row, some rows on a line of their own."""
+    parts = []
+    first_line = True
+    for k, row in enumerate(rows):
+        sep = "" if k == len(rows) - 1 else ","
+        text = json.dumps(row) + sep
+        if break_after[k] and k < len(rows) - 1:
+            # a continuation line's own brackets are closed, so a comment is safe there
+            text += ("  # note" if comment[k] and not first_line else "") + "\n    "
+            first_line = False
+        else:
+            text += " "
+        parts.append(text)
+    return "[" + "".join(parts).rstrip() + "]"
+
+
+@st.composite
+def multiline_configs(draw) -> str:
+    n = draw(st.integers(1, 4))
+    pairs = [(j, i) for j in range(1, n + 1) for i in range(1, n + 1) if i != j]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    beta = [[draw(_entries) if i == j else 0 for j in range(n)] for i in range(n)]
+    for j, i in edges:
+        beta[i - 1][j - 1] = draw(st.one_of(st.integers(1, 9), st.floats(0.01, 9.0)))
+    flags = st.lists(st.booleans(), min_size=n, max_size=n)
+    lines = ["# generated", f"graph.nodes = {n}",
+             "graph.edges = " + (_rows_text([list(e) for e in edges],
+                                            draw(st.lists(st.booleans(), min_size=len(edges),
+                                                          max_size=len(edges))),
+                                            [True] * len(edges)) if edges else "[]"),
+             "model.type = sis",
+             "model.beta = " + _rows_text(beta, draw(flags), draw(flags))]
+    for key, low, high in (("model.gamma", 0.01, 5.0), ("model.u_max", 0.0, 5.0),
+                           ("barrier.x_bar", 0.01, 1.0), ("sim.x0", 0.0, 1.0)):
+        values = draw(st.lists(st.floats(low, high), min_size=n, max_size=n))
+        lines.append(f"{key} = " + _rows_text(values, draw(flags), [False] * n)
+                     + draw(st.sampled_from(["", "   # trailing"])))
+    lines += draw(st.lists(st.sampled_from(["", "# comment", "sim.trace = on",
+                                            "sim.dt = 0.02", "sim.weights = uniform"]),
+                           unique=True))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150)
+@given(text=multiline_configs())
+def test_multiline_configs_round_trip_through_normalize(text):
+    cfg = parse_config(text)
+    dump = normalize_config(cfg)
+    assert parse_config(dump) == cfg
+    assert normalize_config(parse_config(dump)) == dump

@@ -110,6 +110,9 @@ def test_base_model_rejects_lie_queries(paper_graph):
 
     with pytest.raises(UnsupportedModelError):
         Plain().lie_table(None, 1, None)
+    # the barrier argument is optional, as on SisModel and at every caller
+    with pytest.raises(UnsupportedModelError):
+        Plain().lie_table(None, 1)
 
 
 def _lf_h(model, graph, x, i):

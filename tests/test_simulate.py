@@ -262,6 +262,32 @@ def test_result_csv_schema_and_roundtrip(tmp_path: Path):
     assert float(rows[1][12]) == viol[0, 0]
 
 
+def test_csv_writers_spell_every_float_with_17_digits(tmp_path: Path):
+    from ccbf.collab import CollabMessage
+
+    res = ScenarioResult(
+        times=np.array([0.0, 0.1]),
+        states=np.array([[-0.0, 5e-324], [np.nan, np.inf]]),
+        controls=np.array([[1 / 3, 1e300], [-1e-300, 2.0 ** 53]]),
+        capabilities=np.array([[0.5, -np.inf], [7.0, 0.25]]),
+        outer_rounds=np.array([1, 2]), inner_rounds=np.array([0, 3]),
+        thresholds=(0.1, 0.2),
+        messages=[(0.1, CollabMessage(1, "request", 2, 1, 0.1)),
+                  (0.2, CollabMessage(3, "adjust", 1, 2, -0.0))])
+    write_result_csv(tmp_path / "result.csv", res)
+    write_messages_csv(tmp_path / "messages.csv", res)
+    assert (tmp_path / "result.csv").read_text() == (
+        "t,x_1,x_2,u_1,u_2,cbar_1,cbar_2,outer_rounds,inner_rounds,viol_1,viol_2\n"
+        "0,-0,4.9406564584124654e-324,0.33333333333333331,1.0000000000000001e+300,"
+        "0.5,-inf,1,0,0,0\n"
+        "0.10000000000000001,nan,inf,-1e-300,9007199254740992,"
+        "7,0.25,2,3,nan,-inf\n")
+    assert (tmp_path / "messages.csv").read_text() == (
+        "sim_time,sub_round,kind,from,to,value\n"
+        "0.10000000000000001,1,request,2,1,0.10000000000000001\n"
+        "0.20000000000000001,3,adjust,1,2,-0\n")
+
+
 def test_messages_csv_schema(tmp_path: Path):
     system, specs = _paper_system()
     res = run_scenario(system, specs, np.array(PAPER_X0), dt=0.01, t_final=3.0,
