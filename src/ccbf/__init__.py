@@ -11,10 +11,12 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .barrier import (
+    BarrierArrays,
     BarrierSpec,
     Psi2Arrays,
     Psi2Decomposition,
     QuadraticForm,
+    barrier_arrays,
     decompose_psi2,
     decompose_psi2_all,
     max_capability,
@@ -102,12 +104,14 @@ __all__ = [
     "neighborhood",
     "rk4_step",
     "BarrierSpec",
+    "BarrierArrays",
     "QuadraticForm",
     "Psi2Decomposition",
     "Psi2Arrays",
     "psi0",
     "psi1",
     "decompose_psi2",
+    "barrier_arrays",
     "decompose_psi2_all",
     "max_capability",
     "Halfspace",

@@ -28,7 +28,7 @@ the coupling terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -153,29 +153,50 @@ class Psi2Arrays(NamedTuple):
     coupling: np.ndarray
 
 
-def decompose_psi2_all(specs: Mapping[int, BarrierSpec], lie: LieArrays,
-                       udot: np.ndarray) -> Psi2Arrays:
+class BarrierArrays(NamedTuple):
+    """Every node's barrier threshold and chain gains, as arrays.
+
+    Entry i-1 belongs to node i.  eta_kappa is eta + kappa, the gain of
+    L_g h in the linear block.  They depend only on the specs, so a run
+    builds them once.
+    """
+
+    threshold: np.ndarray
+    eta: np.ndarray
+    kappa: np.ndarray
+    eta_kappa: np.ndarray
+
+
+def barrier_arrays(specs: Mapping[int, BarrierSpec], nodes: Iterable[int]) -> BarrierArrays:
+    """The specs of `nodes`, in that order, as BarrierArrays."""
+    chosen = [specs[i] for i in nodes]
+    eta = np.array([s.eta for s in chosen])
+    kappa = np.array([s.kappa for s in chosen])
+    return BarrierArrays(np.array([s.threshold for s in chosen]), eta, kappa, eta + kappa)
+
+
+def decompose_psi2_all(gains: BarrierArrays, lie: LieArrays, udot: np.ndarray) -> Psi2Arrays:
     """decompose_psi2 for every scalar node at once, bit for bit.
 
-    udot is the packed control rate.  Every block is elementwise array
-    arithmetic in decompose_psi2's operation order; the cross-drift sums
-    one in-neighbor column at a time in ascending id order.
+    gains holds every node's spec (barrier_arrays) and udot is the packed
+    control rate.  Every block is elementwise array arithmetic in
+    decompose_psi2's operation order; the cross-drift sums one in-neighbor
+    column at a time in ascending id order.
     """
     x = lie.x
     udot = np.asarray(udot, dtype=float)
     if udot.shape != x.shape:
         raise DimensionError(f"udot has shape {udot.shape}, expected {x.shape}")
-    nodes = range(1, x.shape[0] + 1)
-    threshold = np.array([specs[i].threshold for i in nodes])
-    eta = np.array([specs[i].eta for i in nodes])
-    kappa = np.array([specs[i].kappa for i in nodes])
-    h0 = threshold - x
-    cross_drift = np.zeros_like(x)
-    for c in range(lie.in_mask.shape[1]):
-        cross_drift = np.where(lie.in_mask[:, c], cross_drift + lie.lfj_lf_h[:, c], cross_drift)
+    eta = gains.eta
+    h0 = gains.threshold - x
+    # padding holds +0.0, which leaves a running total that starts at +0.0
+    # unchanged, so the columns need no mask
+    cross_drift = np.zeros(x.shape)
+    for column in lie.lfj_lf_h.T:
+        cross_drift = cross_drift + column
     constant = (cross_drift + lie.lf2_h + x * udot
-                + eta * lie.lf_h + kappa * (lie.lf_h + eta * h0))
-    linear = lie.drift + lie.dfdx * x + (eta + kappa) * x
+                + eta * lie.lf_h + gains.kappa * (lie.lf_h + eta * h0))
+    linear = lie.drift + lie.lg_lf_h + gains.eta_kappa * x
     return Psi2Arrays(constant, linear, -x, lie.lgj_lf_h)
 
 
@@ -266,23 +287,36 @@ def max_capability_arrays(psi2: Psi2Arrays, region: IntervalRegions) -> np.ndarr
     interior stationary point in that order and keeping the first of equal
     values.
     """
+    return capability_function(psi2)(region)
+
+
+def capability_function(psi2: Psi2Arrays) -> Callable[[IntervalRegions], np.ndarray]:
+    """The map region -> max_capability_arrays(psi2, region).
+
+    Each node's interior stationary point and the value there are found
+    once, for every region the map is given.
+    """
     c, l, q = psi2.constant, psi2.linear, psi2.quadratic
-    lo, hi, frozen, p = region
-    if (lo > hi).any():
-        empty = ~frozen & (lo > hi)
-        if empty.any():
-            i = int(np.flatnonzero(empty)[0])
-            raise EmptyRegionError(f"node {i + 1}: admissible interval is empty "
-                                   f"({lo[i]} > {hi[i]})")
-    best = c + l * lo + q * lo * lo
-    f_hi = c + l * hi + q * hi * hi
-    best = np.where(f_hi > best, f_hi, best)
     curved = q != 0.0
     t = np.divide(-l, 2.0 * q, out=np.zeros(q.shape), where=curved)
     f_t = c + l * t + q * t * t
-    best = np.where(curved & (lo < t) & (t < hi) & (f_t > best), f_t, best)
-    if frozen.any():
-        # QuadraticForm.value: its one-element dot products add to +0.0
-        at_point = (c + (l * p + 0.0)) + ((p * q + 0.0) * p + 0.0)
-        best = np.where(frozen, at_point, best)
-    return best
+
+    def capability(region: IntervalRegions) -> np.ndarray:
+        lo, hi, frozen, p = region
+        if np.count_nonzero(lo > hi):
+            empty = ~frozen & (lo > hi)
+            if empty.any():
+                i = int(np.flatnonzero(empty)[0])
+                raise EmptyRegionError(f"node {i + 1}: admissible interval is empty "
+                                       f"({lo[i]} > {hi[i]})")
+        best = c + l * lo + q * lo * lo
+        f_hi = c + l * hi + q * hi * hi
+        best = np.where(f_hi > best, f_hi, best)
+        best = np.where(curved & (lo < t) & (t < hi) & (f_t > best), f_t, best)
+        if np.count_nonzero(frozen):
+            # QuadraticForm.value: its one-element dot products add to +0.0
+            at_point = (c + (l * p + 0.0)) + ((p * q + 0.0) * p + 0.0)
+            best = np.where(frozen, at_point, best)
+        return best
+
+    return capability

@@ -103,6 +103,7 @@ def run_config(cfg: ScenarioConfig, out_dir: Path) -> int:
         "infeasible_nodes": list(result.infeasible_nodes),
         "max_state_clamp": result.max_clamp,
         "cap_tripped_steps": result.cap_tripped_steps,
+        "relaxed_steps": list(result.relaxed_steps),
     }
     with open(out_dir / "meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -40,11 +40,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .barrier import Psi2Arrays, Psi2Decomposition, max_capability, max_capability_arrays
+from .barrier import Psi2Arrays, Psi2Decomposition, capability_function, max_capability
 from .errors import (
     DegenerateWeightsError,
     GeometryConvergenceError,
@@ -70,8 +71,7 @@ DEFAULT_OUTER_CAP = 16
 DEFAULT_INNER_CAP = 64
 
 
-@dataclass(frozen=True)
-class CollabMessage:
+class CollabMessage(NamedTuple):
     """One protocol exchange: a request share or a slack adjustment."""
 
     sub_round: int
@@ -307,17 +307,20 @@ class EdgeLayout(NamedTuple):
     in_mask is False on padding.  By source: row j-1, column d is the edge
     from node j to its d-th out-neighbor; out_slot is that edge's flat
     index in the by-target layout and out_mask is False on padding.
-    requests[s] is the (requester, helper) pair of by-target slot s;
-    adjusts lists the (helper, requester) pairs of every edge in by-source
-    order, and adjust_slots their by-target slots.
+    A request travels from node request_from[s] to node request_to[s] for
+    by-target slot s; adjustments travel from adjust_from[e] to
+    adjust_to[e] for every edge e in by-source order, whose by-target
+    slots are adjust_slots.
     """
 
     in_source: np.ndarray
     in_mask: np.ndarray
     out_slot: np.ndarray
     out_mask: np.ndarray
-    requests: tuple[tuple[int, int], ...]
-    adjusts: tuple[tuple[int, int], ...]
+    request_from: tuple[int, ...]
+    request_to: tuple[int, ...]
+    adjust_from: tuple[int, ...]
+    adjust_to: tuple[int, ...]
     adjust_slots: np.ndarray
 
 
@@ -343,10 +346,12 @@ def edge_layout(graph: NetworkGraph) -> EdgeLayout:
         for d, k in enumerate(ks):
             out_slot[j - 1, d] = slot_of[j, k]
             out_mask[j - 1, d] = True
-    requests = tuple((row + 1, int(src) + 1) for (row, _), src in np.ndenumerate(in_source))
-    adjusts = tuple((j, k) for j, ks in zip(nodes, outs) for k in ks)
-    return EdgeLayout(in_source, in_mask, out_slot, out_mask, requests, adjusts,
-                      out_slot[out_mask])
+    request_to = tuple(int(src) + 1 for src in in_source.ravel())
+    request_from = tuple(row + 1 for row in range(n) for _ in range(w_in))
+    adjust_from = tuple(j for j, ks in zip(nodes, outs) for _ in ks)
+    adjust_to = tuple(k for ks in outs for k in ks)
+    return EdgeLayout(in_source, in_mask, out_slot, out_mask, request_from, request_to,
+                      adjust_from, adjust_to, out_slot[out_mask])
 
 
 class ArrayOutcome(NamedTuple):
@@ -357,20 +362,18 @@ class ArrayOutcome(NamedTuple):
     (i-1, c) of out_alloc is what node i counts on from its c-th
     in-neighbor j (CollabLedger.out_alloc[j] of node i), and of in_req what
     j committed to node i (CollabLedger.in_req[i] of node j); padding
-    holds 0.
+    holds 0.  allocated is each node's total allocation, the row sums of
+    out_alloc taken as _allocated sums a ledger's.
     """
 
     regions: IntervalRegions
     capability: np.ndarray
     out_alloc: np.ndarray
     in_req: np.ndarray
+    allocated: np.ndarray
     outer_rounds: int
     sub_rounds: int
     cap_tripped: bool = False
-
-    def allocated(self) -> np.ndarray:
-        """Each node's total allocation, summed as _allocated sums a ledger's."""
-        return _row_sum(self.out_alloc)
 
 
 def _row_sum(values: np.ndarray) -> np.ndarray:
@@ -380,8 +383,8 @@ def _row_sum(values: np.ndarray) -> np.ndarray:
     -0.0, so adding a 0.0 leaves it unchanged.
     """
     total = np.zeros(values.shape[0])
-    for c in range(values.shape[1]):
-        total = total + values[:, c]
+    for column in values.T:
+        total = total + column
     return total
 
 
@@ -394,14 +397,14 @@ def partition_arrays(deficit: np.ndarray, weights: np.ndarray,
     eligible get exactly 0.  Totals sum one column at a time.
     """
     live = eligible & (weights > NEGLIGIBLE_NORMAL)
+    live_weights = np.where(live, weights, 0.0)
+    # a sum of weights above NEGLIGIBLE_NORMAL is positive, and +0.0 without any
+    total = _row_sum(live_weights)
     asking = eligible.any(axis=1)
-    if (asking & ~live.any(axis=1)).any():
+    if np.count_nonzero(asking & ~(total > 0.0)):
         raise DegenerateWeightsError(
             "every eligible neighbor has negligible coupling weight")
-    total = np.zeros(deficit.shape)
-    for c in range(weights.shape[1]):
-        total = np.where(live[:, c], total + weights[:, c], total)
-    ratio = np.divide(weights, total[:, None], out=np.zeros(weights.shape), where=live)
+    ratio = np.divide(live_weights, total[:, None], out=np.zeros(weights.shape), where=live)
     shares = np.where(live, deficit[:, None] * ratio, 0.0)
     spread = _row_sum(shares) - deficit
     assert (~asking | (np.abs(spread) <= 1e-12 * np.maximum(1.0, np.abs(deficit)))).all(), \
@@ -416,10 +419,12 @@ def _fold_bounds(bound: np.ndarray, rising: np.ndarray, falling: np.ndarray,
     A rising request raises lo and a falling one lowers hi, as
     ControlRegion.interval folds them; ties keep the earlier value.
     """
-    for d in range(bound.shape[1]):
-        b = bound[:, d]
-        lo = np.where(rising[:, d] & (b > lo), b, lo)
-        hi = np.where(falling[:, d] & (b < hi), b, hi)
+    # -inf never raises lo and +inf never lowers hi, so the other requests
+    # drop out of the fold
+    for b_lo, b_hi in zip(np.where(rising, bound, -np.inf).T,
+                          np.where(falling, bound, np.inf).T):
+        lo = np.where(b_lo > lo, b_lo, lo)
+        hi = np.where(b_hi < hi, b_hi, hi)
     return lo, hi
 
 
@@ -456,30 +461,39 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
     are the per-node protocol's, bit for bit.  A stall raises
     ProtocolStallError without ledgers.
     """
+    capability_on = capability_function(psi2)
     a = psi2.coupling
     in_mask, in_source, out_slot = layout.in_mask, layout.in_source, layout.out_slot
-    live = in_mask & (np.abs(a) > NEGLIGIBLE_NORMAL)
+    strength = np.abs(a)
+    live = in_mask & (strength > NEGLIGIBLE_NORMAL)
     dead = in_mask & ~live
+    any_dead = np.count_nonzero(dead)
     a_live = np.where(live, a, 1.0)
     # which requests bound each helper's interval from below and from above,
-    # in its out-neighbors' ascending order
-    rising = (live & (a > 0.0)).ravel()[out_slot] & layout.out_mask
-    falling = (live & (a < 0.0)).ravel()[out_slot] & layout.out_mask
-    weights = np.ones_like(a) if weights_mode == "uniform" else np.abs(a)
+    # in its out-neighbors' ascending order (every by-source slot off the
+    # padding is an edge, so its coupling is live exactly when it passes
+    # one of these tests)
+    a_out = a.ravel()[out_slot]
+    rising = (a_out > NEGLIGIBLE_NORMAL) & layout.out_mask
+    falling = (a_out < -NEGLIGIBLE_NORMAL) & layout.out_mask
+    weights = np.ones_like(a) if weights_mode == "uniform" else strength
     # padding counts as constrained, so it is never eligible
     padding = ~in_mask
 
-    out_alloc, in_req = np.zeros(a.shape), np.zeros(a.shape)
-    constrained = padding
+    # no array here is ever written in place, so the zeros can be shared
+    no_edges = out_alloc = in_req = np.zeros(a.shape)
     n = box_lo.shape[0]
+    # the row sums of out_alloc, kept from the sub-round that last changed it
+    allocated = np.zeros(n)
+    constrained = padding
     lo, hi, frozen, point = box_lo, box_hi, np.zeros(n, dtype=bool), np.zeros(n)
     outer = total_sub = 0
     cap_tripped = False
     while True:
         outer += 1
-        capability = max_capability_arrays(psi2, IntervalRegions(lo, hi, frozen, point))
-        deficit = capability - _row_sum(out_alloc)
-        if (deficit >= -tol).all():
+        capability = capability_on(IntervalRegions(lo, hi, frozen, point))
+        deficit = capability - allocated
+        if np.count_nonzero(deficit >= -tol) == n:
             break
         if outer >= outer_cap:
             stuck = (deficit < -tol) & constrained.all(axis=1)
@@ -510,32 +524,40 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
 
             # every helper re-derives its interval from the demands on it
             target = in_req + shares
-            eps = np.where(dead & (target < 0.0), -target, 0.0)
-            bound = (-target / a_live).ravel()[out_slot]
+            neg_target = -target
+            eps = np.where(dead & (target < 0.0), neg_target, 0.0) if any_dead else no_edges
+            bound = (neg_target / a_live).ravel()[out_slot]
             lo, hi = _fold_bounds(bound, rising, falling, box_lo, box_hi)
             frozen = lo > hi
-            if frozen.any():
+            if np.count_nonzero(frozen):
                 point = _closest_points(frozen, bound, rising, falling, box_lo, box_hi)
                 short = a * point[in_source] + target
                 eps = np.where(live & frozen[in_source] & (short < 0.0), -short, eps)
             in_req = target + eps
             out_alloc = (out_alloc + shares) + eps
+            allocated = _row_sum(out_alloc)
 
             if messages is not None:
-                asked = np.flatnonzero(eligible)
-                messages.extend(CollabMessage(idx, "request", *layout.requests[s], v)
-                                for s, v in zip(asked.tolist(), shares.ravel()[asked].tolist()))
-                messages.extend(CollabMessage(idx, "adjust", j, k, v)
-                                for (j, k), v in zip(layout.adjusts,
-                                                     eps.ravel()[layout.adjust_slots].tolist()))
+                sent = eligible.ravel().tolist()
+                messages.extend(map(CollabMessage, repeat(idx), repeat("request"),
+                                    compress(layout.request_from, sent),
+                                    compress(layout.request_to, sent),
+                                    compress(shares.ravel().tolist(), sent)))
+                messages.extend(map(CollabMessage, repeat(idx), repeat("adjust"),
+                                    layout.adjust_from, layout.adjust_to,
+                                    eps.ravel()[layout.adjust_slots].tolist()))
 
+            # a sub-round without a refusal touches no node, which ends the
+            # negotiation for this capability estimate
             refused = eps > 0.0
+            if not np.count_nonzero(refused):
+                break
             constrained = constrained | refused
             touched = refused.any(axis=1)
             touched[in_source[refused]] = True
-            deficit = capability - _row_sum(out_alloc)
             if (constrained.all(axis=1) | ~touched).all():
                 break
+            deficit = capability - allocated
         total_sub += sub
     return ArrayOutcome(IntervalRegions(lo, hi, frozen, point), capability, out_alloc, in_req,
-                        outer, total_sub, cap_tripped)
+                        allocated, outer, total_sub, cap_tripped)

@@ -9,7 +9,9 @@ the following lines, so matrices can be written one row per line.
 
 `parse_config` collects every violation with a path such as
 `model.beta[0][1]` (array indices are 0-based positions, node ids in
-messages stay 1-based) instead of stopping at the first.
+messages stay 1-based) instead of stopping at the first.  A bracketed
+value that is not valid JSON, or whose brackets never close, is reported
+once, under its key, and checked no further.
 `normalize_config` emits every key, defaults filled, in one canonical
 order; parsing the dump reproduces the config exactly, and normalizing
 again reproduces the dump byte for byte.
@@ -132,6 +134,10 @@ def _bracket_depth(text: str) -> int:
 
 
 def _parse_value(text: str):
+    """on/off, a JSON value, or a bare token string.
+
+    Raises ValueError for a bracketed value that is not JSON.
+    """
     text = text.strip()
     if text == "on":
         return True
@@ -140,12 +146,28 @@ def _parse_value(text: str):
     try:
         return json.loads(text)
     except ValueError:
+        if text.startswith("["):
+            raise
         return text  # bare token string
 
 
-def _raw_assignments(text: str, problems: list[tuple[str, str]]) -> dict[str, object]:
+def _assign(raw: dict[str, object], key: str, text: str, lineno: int,
+            problems: list[tuple[str, str]], unread: set[str]) -> None:
+    try:
+        raw[key] = _parse_value(text)
+    except ValueError as err:  # JSONDecodeError, or an integer too long to convert
+        reason = getattr(err, "msg", err)
+        problems.append((key, f"not valid JSON: {reason} (value starts on line {lineno})"))
+        unread.add(key)
+
+
+def _raw_assignments(text: str, problems: list[tuple[str, str]]
+                     ) -> tuple[dict[str, object], set[str]]:
+    """The parsed value of every assignment, and the keys whose value was unreadable."""
     raw: dict[str, object] = {}
+    unread: set[str] = set()
     pending_key = None
+    pending_line = 0
     pending_pieces: list[str] = []
     depth = 0  # bracket depth of the pending value, counted once per line
     for lineno, original in enumerate(text.splitlines(), start=1):
@@ -155,7 +177,7 @@ def _raw_assignments(text: str, problems: list[tuple[str, str]]) -> dict[str, ob
             depth += _bracket_depth(line)
             if depth > 0:
                 continue
-            raw[pending_key] = _parse_value(" ".join(pending_pieces))
+            _assign(raw, pending_key, " ".join(pending_pieces), pending_line, problems, unread)
             pending_key, pending_pieces = None, []
             continue
         if not line.strip():
@@ -176,12 +198,13 @@ def _raw_assignments(text: str, problems: list[tuple[str, str]]) -> dict[str, ob
             continue
         depth = _bracket_depth(value)
         if depth > 0:
-            pending_key, pending_pieces = key, [value.strip()]
+            pending_key, pending_line, pending_pieces = key, lineno, [value.strip()]
             continue
-        raw[key] = _parse_value(value)
+        _assign(raw, key, value, lineno, problems, unread)
     if pending_key is not None:
         problems.append((pending_key, "unterminated array value"))
-    return raw
+        unread.add(pending_key)
+    return raw, unread
 
 
 def _number_fault(v) -> str | None:
@@ -384,7 +407,8 @@ def _want_beta(raw, problems, n, edges):
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate; raises ConfigError carrying every violation."""
     problems: list[tuple[str, str]] = []
-    raw = _raw_assignments(text, problems)
+    raw, unread = _raw_assignments(text, problems)
+    read_problems = len(problems)
 
     n = _want_int(raw, "graph.nodes", problems, minimum=1)
     edges = _want_edges(raw, problems, n) if n is not None else None
@@ -419,6 +443,10 @@ def parse_config(text: str) -> ScenarioConfig:
         problems.append(("output.dir", f"must be a non-empty string, got {output_dir!r}"))
         output_dir = None
 
+    if unread:
+        # an unreadable value was reported once; it is neither missing nor malformed
+        problems[read_problems:] = [(path, msg) for path, msg in problems[read_problems:]
+                                    if path.partition("[")[0] not in unread]
     if problems:
         raise ConfigError(problems)
     return ScenarioConfig(

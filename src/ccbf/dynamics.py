@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -81,17 +81,17 @@ class LieTable:
 class LieArrays(NamedTuple):
     """Every node's constraint Lie terms at one packed state, scalar nodes only.
 
-    Entry i-1 of a node array belongs to node i, whose L_g h is x[i-1],
-    L_f L_g h is drift[i-1] and L_g L_f h is dfdx[i-1] * x[i-1].  Edge
-    arrays have one row per node and one column per in-neighbor slot:
-    column c of row i-1 belongs to in_neighbors[i-1][c], node i's c-th
-    in-neighbor in ascending id order, and in_mask is False on the padding
-    of nodes with fewer in-neighbors (where the terms are 0).
+    Entry i-1 of a node array belongs to node i, whose L_g h is x[i-1]
+    and L_f L_g h is drift[i-1].  Edge arrays have one row per node and one
+    column per in-neighbor slot: column c of row i-1 belongs to
+    in_neighbors[i-1][c], node i's c-th in-neighbor in ascending id order,
+    and in_mask is False on the padding of nodes with fewer in-neighbors
+    (where the terms are +0.0).
     """
 
     x: np.ndarray
     drift: np.ndarray
-    dfdx: np.ndarray
+    lg_lf_h: np.ndarray
     lf_h: np.ndarray
     lf2_h: np.ndarray
     lfj_lf_h: np.ndarray
@@ -112,6 +112,24 @@ def neighborhood(graph: NetworkGraph, states: dict[int, np.ndarray], i: int) -> 
             one_hop={k: np.asarray(states[k], dtype=float) for k in jn},
         )
     return NeighborhoodState(np.asarray(states[i], dtype=float), one, two)
+
+
+def _check_lie_terms(x: np.ndarray, f: np.ndarray, lf2_h: np.ndarray, lg_lf_h: np.ndarray,
+                     lfj_lf_h: np.ndarray, lgj_lf_h: np.ndarray) -> None:
+    """Raise NumericsError naming the lowest node with a non-finite Lie term.
+
+    One probe sums every term: a NaN or an infinity in any of them makes
+    the sum non-finite.  Finite terms whose sum overflows fail the probe
+    too, and pass the exact per-node check that follows it.
+    """
+    probe = float((x + f + lf2_h + lg_lf_h).sum()) + float((lfj_lf_h + lgj_lf_h).sum())
+    if math.isfinite(probe):
+        return
+    own = np.isfinite(x) & np.isfinite(f) & np.isfinite(lf2_h) & np.isfinite(lg_lf_h)
+    ok = own & np.all(np.isfinite(lfj_lf_h) & np.isfinite(lgj_lf_h), axis=1)
+    if not ok.all():
+        i = int(np.flatnonzero(~ok)[0]) + 1
+        raise NumericsError(f"node {i}: non-finite Lie derivative")
 
 
 class NodeModel:
@@ -231,6 +249,7 @@ class SisModel(NodeModel):
                 self._in_weight[row, col] = params.beta[row, j - 1]
                 self._in_mask[row, col] = True
         self._self_weight = np.diagonal(params.beta).copy()
+        self._neg_gamma = -params.gamma
 
     def _check_neighborhood(self, nbr: NeighborhoodState, i: int) -> None:
         if np.shape(nbr.self_state) != (1,):
@@ -317,38 +336,41 @@ class SisModel(NodeModel):
         if x.shape != (self.graph.node_count,):
             raise DimensionError(f"SIS packed state must have shape ({self.graph.node_count},)")
         index, weight, mask = self._in_index, self._in_weight, self._in_mask
-        gamma = self.params.gamma
+        neg_gamma = self._neg_gamma
         b_ii = self._self_weight
+        x_in = x[index]
+        pull = weight * x_in
         pressure = b_ii * x
-        for c in range(index.shape[1]):
-            pressure = np.where(mask[:, c], pressure + weight[:, c] * x[index[:, c]], pressure)
-        f = -gamma * x + (1.0 - x) * pressure
-        dfdx = -gamma - pressure + (1.0 - x) * b_ii
-        one_minus = (1.0 - x)[:, None]
-        lfj = np.where(mask, -one_minus * weight * f[index], 0.0)
-        lgj = np.where(mask, one_minus * weight * x[index], 0.0)
+        for present, term in zip(mask.T, pull.T):
+            pressure = np.where(present, pressure + term, pressure)
+        one_minus = 1.0 - x
+        f = neg_gamma * x + one_minus * pressure
+        dfdx = neg_gamma - pressure + one_minus * b_ii
+        # (-a) * b is -(a * b) bit for bit, so both edge terms share a * b
+        shared = one_minus[:, None] * weight
+        lfj = np.where(mask, -shared * f[index], 0.0)
+        lgj = np.where(mask, shared * x_in, 0.0)
         lf_h = -f
         lf2_h = -dfdx * f
-        own = (np.isfinite(x) & np.isfinite(f) & np.isfinite(lf2_h)
-               & np.isfinite(dfdx * x))
-        ok = own & np.all(np.isfinite(lfj) & np.isfinite(lgj), axis=1)
-        if not ok.all():
-            i = int(np.flatnonzero(~ok)[0]) + 1
-            raise NumericsError(f"node {i}: non-finite Lie derivative")
-        return LieArrays(x=x, drift=f, dfdx=dfdx, lf_h=lf_h, lf2_h=lf2_h,
-                         lfj_lf_h=lfj, lgj_lf_h=lgj, in_mask=mask,
-                         in_neighbors=self._in_neighbors)
+        lg_lf_h = dfdx * x
+        _check_lie_terms(x, f, lf2_h, lg_lf_h, lfj, lgj)
+        return LieArrays(x, f, lg_lf_h, lf_h, lf2_h, lfj, lgj, mask, self._in_neighbors)
 
     def control_box(self, i: int) -> tuple[tuple[float, float], ...]:
         return ((0.0, float(self.params.u_max[i - 1])),)
 
     def clamp_state(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         clipped = np.clip(x, 0.0, 1.0)
-        return clipped, float(np.max(np.abs(clipped - x)))
+        return clipped, float(np.abs(clipped - x).max())
 
-    def packed_derivative(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Vectorized full-network derivative; matches the per-node path."""
-        return -(self.params.gamma + u) * x + (1.0 - x) * (self.params.beta @ x)
+    def packed_flow(self, u: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """Vectorized full-network derivative under the packed control u.
+
+        Returns x -> dx/dt; it matches the per-node path.
+        """
+        loss = -(self.params.gamma + u)
+        beta = self.params.beta
+        return lambda x: loss * x + (1.0 - x) * (beta @ x)
 
 
 class NetworkedSystem:
@@ -380,12 +402,24 @@ class NetworkedSystem:
             out[i] = u[o:o + self.graph.control_dims[i]]
         return out
 
-    def derivative(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        fast = getattr(self.model, "packed_derivative", None)
-        if fast is not None and np.shape(x) == (self.graph.node_count,):
+    def flow(self, x: np.ndarray, u: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """The map from a state shaped like x to dx/dt, with the control u held.
+
+        The model's packed_flow serves a flat state of scalar nodes, with
+        the control's shape checked here once for every call of the map;
+        the per-node drift and control matrices serve any other state.
+        """
+        packed = getattr(self.model, "packed_flow", None)
+        if packed is not None and np.shape(x) == (self.graph.node_count,):
             if np.shape(u) != (self.control_size,):
                 raise DimensionError(f"packed control must have shape ({self.control_size},)")
-            return fast(x, u)
+            return packed(u)
+        return lambda y: self._per_node_derivative(y, u)
+
+    def derivative(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return self.flow(x, u)(x)
+
+    def _per_node_derivative(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         states = self.split_state(x)
         controls = self.split_control(u)
         dx = np.empty_like(x)
@@ -410,13 +444,15 @@ def rk4_step(system: NetworkedSystem, x: np.ndarray, u: np.ndarray, dt: float) -
     """One classical Runge-Kutta step with the control held constant."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    deriv = system.derivative
-    k1 = deriv(x, u)
-    k2 = deriv(x + 0.5 * dt * k1, u)
-    k3 = deriv(x + 0.5 * dt * k2, u)
-    k4 = deriv(x + dt * k3, u)
+    deriv = system.flow(x, u)
+    half = 0.5 * dt
+    k1 = deriv(x)
+    k2 = deriv(x + half * k1)
+    k3 = deriv(x + half * k2)
+    k4 = deriv(x + dt * k3)
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        raise NumericsError(f"node {_offending_node(system, bad)}: non-finite state after step")
+    finite = np.isfinite(out)
+    if np.count_nonzero(finite) < out.size:
+        node = _offending_node(system, ~finite)
+        raise NumericsError(f"node {node}: non-finite state after step")
     return out

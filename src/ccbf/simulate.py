@@ -21,11 +21,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import groupby, repeat
+from operator import itemgetter
 
 import numpy as np
 
 from .barrier import (BarrierSpec, Psi2Arrays, Psi2Decomposition, QuadraticForm,
-                      decompose_psi2_all, max_capability, max_capability_arrays)
+                      barrier_arrays, decompose_psi2_all, max_capability,
+                      max_capability_arrays)
 from .collab import CollabMessage, collaborative_safety_arrays, edge_layout
 from .dynamics import NetworkedSystem, rk4_step
 from .errors import (EmptyRegionError, GeometryConvergenceError, ProtocolStallError,
@@ -47,9 +50,11 @@ class ScenarioResult:
 
     cap_tripped_steps counts the steps whose negotiation hit the outer
     round cap with some node's margin still open: such a step is neither
-    halted nor certified safe.  A halted run stops at halted_at, and
-    halt_reason says why: "infeasible" (terminal infeasibility at
-    infeasible_nodes) or "stall" (no agreement within the sub-round cap).
+    halted nor certified safe.  relaxed_steps[i-1] counts the rows whose
+    safety filter could not keep node i's psi1 nonnegative.  A halted run
+    stops at halted_at, and halt_reason says why: "infeasible" (terminal
+    infeasibility at infeasible_nodes) or "stall" (no agreement within the
+    sub-round cap).
     """
 
     times: np.ndarray
@@ -64,6 +69,7 @@ class ScenarioResult:
     infeasible_nodes: tuple[int, ...] = ()
     max_clamp: float = 0.0
     cap_tripped_steps: int = 0
+    relaxed_steps: tuple[int, ...] = ()
     messages: list[tuple[float, CollabMessage]] = field(default_factory=list)
 
     @property
@@ -197,18 +203,20 @@ def _certificate_choice(certificate: Psi2Arrays, want: np.ndarray, flo: np.ndarr
     crossing = curved & (disc > 0.0)
     root = np.sqrt(disc, out=np.zeros(c.shape), where=crossing)
     two_q = 2.0 * q
-    ra = np.divide(-l - root, two_q, out=np.zeros(c.shape), where=curved)
-    rb = np.divide(-l + root, two_q, out=np.zeros(c.shape), where=curved)
+    neg_l = -l
+    ra = np.divide(neg_l - root, two_q, out=np.zeros(c.shape), where=curved)
+    rb = np.divide(neg_l + root, two_q, out=np.zeros(c.shape), where=curved)
     swap = rb < ra
     r1, r2 = np.where(swap, rb, ra), np.where(swap, ra, rb)
     concave = q < 0.0
-    cup = crossing & ~concave  # two pieces, outside the roots
+    convex = ~concave
+    cup = crossing & convex  # two pieces, outside the roots
     # first piece: between the roots, below the lower root, or the whole
     # line where the curve never crosses zero and opens upward
     lo1 = np.where(crossing & concave, r1, -inf)
     hi1 = np.where(crossing, np.where(concave, r2, r1), inf)
-    has1 = crossing | ~concave
-    if flat.any():
+    has1 = crossing | convex
+    if np.count_nonzero(flat):
         level = flat & (np.abs(l) <= NEGLIGIBLE_NORMAL)
         sloped = flat & ~level
         cut = np.divide(-c, l, out=np.zeros(c.shape), where=sloped)
@@ -220,7 +228,7 @@ def _certificate_choice(certificate: Psi2Arrays, want: np.ndarray, flo: np.ndarr
     seg_hi = np.where(hi1 < fhi, hi1, fhi)
     found = has1 & ~(seg_lo > seg_hi)
     best = _clamp(want, seg_lo, seg_hi)
-    if cup.any():
+    if np.count_nonzero(cup):
         seg_lo = np.where(r2 > flo, r2, flo)
         usable = cup & ~(seg_lo > fhi)
         u = _clamp(want, seg_lo, fhi)
@@ -241,43 +249,45 @@ def safety_filter_arrays(nominal: np.ndarray, regions: IntervalRegions, base: np
     one.  Returns the packed controls and the per-node relaxation flags.
     """
     lo, hi, frozen, point = regions
-    if (lo > hi).any():
+    if np.count_nonzero(lo > hi):
         empty = ~frozen & (lo > hi)
         if empty.any():
             raise EmptyRegionError(
                 f"node {int(np.flatnonzero(empty)[0]) + 1}: negotiated region is empty")
     a = lg_h
-    steer = np.abs(a) > NEGLIGIBLE_NORMAL
-    up = steer & (a > 0.0)
+    up = a > NEGLIGIBLE_NORMAL
+    down = a < -NEGLIGIBLE_NORMAL
+    steer = up | down
     bound = np.divide(-base, a, out=np.zeros(a.shape), where=steer)
     flo = np.where(up & (bound > lo), bound, lo)
-    fhi = np.where(steer & ~up & (bound < hi), bound, hi)
+    fhi = np.where(down & (bound < hi), bound, hi)
     blind = ~steer & (base < -PSI1_TOL)  # control cannot reach psi1 at all
-    if blind.any():
+    if np.count_nonzero(blind):
         flo, fhi = np.where(blind, hi, flo), np.where(blind, lo, fhi)
     feasible = flo <= fhi
     u = _clamp(nominal, flo, fhi)
-    if certificate is not None and certified.any():
+    if certificate is not None and np.count_nonzero(certified):
         best, found = _certificate_choice(certificate, nominal, flo, fhi)
         u = np.where(certified & found, best, u)
     relaxed = ~feasible
-    if relaxed.any():
+    if np.count_nonzero(relaxed):
         u = np.where(feasible, u, np.where(steer, np.where(up, hi, lo), _clamp(nominal, lo, hi)))
-    if frozen.any():
+    if np.count_nonzero(frozen):
         u = np.where(frozen, point, u)
         relaxed = np.where(frozen, base + a * point < -PSI1_TOL, relaxed)
     return u, relaxed
 
 
-def _udot_for(policy: str, history: list[np.ndarray], dims: int, dt: float,
+def _udot_for(policy: str, history: list[np.ndarray], zero: np.ndarray, dt: float,
               warned: list[bool]) -> np.ndarray:
+    """The packed control rate for the psi2 blocks; `zero` is the zero rate."""
     if policy == "zero":
-        return np.zeros(dims)
+        return zero
     if len(history) < 2:
         if not warned[0]:
             log.debug("control-rate history not yet available, using zero rate")
             warned[0] = True
-        return np.zeros(dims)
+        return zero
     return (history[-1] - history[-2]) / dt
 
 
@@ -314,8 +324,8 @@ def run_scenario(system: NetworkedSystem, specs: dict[int, BarrierSpec], x0: np.
     box = np.array([normalize_box(model.control_box(i))[0] for i in nodes])
     box_lo, box_hi = box[:, 0].copy(), box[:, 1].copy()
     full_boxes = IntervalRegions(box_lo, box_hi, np.zeros(n, dtype=bool), np.zeros(n))
-    threshold = np.array([specs[i].threshold for i in nodes])
-    eta = np.array([specs[i].eta for i in nodes])
+    gains = barrier_arrays(specs, nodes)
+    zero_rate = np.zeros(n)
     layout = edge_layout(graph) if collaboration else None
     nsteps = int(round(t_final / dt))
 
@@ -334,22 +344,23 @@ def run_scenario(system: NetworkedSystem, specs: dict[int, BarrierSpec], x0: np.
     infeasible_nodes: tuple[int, ...] = ()
     max_clamp = 0.0
     cap_tripped_steps = 0
+    relaxed_steps = np.zeros(n, dtype=int)
     rows = 0
 
     for k in range(nsteps + 1):
         t = k * dt
         lie = model.lie_arrays(x)
-        udot = _udot_for(udot_policy, history, n, dt, warned)
-        psi2 = decompose_psi2_all(specs, lie, udot)
+        udot = _udot_for(udot_policy, history, zero_rate, dt, warned)
+        psi2 = decompose_psi2_all(gains, lie, udot)
 
-        step_messages: list[CollabMessage] = []
+        step_messages: list[CollabMessage] | None = [] if collect_messages else None
         outcome = None
         if collaboration:
             try:
                 outcome = collaborative_safety_arrays(
                     layout, psi2, box_lo, box_hi,
                     outer_cap=outer_cap, inner_cap=inner_cap, weights_mode=weights_mode,
-                    messages=step_messages if collect_messages else None)
+                    messages=step_messages)
             except TerminallyInfeasibleError as err:
                 if not continue_on_infeasible:
                     log.error("t=%.6g: %s", t, err)
@@ -371,22 +382,24 @@ def run_scenario(system: NetworkedSystem, specs: dict[int, BarrierSpec], x0: np.
             inner_rounds[k] = outcome.sub_rounds
             cap_tripped_steps += outcome.cap_tripped
             # A node that negotiated help owes its own share of the closed
-            # margin; self-sufficient nodes stay minimally invasive.
-            help_floor = -outcome.allocated()
-            certified = help_floor > 0.0
-            certificate = psi2._replace(constant=psi2.constant + help_floor)
+            # margin, a floor of -allocated; self-sufficient nodes stay
+            # minimally invasive.  (c - a is c + (-a) bit for bit.)
+            certified = outcome.allocated < 0.0
+            certificate = Psi2Arrays(psi2.constant - outcome.allocated, psi2.linear,
+                                     psi2.quadratic, psi2.coupling)
         else:
             regions = full_boxes
             caps = max_capability_arrays(psi2, regions)
             certificate = None
 
         if collect_messages:
-            all_messages.extend((t, m) for m in step_messages)
+            all_messages.extend(zip(repeat(t), step_messages))
 
-        base = lie.lf_h + eta * (threshold - x)
+        base = lie.lf_h + gains.eta * (gains.threshold - x)
         # L_g h of a scalar node is its own state
         u, relaxed = safety_filter_arrays(want, regions, base, x, certificate, certified)
-        if relaxed.any() and log.isEnabledFor(logging.DEBUG):
+        relaxed_steps += relaxed
+        if log.isEnabledFor(logging.DEBUG) and relaxed.any():
             for i in np.flatnonzero(relaxed):
                 log.debug("t=%.6g node %d: psi1 constraint relaxed", t, i + 1)
         history = [*history[-1:], u]
@@ -410,7 +423,8 @@ def run_scenario(system: NetworkedSystem, specs: dict[int, BarrierSpec], x0: np.
         capabilities=capabilities[:rows], outer_rounds=outer_rounds[:rows],
         inner_rounds=inner_rounds[:rows], thresholds=thresholds,
         halted_at=halted_at, halt_reason=halt_reason, infeasible_nodes=infeasible_nodes,
-        max_clamp=max_clamp, cap_tripped_steps=cap_tripped_steps, messages=all_messages)
+        max_clamp=max_clamp, cap_tripped_steps=cap_tripped_steps,
+        relaxed_steps=tuple(relaxed_steps.tolist()), messages=all_messages)
 
 
 def run_uncontrolled(system: NetworkedSystem, x0: np.ndarray, *,
@@ -461,6 +475,7 @@ def write_messages_csv(path, result: ScenarioResult) -> None:
     """Protocol trace: every request and adjustment, in exchange order."""
     with open(path, "w", newline="") as fh:
         fh.write("sim_time,sub_round,kind,from,to,value\n")
-        fh.writelines("%.17g,%d,%s,%d,%d,%.17g\n"
-                      % (t, m.sub_round, m.kind, m.from_node, m.to_node, m.value)
-                      for t, m in result.messages)
+        # the messages of one step share their time, so it is formatted once
+        for t, step in groupby(result.messages, key=itemgetter(0)):
+            stamp = "%.17g" % t
+            fh.writelines("%s,%d,%s,%d,%d,%.17g\n" % (stamp, *m) for _, m in step)

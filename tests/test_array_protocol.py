@@ -134,7 +134,7 @@ def test_array_protocol_matches_per_node_protocol(caplog):
                 for c, j in enumerate(in_neighbors(graph, i)):
                     assert _bits(got.out_alloc[i - 1, c]) == _bits(ledger.out_alloc.get(j, 0.0))
                     assert _bits(got.in_req[i - 1, c]) == _bits(ref.ledgers[j].in_req.get(i, 0.0))
-            assert _bits(got.allocated()) == _bits(
+            assert _bits(got.allocated) == _bits(
                 [sum(ref.ledgers[i].out_alloc.values()) for i in graph.nodes()])
 
             # a refusal on a live channel comes from a frozen region, one on

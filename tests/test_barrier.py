@@ -12,6 +12,7 @@ from ccbf.barrier import (
     BarrierSpec,
     Psi2Decomposition,
     QuadraticForm,
+    barrier_arrays,
     decompose_psi2,
     decompose_psi2_all,
     max_capability,
@@ -213,7 +214,8 @@ def test_decompose_udot_shape_check():
         decompose_psi2(spec, lie, states[1], np.array([0.0, 0.0]))
     specs = {i: spec for i in graph.nodes()}
     with pytest.raises(DimensionError):
-        decompose_psi2_all(specs, model.lie_arrays(np.array(PAPER_X0)), np.zeros(2))
+        decompose_psi2_all(barrier_arrays(specs, graph.nodes()),
+                           model.lie_arrays(np.array(PAPER_X0)), np.zeros(2))
 
 
 def _random_network(seed: int):
@@ -249,9 +251,9 @@ def _bits(v) -> bytes:
 @given(seed=st.integers(0, 2**32 - 1), policy=st.sampled_from(["zero", "backward_difference"]))
 def test_batched_decomposition_is_bit_identical_to_per_node(seed, policy):
     graph, model, x, specs, history = _random_network(seed)
-    udot = _udot_for(policy, history, graph.node_count, 0.01, [True])
+    udot = _udot_for(policy, history, np.zeros(graph.node_count), 0.01, [True])
     lie = model.lie_arrays(x)
-    batched = decompose_psi2_all(specs, lie, udot)
+    batched = decompose_psi2_all(barrier_arrays(specs, graph.nodes()), lie, udot)
     states = {i: np.array([x[i - 1]]) for i in graph.nodes()}
     assert batched.coupling.shape == lie.in_mask.shape
     assert not batched.coupling[~lie.in_mask].any()

@@ -86,6 +86,16 @@ def test_paper_scenario_golden_digests(tmp_path):
     assert run_config(cfg, tmp_path) == EXIT_OK
     for name, digest in PAPER_20S_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    # negotiation keeps every filter feasible (over the full 100 s too)
+    assert json.loads((tmp_path / "meta.json").read_text())["relaxed_steps"] == [0, 0, 0]
+
+
+def test_filter_relaxations_are_counted_per_node(tmp_path):
+    # without negotiation node 1 cannot hold psi1 on its own: 1 630 of the
+    # 2 001 rows of the first 20 s relax (9 630 of 10 001 over 100 s)
+    cfg = _paper_config(t_final=20.0, collaboration=False)
+    assert run_config(cfg, tmp_path) == EXIT_OK
+    assert json.loads((tmp_path / "meta.json").read_text())["relaxed_steps"] == [1630, 0, 0]
 
 
 def test_outer_cap_trips_are_counted_and_reported(tmp_path, caplog):

@@ -287,21 +287,48 @@ def test_comments_outside_brackets_are_stripped(old, new, field, want):
     assert getattr(cfg, field) == want
 
 
-@pytest.mark.parametrize("old, new, violation", [
+@pytest.mark.parametrize("old, new, key, line", [
     # inside the line's brackets on a first line: kept, so the value is not JSON
-    ("sim.x0 = [0.04, 0.01, 0.02]", "sim.x0 = [0.04, # one\n 0.01, 0.02]",
-     ("sim.x0", "must be an array of 3 numbers")),
+    ("sim.x0 = [0.04, 0.01, 0.02]", "sim.x0 = [0.04, # one\n 0.01, 0.02]", "sim.x0", 11),
     # inside the line's brackets on a continuation line
-    ("[0.25, 0.5, 0.25],", "[0.25, # two\n 0.5, 0.25],",
-     ("model.beta", "must be a 3x3 matrix")),
+    ("[0.25, 0.5, 0.25],", "[0.25, # two\n 0.5, 0.25],", "model.beta", 5),
     # depth is per line: a `]` in the kept comment closes the value early
-    ("[[0.5, 0.25, 0.25],", "[[0.5, 0.25, 0.25],  # see ] below",
-     ("model.beta", "must be a 3x3 matrix")),
+    ("[[0.5, 0.25, 0.25],", "[[0.5, 0.25, 0.25],  # see ] below", "model.beta", 5),
 ], ids=["first-line", "continuation-line", "bracket-in-comment"])
-def test_comments_inside_brackets_are_kept(old, new, violation):
+def test_comments_inside_brackets_are_kept(old, new, key, line):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(GOOD.replace(old, new))
-    assert violation in excinfo.value.violations
+    _assert_reported_as_bad_json(excinfo.value.violations, key, line)
+
+
+def _assert_reported_as_bad_json(violations, key, line):
+    """One violation names the key, and it carries the JSON error and the line."""
+    mine = [msg for path, msg in violations if path.partition("[")[0] == key]
+    assert len(mine) == 1, violations
+    prefix, suffix = "not valid JSON: ", f" (value starts on line {line})"
+    assert mine[0].startswith(prefix) and mine[0].endswith(suffix)
+    assert mine[0][len(prefix):-len(suffix)]  # the decoder's wording varies across versions
+
+
+@pytest.mark.parametrize("old, new, key, line", [
+    ("sim.x0 = [0.04, 0.01, 0.02]", "sim.x0 = [0.04, 0.01, 0.02,]", "sim.x0", 11),
+    ("[0.25, 0.25, 0.5]]", "[0.25, 0.25, 0.5],]", "model.beta", 5),
+    ("graph.edges = [[1, 2],", "graph.edges = [[1 2],", "graph.edges", 3),
+    # beyond the interpreter's limit on integer literal digits
+    ("sim.x0 = [0.04, 0.01, 0.02]", "sim.x0 = [0.04, 0.01, " + "1" * 5000 + "]", "sim.x0", 11),
+], ids=["trailing-comma", "trailing-comma-continuation", "missing-comma", "huge-integer"])
+def test_malformed_arrays_name_the_json_error(old, new, key, line):
+    text = GOOD.replace(old, new)
+    assert text != GOOD
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    _assert_reported_as_bad_json(excinfo.value.violations, key, line)
+
+
+def test_unterminated_array_is_not_also_missing():
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(GOOD.replace("sim.x0 = [0.04, 0.01, 0.02]", "sim.x0 = [0.04, 0.01, 0.02"))
+    assert excinfo.value.violations == [("sim.x0", "unterminated array value")]
 
 
 _entries = st.one_of(st.integers(0, 9),

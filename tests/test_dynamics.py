@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from ccbf.dynamics import (
     NodeModel,
     SisModel,
     SisParams,
+    _check_lie_terms,
     neighborhood,
     rk4_step,
 )
@@ -247,3 +250,31 @@ def test_neighborhood_snapshot_structure(paper_graph):
     assert set(nbr.two_hop[2].one_hop) == {1, 3}
     assert nbr.two_hop[2].two_hop == {}
     assert nbr.two_hop[3].self_state[0] == 0.3
+
+
+def _lie_terms(n: int = 5, width: int = 2) -> dict[str, np.ndarray]:
+    """Finite Lie terms of n nodes with `width` in-neighbor slots each."""
+    rng = np.random.default_rng(7)
+    terms = {name: rng.uniform(-1.0, 1.0, n) for name in ("x", "f", "lf2_h", "lg_lf_h")}
+    terms.update({name: rng.uniform(-1.0, 1.0, (n, width)) for name in ("lfj_lf_h", "lgj_lf_h")})
+    return terms
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("term", ["lfj_lf_h", "lgj_lf_h", "lg_lf_h"])
+def test_lie_probe_names_lowest_node_with_a_non_finite_term(term, bad):
+    _check_lie_terms(**_lie_terms())
+    for nodes in ([4], [2, 5], [3, 1]):
+        terms = _lie_terms()
+        for node in nodes:
+            # only this term goes bad, in one slot of each bad node
+            terms[term][(node - 1, node % 2) if term != "lg_lf_h" else node - 1] = bad
+        with pytest.raises(NumericsError, match=rf"^node {min(nodes)}: non-finite Lie derivative"):
+            _check_lie_terms(**terms)
+
+
+def test_lie_probe_overflow_of_finite_terms_does_not_raise():
+    terms = {name: np.full(v.shape, 1.5e308) for name, v in _lie_terms(3).items()}
+    with np.errstate(over="ignore"):
+        assert not math.isfinite(float(sum(v.sum() for v in terms.values())))
+        _check_lie_terms(**terms)

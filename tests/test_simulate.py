@@ -137,10 +137,11 @@ def test_backward_difference_policy_runs_and_matches_zero_at_start():
 
 def test_udot_policy_arithmetic():
     warned = [False]
-    assert np.all(_udot_for("zero", [np.array([1.0]), np.array([2.0])], 1, 0.1, warned) == 0.0)
-    assert np.all(_udot_for("backward_difference", [], 1, 0.1, warned) == 0.0)
-    assert np.all(_udot_for("backward_difference", [np.array([1.0])], 1, 0.1, warned) == 0.0)
-    rate = _udot_for("backward_difference", [np.array([1.0]), np.array([1.5])], 1, 0.1, warned)
+    zero = np.zeros(1)
+    assert np.all(_udot_for("zero", [np.array([1.0]), np.array([2.0])], zero, 0.1, warned) == 0.0)
+    assert np.all(_udot_for("backward_difference", [], zero, 0.1, warned) == 0.0)
+    assert np.all(_udot_for("backward_difference", [np.array([1.0])], zero, 0.1, warned) == 0.0)
+    rate = _udot_for("backward_difference", [np.array([1.0]), np.array([1.5])], zero, 0.1, warned)
     assert rate[0] == pytest.approx(5.0, abs=1e-12)
 
 
