@@ -31,15 +31,13 @@ from .collab import (
     collaborative_safety,
     collaborative_safety_arrays,
     coordinate,
-    edge_layout,
     partition,
 )
-from .config import ScenarioConfig, load_config, normalize_config, parse_config
+from .config import ScenarioConfig, normalize_config, parse_config
 from .dynamics import (
     LieArrays,
     LieTable,
     NeighborhoodState,
-    NetworkedSystem,
     SisModel,
     SisParams,
     neighborhood,
@@ -56,7 +54,6 @@ from .errors import (
     ProtocolStallError,
     ProtocolStateError,
     TerminallyInfeasibleError,
-    UnsupportedModelError,
 )
 from .geometry import (
     ControlRegion,
@@ -67,8 +64,7 @@ from .geometry import (
     project_point,
     weakly_non_interfering,
 )
-from .graph import NetworkGraph, in_neighbors, out_neighbors
-from .graph import validate as validate_graph
+from .graph import NetworkGraph, edge_layout, in_neighbors, out_neighbors
 from .simulate import (
     ScenarioResult,
     run_scenario,
@@ -90,17 +86,15 @@ __all__ = [
     "ProtocolStallError",
     "ProtocolStateError",
     "TerminallyInfeasibleError",
-    "UnsupportedModelError",
     "NetworkGraph",
     "in_neighbors",
     "out_neighbors",
-    "validate_graph",
+    "edge_layout",
     "NeighborhoodState",
     "LieTable",
     "LieArrays",
     "SisParams",
     "SisModel",
-    "NetworkedSystem",
     "neighborhood",
     "rk4_step",
     "BarrierSpec",
@@ -129,7 +123,6 @@ __all__ = [
     "collaborate",
     "collaborative_safety",
     "collaborative_safety_arrays",
-    "edge_layout",
     "ScenarioResult",
     "safety_filter",
     "safety_filter_arrays",
@@ -140,6 +133,5 @@ __all__ = [
     "ScenarioConfig",
     "parse_config",
     "normalize_config",
-    "load_config",
     "__version__",
 ]

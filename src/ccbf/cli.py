@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig, load_config, normalize_config, parse_config
+from .config import ScenarioConfig, normalize_config, parse_config
 from .errors import CcbfError, ConfigError
 from .simulate import run_scenario, write_messages_csv, write_result_csv
 
@@ -80,11 +80,11 @@ def effective_config(args) -> ScenarioConfig:
 def run_config(cfg: ScenarioConfig, out_dir: Path) -> int:
     """Simulate one validated scenario and write its artifacts."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    system = cfg.build_system()
+    model = cfg.build_model()
     specs = cfg.build_specs()
     x0 = np.array(cfg.x0)
     started = time.perf_counter()
-    result = run_scenario(system, specs, x0, **cfg.run_kwargs())
+    result = run_scenario(model, specs, x0, **cfg.run_kwargs())
     elapsed = time.perf_counter() - started
 
     write_result_csv(out_dir / "result.csv", result)

@@ -61,7 +61,7 @@ from .geometry import (
     intersect,
     is_empty,
 )
-from .graph import NetworkGraph, in_neighbors, out_neighbors
+from .graph import EdgeLayout, NetworkGraph, in_neighbors, out_neighbors
 
 log = logging.getLogger("ccbf.collab")
 
@@ -296,62 +296,6 @@ def collaborative_safety(graph: NetworkGraph,
                                  messages=messages, sub_round_start=total_sub)
     regions = {i: ledgers[i].region for i in nodes}
     return ProtocolOutcome(regions, ledgers, outer, total_sub, cap_tripped)
-
-
-class EdgeLayout(NamedTuple):
-    """Both edge layouts of a scalar network, built once per run.
-
-    By target, as in LieArrays: row i-1, column c is the edge into node i
-    from its c-th in-neighbor in ascending id order; in_source holds that
-    neighbor's 0-based index (padding points at the row's own node) and
-    in_mask is False on padding.  By source: row j-1, column d is the edge
-    from node j to its d-th out-neighbor; out_slot is that edge's flat
-    index in the by-target layout and out_mask is False on padding.
-    A request travels from node request_from[s] to node request_to[s] for
-    by-target slot s; adjustments travel from adjust_from[e] to
-    adjust_to[e] for every edge e in by-source order, whose by-target
-    slots are adjust_slots.
-    """
-
-    in_source: np.ndarray
-    in_mask: np.ndarray
-    out_slot: np.ndarray
-    out_mask: np.ndarray
-    request_from: tuple[int, ...]
-    request_to: tuple[int, ...]
-    adjust_from: tuple[int, ...]
-    adjust_to: tuple[int, ...]
-    adjust_slots: np.ndarray
-
-
-def edge_layout(graph: NetworkGraph) -> EdgeLayout:
-    """The graph's by-target and by-source edge layouts."""
-    nodes = graph.nodes()
-    n = graph.node_count
-    ins = [in_neighbors(graph, i) for i in nodes]
-    outs = [out_neighbors(graph, j) for j in nodes]
-    w_in = max((len(v) for v in ins), default=0)
-    w_out = max((len(v) for v in outs), default=0)
-    in_source = np.repeat(np.arange(n, dtype=np.intp)[:, None], w_in, axis=1)
-    in_mask = np.zeros((n, w_in), dtype=bool)
-    slot_of: dict[tuple[int, int], int] = {}
-    for i, js in zip(nodes, ins):
-        for c, j in enumerate(js):
-            in_source[i - 1, c] = j - 1
-            in_mask[i - 1, c] = True
-            slot_of[j, i] = (i - 1) * w_in + c
-    out_slot = np.zeros((n, w_out), dtype=np.intp)
-    out_mask = np.zeros((n, w_out), dtype=bool)
-    for j, ks in zip(nodes, outs):
-        for d, k in enumerate(ks):
-            out_slot[j - 1, d] = slot_of[j, k]
-            out_mask[j - 1, d] = True
-    request_to = tuple(int(src) + 1 for src in in_source.ravel())
-    request_from = tuple(row + 1 for row in range(n) for _ in range(w_in))
-    adjust_from = tuple(j for j, ks in zip(nodes, outs) for _ in ks)
-    adjust_to = tuple(k for ks in outs for k in ks)
-    return EdgeLayout(in_source, in_mask, out_slot, out_mask, request_from, request_to,
-                      adjust_from, adjust_to, out_slot[out_mask])
 
 
 class ArrayOutcome(NamedTuple):

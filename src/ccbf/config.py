@@ -5,7 +5,8 @@ One assignment per line, `dotted.key = value`.  Values are JSON literals
 `on` and `off`.  Numbers must be finite: the JSON literals NaN and
 +-Infinity are rejected like any other bad entry.  A `#` outside brackets
 starts a comment.  An assignment whose brackets are still open continues on
-the following lines, so matrices can be written one row per line.
+the following lines, so matrices can be written one row per line; the
+next assignment of a known key ends it unterminated.
 
 `parse_config` collects every violation with a path such as
 `model.beta[0][1]` (array indices are 0-based positions, node ids in
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .barrier import BarrierSpec
-from .dynamics import NetworkedSystem, SisModel, SisParams
+from .collab import DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP
+from .dynamics import SisModel, SisParams
 from .errors import ConfigError
 from .graph import NetworkGraph
 
@@ -90,12 +92,11 @@ class ScenarioConfig:
     def build_graph(self) -> NetworkGraph:
         return NetworkGraph(self.nodes, self.edges)
 
-    def build_system(self) -> NetworkedSystem:
-        graph = self.build_graph()
+    def build_model(self) -> SisModel:
         import numpy as np
 
         params = SisParams(np.array(self.beta), np.array(self.gamma), np.array(self.u_max))
-        return NetworkedSystem(graph, SisModel(graph, params))
+        return SisModel(self.build_graph(), params)
 
     def build_specs(self) -> dict[int, BarrierSpec]:
         return {i: BarrierSpec(self.x_bar[i - 1], self.eta[i - 1], self.kappa[i - 1])
@@ -172,21 +173,26 @@ def _raw_assignments(text: str, problems: list[tuple[str, str]]
     depth = 0  # bracket depth of the pending value, counted once per line
     for lineno, original in enumerate(text.splitlines(), start=1):
         line = _strip_comment(original)
+        key, sep, value = line.partition("=")
+        key = key.strip()
         if pending_key is not None:
-            pending_pieces.append(line.strip())
-            depth += _bracket_depth(line)
-            if depth > 0:
+            if not (sep and key in KNOWN_KEYS):
+                pending_pieces.append(line.strip())
+                depth += _bracket_depth(line)
+                if depth > 0:
+                    continue
+                _assign(raw, pending_key, " ".join(pending_pieces), pending_line, problems, unread)
+                pending_key, pending_pieces = None, []
                 continue
-            _assign(raw, pending_key, " ".join(pending_pieces), pending_line, problems, unread)
+            # an assignment ends a value whose brackets never closed
+            problems.append((pending_key, "unterminated array value"))
+            unread.add(pending_key)
             pending_key, pending_pieces = None, []
-            continue
         if not line.strip():
             continue
-        if "=" not in line:
+        if not sep:
             problems.append((f"line {lineno}", "expected `key = value`"))
             continue
-        key, _, value = line.partition("=")
-        key = key.strip()
         if not key:
             problems.append((f"line {lineno}", "missing key before `=`"))
             continue
@@ -434,8 +440,8 @@ def parse_config(text: str) -> ScenarioConfig:
         problems.append(("sim.t_final", f"must be > sim.dt ({dt}), got {t_final}"))
     collaboration = _want_bool(raw, "sim.collaboration", problems, True)
     weights = _want_choice(raw, "sim.weights", problems, "coupling", WEIGHT_MODES)
-    outer_cap = _want_int(raw, "sim.outer_cap", problems, default=16, minimum=1)
-    inner_cap = _want_int(raw, "sim.inner_cap", problems, default=64, minimum=1)
+    outer_cap = _want_int(raw, "sim.outer_cap", problems, default=DEFAULT_OUTER_CAP, minimum=1)
+    inner_cap = _want_int(raw, "sim.inner_cap", problems, default=DEFAULT_INNER_CAP, minimum=1)
     trace = _want_bool(raw, "sim.trace", problems, False)
     continue_on_infeasible = _want_bool(raw, "sim.continue_on_infeasible", problems, False)
     output_dir = raw.get("output.dir", "out")
@@ -491,8 +497,3 @@ def normalize_config(cfg: ScenarioConfig) -> str:
         ("output.dir", cfg.output_dir),
     )
     return "".join(f"{key} = {_emit(value)}\n" for key, value in pairs)
-
-
-def load_config(path) -> ScenarioConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())

@@ -28,9 +28,11 @@ D = d f_i / d x_i = -gamma_i - S + (1 - x_i) beta_ii:
     L_gi L_fi h =  D x_i                L_fi L_gi h = f_i
 
 Each closed form is pinned to a central finite difference in the tests.
-`SisModel.lie_arrays` evaluates every node's table at once with array
-arithmetic for the closed loop; the per-node `lie_table` on a snapshot is
-its reference, which it matches bit for bit.
+`SisModel` is the network the closed loop runs on.  Its `lie_arrays`
+evaluates every node's table at once with array arithmetic on the
+graph's by-target edge layout (`SisModel.layout`); the per-node
+`lie_table` on a snapshot is its reference, which it matches bit for bit.
+`rk4_step` advances the packed state through `SisModel.packed_flow`.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, NumericsError, ProtocolStateError, UnsupportedModelError
-from .graph import NetworkGraph, in_neighbors
+from .errors import DimensionError, NumericsError, ProtocolStateError
+from .graph import NetworkGraph, edge_layout, in_neighbors
 
 
 @dataclass(frozen=True)
@@ -82,11 +84,10 @@ class LieArrays(NamedTuple):
     """Every node's constraint Lie terms at one packed state, scalar nodes only.
 
     Entry i-1 of a node array belongs to node i, whose L_g h is x[i-1]
-    and L_f L_g h is drift[i-1].  Edge arrays have one row per node and one
-    column per in-neighbor slot: column c of row i-1 belongs to
-    in_neighbors[i-1][c], node i's c-th in-neighbor in ascending id order,
-    and in_mask is False on the padding of nodes with fewer in-neighbors
-    (where the terms are +0.0).
+    and L_f L_g h is drift[i-1].  Edge arrays have the model's by-target
+    EdgeLayout: column c of row i-1 belongs to node i's c-th in-neighbor
+    in ascending id order, and the padding of nodes with fewer
+    in-neighbors (where layout.in_mask is False) holds +0.0.
     """
 
     x: np.ndarray
@@ -96,8 +97,6 @@ class LieArrays(NamedTuple):
     lf2_h: np.ndarray
     lfj_lf_h: np.ndarray
     lgj_lf_h: np.ndarray
-    in_mask: np.ndarray
-    in_neighbors: tuple[tuple[int, ...], ...]
 
 
 def neighborhood(graph: NetworkGraph, states: dict[int, np.ndarray], i: int) -> NeighborhoodState:
@@ -130,46 +129,6 @@ def _check_lie_terms(x: np.ndarray, f: np.ndarray, lf2_h: np.ndarray, lg_lf_h: n
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0]) + 1
         raise NumericsError(f"node {i}: non-finite Lie derivative")
-
-
-class NodeModel:
-    """Interface for pluggable per-node dynamics.
-
-    Subclasses must provide drift and control_matrix; models that cannot
-    supply closed-form constraint derivatives inherit a lie_table and a
-    lie_arrays that raise UnsupportedModelError, which keeps them usable
-    for plain simulation but not for the safety machinery.
-    """
-
-    graph: NetworkGraph
-
-    def drift(self, nbr: NeighborhoodState, i: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def control_matrix(self, x_i: np.ndarray, i: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def lie_table(self, nbr: NeighborhoodState, i: int, barrier=None) -> LieTable:
-        raise UnsupportedModelError(
-            f"{type(self).__name__} does not provide constraint Lie derivatives"
-        )
-
-    def lie_arrays(self, x: np.ndarray) -> LieArrays:
-        """Every node's Lie terms at packed state x; the closed loop runs on these."""
-        raise UnsupportedModelError(
-            f"{type(self).__name__} does not provide array constraint Lie derivatives"
-        )
-
-    def control_box(self, i: int) -> tuple[tuple[float, float], ...]:
-        raise UnsupportedModelError(f"{type(self).__name__} does not declare control bounds")
-
-    def clamp_state(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """Project a packed state back into the admissible set.
-
-        Returns the projected state and the largest componentwise move.
-        The default is a no-op.
-        """
-        return x, 0.0
 
 
 @dataclass(frozen=True)
@@ -225,7 +184,7 @@ class SisParams:
         return problems
 
 
-class SisModel(NodeModel):
+class SisModel:
     """Networked SIS dynamics with scalar state and control per node."""
 
     def __init__(self, graph: NetworkGraph, params: SisParams):
@@ -234,20 +193,12 @@ class SisModel(NodeModel):
             raise DimensionError("; ".join(bad))
         self.graph = graph
         self.params = params
-        n = graph.node_count
-        nbrs = tuple(in_neighbors(graph, i) for i in graph.nodes())
-        width = max((len(v) for v in nbrs), default=0)
+        self.layout = edge_layout(graph)
         # padding slots point at the node itself with weight 0 and are
         # masked out of every sum
-        self._in_neighbors = nbrs
-        self._in_index = np.repeat(np.arange(n, dtype=np.intp)[:, None], width, axis=1)
-        self._in_weight = np.zeros((n, width))
-        self._in_mask = np.zeros((n, width), dtype=bool)
-        for row, js in enumerate(nbrs):
-            for col, j in enumerate(js):
-                self._in_index[row, col] = j - 1
-                self._in_weight[row, col] = params.beta[row, j - 1]
-                self._in_mask[row, col] = True
+        rows = np.arange(graph.node_count)[:, None]
+        self._in_weight = np.where(self.layout.in_mask,
+                                   params.beta[rows, self.layout.in_source], 0.0)
         self._self_weight = np.diagonal(params.beta).copy()
         self._neg_gamma = -params.gamma
 
@@ -335,7 +286,7 @@ class SisModel(NodeModel):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.graph.node_count,):
             raise DimensionError(f"SIS packed state must have shape ({self.graph.node_count},)")
-        index, weight, mask = self._in_index, self._in_weight, self._in_mask
+        index, mask, weight = self.layout.in_source, self.layout.in_mask, self._in_weight
         neg_gamma = self._neg_gamma
         b_ii = self._self_weight
         x_in = x[index]
@@ -354,7 +305,7 @@ class SisModel(NodeModel):
         lf2_h = -dfdx * f
         lg_lf_h = dfdx * x
         _check_lie_terms(x, f, lf2_h, lg_lf_h, lfj, lgj)
-        return LieArrays(x, f, lg_lf_h, lf_h, lf2_h, lfj, lgj, mask, self._in_neighbors)
+        return LieArrays(x, f, lg_lf_h, lf_h, lf2_h, lfj, lgj)
 
     def control_box(self, i: int) -> tuple[tuple[float, float], ...]:
         return ((0.0, float(self.params.u_max[i - 1])),)
@@ -366,85 +317,23 @@ class SisModel(NodeModel):
     def packed_flow(self, u: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """Vectorized full-network derivative under the packed control u.
 
-        Returns x -> dx/dt; it matches the per-node path.
+        Returns x -> dx/dt; it matches drift + control_matrix @ u node by
+        node.
         """
+        n = self.graph.node_count
+        if np.shape(u) != (n,):
+            raise DimensionError(f"packed control must have shape ({n},)")
         loss = -(self.params.gamma + u)
         beta = self.params.beta
         return lambda x: loss * x + (1.0 - x) * (beta @ x)
 
 
-class NetworkedSystem:
-    """Packs per-node dynamics into one flat state vector for integration."""
-
-    def __init__(self, graph: NetworkGraph, model: NodeModel):
-        self.graph = graph
-        self.model = model
-        self.state_offsets = graph.state_offsets()
-        self.control_offsets = graph.control_offsets()
-        self.state_size = sum(graph.state_dims.values())
-        self.control_size = sum(graph.control_dims.values())
-
-    def split_state(self, x: np.ndarray) -> dict[int, np.ndarray]:
-        if np.shape(x) != (self.state_size,):
-            raise DimensionError(f"packed state must have shape ({self.state_size},)")
-        out = {}
-        for i in self.graph.nodes():
-            o = self.state_offsets[i]
-            out[i] = x[o:o + self.graph.state_dims[i]]
-        return out
-
-    def split_control(self, u: np.ndarray) -> dict[int, np.ndarray]:
-        if np.shape(u) != (self.control_size,):
-            raise DimensionError(f"packed control must have shape ({self.control_size},)")
-        out = {}
-        for i in self.graph.nodes():
-            o = self.control_offsets[i]
-            out[i] = u[o:o + self.graph.control_dims[i]]
-        return out
-
-    def flow(self, x: np.ndarray, u: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """The map from a state shaped like x to dx/dt, with the control u held.
-
-        The model's packed_flow serves a flat state of scalar nodes, with
-        the control's shape checked here once for every call of the map;
-        the per-node drift and control matrices serve any other state.
-        """
-        packed = getattr(self.model, "packed_flow", None)
-        if packed is not None and np.shape(x) == (self.graph.node_count,):
-            if np.shape(u) != (self.control_size,):
-                raise DimensionError(f"packed control must have shape ({self.control_size},)")
-            return packed(u)
-        return lambda y: self._per_node_derivative(y, u)
-
-    def derivative(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.flow(x, u)(x)
-
-    def _per_node_derivative(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        states = self.split_state(x)
-        controls = self.split_control(u)
-        dx = np.empty_like(x)
-        for i in self.graph.nodes():
-            nbr = neighborhood(self.graph, states, i)
-            block = self.model.drift(nbr, i) + self.model.control_matrix(states[i], i) @ controls[i]
-            o = self.state_offsets[i]
-            dx[o:o + self.graph.state_dims[i]] = block
-        return dx
-
-
-def _offending_node(system: NetworkedSystem, bad: np.ndarray) -> int:
-    idx = int(np.flatnonzero(bad)[0])
-    for i in system.graph.nodes():
-        o = system.state_offsets[i]
-        if o <= idx < o + system.graph.state_dims[i]:
-            return i
-    return -1
-
-
-def rk4_step(system: NetworkedSystem, x: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step with the control held constant."""
+def rk4_step(model: SisModel, x: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
+    """One classical Runge-Kutta step with the packed control u held constant."""
     x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    deriv = system.flow(x, u)
+    if x.shape != (model.graph.node_count,):
+        raise DimensionError(f"packed state must have shape ({model.graph.node_count},)")
+    deriv = model.packed_flow(np.asarray(u, dtype=float))
     half = 0.5 * dt
     k1 = deriv(x)
     k2 = deriv(x + half * k1)
@@ -453,6 +342,6 @@ def rk4_step(system: NetworkedSystem, x: np.ndarray, u: np.ndarray, dt: float) -
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     finite = np.isfinite(out)
     if np.count_nonzero(finite) < out.size:
-        node = _offending_node(system, ~finite)
+        node = int(np.flatnonzero(~finite)[0]) + 1
         raise NumericsError(f"node {node}: non-finite state after step")
     return out

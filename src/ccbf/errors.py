@@ -11,10 +11,6 @@ class DimensionError(CcbfError, ValueError):
     """A vector or matrix argument has the wrong shape for its node."""
 
 
-class UnsupportedModelError(CcbfError, TypeError):
-    """The dynamics model cannot provide what the caller asked for."""
-
-
 class NumericsError(CcbfError, ArithmeticError):
     """A quantity became non-finite during evaluation."""
 

@@ -115,9 +115,6 @@ class ControlRegion:
     def frozen(self) -> bool:
         return self.frozen_point is not None
 
-    def freeze(self, point: np.ndarray) -> "ControlRegion":
-        return ControlRegion(self.box, self.requests, np.asarray(point, dtype=float))
-
     def contains(self, u: np.ndarray, tol: float = PROJECTION_TOL) -> bool:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.dim,):

@@ -36,10 +36,6 @@ class ResultTable:
     states: np.ndarray    # rows x nodes
     controls: np.ndarray  # rows x nodes
 
-    @property
-    def node_count(self) -> int:
-        return self.states.shape[1]
-
 
 def read_result_csv(path) -> ResultTable:
     """Load `t,x_*,u_*` columns; raises ConfigError on schema problems."""

@@ -1,12 +1,13 @@
 """Closed-loop simulation: snapshot, negotiate, filter, integrate.
 
-Every step runs the same pipeline at the current state: build every
-node's Lie terms and psi2 blocks at once from the model's array kernel,
-negotiate admissible control regions with the array protocol (or hand
-every node its full box when collaboration is off), pass the nominal
-controls through the array safety filter, record a row, then advance one
-RK4 step with the controls held constant over the interval.  Every stage
-works on arrays over nodes and edges; the per-node `safety_filter` and
+`run_scenario` runs a `SisModel`.  Every step runs the same pipeline at
+the current state: build every node's Lie terms and psi2 blocks at once
+with `SisModel.lie_arrays`, negotiate admissible control regions with the
+array protocol on the model's edge layout (or hand every node its full
+box when collaboration is off), pass the nominal controls through the
+array safety filter, record a row, then advance one `rk4_step` with the
+controls held constant over the interval.  Every stage works on arrays
+over nodes and edges; the per-node `safety_filter` and
 `collaborative_safety` are the reference they match bit for bit, and the
 path for vector controls.
 
@@ -29,8 +30,9 @@ import numpy as np
 from .barrier import (BarrierSpec, Psi2Arrays, Psi2Decomposition, QuadraticForm,
                       barrier_arrays, decompose_psi2_all, max_capability,
                       max_capability_arrays)
-from .collab import CollabMessage, collaborative_safety_arrays, edge_layout
-from .dynamics import NetworkedSystem, rk4_step
+from .collab import (DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP, CollabMessage,
+                     collaborative_safety_arrays)
+from .dynamics import SisModel, rk4_step
 from .errors import (EmptyRegionError, GeometryConvergenceError, ProtocolStallError,
                      TerminallyInfeasibleError)
 from .geometry import (NEGLIGIBLE_NORMAL, ControlRegion, Halfspace, IntervalRegions,
@@ -291,7 +293,7 @@ def _udot_for(policy: str, history: list[np.ndarray], zero: np.ndarray, dt: floa
     return (history[-1] - history[-2]) / dt
 
 
-def run_scenario(system: NetworkedSystem, specs: dict[int, BarrierSpec], x0: np.ndarray,
+def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
                  *,
                  dt: float = 0.01,
                  t_final: float = 100.0,
@@ -299,34 +301,31 @@ def run_scenario(system: NetworkedSystem, specs: dict[int, BarrierSpec], x0: np.
                  udot_policy: str = "zero",
                  collaboration: bool = True,
                  weights_mode: str = "coupling",
-                 outer_cap: int = 16,
-                 inner_cap: int = 64,
+                 outer_cap: int = DEFAULT_OUTER_CAP,
+                 inner_cap: int = DEFAULT_INNER_CAP,
                  continue_on_infeasible: bool = False,
                  collect_messages: bool = False) -> ScenarioResult:
     """Run the closed loop from x0 to t_final and record every step.
 
     nominal is the packed nominal control, zero when None.  Each step runs
     on arrays: the model's Lie terms, the psi2 blocks, the array protocol
-    and the array filter; only scalar models with lie_arrays are supported.
+    and the array filter.
     A terminally infeasible step halts the run unless continue_on_infeasible
     is set; a stalled negotiation always halts it.
     """
-    graph = system.graph
-    nodes = list(graph.nodes())
+    nodes = list(model.graph.nodes())
     n = len(nodes)
     x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (system.state_size,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({system.state_size},) for this graph")
+    if x.shape != (n,):
+        raise ValueError(f"x0 has shape {x.shape}, expected ({n},) for this graph")
     want = np.zeros(n) if nominal is None else np.asarray(nominal, dtype=float)
     if want.shape != (n,):
         raise ValueError(f"nominal has shape {want.shape}, expected ({n},) for this graph")
-    model = system.model
     box = np.array([normalize_box(model.control_box(i))[0] for i in nodes])
     box_lo, box_hi = box[:, 0].copy(), box[:, 1].copy()
     full_boxes = IntervalRegions(box_lo, box_hi, np.zeros(n, dtype=bool), np.zeros(n))
     gains = barrier_arrays(specs, nodes)
     zero_rate = np.zeros(n)
-    layout = edge_layout(graph) if collaboration else None
     nsteps = int(round(t_final / dt))
 
     times = np.zeros(nsteps + 1)
@@ -358,7 +357,7 @@ def run_scenario(system: NetworkedSystem, specs: dict[int, BarrierSpec], x0: np.
         if collaboration:
             try:
                 outcome = collaborative_safety_arrays(
-                    layout, psi2, box_lo, box_hi,
+                    model.layout, psi2, box_lo, box_hi,
                     outer_cap=outer_cap, inner_cap=inner_cap, weights_mode=weights_mode,
                     messages=step_messages)
             except TerminallyInfeasibleError as err:
@@ -411,7 +410,7 @@ def run_scenario(system: NetworkedSystem, specs: dict[int, BarrierSpec], x0: np.
         rows = k + 1
 
         if k < nsteps:
-            x, moved = model.clamp_state(rk4_step(system, x, u, dt))
+            x, moved = model.clamp_state(rk4_step(model, x, u, dt))
             max_clamp = max(max_clamp, moved)
 
     if cap_tripped_steps:
@@ -427,19 +426,19 @@ def run_scenario(system: NetworkedSystem, specs: dict[int, BarrierSpec], x0: np.
         relaxed_steps=tuple(relaxed_steps.tolist()), messages=all_messages)
 
 
-def run_uncontrolled(system: NetworkedSystem, x0: np.ndarray, *,
+def run_uncontrolled(model: SisModel, x0: np.ndarray, *,
                      dt: float = 0.01, t_final: float = 100.0
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Open-loop trajectory with zero control; returns (times, states)."""
     nsteps = int(round(t_final / dt))
-    n = x0.shape[0] if hasattr(x0, "shape") else len(x0)
+    n = model.graph.node_count
     x = np.asarray(x0, dtype=float).copy()
-    u = np.zeros(sum(system.graph.control_dims[i] for i in system.graph.nodes()))
+    u = np.zeros(n)
     times = np.zeros(nsteps + 1)
     states = np.zeros((nsteps + 1, n))
     states[0] = x
     for k in range(nsteps):
-        x, _ = system.model.clamp_state(rk4_step(system, x, u, dt))
+        x, _ = model.clamp_state(rk4_step(model, x, u, dt))
         times[k + 1] = (k + 1) * dt
         states[k + 1] = x
     return times, states

@@ -18,7 +18,7 @@ import pytest
 import ccbf.collab as collab_mod
 from ccbf.barrier import BarrierSpec, Psi2Decomposition, QuadraticForm, decompose_psi2, psi0, psi1
 from ccbf.cli import main as cli_main
-from ccbf.dynamics import NetworkedSystem, SisModel, SisParams, neighborhood
+from ccbf.dynamics import SisModel, SisParams, neighborhood
 from ccbf.errors import TerminallyInfeasibleError
 from ccbf.geometry import ControlRegion, Halfspace, closest_point, is_empty, weakly_non_interfering
 from ccbf.graph import NetworkGraph
@@ -35,12 +35,11 @@ def report(capsys, num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def _paper_system() -> tuple[NetworkedSystem, dict[int, BarrierSpec]]:
+def _paper_model() -> tuple[SisModel, dict[int, BarrierSpec]]:
     graph = NetworkGraph(3, [(j, i) for j in range(1, 4) for i in range(1, 4) if i != j])
     model = SisModel(graph, SisParams(PAPER_BETA, PAPER_GAMMA, PAPER_UMAX))
-    system = NetworkedSystem(graph, model)
     specs = {i: BarrierSpec(PAPER_XBAR[i - 1]) for i in (1, 2, 3)}
-    return system, specs
+    return model, specs
 
 
 def _read_messages(path: Path) -> list[dict[str, str]]:
@@ -69,10 +68,10 @@ def paper_run(tmp_path_factory):
 def test_criterion_1_uncontrolled_endemic_baseline(capsys):
     # with no curing effort every node settles at the endemic level
     # 1 - gamma/(sum of incoming infection rates) = 1 - 0.3/1.0 = 0.7
-    system, _ = _paper_system()
+    model, _ = _paper_model()
     x0 = np.full(3, 0.5)
     start = time.perf_counter()
-    _, states = run_uncontrolled(system, x0, dt=0.01, t_final=100.0)
+    _, states = run_uncontrolled(model, x0, dt=0.01, t_final=100.0)
     wall = time.perf_counter() - start
     err = float(np.max(np.abs(states[-1] - 0.7)))
     ok = err <= 1e-3 and wall < 1.0
@@ -181,8 +180,8 @@ def test_criterion_4_protocol_convergence(capsys):
 
 
 def test_criterion_5_decomposition_identity(capsys):
-    system, specs = _paper_system()
-    graph, model = system.graph, system.model
+    model, specs = _paper_model()
+    graph = model.graph
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(1000):
@@ -219,8 +218,8 @@ def test_criterion_5_decomposition_identity(capsys):
 
 
 def test_criterion_6_lie_table_finite_differences(capsys):
-    system, specs = _paper_system()
-    graph, model = system.graph, system.model
+    model, specs = _paper_model()
+    graph = model.graph
     rng = np.random.default_rng(13)
     eps = 1e-5
     worst_lf = 0.0
@@ -230,8 +229,8 @@ def test_criterion_6_lie_table_finite_differences(capsys):
         u = rng.uniform(0.0, 0.75, 3)
         udot = rng.uniform(-1.0, 1.0, 3)
         states = {i: np.array([x[i - 1]]) for i in graph.nodes()}
-        drift = system.derivative(x, np.zeros(3))
-        flow = system.derivative(x, u)
+        drift = model.packed_flow(np.zeros(3))(x)
+        flow = model.packed_flow(u)(x)
         xp, xm = x + eps * flow, x - eps * flow
         up, um = u + eps * udot, u - eps * udot
         states_p = {i: np.array([xp[i - 1]]) for i in graph.nodes()}
@@ -363,8 +362,8 @@ def test_criterion_8_partition_conservation(capsys, monkeypatch):
         return shares
 
     monkeypatch.setattr(collab_mod, "partition_arrays", recording)
-    system, specs = _paper_system()
-    run_scenario(system, specs, np.asarray(PAPER_X0, dtype=float))
+    model, specs = _paper_model()
+    run_scenario(model, specs, np.asarray(PAPER_X0, dtype=float))
     worst = max(residuals) if residuals else float("inf")
     ok = bool(residuals) and worst <= 1e-12
     report(capsys, 8, ok,

@@ -20,11 +20,10 @@ import pytest
 
 from ccbf.barrier import (BarrierSpec, Psi2Arrays, Psi2Decomposition, QuadraticForm,
                           max_capability, max_capability_arrays)
-from ccbf.collab import (CollabMessage, collaborative_safety, collaborative_safety_arrays,
-                         edge_layout)
+from ccbf.collab import CollabMessage, collaborative_safety, collaborative_safety_arrays
 from ccbf.errors import CcbfError
 from ccbf.geometry import ControlRegion, IntervalRegions
-from ccbf.graph import NetworkGraph, in_neighbors
+from ccbf.graph import NetworkGraph, edge_layout, in_neighbors
 from ccbf.simulate import safety_filter, safety_filter_arrays
 
 

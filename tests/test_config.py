@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.resources
 import json
 
 import numpy as np
@@ -200,9 +201,9 @@ def test_bad_choice_values():
 
 def test_builders_produce_runnable_pieces():
     cfg = parse_config(GOOD)
-    system = cfg.build_system()
-    assert system.graph.node_count == 3
-    assert np.allclose(system.model.params.beta, np.array(cfg.beta))
+    model = cfg.build_model()
+    assert model.graph.node_count == 3
+    assert np.allclose(model.params.beta, np.array(cfg.beta))
     specs = cfg.build_specs()
     assert specs[2].threshold == pytest.approx(0.12)
     kwargs = cfg.run_kwargs()
@@ -329,6 +330,17 @@ def test_unterminated_array_is_not_also_missing():
     with pytest.raises(ConfigError) as excinfo:
         parse_config(GOOD.replace("sim.x0 = [0.04, 0.01, 0.02]", "sim.x0 = [0.04, 0.01, 0.02"))
     assert excinfo.value.violations == [("sim.x0", "unterminated array value")]
+
+
+def test_unterminated_array_ends_at_the_next_assignment():
+    # the open value is reported once; the assignments after it still count
+    text = importlib.resources.files("ccbf").joinpath(
+        "scenarios", "paper_sis3.cfg").read_text()
+    closed = "model.u_max = [0.75, 0.75, 0.75]"
+    assert closed in text
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text.replace(closed, closed[:-1]))
+    assert excinfo.value.violations == [("model.u_max", "unterminated array value")]
 
 
 _entries = st.one_of(st.integers(0, 9),

@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from ccbf.dynamics import (
-    NetworkedSystem,
-    NodeModel,
     SisModel,
     SisParams,
     _check_lie_terms,
@@ -20,7 +18,6 @@ from ccbf.errors import (
     DimensionError,
     NumericsError,
     ProtocolStateError,
-    UnsupportedModelError,
 )
 from ccbf.graph import NetworkGraph, in_neighbors
 
@@ -107,17 +104,6 @@ def test_params_edge_consistency_lists_every_mismatch_in_order():
     ]
 
 
-def test_base_model_rejects_lie_queries(paper_graph):
-    class Plain(NodeModel):
-        pass
-
-    with pytest.raises(UnsupportedModelError):
-        Plain().lie_table(None, 1, None)
-    # the barrier argument is optional, as on SisModel and at every caller
-    with pytest.raises(UnsupportedModelError):
-        Plain().lie_table(None, 1)
-
-
 def _lf_h(model, graph, x, i):
     return -float(model.drift(neighborhood(graph, state_map(x), i), i)[0])
 
@@ -177,14 +163,12 @@ def test_lie_table_matches_finite_differences():
 def test_rk4_exponential_decay_single_step():
     g = NetworkGraph(1, [])
     model = SisModel(g, SisParams([[0.0]], [1.0], [0.0]))
-    system = NetworkedSystem(g, model)
-    x1 = rk4_step(system, np.array([1.0]), np.array([0.0]), 0.1)
+    x1 = rk4_step(model, np.array([1.0]), np.array([0.0]), 0.1)
     assert abs(x1[0] - 0.9048375) < 1e-12
 
 
-def test_rk4_matches_reference_implementation(paper_graph, paper_model):
+def test_rk4_matches_reference_implementation(paper_model):
     """Packed integrator against an independently written RK4."""
-    system = NetworkedSystem(paper_graph, paper_model)
     beta = paper_model.params.beta
     gamma = paper_model.params.gamma
 
@@ -202,18 +186,17 @@ def test_rk4_matches_reference_implementation(paper_graph, paper_model):
         k3 = deriv(x_ref + dt / 2 * k2, u)
         k4 = deriv(x_ref + dt * k3, u)
         x_ref = x_ref + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        x_sys = rk4_step(system, x_sys, u, dt)
+        x_sys = rk4_step(paper_model, x_sys, u, dt)
         assert np.max(np.abs(x_sys - x_ref)) < 1e-12
 
 
 def test_packed_derivative_matches_per_node_path(paper_graph, paper_model):
-    system = NetworkedSystem(paper_graph, paper_model)
     rng = np.random.default_rng(11)
     for _ in range(20):
         x = rng.uniform(0.0, 1.0, 3)
         u = rng.uniform(0.0, 0.75, 3)
-        fast = system.derivative(x, u)
-        states = system.split_state(x)
+        fast = paper_model.packed_flow(u)(x)
+        states = state_map(x)
         slow = np.array([
             float(paper_model.drift(neighborhood(paper_graph, states, i), i)[0]
                   + paper_model.control_matrix(states[i], i)[0, 0] * u[i - 1])
@@ -222,18 +205,16 @@ def test_packed_derivative_matches_per_node_path(paper_graph, paper_model):
         assert np.max(np.abs(fast - slow)) < 1e-14
 
 
-def test_packed_derivative_rejects_wrong_control_shape(paper_graph, paper_model):
-    system = NetworkedSystem(paper_graph, paper_model)
+def test_packed_derivative_rejects_wrong_control_shape(paper_model):
     x = np.array(PAPER_X0)
     for u in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
         with pytest.raises(DimensionError, match="packed control"):
-            system.derivative(x, u)
+            rk4_step(paper_model, x, u, 0.01)
 
 
-def test_rk4_raises_numerics_error_on_nan(paper_graph, paper_model):
-    system = NetworkedSystem(paper_graph, paper_model)
+def test_rk4_raises_numerics_error_on_nan(paper_model):
     with pytest.raises(NumericsError, match="node"):
-        rk4_step(system, np.array([np.nan, 0.1, 0.1]), np.zeros(3), 0.01)
+        rk4_step(paper_model, np.array([np.nan, 0.1, 0.1]), np.zeros(3), 0.01)
 
 
 def test_clamp_state_reports_magnitude(paper_model):

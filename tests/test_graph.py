@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ccbf.graph import NetworkGraph, in_neighbors, out_neighbors, validate
+from ccbf.graph import NetworkGraph, in_neighbors, out_neighbors
 
 COMPLETE3 = [(2, 1), (3, 1), (1, 2), (3, 2), (1, 3), (2, 3)]
 
@@ -38,19 +38,15 @@ def test_duplicate_edges_collapse():
     assert in_neighbors(g, 2) == (1,)
 
 
-def test_validate_clean_graph():
-    assert validate(NetworkGraph(3, COMPLETE3)) == []
-
-
-def test_validate_reports_every_violation():
-    g = NetworkGraph(2, [(1, 1), (3, 2), (2, 0)], state_dims={1: 1, 2: 0})
-    problems = validate(g)
-    text = "\n".join(problems)
-    assert "self-loop" in text
-    assert "source 3" in text
-    assert "target 0" in text
-    assert "state_dims[2]" in text
-    assert len(problems) >= 4
+def test_graph_rejects_bad_structure():
+    with pytest.raises(ValueError, match="self-loop"):
+        NetworkGraph(2, [(1, 2), (1, 1)])
+    with pytest.raises(ValueError, match="source 3"):
+        NetworkGraph(2, [(3, 2)])
+    with pytest.raises(ValueError, match="target 0"):
+        NetworkGraph(2, [(2, 0)])
+    with pytest.raises(ValueError, match="node_count"):
+        NetworkGraph(0, [])
 
 
 def test_duality_on_random_graphs():
@@ -64,16 +60,9 @@ def test_duality_on_random_graphs():
             if j != i and rng.random() < 0.4
         ]
         g = NetworkGraph(n, edges)
-        assert validate(g) == []
         for i in g.nodes():
             assert list(in_neighbors(g, i)) == sorted(in_neighbors(g, i))
             for j in in_neighbors(g, i):
                 assert i in out_neighbors(g, j)
             for j in out_neighbors(g, i):
                 assert i in in_neighbors(g, j)
-
-
-def test_state_offsets_for_mixed_dims():
-    g = NetworkGraph(3, [(1, 2)], state_dims={1: 2, 2: 1, 3: 3}, control_dims={1: 1, 2: 2, 3: 1})
-    assert g.state_offsets() == {1: 0, 2: 2, 3: 3}
-    assert g.control_offsets() == {1: 0, 2: 1, 3: 3}

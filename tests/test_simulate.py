@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from ccbf.barrier import BarrierSpec
-from ccbf.dynamics import NetworkedSystem, NodeModel, SisModel, SisParams
-from ccbf.errors import UnsupportedModelError
+from ccbf.dynamics import SisModel, SisParams
 from ccbf.geometry import ControlRegion, Halfspace
 from ccbf.graph import NetworkGraph
 from ccbf.simulate import (
@@ -26,26 +25,24 @@ from ccbf.simulate import (
 from conftest import PAPER_BETA, PAPER_GAMMA, PAPER_UMAX, PAPER_X0, PAPER_XBAR
 
 
-def _paper_system():
+def _paper_model():
     graph = NetworkGraph(3, [(j, i) for j in range(1, 4) for i in range(1, 4) if i != j])
     model = SisModel(graph, SisParams(PAPER_BETA, PAPER_GAMMA, PAPER_UMAX))
-    system = NetworkedSystem(graph, model)
     specs = {i: BarrierSpec(PAPER_XBAR[i - 1]) for i in (1, 2, 3)}
-    return system, specs
+    return model, specs
 
 
 def _weak_two_node():
     graph = NetworkGraph(2, [(1, 2), (2, 1)])
     model = SisModel(graph, SisParams([[0.5, 0.4], [0.4, 0.5]], [0.3, 0.3], [0.2, 0.2]))
-    system = NetworkedSystem(graph, model)
     specs = {1: BarrierSpec(0.1), 2: BarrierSpec(0.5)}
-    return system, specs
+    return model, specs
 
 
 def test_uncontrolled_symmetric_matches_logistic_closed_form():
     # symmetric state collapses the network to xdot = 0.7 x - x^2
-    system, _ = _paper_system()
-    times, states = run_uncontrolled(system, np.array([0.05, 0.05, 0.05]),
+    model, _ = _paper_model()
+    times, states = run_uncontrolled(model, np.array([0.05, 0.05, 0.05]),
                                      dt=0.01, t_final=20.0)
 
     def logistic(t, x0=0.05, r=0.7):
@@ -60,8 +57,8 @@ def test_uncontrolled_symmetric_matches_logistic_closed_form():
 
 
 def test_disease_free_start_stays_at_zero():
-    system, specs = _paper_system()
-    res = run_scenario(system, specs, np.zeros(3), dt=0.01, t_final=1.0)
+    model, specs = _paper_model()
+    res = run_scenario(model, specs, np.zeros(3), dt=0.01, t_final=1.0)
     assert np.all(res.states == 0.0)
     assert np.all(res.controls == 0.0)
     assert np.all(res.outer_rounds == 1)
@@ -70,8 +67,8 @@ def test_disease_free_start_stays_at_zero():
 
 
 def test_paper_scenario_short_run_is_safe_and_collaborative():
-    system, specs = _paper_system()
-    res = run_scenario(system, specs, np.array(PAPER_X0), dt=0.01, t_final=5.0,
+    model, specs = _paper_model()
+    res = run_scenario(model, specs, np.array(PAPER_X0), dt=0.01, t_final=5.0,
                        collect_messages=True)
     assert res.times.shape[0] == 501
     assert res.violations().min() >= -1e-3
@@ -86,8 +83,8 @@ def test_paper_scenario_short_run_is_safe_and_collaborative():
 
 
 def test_row_shape_and_grid():
-    system, specs = _paper_system()
-    res = run_scenario(system, specs, np.array(PAPER_X0), dt=0.05, t_final=1.0)
+    model, specs = _paper_model()
+    res = run_scenario(model, specs, np.array(PAPER_X0), dt=0.05, t_final=1.0)
     assert res.times.shape == (21,)
     assert res.times[0] == 0.0
     assert res.times[-1] == pytest.approx(1.0, abs=1e-12)
@@ -98,8 +95,8 @@ def test_row_shape_and_grid():
 
 
 def test_no_collaboration_mode_runs_without_rounds():
-    system, specs = _paper_system()
-    res = run_scenario(system, specs, np.array(PAPER_X0), dt=0.01, t_final=2.0,
+    model, specs = _paper_model()
+    res = run_scenario(model, specs, np.array(PAPER_X0), dt=0.01, t_final=2.0,
                        collaboration=False)
     assert np.all(res.outer_rounds == 0)
     assert np.all(res.inner_rounds == 0)
@@ -107,8 +104,8 @@ def test_no_collaboration_mode_runs_without_rounds():
 
 
 def test_terminal_infeasibility_halts_run():
-    system, specs = _weak_two_node()
-    res = run_scenario(system, specs, np.array([0.02, 0.05]), dt=0.01, t_final=30.0)
+    model, specs = _weak_two_node()
+    res = run_scenario(model, specs, np.array([0.02, 0.05]), dt=0.01, t_final=30.0)
     assert res.halted_at == pytest.approx(0.92, abs=1e-12)
     assert res.times.shape[0] == 92
     assert res.infeasible_nodes == (1,)
@@ -117,8 +114,8 @@ def test_terminal_infeasibility_halts_run():
 
 
 def test_continue_on_infeasible_runs_to_completion():
-    system, specs = _weak_two_node()
-    res = run_scenario(system, specs, np.array([0.02, 0.05]), dt=0.01, t_final=5.0,
+    model, specs = _weak_two_node()
+    res = run_scenario(model, specs, np.array([0.02, 0.05]), dt=0.01, t_final=5.0,
                        continue_on_infeasible=True)
     assert res.halted_at is None
     assert res.times.shape[0] == 501
@@ -128,8 +125,8 @@ def test_continue_on_infeasible_runs_to_completion():
 
 
 def test_backward_difference_policy_runs_and_matches_zero_at_start():
-    system, specs = _paper_system()
-    res = run_scenario(system, specs, np.array(PAPER_X0), dt=0.01, t_final=2.0,
+    model, specs = _paper_model()
+    res = run_scenario(model, specs, np.array(PAPER_X0), dt=0.01, t_final=2.0,
                        udot_policy="backward_difference")
     assert res.violations().min() >= -1e-3
     assert res.halted_at is None
@@ -146,11 +143,11 @@ def test_udot_policy_arithmetic():
 
 
 def test_safety_filter_clamps_nominal_into_constraint():
-    system, specs = _paper_system()
+    model, specs = _paper_model()
     # a state close to the threshold forces psi1 to bind from below
     sts = {1: np.array([0.099]), 2: np.array([0.05]), 3: np.array([0.05])}
     from ccbf.dynamics import neighborhood
-    lie = system.model.lie_table(neighborhood(system.graph, sts, 1), 1)
+    lie = model.lie_table(neighborhood(model.graph, sts, 1), 1)
     region = ControlRegion(((0.0, 0.75),))
     u, relaxed = safety_filter(np.array([0.0]), region, specs[1], lie, sts[1])
     assert not relaxed
@@ -162,10 +159,10 @@ def test_safety_filter_clamps_nominal_into_constraint():
 
 
 def test_safety_filter_relaxes_when_region_cannot_reach_psi1():
-    system, specs = _paper_system()
+    model, specs = _paper_model()
     sts = {1: np.array([0.099]), 2: np.array([0.05]), 3: np.array([0.05])}
     from ccbf.dynamics import neighborhood
-    lie = system.model.lie_table(neighborhood(system.graph, sts, 1), 1)
+    lie = model.lie_table(neighborhood(model.graph, sts, 1), 1)
     # region capped far below what psi1 needs
     region = ControlRegion(((0.0, 0.01),))
     base = lie.lf_h + specs[1].eta * (specs[1].threshold - 0.099)
@@ -176,13 +173,13 @@ def test_safety_filter_relaxes_when_region_cannot_reach_psi1():
 
 
 def test_safety_filter_certificate_pins_negotiated_share():
-    system, specs = _paper_system()
+    model, specs = _paper_model()
     sts = {1: np.array([0.05]), 2: np.array([0.05]), 3: np.array([0.05])}
     from ccbf.dynamics import neighborhood
 
     from ccbf import QuadraticForm
 
-    lie = system.model.lie_table(neighborhood(system.graph, sts, 1), 1)
+    lie = model.lie_table(neighborhood(model.graph, sts, 1), 1)
     region = ControlRegion(((0.0, 0.75),))
     # concave own-margin whose maximum over the box sits at the upper
     # bound with exactly zero slack: the deal leaves only that point
@@ -196,13 +193,13 @@ def test_safety_filter_certificate_pins_negotiated_share():
 
 
 def test_safety_filter_drops_unreachable_certificate():
-    system, specs = _paper_system()
+    model, specs = _paper_model()
     sts = {1: np.array([0.05]), 2: np.array([0.05]), 3: np.array([0.05])}
     from ccbf.dynamics import neighborhood
 
     from ccbf import QuadraticForm
 
-    lie = system.model.lie_table(neighborhood(system.graph, sts, 1), 1)
+    lie = model.lie_table(neighborhood(model.graph, sts, 1), 1)
     region = ControlRegion(((0.0, 0.75),))
     # negative everywhere: impossible demand must not poison the filter
     cert = QuadraticForm(-5.0, np.array([0.1]), np.array([[-0.1]]))
@@ -213,13 +210,13 @@ def test_safety_filter_drops_unreachable_certificate():
 
 
 def test_safety_filter_convex_certificate_picks_nearest_piece():
-    system, specs = _paper_system()
+    model, specs = _paper_model()
     sts = {1: np.array([0.05]), 2: np.array([0.05]), 3: np.array([0.05])}
     from ccbf.dynamics import neighborhood
 
     from ccbf import QuadraticForm
 
-    lie = system.model.lie_table(neighborhood(system.graph, sts, 1), 1)
+    lie = model.lie_table(neighborhood(model.graph, sts, 1), 1)
     region = ControlRegion(((0.0, 0.75),))
     # convex with roots at 0.2 and 0.5: feasible pieces [0, 0.2] and [0.5, 0.75]
     cert = QuadraticForm(0.1, np.array([-0.7]), np.array([[1.0]]))
@@ -232,10 +229,10 @@ def test_safety_filter_convex_certificate_picks_nearest_piece():
 
 
 def test_safety_filter_frozen_region_returns_point():
-    system, specs = _paper_system()
+    model, specs = _paper_model()
     sts = {1: np.array([0.05]), 2: np.array([0.05]), 3: np.array([0.05])}
     from ccbf.dynamics import neighborhood
-    lie = system.model.lie_table(neighborhood(system.graph, sts, 1), 1)
+    lie = model.lie_table(neighborhood(model.graph, sts, 1), 1)
     region = ControlRegion(((0.0, 0.75),), frozen_point=np.array([0.3]))
     u, relaxed = safety_filter(np.array([0.7]), region, specs[1], lie, sts[1])
     assert u[0] == 0.3
@@ -243,8 +240,8 @@ def test_safety_filter_frozen_region_returns_point():
 
 
 def test_result_csv_schema_and_roundtrip(tmp_path: Path):
-    system, specs = _paper_system()
-    res = run_scenario(system, specs, np.array(PAPER_X0), dt=0.05, t_final=0.5,
+    model, specs = _paper_model()
+    res = run_scenario(model, specs, np.array(PAPER_X0), dt=0.05, t_final=0.5,
                        collect_messages=True)
     out = tmp_path / "result.csv"
     write_result_csv(out, res)
@@ -290,8 +287,8 @@ def test_csv_writers_spell_every_float_with_17_digits(tmp_path: Path):
 
 
 def test_messages_csv_schema(tmp_path: Path):
-    system, specs = _paper_system()
-    res = run_scenario(system, specs, np.array(PAPER_X0), dt=0.01, t_final=3.0,
+    model, specs = _paper_model()
+    res = run_scenario(model, specs, np.array(PAPER_X0), dt=0.01, t_final=3.0,
                        collect_messages=True)
     out = tmp_path / "messages.csv"
     write_messages_csv(out, res)
@@ -306,10 +303,10 @@ def test_messages_csv_schema(tmp_path: Path):
 
 
 def test_identical_runs_write_identical_bytes(tmp_path: Path):
-    system, specs = _paper_system()
+    model, specs = _paper_model()
     paths = []
     for tag in ("a", "b"):
-        res = run_scenario(system, specs, np.array(PAPER_X0), dt=0.01, t_final=1.0,
+        res = run_scenario(model, specs, np.array(PAPER_X0), dt=0.01, t_final=1.0,
                            collect_messages=True)
         rp = tmp_path / f"result_{tag}.csv"
         mp = tmp_path / f"messages_{tag}.csv"
@@ -321,11 +318,11 @@ def test_identical_runs_write_identical_bytes(tmp_path: Path):
 
 
 def test_random_interior_starts_stay_safe():
-    system, specs = _paper_system()
+    model, specs = _paper_model()
     rng = np.random.default_rng(17)
     for _ in range(5):
         x0 = rng.uniform(0.0, 1.0, size=3) * np.array(PAPER_XBAR) * 0.9
-        res = run_scenario(system, specs, x0, dt=0.02, t_final=8.0)
+        res = run_scenario(model, specs, x0, dt=0.02, t_final=8.0)
         assert res.halted_at is None
         assert res.violations().min() >= -1e-3
         assert res.max_clamp < 1e-9
@@ -333,35 +330,20 @@ def test_random_interior_starts_stay_safe():
 
 def test_packed_nominal_passes_where_safe():
     # far from every threshold the filter leaves an in-box nominal untouched
-    system, specs = _paper_system()
+    model, specs = _paper_model()
     nominal = np.array([0.1, 0.2, 0.3])
-    res = run_scenario(system, specs, np.full(3, 0.01), dt=0.01, t_final=0.1,
+    res = run_scenario(model, specs, np.full(3, 0.01), dt=0.01, t_final=0.1,
                        nominal=nominal)
     assert np.array_equal(res.controls[0], nominal)
     with pytest.raises(ValueError, match="nominal"):
-        run_scenario(system, specs, np.full(3, 0.01), dt=0.01, t_final=0.1,
+        run_scenario(model, specs, np.full(3, 0.01), dt=0.01, t_final=0.1,
                      nominal=np.zeros(2))
 
 
 def test_bad_x0_shape_rejected():
-    system, specs = _paper_system()
+    model, specs = _paper_model()
     with pytest.raises(ValueError):
-        run_scenario(system, specs, np.zeros(4), dt=0.01, t_final=1.0)
-
-
-def test_model_without_array_lie_terms_is_rejected():
-    class Boxed(NodeModel):
-        def __init__(self, graph):
-            self.graph = graph
-
-        def control_box(self, i):
-            return ((0.0, 1.0),)
-
-    graph = NetworkGraph(2, [(1, 2), (2, 1)])
-    system = NetworkedSystem(graph, Boxed(graph))
-    specs = {1: BarrierSpec(0.5), 2: BarrierSpec(0.5)}
-    with pytest.raises(UnsupportedModelError):
-        run_scenario(system, specs, np.array([0.1, 0.1]), dt=0.1, t_final=1.0)
+        run_scenario(model, specs, np.zeros(4), dt=0.01, t_final=1.0)
 
 
 def test_state_projection_goes_through_the_model():
@@ -374,10 +356,9 @@ def test_state_projection_goes_through_the_model():
             self.clamps += 1
             return super().clamp_state(x)
 
-    base, specs = _paper_system()
-    model = Counting(base.graph, base.model.params)
-    system = NetworkedSystem(base.graph, model)
-    run_scenario(system, specs, np.array(PAPER_X0), dt=0.1, t_final=1.0)
+    base, specs = _paper_model()
+    model = Counting(base.graph, base.params)
+    run_scenario(model, specs, np.array(PAPER_X0), dt=0.1, t_final=1.0)
     assert model.clamps == 10
-    run_uncontrolled(system, np.array(PAPER_X0), dt=0.1, t_final=1.0)
+    run_uncontrolled(model, np.array(PAPER_X0), dt=0.1, t_final=1.0)
     assert model.clamps == 20
