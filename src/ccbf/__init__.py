@@ -61,7 +61,6 @@ from .geometry import (
     IntervalRegions,
     closest_point,
     is_empty,
-    project_point,
     weakly_non_interfering,
 )
 from .graph import NetworkGraph, edge_layout, in_neighbors, out_neighbors
@@ -112,7 +111,6 @@ __all__ = [
     "ControlRegion",
     "IntervalRegions",
     "closest_point",
-    "project_point",
     "is_empty",
     "weakly_non_interfering",
     "CollabMessage",

@@ -34,12 +34,7 @@ import numpy as np
 
 from .dynamics import LieArrays, LieTable
 from .errors import DimensionError, EmptyRegionError, NumericsError
-from .geometry import (NEGLIGIBLE_NORMAL, ControlRegion, IntervalRegions, box_center,
-                       box_vertices, project_point)
-
-# stop coordinate ascent once a full sweep moves no coordinate by more
-ASCENT_TOL = 1e-10
-ASCENT_SWEEP_CAP = 1000
+from .geometry import ControlRegion, IntervalRegions
 
 
 @dataclass(frozen=True)
@@ -212,70 +207,26 @@ def _max_quadratic_on_interval(c: float, l: float, q: float,
     return c + l * best_t + q * best_t * best_t, best_t
 
 
-def _coordinate_ascent(form: QuadraticForm, region: ControlRegion, start: np.ndarray,
-                       tol: float, cap: int) -> tuple[float, np.ndarray]:
-    u = np.asarray(start, dtype=float).copy()
-    live = [h for h in region.requests if np.max(np.abs(h.normal)) > NEGLIGIBLE_NORMAL]
-    sym = form.quadratic + form.quadratic.T
-    for _ in range(cap):
-        moved = 0.0
-        for d in range(form.dim):
-            lo, hi = region.box[d]
-            for h in live:
-                ad = float(h.normal[d])
-                rest = float(h.normal @ u + h.offset) - ad * u[d]
-                if abs(ad) <= NEGLIGIBLE_NORMAL:
-                    continue
-                bound = -rest / ad
-                if ad > 0.0:
-                    lo = max(lo, bound)
-                else:
-                    hi = min(hi, bound)
-            if lo > hi:
-                continue
-            lin = float(form.linear[d] + sym[d] @ u - sym[d, d] * u[d])
-            _, t = _max_quadratic_on_interval(0.0, lin, float(form.quadratic[d, d]), lo, hi)
-            moved = max(moved, abs(t - u[d]))
-            u[d] = t
-        if moved <= tol:
-            break
-    return form.value(u), u
-
-
-def max_capability(decomp: Psi2Decomposition, region: ControlRegion,
-                   tol: float = ASCENT_TOL, cap: int = ASCENT_SWEEP_CAP
+def max_capability(decomp: Psi2Decomposition, region: ControlRegion
                    ) -> tuple[float, np.ndarray]:
-    """Maximum of the node's own quadratic over its admissible region.
+    """Maximum of the node's own quadratic over its 1-D admissible region.
 
-    Exact for frozen regions and for 1-D regions; multi-dimensional regions
-    use projected coordinate ascent from the box center and every box
-    vertex (exact per-coordinate steps, monotone improvement).
+    Exact: a frozen region yields the value at its point, any other the
+    best of its interval's ends and the interior stationary point.
     """
     form = decomp.self_term
-    if region.dim != form.dim:
-        raise DimensionError(f"region dim {region.dim} != control dim {form.dim}")
+    if not region.dim == form.dim == 1:
+        raise DimensionError(f"max_capability takes 1-D regions and controls, got region dim "
+                             f"{region.dim} and control dim {form.dim}")
     if region.frozen:
         p = region.frozen_point
         return form.value(p), p.copy()
-    if region.dim == 1:
-        lo, hi = region.interval()
-        if lo > hi:
-            raise EmptyRegionError(f"admissible interval is empty ({lo} > {hi})")
-        val, t = _max_quadratic_on_interval(form.constant, float(form.linear[0]),
-                                            float(form.quadratic[0, 0]), lo, hi)
-        return val, np.array([t])
-    live = [h for h in region.requests if np.max(np.abs(h.normal)) > NEGLIGIBLE_NORMAL]
-    for h in region.requests:
-        if np.max(np.abs(h.normal)) <= NEGLIGIBLE_NORMAL and h.offset < 0.0:
-            raise EmptyRegionError("a degenerate request excludes every control")
-    starts = [box_center(region.box)] + box_vertices(region.box)
-    best_val, best_u = -np.inf, None
-    for s in starts:
-        feasible = project_point(s, region.box, live)
-        val, u = _coordinate_ascent(form, region, feasible, tol, cap)
-        if val > best_val:
-            best_val, best_u = val, u
-    return best_val, best_u
+    lo, hi = region.interval()
+    if lo > hi:
+        raise EmptyRegionError(f"admissible interval is empty ({lo} > {hi})")
+    val, t = _max_quadratic_on_interval(form.constant, float(form.linear[0]),
+                                        float(form.quadratic[0, 0]), lo, hi)
+    return val, np.array([t])
 
 
 def max_capability_arrays(psi2: Psi2Arrays, region: IntervalRegions) -> np.ndarray:

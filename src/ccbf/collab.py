@@ -29,11 +29,10 @@ Three nested loops:
 All iteration is in ascending node order and all exchanges are
 synchronous, which makes the protocol bit-for-bit deterministic.
 
-`collaborative_safety` runs the protocol on per-node ledgers and regions
-for any control dimension.  For scalar networks the closed loop runs
-`collaborative_safety_arrays`, the same protocol on edge arrays: every
-sub-round is O(E) array arithmetic, and its results match the per-node
-protocol bit for bit.
+`collaborative_safety` runs the protocol on per-node ledgers and regions.
+The closed loop runs `collaborative_safety_arrays`, the same protocol on
+edge arrays: every sub-round is O(E) array arithmetic, and its results
+match the per-node protocol bit for bit.
 """
 
 from __future__ import annotations
@@ -260,8 +259,7 @@ def collaborative_safety(graph: NetworkGraph,
                          outer_cap: int = DEFAULT_OUTER_CAP,
                          inner_cap: int = DEFAULT_INNER_CAP,
                          weights_mode: str = "coupling",
-                         messages: list[CollabMessage] | None = None,
-                         tol: float = MARGIN_TOL) -> ProtocolOutcome:
+                         messages: list[CollabMessage] | None = None) -> ProtocolOutcome:
     """Negotiate regions until every node's safety margin is nonnegative.
 
     Raises TerminallyInfeasibleError when the round cap is hit and some
@@ -281,11 +279,11 @@ def collaborative_safety(graph: NetworkGraph,
             ledgers[i].capability = value
             ledgers[i].capability_point = point
             ledgers[i].deficit = value - _allocated(ledgers[i])
-        if all(ledgers[i].deficit >= -tol for i in nodes):
+        if all(ledgers[i].deficit >= -MARGIN_TOL for i in nodes):
             break
         if outer >= outer_cap:
             stuck = tuple(i for i in nodes
-                          if ledgers[i].deficit < -tol
+                          if ledgers[i].deficit < -MARGIN_TOL
                           and ledgers[i].constrained == set(in_neighbors(graph, i)))
             if stuck:
                 raise _infeasible(stuck)
@@ -394,8 +392,8 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
                                 outer_cap: int = DEFAULT_OUTER_CAP,
                                 inner_cap: int = DEFAULT_INNER_CAP,
                                 weights_mode: str = "coupling",
-                                messages: list[CollabMessage] | None = None,
-                                tol: float = MARGIN_TOL) -> ArrayOutcome:
+                                messages: list[CollabMessage] | None = None
+                                ) -> ArrayOutcome:
     """collaborative_safety for a scalar network, on edge arrays.
 
     Node i's control box is [box_lo[i-1], box_hi[i-1]].  Every sub-round
@@ -437,10 +435,10 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
         outer += 1
         capability = capability_on(IntervalRegions(lo, hi, frozen, point))
         deficit = capability - allocated
-        if np.count_nonzero(deficit >= -tol) == n:
+        if np.count_nonzero(deficit >= -MARGIN_TOL) == n:
             break
         if outer >= outer_cap:
-            stuck = (deficit < -tol) & constrained.all(axis=1)
+            stuck = (deficit < -MARGIN_TOL) & constrained.all(axis=1)
             if stuck.any():
                 raise _infeasible(tuple(int(i) + 1 for i in np.flatnonzero(stuck)))
             cap_tripped = True

@@ -6,7 +6,7 @@ One assignment per line, `dotted.key = value`.  Values are JSON literals
 +-Infinity are rejected like any other bad entry.  A `#` outside brackets
 starts a comment.  An assignment whose brackets are still open continues on
 the following lines, so matrices can be written one row per line; the
-next assignment of a known key ends it unterminated.
+next line that assigns a dotted key, known or not, ends it unterminated.
 
 `parse_config` collects every violation with a path such as
 `model.beta[0][1]` (array indices are 0-based positions, node ids in
@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import compress
 
@@ -55,6 +56,10 @@ KNOWN_KEYS = (
     "sim.continue_on_infeasible",
     "output.dir",
 )
+
+# a key such as `model.u_max`: a continuation line that assigns one ends an
+# open array value, whether or not the key is known
+_DOTTED_KEY = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
 
 UDOT_POLICIES = ("zero", "backward_difference")
 WEIGHT_MODES = ("coupling", "uniform")
@@ -176,7 +181,7 @@ def _raw_assignments(text: str, problems: list[tuple[str, str]]
         key, sep, value = line.partition("=")
         key = key.strip()
         if pending_key is not None:
-            if not (sep and key in KNOWN_KEYS):
+            if not (sep and _DOTTED_KEY.fullmatch(key)):
                 pending_pieces.append(line.strip())
                 depth += _bracket_depth(line)
                 if depth > 0:

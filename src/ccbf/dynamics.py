@@ -311,7 +311,7 @@ class SisModel:
         return ((0.0, float(self.params.u_max[i - 1])),)
 
     def clamp_state(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        clipped = np.clip(x, 0.0, 1.0)
+        clipped = x.clip(0.0, 1.0)
         return clipped, float(np.abs(clipped - x).max())
 
     def packed_flow(self, u: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

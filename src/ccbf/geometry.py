@@ -2,16 +2,17 @@
 
 Everything here lives in one node's control space R^M.  Admissible regions
 are axis-aligned boxes intersected with request halfspaces
-{u : a . u + b >= 0}; a frozen region is a single compromise point.  The
-1-D case (every shipped scenario) is handled with exact interval
-arithmetic.  Higher dimensions use alternating projection between box and
-polytope, with Dykstra's correction inside the polytope projection, which
-converges for this polyhedral family.
+{u : a . u + b >= 0}; a frozen region is a single compromise point.  Every
+model in the package has a scalar control, and the 1-D case is handled with
+exact interval arithmetic.  `closest_point` and `is_empty` also take higher
+dimensions, by alternating projection between box and polytope with
+Dykstra's correction inside the polytope projection, which converges for
+this polyhedral family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -75,14 +76,6 @@ def box_center(box: Box) -> np.ndarray:
     return np.array([(lo + hi) / 2.0 for lo, hi in box])
 
 
-def box_vertices(box: Box) -> list[np.ndarray]:
-    verts = [np.array([])]
-    for lo, hi in box:
-        ends = (lo, hi) if hi > lo else (lo,)
-        verts = [np.append(v, e) for v in verts for e in ends]
-    return verts
-
-
 @dataclass(frozen=True, eq=False)
 class ControlRegion:
     """Box intersected with request halfspaces, or a frozen compromise point.
@@ -127,7 +120,11 @@ class ControlRegion:
         return all(h.contains(u, tol) for h in self.requests)
 
     def interval(self) -> tuple[float, float]:
-        """Exact [lo, hi] reduction for 1-D regions; lo > hi means empty."""
+        """Exact [lo, hi] reduction for 1-D regions; lo > hi means empty.
+
+        A zero normal with a negative offset excludes every control and
+        yields (inf, -inf).
+        """
         if self.dim != 1:
             raise DimensionError("interval() is only defined for 1-D regions")
         if self.frozen:
@@ -138,7 +135,7 @@ class ControlRegion:
             a = float(h.normal[0])
             if a == 0.0:
                 if h.offset < 0.0:
-                    return 1.0, 0.0
+                    return np.inf, -np.inf
                 continue
             bound = -h.offset / a
             if a > 0.0:
@@ -175,13 +172,13 @@ def project_onto_halfspace(u: np.ndarray, h: Halfspace) -> np.ndarray:
     return u - (v / nn) * h.normal
 
 
-def _project_polytope(point: np.ndarray, halfspaces, tol: float, cap: int) -> np.ndarray:
+def _project_polytope(point: np.ndarray, halfspaces) -> np.ndarray:
     """Dykstra cycles over the halfspace family; exact in the limit."""
     if not halfspaces:
         return np.asarray(point, dtype=float)
     u = np.asarray(point, dtype=float)
     corrections = [np.zeros_like(u) for _ in halfspaces]
-    for _ in range(cap):
+    for _ in range(PROJECTION_SWEEP_CAP):
         prev = u
         for k, h in enumerate(halfspaces):
             y = u + corrections[k]
@@ -189,7 +186,7 @@ def _project_polytope(point: np.ndarray, halfspaces, tol: float, cap: int) -> np
             corrections[k] = y - z
             u = z
         worst = max(0.0, *(-h.value(u) for h in halfspaces))
-        if worst <= tol and np.max(np.abs(u - prev)) <= tol:
+        if worst <= PROJECTION_TOL and np.max(np.abs(u - prev)) <= PROJECTION_TOL:
             return u
     raise GeometryConvergenceError(
         "polytope projection did not converge (the request set may be empty)",
@@ -198,45 +195,7 @@ def _project_polytope(point: np.ndarray, halfspaces, tol: float, cap: int) -> np
     )
 
 
-def project_point(point: np.ndarray, box, halfspaces,
-                  tol: float = PROJECTION_TOL, cap: int = PROJECTION_SWEEP_CAP) -> np.ndarray:
-    """Euclidean projection of a point onto box AND halfspaces (Dykstra)."""
-    box = normalize_box(box)
-    point = np.asarray(point, dtype=float)
-    halfspaces = tuple(halfspaces)
-    if len(box) == 1:
-        region = intersect(box, halfspaces)
-        lo, hi = region.interval()
-        if lo > hi:
-            raise GeometryConvergenceError("empty 1-D intersection", last_iterate=point,
-                                           residual=lo - hi)
-        return np.array([min(max(point[0], lo), hi)])
-    sets: list = ["box"] + list(halfspaces)
-    u = point.copy()
-    corrections = [np.zeros_like(u) for _ in sets]
-    for _ in range(cap):
-        prev = u
-        for k, s in enumerate(sets):
-            y = u + corrections[k]
-            z = clamp_to_box(y, box) if s == "box" else project_onto_halfspace(y, s)
-            corrections[k] = y - z
-            u = z
-        violations = [0.0]
-        violations.extend(-h.value(u) for h in halfspaces)
-        violations.append(float(np.max(np.abs(u - clamp_to_box(u, box)))))
-        worst = max(violations)
-        if worst <= tol and np.max(np.abs(u - prev)) <= tol:
-            return u
-    raise GeometryConvergenceError(
-        "point projection did not converge (box and requests may not intersect)",
-        last_iterate=u,
-        residual=worst,
-    )
-
-
-def closest_point(box, halfspaces,
-                  tol: float = PROJECTION_TOL, cap: int = PROJECTION_SWEEP_CAP
-                  ) -> tuple[np.ndarray, float]:
+def closest_point(box, halfspaces) -> tuple[np.ndarray, float]:
     """Point of the box closest to the request polytope, with the distance.
 
     The polytope itself must be nonempty; mutually contradictory requests
@@ -246,19 +205,8 @@ def closest_point(box, halfspaces,
     halfspaces = tuple(halfspaces)
     if len(box) == 1:
         lo, hi = box[0]
-        plo, phi = -np.inf, np.inf
-        for h in halfspaces:
-            a = float(h.normal[0])
-            if a == 0.0:
-                if h.offset < 0.0:
-                    raise GeometryConvergenceError("empty request polytope",
-                                                   last_iterate=np.array([lo]), residual=np.inf)
-                continue
-            bound = -h.offset / a
-            if a > 0.0:
-                plo = max(plo, bound)
-            else:
-                phi = min(phi, bound)
+        # the request polytope alone, as an unbounded interval
+        plo, phi = ControlRegion(((-np.inf, np.inf),), halfspaces).interval()
         if plo > phi:
             raise GeometryConvergenceError("empty request polytope",
                                            last_iterate=np.array([lo]), residual=plo - phi)
@@ -268,11 +216,12 @@ def closest_point(box, halfspaces,
             return np.array([hi]), plo - hi
         return np.array([min(max(plo, lo), hi)]), 0.0
     u = box_center(box)
-    y = _project_polytope(u, halfspaces, tol, cap)
-    for _ in range(cap):
+    y = _project_polytope(u, halfspaces)
+    for _ in range(PROJECTION_SWEEP_CAP):
         u_new = clamp_to_box(y, box)
-        y_new = _project_polytope(u_new, halfspaces, tol, cap)
-        if np.max(np.abs(u_new - u)) <= tol and np.max(np.abs(y_new - y)) <= tol:
+        y_new = _project_polytope(u_new, halfspaces)
+        if np.max(np.abs(u_new - u)) <= PROJECTION_TOL \
+                and np.max(np.abs(y_new - y)) <= PROJECTION_TOL:
             return u_new, float(np.linalg.norm(u_new - y_new))
         u, y = u_new, y_new
     raise GeometryConvergenceError(
@@ -282,7 +231,7 @@ def closest_point(box, halfspaces,
     )
 
 
-def is_empty(region: ControlRegion, tol: float = PROJECTION_TOL) -> bool:
+def is_empty(region: ControlRegion) -> bool:
     """Exact for 1-D; distance-based via closest_point otherwise."""
     if region.frozen:
         return False
@@ -293,8 +242,8 @@ def is_empty(region: ControlRegion, tol: float = PROJECTION_TOL) -> bool:
         if np.max(np.abs(h.normal)) == 0.0 and h.offset < 0.0:
             return True
     live = [h for h in region.requests if np.max(np.abs(h.normal)) > 0.0]
-    _, dist = closest_point(region.box, live, tol=tol)
-    return dist > tol
+    _, dist = closest_point(region.box, live)
+    return dist > PROJECTION_TOL
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -309,8 +258,7 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def weakly_non_interfering(normals, tol: float = PROJECTION_TOL
-                           ) -> tuple[bool, np.ndarray | None]:
+def weakly_non_interfering(normals) -> tuple[bool, np.ndarray | None]:
     """Does some direction make a strictly positive inner product with every normal?
 
     Decided by the minimum-norm point of the convex hull of the normalized
@@ -339,6 +287,6 @@ def weakly_non_interfering(normals, tol: float = PROJECTION_TOL
         lam = new
     p = mat.T @ lam
     norm = float(np.linalg.norm(p))
-    if norm > tol:
+    if norm > PROJECTION_TOL:
         return True, p / norm
     return False, None

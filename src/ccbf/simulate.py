@@ -8,8 +8,7 @@ box when collaboration is off), pass the nominal controls through the
 array safety filter, record a row, then advance one `rk4_step` with the
 controls held constant over the interval.  Every stage works on arrays
 over nodes and edges; the per-node `safety_filter` and
-`collaborative_safety` are the reference they match bit for bit, and the
-path for vector controls.
+`collaborative_safety` are the reference they match bit for bit.
 
 The recorded row at t = k dt carries the state at t, the control applied
 on [t, t+dt), the negotiated capability, and the round counts for that
@@ -27,16 +26,14 @@ from operator import itemgetter
 
 import numpy as np
 
-from .barrier import (BarrierSpec, Psi2Arrays, Psi2Decomposition, QuadraticForm,
-                      barrier_arrays, decompose_psi2_all, max_capability,
-                      max_capability_arrays)
+from .barrier import (BarrierSpec, Psi2Arrays, QuadraticForm, barrier_arrays,
+                      decompose_psi2_all, max_capability_arrays)
 from .collab import (DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP, CollabMessage,
                      collaborative_safety_arrays)
 from .dynamics import SisModel, rk4_step
-from .errors import (EmptyRegionError, GeometryConvergenceError, ProtocolStallError,
+from .errors import (DimensionError, EmptyRegionError, ProtocolStallError,
                      TerminallyInfeasibleError)
-from .geometry import (NEGLIGIBLE_NORMAL, ControlRegion, Halfspace, IntervalRegions,
-                       normalize_box, project_point)
+from .geometry import NEGLIGIBLE_NORMAL, ControlRegion, IntervalRegions, normalize_box
 
 log = logging.getLogger("ccbf.simulate")
 
@@ -111,7 +108,7 @@ def safety_filter(nominal: np.ndarray, region: ControlRegion, spec: BarrierSpec,
     """Least deviation from the nominal control that keeps psi1 nonnegative.
 
     `lie` is anything carrying lf_h and lg_h, such as a LieTable.  The
-    search stays inside the negotiated region.  `certificate` carries
+    search stays inside the negotiated 1-D region.  `certificate` carries
     the node's own second-order margin (its share of the chain, guaranteed
     neighbor help folded into the constant); it is honored whenever a
     feasible point exists and dropped otherwise, since obligations to
@@ -119,67 +116,46 @@ def safety_filter(nominal: np.ndarray, region: ControlRegion, spec: BarrierSpec,
     point cannot keep psi1 nonnegative, that point is returned and the
     relaxation is flagged.  Frozen regions leave no choice at all.
     """
+    if region.dim != 1:
+        raise DimensionError(f"safety_filter takes 1-D regions, got dim {region.dim}")
     nominal = np.atleast_1d(np.asarray(nominal, dtype=float))
     base = float(lie.lf_h) + spec.eta * (spec.threshold - float(np.atleast_1d(state)[0]))
     a = lie.lg_h
     if region.frozen:
         u = region.frozen_point.copy()
         return u, bool(base + float(a @ u) < -PSI1_TOL)
-    if region.dim == 1:
-        lo, hi = region.interval()
-        if lo > hi:
-            raise EmptyRegionError("negotiated region is empty")
-        a0 = float(a[0])
-        flo, fhi = lo, hi
-        if abs(a0) > NEGLIGIBLE_NORMAL:
-            bound = -base / a0
-            if a0 > 0.0:
-                flo = max(flo, bound)
-            else:
-                fhi = min(fhi, bound)
-        elif base < -PSI1_TOL:
-            flo, fhi = hi, lo  # control cannot reach psi1 at all
-        if flo <= fhi:
-            want = float(nominal[0])
-            if certificate is not None:
-                best = None
-                for piece_lo, piece_hi in _certificate_pieces(certificate, CERT_TOL):
-                    seg_lo, seg_hi = max(flo, piece_lo), min(fhi, piece_hi)
-                    if seg_lo > seg_hi:
-                        continue
-                    u = min(max(want, seg_lo), seg_hi)
-                    if best is None or abs(u - want) < abs(best - want):
-                        best = u
-                if best is not None:
-                    return np.array([best]), False
-            return np.array([min(max(want, flo), fhi)]), False
-        if abs(a0) <= NEGLIGIBLE_NORMAL:
-            u = min(max(float(nominal[0]), lo), hi)
+    lo, hi = region.interval()
+    if lo > hi:
+        raise EmptyRegionError("negotiated region is empty")
+    a0 = float(a[0])
+    flo, fhi = lo, hi
+    if abs(a0) > NEGLIGIBLE_NORMAL:
+        bound = -base / a0
+        if a0 > 0.0:
+            flo = max(flo, bound)
         else:
-            u = hi if a0 > 0.0 else lo
-        return np.array([u]), True
-    live = [h for h in region.requests if float(np.max(np.abs(h.normal))) > NEGLIGIBLE_NORMAL]
-    extra = []
-    if certificate is not None \
-            and float(np.max(np.abs(certificate.quadratic))) <= NEGLIGIBLE_NORMAL \
-            and float(np.max(np.abs(certificate.linear))) > NEGLIGIBLE_NORMAL:
-        extra = [Halfspace(certificate.linear, float(certificate.constant) + CERT_TOL)]
-    if float(np.max(np.abs(a))) > NEGLIGIBLE_NORMAL:
-        family = live + extra + [Halfspace(a, base)]
-        try:
-            return project_point(nominal, region.box, family), False
-        except GeometryConvergenceError:
-            if extra:
-                try:
-                    return project_point(nominal, region.box,
-                                         live + [Halfspace(a, base)]), False
-                except GeometryConvergenceError:
-                    pass
-    elif base >= -PSI1_TOL:
-        return project_point(nominal, region.box, live), False
-    linear = QuadraticForm(base, a, np.zeros((region.dim, region.dim)))
-    _, point = max_capability(Psi2Decomposition({}, linear), region)
-    return point, True
+            fhi = min(fhi, bound)
+    elif base < -PSI1_TOL:
+        flo, fhi = hi, lo  # control cannot reach psi1 at all
+    if flo <= fhi:
+        want = float(nominal[0])
+        if certificate is not None:
+            best = None
+            for piece_lo, piece_hi in _certificate_pieces(certificate, CERT_TOL):
+                seg_lo, seg_hi = max(flo, piece_lo), min(fhi, piece_hi)
+                if seg_lo > seg_hi:
+                    continue
+                u = min(max(want, seg_lo), seg_hi)
+                if best is None or abs(u - want) < abs(best - want):
+                    best = u
+            if best is not None:
+                return np.array([best]), False
+        return np.array([min(max(want, flo), fhi)]), False
+    if abs(a0) <= NEGLIGIBLE_NORMAL:
+        u = min(max(float(nominal[0]), lo), hi)
+    else:
+        u = hi if a0 > 0.0 else lo
+    return np.array([u]), True
 
 
 def _clamp(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -333,14 +333,20 @@ def test_unterminated_array_is_not_also_missing():
 
 
 def test_unterminated_array_ends_at_the_next_assignment():
-    # the open value is reported once; the assignments after it still count
+    # the open value is reported once; the assignments after it still count,
+    # and one of an unknown key is reported as such
     text = importlib.resources.files("ccbf").joinpath(
         "scenarios", "paper_sis3.cfg").read_text()
     closed = "model.u_max = [0.75, 0.75, 0.75]"
     assert closed in text
-    with pytest.raises(ConfigError) as excinfo:
-        parse_config(text.replace(closed, closed[:-1]))
-    assert excinfo.value.violations == [("model.u_max", "unterminated array value")]
+    open_value = ("model.u_max", "unterminated array value")
+    for replacement, expected in [
+        (closed[:-1], [open_value]),
+        (closed[:-1] + "\nmodel.umax = 3", [open_value, ("model.umax", "unknown key")]),
+    ]:
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text.replace(closed, replacement))
+        assert excinfo.value.violations == expected
 
 
 _entries = st.one_of(st.integers(0, 9),

@@ -13,12 +13,10 @@ from ccbf.geometry import (
     ControlRegion,
     Halfspace,
     box_center,
-    box_vertices,
     clamp_to_box,
     closest_point,
     intersect,
     is_empty,
-    project_point,
     weakly_non_interfering,
 )
 
@@ -117,6 +115,11 @@ def test_closest_point_1d_exact():
     u, d = closest_point([(0.0, 1.0)], [Halfspace(np.array([1.0]), -0.5)])
     assert d == 0.0
     assert 0.5 <= u[0] <= 1.0
+    # a zero normal with a negative offset leaves no request polytope at all
+    with pytest.raises(GeometryConvergenceError, match="empty request polytope") as excinfo:
+        closest_point([(0.0, 1.0)], [Halfspace(np.array([1.0]), -0.5),
+                                     Halfspace(np.array([0.0]), -0.1)])
+    assert excinfo.value.residual == np.inf
 
 
 def test_closest_point_2d_frozen_example():
@@ -149,39 +152,6 @@ def test_closest_point_2d_against_grid_oracle():
             continue
         _, d_ref = _grid_closest(box, hs)
         assert d == pytest.approx(d_ref, abs=2e-2)
-
-
-def test_project_point_inside_is_identity():
-    box = ((0.0, 1.0), (0.0, 1.0))
-    hs = [Halfspace(np.array([1.0, 0.0]), -0.2)]
-    p = project_point(np.array([0.5, 0.5]), box, hs)
-    assert np.allclose(p, [0.5, 0.5], atol=1e-8)
-
-
-def test_project_point_respects_all_constraints():
-    rng = np.random.default_rng(11)
-    box = ((0.0, 1.0), (0.0, 1.0))
-    for _ in range(20):
-        hs = [Halfspace(rng.normal(size=2) + np.array([1.5, 1.5]), float(rng.uniform(-0.5, 0.5)))]
-        pt = rng.uniform(-2.0, 2.0, size=2)
-        try:
-            p = project_point(pt, box, hs)
-        except GeometryConvergenceError:
-            continue
-        region = intersect(box, hs)
-        assert region.contains(p, tol=1e-6)
-
-
-def test_project_point_1d_is_clamp():
-    p = project_point(np.array([2.0]), [(0.0, 1.0)], [Halfspace(np.array([1.0]), -0.25)])
-    assert p == pytest.approx(np.array([1.0]))
-    p = project_point(np.array([-2.0]), [(0.0, 1.0)], [Halfspace(np.array([1.0]), -0.25)])
-    assert p == pytest.approx(np.array([0.25]))
-
-
-def test_project_point_empty_1d_raises():
-    with pytest.raises(GeometryConvergenceError):
-        project_point(np.array([0.5]), [(0.0, 1.0)], [Halfspace(np.array([1.0]), -2.0)])
 
 
 def test_is_empty_2d_cases():
@@ -238,11 +208,4 @@ def test_weakly_non_interfering_witness_is_valid(raw):
 def test_box_helpers():
     box = ((0.0, 1.0), (2.0, 4.0))
     assert np.allclose(box_center(box), [0.5, 3.0])
-    verts = box_vertices(box)
-    assert len(verts) == 4
     assert np.allclose(clamp_to_box(np.array([5.0, -1.0]), box), [1.0, 2.0])
-
-
-def test_degenerate_box_vertices_collapse():
-    verts = box_vertices(((0.3, 0.3), (0.0, 1.0)))
-    assert len(verts) == 2

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ccbf.barrier import BarrierSpec
 from ccbf.dynamics import SisModel, SisParams
-from ccbf.geometry import ControlRegion, Halfspace
+from ccbf.errors import DimensionError
+from ccbf.geometry import ControlRegion
 from ccbf.graph import NetworkGraph
 from ccbf.simulate import (
     ScenarioResult,
@@ -226,6 +228,15 @@ def test_safety_filter_convex_certificate_picks_nearest_piece():
     u, _ = safety_filter(np.array([0.25]), region, specs[1], lie, sts[1],
                          certificate=cert)
     assert u[0] == pytest.approx(0.2, abs=1e-6)
+
+
+def test_safety_filter_rejects_vector_regions():
+    # Lie terms of a node with a two-input control
+    lie = SimpleNamespace(lf_h=-0.1, lg_h=np.array([0.05, 0.05]))
+    box = ((0.0, 0.75), (0.0, 0.75))
+    for region in (ControlRegion(box), ControlRegion(box, frozen_point=np.array([0.3, 0.3]))):
+        with pytest.raises(DimensionError):
+            safety_filter(np.zeros(2), region, BarrierSpec(0.1), lie, np.array([0.05]))
 
 
 def test_safety_filter_frozen_region_returns_point():
