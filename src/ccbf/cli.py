@@ -41,6 +41,19 @@ EXIT_STALL = 4
 
 log = logging.getLogger("ccbf.cli")
 
+# what a command reports as a failure instead of a traceback
+_FAILURES = (CcbfError, OSError)
+
+
+def _report_failure(exc: Exception, prefix: str = "") -> int:
+    """Print one of _FAILURES on stderr, each line led by prefix; return its exit code."""
+    if isinstance(exc, ConfigError):
+        for path, msg in exc.violations:
+            print(f"{prefix}{path}: {msg}", file=sys.stderr)
+        return EXIT_CONFIG
+    print(f"{prefix or 'error: '}{exc}", file=sys.stderr)
+    return EXIT_INTERNAL
+
 
 def read_scenario_text(name: str) -> str:
     """File contents, or a bundled scenario by name."""
@@ -56,21 +69,21 @@ def read_scenario_text(name: str) -> str:
     raise ConfigError([(name, "no such file")])
 
 
-def effective_config(args) -> ScenarioConfig:
-    """Scenario text plus CLI overrides, revalidated as one unit."""
-    cfg = parse_config(read_scenario_text(args.scenario))
+def effective_config(scenario: str, args) -> ScenarioConfig:
+    """Scenario text plus the run flags in args, revalidated as one unit."""
+    cfg = parse_config(read_scenario_text(scenario))
     kw = {}
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         kw["output_dir"] = args.out
-    if getattr(args, "trace", False):
+    if args.trace:
         kw["trace"] = True
-    if getattr(args, "no_collab", False):
+    if args.no_collab:
         kw["collaboration"] = False
-    if getattr(args, "continue_on_infeasible", False):
+    if args.continue_on_infeasible:
         kw["continue_on_infeasible"] = True
-    if getattr(args, "dt", None) is not None:
+    if args.dt is not None:
         kw["dt"] = args.dt
-    if getattr(args, "t_final", None) is not None:
+    if args.t_final is not None:
         kw["t_final"] = args.t_final
     if kw:
         cfg = parse_config(normalize_config(cfg.replace(**kw)))
@@ -126,7 +139,7 @@ def run_config(cfg: ScenarioConfig, out_dir: Path) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = effective_config(args)
+    cfg = effective_config(args.scenario, args)
     return run_config(cfg, Path(cfg.output_dir))
 
 
@@ -151,15 +164,9 @@ def cmd_plot(args) -> int:
 def _sweep_one(payload) -> tuple[str, int]:
     name, normalized, out_dir = payload
     try:
-        cfg = parse_config(normalized)
-        code = run_config(cfg, Path(out_dir))
-    except ConfigError as exc:
-        for path, msg in exc.violations:
-            print(f"{name}: {path}: {msg}", file=sys.stderr)
-        code = EXIT_CONFIG
-    except CcbfError as exc:
-        print(f"{name}: {exc}", file=sys.stderr)
-        code = EXIT_INTERNAL
+        code = run_config(parse_config(normalized), Path(out_dir))
+    except _FAILURES as exc:
+        code = _report_failure(exc, f"{name}: ")
     return name, code
 
 
@@ -170,12 +177,7 @@ def cmd_sweep(args) -> int:
     used = set()
     root = Path(args.out or "out")
     for scenario in args.scenarios:
-        sub_args = argparse.Namespace(
-            scenario=scenario, out=None, trace=args.trace,
-            no_collab=args.no_collab,
-            continue_on_infeasible=args.continue_on_infeasible,
-            dt=args.dt, t_final=args.t_final)
-        cfg = effective_config(sub_args)
+        cfg = effective_config(scenario, args)
         stem = Path(scenario).stem
         name = stem
         serial = 1
@@ -256,16 +258,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        for path, msg in exc.violations:
-            print(f"{path}: {msg}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CcbfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except _FAILURES as exc:
+        return _report_failure(exc)
 
 
 if __name__ == "__main__":

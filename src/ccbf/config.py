@@ -6,7 +6,7 @@ One assignment per line, `dotted.key = value`.  Values are JSON literals
 +-Infinity are rejected like any other bad entry.  A `#` outside brackets
 starts a comment.  An assignment whose brackets are still open continues on
 the following lines, so matrices can be written one row per line; the
-next line that assigns a dotted key, known or not, ends it unterminated.
+next line that assigns any key ends it unterminated.
 
 `parse_config` collects every violation with a path such as
 `model.beta[0][1]` (array indices are 0-based positions, node ids in
@@ -27,81 +27,67 @@ import re
 from dataclasses import dataclass
 from itertools import compress
 
+import numpy as np
+
 from .barrier import BarrierSpec
 from .collab import DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP
 from .dynamics import SisModel, SisParams
 from .errors import ConfigError
 from .graph import NetworkGraph
 
-KNOWN_KEYS = (
-    "graph.nodes",
-    "graph.edges",
-    "model.type",
-    "model.beta",
-    "model.gamma",
-    "model.u_max",
-    "barrier.x_bar",
-    "barrier.eta",
-    "barrier.kappa",
-    "barrier.udot_policy",
-    "sim.x0",
-    "sim.nominal",
-    "sim.dt",
-    "sim.t_final",
-    "sim.collaboration",
-    "sim.weights",
-    "sim.outer_cap",
-    "sim.inner_cap",
-    "sim.trace",
-    "sim.continue_on_infeasible",
-    "output.dir",
-)
-
-# a key such as `model.u_max`: a continuation line that assigns one ends an
-# open array value, whether or not the key is known
-_DOTTED_KEY = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+# a key such as `model.u_max` or `umax`: a continuation line that assigns one
+# ends an open array value, whether or not the key is known
+_ASSIGNED_KEY = re.compile(r"[A-Za-z_][\w.]*")
 
 UDOT_POLICIES = ("zero", "backward_difference")
 WEIGHT_MODES = ("coupling", "uniform")
 
 
+def _key(key: str, default=None):
+    """A field read from `key`; the key is required when default is None.
+
+    The default is the value an absent key reads as, before validation, so
+    a scalar default broadcasts to every node like a scalar in the file.
+    """
+    return dataclasses.field(metadata={"key": key, "default": default})
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario with every field filled; plain data, no arrays."""
+    """Validated scenario with every field filled; plain data, no arrays.
 
-    nodes: int
-    edges: tuple[tuple[int, int], ...]
-    model_type: str
-    beta: tuple[tuple[float, ...], ...]
-    gamma: tuple[float, ...]
-    u_max: tuple[float, ...]
-    x_bar: tuple[float, ...]
-    eta: tuple[float, ...]
-    kappa: tuple[float, ...]
-    udot_policy: str
-    x0: tuple[float, ...]
-    nominal: tuple[float, ...]
-    dt: float
-    t_final: float
-    collaboration: bool
-    weights: str
-    outer_cap: int
-    inner_cap: int
-    trace: bool
-    continue_on_infeasible: bool
-    output_dir: str
+    The fields, in order, are the config schema: each names its key and
+    default, and `normalize_config` dumps them in this order.
+    """
+
+    nodes: int = _key("graph.nodes")
+    edges: tuple[tuple[int, int], ...] = _key("graph.edges")
+    model_type: str = _key("model.type")
+    beta: tuple[tuple[float, ...], ...] = _key("model.beta")
+    gamma: tuple[float, ...] = _key("model.gamma")
+    u_max: tuple[float, ...] = _key("model.u_max")
+    x_bar: tuple[float, ...] = _key("barrier.x_bar")
+    eta: tuple[float, ...] = _key("barrier.eta", 1.0)
+    kappa: tuple[float, ...] = _key("barrier.kappa", 1.0)
+    udot_policy: str = _key("barrier.udot_policy", "zero")
+    x0: tuple[float, ...] = _key("sim.x0")
+    nominal: tuple[float, ...] = _key("sim.nominal", 0.0)
+    dt: float = _key("sim.dt", 0.01)
+    t_final: float = _key("sim.t_final", 100.0)
+    collaboration: bool = _key("sim.collaboration", True)
+    weights: str = _key("sim.weights", "coupling")
+    outer_cap: int = _key("sim.outer_cap", DEFAULT_OUTER_CAP)
+    inner_cap: int = _key("sim.inner_cap", DEFAULT_INNER_CAP)
+    trace: bool = _key("sim.trace", False)
+    continue_on_infeasible: bool = _key("sim.continue_on_infeasible", False)
+    output_dir: str = _key("output.dir", "out")
 
     def replace(self, **kw) -> "ScenarioConfig":
         return dataclasses.replace(self, **kw)
 
-    def build_graph(self) -> NetworkGraph:
-        return NetworkGraph(self.nodes, self.edges)
-
     def build_model(self) -> SisModel:
-        import numpy as np
-
         params = SisParams(np.array(self.beta), np.array(self.gamma), np.array(self.u_max))
-        return SisModel(self.build_graph(), params)
+        return SisModel(NetworkGraph(self.nodes, self.edges), params)
 
     def build_specs(self) -> dict[int, BarrierSpec]:
         return {i: BarrierSpec(self.x_bar[i - 1], self.eta[i - 1], self.kappa[i - 1])
@@ -109,8 +95,6 @@ class ScenarioConfig:
 
     def run_kwargs(self) -> dict:
         """Keyword arguments for run_scenario, minus the trajectory inputs."""
-        import numpy as np
-
         nominal = np.array(self.nominal) if any(v != 0.0 for v in self.nominal) else None
         return dict(
             dt=self.dt, t_final=self.t_final, nominal=nominal,
@@ -119,6 +103,12 @@ class ScenarioConfig:
             inner_cap=self.inner_cap,
             continue_on_infeasible=self.continue_on_infeasible,
             collect_messages=self.trace)
+
+
+# key -> field name, in dump order; and the value each optional key reads as
+KNOWN_KEYS = {f.metadata["key"]: f.name for f in dataclasses.fields(ScenarioConfig)}
+_DEFAULTS = {f.metadata["key"]: f.metadata["default"]
+             for f in dataclasses.fields(ScenarioConfig) if f.metadata["default"] is not None}
 
 
 def _strip_comment(line: str) -> str:
@@ -181,7 +171,7 @@ def _raw_assignments(text: str, problems: list[tuple[str, str]]
         key, sep, value = line.partition("=")
         key = key.strip()
         if pending_key is not None:
-            if not (sep and _DOTTED_KEY.fullmatch(key)):
+            if not (sep and _ASSIGNED_KEY.fullmatch(key)):
                 pending_pieces.append(line.strip())
                 depth += _bracket_depth(line)
                 if depth > 0:
@@ -229,13 +219,7 @@ def _number_fault(v) -> str | None:
     return None if finite else f"must be finite, got {v}"
 
 
-def _want_int(raw, key, problems, default=None, minimum=None):
-    if key not in raw:
-        if default is None:
-            problems.append((key, "required key is missing"))
-            return None
-        return default
-    v = raw[key]
+def _want_int(key, v, problems, minimum=None):
     if isinstance(v, bool) or not isinstance(v, int):
         problems.append((key, f"must be an integer, got {v!r}"))
         return None
@@ -245,13 +229,7 @@ def _want_int(raw, key, problems, default=None, minimum=None):
     return v
 
 
-def _want_float(raw, key, problems, default=None, positive=False):
-    if key not in raw:
-        if default is None:
-            problems.append((key, "required key is missing"))
-            return None
-        return default
-    v = raw[key]
+def _want_float(key, v, problems, positive=False):
     fault = _number_fault(v)
     if fault is not None:
         problems.append((key, fault))
@@ -263,37 +241,22 @@ def _want_float(raw, key, problems, default=None, positive=False):
     return v
 
 
-def _want_bool(raw, key, problems, default):
-    if key not in raw:
-        return default
-    v = raw[key]
+def _want_bool(key, v, problems):
     if not isinstance(v, bool):
         problems.append((key, f"must be on or off, got {v!r}"))
         return None
     return v
 
 
-def _want_choice(raw, key, problems, default, choices):
-    if key not in raw:
-        if default is None:
-            problems.append((key, "required key is missing"))
-        return default
-    v = raw[key]
+def _want_choice(key, v, problems, choices):
     if v not in choices:
         problems.append((key, f"must be one of {', '.join(choices)}, got {v!r}"))
         return None
     return v
 
 
-def _want_vector(raw, key, problems, n, default=None, low=None, high=None,
-                 strict_low=False):
+def _want_vector(key, v, problems, n, low=None, high=None, strict_low=False):
     """A length-n numeric array; a bare scalar broadcasts to all nodes."""
-    if key not in raw:
-        if default is None:
-            problems.append((key, "required key is missing"))
-            return None
-        return tuple(float(default) for _ in range(n))
-    v = raw[key]
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         v = [v] * n
     if not isinstance(v, list):
@@ -323,12 +286,7 @@ def _want_vector(raw, key, problems, n, default=None, low=None, high=None,
     return tuple(out) if ok else None
 
 
-def _want_edges(raw, problems, n):
-    key = "graph.edges"
-    if key not in raw:
-        problems.append((key, "required key is missing"))
-        return None
-    v = raw[key]
+def _want_edges(key, v, problems, n):
     if not isinstance(v, list):
         problems.append((key, "must be an array of [source, target] pairs"))
         return None
@@ -366,18 +324,13 @@ def _beta_row_faults(key, i, row) -> list[tuple[str, str]]:
     return faults
 
 
-def _want_beta(raw, problems, n, edges):
+def _want_beta(key, v, problems, n, edges):
     """The n x n infection matrix, checked one row at a time.
 
     Entry faults come first, in row-major order; edge consistency is only
     checked once every entry is a finite number >= 0.  A row's entries are
     walked one by one only when the row has a fault, to name each one.
     """
-    key = "model.beta"
-    if key not in raw:
-        problems.append((key, "required key is missing"))
-        return None
-    v = raw[key]
     if not isinstance(v, list) or len(v) != n or any(
             not isinstance(row, list) or len(row) != n for row in v):
         problems.append((key, f"must be a {n}x{n} matrix"))
@@ -420,36 +373,40 @@ def parse_config(text: str) -> ScenarioConfig:
     problems: list[tuple[str, str]] = []
     raw, unread = _raw_assignments(text, problems)
     read_problems = len(problems)
+    raw = {**_DEFAULTS, **raw}
 
-    n = _want_int(raw, "graph.nodes", problems, minimum=1)
-    edges = _want_edges(raw, problems, n) if n is not None else None
-    model_type = _want_choice(raw, "model.type", problems, None, ("sis",))
+    def read(want, key, *args, **kw):
+        if key not in raw:
+            problems.append((key, "required key is missing"))
+            return None
+        return want(key, raw[key], problems, *args, **kw)
+
+    n = read(_want_int, "graph.nodes", minimum=1)
+    edges = read(_want_edges, "graph.edges", n) if n is not None else None
+    model_type = read(_want_choice, "model.type", ("sis",))
 
     beta = gamma = u_max = x_bar = eta = kappa = x0 = nominal = None
     if n is not None:
-        beta = _want_beta(raw, problems, n, edges)
-        gamma = _want_vector(raw, "model.gamma", problems, n, low=0.0, strict_low=True)
-        u_max = _want_vector(raw, "model.u_max", problems, n, low=0.0)
-        x_bar = _want_vector(raw, "barrier.x_bar", problems, n, low=0.0, high=1.0,
-                             strict_low=True)
-        eta = _want_vector(raw, "barrier.eta", problems, n, default=1.0, low=0.0,
-                           strict_low=True)
-        kappa = _want_vector(raw, "barrier.kappa", problems, n, default=1.0, low=0.0,
-                             strict_low=True)
-        x0 = _want_vector(raw, "sim.x0", problems, n, low=0.0, high=1.0)
-        nominal = _want_vector(raw, "sim.nominal", problems, n, default=0.0, low=0.0)
-    udot_policy = _want_choice(raw, "barrier.udot_policy", problems, "zero", UDOT_POLICIES)
-    dt = _want_float(raw, "sim.dt", problems, default=0.01, positive=True)
-    t_final = _want_float(raw, "sim.t_final", problems, default=100.0, positive=True)
+        beta = read(_want_beta, "model.beta", n, edges)
+        gamma = read(_want_vector, "model.gamma", n, low=0.0, strict_low=True)
+        u_max = read(_want_vector, "model.u_max", n, low=0.0)
+        x_bar = read(_want_vector, "barrier.x_bar", n, low=0.0, high=1.0, strict_low=True)
+        eta = read(_want_vector, "barrier.eta", n, low=0.0, strict_low=True)
+        kappa = read(_want_vector, "barrier.kappa", n, low=0.0, strict_low=True)
+        x0 = read(_want_vector, "sim.x0", n, low=0.0, high=1.0)
+        nominal = read(_want_vector, "sim.nominal", n, low=0.0)
+    udot_policy = read(_want_choice, "barrier.udot_policy", UDOT_POLICIES)
+    dt = read(_want_float, "sim.dt", positive=True)
+    t_final = read(_want_float, "sim.t_final", positive=True)
     if dt is not None and t_final is not None and t_final <= dt:
         problems.append(("sim.t_final", f"must be > sim.dt ({dt}), got {t_final}"))
-    collaboration = _want_bool(raw, "sim.collaboration", problems, True)
-    weights = _want_choice(raw, "sim.weights", problems, "coupling", WEIGHT_MODES)
-    outer_cap = _want_int(raw, "sim.outer_cap", problems, default=DEFAULT_OUTER_CAP, minimum=1)
-    inner_cap = _want_int(raw, "sim.inner_cap", problems, default=DEFAULT_INNER_CAP, minimum=1)
-    trace = _want_bool(raw, "sim.trace", problems, False)
-    continue_on_infeasible = _want_bool(raw, "sim.continue_on_infeasible", problems, False)
-    output_dir = raw.get("output.dir", "out")
+    collaboration = read(_want_bool, "sim.collaboration")
+    weights = read(_want_choice, "sim.weights", WEIGHT_MODES)
+    outer_cap = read(_want_int, "sim.outer_cap", minimum=1)
+    inner_cap = read(_want_int, "sim.inner_cap", minimum=1)
+    trace = read(_want_bool, "sim.trace")
+    continue_on_infeasible = read(_want_bool, "sim.continue_on_infeasible")
+    output_dir = raw["output.dir"]
     if not isinstance(output_dir, str) or not output_dir:
         problems.append(("output.dir", f"must be a non-empty string, got {output_dir!r}"))
         output_dir = None
@@ -478,27 +435,5 @@ def _emit(value) -> str:
 
 def normalize_config(cfg: ScenarioConfig) -> str:
     """Canonical dump: every key, fixed order, one line per key."""
-    pairs = (
-        ("graph.nodes", cfg.nodes),
-        ("graph.edges", cfg.edges),
-        ("model.type", cfg.model_type),
-        ("model.beta", cfg.beta),
-        ("model.gamma", cfg.gamma),
-        ("model.u_max", cfg.u_max),
-        ("barrier.x_bar", cfg.x_bar),
-        ("barrier.eta", cfg.eta),
-        ("barrier.kappa", cfg.kappa),
-        ("barrier.udot_policy", cfg.udot_policy),
-        ("sim.x0", cfg.x0),
-        ("sim.nominal", cfg.nominal),
-        ("sim.dt", cfg.dt),
-        ("sim.t_final", cfg.t_final),
-        ("sim.collaboration", cfg.collaboration),
-        ("sim.weights", cfg.weights),
-        ("sim.outer_cap", cfg.outer_cap),
-        ("sim.inner_cap", cfg.inner_cap),
-        ("sim.trace", cfg.trace),
-        ("sim.continue_on_infeasible", cfg.continue_on_infeasible),
-        ("output.dir", cfg.output_dir),
-    )
-    return "".join(f"{key} = {_emit(value)}\n" for key, value in pairs)
+    return "".join(f"{key} = {_emit(getattr(cfg, name))}\n"
+                   for key, name in KNOWN_KEYS.items())

@@ -234,11 +234,10 @@ class SisModel:
             raise DimensionError(f"node {i}: SIS state must have shape (1,)")
         return np.array([[-float(x_i[0])]])
 
-    def lie_table(self, nbr: NeighborhoodState, i: int, barrier=None) -> LieTable:
+    def lie_table(self, nbr: NeighborhoodState, i: int) -> LieTable:
         """One node's table from its snapshot: the reference for lie_arrays."""
         # The constraint h = xbar - x_i has slope -1 everywhere, so the
-        # table does not depend on the threshold; barrier is accepted for
-        # interface uniformity.
+        # table does not depend on the threshold.
         self._check_neighborhood(nbr, i)
         x_i = float(nbr.self_state[0])
         beta = self.params.beta
@@ -306,9 +305,6 @@ class SisModel:
         lg_lf_h = dfdx * x
         _check_lie_terms(x, f, lf2_h, lg_lf_h, lfj, lgj)
         return LieArrays(x, f, lg_lf_h, lf_h, lf2_h, lfj, lgj)
-
-    def control_box(self, i: int) -> tuple[tuple[float, float], ...]:
-        return ((0.0, float(self.params.u_max[i - 1])),)
 
     def clamp_state(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         clipped = x.clip(0.0, 1.0)

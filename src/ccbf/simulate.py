@@ -33,7 +33,7 @@ from .collab import (DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP, CollabMessage,
 from .dynamics import SisModel, rk4_step
 from .errors import (DimensionError, EmptyRegionError, ProtocolStallError,
                      TerminallyInfeasibleError)
-from .geometry import NEGLIGIBLE_NORMAL, ControlRegion, IntervalRegions, normalize_box
+from .geometry import NEGLIGIBLE_NORMAL, ControlRegion, IntervalRegions
 
 log = logging.getLogger("ccbf.simulate")
 
@@ -297,8 +297,7 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
     want = np.zeros(n) if nominal is None else np.asarray(nominal, dtype=float)
     if want.shape != (n,):
         raise ValueError(f"nominal has shape {want.shape}, expected ({n},) for this graph")
-    box = np.array([normalize_box(model.control_box(i))[0] for i in nodes])
-    box_lo, box_hi = box[:, 0].copy(), box[:, 1].copy()
+    box_lo, box_hi = np.zeros(n), model.params.u_max.copy()
     full_boxes = IntervalRegions(box_lo, box_hi, np.zeros(n, dtype=bool), np.zeros(n))
     gains = barrier_arrays(specs, nodes)
     zero_rate = np.zeros(n)

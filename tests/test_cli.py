@@ -264,8 +264,12 @@ def test_plot_missing_header_column(tmp_path, capsys):
 def test_sweep_fans_out_to_subdirectories(tmp_path, capsys):
     cfg = tmp_path / "weak.cfg"
     cfg.write_text(WEAK)
+    blocked = tmp_path / "blocked.cfg"
+    blocked.write_text(WEAK)
     root = tmp_path / "sweepout"
-    code = main(["sweep", "paper_sis3", str(cfg), "--out", str(root),
+    root.mkdir()
+    (root / "blocked").write_text("a file where the output directory goes")
+    code = main(["sweep", "paper_sis3", str(cfg), str(blocked), "--out", str(root),
                  "--t-final", "1.0"])
     assert code == EXIT_INFEASIBLE  # worst child wins
     assert (root / "paper_sis3" / "result.csv").exists()
@@ -273,6 +277,7 @@ def test_sweep_fans_out_to_subdirectories(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "paper_sis3: ok" in out
     assert "weak: halted" in out
+    assert "blocked: error" in out  # one worker's OSError does not end the sweep
 
 
 def test_log_level_env_filters_stderr(tmp_path):

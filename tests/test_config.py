@@ -343,6 +343,7 @@ def test_unterminated_array_ends_at_the_next_assignment():
     for replacement, expected in [
         (closed[:-1], [open_value]),
         (closed[:-1] + "\nmodel.umax = 3", [open_value, ("model.umax", "unknown key")]),
+        (closed[:-1] + "\numax = 3", [open_value, ("umax", "unknown key")]),
     ]:
         with pytest.raises(ConfigError) as excinfo:
             parse_config(text.replace(closed, replacement))
