@@ -198,6 +198,17 @@ def cmd_sweep(args) -> int:
     return worst
 
 
+def _worker_count(text: str) -> int:
+    """The --workers value: an integer of at least 1, or a usage error."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccbf",
@@ -236,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run several scenarios in parallel")
     p_sweep.add_argument("scenarios", nargs="+",
                          help="config files or bundled scenario names")
-    p_sweep.add_argument("--workers", type=int, default=None,
+    p_sweep.add_argument("--workers", type=_worker_count, default=None,
                          help="worker process count")
     add_run_flags(p_sweep)
     p_sweep.set_defaults(handler=cmd_sweep)

@@ -33,7 +33,7 @@ from .barrier import BarrierSpec
 from .collab import DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP
 from .dynamics import SisModel, SisParams
 from .errors import ConfigError
-from .graph import NetworkGraph
+from .graph import NetworkGraph, edge_index
 
 # a key such as `model.u_max` or `umax`: a continuation line that assigns one
 # ends an open array value, whether or not the key is known
@@ -86,8 +86,16 @@ class ScenarioConfig:
         return dataclasses.replace(self, **kw)
 
     def build_model(self) -> SisModel:
-        params = SisParams(np.array(self.beta), np.array(self.gamma), np.array(self.u_max))
-        return SisModel(NetworkGraph(self.nodes, self.edges), params)
+        # every beta entry off the diagonal and off the edges is zero, so
+        # only those n + E entries are read
+        graph = NetworkGraph(self.nodes, self.edges)
+        src, dst = edge_index(graph)
+        diag = np.arange(self.nodes)
+        beta = np.zeros((self.nodes, self.nodes))
+        beta[diag, diag] = [row[k] for k, row in enumerate(self.beta)]
+        beta[dst, src] = [self.beta[i - 1][j - 1] for j, i in graph.edges]
+        params = SisParams(beta, np.array(self.gamma), np.array(self.u_max))
+        return SisModel(graph, params)
 
     def build_specs(self) -> dict[int, BarrierSpec]:
         return {i: BarrierSpec(self.x_bar[i - 1], self.eta[i - 1], self.kappa[i - 1])
@@ -425,7 +433,29 @@ def parse_config(text: str) -> ScenarioConfig:
         continue_on_infeasible=continue_on_infeasible, output_dir=output_dir)
 
 
-def _emit(value) -> str:
+def _emit_beta(cfg: ScenarioConfig) -> str:
+    """model.beta as json.dumps writes it, formatting only its n + E entries.
+
+    Every other entry is zero, so each row starts from a row of "0.0"; an
+    entry of -0.0 off the diagonal and off the edges is written as 0.0.
+    """
+    sources = [[i] for i in range(cfg.nodes)]  # the diagonal, then in-edges
+    for j, i in cfg.edges:
+        sources[i - 1].append(j - 1)
+    zeros = ["0.0"] * cfg.nodes
+    rows = []
+    for row, cols in zip(cfg.beta, sources):
+        cells = zeros.copy()
+        for j in cols:
+            cells[j] = repr(row[j])  # json.dumps writes numbers by repr
+        rows.append("[" + ", ".join(cells) + "]")
+    return "[" + ", ".join(rows) + "]"
+
+
+def _emit(cfg: ScenarioConfig, name: str) -> str:
+    if name == "beta":
+        return _emit_beta(cfg)
+    value = getattr(cfg, name)
     if isinstance(value, bool):
         return "on" if value else "off"
     if isinstance(value, str):
@@ -435,5 +465,4 @@ def _emit(value) -> str:
 
 def normalize_config(cfg: ScenarioConfig) -> str:
     """Canonical dump: every key, fixed order, one line per key."""
-    return "".join(f"{key} = {_emit(getattr(cfg, name))}\n"
-                   for key, name in KNOWN_KEYS.items())
+    return "".join(f"{key} = {_emit(cfg, name)}\n" for key, name in KNOWN_KEYS.items())

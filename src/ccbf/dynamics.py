@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DimensionError, NumericsError, ProtocolStateError
-from .graph import NetworkGraph, edge_layout, in_neighbors
+from .graph import NetworkGraph, edge_index, edge_layout, in_neighbors
 
 
 @dataclass(frozen=True)
@@ -168,12 +168,13 @@ class SisParams:
             problems.append("gamma entries must be > 0")
         if np.any(self.u_max < 0.0):
             problems.append("u_max entries must be >= 0")
-        present = np.zeros((n, n), dtype=bool)
-        rows = [i - 1 for i in graph.nodes() for _ in in_neighbors(graph, i)]
-        cols = [j - 1 for i in graph.nodes() for j in in_neighbors(graph, i)]
-        present[rows, cols] = True
+        src, dst = edge_index(graph)
         positive = self.beta > 0.0
         np.fill_diagonal(positive, False)  # on-node rates need no edge
+        if np.count_nonzero(positive) == len(src) and positive[dst, src].all():
+            return problems  # the positive entries are exactly the edges
+        present = np.zeros((n, n), dtype=bool)
+        present[dst, src] = True
         # row-major, so problems come in (i, j) order
         for row, col in np.argwhere(positive != present):
             i, j = int(row) + 1, int(col) + 1

@@ -12,6 +12,7 @@ source, for the array kernels.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -36,8 +37,9 @@ class NetworkGraph:
                 raise ValueError(f"edge ({j}, {i}): target {i} outside 1..{self.node_count}")
             inward[i].append(j)
             outward[j].append(i)
-        self._inward = {i: tuple(sorted(v)) for i, v in inward.items()}
-        self._outward = {i: tuple(sorted(v)) for i, v in outward.items()}
+        # the edges are sorted by (source, target), so every list is ascending
+        self._inward = {i: tuple(v) for i, v in inward.items()}
+        self._outward = {i: tuple(v) for i, v in outward.items()}
 
     def nodes(self) -> range:
         return range(1, self.node_count + 1)
@@ -61,6 +63,13 @@ def out_neighbors(graph: NetworkGraph, i: int) -> tuple[int, ...]:
     """Nodes whose dynamics node i's state enters, ascending."""
     _check_node(graph, i)
     return graph._outward[i]
+
+
+def edge_index(graph: NetworkGraph) -> tuple[np.ndarray, np.ndarray]:
+    """0-based source and target of every edge, in graph.edges order."""
+    flat = np.fromiter(chain.from_iterable(graph.edges), dtype=np.intp,
+                       count=2 * len(graph.edges))
+    return flat[0::2] - 1, flat[1::2] - 1
 
 
 class EdgeLayout(NamedTuple):
@@ -89,30 +98,33 @@ class EdgeLayout(NamedTuple):
 
 
 def edge_layout(graph: NetworkGraph) -> EdgeLayout:
-    """The graph's by-target and by-source edge layouts."""
-    nodes = graph.nodes()
+    """The graph's by-target and by-source edge layouts.
+
+    graph.edges is sorted by (source, target), which is by-source order
+    already; a lexsort by (target, source) gives by-target order.  Each
+    edge's column is its rank among the edges of its row.
+    """
     n = graph.node_count
-    ins = [in_neighbors(graph, i) for i in nodes]
-    outs = [out_neighbors(graph, j) for j in nodes]
-    w_in = max((len(v) for v in ins), default=0)
-    w_out = max((len(v) for v in outs), default=0)
+    src, dst = edge_index(graph)
+    in_deg = np.bincount(dst, minlength=n)
+    out_deg = np.bincount(src, minlength=n)
+    w_in, w_out = int(in_deg.max()), int(out_deg.max())
+    rank = np.arange(len(src))
+    by_target = np.lexsort((src, dst))
+    t_row, t_src = dst[by_target], src[by_target]
+    t_col = rank - (np.cumsum(in_deg) - in_deg)[t_row]
     in_source = np.repeat(np.arange(n, dtype=np.intp)[:, None], w_in, axis=1)
+    in_source[t_row, t_col] = t_src
     in_mask = np.zeros((n, w_in), dtype=bool)
-    slot_of: dict[tuple[int, int], int] = {}
-    for i, js in zip(nodes, ins):
-        for c, j in enumerate(js):
-            in_source[i - 1, c] = j - 1
-            in_mask[i - 1, c] = True
-            slot_of[j, i] = (i - 1) * w_in + c
+    in_mask[t_row, t_col] = True
+    adjust_slots = np.empty(len(src), dtype=np.intp)
+    adjust_slots[by_target] = t_row * w_in + t_col
+    s_col = rank - (np.cumsum(out_deg) - out_deg)[src]
     out_slot = np.zeros((n, w_out), dtype=np.intp)
+    out_slot[src, s_col] = adjust_slots
     out_mask = np.zeros((n, w_out), dtype=bool)
-    for j, ks in zip(nodes, outs):
-        for d, k in enumerate(ks):
-            out_slot[j - 1, d] = slot_of[j, k]
-            out_mask[j - 1, d] = True
-    request_to = tuple(int(src) + 1 for src in in_source.ravel())
-    request_from = tuple(row + 1 for row in range(n) for _ in range(w_in))
-    adjust_from = tuple(j for j, ks in zip(nodes, outs) for _ in ks)
-    adjust_to = tuple(k for ks in outs for k in ks)
+    out_mask[src, s_col] = True
+    request_to = tuple((in_source.ravel() + 1).tolist())
+    request_from = tuple(np.repeat(np.arange(1, n + 1), w_in).tolist())
     return EdgeLayout(in_source, in_mask, out_slot, out_mask, request_from, request_to,
-                      adjust_from, adjust_to, out_slot[out_mask])
+                      tuple((src + 1).tolist()), tuple((dst + 1).tolist()), adjust_slots)

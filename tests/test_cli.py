@@ -280,6 +280,17 @@ def test_sweep_fans_out_to_subdirectories(tmp_path, capsys):
     assert "blocked: error" in out  # one worker's OSError does not end the sweep
 
 
+@pytest.mark.parametrize("workers, reason", [("0", "must be >= 1, got 0"),
+                                             ("-2", "must be >= 1, got -2"),
+                                             ("two", "must be an integer, got 'two'")])
+def test_sweep_rejects_a_worker_count_below_one(capsys, workers, reason):
+    # a usage error, raised while parsing, before any worker process starts
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "paper_sis3", "--workers", workers])
+    assert excinfo.value.code == EXIT_CONFIG
+    assert f"argument --workers: {reason}" in capsys.readouterr().err
+
+
 def test_log_level_env_filters_stderr(tmp_path):
     cfg = tmp_path / "weak.cfg"
     cfg.write_text(WEAK)

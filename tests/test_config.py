@@ -7,9 +7,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ccbf import ConfigError, normalize_config, parse_config
+from ccbf.config import KNOWN_KEYS
 
 GOOD = """\
 # demo scenario
@@ -403,5 +404,77 @@ def multiline_configs(draw) -> str:
 def test_multiline_configs_round_trip_through_normalize(text):
     cfg = parse_config(text)
     dump = normalize_config(cfg)
+    assert parse_config(dump) == cfg
+    assert normalize_config(parse_config(dump)) == dump
+
+
+def json_dump(cfg) -> str:
+    """normalize_config with every value written by json.dumps: the reference."""
+    def emit(value):
+        if isinstance(value, bool):
+            return "on" if value else "off"
+        return value if isinstance(value, str) else json.dumps(value)
+    return "".join(f"{key} = {emit(getattr(cfg, name))}\n" for key, name in KNOWN_KEYS.items())
+
+
+_TINY_AND_HUGE = [5e-324, 1e-310, 2.2250738585072014e-308, 1e300]
+_diagonals = st.one_of(st.sampled_from([0, 0.0, -0.0, 3, *_TINY_AND_HUGE]),
+                       st.floats(0.0, 9.0))
+_weights = st.one_of(st.sampled_from([1, *_TINY_AND_HUGE]), st.integers(1, 9),
+                     st.floats(5e-324, 1e300))
+
+
+def _sparse_text(n, edges, beta) -> str:
+    return "\n".join([f"graph.nodes = {n}", f"graph.edges = {json.dumps(edges)}",
+                      "model.type = sis", f"model.beta = {json.dumps(beta)}",
+                      "model.gamma = 0.3", "model.u_max = 0.5", "barrier.x_bar = 0.1",
+                      "sim.x0 = 0.01"]) + "\n"
+
+
+@st.composite
+def sparse_configs(draw) -> str:
+    """Configs with any edge set (in-degree 0 included), any zero off the edges."""
+    n = draw(st.integers(1, 6))
+    pairs = [[j, i] for j in range(1, n + 1) for i in range(1, n + 1) if i != j]
+    edges = draw(st.lists(st.sampled_from(pairs), unique_by=tuple)) if pairs else []
+    beta = [[draw(_diagonals) if i == j else draw(st.sampled_from([0, 0.0, -0.0]))
+             for j in range(n)] for i in range(n)]
+    for j, i in edges:
+        beta[i - 1][j - 1] = draw(_weights)
+    return _sparse_text(n, edges, beta)
+
+
+def _zero_off_edges(cfg):
+    """cfg with every beta entry off the diagonal and the edges set to +0.0."""
+    kept = {(i - 1, j - 1) for j, i in cfg.edges} | {(k, k) for k in range(cfg.nodes)}
+    return cfg.replace(beta=tuple(
+        tuple(v if (i, j) in kept else 0.0 for j, v in enumerate(row))
+        for i, row in enumerate(cfg.beta)))
+
+
+@settings(max_examples=300)
+@given(text=sparse_configs())
+@example(text=_sparse_text(1, [], [[-0.0]]))
+@example(text=_sparse_text(3, [], [[0, 0, -0.0], [0.0, 2, 0], [-0.0, 0, 5e-324]]))
+@example(text=_sparse_text(3, [[1, 2], [3, 2]], [[1e300, 0, 0], [1e-310, 0, 4], [-0.0, 0, 0]]))
+def test_sparse_beta_dump_and_model_match_the_dense_forms(text):
+    cfg = parse_config(text)
+    dump = normalize_config(cfg)
+    # the one difference from json.dumps: an off-edge -0.0 is written 0.0
+    dense = _zero_off_edges(cfg)
+    assert dump == json_dump(dense)
+    assert parse_config(dump) == cfg
+    assert normalize_config(parse_config(dump)) == dump
+    assert cfg.build_model().params.beta.tobytes() == np.array(dense.beta).tobytes()
+
+
+def test_off_edge_negative_zero_is_dumped_as_zero():
+    text = GOOD.replace("graph.edges = [[1, 2], [1, 3], [2, 1], [2, 3], [3, 1], [3, 2]]",
+                        "graph.edges = [[1, 2], [2, 1], [2, 3], [3, 1], [3, 2]]").replace(
+        "[0.25, 0.25, 0.5]]", "[-0.0, 0.25, 0.0]]")
+    cfg = parse_config(text)
+    assert "[-0.0, 0.25, 0.0]]" in json_dump(cfg)
+    dump = normalize_config(cfg)
+    assert "model.beta = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.0, 0.25, 0.0]]\n" in dump
     assert parse_config(dump) == cfg
     assert normalize_config(parse_config(dump)) == dump

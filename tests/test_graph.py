@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ccbf.graph import NetworkGraph, in_neighbors, out_neighbors
+from ccbf.graph import EdgeLayout, NetworkGraph, edge_layout, in_neighbors, out_neighbors
 
 COMPLETE3 = [(2, 1), (3, 1), (1, 2), (3, 2), (1, 3), (2, 3)]
 
@@ -66,3 +66,63 @@ def test_duality_on_random_graphs():
                 assert i in out_neighbors(g, j)
             for j in out_neighbors(g, i):
                 assert i in in_neighbors(g, j)
+
+
+def loop_edge_layout(graph: NetworkGraph) -> EdgeLayout:
+    """edge_layout written as one element at a time: the reference it must match."""
+    nodes = graph.nodes()
+    n = graph.node_count
+    ins = [in_neighbors(graph, i) for i in nodes]
+    outs = [out_neighbors(graph, j) for j in nodes]
+    w_in = max((len(v) for v in ins), default=0)
+    w_out = max((len(v) for v in outs), default=0)
+    in_source = np.repeat(np.arange(n, dtype=np.intp)[:, None], w_in, axis=1)
+    in_mask = np.zeros((n, w_in), dtype=bool)
+    slot_of: dict[tuple[int, int], int] = {}
+    for i, js in zip(nodes, ins):
+        for c, j in enumerate(js):
+            in_source[i - 1, c] = j - 1
+            in_mask[i - 1, c] = True
+            slot_of[j, i] = (i - 1) * w_in + c
+    out_slot = np.zeros((n, w_out), dtype=np.intp)
+    out_mask = np.zeros((n, w_out), dtype=bool)
+    for j, ks in zip(nodes, outs):
+        for d, k in enumerate(ks):
+            out_slot[j - 1, d] = slot_of[j, k]
+            out_mask[j - 1, d] = True
+    request_to = tuple(int(src) + 1 for src in in_source.ravel())
+    request_from = tuple(row + 1 for row in range(n) for _ in range(w_in))
+    adjust_from = tuple(j for j, ks in zip(nodes, outs) for _ in ks)
+    adjust_to = tuple(k for ks in outs for k in ks)
+    return EdgeLayout(in_source, in_mask, out_slot, out_mask, request_from, request_to,
+                      adjust_from, adjust_to, out_slot[out_mask])
+
+
+def _random_graphs():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(1, 10))
+        p = float(rng.random())
+        yield NetworkGraph(n, [(j, i) for j in range(1, n + 1) for i in range(1, n + 1)
+                               if j != i and rng.random() < p])
+
+
+@pytest.mark.parametrize("graph", [
+    NetworkGraph(1, []),
+    NetworkGraph(4, []),
+    NetworkGraph(3, [(1, 2), (2, 3)]),  # node 1 has no in-neighbors
+    NetworkGraph(4, [(1, 4), (2, 4), (3, 4)]),  # only node 4 has any
+    NetworkGraph(3, COMPLETE3),
+    NetworkGraph(6, [(j, i) for j in range(1, 7) for i in range(1, 7) if j != i]),
+    *_random_graphs(),
+], ids=repr)
+def test_edge_layout_matches_the_loop_reference(graph):
+    got, want = edge_layout(graph), loop_edge_layout(graph)
+    for name, g, w in zip(EdgeLayout._fields, got, want):
+        if isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype, name
+            assert g.dtype in (np.intp, np.bool_), name
+            assert g.shape == w.shape and np.array_equal(g, w), name
+        else:
+            assert g == w, name
+            assert all(type(v) is int for v in g), name
