@@ -57,7 +57,10 @@ class ScenarioConfig:
     """Validated scenario with every field filled; plain data, no arrays.
 
     The fields, in order, are the config schema: each names its key and
-    default, and `normalize_config` dumps them in this order.
+    default, and `normalize_config` dumps them in this order.  Build one
+    with `parse_config`: it guarantees that every beta entry off the
+    diagonal and off the edges is zero, which `build_model` and
+    `normalize_config` rely on, so `replace` keeps the network fixed.
     """
 
     nodes: int = _key("graph.nodes")
@@ -83,11 +86,18 @@ class ScenarioConfig:
     output_dir: str = _key("output.dir", "out")
 
     def replace(self, **kw) -> "ScenarioConfig":
+        """A copy with other settings; the nodes, edges and beta cannot change."""
+        fixed = sorted(kw.keys() & _NETWORK)
+        if fixed:
+            raise ValueError(f"cannot replace {', '.join(fixed)}: "
+                             "the network is fixed by the parsed config text")
         return dataclasses.replace(self, **kw)
 
     def build_model(self) -> SisModel:
-        # every beta entry off the diagonal and off the edges is zero, so
-        # only those n + E entries are read
+        """The SIS model, read from the diagonal and the edge entries of beta.
+
+        Every other entry must be zero, as `parse_config` guarantees.
+        """
         graph = NetworkGraph(self.nodes, self.edges)
         src, dst = edge_index(graph)
         diag = np.arange(self.nodes)
@@ -113,6 +123,8 @@ class ScenarioConfig:
             collect_messages=self.trace)
 
 
+# the fields that define the network; every other beta entry is zero
+_NETWORK = {"nodes", "edges", "beta"}
 # key -> field name, in dump order; and the value each optional key reads as
 KNOWN_KEYS = {f.metadata["key"]: f.name for f in dataclasses.fields(ScenarioConfig)}
 _DEFAULTS = {f.metadata["key"]: f.metadata["default"]
@@ -464,5 +476,9 @@ def _emit(cfg: ScenarioConfig, name: str) -> str:
 
 
 def normalize_config(cfg: ScenarioConfig) -> str:
-    """Canonical dump: every key, fixed order, one line per key."""
+    """Canonical dump: every key, fixed order, one line per key.
+
+    beta is written from its diagonal and edge entries (see `_emit_beta`),
+    so cfg must come from `parse_config`.
+    """
     return "".join(f"{key} = {_emit(cfg, name)}\n" for key, name in KNOWN_KEYS.items())

@@ -171,13 +171,12 @@ class SisParams:
         src, dst = edge_index(graph)
         positive = self.beta > 0.0
         np.fill_diagonal(positive, False)  # on-node rates need no edge
-        if np.count_nonzero(positive) == len(src) and positive[dst, src].all():
-            return problems  # the positive entries are exactly the edges
         present = np.zeros((n, n), dtype=bool)
         present[dst, src] = True
-        # row-major, so problems come in (i, j) order
-        for row, col in np.argwhere(positive != present):
-            i, j = int(row) + 1, int(col) + 1
+        # flat indices are row-major, so problems come in (i, j) order
+        for flat in np.flatnonzero(positive != present):
+            row, col = divmod(int(flat), n)
+            i, j = row + 1, col + 1
             if positive[row, col]:
                 problems.append(f"beta[{i - 1}][{j - 1}] > 0 but edge ({j}, {i}) is missing")
             else:

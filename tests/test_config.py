@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.resources
 import json
 
@@ -226,6 +227,15 @@ def test_replace_then_normalize_round_trips():
     assert again == cfg
 
 
+@pytest.mark.parametrize("field", ["nodes", "edges", "beta"])
+def test_replace_keeps_the_network_fixed(field):
+    # build_model and normalize_config read beta only on the diagonal and
+    # the edges, so a replaced network could drop a positive entry silently
+    cfg = parse_config(GOOD)
+    with pytest.raises(ValueError, match=f"cannot replace {field}"):
+        cfg.replace(**{field: getattr(cfg, field)})
+
+
 # a beta whose entry faults (bool, string, null, negative) sit beside edge faults:
 # beta[0][1] is positive without an edge, and beta[0][2] and beta[1][0] are zero
 # with their edges (3, 1) and (1, 2) present
@@ -447,7 +457,7 @@ def sparse_configs(draw) -> str:
 def _zero_off_edges(cfg):
     """cfg with every beta entry off the diagonal and the edges set to +0.0."""
     kept = {(i - 1, j - 1) for j, i in cfg.edges} | {(k, k) for k in range(cfg.nodes)}
-    return cfg.replace(beta=tuple(
+    return dataclasses.replace(cfg, beta=tuple(
         tuple(v if (i, j) in kept else 0.0 for j, v in enumerate(row))
         for i, row in enumerate(cfg.beta)))
 
