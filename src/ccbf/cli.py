@@ -8,10 +8,10 @@ artifacts up to the halt.  `CCBF_LOG` picks the log level (debug, info,
 warning, ...).
 
 A scenario argument is a file path, or the name of a bundled scenario
-(`paper_sis3`) when no such file exists.  `run` writes result.csv, a
-meta.json manifest whose embedded normalized config reproduces the run
-exactly, and messages.csv when tracing.  `sweep` fans several scenarios
-across worker processes, one subdirectory each.
+(`paper_sis3`) when no such file exists (a directory is not one).  `run`
+writes result.csv, a meta.json manifest whose embedded normalized config
+reproduces the run exactly, and messages.csv when tracing.  `sweep` fans
+several scenarios across worker processes, one subdirectory each.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig, normalize_config, parse_config
+from .config import KNOWN_KEYS, ScenarioConfig, normalize_config, parse_config
 from .errors import CcbfError, ConfigError
 from .simulate import run_scenario, write_messages_csv, write_result_csv
 
@@ -58,7 +58,7 @@ def _report_failure(exc: Exception, prefix: str = "") -> int:
 def read_scenario_text(name: str) -> str:
     """File contents, or a bundled scenario by name."""
     path = Path(name)
-    if path.exists():
+    if path.is_file():
         return path.read_text(encoding="utf-8")
     base = name if name.endswith(".cfg") else name + ".cfg"
     if os.sep not in name and "/" not in name:
@@ -70,24 +70,10 @@ def read_scenario_text(name: str) -> str:
 
 
 def effective_config(scenario: str, args) -> ScenarioConfig:
-    """Scenario text plus the run flags in args, revalidated as one unit."""
-    cfg = parse_config(read_scenario_text(scenario))
-    kw = {}
-    if args.out is not None:
-        kw["output_dir"] = args.out
-    if args.trace:
-        kw["trace"] = True
-    if args.no_collab:
-        kw["collaboration"] = False
-    if args.continue_on_infeasible:
-        kw["continue_on_infeasible"] = True
-    if args.dt is not None:
-        kw["dt"] = args.dt
-    if args.t_final is not None:
-        kw["t_final"] = args.t_final
-    if kw:
-        cfg = parse_config(normalize_config(cfg.replace(**kw)))
-    return cfg
+    """Scenario text with each run flag given in args assigned to its key."""
+    flags = {key: value for key, value in vars(args).items()
+             if key in KNOWN_KEYS and value is not None}
+    return parse_config(read_scenario_text(scenario), flags)
 
 
 def run_config(cfg: ScenarioConfig, out_dir: Path) -> int:
@@ -161,10 +147,10 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
-def _sweep_one(payload) -> tuple[str, int]:
-    name, normalized, out_dir = payload
+def _sweep_one(job: tuple[str, ScenarioConfig]) -> tuple[str, int]:
+    name, cfg = job
     try:
-        code = run_config(parse_config(normalized), Path(out_dir))
+        code = run_config(cfg, Path(cfg.output_dir))
     except _FAILURES as exc:
         code = _report_failure(exc, f"{name}: ")
     return name, code
@@ -175,9 +161,11 @@ def cmd_sweep(args) -> int:
 
     jobs = []
     used = set()
-    root = Path(args.out or "out")
+    root = getattr(args, "output.dir")
+    if root == "":  # each subdirectory would land in the working directory
+        raise ConfigError([("output.dir", "must be a non-empty string, got ''")])
+    root = Path(root or "out")
     for scenario in args.scenarios:
-        cfg = effective_config(scenario, args)
         stem = Path(scenario).stem
         name = stem
         serial = 1
@@ -185,8 +173,8 @@ def cmd_sweep(args) -> int:
             serial += 1
             name = f"{stem}-{serial}"
         used.add(name)
-        cfg = cfg.replace(output_dir=str(root / name))
-        jobs.append((name, normalize_config(cfg), str(root / name)))
+        job_args = argparse.Namespace(**{**vars(args), "output.dir": str(root / name)})
+        jobs.append((name, effective_config(scenario, job_args)))
 
     worst = EXIT_OK
     with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -218,15 +206,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_run_flags(p):
-        p.add_argument("--out", help="output directory (overrides output.dir)")
-        p.add_argument("--trace", action="store_true",
+        # each flag's dest is the config key it assigns (see effective_config)
+        p.add_argument("--out", dest="output.dir",
+                       help="output directory (overrides output.dir)")
+        p.add_argument("--trace", dest="sim.trace", action="store_const", const=True,
                        help="record the negotiation message log")
-        p.add_argument("--no-collab", action="store_true",
-                       help="disable the negotiation protocol")
-        p.add_argument("--continue-on-infeasible", action="store_true",
+        p.add_argument("--no-collab", dest="sim.collaboration", action="store_const",
+                       const=False, help="disable the negotiation protocol")
+        p.add_argument("--continue-on-infeasible", dest="sim.continue_on_infeasible",
+                       action="store_const", const=True,
                        help="fall back to box-only filtering instead of halting")
-        p.add_argument("--dt", type=float, help="integration step override")
-        p.add_argument("--t-final", type=float, help="horizon override")
+        p.add_argument("--dt", dest="sim.dt", type=float, help="integration step override")
+        p.add_argument("--t-final", dest="sim.t_final", type=float, help="horizon override")
 
     p_run = sub.add_parser("run", help="simulate one scenario")
     p_run.add_argument("scenario", help="config file or bundled scenario name")

@@ -60,7 +60,7 @@ class ScenarioConfig:
     default, and `normalize_config` dumps them in this order.  Build one
     with `parse_config`: it guarantees that every beta entry off the
     diagonal and off the edges is zero, which `build_model` and
-    `normalize_config` rely on, so `replace` keeps the network fixed.
+    `normalize_config` rely on.
     """
 
     nodes: int = _key("graph.nodes")
@@ -84,14 +84,6 @@ class ScenarioConfig:
     trace: bool = _key("sim.trace", False)
     continue_on_infeasible: bool = _key("sim.continue_on_infeasible", False)
     output_dir: str = _key("output.dir", "out")
-
-    def replace(self, **kw) -> "ScenarioConfig":
-        """A copy with other settings; the nodes, edges and beta cannot change."""
-        fixed = sorted(kw.keys() & _NETWORK)
-        if fixed:
-            raise ValueError(f"cannot replace {', '.join(fixed)}: "
-                             "the network is fixed by the parsed config text")
-        return dataclasses.replace(self, **kw)
 
     def build_model(self) -> SisModel:
         """The SIS model, read from the diagonal and the edge entries of beta.
@@ -123,8 +115,6 @@ class ScenarioConfig:
             collect_messages=self.trace)
 
 
-# the fields that define the network; every other beta entry is zero
-_NETWORK = {"nodes", "edges", "beta"}
 # key -> field name, in dump order; and the value each optional key reads as
 KNOWN_KEYS = {f.metadata["key"]: f.name for f in dataclasses.fields(ScenarioConfig)}
 _DEFAULTS = {f.metadata["key"]: f.metadata["default"]
@@ -179,7 +169,11 @@ def _assign(raw: dict[str, object], key: str, text: str, lineno: int,
 
 def _raw_assignments(text: str, problems: list[tuple[str, str]]
                      ) -> tuple[dict[str, object], set[str]]:
-    """The parsed value of every assignment, and the keys whose value was unreadable."""
+    """The parsed value of every assignment, and the keys that got no readable value.
+
+    A key whose open array an assignment of the same key ends takes that
+    later value, as if the unreadable one had not been written.
+    """
     raw: dict[str, object] = {}
     unread: set[str] = set()
     pending_key = None
@@ -225,7 +219,7 @@ def _raw_assignments(text: str, problems: list[tuple[str, str]]
     if pending_key is not None:
         problems.append((pending_key, "unterminated array value"))
         unread.add(pending_key)
-    return raw, unread
+    return raw, unread - raw.keys()
 
 
 def _number_fault(v) -> str | None:
@@ -271,6 +265,13 @@ def _want_bool(key, v, problems):
 def _want_choice(key, v, problems, choices):
     if v not in choices:
         problems.append((key, f"must be one of {', '.join(choices)}, got {v!r}"))
+        return None
+    return v
+
+
+def _want_text(key, v, problems):
+    if not isinstance(v, str) or not v:
+        problems.append((key, f"must be a non-empty string, got {v!r}"))
         return None
     return v
 
@@ -388,14 +389,23 @@ def _want_beta(key, v, problems, n, edges):
     return tuple(beta)
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate; raises ConfigError carrying every violation."""
+def parse_config(text: str, overrides: dict[str, object] | None = None) -> ScenarioConfig:
+    """Parse and validate; raises ConfigError carrying every violation.
+
+    `overrides` maps config keys to parsed values, such as
+    `{"sim.dt": 0.05}`; each replaces the text's own assignment before any
+    value is validated, so the result is the config of the text with those
+    assignments edited in.
+    """
     problems: list[tuple[str, str]] = []
     raw, unread = _raw_assignments(text, problems)
-    read_problems = len(problems)
-    raw = {**_DEFAULTS, **raw}
+    overrides = overrides or {}
+    problems += [(key, "unknown key") for key in overrides if key not in KNOWN_KEYS]
+    raw = {**_DEFAULTS, **raw, **overrides}
 
     def read(want, key, *args, **kw):
+        if key in unread:
+            return None  # reported once, where its text was parsed
         if key not in raw:
             problems.append((key, "required key is missing"))
             return None
@@ -422,19 +432,12 @@ def parse_config(text: str) -> ScenarioConfig:
         problems.append(("sim.t_final", f"must be > sim.dt ({dt}), got {t_final}"))
     collaboration = read(_want_bool, "sim.collaboration")
     weights = read(_want_choice, "sim.weights", WEIGHT_MODES)
-    outer_cap = read(_want_int, "sim.outer_cap", minimum=1)
+    # one round only measures the margins; a second is needed to act on them
+    outer_cap = read(_want_int, "sim.outer_cap", minimum=2)
     inner_cap = read(_want_int, "sim.inner_cap", minimum=1)
     trace = read(_want_bool, "sim.trace")
     continue_on_infeasible = read(_want_bool, "sim.continue_on_infeasible")
-    output_dir = raw["output.dir"]
-    if not isinstance(output_dir, str) or not output_dir:
-        problems.append(("output.dir", f"must be a non-empty string, got {output_dir!r}"))
-        output_dir = None
-
-    if unread:
-        # an unreadable value was reported once; it is neither missing nor malformed
-        problems[read_problems:] = [(path, msg) for path, msg in problems[read_problems:]
-                                    if path.partition("[")[0] not in unread]
+    output_dir = read(_want_text, "output.dir")
     if problems:
         raise ConfigError(problems)
     return ScenarioConfig(

@@ -43,7 +43,9 @@ class DegenerateWeightsError(CcbfError):
 class ProtocolStallError(CcbfError):
     """The negotiation hit its sub-round cap without settling.
 
-    `ledgers` holds the full per-node ledger map at the time of the stall.
+    `ledgers` holds the full per-node ledger map at the time of the stall
+    when the per-node protocol raises it, and is None when the array
+    protocol does.
     """
 
     def __init__(self, message: str, ledgers=None):

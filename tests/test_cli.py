@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from ccbf.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_STALL, main,
-                      read_scenario_text, run_config)
+from ccbf.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_STALL, build_parser,
+                      effective_config, main, read_scenario_text, run_config)
 from ccbf.config import normalize_config, parse_config
 
 # sha256 of the bundled paper_sis3 outputs over its first 20 s with the
@@ -76,13 +76,12 @@ def test_run_writes_artifacts_and_trace(tmp_path):
     assert "sim.t_final = 1.0" in meta["config"]
 
 
-def _paper_config(**overrides):
-    cfg = parse_config(read_scenario_text("paper_sis3"))
-    return parse_config(normalize_config(cfg.replace(**overrides)))
+def _paper_config(overrides):
+    return parse_config(read_scenario_text("paper_sis3"), overrides)
 
 
 def test_paper_scenario_golden_digests(tmp_path):
-    cfg = _paper_config(t_final=20.0, trace=True)
+    cfg = _paper_config({"sim.t_final": 20.0, "sim.trace": True})
     assert run_config(cfg, tmp_path) == EXIT_OK
     for name, digest in PAPER_20S_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
@@ -93,24 +92,42 @@ def test_paper_scenario_golden_digests(tmp_path):
 def test_filter_relaxations_are_counted_per_node(tmp_path):
     # without negotiation node 1 cannot hold psi1 on its own: 1 630 of the
     # 2 001 rows of the first 20 s relax (9 630 of 10 001 over 100 s)
-    cfg = _paper_config(t_final=20.0, collaboration=False)
+    cfg = _paper_config({"sim.t_final": 20.0, "sim.collaboration": False})
     assert run_config(cfg, tmp_path) == EXIT_OK
     assert json.loads((tmp_path / "meta.json").read_text())["relaxed_steps"] == [1630, 0, 0]
 
 
+# three nodes where 25 of the 501 steps need a third capability round
+RELAY = """\
+graph.nodes = 3
+graph.edges = [[1, 2], [1, 3], [2, 1], [3, 2]]
+model.type = sis
+model.beta = [[0.4, 0.14, 0.0], [0.28, 0.53, 0.34], [0.36, 0.0, 0.34]]
+model.gamma = 0.3
+model.u_max = [1.22, 0.51, 0.36]
+barrier.x_bar = [0.19, 0.1, 0.15]
+sim.x0 = [0.111, 0.04, 0.127]
+sim.t_final = 5.0
+"""
+
+
+def _outer_rounds(out_dir):
+    with open(out_dir / "result.csv", newline="") as fh:
+        return [int(row["outer_rounds"]) for row in csv.DictReader(fh)]
+
+
 def test_outer_cap_trips_are_counted_and_reported(tmp_path, caplog):
-    # one capability round can never close a deficit: every negotiating
-    # step trips the cap, the run breaches, and nothing halts it
-    cfg = _paper_config(t_final=20.0, outer_cap=1)
+    # with the smallest cap, the steps that need a third round trip it:
+    # each is counted and logged, and nothing halts the run
+    assert run_config(parse_config(RELAY), tmp_path / "free") == EXIT_OK
+    free = _outer_rounds(tmp_path / "free")
+    assert free.count(3) == 25 and max(free) == 3
     with caplog.at_level(logging.WARNING, logger="ccbf.simulate"):
-        assert run_config(cfg, tmp_path) == EXIT_OK
+        assert run_config(parse_config(RELAY + "sim.outer_cap = 2\n"), tmp_path) == EXIT_OK
     meta = json.loads((tmp_path / "meta.json").read_text())
-    with open(tmp_path / "result.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
     assert meta["halted_at"] is None
-    assert all(row["outer_rounds"] == "1" for row in rows)
-    assert min(float(row["viol_1"]) for row in rows) < -0.01
-    assert 0 < meta["cap_tripped_steps"] <= len(rows)
+    assert meta["cap_tripped_steps"] == 25
+    assert max(_outer_rounds(tmp_path)) == 2
     assert any("outer round cap" in r.getMessage() for r in caplog.records)
 
 
@@ -152,6 +169,54 @@ def test_override_validation_catches_bad_dt(tmp_path, capsys):
     assert main(["run", "paper_sis3", "--out", str(tmp_path / "x"),
                  "--dt", "0"]) == EXIT_CONFIG
     assert "sim.dt" in capsys.readouterr().err
+
+
+def test_a_flag_replaces_an_invalid_file_value(tmp_path):
+    # the flag is assigned before validation, so the file's own value is never read
+    bad = tmp_path / "bad_dt.cfg"
+    bad.write_text(read_scenario_text("paper_sis3").replace("sim.dt = 0.01", "sim.dt = -1"))
+    assert main(["run", str(bad), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert main(["run", str(bad), "--out", str(tmp_path / "y"), "--dt", "0.01",
+                 "--t-final", "0.1"]) == EXIT_OK
+
+
+# each run flag, and the config assignment it stands for
+RUN_FLAGS = {
+    "out": (["--out", "elsewhere"], {"output.dir": "elsewhere"}),
+    "trace": (["--trace"], {"sim.trace": "on"}),
+    "no-collab": (["--no-collab"], {"sim.collaboration": "off"}),
+    "continue": (["--continue-on-infeasible"], {"sim.continue_on_infeasible": "on"}),
+    "dt": (["--dt", "0.05"], {"sim.dt": "0.05"}),
+    "t-final": (["--t-final", "20"], {"sim.t_final": "20"}),
+}
+RUN_FLAGS["all"] = (sum((argv for argv, _ in RUN_FLAGS.values()), []),
+                    {k: v for _, edits in RUN_FLAGS.values() for k, v in edits.items()})
+
+
+@pytest.mark.parametrize("flags", RUN_FLAGS)
+def test_a_run_flag_is_its_config_assignment(flags):
+    argv, edits = RUN_FLAGS[flags]
+    text = read_scenario_text("paper_sis3")
+    lines = text.splitlines()
+    for key, value in edits.items():
+        at = [k for k, line in enumerate(lines) if line.startswith(f"{key} =")]
+        if at:
+            lines[at[0]] = f"{key} = {value}"
+        else:
+            lines.append(f"{key} = {value}")
+    edited = parse_config("\n".join(lines) + "\n")
+    cfg = effective_config("paper_sis3", build_parser().parse_args(["run", "paper_sis3", *argv]))
+    assert cfg == edited != parse_config(text)
+    assert normalize_config(cfg) == normalize_config(edited)
+
+
+def test_a_directory_is_not_a_scenario_file(tmp_path, monkeypatch, capsys):
+    assert main(["run", str(tmp_path)]) == EXIT_CONFIG
+    assert f"{tmp_path}: no such file" in capsys.readouterr().err
+    # a directory named like a bundled scenario does not hide it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "paper_sis3").mkdir()
+    assert read_scenario_text("paper_sis3").startswith("# Three-node SIS network")
 
 
 def test_terminal_halt_exits_with_distinct_code(tmp_path, capsys):
@@ -278,6 +343,13 @@ def test_sweep_fans_out_to_subdirectories(tmp_path, capsys):
     assert "paper_sis3: ok" in out
     assert "weak: halted" in out
     assert "blocked: error" in out  # one worker's OSError does not end the sweep
+
+
+def test_sweep_rejects_an_empty_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "paper_sis3", "--out", ""]) == EXIT_CONFIG
+    assert "output.dir: must be a non-empty string, got ''" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("workers, reason", [("0", "must be >= 1, got 0"),

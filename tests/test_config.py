@@ -222,18 +222,39 @@ def test_nonzero_nominal_becomes_packed_array():
 
 
 def test_replace_then_normalize_round_trips():
-    cfg = parse_config(GOOD).replace(dt=0.05, collaboration=False)
+    # an override replaces the text's assignment; the dump reproduces the result
+    cfg = parse_config(GOOD + "sim.dt = 0.5\n", {"sim.dt": 0.05, "sim.collaboration": False})
+    assert (cfg.dt, cfg.collaboration) == (0.05, False)
     again = parse_config(normalize_config(cfg))
     assert again == cfg
 
 
-@pytest.mark.parametrize("field", ["nodes", "edges", "beta"])
-def test_replace_keeps_the_network_fixed(field):
-    # build_model and normalize_config read beta only on the diagonal and
-    # the edges, so a replaced network could drop a positive entry silently
-    cfg = parse_config(GOOD)
-    with pytest.raises(ValueError, match=f"cannot replace {field}"):
-        cfg.replace(**{field: getattr(cfg, field)})
+def test_unknown_override_key_is_reported_like_a_text_line():
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(GOOD, {"sim.speed": 2.0, "sim.dt": 0.05, "nodes": 3})
+    assert excinfo.value.violations == [("sim.speed", "unknown key"), ("nodes", "unknown key")]
+
+
+def test_override_is_validated_like_text():
+    # an override replaces an invalid file value before validation, and is
+    # itself checked with the file's rules and messages, so a new network
+    # still has beta zero off its edges
+    assert parse_config(GOOD + "sim.dt = -1\n", {"sim.dt": 0.01}).dt == 0.01
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(GOOD, {"graph.edges": [[1, 2], [1, 3], [2, 1], [2, 3], [3, 1]],
+                            "sim.dt": 0.5, "sim.t_final": 0.25, "output.dir": ""})
+    assert excinfo.value.violations == [
+        ("model.beta[1][2]", "positive but edge (3, 2) is missing"),
+        ("sim.t_final", "must be > sim.dt (0.5), got 0.25"),
+        ("output.dir", "must be a non-empty string, got ''")]
+
+
+def test_outer_cap_below_two_is_rejected():
+    # one round only measures the margins and never runs a sub-round
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(GOOD + "sim.outer_cap = 1\n")
+    assert excinfo.value.violations == [("sim.outer_cap", "must be >= 2, got 1")]
+    assert parse_config(GOOD + "sim.outer_cap = 2\n").outer_cap == 2
 
 
 # a beta whose entry faults (bool, string, null, negative) sit beside edge faults:
@@ -341,11 +362,16 @@ def test_unterminated_array_is_not_also_missing():
     with pytest.raises(ConfigError) as excinfo:
         parse_config(GOOD.replace("sim.x0 = [0.04, 0.01, 0.02]", "sim.x0 = [0.04, 0.01, 0.02"))
     assert excinfo.value.violations == [("sim.x0", "unterminated array value")]
+    # nor read as its default: the cross-check of t_final against dt is skipped
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(GOOD + "sim.dt = [0.5\nsim.t_final = 0.005\n")
+    assert excinfo.value.violations == [("sim.dt", "unterminated array value")]
 
 
 def test_unterminated_array_ends_at_the_next_assignment():
     # the open value is reported once; the assignments after it still count,
-    # and one of an unknown key is reported as such
+    # one of an unknown key is reported as such, and one of the same key
+    # gives that key its value
     text = importlib.resources.files("ccbf").joinpath(
         "scenarios", "paper_sis3.cfg").read_text()
     closed = "model.u_max = [0.75, 0.75, 0.75]"
@@ -355,6 +381,8 @@ def test_unterminated_array_ends_at_the_next_assignment():
         (closed[:-1], [open_value]),
         (closed[:-1] + "\nmodel.umax = 3", [open_value, ("model.umax", "unknown key")]),
         (closed[:-1] + "\numax = 3", [open_value, ("umax", "unknown key")]),
+        (closed[:-1] + "\nmodel.u_max = [0.75]",
+         [open_value, ("model.u_max", "must have length 3, got 1")]),
     ]:
         with pytest.raises(ConfigError) as excinfo:
             parse_config(text.replace(closed, replacement))
