@@ -35,6 +35,7 @@ import numpy as np
 from .dynamics import LieArrays, LieTable
 from .errors import DimensionError, EmptyRegionError, NumericsError
 from .geometry import ControlRegion, IntervalRegions
+from .graph import EdgeLayout
 
 
 @dataclass(frozen=True)
@@ -170,13 +171,14 @@ def barrier_arrays(specs: Mapping[int, BarrierSpec], nodes: Iterable[int]) -> Ba
     return BarrierArrays(np.array([s.threshold for s in chosen]), eta, kappa, eta + kappa)
 
 
-def decompose_psi2_all(gains: BarrierArrays, lie: LieArrays, udot: np.ndarray) -> Psi2Arrays:
+def decompose_psi2_all(layout: EdgeLayout, gains: BarrierArrays, lie: LieArrays,
+                       udot: np.ndarray) -> Psi2Arrays:
     """decompose_psi2 for every scalar node at once, bit for bit.
 
-    gains holds every node's spec (barrier_arrays) and udot is the packed
-    control rate.  Every block is elementwise array arithmetic in
-    decompose_psi2's operation order; the cross-drift sums one in-neighbor
-    column at a time in ascending id order.
+    layout is the model's EdgeLayout, gains every node's spec
+    (barrier_arrays) and udot the packed control rate.  Every block is
+    elementwise array arithmetic in decompose_psi2's operation order; the
+    cross-drift is one `np.bincount` over layout.in_row (see EdgeLayout).
     """
     x = lie.x
     udot = np.asarray(udot, dtype=float)
@@ -184,11 +186,7 @@ def decompose_psi2_all(gains: BarrierArrays, lie: LieArrays, udot: np.ndarray) -
         raise DimensionError(f"udot has shape {udot.shape}, expected {x.shape}")
     eta = gains.eta
     h0 = gains.threshold - x
-    # padding holds +0.0, which leaves a running total that starts at +0.0
-    # unchanged, so the columns need no mask
-    cross_drift = np.zeros(x.shape)
-    for column in lie.lfj_lf_h.T:
-        cross_drift = cross_drift + column
+    cross_drift = np.bincount(layout.in_row, lie.lfj_lf_h.ravel(), x.shape[0])
     constant = (cross_drift + lie.lf2_h + x * udot
                 + eta * lie.lf_h + gains.kappa * (lie.lf_h + eta * h0))
     linear = lie.drift + lie.lg_lf_h + gains.eta_kappa * x

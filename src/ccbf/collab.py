@@ -305,7 +305,7 @@ class ArrayOutcome(NamedTuple):
     in-neighbor j (CollabLedger.out_alloc[j] of node i), and of in_req what
     j committed to node i (CollabLedger.in_req[i] of node j); padding
     holds 0.  allocated is each node's total allocation, the row sums of
-    out_alloc taken as _allocated sums a ledger's.
+    out_alloc in EdgeLayout's bincount order, as _allocated sums a ledger's.
     """
 
     regions: IntervalRegions
@@ -318,37 +318,25 @@ class ArrayOutcome(NamedTuple):
     cap_tripped: bool = False
 
 
-def _row_sum(values: np.ndarray) -> np.ndarray:
-    """Row sums one column at a time, as sum() adds in ascending id order.
-
-    Padding must hold 0: a running total that starts at +0.0 never becomes
-    -0.0, so adding a 0.0 leaves it unchanged.
-    """
-    total = np.zeros(values.shape[0])
-    for column in values.T:
-        total = total + column
-    return total
-
-
 def partition_arrays(deficit: np.ndarray, weights: np.ndarray,
-                     eligible: np.ndarray) -> np.ndarray:
+                     eligible: np.ndarray, in_row: np.ndarray) -> np.ndarray:
     """partition for every node at once, bit for bit.
 
     Row i-1 splits deficit[i-1] over the eligible slots of that row in
     proportion to their weights; negligible weights and slots that are not
-    eligible get exactly 0.  Totals sum one column at a time.
+    eligible get exactly 0.  Totals are bincounts over EdgeLayout.in_row.
     """
     live = eligible & (weights > NEGLIGIBLE_NORMAL)
     live_weights = np.where(live, weights, 0.0)
     # a sum of weights above NEGLIGIBLE_NORMAL is positive, and +0.0 without any
-    total = _row_sum(live_weights)
+    total = np.bincount(in_row, live_weights.ravel(), len(deficit))
     asking = eligible.any(axis=1)
     if np.count_nonzero(asking & ~(total > 0.0)):
         raise DegenerateWeightsError(
             "every eligible neighbor has negligible coupling weight")
     ratio = np.divide(live_weights, total[:, None], out=np.zeros(weights.shape), where=live)
     shares = np.where(live, deficit[:, None] * ratio, 0.0)
-    spread = _row_sum(shares) - deficit
+    spread = np.bincount(in_row, shares.ravel(), len(deficit)) - deficit
     assert (~asking | (np.abs(spread) <= 1e-12 * np.maximum(1.0, np.abs(deficit)))).all(), \
         "partition must conserve the margin"
     return shares
@@ -454,7 +442,7 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
             # every node splits its margin over unconstrained in-neighbors
             eligible = ~constrained
             try:
-                shares = partition_arrays(deficit, weights, eligible)
+                shares = partition_arrays(deficit, weights, eligible, layout.in_row)
             except DegenerateWeightsError:
                 degenerate = eligible.any(axis=1) & \
                     ~(eligible & (weights > NEGLIGIBLE_NORMAL)).any(axis=1)
@@ -462,7 +450,7 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
                     log.warning("node %d: all coupling weights negligible, splitting uniformly",
                                 i + 1)
                 shares = partition_arrays(deficit, np.where(degenerate[:, None], 1.0, weights),
-                                          eligible)
+                                          eligible, layout.in_row)
 
             # every helper re-derives its interval from the demands on it
             target = in_req + shares
@@ -477,7 +465,7 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
                 eps = np.where(live & frozen[in_source] & (short < 0.0), -short, eps)
             in_req = target + eps
             out_alloc = (out_alloc + shares) + eps
-            allocated = _row_sum(out_alloc)
+            allocated = np.bincount(layout.in_row, out_alloc.ravel(), n).astype(float, copy=False)
 
             if messages is not None:
                 sent = eligible.ravel().tolist()

@@ -4,9 +4,10 @@ One assignment per line, `dotted.key = value`.  Values are JSON literals
 (numbers, strings, nested arrays) or bare tokens; the booleans are written
 `on` and `off`.  Numbers must be finite: the JSON literals NaN and
 +-Infinity are rejected like any other bad entry.  A `#` outside brackets
-starts a comment.  An assignment whose brackets are still open continues on
-the following lines, so matrices can be written one row per line; the
-next line that assigns any key ends it unterminated.
+and JSON strings starts a comment.  An assignment whose brackets are
+still open continues on the following lines, so matrices can be written
+one row per line; the next line that assigns any key ends it
+unterminated.
 
 `parse_config` collects every violation with a path such as
 `model.beta[0][1]` (array indices are 0-based positions, node ids in
@@ -14,8 +15,10 @@ messages stay 1-based) instead of stopping at the first.  A bracketed
 value that is not valid JSON, or whose brackets never close, is reported
 once, under its key, and checked no further.
 `normalize_config` emits every key, defaults filled, in one canonical
-order; parsing the dump reproduces the config exactly, and normalizing
-again reproduces the dump byte for byte.
+order, and writes a string bare unless that would not read back, such as
+`on`, `123` or `a#b`, which it quotes as JSON; parsing the dump
+reproduces the config exactly, and normalizing again reproduces the dump
+byte for byte.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ from .graph import NetworkGraph, edge_index
 # a key such as `model.u_max` or `umax`: a continuation line that assigns one
 # ends an open array value, whether or not the key is known
 _ASSIGNED_KEY = re.compile(r"[A-Za-z_][\w.]*")
+# a JSON string, up to the end of the line when it is not closed: a bracket
+# or a `#` inside one is text
+_JSON_STRING = re.compile(r'"(?:\\.|[^"\\])*"?')
+_COMMENT_TOKENS = re.compile(_JSON_STRING.pattern + r"|[\[\]#]")
 
 UDOT_POLICIES = ("zero", "backward_difference")
 WEIGHT_MODES = ("coupling", "uniform")
@@ -125,17 +132,20 @@ def _strip_comment(line: str) -> str:
     if "#" not in line:
         return line
     depth = 0
-    for pos, ch in enumerate(line):
+    for token in _COMMENT_TOKENS.finditer(line):
+        ch = token.group()
         if ch == "[":
             depth += 1
         elif ch == "]":
             depth -= 1
         elif ch == "#" and depth <= 0:
-            return line[:pos]
+            return line[:token.start()]
     return line
 
 
 def _bracket_depth(text: str) -> int:
+    if '"' in text:
+        text = _JSON_STRING.sub("", text)
     return text.count("[") - text.count("]")
 
 
@@ -467,14 +477,17 @@ def _emit_beta(cfg: ScenarioConfig) -> str:
     return "[" + ", ".join(rows) + "]"
 
 
-def _emit(cfg: ScenarioConfig, name: str) -> str:
+def _emit(cfg: ScenarioConfig, key: str, name: str) -> str:
     if name == "beta":
         return _emit_beta(cfg)
     value = getattr(cfg, name)
     if isinstance(value, bool):
         return "on" if value else "off"
     if isinstance(value, str):
-        return value
+        # bare when that line reads back as the same string, else quoted
+        problems: list[tuple[str, str]] = []
+        raw, _ = _raw_assignments(f"{key} = {value}", problems)
+        return value if not problems and raw == {key: value} else json.dumps(value)
     return json.dumps(value)
 
 
@@ -484,4 +497,4 @@ def normalize_config(cfg: ScenarioConfig) -> str:
     beta is written from its diagonal and edge entries (see `_emit_beta`),
     so cfg must come from `parse_config`.
     """
-    return "".join(f"{key} = {_emit(cfg, name)}\n" for key, name in KNOWN_KEYS.items())
+    return "".join(f"{key} = {_emit(cfg, key, name)}\n" for key, name in KNOWN_KEYS.items())

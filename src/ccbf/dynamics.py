@@ -30,8 +30,9 @@ D = d f_i / d x_i = -gamma_i - S + (1 - x_i) beta_ii:
 Each closed form is pinned to a central finite difference in the tests.
 `SisModel` is the network the closed loop runs on.  Its `lie_arrays`
 evaluates every node's table at once with array arithmetic on the
-graph's by-target edge layout (`SisModel.layout`); the per-node
-`lie_table` on a snapshot is its reference, which it matches bit for bit.
+graph's by-target edge layout (`SisModel.layout`), and every pressure S
+in one `np.bincount`; the per-node `lie_table` on a snapshot is its
+reference, which it matches bit for bit.
 `rk4_step` advances the packed state through `SisModel.packed_flow`.
 """
 
@@ -87,7 +88,8 @@ class LieArrays(NamedTuple):
     and L_f L_g h is drift[i-1].  Edge arrays have the model's by-target
     EdgeLayout: column c of row i-1 belongs to node i's c-th in-neighbor
     in ascending id order, and the padding of nodes with fewer
-    in-neighbors (where layout.in_mask is False) holds +0.0.
+    in-neighbors (where layout.in_mask is False) holds +0.0, which drops
+    out of the `np.bincount` row sums over layout.in_row.
     """
 
     x: np.ndarray
@@ -193,13 +195,16 @@ class SisModel:
             raise DimensionError("; ".join(bad))
         self.graph = graph
         self.params = params
-        self.layout = edge_layout(graph)
-        # padding slots point at the node itself with weight 0 and are
-        # masked out of every sum
+        self.layout = layout = edge_layout(graph)
+        # padding slots point at the node itself with weight 0
         rows = np.arange(graph.node_count)[:, None]
-        self._in_weight = np.where(self.layout.in_mask,
-                                   params.beta[rows, self.layout.in_source], 0.0)
+        self._in_weight = np.where(layout.in_mask, params.beta[rows, layout.in_source], 0.0)
         self._self_weight = np.diagonal(params.beta).copy()
+        # _pressure's N + E terms in its order: per target, the diagonal, then in-edges
+        present = np.hstack([np.ones_like(rows, dtype=bool), layout.in_mask])
+        self._pull_row = np.broadcast_to(rows, present.shape)[present]
+        self._pull_source = np.hstack([rows, layout.in_source])[present]
+        self._pull_weight = params.beta[self._pull_row, self._pull_source]
         self._neg_gamma = -params.gamma
 
     def _check_neighborhood(self, nbr: NeighborhoodState, i: int) -> None:
@@ -214,9 +219,9 @@ class SisModel:
                 raise DimensionError(f"node {i}: neighbor {j} state must have shape (1,)")
 
     def _pressure(self, nbr: NeighborhoodState, i: int) -> float:
-        """Total infection pressure S = beta_ii x_i + sum_j beta_ij x_j."""
+        """Total infection pressure S = beta_ii x_i + sum_j beta_ij x_j, from +0.0."""
         beta = self.params.beta
-        s = float(beta[i - 1, i - 1]) * float(nbr.self_state[0])
+        s = 0.0 + float(beta[i - 1, i - 1]) * float(nbr.self_state[0])
         for j in in_neighbors(self.graph, i):
             s += float(beta[i - 1, j - 1]) * float(nbr.one_hop[j][0])
         return s
@@ -277,9 +282,9 @@ class SisModel:
     def lie_arrays(self, x: np.ndarray) -> LieArrays:
         """Every node's lie_table at once, bit for bit.
 
-        Each expression keeps lie_table's operation order, and the pressure
-        sums one in-neighbor column at a time in ascending id order, as the
-        scalar loop does; a reduction (`@`, `np.sum`) would reorder the
+        Each expression keeps lie_table's operation order.  The pressure is
+        one `np.bincount` over _pressure's terms in its order from +0.0 (see
+        EdgeLayout); a reduction (`@`, `np.sum`) would reorder the
         floating-point additions.
         """
         x = np.asarray(x, dtype=float)
@@ -288,18 +293,14 @@ class SisModel:
         index, mask, weight = self.layout.in_source, self.layout.in_mask, self._in_weight
         neg_gamma = self._neg_gamma
         b_ii = self._self_weight
-        x_in = x[index]
-        pull = weight * x_in
-        pressure = b_ii * x
-        for present, term in zip(mask.T, pull.T):
-            pressure = np.where(present, pressure + term, pressure)
+        pressure = np.bincount(self._pull_row, self._pull_weight * x[self._pull_source], len(x))
         one_minus = 1.0 - x
         f = neg_gamma * x + one_minus * pressure
         dfdx = neg_gamma - pressure + one_minus * b_ii
         # (-a) * b is -(a * b) bit for bit, so both edge terms share a * b
         shared = one_minus[:, None] * weight
         lfj = np.where(mask, -shared * f[index], 0.0)
-        lgj = np.where(mask, shared * x_in, 0.0)
+        lgj = np.where(mask, shared * x[index], 0.0)
         lf_h = -f
         lf2_h = -dfdx * f
         lg_lf_h = dfdx * x

@@ -84,10 +84,20 @@ class EdgeLayout(NamedTuple):
     from node request_from[s] to node request_to[s] for by-target slot s;
     adjustments travel from adjust_from[e] to adjust_to[e] for every edge
     e in by-source order, whose by-target slots are adjust_slots.
+
+    Every sum over a node's in-neighborhood, but for the RK4 flow's, is
+    one `np.bincount(rows, terms, n)`.  It adds the terms in input order
+    into totals that start at +0.0, so index arrays built once per model
+    fix the order of the additions: by target, then by ascending source.
+    in_row is the row of every by-target slot, so an (n, K) array a sums
+    its rows as `np.bincount(in_row, a.ravel(), n)`; padding of +0.0 or
+    -0.0 drops out of such a total.  On an edge-free layout bincount
+    returns integer zeros: a row sum kept as it is is cast to float.
     """
 
     in_source: np.ndarray
     in_mask: np.ndarray
+    in_row: np.ndarray
     out_slot: np.ndarray
     out_mask: np.ndarray
     request_from: tuple[int, ...]
@@ -113,7 +123,8 @@ def edge_layout(graph: NetworkGraph) -> EdgeLayout:
     by_target = np.lexsort((src, dst))
     t_row, t_src = dst[by_target], src[by_target]
     t_col = rank - (np.cumsum(in_deg) - in_deg)[t_row]
-    in_source = np.repeat(np.arange(n, dtype=np.intp)[:, None], w_in, axis=1)
+    in_row = np.repeat(np.arange(n, dtype=np.intp), w_in)
+    in_source = in_row.reshape(n, w_in).copy()
     in_source[t_row, t_col] = t_src
     in_mask = np.zeros((n, w_in), dtype=bool)
     in_mask[t_row, t_col] = True
@@ -125,6 +136,6 @@ def edge_layout(graph: NetworkGraph) -> EdgeLayout:
     out_mask = np.zeros((n, w_out), dtype=bool)
     out_mask[src, s_col] = True
     request_to = tuple((in_source.ravel() + 1).tolist())
-    request_from = tuple(np.repeat(np.arange(1, n + 1), w_in).tolist())
-    return EdgeLayout(in_source, in_mask, out_slot, out_mask, request_from, request_to,
+    request_from = tuple((in_row + 1).tolist())
+    return EdgeLayout(in_source, in_mask, in_row, out_slot, out_mask, request_from, request_to,
                       tuple((src + 1).tolist()), tuple((dst + 1).tolist()), adjust_slots)

@@ -325,7 +325,7 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
         t = k * dt
         lie = model.lie_arrays(x)
         udot = _udot_for(udot_policy, history, zero_rate, dt, warned)
-        psi2 = decompose_psi2_all(gains, lie, udot)
+        psi2 = decompose_psi2_all(model.layout, gains, lie, udot)
 
         step_messages: list[CollabMessage] | None = [] if collect_messages else None
         outcome = None

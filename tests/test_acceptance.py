@@ -354,8 +354,8 @@ def test_criterion_8_partition_conservation(capsys, monkeypatch):
     real = collab_mod.partition_arrays
     residuals: list[float] = []
 
-    def recording(deficit, weights, eligible):
-        shares = real(deficit, weights, eligible)
+    def recording(deficit, weights, eligible, in_row):
+        shares = real(deficit, weights, eligible, in_row)
         for row in np.flatnonzero(eligible.any(axis=1)):
             total = sum(float(v) for v in shares[row][eligible[row]])
             residuals.append(abs(total - deficit[row]) / max(1.0, abs(deficit[row])))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ccbf.barrier import (
     BarrierSpec,
@@ -198,12 +198,17 @@ def test_decompose_udot_shape_check():
         decompose_psi2(spec, lie, states[1], np.array([0.0, 0.0]))
     specs = {i: spec for i in graph.nodes()}
     with pytest.raises(DimensionError):
-        decompose_psi2_all(barrier_arrays(specs, graph.nodes()),
+        decompose_psi2_all(model.layout, barrier_arrays(specs, graph.nodes()),
                            model.lie_arrays(np.array(PAPER_X0)), np.zeros(2))
 
 
 def _random_network(seed: int):
-    """Seeded SIS network with random in-degrees, at least one of them 0."""
+    """Seeded SIS network with random in-degrees, at least one of them 0.
+
+    Some on-node rates and states are exactly 0.0 or -0.0: parse_config
+    keeps the sign of `model.beta` and `sim.x0` entries, and clamp_state
+    keeps it too.
+    """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 9))
     isolated = int(rng.integers(1, n + 1))
@@ -214,13 +219,14 @@ def _random_network(seed: int):
         edges += [(int(j), i) for j in rng.choice(others, size=degree, replace=False)]
     graph = NetworkGraph(n, edges)
     beta = np.zeros((n, n))
-    beta[np.diag_indices(n)] = rng.uniform(0.0, 0.8, n)
+    beta[np.diag_indices(n)] = rng.choice([0.0, -0.0, *rng.uniform(0.0, 0.8, 4)], n)
     for j, i in edges:
         beta[i - 1, j - 1] = rng.uniform(0.05, 1.0)
     model = SisModel(graph, SisParams(beta, rng.uniform(0.05, 0.6, n), rng.uniform(0.0, 1.0, n)))
     x = rng.uniform(0.0, 1.0, n)
     x[rng.random(n) < 0.15] = 0.0
     x[rng.random(n) < 0.15] = 1.0
+    x[rng.random(n) < 0.15] = -0.0
     specs = {i: BarrierSpec(rng.uniform(0.05, 0.9), eta=rng.uniform(0.2, 3.0),
                             kappa=rng.uniform(0.2, 3.0)) for i in graph.nodes()}
     history = [rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)]
@@ -231,22 +237,35 @@ def _bits(v) -> bytes:
     return np.asarray(v, dtype=float).tobytes()
 
 
+# a seed of _random_network whose network has no edges at all (K = 0)
+EDGE_FREE_SEED = 38
+
+
 @settings(max_examples=150)
 @given(seed=st.integers(0, 2**32 - 1), policy=st.sampled_from(["zero", "backward_difference"]))
+@example(seed=EDGE_FREE_SEED, policy="zero")
 def test_batched_decomposition_is_bit_identical_to_per_node(seed, policy):
     graph, model, x, specs, history = _random_network(seed)
     udot = _udot_for(policy, history, np.zeros(graph.node_count), 0.01, [True])
     lie = model.lie_arrays(x)
-    batched = decompose_psi2_all(barrier_arrays(specs, graph.nodes()), lie, udot)
+    batched = decompose_psi2_all(model.layout, barrier_arrays(specs, graph.nodes()), lie, udot)
     states = {i: np.array([x[i - 1]]) for i in graph.nodes()}
     layout = model.layout
+    assert all(v.dtype == np.float64 for v in (*lie, *batched))
     assert batched.coupling.shape == layout.in_mask.shape
     assert not batched.coupling[~layout.in_mask].any()
     for i in graph.nodes():
         table = model.lie_table(neighborhood(graph, states, i), i)
         ref = decompose_psi2(specs[i], table, states[i], udot[i - 1:i])
         assert lie.lf_h[i - 1] == table.lf_h
-        assert _bits(lie.lf_h[i - 1]) == _bits(table.lf_h)
+        for got, want in [(lie.x[i - 1:i], table.lg_h), (lie.drift[i - 1:i], table.lf_lg_h),
+                          (lie.lf_h[i - 1], table.lf_h), (lie.lf2_h[i - 1], table.lf2_h),
+                          (lie.lg_lf_h[i - 1:i], table.lg_lf_h)]:
+            assert _bits(got) == _bits(want)
+        edges = layout.in_mask[i - 1]
+        assert _bits(lie.lfj_lf_h[i - 1][edges]) == _bits(list(table.lfj_lf_h.values()))
+        assert _bits(lie.lgj_lf_h[i - 1][edges]) == \
+            _bits([v for a in table.lgj_lf_h.values() for v in a])
         assert batched.constant[i - 1] == ref.self_term.constant
         assert _bits(batched.constant[i - 1]) == _bits(ref.self_term.constant)
         assert _bits(batched.linear[i - 1:i]) == _bits(ref.self_term.linear)

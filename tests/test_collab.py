@@ -7,14 +7,17 @@ import logging
 import numpy as np
 import pytest
 
-from ccbf.barrier import BarrierSpec, Psi2Decomposition, QuadraticForm, decompose_psi2, max_capability
+from ccbf.barrier import (BarrierSpec, Psi2Arrays, Psi2Decomposition, QuadraticForm,
+                          decompose_psi2, max_capability)
 from ccbf.collab import (
     CollabLedger,
     CollabMessage,
     collaborate,
     collaborative_safety,
+    collaborative_safety_arrays,
     coordinate,
     partition,
+    partition_arrays,
 )
 from ccbf.dynamics import SisModel, SisParams, neighborhood
 from ccbf.errors import (
@@ -23,7 +26,7 @@ from ccbf.errors import (
     TerminallyInfeasibleError,
 )
 from ccbf.geometry import ControlRegion
-from ccbf.graph import NetworkGraph, in_neighbors
+from ccbf.graph import NetworkGraph, edge_layout, in_neighbors
 
 from conftest import PAPER_BETA, PAPER_GAMMA, PAPER_UMAX, PAPER_XBAR
 
@@ -141,6 +144,21 @@ def test_terminal_infeasibility_detected_at_cap():
     with pytest.raises(TerminallyInfeasibleError) as err:
         collaborative_safety(graph, decomps, {1: ((0.0, 1.0),), 2: ((0.0, 1.0),)})
     assert err.value.nodes == (1,)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_array_sums_on_an_edge_free_network_stay_float(n):
+    # np.bincount returns integer zeros when it is given no terms at all
+    layout = edge_layout(NetworkGraph(n, []))
+    psi2 = Psi2Arrays(np.full(n, 0.1), np.zeros(n), np.zeros(n), np.zeros((n, 0)))
+    out = collaborative_safety_arrays(layout, psi2, np.zeros(n), np.ones(n))
+    assert out.allocated.dtype == out.capability.dtype == np.float64
+    shares = partition_arrays(np.full(n, -0.5), np.zeros((n, 0)), np.ones((n, 0), dtype=bool),
+                              layout.in_row)
+    assert shares.dtype == np.float64 and shares.shape == (n, 0)
+    with pytest.raises(TerminallyInfeasibleError):
+        collaborative_safety_arrays(layout, psi2._replace(constant=np.full(n, -1.0)),
+                                    np.zeros(n), np.ones(n))
 
 
 def test_walked_back_commitment_is_exact():

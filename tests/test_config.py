@@ -320,6 +320,45 @@ def test_comments_outside_brackets_are_stripped(old, new, field, want):
     assert getattr(cfg, field) == want
 
 
+def test_hash_and_brackets_inside_json_strings_are_text():
+    cfg = parse_config(GOOD + 'output.dir = "a#b]"  # a comment\nsim.dt = 0.5\n')
+    assert (cfg.output_dir, cfg.dt) == ("a#b]", 0.5)
+    cfg = parse_config(GOOD + 'output.dir = "a[b"\nsim.dt = 0.5\n')
+    assert (cfg.output_dir, cfg.dt) == ("a[b", 0.5)
+
+
+@pytest.mark.parametrize("out, written", [
+    ("out", "out"), ("runs/2024-01", "runs/2024-01"), ("a]", "a]"),
+    ("a#b", '"a#b"'), (" lead", '" lead"'), ("123", '"123"'), ("on", '"on"'),
+    ("null", '"null"'), ("a[b", '"a[b"'), ('"q"', '"\\"q\\""'),
+])
+def test_a_string_is_quoted_exactly_when_its_bare_form_would_not_read_back(out, written):
+    dump = normalize_config(parse_config(GOOD, {"output.dir": out}))
+    assert f"\noutput.dir = {written}\n" in dump
+
+
+@st.composite
+def output_dirs(draw) -> str:
+    """Directory names built from pieces that a bare value may misread."""
+    tricky = st.sampled_from(["#", "[", "]", '"', "\\", "=", " ", "\t", "\n", "on", "off",
+                              "null", "true", "123", "-1.5e3", "NaN", "[1]", "{}"])
+    return "".join(draw(st.lists(st.one_of(tricky, st.text(min_size=1, max_size=3)),
+                                 min_size=1, max_size=6)))
+
+
+@settings(max_examples=300)
+@given(out=output_dirs())
+@example(out="a#b")
+@example(out=" lead")
+@example(out="on")
+@example(out="a[b")
+def test_any_output_dir_round_trips_through_normalize(out):
+    cfg = parse_config(GOOD, {"output.dir": out})
+    dump = normalize_config(cfg)
+    assert parse_config(dump) == cfg
+    assert normalize_config(parse_config(dump)) == dump
+
+
 @pytest.mark.parametrize("old, new, key, line", [
     # inside the line's brackets on a first line: kept, so the value is not JSON
     ("sim.x0 = [0.04, 0.01, 0.02]", "sim.x0 = [0.04, # one\n 0.01, 0.02]", "sim.x0", 11),

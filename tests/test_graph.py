@@ -90,11 +90,12 @@ def loop_edge_layout(graph: NetworkGraph) -> EdgeLayout:
         for d, k in enumerate(ks):
             out_slot[j - 1, d] = slot_of[j, k]
             out_mask[j - 1, d] = True
+    in_row = np.array([i - 1 for i in nodes for _ in range(w_in)], dtype=np.intp)
     request_to = tuple(int(src) + 1 for src in in_source.ravel())
     request_from = tuple(row + 1 for row in range(n) for _ in range(w_in))
     adjust_from = tuple(j for j, ks in zip(nodes, outs) for _ in ks)
     adjust_to = tuple(k for ks in outs for k in ks)
-    return EdgeLayout(in_source, in_mask, out_slot, out_mask, request_from, request_to,
+    return EdgeLayout(in_source, in_mask, in_row, out_slot, out_mask, request_from, request_to,
                       adjust_from, adjust_to, out_slot[out_mask])
 
 
