@@ -69,11 +69,15 @@ def read_scenario_text(name: str) -> str:
     raise ConfigError([(name, "no such file")])
 
 
+def _run_flags(args) -> dict[str, object]:
+    """Each run flag given in args, as an assignment to its config key."""
+    return {key: value for key, value in vars(args).items()
+            if key in KNOWN_KEYS and value is not None}
+
+
 def effective_config(scenario: str, args) -> ScenarioConfig:
     """Scenario text with each run flag given in args assigned to its key."""
-    flags = {key: value for key, value in vars(args).items()
-             if key in KNOWN_KEYS and value is not None}
-    return parse_config(read_scenario_text(scenario), flags)
+    return parse_config(read_scenario_text(scenario), _run_flags(args))
 
 
 def run_config(cfg: ScenarioConfig, out_dir: Path) -> int:
@@ -161,10 +165,11 @@ def cmd_sweep(args) -> int:
 
     jobs = []
     used = set()
-    root = getattr(args, "output.dir")
+    flags = _run_flags(args)
+    root = flags.get("output.dir", "out")
     if root == "":  # each subdirectory would land in the working directory
         raise ConfigError([("output.dir", "must be a non-empty string, got ''")])
-    root = Path(root or "out")
+    root = Path(root)
     for scenario in args.scenarios:
         stem = Path(scenario).stem
         name = stem
@@ -173,8 +178,8 @@ def cmd_sweep(args) -> int:
             serial += 1
             name = f"{stem}-{serial}"
         used.add(name)
-        job_args = argparse.Namespace(**{**vars(args), "output.dir": str(root / name)})
-        jobs.append((name, effective_config(scenario, job_args)))
+        overrides = {**flags, "output.dir": str(root / name)}
+        jobs.append((name, parse_config(read_scenario_text(scenario), overrides)))
 
     worst = EXIT_OK
     with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -206,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_run_flags(p):
-        # each flag's dest is the config key it assigns (see effective_config)
+        # each flag's dest is the config key it assigns (see _run_flags)
         p.add_argument("--out", dest="output.dir",
                        help="output directory (overrides output.dir)")
         p.add_argument("--trace", dest="sim.trace", action="store_const", const=True,

@@ -68,6 +68,8 @@ log = logging.getLogger("ccbf.collab")
 MARGIN_TOL = 1e-9
 DEFAULT_OUTER_CAP = 16
 DEFAULT_INNER_CAP = 64
+# how a node weighs its in-neighbors when it splits a request
+WEIGHT_MODES = ("coupling", "uniform")
 
 
 class CollabMessage(NamedTuple):
@@ -266,6 +268,9 @@ def collaborative_safety(graph: NetworkGraph,
     node is still short despite having been refused by every in-neighbor;
     a cap hit with negotiation still open returns with cap_tripped set.
     """
+    if weights_mode not in WEIGHT_MODES:
+        raise ValueError(f"weights_mode must be one of {', '.join(WEIGHT_MODES)}, "
+                         f"got {weights_mode!r}")
     nodes = list(graph.nodes())
     ledgers = {i: CollabLedger(node=i, region=ControlRegion(tuple(boxes[i]))) for i in nodes}
 
@@ -391,6 +396,9 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
     are the per-node protocol's, bit for bit.  A stall raises
     ProtocolStallError without ledgers.
     """
+    if weights_mode not in WEIGHT_MODES:
+        raise ValueError(f"weights_mode must be one of {', '.join(WEIGHT_MODES)}, "
+                         f"got {weights_mode!r}")
     capability_on = capability_function(psi2)
     a = psi2.coupling
     in_mask, in_source, out_slot = layout.in_mask, layout.in_source, layout.out_slot

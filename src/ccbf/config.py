@@ -9,11 +9,13 @@ still open continues on the following lines, so matrices can be written
 one row per line; the next line that assigns any key ends it
 unterminated.
 
-`parse_config` collects every violation with a path such as
-`model.beta[0][1]` (array indices are 0-based positions, node ids in
-messages stay 1-based) instead of stopping at the first.  A bracketed
-value that is not valid JSON, or whose brackets never close, is reported
-once, under its key, and checked no further.
+Each key's name, default, reader and limits are declared once, on its
+`ScenarioConfig` field.  `parse_config` collects every violation with a
+path such as `model.beta[0][1]` (array indices are 0-based positions,
+node ids in messages stay 1-based) instead of stopping at the first, and
+reports them in field order, which is the dump order.  A bracketed value
+that is not valid JSON, or whose brackets never close, is reported once,
+under its key, and checked no further.
 `normalize_config` emits every key, defaults filled, in one canonical
 order, and writes a string bare unless that would not read back, such as
 `on`, `123` or `a#b`, which it quotes as JSON; parsing the dump
@@ -33,10 +35,11 @@ from itertools import compress
 import numpy as np
 
 from .barrier import BarrierSpec
-from .collab import DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP
+from .collab import DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP, WEIGHT_MODES
 from .dynamics import SisModel, SisParams
 from .errors import ConfigError
 from .graph import NetworkGraph, edge_index
+from .simulate import UDOT_POLICIES
 
 # a key such as `model.u_max` or `umax`: a continuation line that assigns one
 # ends an open array value, whether or not the key is known
@@ -45,87 +48,6 @@ _ASSIGNED_KEY = re.compile(r"[A-Za-z_][\w.]*")
 # or a `#` inside one is text
 _JSON_STRING = re.compile(r'"(?:\\.|[^"\\])*"?')
 _COMMENT_TOKENS = re.compile(_JSON_STRING.pattern + r"|[\[\]#]")
-
-UDOT_POLICIES = ("zero", "backward_difference")
-WEIGHT_MODES = ("coupling", "uniform")
-
-
-def _key(key: str, default=None):
-    """A field read from `key`; the key is required when default is None.
-
-    The default is the value an absent key reads as, before validation, so
-    a scalar default broadcasts to every node like a scalar in the file.
-    """
-    return dataclasses.field(metadata={"key": key, "default": default})
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Validated scenario with every field filled; plain data, no arrays.
-
-    The fields, in order, are the config schema: each names its key and
-    default, and `normalize_config` dumps them in this order.  Build one
-    with `parse_config`: it guarantees that every beta entry off the
-    diagonal and off the edges is zero, which `build_model` and
-    `normalize_config` rely on.
-    """
-
-    nodes: int = _key("graph.nodes")
-    edges: tuple[tuple[int, int], ...] = _key("graph.edges")
-    model_type: str = _key("model.type")
-    beta: tuple[tuple[float, ...], ...] = _key("model.beta")
-    gamma: tuple[float, ...] = _key("model.gamma")
-    u_max: tuple[float, ...] = _key("model.u_max")
-    x_bar: tuple[float, ...] = _key("barrier.x_bar")
-    eta: tuple[float, ...] = _key("barrier.eta", 1.0)
-    kappa: tuple[float, ...] = _key("barrier.kappa", 1.0)
-    udot_policy: str = _key("barrier.udot_policy", "zero")
-    x0: tuple[float, ...] = _key("sim.x0")
-    nominal: tuple[float, ...] = _key("sim.nominal", 0.0)
-    dt: float = _key("sim.dt", 0.01)
-    t_final: float = _key("sim.t_final", 100.0)
-    collaboration: bool = _key("sim.collaboration", True)
-    weights: str = _key("sim.weights", "coupling")
-    outer_cap: int = _key("sim.outer_cap", DEFAULT_OUTER_CAP)
-    inner_cap: int = _key("sim.inner_cap", DEFAULT_INNER_CAP)
-    trace: bool = _key("sim.trace", False)
-    continue_on_infeasible: bool = _key("sim.continue_on_infeasible", False)
-    output_dir: str = _key("output.dir", "out")
-
-    def build_model(self) -> SisModel:
-        """The SIS model, read from the diagonal and the edge entries of beta.
-
-        Every other entry must be zero, as `parse_config` guarantees.
-        """
-        graph = NetworkGraph(self.nodes, self.edges)
-        src, dst = edge_index(graph)
-        diag = np.arange(self.nodes)
-        beta = np.zeros((self.nodes, self.nodes))
-        beta[diag, diag] = [row[k] for k, row in enumerate(self.beta)]
-        beta[dst, src] = [self.beta[i - 1][j - 1] for j, i in graph.edges]
-        params = SisParams(beta, np.array(self.gamma), np.array(self.u_max))
-        return SisModel(graph, params)
-
-    def build_specs(self) -> dict[int, BarrierSpec]:
-        return {i: BarrierSpec(self.x_bar[i - 1], self.eta[i - 1], self.kappa[i - 1])
-                for i in range(1, self.nodes + 1)}
-
-    def run_kwargs(self) -> dict:
-        """Keyword arguments for run_scenario, minus the trajectory inputs."""
-        nominal = np.array(self.nominal) if any(v != 0.0 for v in self.nominal) else None
-        return dict(
-            dt=self.dt, t_final=self.t_final, nominal=nominal,
-            udot_policy=self.udot_policy, collaboration=self.collaboration,
-            weights_mode=self.weights, outer_cap=self.outer_cap,
-            inner_cap=self.inner_cap,
-            continue_on_infeasible=self.continue_on_infeasible,
-            collect_messages=self.trace)
-
-
-# key -> field name, in dump order; and the value each optional key reads as
-KNOWN_KEYS = {f.metadata["key"]: f.name for f in dataclasses.fields(ScenarioConfig)}
-_DEFAULTS = {f.metadata["key"]: f.metadata["default"]
-             for f in dataclasses.fields(ScenarioConfig) if f.metadata["default"] is not None}
 
 
 def _strip_comment(line: str) -> str:
@@ -232,18 +154,28 @@ def _raw_assignments(text: str, problems: list[tuple[str, str]]
     return raw, unread - raw.keys()
 
 
-def _number_fault(v) -> str | None:
-    """Why a parsed value is not a finite number, or None when it is one."""
+def _number_fault(v, low=None, high=None, strict_low=False) -> str | None:
+    """Why a parsed value is not a finite number within the limits, or None.
+
+    A limit is printed as given: low=0 reads `must be >= 0`, low=0.0 `>= 0.0`.
+    """
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         return f"must be a number, got {v!r}"
     try:
         finite = math.isfinite(v)
     except OverflowError:  # an integer literal beyond the float range
         finite = False
-    return None if finite else f"must be finite, got {v}"
+    if not finite:
+        return f"must be finite, got {v}"
+    v = float(v)
+    if low is not None and (v < low or (strict_low and v <= low)):
+        return f"must be {'>' if strict_low else '>='} {low}, got {v}"
+    if high is not None and v > high:
+        return f"must be <= {high}, got {v}"
+    return None
 
 
-def _want_int(key, v, problems, minimum=None):
+def _want_int(key, v, problems, got, minimum=None):
     if isinstance(v, bool) or not isinstance(v, int):
         problems.append((key, f"must be an integer, got {v!r}"))
         return None
@@ -253,41 +185,46 @@ def _want_int(key, v, problems, minimum=None):
     return v
 
 
-def _want_float(key, v, problems, positive=False):
-    fault = _number_fault(v)
+def _want_float(key, v, problems, got, above=None, **limits):
+    """A number within the limits, and over the value of the key `above` once read."""
+    fault = _number_fault(v, **limits)
+    bound = got[KNOWN_KEYS[above]] if above is not None else None
+    if fault is None and bound is not None and float(v) <= bound:
+        fault = f"must be > {above} ({bound}), got {float(v)}"
     if fault is not None:
         problems.append((key, fault))
         return None
-    v = float(v)
-    if positive and v <= 0.0:
-        problems.append((key, f"must be > 0, got {v}"))
-        return None
-    return v
+    return float(v)
 
 
-def _want_bool(key, v, problems):
+def _want_bool(key, v, problems, got):
     if not isinstance(v, bool):
         problems.append((key, f"must be on or off, got {v!r}"))
         return None
     return v
 
 
-def _want_choice(key, v, problems, choices):
+def _want_choice(key, v, problems, got, choices):
     if v not in choices:
         problems.append((key, f"must be one of {', '.join(choices)}, got {v!r}"))
         return None
     return v
 
 
-def _want_text(key, v, problems):
+def _want_text(key, v, problems, got):
     if not isinstance(v, str) or not v:
         problems.append((key, f"must be a non-empty string, got {v!r}"))
         return None
     return v
 
 
-def _want_vector(key, v, problems, n, low=None, high=None, strict_low=False):
-    """A length-n numeric array; a bare scalar broadcasts to all nodes."""
+def _want_vector(key, v, problems, got, low=None, high=None, strict_low=False):
+    """A length-n array of numbers within the limits; a scalar broadcasts to all nodes.
+
+    The entries are walked one by one only when the array has a fault, to
+    name each one.
+    """
+    n = got["nodes"]
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         v = [v] * n
     if not isinstance(v, list):
@@ -296,28 +233,27 @@ def _want_vector(key, v, problems, n, low=None, high=None, strict_low=False):
     if len(v) != n:
         problems.append((key, f"must have length {n}, got {len(v)}"))
         return None
-    out = []
+    if set(map(type, v)) <= {float, int}:
+        try:
+            floats = tuple(map(float, v))  # reuses the parsed float objects
+        except OverflowError:  # an integer literal beyond the float range
+            floats = (math.inf,)
+        # every entry is within the limits when both extremes are
+        if all(map(math.isfinite, floats)) and not (
+                _number_fault(min(floats), low, high, strict_low)
+                or _number_fault(max(floats), low, high, strict_low)):
+            return floats
     ok = True
     for idx, entry in enumerate(v):
-        fault = _number_fault(entry)
+        fault = _number_fault(entry, low, high, strict_low)
         if fault is not None:
             problems.append((f"{key}[{idx}]", fault))
             ok = False
-            continue
-        entry = float(entry)
-        if low is not None and (entry < low or (strict_low and entry <= low)):
-            op = ">" if strict_low else ">="
-            problems.append((f"{key}[{idx}]", f"must be {op} {low}, got {entry}"))
-            ok = False
-        elif high is not None and entry > high:
-            problems.append((f"{key}[{idx}]", f"must be <= {high}, got {entry}"))
-            ok = False
-        else:
-            out.append(entry)
-    return tuple(out) if ok else None
+    return tuple(map(float, v)) if ok else None
 
 
-def _want_edges(key, v, problems, n):
+def _want_edges(key, v, problems, got):
+    n = got["nodes"]
     if not isinstance(v, list):
         problems.append((key, "must be an array of [source, target] pairs"))
         return None
@@ -335,7 +271,7 @@ def _want_edges(key, v, problems, n):
             problems.append((path, f"self-loop ({j}, {i}) is not allowed"))
             ok = False
             continue
-        if n is not None and not (1 <= j <= n and 1 <= i <= n):
+        if not (1 <= j <= n and 1 <= i <= n):
             problems.append((path, f"node ids must lie in 1..{n}, got ({j}, {i})"))
             ok = False
             continue
@@ -343,60 +279,131 @@ def _want_edges(key, v, problems, n):
     return tuple(sorted(set(edges))) if ok else None
 
 
-def _beta_row_faults(key, i, row) -> list[tuple[str, str]]:
-    """Each entry of row i that is not a finite number >= 0, in column order."""
-    faults = []
-    for j, entry in enumerate(row):
-        fault = _number_fault(entry)
-        if fault is None and entry < 0:
-            fault = f"must be >= 0, got {float(entry)}"
-        if fault is not None:
-            faults.append((f"{key}[{i}][{j}]", fault))
-    return faults
-
-
-def _want_beta(key, v, problems, n, edges):
-    """The n x n infection matrix, checked one row at a time.
+def _want_beta(key, v, problems, got, **limits):
+    """The n x n infection matrix: each row a `_want_vector` with these limits.
 
     Entry faults come first, in row-major order; edge consistency is only
-    checked once every entry is a finite number >= 0.  A row's entries are
-    walked one by one only when the row has a fault, to name each one.
+    checked once every entry is within the limits, and only when the
+    edges were read.
     """
+    n, edges = got["nodes"], got["edges"]
     if not isinstance(v, list) or len(v) != n or any(
             not isinstance(row, list) or len(row) != n for row in v):
         problems.append((key, f"must be a {n}x{n} matrix"))
         return None
-    faults = []
-    beta = []
-    for i, row in enumerate(v):
-        if set(map(type, row)) <= {float, int}:
-            try:
-                floats = tuple(map(float, row))  # reuses the parsed float objects
-            except OverflowError:  # an integer literal beyond the float range
-                floats = (math.inf,)
-            if all(map(math.isfinite, floats)) and min(floats) >= 0.0:
-                beta.append(floats)
-                continue
-        faults += _beta_row_faults(key, i, row)
-    if not faults and edges is not None:
-        # beta rows are 0-based storage; node ids are 1-based
-        sources = [set() for _ in range(n)]
-        for j, i in edges:
-            sources[i - 1].add(j - 1)
-        for i, row in enumerate(beta):
-            positive = set(compress(range(n), row))
-            positive.discard(i)
-            for j in sorted(positive ^ sources[i]):
-                if j in positive:
-                    faults.append((f"{key}[{i}][{j}]",
-                                   f"positive but edge ({j + 1}, {i + 1}) is missing"))
-                else:
-                    faults.append((f"{key}[{i}][{j}]",
-                                   f"zero but edge ({j + 1}, {i + 1}) is present"))
-    if faults:
-        problems.extend(faults)
+    beta = [_want_vector(f"{key}[{i}]", row, problems, got, **limits)
+            for i, row in enumerate(v)]
+    if None in beta or edges is None:
         return None
-    return tuple(beta)
+    # beta rows are 0-based storage; node ids are 1-based
+    sources = [set() for _ in range(n)]
+    for j, i in edges:
+        sources[i - 1].add(j - 1)
+    faults = []
+    for i, row in enumerate(beta):
+        positive = set(compress(range(n), row))
+        positive.discard(i)
+        for j in sorted(positive ^ sources[i]):
+            if j in positive:
+                faults.append((f"{key}[{i}][{j}]",
+                               f"positive but edge ({j + 1}, {i + 1}) is missing"))
+            else:
+                faults.append((f"{key}[{i}][{j}]",
+                               f"zero but edge ({j + 1}, {i + 1}) is present"))
+    problems.extend(faults)
+    return None if faults else tuple(beta)
+
+
+# readers of a per-node value, skipped while the node count is unread
+_PER_NODE = (_want_edges, _want_beta, _want_vector)
+
+
+def _key(key: str, want, default=None, **limits):
+    """A field read from `key` by `want(key, value, problems, got, **limits)`.
+
+    The reader appends each violation to problems and returns None after
+    any; `got` maps each field read before this one to its value, None
+    after a fault.  The key is required when default is None.  The default
+    is the value an absent key reads as, before validation, so a scalar
+    default broadcasts to every node like a scalar in the file.
+    """
+    return dataclasses.field(
+        metadata={"key": key, "want": want, "default": default, "limits": limits})
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """Validated scenario with every field filled; plain data, no arrays.
+
+    The fields, in order, are the config schema: each names its key, its
+    reader with its limits, and its default.  `parse_config` reads them in
+    this order and `normalize_config` dumps them in it.  Build one with
+    `parse_config`: it guarantees that every beta entry off the diagonal
+    and off the edges is zero, which `build_model` and `normalize_config`
+    rely on.
+    """
+
+    nodes: int = _key("graph.nodes", _want_int, minimum=1)
+    edges: tuple[tuple[int, int], ...] = _key("graph.edges", _want_edges)
+    model_type: str = _key("model.type", _want_choice, choices=("sis",))
+    beta: tuple[tuple[float, ...], ...] = _key("model.beta", _want_beta, low=0)
+    gamma: tuple[float, ...] = _key("model.gamma", _want_vector, low=0.0, strict_low=True)
+    u_max: tuple[float, ...] = _key("model.u_max", _want_vector, low=0.0)
+    x_bar: tuple[float, ...] = _key("barrier.x_bar", _want_vector,
+                                    low=0.0, high=1.0, strict_low=True)
+    eta: tuple[float, ...] = _key("barrier.eta", _want_vector, 1.0, low=0.0, strict_low=True)
+    kappa: tuple[float, ...] = _key("barrier.kappa", _want_vector, 1.0,
+                                    low=0.0, strict_low=True)
+    udot_policy: str = _key("barrier.udot_policy", _want_choice, "zero",
+                            choices=UDOT_POLICIES)
+    x0: tuple[float, ...] = _key("sim.x0", _want_vector, low=0.0, high=1.0)
+    nominal: tuple[float, ...] = _key("sim.nominal", _want_vector, 0.0, low=0.0)
+    dt: float = _key("sim.dt", _want_float, 0.01, low=0, strict_low=True)
+    t_final: float = _key("sim.t_final", _want_float, 100.0, low=0, strict_low=True,
+                          above="sim.dt")
+    collaboration: bool = _key("sim.collaboration", _want_bool, True)
+    weights: str = _key("sim.weights", _want_choice, "coupling", choices=WEIGHT_MODES)
+    # one round only measures the margins; a second is needed to act on them
+    outer_cap: int = _key("sim.outer_cap", _want_int, DEFAULT_OUTER_CAP, minimum=2)
+    inner_cap: int = _key("sim.inner_cap", _want_int, DEFAULT_INNER_CAP, minimum=1)
+    trace: bool = _key("sim.trace", _want_bool, False)
+    continue_on_infeasible: bool = _key("sim.continue_on_infeasible", _want_bool, False)
+    output_dir: str = _key("output.dir", _want_text, "out")
+
+    def build_model(self) -> SisModel:
+        """The SIS model, read from the diagonal and the edge entries of beta.
+
+        Every other entry must be zero, as `parse_config` guarantees.
+        """
+        graph = NetworkGraph(self.nodes, self.edges)
+        src, dst = edge_index(graph)
+        diag = np.arange(self.nodes)
+        beta = np.zeros((self.nodes, self.nodes))
+        beta[diag, diag] = [row[k] for k, row in enumerate(self.beta)]
+        beta[dst, src] = [self.beta[i - 1][j - 1] for j, i in graph.edges]
+        params = SisParams(beta, np.array(self.gamma), np.array(self.u_max))
+        return SisModel(graph, params)
+
+    def build_specs(self) -> dict[int, BarrierSpec]:
+        return {i: BarrierSpec(self.x_bar[i - 1], self.eta[i - 1], self.kappa[i - 1])
+                for i in range(1, self.nodes + 1)}
+
+    def run_kwargs(self) -> dict:
+        """Keyword arguments for run_scenario, minus the trajectory inputs."""
+        nominal = np.array(self.nominal) if any(v != 0.0 for v in self.nominal) else None
+        return dict(
+            dt=self.dt, t_final=self.t_final, nominal=nominal,
+            udot_policy=self.udot_policy, collaboration=self.collaboration,
+            weights_mode=self.weights, outer_cap=self.outer_cap,
+            inner_cap=self.inner_cap,
+            continue_on_infeasible=self.continue_on_infeasible,
+            collect_messages=self.trace)
+
+
+# key -> field name, in dump order; and the value each optional key reads as
+KNOWN_KEYS = {f.metadata["key"]: f.name for f in dataclasses.fields(ScenarioConfig)}
+_DEFAULTS = {f.metadata["key"]: f.metadata["default"]
+             for f in dataclasses.fields(ScenarioConfig) if f.metadata["default"] is not None}
 
 
 def parse_config(text: str, overrides: dict[str, object] | None = None) -> ScenarioConfig:
@@ -413,49 +420,19 @@ def parse_config(text: str, overrides: dict[str, object] | None = None) -> Scena
     problems += [(key, "unknown key") for key in overrides if key not in KNOWN_KEYS]
     raw = {**_DEFAULTS, **raw, **overrides}
 
-    def read(want, key, *args, **kw):
-        if key in unread:
-            return None  # reported once, where its text was parsed
+    got: dict[str, object] = {}
+    for f in dataclasses.fields(ScenarioConfig):
+        key, want = f.metadata["key"], f.metadata["want"]
+        got[f.name] = None
+        if key in unread or (want in _PER_NODE and got["nodes"] is None):
+            continue  # reported where its text was parsed, or sized by an unread count
         if key not in raw:
             problems.append((key, "required key is missing"))
-            return None
-        return want(key, raw[key], problems, *args, **kw)
-
-    n = read(_want_int, "graph.nodes", minimum=1)
-    edges = read(_want_edges, "graph.edges", n) if n is not None else None
-    model_type = read(_want_choice, "model.type", ("sis",))
-
-    beta = gamma = u_max = x_bar = eta = kappa = x0 = nominal = None
-    if n is not None:
-        beta = read(_want_beta, "model.beta", n, edges)
-        gamma = read(_want_vector, "model.gamma", n, low=0.0, strict_low=True)
-        u_max = read(_want_vector, "model.u_max", n, low=0.0)
-        x_bar = read(_want_vector, "barrier.x_bar", n, low=0.0, high=1.0, strict_low=True)
-        eta = read(_want_vector, "barrier.eta", n, low=0.0, strict_low=True)
-        kappa = read(_want_vector, "barrier.kappa", n, low=0.0, strict_low=True)
-        x0 = read(_want_vector, "sim.x0", n, low=0.0, high=1.0)
-        nominal = read(_want_vector, "sim.nominal", n, low=0.0)
-    udot_policy = read(_want_choice, "barrier.udot_policy", UDOT_POLICIES)
-    dt = read(_want_float, "sim.dt", positive=True)
-    t_final = read(_want_float, "sim.t_final", positive=True)
-    if dt is not None and t_final is not None and t_final <= dt:
-        problems.append(("sim.t_final", f"must be > sim.dt ({dt}), got {t_final}"))
-    collaboration = read(_want_bool, "sim.collaboration")
-    weights = read(_want_choice, "sim.weights", WEIGHT_MODES)
-    # one round only measures the margins; a second is needed to act on them
-    outer_cap = read(_want_int, "sim.outer_cap", minimum=2)
-    inner_cap = read(_want_int, "sim.inner_cap", minimum=1)
-    trace = read(_want_bool, "sim.trace")
-    continue_on_infeasible = read(_want_bool, "sim.continue_on_infeasible")
-    output_dir = read(_want_text, "output.dir")
+            continue
+        got[f.name] = want(key, raw[key], problems, got, **f.metadata["limits"])
     if problems:
         raise ConfigError(problems)
-    return ScenarioConfig(
-        nodes=n, edges=edges, model_type=model_type, beta=beta, gamma=gamma,
-        u_max=u_max, x_bar=x_bar, eta=eta, kappa=kappa, udot_policy=udot_policy,
-        x0=x0, nominal=nominal, dt=dt, t_final=t_final, collaboration=collaboration,
-        weights=weights, outer_cap=outer_cap, inner_cap=inner_cap, trace=trace,
-        continue_on_infeasible=continue_on_infeasible, output_dir=output_dir)
+    return ScenarioConfig(**got)
 
 
 def _emit_beta(cfg: ScenarioConfig) -> str:

@@ -256,6 +256,10 @@ def safety_filter_arrays(nominal: np.ndarray, regions: IntervalRegions, base: np
     return u, relaxed
 
 
+# psi2's own control rate: zero, or the difference of the last two controls
+UDOT_POLICIES = ("zero", "backward_difference")
+
+
 def _udot_for(policy: str, history: list[np.ndarray], zero: np.ndarray, dt: float,
               warned: list[bool]) -> np.ndarray:
     """The packed control rate for the psi2 blocks; `zero` is the zero rate."""
@@ -289,6 +293,9 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
     A terminally infeasible step halts the run unless continue_on_infeasible
     is set; a stalled negotiation always halts it.
     """
+    if udot_policy not in UDOT_POLICIES:
+        raise ValueError(f"udot_policy must be one of {', '.join(UDOT_POLICIES)}, "
+                         f"got {udot_policy!r}")
     nodes = list(model.graph.nodes())
     n = len(nodes)
     x = np.asarray(x0, dtype=float).copy()

@@ -24,7 +24,7 @@ from ccbf.collab import CollabMessage, collaborative_safety, collaborative_safet
 from ccbf.errors import CcbfError
 from ccbf.geometry import ControlRegion, IntervalRegions
 from ccbf.graph import NetworkGraph, edge_layout, in_neighbors
-from ccbf.simulate import safety_filter, safety_filter_arrays
+from ccbf.simulate import run_scenario, safety_filter, safety_filter_arrays
 
 
 def _bits(v) -> bytes:
@@ -232,6 +232,33 @@ def test_empty_region_and_contradictory_demands_raise_like_the_reference():
         collaborative_safety_arrays(layout, psi2, lo, hi)
     assert type(ref.value).__name__ == "GeometryConvergenceError"
     assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("misspelt", ["zro", "unifrom", "Coupling", ""])
+@pytest.mark.parametrize("entry, keyword", [
+    ("run_scenario", "udot_policy"),
+    ("run_scenario", "weights_mode"),
+    ("collaborative_safety", "weights_mode"),
+    ("collaborative_safety_arrays", "weights_mode"),
+])
+def test_unknown_policy_names_are_rejected(paper_model, entry, keyword, misspelt):
+    # a name outside the allowed set must not run as one of them
+    graph, layout = paper_model.graph, paper_model.layout
+    psi2 = Psi2Arrays(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(layout.in_mask.shape))
+    calls = {
+        "run_scenario": lambda kw: run_scenario(
+            paper_model, {i: BarrierSpec(0.5) for i in (1, 2, 3)}, np.full(3, 0.01),
+            dt=0.01, t_final=0.02, **kw),
+        "collaborative_safety": lambda kw: collaborative_safety(
+            graph, _per_node(graph, psi2), {i: ((0.0, 0.75),) for i in (1, 2, 3)}, **kw),
+        "collaborative_safety_arrays": lambda kw: collaborative_safety_arrays(
+            layout, psi2, np.zeros(3), np.full(3, 0.75), **kw),
+    }
+    allowed = {"udot_policy": "zero, backward_difference",
+               "weights_mode": "coupling, uniform"}[keyword]
+    with pytest.raises(ValueError) as excinfo:
+        calls[entry]({keyword: misspelt})
+    assert str(excinfo.value) == f"{keyword} must be one of {allowed}, got {misspelt!r}"
 
 
 def test_array_filter_takes_the_first_of_equidistant_pieces():

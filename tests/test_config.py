@@ -5,13 +5,15 @@ from __future__ import annotations
 import dataclasses
 import importlib.resources
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ccbf import ConfigError, normalize_config, parse_config
-from ccbf.config import KNOWN_KEYS
+from ccbf.config import KNOWN_KEYS, ScenarioConfig, _parse_value
 
 GOOD = """\
 # demo scenario
@@ -255,6 +257,64 @@ def test_outer_cap_below_two_is_rejected():
         parse_config(GOOD + "sim.outer_cap = 1\n")
     assert excinfo.value.violations == [("sim.outer_cap", "must be >= 2, got 1")]
     assert parse_config(GOOD + "sim.outer_cap = 2\n").outer_cap == 2
+
+
+# one fault in every key but graph.nodes, each reported as one violation
+EVERY_KEY_FAULTY = {
+    "graph.edges": "x", "model.type": "seir", "model.beta": 7, "model.gamma": "x",
+    "model.u_max": [1, 2], "barrier.x_bar": [0.1, 1.5, 0.1], "barrier.eta": [1, 0, 1],
+    "barrier.kappa": [1, 1, -1], "barrier.udot_policy": "zro", "sim.x0": [0.1, 0.1, 2],
+    "sim.nominal": [-1, 0, 0], "sim.dt": 0, "sim.t_final": -1, "sim.collaboration": "yes",
+    "sim.weights": "unifrom", "sim.outer_cap": 1, "sim.inner_cap": 0, "sim.trace": 1,
+    "sim.continue_on_infeasible": "x", "output.dir": ""}
+
+
+def test_violations_come_in_field_order():
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(GOOD, EVERY_KEY_FAULTY)
+    got = excinfo.value.violations
+    field_keys = [f.metadata["key"] for f in dataclasses.fields(ScenarioConfig)]
+    assert [path.split("[")[0] for path, _ in got] == field_keys[1:]
+    assert got[7:12] == [
+        ("barrier.kappa[2]", "must be > 0.0, got -1.0"),
+        ("barrier.udot_policy", "must be one of zero, backward_difference, got 'zro'"),
+        ("sim.x0[2]", "must be <= 1.0, got 2.0"),
+        ("sim.nominal[0]", "must be >= 0.0, got -1.0"),
+        ("sim.dt", "must be > 0, got 0.0")]
+    assert got[14] == ("sim.weights", "must be one of coupling, uniform, got 'unifrom'")
+    # t_final <= dt is t_final's own violation, reported in its place
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(GOOD, {**EVERY_KEY_FAULTY, "sim.dt": 0.5, "sim.t_final": 0.25})
+    got = excinfo.value.violations
+    assert [path for path, _ in got[10:13]] == ["sim.nominal[0]", "sim.t_final",
+                                                 "sim.collaboration"]
+    assert got[11] == ("sim.t_final", "must be > sim.dt (0.5), got 0.25")
+    # with no node count, the keys shaped by it report nothing
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(GOOD, {**EVERY_KEY_FAULTY, "graph.nodes": 0})
+    assert [path for path, _ in excinfo.value.violations] == [
+        "graph.nodes", "model.type", "barrier.udot_policy", "sim.dt", "sim.t_final",
+        "sim.collaboration", "sim.weights", "sim.outer_cap", "sim.inner_cap", "sim.trace",
+        "sim.continue_on_infeasible", "output.dir"]
+
+
+def test_readme_key_table_is_the_schema():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
+    rows = []  # (key, default cell), one per key a table row names
+    for row in section.splitlines():
+        cells = [cell.strip() for cell in row.strip("|").split("|")]
+        if len(cells) == 3 and cells[0].startswith("`"):
+            rows += [(key, cells[1]) for key in re.findall(r"`([^`]+)`", cells[0])]
+    assert [key for key, _ in rows] == list(KNOWN_KEYS)
+    listed = dict(rows)
+    for f in dataclasses.fields(ScenarioConfig):
+        shown, default = listed[f.metadata["key"]], f.metadata["default"]
+        if default is None:
+            assert shown == "required"
+        else:
+            assert shown.startswith("`") and shown.endswith("`")
+            assert _parse_value(shown[1:-1]) == default
 
 
 # a beta whose entry faults (bool, string, null, negative) sit beside edge faults:
