@@ -31,6 +31,7 @@ from .collab import (
     collaborative_safety,
     collaborative_safety_arrays,
     coordinate,
+    message_rows,
     partition,
 )
 from .config import ScenarioConfig, normalize_config, parse_config
@@ -121,6 +122,7 @@ __all__ = [
     "collaborate",
     "collaborative_safety",
     "collaborative_safety_arrays",
+    "message_rows",
     "ScenarioResult",
     "safety_filter",
     "safety_filter_arrays",

@@ -40,7 +40,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from typing import Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -301,6 +301,24 @@ def collaborative_safety(graph: NetworkGraph,
     return ProtocolOutcome(regions, ledgers, outer, total_sub, cap_tripped)
 
 
+def message_rows(layout: EdgeLayout, records: Iterable[tuple]) -> Iterator[tuple]:
+    """The messages of the logged sub-rounds as CollabMessage fields, in collaborate's order.
+
+    Requests go from each eligible slot's node to its in-neighbor, slots in
+    row-major order; then each edge's helper adjusts, edges in by-source order.
+    """
+    requester, helper = layout.in_row + 1, layout.in_source.ravel() + 1
+    edges = layout.out_slot[layout.out_mask]
+    request_from, request_to = requester.tolist(), helper.tolist()
+    adjust_from, adjust_to = helper[edges].tolist(), requester[edges].tolist()
+    for sub_round, eligible, shares, eps in records:
+        sent = eligible.ravel().tolist()
+        yield from zip(repeat(sub_round), repeat("request"), compress(request_from, sent),
+                       compress(request_to, sent), compress(shares.ravel().tolist(), sent))
+        yield from zip(repeat(sub_round), repeat("adjust"), adjust_from, adjust_to,
+                       eps.ravel()[edges].tolist())
+
+
 class ArrayOutcome(NamedTuple):
     """What collaborative_safety_arrays settled on, as arrays.
 
@@ -385,7 +403,7 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
                                 outer_cap: int = DEFAULT_OUTER_CAP,
                                 inner_cap: int = DEFAULT_INNER_CAP,
                                 weights_mode: str = "coupling",
-                                messages: list[CollabMessage] | None = None
+                                records: list[tuple] | None = None
                                 ) -> ArrayOutcome:
     """collaborative_safety for a scalar network, on edge arrays.
 
@@ -394,7 +412,8 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
     nodes at once with collaborate's synchronous, ascending-id semantics:
     the rounds, regions, capabilities, ledgers, messages and raised errors
     are the per-node protocol's, bit for bit.  A stall raises
-    ProtocolStallError without ledgers.
+    ProtocolStallError without ledgers.  Each sub-round, up to a raise,
+    appends (sub_round, eligible, shares, eps) to records for message_rows.
     """
     if weights_mode not in WEIGHT_MODES:
         raise ValueError(f"weights_mode must be one of {', '.join(WEIGHT_MODES)}, "
@@ -445,7 +464,6 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
             if sub >= inner_cap:
                 raise ProtocolStallError(f"no agreement after {inner_cap} sub-rounds")
             sub += 1
-            idx = total_sub + sub
 
             # every node splits its margin over unconstrained in-neighbors
             eligible = ~constrained
@@ -475,15 +493,8 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
             out_alloc = (out_alloc + shares) + eps
             allocated = np.bincount(layout.in_row, out_alloc.ravel(), n).astype(float, copy=False)
 
-            if messages is not None:
-                sent = eligible.ravel().tolist()
-                messages.extend(map(CollabMessage, repeat(idx), repeat("request"),
-                                    compress(layout.request_from, sent),
-                                    compress(layout.request_to, sent),
-                                    compress(shares.ravel().tolist(), sent)))
-                messages.extend(map(CollabMessage, repeat(idx), repeat("adjust"),
-                                    layout.adjust_from, layout.adjust_to,
-                                    eps.ravel()[layout.adjust_slots].tolist()))
+            if records is not None:
+                records.append((total_sub + sub, eligible, shares, eps))
 
             # a sub-round without a refusal touches no node, which ends the
             # negotiation for this capability estimate

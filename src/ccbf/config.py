@@ -222,10 +222,17 @@ def _want_vector(key, v, problems, got, low=None, high=None, strict_low=False):
     """A length-n array of numbers within the limits; a scalar broadcasts to all nodes.
 
     The entries are walked one by one only when the array has a fault, to
-    name each one.
+    name each one.  A scalar broadcasts only once model.beta has read
+    without a fault, which shows that n entries fit in memory; until then
+    it is checked once, under its key.
     """
     n = got["nodes"]
     if isinstance(v, (int, float)) and not isinstance(v, bool):
+        if got["beta"] is None:  # beta has a violation, so the config fails anyway
+            fault = _number_fault(v, low, high, strict_low)
+            if fault is not None:
+                problems.append((key, fault))
+            return None
         v = [v] * n
     if not isinstance(v, list):
         problems.append((key, f"must be an array of {n} numbers"))

@@ -80,10 +80,7 @@ class EdgeLayout(NamedTuple):
     0-based index (padding points at the row's own node) and in_mask is
     False on padding.  By source: row j-1, column d is the edge from node
     j to its d-th out-neighbor; out_slot is that edge's flat index in the
-    by-target layout and out_mask is False on padding.  A request travels
-    from node request_from[s] to node request_to[s] for by-target slot s;
-    adjustments travel from adjust_from[e] to adjust_to[e] for every edge
-    e in by-source order, whose by-target slots are adjust_slots.
+    by-target layout and out_mask is False on padding.
 
     Every sum over a node's in-neighborhood, but for the RK4 flow's, is
     one `np.bincount(rows, terms, n)`.  It adds the terms in input order
@@ -100,11 +97,6 @@ class EdgeLayout(NamedTuple):
     in_row: np.ndarray
     out_slot: np.ndarray
     out_mask: np.ndarray
-    request_from: tuple[int, ...]
-    request_to: tuple[int, ...]
-    adjust_from: tuple[int, ...]
-    adjust_to: tuple[int, ...]
-    adjust_slots: np.ndarray
 
 
 def edge_layout(graph: NetworkGraph) -> EdgeLayout:
@@ -128,14 +120,9 @@ def edge_layout(graph: NetworkGraph) -> EdgeLayout:
     in_source[t_row, t_col] = t_src
     in_mask = np.zeros((n, w_in), dtype=bool)
     in_mask[t_row, t_col] = True
-    adjust_slots = np.empty(len(src), dtype=np.intp)
-    adjust_slots[by_target] = t_row * w_in + t_col
     s_col = rank - (np.cumsum(out_deg) - out_deg)[src]
     out_slot = np.zeros((n, w_out), dtype=np.intp)
-    out_slot[src, s_col] = adjust_slots
+    out_slot[t_src, s_col[by_target]] = t_row * w_in + t_col
     out_mask = np.zeros((n, w_out), dtype=bool)
     out_mask[src, s_col] = True
-    request_to = tuple((in_source.ravel() + 1).tolist())
-    request_from = tuple((in_row + 1).tolist())
-    return EdgeLayout(in_source, in_mask, in_row, out_slot, out_mask, request_from, request_to,
-                      tuple((src + 1).tolist()), tuple((dst + 1).tolist()), adjust_slots)
+    return EdgeLayout(in_source, in_mask, in_row, out_slot, out_mask)

@@ -21,19 +21,18 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import groupby, repeat
-from operator import itemgetter
 
 import numpy as np
 
 from .barrier import (BarrierSpec, Psi2Arrays, QuadraticForm, barrier_arrays,
                       decompose_psi2_all, max_capability_arrays)
-from .collab import (DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP, CollabMessage,
-                     collaborative_safety_arrays)
+from .collab import (DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP, collaborative_safety_arrays,
+                     message_rows)
 from .dynamics import SisModel, rk4_step
 from .errors import (DimensionError, EmptyRegionError, ProtocolStallError,
                      TerminallyInfeasibleError)
 from .geometry import NEGLIGIBLE_NORMAL, ControlRegion, IntervalRegions
+from .graph import EdgeLayout
 
 log = logging.getLogger("ccbf.simulate")
 
@@ -53,7 +52,8 @@ class ScenarioResult:
     safety filter could not keep node i's psi1 nonnegative.  A halted run
     stops at halted_at, and halt_reason says why: "infeasible" (terminal
     infeasibility at infeasible_nodes) or "stall" (no agreement within the
-    sub-round cap).
+    sub-round cap).  messages holds each negotiating step's time and logged
+    sub-rounds, a halting step's too; message_rows reads them on layout.
     """
 
     times: np.ndarray
@@ -69,7 +69,8 @@ class ScenarioResult:
     max_clamp: float = 0.0
     cap_tripped_steps: int = 0
     relaxed_steps: tuple[int, ...] = ()
-    messages: list[tuple[float, CollabMessage]] = field(default_factory=list)
+    messages: list[tuple[float, list[tuple]]] = field(default_factory=list)
+    layout: EdgeLayout | None = None
 
     @property
     def node_count(self) -> int:
@@ -316,7 +317,7 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
     capabilities = np.zeros((nsteps + 1, n))
     outer_rounds = np.zeros(nsteps + 1, dtype=int)
     inner_rounds = np.zeros(nsteps + 1, dtype=int)
-    all_messages: list[tuple[float, CollabMessage]] = []
+    logged: list[tuple[float, list[tuple]]] = []
 
     history: list[np.ndarray] = []  # the last two applied packed controls
     warned = [False]
@@ -334,14 +335,14 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
         udot = _udot_for(udot_policy, history, zero_rate, dt, warned)
         psi2 = decompose_psi2_all(model.layout, gains, lie, udot)
 
-        step_messages: list[CollabMessage] | None = [] if collect_messages else None
+        records: list[tuple] | None = [] if collect_messages else None
         outcome = None
         if collaboration:
             try:
                 outcome = collaborative_safety_arrays(
                     model.layout, psi2, box_lo, box_hi,
                     outer_cap=outer_cap, inner_cap=inner_cap, weights_mode=weights_mode,
-                    messages=step_messages)
+                    records=records)
             except TerminallyInfeasibleError as err:
                 if not continue_on_infeasible:
                     log.error("t=%.6g: %s", t, err)
@@ -354,6 +355,9 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
                 log.error("t=%.6g: negotiation stalled: %s", t, err)
                 halted_at, halt_reason = t, "stall"
                 break
+            finally:  # before a halt breaks the loop: its records explain it
+                if records:
+                    logged.append((t, records))
 
         certified = None
         if outcome is not None:
@@ -372,9 +376,6 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
             regions = full_boxes
             caps = max_capability_arrays(psi2, regions)
             certificate = None
-
-        if collect_messages:
-            all_messages.extend(zip(repeat(t), step_messages))
 
         base = lie.lf_h + gains.eta * (gains.threshold - x)
         # L_g h of a scalar node is its own state
@@ -405,7 +406,7 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
         inner_rounds=inner_rounds[:rows], thresholds=thresholds,
         halted_at=halted_at, halt_reason=halt_reason, infeasible_nodes=infeasible_nodes,
         max_clamp=max_clamp, cap_tripped_steps=cap_tripped_steps,
-        relaxed_steps=tuple(relaxed_steps.tolist()), messages=all_messages)
+        relaxed_steps=tuple(relaxed_steps.tolist()), messages=logged, layout=model.layout)
 
 
 def run_uncontrolled(model: SisModel, x0: np.ndarray, *,
@@ -456,7 +457,7 @@ def write_messages_csv(path, result: ScenarioResult) -> None:
     """Protocol trace: every request and adjustment, in exchange order."""
     with open(path, "w", newline="") as fh:
         fh.write("sim_time,sub_round,kind,from,to,value\n")
-        # the messages of one step share their time, so it is formatted once
-        for t, step in groupby(result.messages, key=itemgetter(0)):
+        for t, records in result.messages:
             stamp = "%.17g" % t
-            fh.writelines("%s,%d,%s,%d,%d,%.17g\n" % (stamp, *m) for _, m in step)
+            fh.writelines("%s,%d,%s,%d,%d,%.17g\n" % (stamp, *row)
+                          for row in message_rows(result.layout, records))

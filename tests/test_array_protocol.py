@@ -20,7 +20,8 @@ import pytest
 
 from ccbf.barrier import (BarrierSpec, Psi2Arrays, Psi2Decomposition, QuadraticForm,
                           max_capability, max_capability_arrays)
-from ccbf.collab import CollabMessage, collaborative_safety, collaborative_safety_arrays
+from ccbf.collab import (CollabMessage, collaborative_safety, collaborative_safety_arrays,
+                         message_rows)
 from ccbf.errors import CcbfError
 from ccbf.geometry import ControlRegion, IntervalRegions
 from ccbf.graph import NetworkGraph, edge_layout, in_neighbors
@@ -83,11 +84,11 @@ def _per_node(graph, psi2):
 
 
 def _run(call):
-    messages: list[CollabMessage] = []
+    log: list = []
     try:
-        return call(messages), messages, None
+        return call(log), log, None
     except (CcbfError, AssertionError) as exc:
-        return None, messages, exc
+        return None, log, exc
 
 
 def _message_bits(messages):
@@ -107,8 +108,9 @@ def test_array_protocol_matches_per_node_protocol(caplog):
                 graph, _per_node(graph, psi2), boxes, messages=m, **options))
             warned = [r.getMessage() for r in caplog.records]
             caplog.clear()
-            got, got_msgs, got_err = _run(lambda m: collaborative_safety_arrays(
-                layout, psi2, lo, hi, messages=m, **options))
+            got, got_log, got_err = _run(lambda m: collaborative_safety_arrays(
+                layout, psi2, lo, hi, records=m, **options))
+            got_msgs = [CollabMessage(*row) for row in message_rows(layout, got_log)]
             assert [r.getMessage() for r in caplog.records] == warned
 
             assert type(got_err) is type(ref_err)

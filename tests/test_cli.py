@@ -160,6 +160,17 @@ def test_broken_config_reports_schema_errors(tmp_path, capsys):
     assert "sim.dt: must be > 0" in err
 
 
+def test_validate_reports_a_node_count_beyond_memory(tmp_path, capsys):
+    huge = "1" + "0" * 400
+    bad = tmp_path / "huge.cfg"
+    bad.write_text(read_scenario_text("paper_sis3").replace("graph.nodes = 3",
+                                                            f"graph.nodes = {huge}"))
+    assert main(["validate", str(bad)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"model.beta: must be a {huge}x{huge} matrix" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_scenario_name(capsys):
     assert main(["run", "no_such_scenario"]) == EXIT_CONFIG
     assert "no such file or bundled scenario" in capsys.readouterr().err

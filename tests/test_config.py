@@ -160,6 +160,22 @@ def test_non_finite_numbers_are_rejected(old, new, violations):
     assert excinfo.value.violations == violations
 
 
+def test_a_node_count_too_large_for_memory_is_a_violation():
+    # beta cannot hold that many rows, so no scalar is broadcast to every node:
+    # each is checked once, under its key, and the defaults add nothing
+    text = (GOOD.replace("graph.nodes = 3", f"graph.nodes = {HUGE}")
+            .replace("model.gamma = 0.3", "model.gamma = -0.3"))
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert excinfo.value.violations == [
+        ("model.beta", f"must be a {HUGE}x{HUGE} matrix"),
+        ("model.gamma", "must be > 0.0, got -0.3"),
+        ("model.u_max", f"must have length {HUGE}, got 3"),
+        ("barrier.x_bar", f"must have length {HUGE}, got 3"),
+        ("sim.x0", f"must have length {HUGE}, got 3"),
+    ]
+
+
 def test_unknown_duplicate_and_malformed_lines():
     with pytest.raises(ConfigError) as excinfo:
         parse_config(GOOD + "mystery.key = 1\nsim.dt = 0.01\nsim.dt = 0.02\nnoequals\n")

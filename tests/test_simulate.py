@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from ccbf.barrier import BarrierSpec
+from ccbf.collab import message_rows
 from ccbf.dynamics import SisModel, SisParams
 from ccbf.errors import DimensionError
 from ccbf.geometry import ControlRegion
-from ccbf.graph import NetworkGraph
+from ccbf.graph import NetworkGraph, edge_layout
 from ccbf.simulate import (
     ScenarioResult,
     _udot_for,
@@ -113,6 +114,22 @@ def test_terminal_infeasibility_halts_run():
     assert res.infeasible_nodes == (1,)
     # everything recorded before the halt was still safe
     assert res.violations().min() >= -1e-9
+
+
+def test_halted_run_logs_the_halting_step(tmp_path: Path):
+    # the sub-rounds that found node 1 short are the log's last rows
+    model, specs = _weak_two_node()
+    res = run_scenario(model, specs, np.array([0.02, 0.05]), dt=0.01, t_final=30.0,
+                       collect_messages=True)
+    assert res.halted_at == pytest.approx(0.92, abs=1e-12)
+    assert res.messages[-1][0] == res.halted_at
+    write_messages_csv(tmp_path / "messages.csv", res)
+    with open(tmp_path / "messages.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert float(rows[-1]["sim_time"]) == res.halted_at
+    # there node 2 refuses node 1, which has no other in-neighbor to ask
+    assert any(float(row["sim_time"]) == res.halted_at and row["kind"] == "adjust"
+               and row["from"] == "2" and float(row["value"]) > 0.0 for row in rows)
 
 
 def test_continue_on_infeasible_runs_to_completion():
@@ -272,8 +289,9 @@ def test_result_csv_schema_and_roundtrip(tmp_path: Path):
 
 
 def test_csv_writers_spell_every_float_with_17_digits(tmp_path: Path):
-    from ccbf.collab import CollabMessage
-
+    # one edge, 1 -> 2: node 2 may ask node 1, and node 1 answers each sub-round
+    layout = edge_layout(NetworkGraph(2, [(1, 2)]))
+    asks, quiet = np.array([[False], [True]]), np.zeros((2, 1), dtype=bool)
     res = ScenarioResult(
         times=np.array([0.0, 0.1]),
         states=np.array([[-0.0, 5e-324], [np.nan, np.inf]]),
@@ -281,8 +299,9 @@ def test_csv_writers_spell_every_float_with_17_digits(tmp_path: Path):
         capabilities=np.array([[0.5, -np.inf], [7.0, 0.25]]),
         outer_rounds=np.array([1, 2]), inner_rounds=np.array([0, 3]),
         thresholds=(0.1, 0.2),
-        messages=[(0.1, CollabMessage(1, "request", 2, 1, 0.1)),
-                  (0.2, CollabMessage(3, "adjust", 1, 2, -0.0))])
+        messages=[(0.1, [(1, asks, np.array([[0.0], [0.1]]), np.array([[0.0], [5e-324]]))]),
+                  (0.2, [(3, quiet, np.zeros((2, 1)), np.array([[0.0], [-0.0]]))])],
+        layout=layout)
     write_result_csv(tmp_path / "result.csv", res)
     write_messages_csv(tmp_path / "messages.csv", res)
     assert (tmp_path / "result.csv").read_text() == (
@@ -294,6 +313,7 @@ def test_csv_writers_spell_every_float_with_17_digits(tmp_path: Path):
     assert (tmp_path / "messages.csv").read_text() == (
         "sim_time,sub_round,kind,from,to,value\n"
         "0.10000000000000001,1,request,2,1,0.10000000000000001\n"
+        "0.10000000000000001,1,adjust,1,2,4.9406564584124654e-324\n"
         "0.20000000000000001,3,adjust,1,2,-0\n")
 
 
@@ -306,7 +326,8 @@ def test_messages_csv_schema(tmp_path: Path):
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["sim_time", "sub_round", "kind", "from", "to", "value"]
-    assert len(rows) == len(res.messages) + 1
+    assert len(rows) == sum(len(list(message_rows(res.layout, records)))
+                            for _, records in res.messages) + 1
     kinds = {row[2] for row in rows[1:]}
     assert kinds <= {"request", "adjust"}
     subs = [int(row[1]) for row in rows[1:]]
