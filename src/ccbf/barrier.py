@@ -37,6 +37,12 @@ from .errors import DimensionError, EmptyRegionError, NumericsError
 from .geometry import ControlRegion, IntervalRegions
 from .graph import EdgeLayout
 
+# a psi1 this far below zero counts as violated
+PSI1_TOL = 1e-9
+# The own-margin constraint is enforced with this much slack so that a
+# negotiation that closed a deficit exactly leaves a nonempty control set.
+CERT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class BarrierSpec:

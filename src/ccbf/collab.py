@@ -304,37 +304,39 @@ def collaborative_safety(graph: NetworkGraph,
 def message_rows(layout: EdgeLayout, records: Iterable[tuple]) -> Iterator[tuple]:
     """The messages of the logged sub-rounds as CollabMessage fields, in collaborate's order.
 
-    Requests go from each eligible slot's node to its in-neighbor, slots in
-    row-major order; then each edge's helper adjusts, edges in by-source order.
+    A record is (sub_round, eligible, shares, eps), each of the last three a
+    flat list over the by-target slots of layout, row-major, padding
+    included.  Requests go from each eligible slot's node to its
+    in-neighbor, slots in row-major order; then each edge's helper adjusts,
+    edges in by-source order.
     """
     requester, helper = layout.in_row + 1, layout.in_source.ravel() + 1
     edges = layout.out_slot[layout.out_mask]
     request_from, request_to = requester.tolist(), helper.tolist()
     adjust_from, adjust_to = helper[edges].tolist(), requester[edges].tolist()
+    edges = edges.tolist()
     for sub_round, eligible, shares, eps in records:
-        sent = eligible.ravel().tolist()
-        yield from zip(repeat(sub_round), repeat("request"), compress(request_from, sent),
-                       compress(request_to, sent), compress(shares.ravel().tolist(), sent))
+        yield from zip(repeat(sub_round), repeat("request"), compress(request_from, eligible),
+                       compress(request_to, eligible), compress(shares, eligible))
         yield from zip(repeat(sub_round), repeat("adjust"), adjust_from, adjust_to,
-                       eps.ravel()[edges].tolist())
+                       map(eps.__getitem__, edges))
 
 
 class ArrayOutcome(NamedTuple):
     """What collaborative_safety_arrays settled on, as arrays.
 
     regions and capability hold node i's final region and capability at
-    entry i-1.  out_alloc and in_req use the by-target edge layout: slot
-    (i-1, c) of out_alloc is what node i counts on from its c-th
-    in-neighbor j (CollabLedger.out_alloc[j] of node i), and of in_req what
-    j committed to node i (CollabLedger.in_req[i] of node j); padding
-    holds 0.  allocated is each node's total allocation, the row sums of
-    out_alloc in EdgeLayout's bincount order, as _allocated sums a ledger's.
+    entry i-1.  out_alloc uses the by-target edge layout: slot (i-1, c) is
+    what node i counts on from its c-th in-neighbor j, and what j committed
+    to node i (CollabLedger.out_alloc[j] of node i, which the ledgers
+    mirror as CollabLedger.in_req[i] of node j); padding holds 0.
+    allocated is each node's total allocation, the row sums of out_alloc in
+    EdgeLayout's bincount order, as _allocated sums a ledger's.
     """
 
     regions: IntervalRegions
     capability: np.ndarray
     out_alloc: np.ndarray
-    in_req: np.ndarray
     allocated: np.ndarray
     outer_rounds: int
     sub_rounds: int
@@ -413,7 +415,8 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
     the rounds, regions, capabilities, ledgers, messages and raised errors
     are the per-node protocol's, bit for bit.  A stall raises
     ProtocolStallError without ledgers.  Each sub-round, up to a raise,
-    appends (sub_round, eligible, shares, eps) to records for message_rows.
+    appends (sub_round, eligible, shares, eps) to records for message_rows,
+    the last three as flat lists over the by-target slots.
     """
     if weights_mode not in WEIGHT_MODES:
         raise ValueError(f"weights_mode must be one of {', '.join(WEIGHT_MODES)}, "
@@ -438,7 +441,7 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
     padding = ~in_mask
 
     # no array here is ever written in place, so the zeros can be shared
-    no_edges = out_alloc = in_req = np.zeros(a.shape)
+    no_edges = out_alloc = np.zeros(a.shape)
     n = box_lo.shape[0]
     # the row sums of out_alloc, kept from the sub-round that last changed it
     allocated = np.zeros(n)
@@ -478,8 +481,9 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
                 shares = partition_arrays(deficit, np.where(degenerate[:, None], 1.0, weights),
                                           eligible, layout.in_row)
 
-            # every helper re-derives its interval from the demands on it
-            target = in_req + shares
+            # every helper re-derives its interval from the demands on it; what
+            # a helper committed to a requester is what the requester counts on
+            target = out_alloc + shares
             neg_target = -target
             eps = np.where(dead & (target < 0.0), neg_target, 0.0) if any_dead else no_edges
             bound = (neg_target / a_live).ravel()[out_slot]
@@ -489,12 +493,12 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
                 point = _closest_points(frozen, bound, rising, falling, box_lo, box_hi)
                 short = a * point[in_source] + target
                 eps = np.where(live & frozen[in_source] & (short < 0.0), -short, eps)
-            in_req = target + eps
-            out_alloc = (out_alloc + shares) + eps
+            out_alloc = target + eps
             allocated = np.bincount(layout.in_row, out_alloc.ravel(), n).astype(float, copy=False)
 
             if records is not None:
-                records.append((total_sub + sub, eligible, shares, eps))
+                records.append((total_sub + sub, eligible.ravel().tolist(),
+                                shares.ravel().tolist(), eps.ravel().tolist()))
 
             # a sub-round without a refusal touches no node, which ends the
             # negotiation for this capability estimate
@@ -508,5 +512,5 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
                 break
             deficit = capability - allocated
         total_sub += sub
-    return ArrayOutcome(IntervalRegions(lo, hi, frozen, point), capability, out_alloc, in_req,
+    return ArrayOutcome(IntervalRegions(lo, hi, frozen, point), capability, out_alloc,
                         allocated, outer, total_sub, cap_tripped)

@@ -39,7 +39,7 @@ from .collab import DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP, WEIGHT_MODES
 from .dynamics import SisModel, SisParams
 from .errors import ConfigError
 from .graph import NetworkGraph, edge_index
-from .simulate import UDOT_POLICIES
+from .simulate import UDOT_POLICIES, step_count
 
 # a key such as `model.u_max` or `umax`: a continuation line that assigns one
 # ends an open array value, whether or not the key is known
@@ -185,12 +185,19 @@ def _want_int(key, v, problems, got, minimum=None):
     return v
 
 
-def _want_float(key, v, problems, got, above=None, **limits):
-    """A number within the limits, and over the value of the key `above` once read."""
+def _want_float(key, v, problems, got, above=None, steps_of=None, **limits):
+    """A number within the limits, over the value of the key `above` once
+    read, and a whole number of steps of the key `steps_of` (see step_count)."""
     fault = _number_fault(v, **limits)
     bound = got[KNOWN_KEYS[above]] if above is not None else None
     if fault is None and bound is not None and float(v) <= bound:
         fault = f"must be > {above} ({bound}), got {float(v)}"
+    step = got[KNOWN_KEYS[steps_of]] if steps_of is not None else None
+    if fault is None and step is not None:
+        try:
+            step_count(float(v), step)
+        except ValueError:
+            fault = f"must be a whole number of {steps_of} ({step}) steps, got {float(v)}"
     if fault is not None:
         problems.append((key, fault))
         return None
@@ -367,7 +374,7 @@ class ScenarioConfig:
     nominal: tuple[float, ...] = _key("sim.nominal", _want_vector, 0.0, low=0.0)
     dt: float = _key("sim.dt", _want_float, 0.01, low=0, strict_low=True)
     t_final: float = _key("sim.t_final", _want_float, 100.0, low=0, strict_low=True,
-                          above="sim.dt")
+                          above="sim.dt", steps_of="sim.dt")
     collaboration: bool = _key("sim.collaboration", _want_bool, True)
     weights: str = _key("sim.weights", _want_choice, "coupling", choices=WEIGHT_MODES)
     # one round only measures the margins; a second is needed to act on them

@@ -1,14 +1,19 @@
 """Closed-loop simulation: snapshot, negotiate, filter, integrate.
 
 `run_scenario` runs a `SisModel`.  Every step runs the same pipeline at
-the current state: build every node's Lie terms and psi2 blocks at once
-with `SisModel.lie_arrays`, negotiate admissible control regions with the
-array protocol on the model's edge layout (or hand every node its full
-box when collaboration is off), pass the nominal controls through the
-array safety filter, record a row, then advance one `rk4_step` with the
-controls held constant over the interval.  Every stage works on arrays
-over nodes and edges; the per-node `safety_filter` and
-`collaborative_safety` are the reference they match bit for bit.
+the current state: build every node's Lie terms and psi2 blocks,
+negotiate admissible control regions with the protocol on the model's
+edge layout (or hand every node its full box when collaboration is off),
+pass the nominal controls through the certificate filter, record a row,
+then advance one `rk4_step` with the controls held constant over the
+interval.  The pipeline up to the record is one `step` of a kernel,
+picked once per run from the node count: a network with fewer than
+FLOAT_KERNEL_NODES nodes steps on `FloatKernel`, a loop over the nodes on
+Python floats, and a larger one on `ArrayKernel`, whose every stage works
+on arrays over nodes and edges.  The two give the same bits, and RK4 is
+shared numpy code.  The per-node `safety_filter` and
+`collaborative_safety` are the reference the array stages match bit for
+bit.
 
 The recorded row at t = k dt carries the state at t, the control applied
 on [t, t+dt), the negotiated capability, and the round counts for that
@@ -21,25 +26,22 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .barrier import (BarrierSpec, Psi2Arrays, QuadraticForm, barrier_arrays,
-                      decompose_psi2_all, max_capability_arrays)
-from .collab import (DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP, collaborative_safety_arrays,
-                     message_rows)
+from .barrier import (CERT_TOL, PSI1_TOL, BarrierArrays, BarrierSpec, Psi2Arrays,
+                      QuadraticForm, barrier_arrays, decompose_psi2_all, max_capability_arrays)
+from .collab import (DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP, WEIGHT_MODES,
+                     collaborative_safety_arrays, message_rows)
 from .dynamics import SisModel, rk4_step
 from .errors import (DimensionError, EmptyRegionError, ProtocolStallError,
                      TerminallyInfeasibleError)
+from .floatkernel import FloatKernel
 from .geometry import NEGLIGIBLE_NORMAL, ControlRegion, IntervalRegions
 from .graph import EdgeLayout
 
 log = logging.getLogger("ccbf.simulate")
-
-PSI1_TOL = 1e-9
-# The own-margin constraint is enforced with this much slack so that a
-# negotiation that closed a deficit exactly leaves a nonempty control set.
-CERT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -261,9 +263,12 @@ def safety_filter_arrays(nominal: np.ndarray, regions: IntervalRegions, base: np
 UDOT_POLICIES = ("zero", "backward_difference")
 
 
-def _udot_for(policy: str, history: list[np.ndarray], zero: np.ndarray, dt: float,
+def _udot_for(policy: str, history: Sequence[np.ndarray], zero: np.ndarray, dt: float,
               warned: list[bool]) -> np.ndarray:
-    """The packed control rate for the psi2 blocks; `zero` is the zero rate."""
+    """The packed control rate for the psi2 blocks; `zero` is the zero rate.
+
+    history holds the applied packed controls, the latest last.
+    """
     if policy == "zero":
         return zero
     if len(history) < 2:
@@ -272,6 +277,85 @@ def _udot_for(policy: str, history: list[np.ndarray], zero: np.ndarray, dt: floa
             warned[0] = True
         return zero
     return (history[-1] - history[-2]) / dt
+
+
+class ArrayKernel:
+    """The closed-loop step on arrays over nodes and edges.
+
+    Every stage is array arithmetic: the model's Lie terms, the psi2
+    blocks, the array protocol and the array filter.  Its cost per call
+    barely grows with the node count, so it serves large networks;
+    `FloatKernel` is its twin on Python floats for small ones.  Node i's
+    control box is [box_lo[i-1], box_hi[i-1]].
+    """
+
+    def __init__(self, model: SisModel, gains: BarrierArrays, nominal: np.ndarray,
+                 box_lo: np.ndarray, box_hi: np.ndarray, *,
+                 outer_cap: int, inner_cap: int, weights_mode: str):
+        n = model.graph.node_count
+        self.model, self.gains, self.nominal = model, gains, nominal
+        self.box_lo, self.box_hi = box_lo, box_hi
+        self.full_boxes = IntervalRegions(box_lo, box_hi, np.zeros(n, dtype=bool), np.zeros(n))
+        self.protocol = dict(outer_cap=outer_cap, inner_cap=inner_cap,
+                             weights_mode=weights_mode)
+
+    def step(self, x: np.ndarray, udot: np.ndarray, records: list[tuple] | None,
+             negotiate: bool) -> tuple:
+        """One step at the packed state x under the packed control rate udot.
+
+        Builds every node's Lie terms and psi2 blocks, then settles.
+        """
+        lie = self.model.lie_arrays(x)
+        psi2 = decompose_psi2_all(self.model.layout, self.gains, lie, udot)
+        base = lie.lf_h + self.gains.eta * (self.gains.threshold - x)
+        return self.settle(x, base, psi2, records, negotiate)
+
+    def settle(self, x: np.ndarray, base: np.ndarray, psi2: Psi2Arrays,
+               records: list[tuple] | None, negotiate: bool) -> tuple:
+        """Negotiate the regions, then filter the nominal controls through them.
+
+        base is each node's psi1 at zero control, and x its L_g h.  With
+        negotiate set the nodes negotiate their regions, appending each
+        sub-round to records (see collaborative_safety_arrays); otherwise
+        every node keeps its full box.  Returns (controls, capability,
+        outer_rounds, sub_rounds, cap_tripped, relaxed); a halting protocol
+        outcome raises.
+        """
+        certified = certificate = None
+        if negotiate:
+            outcome = collaborative_safety_arrays(self.model.layout, psi2, self.box_lo,
+                                                  self.box_hi, records=records, **self.protocol)
+            regions, caps = outcome.regions, outcome.capability
+            # A node that negotiated help owes its own share of the closed
+            # margin, a floor of -allocated; self-sufficient nodes stay
+            # minimally invasive.  (c - a is c + (-a) bit for bit.)
+            certified = outcome.allocated < 0.0
+            certificate = Psi2Arrays(psi2.constant - outcome.allocated, psi2.linear,
+                                     psi2.quadratic, psi2.coupling)
+            rounds = outcome.outer_rounds, outcome.sub_rounds, outcome.cap_tripped
+        else:
+            regions = self.full_boxes
+            caps = max_capability_arrays(psi2, regions)
+            rounds = 0, 0, False
+        u, relaxed = safety_filter_arrays(self.nominal, regions, base, x, certificate, certified)
+        return (u, caps, *rounds, relaxed)
+
+
+# A network with fewer nodes than this steps on FloatKernel, any other on
+# ArrayKernel: below it numpy's per-call dispatch costs more than a loop
+# over the nodes.  On generated networks whose every step negotiates, the
+# two kernels break even at about 28 nodes (see CHANGES.md); the bench has
+# workloads on both sides of it.
+FLOAT_KERNEL_NODES = 28
+
+
+def step_count(t_final: float, dt: float) -> int:
+    """How many dt steps reach t_final; ValueError unless a whole number, to 1e-9 relative."""
+    steps = t_final / dt
+    whole = round(steps)
+    if abs(steps - whole) > 1e-9 * abs(steps):
+        raise ValueError(f"t_final {t_final} is not a whole number of dt {dt} steps")
+    return whole
 
 
 def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
@@ -288,15 +372,17 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
                  collect_messages: bool = False) -> ScenarioResult:
     """Run the closed loop from x0 to t_final and record every step.
 
-    nominal is the packed nominal control, zero when None.  Each step runs
-    on arrays: the model's Lie terms, the psi2 blocks, the array protocol
-    and the array filter.
-    A terminally infeasible step halts the run unless continue_on_infeasible
-    is set; a stalled negotiation always halts it.
+    nominal is the packed nominal control, zero when None.  t_final must be
+    a whole number of dt steps (see step_count).  Each step runs on
+    FloatKernel below FLOAT_KERNEL_NODES nodes and on ArrayKernel from
+    there on; both give the same bits.  A terminally infeasible step halts
+    the run unless continue_on_infeasible is set, which reruns the step on
+    the full boxes; a stalled negotiation always halts it.
     """
-    if udot_policy not in UDOT_POLICIES:
-        raise ValueError(f"udot_policy must be one of {', '.join(UDOT_POLICIES)}, "
-                         f"got {udot_policy!r}")
+    for name, value, allowed in (("udot_policy", udot_policy, UDOT_POLICIES),
+                                 ("weights_mode", weights_mode, WEIGHT_MODES)):
+        if value not in allowed:
+            raise ValueError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
     nodes = list(model.graph.nodes())
     n = len(nodes)
     x = np.asarray(x0, dtype=float).copy()
@@ -305,11 +391,11 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
     want = np.zeros(n) if nominal is None else np.asarray(nominal, dtype=float)
     if want.shape != (n,):
         raise ValueError(f"nominal has shape {want.shape}, expected ({n},) for this graph")
-    box_lo, box_hi = np.zeros(n), model.params.u_max.copy()
-    full_boxes = IntervalRegions(box_lo, box_hi, np.zeros(n, dtype=bool), np.zeros(n))
-    gains = barrier_arrays(specs, nodes)
+    nsteps = step_count(t_final, dt)
+    kernel = (FloatKernel if n < FLOAT_KERNEL_NODES else ArrayKernel)(
+        model, barrier_arrays(specs, nodes), want, np.zeros(n), model.params.u_max.copy(),
+        outer_cap=outer_cap, inner_cap=inner_cap, weights_mode=weights_mode)
     zero_rate = np.zeros(n)
-    nsteps = int(round(t_final / dt))
 
     times = np.zeros(nsteps + 1)
     states = np.zeros((nsteps + 1, n))
@@ -319,7 +405,6 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
     inner_rounds = np.zeros(nsteps + 1, dtype=int)
     logged: list[tuple[float, list[tuple]]] = []
 
-    history: list[np.ndarray] = []  # the last two applied packed controls
     warned = [False]
     halted_at: float | None = None
     halt_reason: str | None = None
@@ -331,60 +416,36 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
 
     for k in range(nsteps + 1):
         t = k * dt
-        lie = model.lie_arrays(x)
-        udot = _udot_for(udot_policy, history, zero_rate, dt, warned)
-        psi2 = decompose_psi2_all(model.layout, gains, lie, udot)
-
+        # the last two applied controls are the rows before this one
+        udot = _udot_for(udot_policy, controls[max(k - 2, 0):k], zero_rate, dt, warned)
         records: list[tuple] | None = [] if collect_messages else None
-        outcome = None
-        if collaboration:
-            try:
-                outcome = collaborative_safety_arrays(
-                    model.layout, psi2, box_lo, box_hi,
-                    outer_cap=outer_cap, inner_cap=inner_cap, weights_mode=weights_mode,
-                    records=records)
-            except TerminallyInfeasibleError as err:
-                if not continue_on_infeasible:
-                    log.error("t=%.6g: %s", t, err)
-                    halted_at, halt_reason = t, "infeasible"
-                    infeasible_nodes = err.nodes
-                    break
-                log.warning("t=%.6g: %s; continuing with unconstrained boxes", t, err)
-                infeasible_nodes = tuple(sorted(set(infeasible_nodes) | set(err.nodes)))
-            except ProtocolStallError as err:
-                log.error("t=%.6g: negotiation stalled: %s", t, err)
-                halted_at, halt_reason = t, "stall"
+        try:
+            u, caps, outer, sub, tripped, relaxed = kernel.step(x, udot, records, collaboration)
+        except TerminallyInfeasibleError as err:
+            if not continue_on_infeasible:
+                log.error("t=%.6g: %s", t, err)
+                halted_at, halt_reason = t, "infeasible"
+                infeasible_nodes = err.nodes
                 break
-            finally:  # before a halt breaks the loop: its records explain it
-                if records:
-                    logged.append((t, records))
+            log.warning("t=%.6g: %s; continuing with unconstrained boxes", t, err)
+            infeasible_nodes = tuple(sorted(set(infeasible_nodes) | set(err.nodes)))
+            # the same step on the full boxes, without a certificate
+            u, caps, outer, sub, tripped, relaxed = kernel.step(x, udot, None, False)
+        except ProtocolStallError as err:
+            log.error("t=%.6g: negotiation stalled: %s", t, err)
+            halted_at, halt_reason = t, "stall"
+            break
+        finally:  # before a halt breaks the loop: its records explain it
+            if records:
+                logged.append((t, records))
 
-        certified = None
-        if outcome is not None:
-            regions = outcome.regions
-            caps = outcome.capability
-            outer_rounds[k] = outcome.outer_rounds
-            inner_rounds[k] = outcome.sub_rounds
-            cap_tripped_steps += outcome.cap_tripped
-            # A node that negotiated help owes its own share of the closed
-            # margin, a floor of -allocated; self-sufficient nodes stay
-            # minimally invasive.  (c - a is c + (-a) bit for bit.)
-            certified = outcome.allocated < 0.0
-            certificate = Psi2Arrays(psi2.constant - outcome.allocated, psi2.linear,
-                                     psi2.quadratic, psi2.coupling)
-        else:
-            regions = full_boxes
-            caps = max_capability_arrays(psi2, regions)
-            certificate = None
-
-        base = lie.lf_h + gains.eta * (gains.threshold - x)
-        # L_g h of a scalar node is its own state
-        u, relaxed = safety_filter_arrays(want, regions, base, x, certificate, certified)
+        outer_rounds[k] = outer
+        inner_rounds[k] = sub
+        cap_tripped_steps += tripped
         relaxed_steps += relaxed
-        if log.isEnabledFor(logging.DEBUG) and relaxed.any():
+        if log.isEnabledFor(logging.DEBUG):
             for i in np.flatnonzero(relaxed):
                 log.debug("t=%.6g node %d: psi1 constraint relaxed", t, i + 1)
-        history = [*history[-1:], u]
 
         times[k] = t
         states[k] = x
@@ -393,7 +454,7 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
         rows = k + 1
 
         if k < nsteps:
-            x, moved = model.clamp_state(rk4_step(model, x, u, dt))
+            x, moved = model.clamp_state(rk4_step(model, x, controls[k], dt))
             max_clamp = max(max_clamp, moved)
 
     if cap_tripped_steps:
@@ -412,8 +473,11 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
 def run_uncontrolled(model: SisModel, x0: np.ndarray, *,
                      dt: float = 0.01, t_final: float = 100.0
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Open-loop trajectory with zero control; returns (times, states)."""
-    nsteps = int(round(t_final / dt))
+    """Open-loop trajectory with zero control; returns (times, states).
+
+    t_final must be a whole number of dt steps, as in run_scenario.
+    """
+    nsteps = step_count(t_final, dt)
     n = model.graph.node_count
     x = np.asarray(x0, dtype=float).copy()
     u = np.zeros(n)

@@ -16,10 +16,12 @@ import numpy as np
 import pytest
 
 import ccbf.collab as collab_mod
+import ccbf.simulate as simulate_mod
 from ccbf.barrier import BarrierSpec, Psi2Decomposition, QuadraticForm, decompose_psi2, psi0, psi1
 from ccbf.cli import main as cli_main
 from ccbf.dynamics import SisModel, SisParams, neighborhood
 from ccbf.errors import TerminallyInfeasibleError
+from ccbf.floatkernel import FloatKernel
 from ccbf.geometry import ControlRegion, Halfspace, closest_point, is_empty, weakly_non_interfering
 from ccbf.graph import NetworkGraph
 from ccbf.plot import read_result_csv
@@ -350,25 +352,44 @@ def test_criterion_7_geometry_grid_oracle(capsys):
 
 def test_criterion_8_partition_conservation(capsys, monkeypatch):
     # the closed loop splits every node's margin at once; each row of a
-    # split with an eligible in-neighbor is one node's partition
-    real = collab_mod.partition_arrays
-    residuals: list[float] = []
+    # split with an eligible in-neighbor is one node's partition.  The paper
+    # run is recorded on both step kernels, which must split alike.
+    residuals: dict[str, list[float]] = {"float": [], "array": []}
 
-    def recording(deficit, weights, eligible, in_row):
-        shares = real(deficit, weights, eligible, in_row)
+    def record(kernel, total, deficit):
+        residuals[kernel].append(abs(total - deficit) / max(1.0, abs(deficit)))
+
+    real_arrays = collab_mod.partition_arrays
+
+    def recording_arrays(deficit, weights, eligible, in_row):
+        shares = real_arrays(deficit, weights, eligible, in_row)
         for row in np.flatnonzero(eligible.any(axis=1)):
-            total = sum(float(v) for v in shares[row][eligible[row]])
-            residuals.append(abs(total - deficit[row]) / max(1.0, abs(deficit[row])))
+            record("array", sum(float(v) for v in shares[row][eligible[row]]), deficit[row])
         return shares
 
-    monkeypatch.setattr(collab_mod, "partition_arrays", recording)
+    real_floats = FloatKernel._partition
+
+    def recording_floats(self, deficit, weight, eligible):
+        shares = real_floats(self, deficit, weight, eligible)
+        for i, row in enumerate(self.rows):
+            sent = [shares[s] for s in row if eligible[s]]
+            if sent:
+                record("float", sum(sent), deficit[i])
+        return shares
+
+    monkeypatch.setattr(collab_mod, "partition_arrays", recording_arrays)
+    monkeypatch.setattr(FloatKernel, "_partition", recording_floats)
     model, specs = _paper_model()
     run_scenario(model, specs, np.asarray(PAPER_X0, dtype=float))
-    worst = max(residuals) if residuals else float("inf")
-    ok = bool(residuals) and worst <= 1e-12
+    monkeypatch.setattr(simulate_mod, "FLOAT_KERNEL_NODES", 0)
+    run_scenario(model, specs, np.asarray(PAPER_X0, dtype=float))
+    splits = {kernel: len(found) for kernel, found in residuals.items()}
+    worst = max(max(found, default=float("inf")) for found in residuals.values())
+    ok = splits["float"] == splits["array"] > 0 and worst <= 1e-12
     report(capsys, 8, ok,
-           f"every split over {len(residuals)} sub-round partitions returned "
-           f"shares summing to the margin within {worst:.2e} <= 1e-12")
+           f"every split over {splits['float']} (float kernel) and {splits['array']} "
+           f"(array kernel) sub-round partitions returned shares summing to the margin "
+           f"within {worst:.2e} <= 1e-12")
 
 
 def test_criterion_9_determinism(capsys, paper_run, tmp_path):

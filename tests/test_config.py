@@ -115,6 +115,20 @@ def test_zero_dt_and_bad_horizon():
     assert "sim.t_final" in paths(excinfo)
 
 
+@pytest.mark.parametrize("dt, t_final", [(0.3, 1.0), (0.1, 0.25)])
+def test_horizon_must_be_whole_steps(dt, t_final):
+    # 1.0 / 0.3 would end the run at 0.9, and round(2.5) at 0.2
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(GOOD, {"sim.dt": dt, "sim.t_final": t_final})
+    assert excinfo.value.violations == [
+        ("sim.t_final", f"must be a whole number of sim.dt ({dt}) steps, got {t_final}")]
+
+
+def test_horizon_within_rounding_of_whole_steps_is_accepted():
+    # 0.3 / 0.01 is 29.999999999999996: sis_quiet_n300's horizon
+    assert parse_config(GOOD, {"sim.dt": 0.01, "sim.t_final": 0.3}).t_final == 0.3
+
+
 def test_vector_bounds_are_per_element():
     bad = GOOD.replace("barrier.x_bar = [0.1, 0.12, 0.18]",
                        "barrier.x_bar = [0.1, 1.2, 0.18]")

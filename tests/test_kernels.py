@@ -1,0 +1,293 @@
+"""The float step kernel against the array step kernel, bit for bit.
+
+`run_scenario` steps a small network on `FloatKernel` and a large one on
+`ArrayKernel`.  The same random instances as test_array_protocol.py drive
+both kernels' negotiation and filter; random SIS models and states drive
+their whole step; and whole runs are compared with each kernel forced
+through `simulate.FLOAT_KERNEL_NODES`.  No bench workload refuses a
+request, so the output digests do not cover the protocol's branches: the
+tests assert that every branch was reached.
+"""
+
+from __future__ import annotations
+
+import itertools
+import logging
+
+import numpy as np
+import pytest
+
+import ccbf.simulate as simulate_mod
+from ccbf.barrier import BarrierSpec, Psi2Arrays, barrier_arrays, max_capability_arrays
+from ccbf.collab import collaborative_safety_arrays, message_rows
+from ccbf.dynamics import SisModel, SisParams
+from ccbf.errors import CcbfError
+from ccbf.floatkernel import FloatKernel, _certificate_point
+from ccbf.geometry import IntervalRegions
+from ccbf.graph import NetworkGraph
+from ccbf.simulate import ArrayKernel, _certificate_choice, run_scenario
+
+from conftest import PAPER_BETA, PAPER_GAMMA, PAPER_UMAX, PAPER_X0, PAPER_XBAR
+from test_array_protocol import _bits, _random_form, _random_instance, _value
+
+
+def _model_on(graph: NetworkGraph, rng, scale: float = 1.0) -> SisModel:
+    """A SIS model on graph with random rates; beta is positive exactly on the edges."""
+    n = graph.node_count
+    beta = np.zeros((n, n))
+    beta[np.arange(n), np.arange(n)] = rng.uniform(0.0, 0.6, n) * scale
+    for j, i in graph.edges:
+        beta[i - 1, j - 1] = rng.uniform(0.05, 1.0) * scale
+    return SisModel(graph, SisParams(beta, rng.uniform(0.1, 0.5, n), rng.uniform(0.0, 1.0, n)))
+
+
+def _kernels(model, gains, nominal, lo, hi, **options):
+    return tuple(kind(model, gains, nominal, lo, hi, **options)
+                 for kind in (ArrayKernel, FloatKernel))
+
+
+def _run(call, caplog):
+    """(result, warnings, error) of call(records), with records kept in result."""
+    caplog.clear()
+    records: list = []
+    try:
+        result, error = (call(records), records), None
+    except (CcbfError, AssertionError) as exc:
+        result, error = (None, records), exc
+    return result, [(r.name, r.getMessage()) for r in caplog.records], error
+
+
+def _same_error(got, ref):
+    assert type(got) is type(ref)
+    if ref is not None:
+        assert str(got) == str(ref)
+        assert getattr(got, "nodes", None) == getattr(ref, "nodes", None)
+
+
+def _same_records(got, ref):
+    assert [(k, list(e), _bits(s), _bits(p)) for k, e, s, p in got] == \
+        [(k, list(e), _bits(s), _bits(p)) for k, e, s, p in ref]
+
+
+def _same_step(got, ref):
+    u, caps, outer, sub, tripped, relaxed = got
+    ref_u, ref_caps, ref_outer, ref_sub, ref_tripped, ref_relaxed = ref
+    assert _bits(u) == _bits(ref_u)
+    assert _bits(caps) == _bits(ref_caps)
+    assert (outer, sub, bool(tripped)) == (ref_outer, ref_sub, bool(ref_tripped))
+    assert list(map(bool, relaxed)) == list(map(bool, ref_relaxed))
+
+
+def test_float_kernel_negotiates_and_settles_like_the_array_kernel(caplog):
+    rng = np.random.default_rng(20240611)
+    hits = dict.fromkeys(["frozen", "dead_channel", "degenerate", "refusal", "cap_trip",
+                          "infeasible", "stall", "settled", "relaxed", "certified"], 0)
+    with caplog.at_level(logging.WARNING, logger="ccbf"):
+        for _ in range(2000):
+            graph, layout, psi2, lo, hi, options = _random_instance(rng)
+            n = graph.node_count
+            lists = (psi2.constant.tolist(), psi2.linear.tolist(), psi2.quadratic.tolist(),
+                     psi2.coupling.ravel().tolist())
+            model = _model_on(graph, rng)
+            gains = barrier_arrays({i: BarrierSpec(0.5) for i in graph.nodes()}, graph.nodes())
+            lg_h = np.array([_value(rng, 1.0) for _ in range(n)])
+            base = rng.uniform(-1.0, 1.0, n)
+            nominal = rng.uniform(-0.5, 1.0, n)
+            nominal[rng.random(n) < 0.2] = 0.0
+            arrays, floats = _kernels(model, gains, nominal, lo, hi, **options)
+
+            # the negotiation: regions, capabilities, allocations and records
+            ref, ref_warned, ref_err = _run(lambda m: collaborative_safety_arrays(
+                layout, psi2, lo, hi, records=m, **options), caplog)
+            got, warned, err = _run(lambda m: floats.negotiate(*lists, m), caplog)
+            assert warned == ref_warned
+            _same_error(err, ref_err)
+            _same_records(got[1], ref[1])
+            if ref_err is not None:
+                hits["infeasible"] += type(ref_err).__name__ == "TerminallyInfeasibleError"
+                hits["stall"] += type(ref_err).__name__ == "ProtocolStallError"
+            else:
+                outcome = ref[0]
+                g_lo, g_hi, g_frozen, g_point, g_caps, g_alloc, *rounds = got[0]
+                assert tuple(rounds) == (outcome.outer_rounds, outcome.sub_rounds,
+                                         outcome.cap_tripped)
+                frozen = outcome.regions.frozen
+                assert g_frozen == frozen.tolist()
+                assert _bits(np.array(g_point)[frozen]) == _bits(outcome.regions.point[frozen])
+                assert _bits(np.array(g_lo)[~frozen]) == _bits(outcome.regions.lo[~frozen])
+                assert _bits(np.array(g_hi)[~frozen]) == _bits(outcome.regions.hi[~frozen])
+                assert _bits(g_caps) == _bits(outcome.capability)
+                assert _bits(g_alloc) == _bits(outcome.allocated)
+                hits["frozen"] += bool(frozen.any())
+                hits["cap_trip"] += outcome.cap_tripped
+                hits["settled"] += outcome.sub_rounds > 0 and not outcome.cap_tripped
+                hits["certified"] += bool((outcome.allocated < 0.0).any())
+            refusals = [(s, e) for _, _, _, eps in ref[1] for s, e in enumerate(eps) if e > 0.0]
+            hits["refusal"] += bool(refusals)
+            hits["dead_channel"] += any(abs(psi2.coupling.ravel()[s]) <= 1e-12
+                                        for s, _ in refusals)
+            hits["degenerate"] += bool(ref_warned)
+
+            # the whole settle: negotiation, then the certificate filter
+            for negotiate in (True, False):
+                ref, ref_warned, ref_err = _run(
+                    lambda m: arrays.settle(lg_h, base, psi2, m, negotiate), caplog)
+                got, warned, err = _run(
+                    lambda m: floats.settle(lg_h.tolist(), base.tolist(), *lists, m, negotiate),
+                    caplog)
+                assert warned == ref_warned
+                _same_error(err, ref_err)
+                _same_records(got[1], ref[1])
+                if ref_err is None:
+                    _same_step(got[0], ref[0])
+                    hits["relaxed"] += bool(np.any(ref[0][5]))
+    assert all(hits.values()), hits
+
+
+def test_float_kernel_raises_on_contradictory_demands_like_the_array_kernel():
+    # nodes 1 and 3 both ask node 2 for help through channels of opposite
+    # sign, for u_2 >= 10 and u_2 <= -10: node 2's request polytope is empty
+    graph = NetworkGraph(3, [(2, 1), (2, 3)])
+    psi2 = Psi2Arrays(np.array([-1.0, 0.0, -1.0]), np.zeros(3), np.zeros(3),
+                      np.array([[1.0], [0.0], [-1.0]]))
+    model = _model_on(graph, np.random.default_rng(3))
+    gains = barrier_arrays({i: BarrierSpec(0.5) for i in (1, 2, 3)}, (1, 2, 3))
+    arrays, floats = _kernels(model, gains, np.zeros(3), np.zeros(3), np.full(3, 0.1),
+                              outer_cap=16, inner_cap=64, weights_mode="coupling")
+    with pytest.raises(CcbfError) as ref:
+        arrays.settle(np.ones(3), np.ones(3), psi2, None, True)
+    with pytest.raises(type(ref.value)) as got:
+        floats.settle([1.0] * 3, [1.0] * 3, *[v.ravel().tolist() for v in psi2], None, True)
+    assert type(ref.value).__name__ == "GeometryConvergenceError"
+    assert str(got.value) == str(ref.value)
+    assert _bits(got.value.last_iterate) == _bits(ref.value.last_iterate)
+
+
+def test_float_certificate_point_matches_the_array_choice():
+    # random certificates of every shape, and a convex one whose two pieces
+    # are equally far from the nominal 0, where the first piece must win
+    rng = np.random.default_rng(7)
+    cases = [(-0.25, 0.0, 1.0, 0.0, -1.0, 1.0)]
+    for _ in range(3000):
+        lo = float(rng.choice([0.0, rng.uniform(-0.5, 0.5)]))
+        hi = lo + float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+        cases.append((*_random_form(rng), float(rng.uniform(-0.5, 1.0)), lo, hi))
+    c, l, q, want, flo, fhi = map(np.array, zip(*cases))
+    best, found = _certificate_choice(Psi2Arrays(c, l, q, np.zeros((len(c), 0))),
+                                      want, flo, fhi)
+    got = [_certificate_point(*case) for case in cases]
+    assert [v is not None for v in got] == found.tolist()
+    assert _bits([v for v in got if v is not None]) == _bits(best[found])
+    assert got[0] < 0.0
+    assert found.sum() < len(cases)  # some certificate has no point in its interval
+
+
+def test_float_capability_matches_the_array_capability_on_signed_zeros():
+    # every sign of zero in every block, frozen and on intervals: the
+    # capability lands in result.csv, where 0 and -0 print differently
+    combos = list(itertools.product([0.0, -0.0, 0.5], [0.0, -0.0, 1.0, -1.0],
+                                    [0.0, -0.0, 1.0, -1.0], [None, 0.0, -0.0, 0.5],
+                                    [(0.0, 0.0), (-0.0, 0.0), (0.0, 1.0), (-1.0, -0.0)]))
+    c, l, q, p, box = zip(*combos)
+    frozen = [v is not None for v in p]
+    point = [0.0 if v is None else v for v in p]
+    lo, hi = [b[0] for b in box], [b[1] for b in box]
+    ref = max_capability_arrays(
+        Psi2Arrays(np.array(c), np.array(l), np.array(q), np.zeros((len(c), 0))),
+        IntervalRegions(np.array(lo), np.array(hi), np.array(frozen), np.array(point)))
+    got = FloatKernel._capability(list(c), list(l), list(q), lo, hi, frozen, point)
+    assert _bits(got) == _bits(ref)
+
+
+def test_float_kernel_steps_like_the_array_kernel_on_random_states(caplog):
+    # the Lie terms and psi2 blocks of random SIS models, through a whole
+    # step; some models have rates large enough to overflow a Lie term
+    rng = np.random.default_rng(515)
+    hits = dict.fromkeys(["negotiated", "non_finite", "rate"], 0)
+    with caplog.at_level(logging.WARNING, logger="ccbf"):
+        for _ in range(400):
+            n = int(rng.integers(1, 7))
+            edges = [(int(j), i) for i in range(1, n + 1)
+                     for j in rng.choice([j for j in range(1, n + 1) if j != i],
+                                         size=int(rng.integers(0, n)), replace=False)]
+            graph = NetworkGraph(n, edges)
+            model = _model_on(graph, rng, scale=1e300 if rng.random() < 0.05 else 1.0)
+            specs = {i: BarrierSpec(rng.uniform(0.05, 1.0), rng.uniform(0.2, 3.0),
+                                    rng.uniform(0.2, 3.0)) for i in graph.nodes()}
+            gains = barrier_arrays(specs, graph.nodes())
+            x = rng.uniform(0.0, 1.0, n)
+            x[rng.random(n) < 0.15] = 0.0
+            x[rng.random(n) < 0.1] = 1.0
+            udot = rng.uniform(-1.0, 1.0, n) if rng.random() < 0.5 else np.zeros(n)
+            options = dict(outer_cap=int(rng.choice([2, 16])), inner_cap=64,
+                           weights_mode=str(rng.choice(["coupling", "uniform"])))
+            arrays, floats = _kernels(model, gains, rng.uniform(0.0, 0.5, n), np.zeros(n),
+                                      model.params.u_max.copy(), **options)
+            for negotiate in (True, False):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    ref, ref_warned, ref_err = _run(
+                        lambda m: arrays.step(x, udot, m, negotiate), caplog)
+                got, warned, err = _run(lambda m: floats.step(x, udot, m, negotiate), caplog)
+                assert warned == ref_warned
+                _same_error(err, ref_err)
+                _same_records(got[1], ref[1])
+                if ref_err is None:
+                    _same_step(got[0], ref[0])
+                    hits["negotiated"] += ref[0][3] > 0
+                    hits["rate"] += bool(udot.any())
+                hits["non_finite"] += type(ref_err).__name__ == "NumericsError"
+    assert all(hits.values()), hits
+
+
+def _paper():
+    graph = NetworkGraph(3, [(j, i) for j in range(1, 4) for i in range(1, 4) if i != j])
+    model = SisModel(graph, SisParams(PAPER_BETA, PAPER_GAMMA, PAPER_UMAX))
+    return model, {i: BarrierSpec(PAPER_XBAR[i - 1]) for i in (1, 2, 3)}, np.array(PAPER_X0)
+
+
+def _weak_two_node():
+    graph = NetworkGraph(2, [(1, 2), (2, 1)])
+    model = SisModel(graph, SisParams([[0.5, 0.4], [0.4, 0.5]], [0.3, 0.3], [0.2, 0.2]))
+    return model, {1: BarrierSpec(0.1), 2: BarrierSpec(0.5)}, np.array([0.02, 0.05])
+
+
+RUNS = {
+    "paper_traced_20s": (_paper, dict(t_final=20.0, collect_messages=True)),
+    "weak_halt": (_weak_two_node, dict(t_final=30.0, collect_messages=True)),
+    "weak_continued": (_weak_two_node, dict(t_final=5.0, collect_messages=True,
+                                            continue_on_infeasible=True)),
+    "paper_backward_difference": (_paper, dict(t_final=5.0, collect_messages=True,
+                                               udot_policy="backward_difference")),
+    "paper_uniform": (_paper, dict(t_final=5.0, collect_messages=True,
+                                   weights_mode="uniform")),
+}
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_whole_runs_match_across_kernels(name, monkeypatch, caplog):
+    build, options = RUNS[name]
+    model, specs, x0 = build()
+    results = {}
+    for kernel, cutoff in (("float", 10 ** 9), ("array", 0)):
+        monkeypatch.setattr(simulate_mod, "FLOAT_KERNEL_NODES", cutoff)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="ccbf"):
+            res = run_scenario(model, specs, x0, dt=0.01, **options)
+        results[kernel] = res, [(r.name, r.getMessage()) for r in caplog.records]
+    (got, got_log), (ref, ref_log) = results["float"], results["array"]
+    assert got_log == ref_log
+    for field in ("times", "states", "controls", "capabilities", "outer_rounds",
+                  "inner_rounds"):
+        assert getattr(got, field).tobytes() == getattr(ref, field).tobytes(), field
+    for field in ("halted_at", "halt_reason", "infeasible_nodes", "max_clamp",
+                  "cap_tripped_steps", "relaxed_steps", "thresholds"):
+        assert getattr(got, field) == getattr(ref, field), field
+    assert [t for t, _ in got.messages] == [t for t, _ in ref.messages]
+    rows = [[(*row[:4], _bits(row[4])) for row in message_rows(res.layout, records)]
+            for res in (got, ref) for _, records in res.messages]
+    assert rows[:len(got.messages)] == rows[len(got.messages):]
+    assert got.messages, "every run here negotiates"
+    if name == "weak_halt":
+        # the halting step runs outer rounds up to the cap: 30 sub-rounds in all
+        assert got.halt_reason == "infeasible"
+        assert got.messages[-1][1][-1][0] == 30

@@ -289,9 +289,10 @@ def test_result_csv_schema_and_roundtrip(tmp_path: Path):
 
 
 def test_csv_writers_spell_every_float_with_17_digits(tmp_path: Path):
-    # one edge, 1 -> 2: node 2 may ask node 1, and node 1 answers each sub-round
+    # one edge, 1 -> 2: node 2 may ask node 1, and node 1 answers each
+    # sub-round; a record holds flat lists over the by-target slots
     layout = edge_layout(NetworkGraph(2, [(1, 2)]))
-    asks, quiet = np.array([[False], [True]]), np.zeros((2, 1), dtype=bool)
+    asks, quiet = [False, True], [False, False]
     res = ScenarioResult(
         times=np.array([0.0, 0.1]),
         states=np.array([[-0.0, 5e-324], [np.nan, np.inf]]),
@@ -299,8 +300,8 @@ def test_csv_writers_spell_every_float_with_17_digits(tmp_path: Path):
         capabilities=np.array([[0.5, -np.inf], [7.0, 0.25]]),
         outer_rounds=np.array([1, 2]), inner_rounds=np.array([0, 3]),
         thresholds=(0.1, 0.2),
-        messages=[(0.1, [(1, asks, np.array([[0.0], [0.1]]), np.array([[0.0], [5e-324]]))]),
-                  (0.2, [(3, quiet, np.zeros((2, 1)), np.array([[0.0], [-0.0]]))])],
+        messages=[(0.1, [(1, asks, [0.0, 0.1], [0.0, 5e-324])]),
+                  (0.2, [(3, quiet, [0.0, 0.0], [0.0, -0.0])])],
         layout=layout)
     write_result_csv(tmp_path / "result.csv", res)
     write_messages_csv(tmp_path / "messages.csv", res)
@@ -376,6 +377,25 @@ def test_bad_x0_shape_rejected():
     model, specs = _paper_model()
     with pytest.raises(ValueError):
         run_scenario(model, specs, np.zeros(4), dt=0.01, t_final=1.0)
+
+
+@pytest.mark.parametrize("dt, t_final", [(0.3, 1.0), (0.1, 0.25)])
+def test_horizon_must_be_whole_steps(dt, t_final):
+    # rounding the step count would stop the run short of t_final
+    model, specs = _paper_model()
+    for run in (lambda: run_scenario(model, specs, np.array(PAPER_X0), dt=dt, t_final=t_final),
+                lambda: run_uncontrolled(model, np.array(PAPER_X0), dt=dt, t_final=t_final)):
+        with pytest.raises(ValueError, match="not a whole number of dt"):
+            run()
+
+
+def test_horizon_within_rounding_of_whole_steps_runs_to_the_end():
+    # 0.3 / 0.01 is 29.999999999999996, which is 30 steps
+    model, specs = _paper_model()
+    res = run_scenario(model, specs, np.array(PAPER_X0), dt=0.01, t_final=0.3)
+    times, _ = run_uncontrolled(model, np.array(PAPER_X0), dt=0.01, t_final=0.3)
+    assert len(res.times) == len(times) == 31
+    assert res.times[-1] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_state_projection_goes_through_the_model():
