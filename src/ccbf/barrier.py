@@ -201,14 +201,22 @@ def decompose_psi2_all(layout: EdgeLayout, gains: BarrierArrays, lie: LieArrays,
 
 def _max_quadratic_on_interval(c: float, l: float, q: float,
                                lo: float, hi: float) -> tuple[float, float]:
-    """Exact maximum of c + l t + q t^2 on [lo, hi]; returns (value, argmax)."""
-    cands = [lo, hi]
+    """Exact maximum of c + l t + q t^2 on [lo, hi]; returns (value, argmax).
+
+    The candidates are lo, hi and the interior stationary point, compared
+    in that order; the first of equal values wins.
+    """
+    best, arg = c + l * lo + q * lo * lo, lo
+    f_hi = c + l * hi + q * hi * hi
+    if f_hi > best:
+        best, arg = f_hi, hi
     if q != 0.0:
         t = -l / (2.0 * q)
         if lo < t < hi:
-            cands.append(t)
-    best_t = max(cands, key=lambda t: c + l * t + q * t * t)
-    return c + l * best_t + q * best_t * best_t, best_t
+            f_t = c + l * t + q * t * t
+            if f_t > best:
+                best, arg = f_t, t
+    return best, arg
 
 
 def max_capability(decomp: Psi2Decomposition, region: ControlRegion
@@ -233,22 +241,14 @@ def max_capability(decomp: Psi2Decomposition, region: ControlRegion
     return val, np.array([t])
 
 
-def max_capability_arrays(psi2: Psi2Arrays, region: IntervalRegions) -> np.ndarray:
-    """max_capability for every scalar node at once, bit for bit.
+def capability_function(psi2: Psi2Arrays) -> Callable[[IntervalRegions], np.ndarray]:
+    """The map region -> every scalar node's max_capability on it, bit for bit.
 
     A frozen node takes its own quadratic's value at the frozen point,
     rounded as QuadraticForm.value rounds it; any other node takes the
     exact maximum over [lo, hi], comparing the candidates lo, hi and the
     interior stationary point in that order and keeping the first of equal
-    values.
-    """
-    return capability_function(psi2)(region)
-
-
-def capability_function(psi2: Psi2Arrays) -> Callable[[IntervalRegions], np.ndarray]:
-    """The map region -> max_capability_arrays(psi2, region).
-
-    Each node's interior stationary point and the value there are found
+    values.  Each node's stationary point and the value there are found
     once, for every region the map is given.
     """
     c, l, q = psi2.constant, psi2.linear, psi2.quadratic

@@ -119,19 +119,37 @@ def _allocated(ledger: CollabLedger) -> float:
     return sum(ledger.out_alloc[j] for j in sorted(ledger.out_alloc))
 
 
+def _split(deficit: float, weights: list[float]) -> list[float] | None:
+    """deficit split over weights in proportion; negligible weights get exactly 0.
+
+    None when every weight is negligible.  Each sum runs from +0.0 in list
+    order.
+    """
+    total = 0.0
+    for w in weights:
+        if w > NEGLIGIBLE_NORMAL:
+            total += w
+    if not total > 0.0:
+        return None
+    shares = [deficit * (w / total) if w > NEGLIGIBLE_NORMAL else 0.0 for w in weights]
+    spread = 0.0
+    for share in shares:
+        spread += share
+    spread -= deficit
+    assert abs(spread) <= 1e-12 * max(1.0, abs(deficit)), "partition must conserve the margin"
+    return shares
+
+
 def partition(deficit: float, weights: Mapping[int, float]) -> dict[int, float]:
     """Split a margin proportionally; negligible weights get exactly zero."""
     if not weights:
         return {}
-    live = {j: float(w) for j, w in weights.items() if float(w) > NEGLIGIBLE_NORMAL}
-    if not live:
+    order = sorted(weights)
+    shares = _split(deficit, [float(weights[j]) for j in order])
+    if shares is None:
         raise DegenerateWeightsError(
             "every eligible neighbor has negligible coupling weight")
-    total = sum(live[j] for j in sorted(live))
-    shares = {j: deficit * (live[j] / total) if j in live else 0.0 for j in sorted(weights)}
-    spread = sum(shares[j] for j in sorted(shares)) - deficit
-    assert abs(spread) <= 1e-12 * max(1.0, abs(deficit)), "partition must conserve the margin"
-    return shares
+    return dict(zip(order, shares))
 
 
 def coordinate(graph: NetworkGraph, i: int, ledger: CollabLedger,

@@ -187,15 +187,21 @@ def _want_int(key, v, problems, got, minimum=None):
 
 def _want_float(key, v, problems, got, above=None, steps_of=None, **limits):
     """A number within the limits, over the value of the key `above` once
-    read, and a whole number of steps of the key `steps_of` (see step_count)."""
+    read, and a whole number of steps of the key `steps_of` that a run's
+    table can hold (see step_count)."""
     fault = _number_fault(v, **limits)
     bound = got[KNOWN_KEYS[above]] if above is not None else None
     if fault is None and bound is not None and float(v) <= bound:
         fault = f"must be > {above} ({bound}), got {float(v)}"
     step = got[KNOWN_KEYS[steps_of]] if steps_of is not None else None
     if fault is None and step is not None:
+        # a beta read without a fault shows that a row of n entries fits
+        nodes = got["nodes"] if got["beta"] is not None else 1
         try:
-            step_count(float(v), step)
+            step_count(float(v), step, nodes)
+        except OverflowError:
+            fault = (f"must take few enough {steps_of} ({step}) steps for a table of "
+                     f"{nodes} nodes to fit in an array, got {float(v)}")
         except ValueError:
             fault = f"must be a whole number of {steps_of} ({step}) steps, got {float(v)}"
     if fault is not None:

@@ -12,8 +12,15 @@ in EdgeLayout's order: by target, then ascending source.  Both raise the
 same errors with the same messages and log the same warnings.  Edge data
 lives in flat lists over the by-target slots of the model's EdgeLayout,
 padding included, so a sub-round's record is the (sub_round, eligible,
-shares, eps) that `collab.message_rows` reads.  This module shares no
-arithmetic with the array kernel, so each one checks the other.
+shares, eps) that `collab.message_rows` reads.
+
+The per-node reference calls the same scalar rules: the capability on an
+interval (`barrier._max_quadratic_on_interval`, as `max_capability`), the
+certificate filter (`filter_point` here, as `simulate.safety_filter`),
+the proportional split (`collab._split`, as `partition`) and the nearest
+point (`geometry.nearest_point`, as `closest_point`).  The array stages
+share no arithmetic with either: they are the independent implementation
+that both are pinned to.
 """
 
 from __future__ import annotations
@@ -23,12 +30,11 @@ import math
 
 import numpy as np
 
-from .barrier import CERT_TOL, PSI1_TOL, BarrierArrays
-from .collab import MARGIN_TOL, _infeasible
+from .barrier import CERT_TOL, PSI1_TOL, BarrierArrays, _max_quadratic_on_interval
+from .collab import MARGIN_TOL, _infeasible, _split
 from .dynamics import SisModel
-from .errors import (EmptyRegionError, GeometryConvergenceError, NumericsError,
-                     ProtocolStallError)
-from .geometry import NEGLIGIBLE_NORMAL
+from .errors import EmptyRegionError, NumericsError, ProtocolStallError
+from .geometry import NEGLIGIBLE_NORMAL, nearest_point
 
 # the negotiation's warnings are the protocol's, as the array kernel logs them
 log = logging.getLogger("ccbf.collab")
@@ -86,6 +92,33 @@ def _certificate_point(c: float, l: float, q: float, want: float,
                 best = u
             found = True
     return best if found else None
+
+
+def filter_point(a: float, base: float, lo: float, hi: float, want: float,
+                 certificate: tuple[float, float, float] | None) -> tuple[float, bool]:
+    """A node's filtered control on its interval [lo, hi], and whether psi1 was relaxed.
+
+    a is the node's L_g h and base its psi1 at zero control.  The control
+    nearest want keeps psi1 = base + a u nonnegative; certificate, the
+    (constant, linear, quadratic) of the node's own margin, is honored
+    when some such control meets it (see _certificate_point).  When none
+    does, the end of [lo, hi] that comes closest is returned, or the
+    clamped nominal when the control cannot move psi1 at all.
+    """
+    up, down = a > NEGLIGIBLE_NORMAL, a < -NEGLIGIBLE_NORMAL
+    flo, fhi = lo, hi
+    if up or down:
+        bound = -base / a
+        if up and bound > lo:
+            flo = bound
+        if down and bound < hi:
+            fhi = bound
+    elif base < -PSI1_TOL:  # control cannot reach psi1 at all
+        flo, fhi = hi, lo
+    if flo <= fhi:
+        best = None if certificate is None else _certificate_point(*certificate, want, flo, fhi)
+        return (_clamp(want, flo, fhi) if best is None else best), False
+    return ((hi if up else lo) if up or down else _clamp(want, lo, hi)), True
 
 
 class FloatKernel:
@@ -186,33 +219,15 @@ class FloatKernel:
                 raise EmptyRegionError(f"node {i + 1}: negotiated region is empty")
         controls, relaxed = [], []
         for i, (a, b) in enumerate(zip(x, base)):  # L_g h of a scalar node is its state
-            lo_i, hi_i = lo[i], hi[i]
-            up, down = a > NEGLIGIBLE_NORMAL, a < -NEGLIGIBLE_NORMAL
-            flo, fhi = lo_i, hi_i
-            if up or down:
-                bound = -b / a
-                if up and bound > lo_i:
-                    flo = bound
-                if down and bound < hi_i:
-                    fhi = bound
-            elif b < -PSI1_TOL:  # control cannot reach psi1 at all
-                flo, fhi = hi_i, lo_i
-            want = self.nominal[i]
             if frozen[i]:
                 u = point[i]
                 relaxed.append(b + a * u < -PSI1_TOL)
-            elif flo <= fhi:
-                u = _clamp(want, flo, fhi)
-                # a node that negotiated help owes its own share of the closed margin
-                if negotiate and allocated[i] < 0.0:
-                    best = _certificate_point(constant[i] - allocated[i], linear[i],
-                                              quadratic[i], want, flo, fhi)
-                    if best is not None:
-                        u = best
-                relaxed.append(False)
             else:
-                u = (hi_i if up else lo_i) if up or down else _clamp(want, lo_i, hi_i)
-                relaxed.append(True)
+                # a node that negotiated help owes its own share of the closed margin
+                certificate = (constant[i] - allocated[i], linear[i], quadratic[i]) \
+                    if negotiate and allocated[i] < 0.0 else None
+                u, lax = filter_point(a, b, lo[i], hi[i], self.nominal[i], certificate)
+                relaxed.append(lax)
             controls.append(u)
         return (controls, caps, *rounds, relaxed)
 
@@ -233,58 +248,31 @@ class FloatKernel:
         """Each node's best self term on its region; its value at a frozen point."""
         caps = []
         for i, (c, l, q) in enumerate(zip(constant, linear, quadratic)):
-            lo_i, hi_i = lo[i], hi[i]
             if frozen[i]:
                 p = point[i]
                 # QuadraticForm.value: its one-element dot products add to +0.0
                 caps.append((c + (l * p + 0.0)) + ((p * q + 0.0) * p + 0.0))
-                continue
-            if lo_i > hi_i:
+            elif lo[i] > hi[i]:
                 raise EmptyRegionError(f"node {i + 1}: admissible interval is empty "
-                                       f"({lo_i} > {hi_i})")
-            best = c + l * lo_i + q * lo_i * lo_i
-            f_hi = c + l * hi_i + q * hi_i * hi_i
-            if f_hi > best:
-                best = f_hi
-            if q != 0.0:  # the interior stationary point
-                t = -l / (2.0 * q)
-                f_t = c + l * t + q * t * t
-                if lo_i < t < hi_i and f_t > best:
-                    best = f_t
-            caps.append(best)
+                                       f"({lo[i]} > {hi[i]})")
+            else:
+                caps.append(_max_quadratic_on_interval(c, l, q, lo[i], hi[i])[0])
         return caps
 
     def _partition(self, deficit: list, weight: list, eligible: list) -> list:
         """Each asking node's deficit split over its eligible slots by weight."""
         shares = [0.0] * self.size
-        asking = []
         for i, row in enumerate(self.rows):
             ask = [s for s in row if eligible[s]]
             if not ask:
                 continue
-            asking.append(i)
-            live = [s for s in ask if weight[s] > NEGLIGIBLE_NORMAL]
-            total = 0.0
-            for s in live:
-                total += weight[s]
-            parts = [(s, weight[s]) for s in live]
-            if not total > 0.0:
+            parts = _split(deficit[i], [weight[s] for s in ask])
+            if parts is None:
                 log.warning("node %d: all coupling weights negligible, splitting uniformly",
                             i + 1)
-                total = 0.0
-                for _ in ask:
-                    total += 1.0
-                parts = [(s, 1.0) for s in ask]
-            d = deficit[i]
-            for s, w in parts:
-                shares[s] = d * (w / total)
-        for i in asking:
-            spread = 0.0
-            for s in self.rows[i]:
-                spread += shares[s]
-            spread -= deficit[i]
-            assert abs(spread) <= 1e-12 * max(1.0, abs(deficit[i])), \
-                "partition must conserve the margin"
+                parts = _split(deficit[i], [1.0] * len(ask))
+            for s, share in zip(ask, parts):
+                shares[s] = share
         return shares
 
     def negotiate(self, constant: list, linear: list, quadratic: list, a: list,
@@ -405,14 +393,4 @@ class FloatKernel:
             b = -target[s] / a_s
             if b < phi:
                 phi = b
-        box_lo, box_hi = self.box_lo[j], self.box_hi[j]
-        if plo > phi:
-            raise GeometryConvergenceError("empty request polytope",
-                                           last_iterate=np.array([box_lo]),
-                                           residual=plo - phi)
-        if phi < box_lo:
-            return box_lo
-        if plo > box_hi:
-            return box_hi
-        inside = box_lo if box_lo > plo else plo
-        return box_hi if box_hi < inside else inside
+        return nearest_point(plo, phi, self.box_lo[j], self.box_hi[j])

@@ -195,6 +195,22 @@ def _project_polytope(point: np.ndarray, halfspaces) -> np.ndarray:
     )
 
 
+def nearest_point(plo: float, phi: float, lo: float, hi: float) -> float:
+    """The point of the 1-D box [lo, hi] nearest the request interval [plo, phi].
+
+    plo > phi means contradictory requests: GeometryConvergenceError.
+    """
+    if plo > phi:
+        raise GeometryConvergenceError("empty request polytope",
+                                       last_iterate=np.array([lo]), residual=plo - phi)
+    if phi < lo:
+        return lo
+    if plo > hi:
+        return hi
+    inside = lo if lo > plo else plo
+    return hi if hi < inside else inside
+
+
 def closest_point(box, halfspaces) -> tuple[np.ndarray, float]:
     """Point of the box closest to the request polytope, with the distance.
 
@@ -207,14 +223,8 @@ def closest_point(box, halfspaces) -> tuple[np.ndarray, float]:
         lo, hi = box[0]
         # the request polytope alone, as an unbounded interval
         plo, phi = ControlRegion(((-np.inf, np.inf),), halfspaces).interval()
-        if plo > phi:
-            raise GeometryConvergenceError("empty request polytope",
-                                           last_iterate=np.array([lo]), residual=plo - phi)
-        if phi < lo:
-            return np.array([lo]), lo - phi
-        if plo > hi:
-            return np.array([hi]), plo - hi
-        return np.array([min(max(plo, lo), hi)]), 0.0
+        # the gap between that interval and the box, 0 where they meet
+        return np.array([nearest_point(plo, phi, lo, hi)]), max(lo - phi, plo - hi, 0.0)
     u = box_center(box)
     y = _project_polytope(u, halfspaces)
     for _ in range(PROJECTION_SWEEP_CAP):

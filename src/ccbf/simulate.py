@@ -12,8 +12,11 @@ FLOAT_KERNEL_NODES nodes steps on `FloatKernel`, a loop over the nodes on
 Python floats, and a larger one on `ArrayKernel`, whose every stage works
 on arrays over nodes and edges.  The two give the same bits, and RK4 is
 shared numpy code.  The per-node `safety_filter` and
-`collaborative_safety` are the reference the array stages match bit for
-bit.
+`collaborative_safety` are the reference.  It shares one copy of each
+scalar rule with `FloatKernel`: the certificate filter, the capability on
+an interval, the proportional split and the nearest point.  The array
+stages share none of them; they are the independent implementation that
+both per-node paths are pinned to, bit for bit.
 
 The recorded row at t = k dt carries the state at t, the control applied
 on [t, t+dt), the negotiated capability, and the round counts for that
@@ -31,13 +34,13 @@ from typing import Sequence
 import numpy as np
 
 from .barrier import (CERT_TOL, PSI1_TOL, BarrierArrays, BarrierSpec, Psi2Arrays,
-                      QuadraticForm, barrier_arrays, decompose_psi2_all, max_capability_arrays)
+                      QuadraticForm, barrier_arrays, capability_function, decompose_psi2_all)
 from .collab import (DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP, WEIGHT_MODES,
                      collaborative_safety_arrays, message_rows)
 from .dynamics import SisModel, rk4_step
 from .errors import (DimensionError, EmptyRegionError, ProtocolStallError,
                      TerminallyInfeasibleError)
-from .floatkernel import FloatKernel
+from .floatkernel import FloatKernel, filter_point
 from .geometry import NEGLIGIBLE_NORMAL, ControlRegion, IntervalRegions
 from .graph import EdgeLayout
 
@@ -84,27 +87,6 @@ class ScenarioResult:
         return np.minimum(margins, 0.0)
 
 
-def _certificate_pieces(form: QuadraticForm, slack: float) -> list[tuple[float, float]]:
-    """Intervals where a scalar quadratic is >= -slack; may be 0, 1, or 2."""
-    q = float(form.quadratic[0, 0])
-    l = float(form.linear[0])
-    c = float(form.constant) + slack
-    inf = float("inf")
-    if abs(q) <= NEGLIGIBLE_NORMAL:
-        if abs(l) <= NEGLIGIBLE_NORMAL:
-            return [(-inf, inf)] if c >= 0.0 else []
-        cut = -c / l
-        return [(cut, inf)] if l > 0.0 else [(-inf, cut)]
-    disc = l * l - 4.0 * q * c
-    if disc <= 0.0:
-        return [] if q < 0.0 else [(-inf, inf)]
-    root = math.sqrt(disc)
-    r1, r2 = sorted(((-l - root) / (2.0 * q), (-l + root) / (2.0 * q)))
-    if q < 0.0:
-        return [(r1, r2)]
-    return [(-inf, r1), (r2, inf)]
-
-
 def safety_filter(nominal: np.ndarray, region: ControlRegion, spec: BarrierSpec,
                   lie, state: np.ndarray,
                   certificate: QuadraticForm | None = None) -> tuple[np.ndarray, bool]:
@@ -130,35 +112,10 @@ def safety_filter(nominal: np.ndarray, region: ControlRegion, spec: BarrierSpec,
     lo, hi = region.interval()
     if lo > hi:
         raise EmptyRegionError("negotiated region is empty")
-    a0 = float(a[0])
-    flo, fhi = lo, hi
-    if abs(a0) > NEGLIGIBLE_NORMAL:
-        bound = -base / a0
-        if a0 > 0.0:
-            flo = max(flo, bound)
-        else:
-            fhi = min(fhi, bound)
-    elif base < -PSI1_TOL:
-        flo, fhi = hi, lo  # control cannot reach psi1 at all
-    if flo <= fhi:
-        want = float(nominal[0])
-        if certificate is not None:
-            best = None
-            for piece_lo, piece_hi in _certificate_pieces(certificate, CERT_TOL):
-                seg_lo, seg_hi = max(flo, piece_lo), min(fhi, piece_hi)
-                if seg_lo > seg_hi:
-                    continue
-                u = min(max(want, seg_lo), seg_hi)
-                if best is None or abs(u - want) < abs(best - want):
-                    best = u
-            if best is not None:
-                return np.array([best]), False
-        return np.array([min(max(want, flo), fhi)]), False
-    if abs(a0) <= NEGLIGIBLE_NORMAL:
-        u = min(max(float(nominal[0]), lo), hi)
-    else:
-        u = hi if a0 > 0.0 else lo
-    return np.array([u]), True
+    own = None if certificate is None else (
+        certificate.constant, float(certificate.linear[0]), float(certificate.quadratic[0, 0]))
+    u, relaxed = filter_point(float(a[0]), base, lo, hi, float(nominal[0]), own)
+    return np.array([u]), relaxed
 
 
 def _clamp(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -171,9 +128,9 @@ def _certificate_choice(certificate: Psi2Arrays, want: np.ndarray, flo: np.ndarr
                         fhi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The scalar filter's certificate step for every node at once.
 
-    Returns the point of the certificate pieces (_certificate_pieces with
-    CERT_TOL slack) inside [flo, fhi] nearest the nominal, first piece
-    first, and whether any piece met [flo, fhi].
+    Returns the point of c + l u + q u^2 >= -CERT_TOL inside [flo, fhi]
+    nearest the nominal, first piece first, and whether any piece met
+    [flo, fhi] (see floatkernel._certificate_point).
     """
     q, l = certificate.quadratic, certificate.linear
     c = certificate.constant + CERT_TOL
@@ -335,7 +292,7 @@ class ArrayKernel:
             rounds = outcome.outer_rounds, outcome.sub_rounds, outcome.cap_tripped
         else:
             regions = self.full_boxes
-            caps = max_capability_arrays(psi2, regions)
+            caps = capability_function(psi2)(regions)
             rounds = 0, 0, False
         u, relaxed = safety_filter_arrays(self.nominal, regions, base, x, certificate, certified)
         return (u, caps, *rounds, relaxed)
@@ -349,9 +306,16 @@ class ArrayKernel:
 FLOAT_KERNEL_NODES = 28
 
 
-def step_count(t_final: float, dt: float) -> int:
-    """How many dt steps reach t_final; ValueError unless a whole number, to 1e-9 relative."""
+def step_count(t_final: float, dt: float, nodes: int = 1) -> int:
+    """How many dt steps reach t_final; ValueError unless a whole number, to 1e-9 relative.
+
+    OverflowError when numpy cannot size the run's table: a row of `nodes`
+    floats for t = 0 and for every step.
+    """
     steps = t_final / dt
+    if not math.isfinite(steps) or (round(steps) + 1) * nodes * 8 > np.iinfo(np.intp).max:
+        raise OverflowError(f"t_final {t_final} takes too many dt {dt} steps for a table "
+                            f"of {nodes} nodes")
     whole = round(steps)
     if abs(steps - whole) > 1e-9 * abs(steps):
         raise ValueError(f"t_final {t_final} is not a whole number of dt {dt} steps")
@@ -391,7 +355,7 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
     want = np.zeros(n) if nominal is None else np.asarray(nominal, dtype=float)
     if want.shape != (n,):
         raise ValueError(f"nominal has shape {want.shape}, expected ({n},) for this graph")
-    nsteps = step_count(t_final, dt)
+    nsteps = step_count(t_final, dt, n)
     kernel = (FloatKernel if n < FLOAT_KERNEL_NODES else ArrayKernel)(
         model, barrier_arrays(specs, nodes), want, np.zeros(n), model.params.u_max.copy(),
         outer_cap=outer_cap, inner_cap=inner_cap, weights_mode=weights_mode)
@@ -477,8 +441,8 @@ def run_uncontrolled(model: SisModel, x0: np.ndarray, *,
 
     t_final must be a whole number of dt steps, as in run_scenario.
     """
-    nsteps = step_count(t_final, dt)
     n = model.graph.node_count
+    nsteps = step_count(t_final, dt, n)
     x = np.asarray(x0, dtype=float).copy()
     u = np.zeros(n)
     times = np.zeros(nsteps + 1)

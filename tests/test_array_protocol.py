@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from ccbf.barrier import (BarrierSpec, Psi2Arrays, Psi2Decomposition, QuadraticForm,
-                          max_capability, max_capability_arrays)
+                          capability_function, max_capability)
 from ccbf.collab import (CollabMessage, collaborative_safety, collaborative_safety_arrays,
                          message_rows)
 from ccbf.errors import CcbfError
@@ -291,8 +291,8 @@ def test_array_capability_matches_per_node_on_signed_zeros():
     frozen = np.array([v is not None for v in p])
     point = np.array([0.0 if v is None else v for v in p])
     lo, hi = np.array([b[0] for b in box]), np.array([b[1] for b in box])
-    got = max_capability_arrays(
-        Psi2Arrays(np.array(c), np.array(l), np.array(q), np.zeros((len(c), 0))),
+    got = capability_function(
+        Psi2Arrays(np.array(c), np.array(l), np.array(q), np.zeros((len(c), 0))))(
         IntervalRegions(lo, hi, frozen, point))
     for k, (ck, lk, qk, pk, bk) in enumerate(combos):
         form = QuadraticForm(ck, np.array([lk]), np.array([[qk]]))

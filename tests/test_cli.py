@@ -171,6 +171,19 @@ def test_validate_reports_a_node_count_beyond_memory(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_a_horizon_beyond_an_array_exits_as_a_config_error(tmp_path, capsys):
+    # 1e302 steps: numpy refuses such a table before allocating anything
+    why = ("sim.t_final: must take few enough sim.dt (1e-300) steps for a table of 3 nodes "
+           "to fit in an array, got 100.0\n")
+    assert main(["run", "paper_sis3", "--dt", "1e-300", "--out", str(tmp_path / "x")]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == why
+    cfg = tmp_path / "tiny_dt.cfg"
+    cfg.write_text(read_scenario_text("paper_sis3").replace("sim.dt = 0.01", "sim.dt = 1e-300"))
+    assert main(["validate", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == why
+
+
 def test_unknown_scenario_name(capsys):
     assert main(["run", "no_such_scenario"]) == EXIT_CONFIG
     assert "no such file or bundled scenario" in capsys.readouterr().err

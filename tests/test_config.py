@@ -124,6 +124,18 @@ def test_horizon_must_be_whole_steps(dt, t_final):
         ("sim.t_final", f"must be a whole number of sim.dt ({dt}) steps, got {t_final}")]
 
 
+@pytest.mark.parametrize("dt", [1e-16, 1e-300, 5e-324])
+def test_horizon_beyond_an_array_is_a_violation(dt):
+    # 1e18 steps fit one node's rows but not the three nodes' table; 1e-300
+    # gives 1e302 steps, and 5e-324 an infinite count.  Numpy would refuse
+    # every one of these tables, so nothing here allocates.
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(GOOD, {"sim.dt": dt})
+    assert excinfo.value.violations == [
+        ("sim.t_final", f"must take few enough sim.dt ({dt}) steps for a table of 3 nodes "
+                        f"to fit in an array, got 100.0")]
+
+
 def test_horizon_within_rounding_of_whole_steps_is_accepted():
     # 0.3 / 0.01 is 29.999999999999996: sis_quiet_n300's horizon
     assert parse_config(GOOD, {"sim.dt": 0.01, "sim.t_final": 0.3}).t_final == 0.3

@@ -13,19 +13,23 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import ccbf.simulate as simulate_mod
-from ccbf.barrier import BarrierSpec, Psi2Arrays, barrier_arrays, max_capability_arrays
-from ccbf.collab import collaborative_safety_arrays, message_rows
+from ccbf.barrier import (BarrierSpec, Psi2Arrays, QuadraticForm, barrier_arrays,
+                          capability_function)
+from ccbf.collab import _closest_points, collaborative_safety_arrays, message_rows
 from ccbf.dynamics import SisModel, SisParams
 from ccbf.errors import CcbfError
-from ccbf.floatkernel import FloatKernel, _certificate_point
-from ccbf.geometry import IntervalRegions
+from ccbf.floatkernel import FloatKernel, _certificate_point, filter_point
+from ccbf.geometry import ControlRegion, IntervalRegions, nearest_point
 from ccbf.graph import NetworkGraph
-from ccbf.simulate import ArrayKernel, _certificate_choice, run_scenario
+from ccbf.simulate import (ArrayKernel, _certificate_choice, run_scenario, safety_filter,
+                           safety_filter_arrays)
 
 from conftest import PAPER_BETA, PAPER_GAMMA, PAPER_UMAX, PAPER_X0, PAPER_XBAR
 from test_array_protocol import _bits, _random_form, _random_instance, _value
@@ -192,11 +196,70 @@ def test_float_capability_matches_the_array_capability_on_signed_zeros():
     frozen = [v is not None for v in p]
     point = [0.0 if v is None else v for v in p]
     lo, hi = [b[0] for b in box], [b[1] for b in box]
-    ref = max_capability_arrays(
-        Psi2Arrays(np.array(c), np.array(l), np.array(q), np.zeros((len(c), 0))),
+    ref = capability_function(
+        Psi2Arrays(np.array(c), np.array(l), np.array(q), np.zeros((len(c), 0))))(
         IntervalRegions(np.array(lo), np.array(hi), np.array(frozen), np.array(point)))
     got = FloatKernel._capability(list(c), list(l), list(q), lo, hi, frozen, point)
     assert _bits(got) == _bits(ref)
+
+
+def test_shared_filter_rule_matches_the_array_filter_on_signed_zeros():
+    # every sign of zero in a, base, the interval ends, the nominal and the
+    # certificate blocks, with and without a certificate, on frozen and on
+    # relaxed nodes: the controls land in result.csv, where 0 and -0 print
+    # differently.  A certificate constant of -CERT_TOL puts a root or the
+    # cut of a sloped certificate at a signed zero, a nominal outside the
+    # interval returns whichever end bounds it, and a base of exactly
+    # -PSI1_TOL still counts as reachable.
+    tol = 1e-9  # CERT_TOL and PSI1_TOL
+    certificates = [None, (0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (-tol, 1.0, -0.0),
+                    (-tol, -1.0, 0.0), (-tol, 1.0, 1.0), (-tol, -1.0, -1.0), (-1.0, 0.0, -1.0)]
+    combos = list(itertools.product(
+        [0.0, -0.0, 1.0, -1.0], [0.0, -0.0, -tol, -1.0],
+        [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (-1.0, 0.0), (-0.0, 1.0)],
+        [0.0, -0.0, 0.5, -1.5, 1.5], certificates, [None, 0.0, -0.0]))
+    a, base, box, want, cert, p = zip(*combos)
+    lo, hi = [b[0] for b in box], [b[1] for b in box]
+    frozen = [v is not None for v in p]
+    forms = [(0.0, 0.0, 0.0) if f is None else f for f in cert]
+    ref_u, ref_relaxed = safety_filter_arrays(
+        np.array(want),
+        IntervalRegions(np.array(lo), np.array(hi), np.array(frozen),
+                        np.array([0.0 if v is None else v for v in p])),
+        np.array(base), np.array(a),
+        Psi2Arrays(*map(np.array, zip(*forms)), np.zeros((len(combos), 0))),
+        np.array([f is not None for f in cert]))
+    for k, (a_k, base_k, (lo_k, hi_k), want_k, cert_k, p_k) in enumerate(combos):
+        if p_k is None:  # the rule itself, as FloatKernel.settle calls it
+            u, relaxed = filter_point(a_k, base_k, lo_k, hi_k, want_k, cert_k)
+            assert (_bits(u), relaxed) == (_bits(ref_u[k]), bool(ref_relaxed[k])), combos[k]
+        # the per-node reference: base = lf_h + eta * (threshold - x) = lf_h + -0.0
+        region = ControlRegion(((lo_k, hi_k),),
+                               frozen_point=None if p_k is None else np.array([p_k]))
+        form = None if cert_k is None else QuadraticForm(cert_k[0], np.array([cert_k[1]]),
+                                                         np.array([[cert_k[2]]]))
+        u, relaxed = safety_filter(np.array([want_k]), region, BarrierSpec(-0.0),
+                                   SimpleNamespace(lf_h=base_k, lg_h=np.array([a_k])),
+                                   np.array([0.0]), certificate=form)
+        assert (_bits(u), relaxed) == (_bits(ref_u[k]), bool(ref_relaxed[k])), combos[k]
+    negative_zero = (ref_u == 0.0) & np.signbit(ref_u)
+    assert negative_zero.any() and (ref_u == 0.0).sum() > negative_zero.sum()
+    assert ref_relaxed[~np.array(frozen)].any() and ref_relaxed[np.array(frozen)].any()
+
+
+def test_shared_nearest_point_matches_the_array_closest_points_on_signed_zeros():
+    # a frozen helper's point lands in result.csv as its control: every sign
+    # of zero at the request interval's ends and the box's ends
+    ends = [-1.0, -0.0, 0.0, 1.0]
+    combos = [(plo, phi, lo, hi) for plo, phi, lo, hi in itertools.product(ends, repeat=4)
+              if plo <= phi and lo <= hi]
+    plo, phi, lo, hi = map(np.array, zip(*combos))
+    n = len(combos)
+    ref = _closest_points(np.ones(n, dtype=bool), np.stack([plo, phi], axis=1),
+                          np.tile([True, False], (n, 1)), np.tile([False, True], (n, 1)), lo, hi)
+    got = [nearest_point(*case) for case in combos]
+    assert _bits(got) == _bits(ref)
+    assert any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in got)
 
 
 def test_float_kernel_steps_like_the_array_kernel_on_random_states(caplog):

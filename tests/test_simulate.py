@@ -389,6 +389,16 @@ def test_horizon_must_be_whole_steps(dt, t_final):
             run()
 
 
+@pytest.mark.parametrize("dt", [1e-300, 5e-324])
+def test_horizon_beyond_an_array_raises_before_allocating(dt):
+    # 1e302 steps and an infinite count: numpy could not size either table
+    model, specs = _paper_model()
+    for run in (lambda: run_scenario(model, specs, np.array(PAPER_X0), dt=dt),
+                lambda: run_uncontrolled(model, np.array(PAPER_X0), dt=dt)):
+        with pytest.raises(OverflowError, match="too many dt"):
+            run()
+
+
 def test_horizon_within_rounding_of_whole_steps_runs_to_the_end():
     # 0.3 / 0.01 is 29.999999999999996, which is 30 steps
     model, specs = _paper_model()
@@ -414,3 +424,19 @@ def test_state_projection_goes_through_the_model():
     assert model.clamps == 10
     run_uncontrolled(model, np.array(PAPER_X0), dt=0.1, t_final=1.0)
     assert model.clamps == 20
+
+
+def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
+    # the documented API: the README's "Library use" code, run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    scope: dict = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    assert scope["result"].halted_at is None
+    with open(tmp_path / "result.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][:3] == ["t", "x_1", "x_2"]
+    assert len(rows) == len(scope["result"].times) + 1
+    assert capsys.readouterr().out
