@@ -132,7 +132,9 @@ def decompose_psi2(spec: BarrierSpec, lie: LieTable, state: np.ndarray,
     if udot.shape != lie.lg_h.shape:
         raise DimensionError(f"udot has shape {udot.shape}, expected {lie.lg_h.shape}")
     h0 = psi0(spec, state)
-    cross_drift = sum(lie.lfj_lf_h[j] for j in sorted(lie.lfj_lf_h))
+    cross_drift = 0.0  # in order from +0.0: builtin sum() compensates from Python 3.12 on
+    for j in sorted(lie.lfj_lf_h):
+        cross_drift += lie.lfj_lf_h[j]
     constant = (cross_drift + lie.lf2_h + float(lie.lg_h @ udot)
                 + spec.eta * lie.lf_h + spec.kappa * (lie.lf_h + spec.eta * h0))
     linear = lie.lf_lg_h + lie.lg_lf_h + (spec.eta + spec.kappa) * lie.lg_h

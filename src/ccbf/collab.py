@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -116,7 +116,10 @@ def _infeasible(stuck: tuple[int, ...]) -> TerminallyInfeasibleError:
 
 
 def _allocated(ledger: CollabLedger) -> float:
-    return sum(ledger.out_alloc[j] for j in sorted(ledger.out_alloc))
+    total = 0.0  # builtin sum() compensates its additions from Python 3.12 on
+    for j in sorted(ledger.out_alloc):
+        total += ledger.out_alloc[j]
+    return total
 
 
 def _split(deficit: float, weights: list[float]) -> list[float] | None:
@@ -319,25 +322,27 @@ def collaborative_safety(graph: NetworkGraph,
     return ProtocolOutcome(regions, ledgers, outer, total_sub, cap_tripped)
 
 
+def exchange_order(layout: EdgeLayout) -> tuple[list, list, list]:
+    """The (from, to) of a request per by-target slot, row-major, padding
+    included; of an adjustment per edge, by source; and each edge's slot."""
+    requester, helper = layout.in_row + 1, layout.in_source.ravel() + 1
+    edges = layout.out_slot[layout.out_mask]
+    return (list(zip(requester.tolist(), helper.tolist())),
+            list(zip(helper[edges].tolist(), requester[edges].tolist())), edges.tolist())
+
+
 def message_rows(layout: EdgeLayout, records: Iterable[tuple]) -> Iterator[tuple]:
-    """The messages of the logged sub-rounds as CollabMessage fields, in collaborate's order.
+    """The messages of the logged sub-rounds as CollabMessage fields, in exchange_order.
 
     A record is (sub_round, eligible, shares, eps), each of the last three a
     flat list over the by-target slots of layout, row-major, padding
-    included.  Requests go from each eligible slot's node to its
-    in-neighbor, slots in row-major order; then each edge's helper adjusts,
-    edges in by-source order.
+    included: each eligible slot requests its share, each edge adjusts.
     """
-    requester, helper = layout.in_row + 1, layout.in_source.ravel() + 1
-    edges = layout.out_slot[layout.out_mask]
-    request_from, request_to = requester.tolist(), helper.tolist()
-    adjust_from, adjust_to = helper[edges].tolist(), requester[edges].tolist()
-    edges = edges.tolist()
+    requests, adjusts, edges = exchange_order(layout)
     for sub_round, eligible, shares, eps in records:
-        yield from zip(repeat(sub_round), repeat("request"), compress(request_from, eligible),
-                       compress(request_to, eligible), compress(shares, eligible))
-        yield from zip(repeat(sub_round), repeat("adjust"), adjust_from, adjust_to,
-                       map(eps.__getitem__, edges))
+        yield from ((sub_round, "request", *pair, share) for pair, share in
+                    zip(compress(requests, eligible), compress(shares, eligible)))
+        yield from ((sub_round, "adjust", *pair, eps[s]) for pair, s in zip(adjusts, edges))
 
 
 class ArrayOutcome(NamedTuple):

@@ -32,8 +32,8 @@ Each closed form is pinned to a central finite difference in the tests.
 evaluates every node's table at once with array arithmetic on the
 graph's by-target edge layout (`SisModel.layout`), and every pressure S
 in one `np.bincount`; the per-node `lie_table` on a snapshot is its
-reference, which it matches bit for bit.
-`rk4_step` advances the packed state through `SisModel.packed_flow`.
+reference, which it matches bit for bit.  `rk4_step`, the array kernel's
+RK4 through `packed_flow`, shares only `SisModel.pressure` with the float's.
 """
 
 from __future__ import annotations
@@ -311,6 +311,10 @@ class SisModel:
         clipped = x.clip(0.0, 1.0)
         return clipped, float(np.abs(clipped - x).max())
 
+    def pressure(self, x) -> np.ndarray:
+        """Every node's sum_j beta_ij x_j in one BLAS product, for both kernels' RK4."""
+        return self.params.beta @ x
+
     def packed_flow(self, u: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """Vectorized full-network derivative under the packed control u.
 
@@ -321,8 +325,7 @@ class SisModel:
         if np.shape(u) != (n,):
             raise DimensionError(f"packed control must have shape ({n},)")
         loss = -(self.params.gamma + u)
-        beta = self.params.beta
-        return lambda x: loss * x + (1.0 - x) * (beta @ x)
+        return lambda x: loss * x + (1.0 - x) * self.pressure(x)
 
 
 def rk4_step(model: SisModel, x: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 `FloatKernel.step` does what `simulate.ArrayKernel.step` does: every
 node's Lie terms and psi2 blocks, the negotiation of its region, and the
-certificate filter.  It works one node at a time, on lists of Python
-floats.  At a few nodes numpy's per-call dispatch costs the array kernel
-more than its arithmetic, and this loop skips that cost.
+certificate filter; `advance` its RK4 step and clamp.  It works one node
+at a time on Python floats, but for `SisModel.pressure`, the BLAS product
+of each RK4 stage.  At a few nodes numpy's per-call dispatch costs the
+array kernel more than its arithmetic, and this loop skips that cost.
 
 Both kernels give the same bits.  Every expression keeps the array
 kernel's operation order.  Every sum starts from +0.0 and adds its terms
@@ -152,14 +153,15 @@ class FloatKernel:
                           for slots, real in zip(layout.out_slot, layout.out_mask)]
         self.box_lo, self.box_hi = box_lo.tolist(), box_hi.tolist()
         self.nominal = nominal.tolist()
+        self.gamma, self.pressure = model.params.gamma.tolist(), model.pressure
 
-    def step(self, x_array: np.ndarray, udot: np.ndarray, records: list[tuple] | None,
+    def step(self, x, udot: np.ndarray, records: list[tuple] | None,
              negotiate: bool) -> tuple:
         """ArrayKernel.step on Python floats: the same arguments and results.
 
-        The controls, capability and relaxed flags come back as lists.
+        x may be a list; the controls, capability and relaxed flags come back as lists.
         """
-        x = x_array.tolist()
+        x = x if isinstance(x, list) else x.tolist()
         rate = udot.tolist()
         n, own, in_edges = self.n, self.own, self.in_edges
         drift = [0.0] * n
@@ -230,6 +232,31 @@ class FloatKernel:
                 relaxed.append(lax)
             controls.append(u)
         return (controls, caps, *rounds, relaxed)
+
+    def advance(self, x, u, dt: float) -> tuple[list, float]:
+        """ArrayKernel.advance in rk4_step's and clamp_state's operation order.
+
+        x may be an array, u is a list as step returns it, and the next state is a list.
+        """
+        x = x if isinstance(x, list) else x.tolist()
+        loss = [-(g + v) for g, v in zip(self.gamma, u)]
+        half = 0.5 * dt
+
+        def flow(y: list) -> list:
+            p = self.pressure(y).tolist()
+            return [a * yi + (1.0 - yi) * pi for a, yi, pi in zip(loss, y, p)]
+
+        k1 = flow(x)
+        k2 = flow([xi + half * k for xi, k in zip(x, k1)])
+        k3 = flow([xi + half * k for xi, k in zip(x, k2)])
+        k4 = flow([xi + dt * k for xi, k in zip(x, k3)])
+        out = [xi + dt / 6.0 * (((a + 2.0 * b) + 2.0 * c) + d)
+               for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, out)):
+            node = next(i for i, v in enumerate(out) if not math.isfinite(v)) + 1
+            raise NumericsError(f"node {node}: non-finite state after step")
+        clipped = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in out]  # -0.0 stays
+        return clipped, max(abs(c - v) for c, v in zip(clipped, out))
 
     def _check_lie_terms(self, x: list, drift: list, slope: list) -> None:
         """Raise NumericsError naming the lowest node with a non-finite Lie term."""

@@ -5,13 +5,13 @@ the current state: build every node's Lie terms and psi2 blocks,
 negotiate admissible control regions with the protocol on the model's
 edge layout (or hand every node its full box when collaboration is off),
 pass the nominal controls through the certificate filter, record a row,
-then advance one `rk4_step` with the controls held constant over the
-interval.  The pipeline up to the record is one `step` of a kernel,
-picked once per run from the node count: a network with fewer than
-FLOAT_KERNEL_NODES nodes steps on `FloatKernel`, a loop over the nodes on
-Python floats, and a larger one on `ArrayKernel`, whose every stage works
-on arrays over nodes and edges.  The two give the same bits, and RK4 is
-shared numpy code.  The per-node `safety_filter` and
+then advance one RK4 step under those controls and clamp to [0, 1].  A
+kernel's `step` runs the pipeline up to the record and its `advance` the
+rest; a network with fewer than FLOAT_KERNEL_NODES nodes runs on
+`FloatKernel`, a loop over the nodes on Python floats, and a larger one
+on `ArrayKernel`, whose every stage works on arrays over nodes and edges.
+The two give the same bits; each has its own RK4 around the one shared
+`SisModel.pressure` product.  The per-node `safety_filter` and
 `collaborative_safety` are the reference.  It shares one copy of each
 scalar rule with `FloatKernel`: the certificate filter, the capability on
 an interval, the proportional split and the nearest point.  The array
@@ -29,6 +29,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +37,7 @@ import numpy as np
 from .barrier import (CERT_TOL, PSI1_TOL, BarrierArrays, BarrierSpec, Psi2Arrays,
                       QuadraticForm, barrier_arrays, capability_function, decompose_psi2_all)
 from .collab import (DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP, WEIGHT_MODES,
-                     collaborative_safety_arrays, message_rows)
+                     collaborative_safety_arrays, exchange_order)
 from .dynamics import SisModel, rk4_step
 from .errors import (DimensionError, EmptyRegionError, ProtocolStallError,
                      TerminallyInfeasibleError)
@@ -297,6 +298,10 @@ class ArrayKernel:
         u, relaxed = safety_filter_arrays(self.nominal, regions, base, x, certificate, certified)
         return (u, caps, *rounds, relaxed)
 
+    def advance(self, x: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
+        """One rk4_step of dt under the controls u, then the model's clamp_state."""
+        return self.model.clamp_state(rk4_step(self.model, x, u, dt))
+
 
 # A network with fewer nodes than this steps on FloatKernel, any other on
 # ArrayKernel: below it numpy's per-call dispatch costs more than a loop
@@ -304,6 +309,14 @@ class ArrayKernel:
 # two kernels break even at about 28 nodes (see CHANGES.md); the bench has
 # workloads on both sides of it.
 FLOAT_KERNEL_NODES = 28
+
+
+def _kernel(model: SisModel, specs: dict[int, BarrierSpec], nominal: np.ndarray, **protocol):
+    """The kernel for the model's node count, every node's box [0, u_max]."""
+    nodes = list(model.graph.nodes())
+    return (FloatKernel if len(nodes) < FLOAT_KERNEL_NODES else ArrayKernel)(
+        model, barrier_arrays(specs, nodes), nominal, np.zeros(len(nodes)),
+        model.params.u_max.copy(), **protocol)
 
 
 def step_count(t_final: float, dt: float, nodes: int = 1) -> int:
@@ -356,9 +369,8 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
     if want.shape != (n,):
         raise ValueError(f"nominal has shape {want.shape}, expected ({n},) for this graph")
     nsteps = step_count(t_final, dt, n)
-    kernel = (FloatKernel if n < FLOAT_KERNEL_NODES else ArrayKernel)(
-        model, barrier_arrays(specs, nodes), want, np.zeros(n), model.params.u_max.copy(),
-        outer_cap=outer_cap, inner_cap=inner_cap, weights_mode=weights_mode)
+    kernel = _kernel(model, specs, want, outer_cap=outer_cap, inner_cap=inner_cap,
+                     weights_mode=weights_mode)
     zero_rate = np.zeros(n)
 
     times = np.zeros(nsteps + 1)
@@ -418,7 +430,7 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
         rows = k + 1
 
         if k < nsteps:
-            x, moved = model.clamp_state(rk4_step(model, x, controls[k], dt))
+            x, moved = kernel.advance(x, u, dt)
             max_clamp = max(max_clamp, moved)
 
     if cap_tripped_steps:
@@ -444,15 +456,18 @@ def run_uncontrolled(model: SisModel, x0: np.ndarray, *,
     n = model.graph.node_count
     nsteps = step_count(t_final, dt, n)
     x = np.asarray(x0, dtype=float).copy()
-    u = np.zeros(n)
-    times = np.zeros(nsteps + 1)
+    if x.shape != (n,):
+        raise DimensionError(f"packed state must have shape ({n},)")
+    # only advance runs, on the zero nominal in the kernel's form: the barrier is moot
+    kernel = _kernel(model, dict.fromkeys(model.graph.nodes(), BarrierSpec(1.0)), np.zeros(n),
+                     outer_cap=DEFAULT_OUTER_CAP, inner_cap=DEFAULT_INNER_CAP,
+                     weights_mode="coupling")
     states = np.zeros((nsteps + 1, n))
     states[0] = x
-    for k in range(nsteps):
-        x, _ = model.clamp_state(rk4_step(model, x, u, dt))
-        times[k + 1] = (k + 1) * dt
-        states[k + 1] = x
-    return times, states
+    for k in range(1, nsteps + 1):
+        x, _ = kernel.advance(x, kernel.nominal, dt)
+        states[k] = x
+    return np.arange(nsteps + 1) * dt, states
 
 
 def write_result_csv(path, result: ScenarioResult) -> None:
@@ -482,10 +497,17 @@ def write_result_csv(path, result: ScenarioResult) -> None:
 
 
 def write_messages_csv(path, result: ScenarioResult) -> None:
-    """Protocol trace: every request and adjustment, in exchange order."""
+    """Protocol trace: every request and adjustment in exchange order, one `%` a sub-round."""
+    requests, adjusts, edges = exchange_order(result.layout)
+    request_lines = ["%%s,%%d,request,%d,%d,%%.17g\n" % pair for pair in requests]
+    adjust_block = "".join("%%s,%%d,adjust,%d,%d,%%.17g\n" % pair for pair in adjusts)
     with open(path, "w", newline="") as fh:
         fh.write("sim_time,sub_round,kind,from,to,value\n")
         for t, records in result.messages:
             stamp = "%.17g" % t
-            fh.writelines("%s,%d,%s,%d,%d,%.17g\n" % (stamp, *row)
-                          for row in message_rows(result.layout, records))
+            for sub_round, eligible, shares, eps in records:
+                values = [*compress(shares, eligible), *map(eps.__getitem__, edges)]
+                fields = [stamp, sub_round, 0.0] * len(values)
+                fields[2::3] = values
+                fh.write(("".join(compress(request_lines, eligible)) + adjust_block)
+                         % tuple(fields))

@@ -302,6 +302,51 @@ def test_float_kernel_steps_like_the_array_kernel_on_random_states(caplog):
     assert all(hits.values()), hits
 
 
+def test_float_advance_matches_the_array_advance():
+    # RK4 and the clamp on random SIS models over the float kernel's node
+    # counts: signed zeros (a negative dt keeps -0.0), states the step
+    # carries outside [0, 1], and rates or states large enough to overflow
+    rng = np.random.default_rng(1906)
+    hits = dict.fromkeys(["moved", "negative_zero", "non_finite", "at_rest"], 0)
+    for _ in range(600):
+        n = int(rng.integers(2, simulate_mod.FLOAT_KERNEL_NODES))
+        edges = [(int(j), i) for i in range(1, n + 1)
+                 for j in rng.choice([j for j in range(1, n + 1) if j != i],
+                                     size=int(rng.integers(0, min(n, 5))), replace=False)]
+        graph = NetworkGraph(n, edges)
+        model = _model_on(graph, rng, scale=1e300 if rng.random() < 0.05 else 1.0)
+        arrays, floats = _kernels(model, barrier_arrays({i: BarrierSpec(0.5) for i in
+                                                         graph.nodes()}, graph.nodes()),
+                                  np.zeros(n), np.zeros(n), model.params.u_max.copy(),
+                                  outer_cap=16, inner_cap=64, weights_mode="coupling")
+        x = rng.uniform(-0.2, 1.2, n)
+        x[rng.random(n) < 0.2] = 0.0
+        x[rng.random(n) < 0.2] = -0.0
+        x[rng.random(n) < 0.1] = 1.0
+        if rng.random() < 0.05:
+            x[int(rng.integers(n))] = rng.choice([1e200, -1e200, np.inf, np.nan])
+        u = rng.uniform(-0.5, 2.0, n) * (rng.random(n) < 0.7)
+        dt = float(rng.choice([0.01, -0.01, 0.5, 3.0]))
+        results = []
+        for kernel, state, control in ((arrays, x, u), (floats, x, u.tolist()),
+                                       (floats, x.tolist(), u.tolist())):
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    state, moved = kernel.advance(state, control, dt)
+                    results.append((_bits(state), _bits(moved), None))
+                except CcbfError as exc:
+                    results.append((None, None, (type(exc), str(exc))))
+        assert results[1] == results[0] and results[2] == results[0]
+        ref_state, ref_moved, ref_err = results[0]
+        hits["non_finite"] += ref_err is not None
+        if ref_err is None:
+            state = np.frombuffer(ref_state)
+            hits["moved"] += float(np.frombuffer(ref_moved)[0]) > 0.0
+            hits["at_rest"] += float(np.frombuffer(ref_moved)[0]) == 0.0
+            hits["negative_zero"] += bool(np.any((state == 0.0) & np.signbit(state)))
+    assert all(hits.values()), hits
+
+
 def _paper():
     graph = NetworkGraph(3, [(j, i) for j in range(1, 4) for i in range(1, 4) if i != j])
     model = SisModel(graph, SisParams(PAPER_BETA, PAPER_GAMMA, PAPER_UMAX))

@@ -9,10 +9,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import ccbf.simulate as simulate_mod
 from ccbf.barrier import BarrierSpec
-from ccbf.collab import message_rows
+from ccbf.collab import collaborative_safety_arrays, message_rows
 from ccbf.dynamics import SisModel, SisParams
-from ccbf.errors import DimensionError
+from ccbf.errors import CcbfError, DimensionError
 from ccbf.geometry import ControlRegion
 from ccbf.graph import NetworkGraph, edge_layout
 from ccbf.simulate import (
@@ -26,6 +27,7 @@ from ccbf.simulate import (
 )
 
 from conftest import PAPER_BETA, PAPER_GAMMA, PAPER_UMAX, PAPER_X0, PAPER_XBAR
+from test_array_protocol import _random_instance
 
 
 def _paper_model():
@@ -335,6 +337,46 @@ def test_messages_csv_schema(tmp_path: Path):
     assert min(subs) == 1
 
 
+def _per_row_messages_csv(res: ScenarioResult) -> str:
+    """messages.csv formatted one message at a time: the writer's oracle."""
+    text = ["sim_time,sub_round,kind,from,to,value\n"]
+    for t, records in res.messages:
+        stamp = "%.17g" % t
+        text += ("%s,%d,%s,%d,%d,%.17g\n" % (stamp, *row)
+                 for row in message_rows(res.layout, records))
+    return "".join(text)
+
+
+def test_messages_csv_matches_the_per_row_format(tmp_path: Path):
+    # the random protocol instances log padding, dead channels, refusals and
+    # many eligibility patterns; the weak network logs up to its halt
+    rng = np.random.default_rng(4242)
+    out = tmp_path / "messages.csv"
+    empty = np.zeros((0, 1))
+    for _ in range(2000):
+        graph, layout, psi2, lo, hi, options = _random_instance(rng)
+        logged = []
+        for t in rng.choice([0.0, 0.01, 1 / 3, 99.99], size=int(rng.integers(1, 3))):
+            records: list = []
+            try:
+                collaborative_safety_arrays(layout, psi2, lo, hi, records=records, **options)
+            except CcbfError:
+                pass
+            logged.append((float(t), records))
+        res = ScenarioResult(times=np.zeros(0), states=empty, controls=empty,
+                             capabilities=empty, outer_rounds=np.zeros(0, dtype=int),
+                             inner_rounds=np.zeros(0, dtype=int), thresholds=(),
+                             messages=logged, layout=layout)
+        write_messages_csv(out, res)
+        assert out.read_bytes() == _per_row_messages_csv(res).encode()
+    model, specs = _weak_two_node()
+    res = run_scenario(model, specs, np.array([0.02, 0.05]), dt=0.01, t_final=30.0,
+                       collect_messages=True)
+    assert res.halt_reason == "infeasible"
+    write_messages_csv(out, res)
+    assert out.read_bytes() == _per_row_messages_csv(res).encode()
+
+
 def test_identical_runs_write_identical_bytes(tmp_path: Path):
     model, specs = _paper_model()
     paths = []
@@ -408,7 +450,11 @@ def test_horizon_within_rounding_of_whole_steps_runs_to_the_end():
     assert res.times[-1] == pytest.approx(0.3, abs=1e-15)
 
 
-def test_state_projection_goes_through_the_model():
+def test_state_projection_goes_through_the_model(monkeypatch):
+    # the array kernel clamps through the model; the float kernel clamps in
+    # its own advance, which test_kernels.py pins to this one bit for bit
+    monkeypatch.setattr(simulate_mod, "FLOAT_KERNEL_NODES", 0)
+
     class Counting(SisModel):
         def __init__(self, graph, params):
             super().__init__(graph, params)
