@@ -146,9 +146,9 @@ class Psi2Arrays(NamedTuple):
     """Every scalar node's psi2 decomposition at one state, as arrays.
 
     Entry i-1 of constant, linear and quadratic is node i's self term
-    constant + linear u + quadratic u^2.  coupling has LieArrays' edge
-    layout: coupling[i-1, c] multiplies the control of node i's c-th
-    in-neighbor, and padding slots hold 0.
+    constant + linear u + quadratic u^2.  coupling is over the edges of
+    the model's EdgeLayout: in node target[e]+1's psi2, coupling[e]
+    multiplies the control of its in-neighbor source[e]+1.
     """
 
     constant: np.ndarray
@@ -186,7 +186,7 @@ def decompose_psi2_all(layout: EdgeLayout, gains: BarrierArrays, lie: LieArrays,
     layout is the model's EdgeLayout, gains every node's spec
     (barrier_arrays) and udot the packed control rate.  Every block is
     elementwise array arithmetic in decompose_psi2's operation order; the
-    cross-drift is one `np.bincount` over layout.in_row (see EdgeLayout).
+    cross-drift is one `np.bincount` over layout.target (see EdgeLayout).
     """
     x = lie.x
     udot = np.asarray(udot, dtype=float)
@@ -194,7 +194,7 @@ def decompose_psi2_all(layout: EdgeLayout, gains: BarrierArrays, lie: LieArrays,
         raise DimensionError(f"udot has shape {udot.shape}, expected {x.shape}")
     eta = gains.eta
     h0 = gains.threshold - x
-    cross_drift = np.bincount(layout.in_row, lie.lfj_lf_h.ravel(), x.shape[0])
+    cross_drift = np.bincount(layout.target, lie.lfj_lf_h, x.shape[0])
     constant = (cross_drift + lie.lf2_h + x * udot
                 + eta * lie.lf_h + gains.kappa * (lie.lf_h + eta * h0))
     linear = lie.drift + lie.lg_lf_h + gains.eta_kappa * x

@@ -323,9 +323,9 @@ def collaborative_safety(graph: NetworkGraph,
 
 
 def exchange_order(layout: EdgeLayout) -> tuple[list, list, list]:
-    """The (from, to) of a request per by-target slot, row-major, padding
-    included; of an adjustment per edge, by source; and each edge's slot."""
-    requester, helper = layout.in_row + 1, layout.in_source.ravel() + 1
+    """The (from, to) of a request per edge, in edge order; of an
+    adjustment per edge, by source; and each adjustment's edge."""
+    requester, helper = layout.target + 1, layout.source + 1
     edges = layout.out_slot[layout.out_mask]
     return (list(zip(requester.tolist(), helper.tolist())),
             list(zip(helper[edges].tolist(), requester[edges].tolist())), edges.tolist())
@@ -335,25 +335,25 @@ def message_rows(layout: EdgeLayout, records: Iterable[tuple]) -> Iterator[tuple
     """The messages of the logged sub-rounds as CollabMessage fields, in exchange_order.
 
     A record is (sub_round, eligible, shares, eps), each of the last three a
-    flat list over the by-target slots of layout, row-major, padding
-    included: each eligible slot requests its share, each edge adjusts.
+    list over the edges of layout: each eligible edge's requester asks its
+    share, and each edge's helper adjusts.
     """
     requests, adjusts, edges = exchange_order(layout)
     for sub_round, eligible, shares, eps in records:
         yield from ((sub_round, "request", *pair, share) for pair, share in
                     zip(compress(requests, eligible), compress(shares, eligible)))
-        yield from ((sub_round, "adjust", *pair, eps[s]) for pair, s in zip(adjusts, edges))
+        yield from ((sub_round, "adjust", *pair, eps[e]) for pair, e in zip(adjusts, edges))
 
 
 class ArrayOutcome(NamedTuple):
     """What collaborative_safety_arrays settled on, as arrays.
 
     regions and capability hold node i's final region and capability at
-    entry i-1.  out_alloc uses the by-target edge layout: slot (i-1, c) is
-    what node i counts on from its c-th in-neighbor j, and what j committed
-    to node i (CollabLedger.out_alloc[j] of node i, which the ledgers
-    mirror as CollabLedger.in_req[i] of node j); padding holds 0.
-    allocated is each node's total allocation, the row sums of out_alloc in
+    entry i-1.  out_alloc is over the edges of the layout: entry e is what
+    node target[e]+1 counts on from its in-neighbor j = source[e]+1, and
+    what j committed to it (CollabLedger.out_alloc[j] of the requester,
+    which the ledgers mirror as CollabLedger.in_req of node j).  allocated
+    is each node's total allocation, its edges' out_alloc summed in
     EdgeLayout's bincount order, as _allocated sums a ledger's.
     """
 
@@ -366,25 +366,32 @@ class ArrayOutcome(NamedTuple):
     cap_tripped: bool = False
 
 
+def _any_by_node(flags: np.ndarray, node: np.ndarray, n: int) -> np.ndarray:
+    """For each of the n nodes, whether flags is set on some edge e with node[e] there."""
+    return np.bincount(node[flags], minlength=n) > 0
+
+
 def partition_arrays(deficit: np.ndarray, weights: np.ndarray,
-                     eligible: np.ndarray, in_row: np.ndarray) -> np.ndarray:
+                     eligible: np.ndarray, target: np.ndarray) -> np.ndarray:
     """partition for every node at once, bit for bit.
 
-    Row i-1 splits deficit[i-1] over the eligible slots of that row in
-    proportion to their weights; negligible weights and slots that are not
-    eligible get exactly 0.  Totals are bincounts over EdgeLayout.in_row.
+    Node i splits deficit[i-1] over its eligible in-edges, those with
+    target i-1, in proportion to their weights; negligible weights and
+    edges that are not eligible get exactly 0.  Totals are bincounts over
+    EdgeLayout.target.
     """
+    n = len(deficit)
     live = eligible & (weights > NEGLIGIBLE_NORMAL)
     live_weights = np.where(live, weights, 0.0)
     # a sum of weights above NEGLIGIBLE_NORMAL is positive, and +0.0 without any
-    total = np.bincount(in_row, live_weights.ravel(), len(deficit))
-    asking = eligible.any(axis=1)
+    total = np.bincount(target, live_weights, n)
+    asking = _any_by_node(eligible, target, n)
     if np.count_nonzero(asking & ~(total > 0.0)):
         raise DegenerateWeightsError(
             "every eligible neighbor has negligible coupling weight")
-    ratio = np.divide(live_weights, total[:, None], out=np.zeros(weights.shape), where=live)
-    shares = np.where(live, deficit[:, None] * ratio, 0.0)
-    spread = np.bincount(in_row, shares.ravel(), len(deficit)) - deficit
+    ratio = np.divide(live_weights, total[target], out=np.zeros(weights.shape), where=live)
+    shares = np.where(live, deficit[target] * ratio, 0.0)
+    spread = np.bincount(target, shares, n) - deficit
     assert (~asking | (np.abs(spread) <= 1e-12 * np.maximum(1.0, np.abs(deficit)))).all(), \
         "partition must conserve the margin"
     return shares
@@ -432,43 +439,42 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
                                 ) -> ArrayOutcome:
     """collaborative_safety for a scalar network, on edge arrays.
 
-    Node i's control box is [box_lo[i-1], box_hi[i-1]].  Every sub-round
-    runs partition, coordinate and the requesters' bookkeeping for all
-    nodes at once with collaborate's synchronous, ascending-id semantics:
-    the rounds, regions, capabilities, ledgers, messages and raised errors
-    are the per-node protocol's, bit for bit.  A stall raises
-    ProtocolStallError without ledgers.  Each sub-round, up to a raise,
-    appends (sub_round, eligible, shares, eps) to records for message_rows,
-    the last three as flat lists over the by-target slots.
+    Node i's control box is [box_lo[i-1], box_hi[i-1]], and psi2.coupling
+    is over the edges of layout.  Every sub-round runs partition,
+    coordinate and the requesters' bookkeeping for all nodes at once with
+    collaborate's synchronous, ascending-id semantics: the rounds, regions,
+    capabilities, ledgers, messages and raised errors are the per-node
+    protocol's, bit for bit.  A stall raises ProtocolStallError without
+    ledgers.  Each sub-round, up to a raise, appends (sub_round, eligible,
+    shares, eps) to records for message_rows, the last three as lists over
+    the edges.
     """
     if weights_mode not in WEIGHT_MODES:
         raise ValueError(f"weights_mode must be one of {', '.join(WEIGHT_MODES)}, "
                          f"got {weights_mode!r}")
     capability_on = capability_function(psi2)
     a = psi2.coupling
-    in_mask, in_source, out_slot = layout.in_mask, layout.in_source, layout.out_slot
+    helper, asker, out_slot = layout.source, layout.target, layout.out_slot
     strength = np.abs(a)
-    live = in_mask & (strength > NEGLIGIBLE_NORMAL)
-    dead = in_mask & ~live
+    live = strength > NEGLIGIBLE_NORMAL
+    dead = ~live
     any_dead = np.count_nonzero(dead)
     a_live = np.where(live, a, 1.0)
     # which requests bound each helper's interval from below and from above,
     # in its out-neighbors' ascending order (every by-source slot off the
     # padding is an edge, so its coupling is live exactly when it passes
     # one of these tests)
-    a_out = a.ravel()[out_slot]
+    a_out = a[out_slot]
     rising = (a_out > NEGLIGIBLE_NORMAL) & layout.out_mask
     falling = (a_out < -NEGLIGIBLE_NORMAL) & layout.out_mask
     weights = np.ones_like(a) if weights_mode == "uniform" else strength
-    # padding counts as constrained, so it is never eligible
-    padding = ~in_mask
 
     # no array here is ever written in place, so the zeros can be shared
     no_edges = out_alloc = np.zeros(a.shape)
     n = box_lo.shape[0]
-    # the row sums of out_alloc, kept from the sub-round that last changed it
+    # the node sums of out_alloc, kept from the sub-round that last changed it
     allocated = np.zeros(n)
-    constrained = padding
+    constrained = np.zeros_like(live)
     lo, hi, frozen, point = box_lo, box_hi, np.zeros(n, dtype=bool), np.zeros(n)
     outer = total_sub = 0
     cap_tripped = False
@@ -479,12 +485,12 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
         if np.count_nonzero(deficit >= -MARGIN_TOL) == n:
             break
         if outer >= outer_cap:
-            stuck = (deficit < -MARGIN_TOL) & constrained.all(axis=1)
+            stuck = (deficit < -MARGIN_TOL) & ~_any_by_node(~constrained, asker, n)
             if stuck.any():
                 raise _infeasible(tuple(int(i) + 1 for i in np.flatnonzero(stuck)))
             cap_tripped = True
             break
-        constrained = padding
+        constrained = np.zeros_like(live)
         sub = 0
         while True:
             if sub >= inner_cap:
@@ -494,34 +500,34 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
             # every node splits its margin over unconstrained in-neighbors
             eligible = ~constrained
             try:
-                shares = partition_arrays(deficit, weights, eligible, layout.in_row)
+                shares = partition_arrays(deficit, weights, eligible, asker)
             except DegenerateWeightsError:
-                degenerate = eligible.any(axis=1) & \
-                    ~(eligible & (weights > NEGLIGIBLE_NORMAL)).any(axis=1)
+                degenerate = _any_by_node(eligible, asker, n) & \
+                    ~_any_by_node(eligible & (weights > NEGLIGIBLE_NORMAL), asker, n)
                 for i in np.flatnonzero(degenerate):
                     log.warning("node %d: all coupling weights negligible, splitting uniformly",
                                 i + 1)
-                shares = partition_arrays(deficit, np.where(degenerate[:, None], 1.0, weights),
-                                          eligible, layout.in_row)
+                shares = partition_arrays(deficit, np.where(degenerate[asker], 1.0, weights),
+                                          eligible, asker)
 
             # every helper re-derives its interval from the demands on it; what
             # a helper committed to a requester is what the requester counts on
             target = out_alloc + shares
             neg_target = -target
             eps = np.where(dead & (target < 0.0), neg_target, 0.0) if any_dead else no_edges
-            bound = (neg_target / a_live).ravel()[out_slot]
+            bound = (neg_target / a_live)[out_slot]
             lo, hi = _fold_bounds(bound, rising, falling, box_lo, box_hi)
             frozen = lo > hi
             if np.count_nonzero(frozen):
                 point = _closest_points(frozen, bound, rising, falling, box_lo, box_hi)
-                short = a * point[in_source] + target
-                eps = np.where(live & frozen[in_source] & (short < 0.0), -short, eps)
+                short = a * point[helper] + target
+                eps = np.where(live & frozen[helper] & (short < 0.0), -short, eps)
             out_alloc = target + eps
-            allocated = np.bincount(layout.in_row, out_alloc.ravel(), n).astype(float, copy=False)
+            allocated = np.bincount(asker, out_alloc, n).astype(float, copy=False)
 
             if records is not None:
-                records.append((total_sub + sub, eligible.ravel().tolist(),
-                                shares.ravel().tolist(), eps.ravel().tolist()))
+                records.append((total_sub + sub, eligible.tolist(), shares.tolist(),
+                                eps.tolist()))
 
             # a sub-round without a refusal touches no node, which ends the
             # negotiation for this capability estimate
@@ -529,9 +535,8 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
             if not np.count_nonzero(refused):
                 break
             constrained = constrained | refused
-            touched = refused.any(axis=1)
-            touched[in_source[refused]] = True
-            if (constrained.all(axis=1) | ~touched).all():
+            touched = _any_by_node(refused, asker, n) | _any_by_node(refused, helper, n)
+            if (~_any_by_node(~constrained, asker, n) | ~touched).all():
                 break
             deficit = capability - allocated
         total_sub += sub

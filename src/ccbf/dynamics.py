@@ -29,9 +29,9 @@ D = d f_i / d x_i = -gamma_i - S + (1 - x_i) beta_ii:
 
 Each closed form is pinned to a central finite difference in the tests.
 `SisModel` is the network the closed loop runs on.  Its `lie_arrays`
-evaluates every node's table at once with array arithmetic on the
-graph's by-target edge layout (`SisModel.layout`), and every pressure S
-in one `np.bincount`; the per-node `lie_table` on a snapshot is its
+evaluates every node's table at once with array arithmetic over the
+graph's edges (`SisModel.layout`), and every pressure S in one
+`np.bincount`; the per-node `lie_table` on a snapshot is its
 reference, which it matches bit for bit.  `rk4_step`, the array kernel's
 RK4 through `packed_flow`, shares only `SisModel.pressure` with the float's.
 """
@@ -85,11 +85,9 @@ class LieArrays(NamedTuple):
     """Every node's constraint Lie terms at one packed state, scalar nodes only.
 
     Entry i-1 of a node array belongs to node i, whose L_g h is x[i-1]
-    and L_f L_g h is drift[i-1].  Edge arrays have the model's by-target
-    EdgeLayout: column c of row i-1 belongs to node i's c-th in-neighbor
-    in ascending id order, and the padding of nodes with fewer
-    in-neighbors (where layout.in_mask is False) holds +0.0, which drops
-    out of the `np.bincount` row sums over layout.in_row.
+    and L_f L_g h is drift[i-1].  Entry e of an edge array belongs to edge
+    e of the model's EdgeLayout: the term of node target[e]+1's constraint
+    through its in-neighbor source[e]+1.
     """
 
     x: np.ndarray
@@ -116,18 +114,19 @@ def neighborhood(graph: NetworkGraph, states: dict[int, np.ndarray], i: int) -> 
 
 
 def _check_lie_terms(x: np.ndarray, f: np.ndarray, lf2_h: np.ndarray, lg_lf_h: np.ndarray,
-                     lfj_lf_h: np.ndarray, lgj_lf_h: np.ndarray) -> None:
+                     lfj_lf_h: np.ndarray, lgj_lf_h: np.ndarray, target: np.ndarray) -> None:
     """Raise NumericsError naming the lowest node with a non-finite Lie term.
 
-    One probe sums every term: a NaN or an infinity in any of them makes
-    the sum non-finite.  Finite terms whose sum overflows fail the probe
-    too, and pass the exact per-node check that follows it.
+    The edge terms belong to the nodes in target.  One probe sums every
+    term: a NaN or an infinity in any of them makes the sum non-finite.
+    Finite terms whose sum overflows fail the probe too, and pass the
+    exact per-node check that follows it.
     """
     probe = float((x + f + lf2_h + lg_lf_h).sum()) + float((lfj_lf_h + lgj_lf_h).sum())
     if math.isfinite(probe):
         return
-    own = np.isfinite(x) & np.isfinite(f) & np.isfinite(lf2_h) & np.isfinite(lg_lf_h)
-    ok = own & np.all(np.isfinite(lfj_lf_h) & np.isfinite(lgj_lf_h), axis=1)
+    ok = np.isfinite(x) & np.isfinite(f) & np.isfinite(lf2_h) & np.isfinite(lg_lf_h)
+    ok[target[~(np.isfinite(lfj_lf_h) & np.isfinite(lgj_lf_h))]] = False
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0]) + 1
         raise NumericsError(f"node {i}: non-finite Lie derivative")
@@ -196,14 +195,14 @@ class SisModel:
         self.graph = graph
         self.params = params
         self.layout = layout = edge_layout(graph)
-        # padding slots point at the node itself with weight 0
-        rows = np.arange(graph.node_count)[:, None]
-        self._in_weight = np.where(layout.in_mask, params.beta[rows, layout.in_source], 0.0)
-        self._self_weight = np.diagonal(params.beta).copy()
+        # beta_ij of every edge j -> i, in edge order, and every beta_ii
+        self.edge_weight = params.beta[layout.target, layout.source]
+        self.self_weight = np.diagonal(params.beta).copy()
         # _pressure's N + E terms in its order: per target, the diagonal, then in-edges
-        present = np.hstack([np.ones_like(rows, dtype=bool), layout.in_mask])
-        self._pull_row = np.broadcast_to(rows, present.shape)[present]
-        self._pull_source = np.hstack([rows, layout.in_source])[present]
+        rows = np.arange(graph.node_count)
+        first = np.argsort(np.concatenate([rows, layout.target]), kind="stable")
+        self._pull_row = np.concatenate([rows, layout.target])[first]
+        self._pull_source = np.concatenate([rows, layout.source])[first]
         self._pull_weight = params.beta[self._pull_row, self._pull_source]
         self._neg_gamma = -params.gamma
 
@@ -290,21 +289,21 @@ class SisModel:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.graph.node_count,):
             raise DimensionError(f"SIS packed state must have shape ({self.graph.node_count},)")
-        index, mask, weight = self.layout.in_source, self.layout.in_mask, self._in_weight
+        source, target = self.layout.source, self.layout.target
         neg_gamma = self._neg_gamma
-        b_ii = self._self_weight
+        b_ii = self.self_weight
         pressure = np.bincount(self._pull_row, self._pull_weight * x[self._pull_source], len(x))
         one_minus = 1.0 - x
         f = neg_gamma * x + one_minus * pressure
         dfdx = neg_gamma - pressure + one_minus * b_ii
         # (-a) * b is -(a * b) bit for bit, so both edge terms share a * b
-        shared = one_minus[:, None] * weight
-        lfj = np.where(mask, -shared * f[index], 0.0)
-        lgj = np.where(mask, shared * x[index], 0.0)
+        shared = one_minus[target] * self.edge_weight
+        lfj = -shared * f[source]
+        lgj = shared * x[source]
         lf_h = -f
         lf2_h = -dfdx * f
         lg_lf_h = dfdx * x
-        _check_lie_terms(x, f, lf2_h, lg_lf_h, lfj, lgj)
+        _check_lie_terms(x, f, lf2_h, lg_lf_h, lfj, lgj, target)
         return LieArrays(x, f, lg_lf_h, lf_h, lf2_h, lfj, lgj)
 
     def clamp_state(self, x: np.ndarray) -> tuple[np.ndarray, float]:

@@ -11,9 +11,9 @@ Both kernels give the same bits.  Every expression keeps the array
 kernel's operation order.  Every sum starts from +0.0 and adds its terms
 in EdgeLayout's order: by target, then ascending source.  Both raise the
 same errors with the same messages and log the same warnings.  Edge data
-lives in flat lists over the by-target slots of the model's EdgeLayout,
-padding included, so a sub-round's record is the (sub_round, eligible,
-shares, eps) that `collab.message_rows` reads.
+lives in lists over the edges of the model's EdgeLayout, in its order, so
+a sub-round's record is the (sub_round, eligible, shares, eps) that
+`collab.message_rows` reads.
 
 The per-node reference calls the same scalar rules: the capability on an
 interval (`barrier._max_quadratic_on_interval`, as `max_capability`), the
@@ -129,26 +129,21 @@ class FloatKernel:
                  box_lo: np.ndarray, box_hi: np.ndarray, *,
                  outer_cap: int, inner_cap: int, weights_mode: str):
         layout = model.layout
-        n, width = layout.in_mask.shape
-        beta = model.params.beta
-        sources, mask = layout.in_source.tolist(), layout.in_mask.tolist()
-        self.n, self.size = n, n * width
+        n = self.n = model.graph.node_count
+        self.source, self.target = layout.source.tolist(), layout.target.tolist()
         self.outer_cap, self.inner_cap = outer_cap, inner_cap
         self.uniform = weights_mode == "uniform"
         # per node: -gamma, beta_ii, threshold, eta, kappa, eta + kappa
-        self.own = list(zip((-model.params.gamma).tolist(), np.diagonal(beta).tolist(),
+        self.own = list(zip((-model.params.gamma).tolist(), model.self_weight.tolist(),
                             gains.threshold.tolist(), gains.eta.tolist(),
                             gains.kappa.tolist(), gains.eta_kappa.tolist()))
-        # per node: (slot, source, beta weight) of each in-edge, ascending source
-        self.in_edges = [tuple((i * width + c, j, float(beta[i, j]))
-                               for c, (j, real) in enumerate(zip(sources[i], mask[i])) if real)
-                         for i in range(n)]
-        self.rows = [tuple(s for s, _, _ in edges) for edges in self.in_edges]
-        self.slots = [s for row in self.rows for s in row]
-        self.row_of = layout.in_row.tolist()
-        self.source = layout.in_source.ravel().tolist()
-        self.padding = (~layout.in_mask).ravel().tolist()
-        # per helper: the slots of its out-edges, ascending target
+        # per node: its in-edges, a run of the edge order, ascending source
+        ends = np.cumsum(np.bincount(layout.target, minlength=n)).tolist()
+        self.rows = [range(start, end) for start, end in zip([0, *ends], ends)]
+        # per node: (source, beta weight) of each in-edge
+        weight = model.edge_weight.tolist()
+        self.in_edges = [tuple((self.source[e], weight[e]) for e in row) for row in self.rows]
+        # per helper: its out-edges, ascending target
         self.out_slots = [slots[real].tolist()
                           for slots, real in zip(layout.out_slot, layout.out_mask)]
         self.box_lo, self.box_hi = box_lo.tolist(), box_hi.tolist()
@@ -169,26 +164,25 @@ class FloatKernel:
         for i, (neg_gamma, b_ii, _, _, _, _) in enumerate(own):
             xi = x[i]
             pressure = 0.0 + b_ii * xi
-            for _, j, w in in_edges[i]:
+            for j, w in in_edges[i]:
                 pressure += w * x[j]
             one_minus = 1.0 - xi
             drift[i] = neg_gamma * xi + one_minus * pressure
             slope[i] = neg_gamma - pressure + one_minus * b_ii
 
-        # psi2's self-term blocks, its coupling on the by-target slots, and
-        # psi1 at zero control
-        constant, linear, base = [], [], []
-        coupling = [0.0] * self.size
+        # psi2's self-term blocks, its coupling over the edges, and psi1 at
+        # zero control
+        constant, linear, base, coupling = [], [], [], []
         probe = 0.0
         for i, (_, _, threshold, eta, kappa, eta_kappa) in enumerate(own):
             xi, f, dfdx = x[i], drift[i], slope[i]
             one_minus = 1.0 - xi
             cross = 0.0
-            for s, j, w in in_edges[i]:
+            for j, w in in_edges[i]:
                 shared = one_minus * w
                 lfj = -shared * drift[j]
                 lgj = shared * x[j]
-                coupling[s] = lgj
+                coupling.append(lgj)
                 cross += lfj
                 probe += lfj + lgj
             lf_h = -f
@@ -206,7 +200,7 @@ class FloatKernel:
 
     def settle(self, x: list, base: list, constant: list, linear: list, quadratic: list,
                coupling: list, records: list[tuple] | None, negotiate: bool) -> tuple:
-        """ArrayKernel.settle on lists; coupling is flat over the by-target slots."""
+        """ArrayKernel.settle on lists; coupling is over the edges."""
         n = self.n
         if negotiate:
             lo, hi, frozen, point, caps, allocated, *rounds = self.negotiate(
@@ -264,7 +258,7 @@ class FloatKernel:
             xi, f, dfdx = x[i], drift[i], slope[i]
             one_minus = 1.0 - xi
             terms = [xi, f, -dfdx * f, dfdx * xi]
-            for _, j, w in edges:
+            for j, w in edges:
                 terms += (-(one_minus * w) * drift[j], one_minus * w * x[j])
             if not all(map(math.isfinite, terms)):
                 raise NumericsError(f"node {i + 1}: non-finite Lie derivative")
@@ -287,36 +281,36 @@ class FloatKernel:
         return caps
 
     def _partition(self, deficit: list, weight: list, eligible: list) -> list:
-        """Each asking node's deficit split over its eligible slots by weight."""
-        shares = [0.0] * self.size
+        """Each asking node's deficit split over its eligible in-edges by weight."""
+        shares = [0.0] * len(eligible)
         for i, row in enumerate(self.rows):
-            ask = [s for s in row if eligible[s]]
+            ask = [e for e in row if eligible[e]]
             if not ask:
                 continue
-            parts = _split(deficit[i], [weight[s] for s in ask])
+            parts = _split(deficit[i], [weight[e] for e in ask])
             if parts is None:
                 log.warning("node %d: all coupling weights negligible, splitting uniformly",
                             i + 1)
                 parts = _split(deficit[i], [1.0] * len(ask))
-            for s, share in zip(ask, parts):
-                shares[s] = share
+            for e, share in zip(ask, parts):
+                shares[e] = share
         return shares
 
     def negotiate(self, constant: list, linear: list, quadratic: list, a: list,
                   records: list[tuple] | None) -> tuple:
-        """collaborative_safety_arrays on lists; a is psi2's coupling on the slots.
+        """collaborative_safety_arrays on lists; a is psi2's coupling over the edges.
 
         Returns lo, hi, frozen, point, capability and allocated per node,
         then the outer rounds, the sub-rounds and whether the cap tripped.
         Only a frozen node's point is meaningful.
         """
-        n, rows, slots = self.n, self.rows, self.slots
+        n, rows, edges = self.n, self.rows, len(a)
         box_lo, box_hi = self.box_lo, self.box_hi
-        source, row_of = self.source, self.row_of
+        helper, asker = self.source, self.target
         tables = None
-        out_alloc = [0.0] * self.size
+        out_alloc = [0.0] * edges
         allocated = [0.0] * n
-        constrained = self.padding  # padding counts as constrained: never eligible
+        constrained = [False] * edges
         lo, hi, frozen, point = box_lo, box_hi, [False] * n, [0.0] * n
         outer = total_sub = 0
         cap_tripped = False
@@ -328,7 +322,7 @@ class FloatKernel:
                 break
             if outer >= self.outer_cap:
                 stuck = tuple(i + 1 for i in range(n) if deficit[i] < -MARGIN_TOL
-                              and all(constrained[s] for s in rows[i]))
+                              and all(constrained[e] for e in rows[i]))
                 if stuck:
                     raise _infeasible(stuck)
                 cap_tripped = True
@@ -336,7 +330,7 @@ class FloatKernel:
             if tables is None:  # built once the first sub-round runs
                 tables = self._edge_tables(a)
             dead, weight, rising, falling = tables
-            constrained = list(self.padding)
+            constrained = [False] * edges
             sub = 0
             while True:
                 if sub >= self.inner_cap:
@@ -346,10 +340,10 @@ class FloatKernel:
                 eligible = [not v for v in constrained]
                 shares = self._partition(deficit, weight, eligible)
                 target = [held + share for held, share in zip(out_alloc, shares)]
-                eps = [0.0] * self.size
-                for s in dead:  # nothing the helper does reaches this requester
-                    if target[s] < 0.0:
-                        eps[s] = -target[s]
+                eps = [0.0] * edges
+                for e in dead:  # nothing the helper does reaches this requester
+                    if target[e] < 0.0:
+                        eps[e] = -target[e]
                 lo, hi, frozen = [], [], []
                 for j in range(n):
                     lo_j, hi_j = box_lo[j], box_hi[j]
@@ -374,8 +368,8 @@ class FloatKernel:
                 allocated = []
                 for row in rows:
                     total = 0.0
-                    for s in row:
-                        total += out_alloc[s]
+                    for e in row:
+                        total += out_alloc[e]
                     allocated.append(total)
 
                 if records is not None:
@@ -383,15 +377,15 @@ class FloatKernel:
 
                 # a sub-round without a refusal touches no node, which ends
                 # the negotiation for this capability estimate
-                refused = [s for s in slots if eps[s] > 0.0]
+                refused = [e for e, v in enumerate(eps) if v > 0.0]
                 if not refused:
                     break
                 touched = set()
-                for s in refused:
-                    constrained[s] = True
-                    touched.add(row_of[s])
-                    touched.add(source[s])
-                if all(i not in touched or all(constrained[s] for s in rows[i])
+                for e in refused:
+                    constrained[e] = True
+                    touched.add(asker[e])
+                    touched.add(helper[e])
+                if all(i not in touched or all(constrained[e] for e in rows[i])
                        for i in range(n)):
                     break
                 deficit = [cap - got for cap, got in zip(caps, allocated)]
@@ -399,10 +393,10 @@ class FloatKernel:
         return lo, hi, frozen, point, caps, allocated, outer, total_sub, cap_tripped
 
     def _edge_tables(self, a: list) -> tuple:
-        """The slots whose coupling is negligible, the split weights, and per
+        """The edges whose coupling is negligible, the split weights, and per
         helper the requests that bound its interval from below and above."""
-        dead = [s for s in self.slots if not abs(a[s]) > NEGLIGIBLE_NORMAL]
-        weight = [1.0] * self.size if self.uniform else [abs(v) for v in a]
+        dead = [e for e, v in enumerate(a) if not abs(v) > NEGLIGIBLE_NORMAL]
+        weight = [1.0] * len(a) if self.uniform else [abs(v) for v in a]
         rising = [[(s, a[s]) for s in out if a[s] > NEGLIGIBLE_NORMAL]
                   for out in self.out_slots]
         falling = [[(s, a[s]) for s in out if a[s] < -NEGLIGIBLE_NORMAL]

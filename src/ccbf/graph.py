@@ -6,8 +6,8 @@ to node_count.  Construction raises ValueError for an empty graph, a
 self-loop or an edge outside 1..node_count; the config loader reports such
 edges by key path before it builds a graph.  Neighbor listings are always
 in ascending id order; the whole pipeline relies on that for determinism.
-`edge_layout` lays the edges out as padded arrays, by target and by
-source, for the array kernels.
+`edge_layout` lists the edges by target, as flat arrays, for the step
+kernels.
 """
 
 from __future__ import annotations
@@ -73,56 +73,43 @@ def edge_index(graph: NetworkGraph) -> tuple[np.ndarray, np.ndarray]:
 
 
 class EdgeLayout(NamedTuple):
-    """Both edge layouts of a scalar network, built once per model.
+    """The edges of a scalar network as flat arrays, built once per model.
 
-    By target: row i-1, column c is the edge into node i from its c-th
-    in-neighbor in ascending id order; in_source holds that neighbor's
-    0-based index (padding points at the row's own node) and in_mask is
-    False on padding.  By source: row j-1, column d is the edge from node
-    j to its d-th out-neighbor; out_slot is that edge's flat index in the
-    by-target layout and out_mask is False on padding.
+    Edge e runs from node source[e]+1 into node target[e]+1 (0-based
+    indices), and the E edges are sorted by target, then source: every
+    per-edge array of the kernels has length E in this order.  By source:
+    row j-1, column d of out_slot is the index of the edge from node j to
+    its d-th out-neighbor in ascending id order, and out_mask is False on
+    the padding of nodes with fewer out-neighbors.
 
     Every sum over a node's in-neighborhood, but for the RK4 flow's, is
-    one `np.bincount(rows, terms, n)`.  It adds the terms in input order
-    into totals that start at +0.0, so index arrays built once per model
-    fix the order of the additions: by target, then by ascending source.
-    in_row is the row of every by-target slot, so an (n, K) array a sums
-    its rows as `np.bincount(in_row, a.ravel(), n)`; padding of +0.0 or
-    -0.0 drops out of such a total.  On an edge-free layout bincount
-    returns integer zeros: a row sum kept as it is is cast to float.
+    one `np.bincount(target, terms, n)`.  It adds the terms in edge order
+    into totals that start at +0.0, so the edge order fixes the order of
+    the additions: by target, then by ascending source.  On an edge-free
+    layout bincount returns integer zeros: a node sum kept as it is is cast
+    to float.
     """
 
-    in_source: np.ndarray
-    in_mask: np.ndarray
-    in_row: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
     out_slot: np.ndarray
     out_mask: np.ndarray
 
 
 def edge_layout(graph: NetworkGraph) -> EdgeLayout:
-    """The graph's by-target and by-source edge layouts.
+    """The graph's edges by target, and its by-source table of them.
 
     graph.edges is sorted by (source, target), which is by-source order
-    already; a lexsort by (target, source) gives by-target order.  Each
-    edge's column is its rank among the edges of its row.
+    already; a lexsort by (target, source) gives the edge order.  Each
+    edge's by-source column is its rank among the edges of its source.
     """
     n = graph.node_count
     src, dst = edge_index(graph)
-    in_deg = np.bincount(dst, minlength=n)
-    out_deg = np.bincount(src, minlength=n)
-    w_in, w_out = int(in_deg.max()), int(out_deg.max())
-    rank = np.arange(len(src))
     by_target = np.lexsort((src, dst))
-    t_row, t_src = dst[by_target], src[by_target]
-    t_col = rank - (np.cumsum(in_deg) - in_deg)[t_row]
-    in_row = np.repeat(np.arange(n, dtype=np.intp), w_in)
-    in_source = in_row.reshape(n, w_in).copy()
-    in_source[t_row, t_col] = t_src
-    in_mask = np.zeros((n, w_in), dtype=bool)
-    in_mask[t_row, t_col] = True
-    s_col = rank - (np.cumsum(out_deg) - out_deg)[src]
-    out_slot = np.zeros((n, w_out), dtype=np.intp)
-    out_slot[t_src, s_col[by_target]] = t_row * w_in + t_col
-    out_mask = np.zeros((n, w_out), dtype=bool)
+    out_deg = np.bincount(src, minlength=n)
+    s_col = np.arange(len(src)) - (np.cumsum(out_deg) - out_deg)[src]
+    out_slot = np.zeros((n, int(out_deg.max())), dtype=np.intp)
+    out_slot[src[by_target], s_col[by_target]] = np.arange(len(src))
+    out_mask = np.zeros(out_slot.shape, dtype=bool)
     out_mask[src, s_col] = True
-    return EdgeLayout(in_source, in_mask, in_row, out_slot, out_mask)
+    return EdgeLayout(src[by_target], dst[by_target], out_slot, out_mask)

@@ -17,15 +17,16 @@ import pytest
 
 import ccbf.collab as collab_mod
 import ccbf.simulate as simulate_mod
-from ccbf.barrier import BarrierSpec, Psi2Decomposition, QuadraticForm, decompose_psi2, psi0, psi1
+from ccbf.barrier import (BarrierSpec, Psi2Arrays, Psi2Decomposition, QuadraticForm,
+                          barrier_arrays, decompose_psi2, psi0, psi1)
 from ccbf.cli import main as cli_main
 from ccbf.dynamics import SisModel, SisParams, neighborhood
 from ccbf.errors import TerminallyInfeasibleError
 from ccbf.floatkernel import FloatKernel
 from ccbf.geometry import ControlRegion, Halfspace, closest_point, is_empty, weakly_non_interfering
-from ccbf.graph import NetworkGraph
+from ccbf.graph import NetworkGraph, edge_layout
 from ccbf.plot import read_result_csv
-from ccbf.simulate import run_scenario, run_uncontrolled
+from ccbf.simulate import ArrayKernel, run_scenario, run_uncontrolled
 
 from conftest import PAPER_BETA, PAPER_GAMMA, PAPER_UMAX, PAPER_X0, PAPER_XBAR
 
@@ -139,6 +140,53 @@ def _random_protocol_instance(rng):
     return graph, decomps, boxes
 
 
+def _kernel_kwargs(n: int) -> dict:
+    return dict(nominal=np.zeros(n), outer_cap=collab_mod.DEFAULT_OUTER_CAP,
+                inner_cap=collab_mod.DEFAULT_INNER_CAP, weights_mode="coupling")
+
+
+def _kernel_negotiations(graph, decomps, boxes):
+    """The instance negotiated by collaborative_safety_arrays and FloatKernel.negotiate.
+
+    Returns each edge's coupling and helper, and per kernel (lo, hi,
+    frozen, capability, allocated, cap_tripped, commitments): the
+    commitment of each edge is summed from the sub-round records, as the
+    kernels sum it.
+    """
+    n = graph.node_count
+    layout = edge_layout(graph)
+    source, target = layout.source, layout.target
+    coupling = np.array([float(decomps[i + 1].coupling[j + 1][0])
+                         for j, i in zip(source.tolist(), target.tolist())])
+    forms = [decomps[i].self_term for i in graph.nodes()]
+    psi2 = Psi2Arrays(np.array([f.constant for f in forms]),
+                      np.array([float(f.linear[0]) for f in forms]),
+                      np.array([float(f.quadratic[0, 0]) for f in forms]), coupling)
+    lo = np.array([boxes[i][0][0] for i in graph.nodes()])
+    hi = np.array([boxes[i][0][1] for i in graph.nodes()])
+    beta = np.zeros((n, n))
+    beta[target, source] = 1.0
+    model = SisModel(graph, SisParams(beta, np.ones(n), hi))
+    gains = barrier_arrays(dict.fromkeys(graph.nodes(), BarrierSpec(1.0)), graph.nodes())
+    floats = FloatKernel(model, gains, box_lo=lo, box_hi=hi, **_kernel_kwargs(n))
+    array_log: list = []
+    float_log: list = []
+    got = collab_mod.collaborative_safety_arrays(layout, psi2, lo, hi, records=array_log)
+    f_lo, f_hi, f_frozen, _, f_caps, f_allocated, _, _, f_tripped = floats.negotiate(
+        *(v.tolist() for v in psi2), float_log)
+    runs = [(*got.regions[:3], got.capability, got.allocated, got.cap_tripped, array_log),
+            (f_lo, f_hi, f_frozen, f_caps, f_allocated, f_tripped, float_log)]
+    results = []
+    for lo_k, hi_k, frozen, caps, allocated, tripped, records in runs:
+        committed = np.zeros(len(coupling))
+        for _, _, shares, eps in records:
+            committed = (committed + np.array(shares)) + np.array(eps)
+        results.append((np.asarray(lo_k), np.asarray(hi_k), np.asarray(frozen),
+                        np.asarray(caps), np.asarray(allocated), tripped, committed))
+    assert np.array_equal(results[0][-1], got.out_alloc)
+    return coupling, source, results
+
+
 def test_criterion_4_protocol_convergence(capsys):
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -158,6 +206,13 @@ def test_criterion_4_protocol_convergence(capsys):
             normals = [h.normal for h in region.requests]
             if normals:
                 assert weakly_non_interfering(normals)
+        # the protocols the step kernels run, on the same instance
+        coupling, helper, results = _kernel_negotiations(graph, decomps, boxes)
+        for lo, hi, frozen, caps, allocated, tripped, committed in results:
+            assert not tripped and not frozen.any()
+            assert (caps - allocated >= -1e-9).all() and (lo <= hi).all()
+            for v in (lo, 0.5 * (lo + hi), hi):
+                assert (coupling * v[helper] + committed >= -1e-9).all()
 
     dead_ends = 10
     for _ in range(dead_ends):
@@ -177,19 +232,68 @@ def test_criterion_4_protocol_convergence(capsys):
 
     report(capsys, 4, True,
            "200 random instances converged within caps to nonempty regions whose "
-           f"sampled points honor every request within 1e-9; {dead_ends} "
+           "sampled points honor every request within 1e-9, on the per-node protocol "
+           f"and on both step kernels' protocols; {dead_ends} "
            "uncoverable instances all raised instead of returning a bad region")
+
+
+def _step_kernels(model: SisModel, specs: dict[int, BarrierSpec]) -> list:
+    """Both step kernels on the model, with every box [0, u_max]."""
+    nodes = model.graph.nodes()
+    n = len(nodes)
+    return [kind(model, barrier_arrays(specs, nodes), box_lo=np.zeros(n),
+                 box_hi=model.params.u_max.copy(), **_kernel_kwargs(n))
+            for kind in (ArrayKernel, FloatKernel)]
+
+
+def _settled_blocks(kernel, x: np.ndarray, udot: np.ndarray) -> list[np.ndarray]:
+    """The psi1 at zero control and the psi2 constant, linear, quadratic and
+    coupling blocks that kernel.step hands to settle."""
+    handed = []
+    kernel.settle = lambda *args: handed.append(args[1:-2])
+    kernel.step(x, udot, None, True)
+    base, *blocks = handed[0]
+    if len(blocks) == 1:  # ArrayKernel hands over Psi2Arrays
+        blocks = list(blocks[0])
+    return [np.asarray(v, dtype=float) for v in (base, *blocks)]
+
+
+def _grouped_psi2(model: SisModel, blocks: list[np.ndarray], u: np.ndarray) -> np.ndarray:
+    """Every node's psi2 reassembled from its settled blocks under the controls u."""
+    _, constant, linear, quadratic, coupling = blocks
+    layout = model.layout
+    neighbors = np.bincount(layout.target, coupling * u[layout.source], len(u))
+    return constant + linear * u + quadratic * u * u + neighbors
+
+
+def _direct_psi2(model: SisModel, specs, x: np.ndarray, u: np.ndarray,
+                 udot: np.ndarray) -> np.ndarray:
+    """psi2 = d(psi1)/dt + kappa psi1 by the chain rule on the SIS flow."""
+    beta, gamma = model.params.beta, model.params.gamma
+    nodes = model.graph.nodes()
+    threshold = np.array([specs[i].threshold for i in nodes])
+    eta = np.array([specs[i].eta for i in nodes])
+    kappa = np.array([specs[i].kappa for i in nodes])
+    xdot = -(gamma + u) * x + (1.0 - x) * (beta @ x)
+    xddot = -udot * x - (gamma + u + beta @ x) * xdot + (1.0 - x) * (beta @ xdot)
+    psi1 = -xdot + eta * (threshold - x)
+    return -xddot - eta * xdot + kappa * psi1
 
 
 def test_criterion_5_decomposition_identity(capsys):
     model, specs = _paper_model()
     graph = model.graph
+    kernels = _step_kernels(model, specs)
     rng = np.random.default_rng(11)
-    worst = 0.0
+    worst = worst_kernels = 0.0
     for _ in range(1000):
         x = rng.uniform(0.01, 0.99, 3)
         u = rng.uniform(0.0, 0.75, 3)
         udot = rng.uniform(-1.0, 1.0, 3)
+        direct = _direct_psi2(model, specs, x, u, udot)
+        for kernel in kernels:
+            grouped = _grouped_psi2(model, _settled_blocks(kernel, x, udot), u)
+            worst_kernels = max(worst_kernels, float(np.abs(grouped - direct).max()))
         states = {i: np.array([x[i - 1]]) for i in graph.nodes()}
         for i in graph.nodes():
             spec = specs[i]
@@ -213,15 +317,20 @@ def test_criterion_5_decomposition_identity(capsys):
             direct = psi1_dot + spec.kappa * (lie.lf_h + float(lie.lg_h @ u_i)
                                               + spec.eta * h0)
             worst = max(worst, abs(grouped - direct))
-    ok = worst <= 1e-12
+    ok = worst <= 1e-12 and worst_kernels <= 1e-12
     report(capsys, 5, ok,
            f"grouped vs direct second-order value agrees to {worst:.2e} <= 1e-12 "
-           "on 1000 random states and controls")
+           f"on 1000 random states and controls, and to {worst_kernels:.2e} <= 1e-12 "
+           "on the blocks both step kernels settle")
 
 
 def test_criterion_6_lie_table_finite_differences(capsys):
     model, specs = _paper_model()
     graph = model.graph
+    kernels = _step_kernels(model, specs)
+    threshold = np.array(PAPER_XBAR)
+    eta = np.array([specs[i].eta for i in graph.nodes()])
+    kappa = np.array([specs[i].kappa for i in graph.nodes()])
     rng = np.random.default_rng(13)
     eps = 1e-5
     worst_lf = 0.0
@@ -257,10 +366,24 @@ def test_criterion_6_lie_table_finite_differences(capsys):
             psi2 = decomp.reassemble(u_i, {j: np.array([u[j - 1]]) for j in lie.lgj_lf_h})
             closed = psi2 - spec.kappa * psi1(spec, lie, states[i], u_i)
             worst_psi1dot = max(worst_psi1dot, abs(fd - closed))
+
+        # the same differences on the blocks both step kernels settle, where
+        # psi1 is base + L_g h u and a scalar node's L_g h is its state
+        lf_fd = ((threshold - (x + eps * drift)) - (threshold - (x - eps * drift))) / (2.0 * eps)
+        for kernel in kernels:
+            blocks = _settled_blocks(kernel, x, udot)
+            base = blocks[0]
+            worst_lf = max(worst_lf, float(np.abs(lf_fd - (base - eta * (threshold - x))).max()))
+            p1p = _settled_blocks(kernel, xp, udot)[0] + xp * up
+            p1m = _settled_blocks(kernel, xm, udot)[0] + xm * um
+            closed = _grouped_psi2(model, blocks, u) - kappa * (base + x * u)
+            worst_psi1dot = max(worst_psi1dot,
+                                float(np.abs((p1p - p1m) / (2.0 * eps) - closed).max()))
     ok = worst_lf <= 1e-6 and worst_psi1dot <= 1e-6
     report(capsys, 6, ok,
            f"finite differences match closed forms: drift derivative {worst_lf:.2e}, "
-           f"constraint-rate {worst_psi1dot:.2e}, both <= 1e-6 on 1000 interior states")
+           f"constraint-rate {worst_psi1dot:.2e}, both <= 1e-6 on 1000 interior states, "
+           "per node and on both step kernels")
 
 
 def _grid_distance_to_polytope(points, normals, offsets):
@@ -361,10 +484,11 @@ def test_criterion_8_partition_conservation(capsys, monkeypatch):
 
     real_arrays = collab_mod.partition_arrays
 
-    def recording_arrays(deficit, weights, eligible, in_row):
-        shares = real_arrays(deficit, weights, eligible, in_row)
-        for row in np.flatnonzero(eligible.any(axis=1)):
-            record("array", sum(float(v) for v in shares[row][eligible[row]]), deficit[row])
+    def recording_arrays(deficit, weights, eligible, target):
+        shares = real_arrays(deficit, weights, eligible, target)
+        for node in np.flatnonzero(np.bincount(target[eligible], minlength=len(deficit))):
+            sent = shares[eligible & (target == node)]
+            record("array", sum(float(v) for v in sent), deficit[node])
         return shares
 
     real_floats = FloatKernel._partition

@@ -24,7 +24,7 @@ from ccbf.collab import (CollabMessage, collaborative_safety, collaborative_safe
                          message_rows)
 from ccbf.errors import CcbfError
 from ccbf.geometry import ControlRegion, IntervalRegions
-from ccbf.graph import NetworkGraph, edge_layout, in_neighbors
+from ccbf.graph import NetworkGraph, edge_layout
 from ccbf.simulate import run_scenario, safety_filter, safety_filter_arrays
 
 
@@ -52,13 +52,11 @@ def _random_instance(rng):
         edges += [(int(j), i) for j in rng.choice(others, size=degree, replace=False)]
     graph = NetworkGraph(n, edges)
     layout = edge_layout(graph)
-    width = layout.in_mask.shape[1]
-    coupling = np.zeros((n, width))
     positive = rng.random() < 0.6  # SIS couplings are never negative
-    for i in graph.nodes():
-        for c, _ in enumerate(in_neighbors(graph, i)):
-            v = _value(rng, 1.0)
-            coupling[i - 1, c] = abs(v) if positive else v
+    coupling = np.zeros(len(layout.source))
+    for e in range(len(coupling)):  # by target, then source
+        v = _value(rng, 1.0)
+        coupling[e] = abs(v) if positive else v
     psi2 = Psi2Arrays(
         constant=rng.uniform(-0.6, 0.4, n),
         linear=np.array([_value(rng, 0.5) for _ in range(n)]),
@@ -72,11 +70,19 @@ def _random_instance(rng):
     return graph, layout, psi2, lo, hi, options
 
 
+def _edges(graph):
+    """(j, i) of every edge j -> i, in edge_layout's order."""
+    layout = edge_layout(graph)
+    return list(zip((layout.source + 1).tolist(), (layout.target + 1).tolist()))
+
+
 def _per_node(graph, psi2):
     decomps = {}
+    couplings = {i: {} for i in graph.nodes()}
+    for (j, i), a in zip(_edges(graph), psi2.coupling.tolist()):
+        couplings[i][j] = np.array([a])
     for i in graph.nodes():
-        coupling = {j: np.array([psi2.coupling[i - 1, c]])
-                    for c, j in enumerate(in_neighbors(graph, i))}
+        coupling = couplings[i]
         form = QuadraticForm(float(psi2.constant[i - 1]), np.array([psi2.linear[i - 1]]),
                              np.array([[psi2.quadratic[i - 1]]]))
         decomps[i] = Psi2Decomposition(coupling, form)
@@ -132,11 +138,12 @@ def test_array_protocol_matches_per_node_protocol(caplog):
                 else:
                     assert _bits([got.regions.lo[i - 1], got.regions.hi[i - 1]]) == \
                         _bits(region.interval())
-                # the ledger mirror: what i counts on from j is what j committed to i
-                for c, j in enumerate(in_neighbors(graph, i)):
-                    assert _bits(got.out_alloc[i - 1, c]) == _bits(ledger.out_alloc.get(j, 0.0))
-                    assert _bits(got.out_alloc[i - 1, c]) == \
-                        _bits(ref.ledgers[j].in_req.get(i, 0.0))
+            # the ledger mirror: what i counts on from j is what j committed to i
+            edges = _edges(graph)
+            assert len(got.out_alloc) == len(edges)
+            for e, (j, i) in enumerate(edges):
+                assert _bits(got.out_alloc[e]) == _bits(ref.ledgers[i].out_alloc.get(j, 0.0))
+                assert _bits(got.out_alloc[e]) == _bits(ref.ledgers[j].in_req.get(i, 0.0))
             # each total in order from +0.0: builtin sum() compensates from Python 3.12 on
             totals = []
             for i in graph.nodes():
@@ -147,8 +154,7 @@ def test_array_protocol_matches_per_node_protocol(caplog):
 
             # a refusal on a live channel comes from a frozen region, one on
             # a dead channel refuses the whole net demand
-            refused = [abs(psi2.coupling[m.to_node - 1,
-                                         in_neighbors(graph, m.to_node).index(m.from_node)])
+            refused = [abs(psi2.coupling[edges.index((m.from_node, m.to_node))])
                        for m in ref_msgs if m.kind == "adjust" and m.value > 0.0]
             hits["frozen"] += any(a > 1e-12 for a in refused)
             hits["dead_channel"] += any(a <= 1e-12 for a in refused)
@@ -194,7 +200,7 @@ def test_array_filter_matches_per_node_filter():
         forms = [_random_form(rng) for _ in range(n)]
         certified = rng.random(n) < 0.7
         certificate = Psi2Arrays(np.array([f[0] for f in forms]), np.array([f[1] for f in forms]),
-                                 np.array([f[2] for f in forms]), np.zeros((n, 0)))
+                                 np.array([f[2] for f in forms]), np.zeros(0))
         regions = IntervalRegions(lo, hi, frozen, np.where(frozen, point, 0.0))
         base = lf_h + eta * (threshold - x)
         u, relaxed = safety_filter_arrays(nominal, regions, base, gain, certificate, certified)
@@ -232,7 +238,7 @@ def test_empty_region_and_contradictory_demands_raise_like_the_reference():
     graph = NetworkGraph(3, [(2, 1), (2, 3)])
     layout = edge_layout(graph)
     psi2 = Psi2Arrays(np.array([-1.0, 0.0, -1.0]), np.zeros(3), np.zeros(3),
-                      np.array([[1.0], [0.0], [-1.0]]))
+                      np.array([1.0, -1.0]))
     lo, hi = np.zeros(3), np.full(3, 0.1)
     boxes = {i: ((0.0, 0.1),) for i in (1, 2, 3)}
     with pytest.raises(CcbfError) as ref:
@@ -253,7 +259,7 @@ def test_empty_region_and_contradictory_demands_raise_like_the_reference():
 def test_unknown_policy_names_are_rejected(paper_model, entry, keyword, misspelt):
     # a name outside the allowed set must not run as one of them
     graph, layout = paper_model.graph, paper_model.layout
-    psi2 = Psi2Arrays(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(layout.in_mask.shape))
+    psi2 = Psi2Arrays(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(len(layout.source)))
     calls = {
         "run_scenario": lambda kw: run_scenario(
             paper_model, {i: BarrierSpec(0.5) for i in (1, 2, 3)}, np.full(3, 0.01),
@@ -273,7 +279,7 @@ def test_unknown_policy_names_are_rejected(paper_model, entry, keyword, misspelt
 def test_array_filter_takes_the_first_of_equidistant_pieces():
     # convex certificate with roots at -r and r: the nominal 0 is as far
     # from (-inf, -r] as from [r, inf), and the per-node loop keeps the first
-    certificate = Psi2Arrays(np.array([-0.25]), np.zeros(1), np.ones(1), np.zeros((1, 0)))
+    certificate = Psi2Arrays(np.array([-0.25]), np.zeros(1), np.ones(1), np.zeros(0))
     regions = IntervalRegions(np.array([-1.0]), np.array([1.0]), np.zeros(1, dtype=bool),
                               np.zeros(1))
     u, relaxed = safety_filter_arrays(np.zeros(1), regions, np.ones(1), np.ones(1),
@@ -297,7 +303,7 @@ def test_array_capability_matches_per_node_on_signed_zeros():
     point = np.array([0.0 if v is None else v for v in p])
     lo, hi = np.array([b[0] for b in box]), np.array([b[1] for b in box])
     got = capability_function(
-        Psi2Arrays(np.array(c), np.array(l), np.array(q), np.zeros((len(c), 0))))(
+        Psi2Arrays(np.array(c), np.array(l), np.array(q), np.zeros(0)))(
         IntervalRegions(lo, hi, frozen, point))
     for k, (ck, lk, qk, pk, bk) in enumerate(combos):
         form = QuadraticForm(ck, np.array([lk]), np.array([[qk]]))

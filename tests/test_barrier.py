@@ -252,8 +252,8 @@ def test_batched_decomposition_is_bit_identical_to_per_node(seed, policy):
     states = {i: np.array([x[i - 1]]) for i in graph.nodes()}
     layout = model.layout
     assert all(v.dtype == np.float64 for v in (*lie, *batched))
-    assert batched.coupling.shape == layout.in_mask.shape
-    assert not batched.coupling[~layout.in_mask].any()
+    assert batched.coupling.shape == lie.lfj_lf_h.shape == lie.lgj_lf_h.shape == \
+        layout.source.shape
     for i in graph.nodes():
         table = model.lie_table(neighborhood(graph, states, i), i)
         ref = decompose_psi2(specs[i], table, states[i], udot[i - 1:i])
@@ -262,18 +262,18 @@ def test_batched_decomposition_is_bit_identical_to_per_node(seed, policy):
                           (lie.lf_h[i - 1], table.lf_h), (lie.lf2_h[i - 1], table.lf2_h),
                           (lie.lg_lf_h[i - 1:i], table.lg_lf_h)]:
             assert _bits(got) == _bits(want)
-        edges = layout.in_mask[i - 1]
-        assert _bits(lie.lfj_lf_h[i - 1][edges]) == _bits(list(table.lfj_lf_h.values()))
-        assert _bits(lie.lgj_lf_h[i - 1][edges]) == \
+        edges = layout.target == i - 1
+        assert _bits(lie.lfj_lf_h[edges]) == _bits(list(table.lfj_lf_h.values()))
+        assert _bits(lie.lgj_lf_h[edges]) == \
             _bits([v for a in table.lgj_lf_h.values() for v in a])
         assert batched.constant[i - 1] == ref.self_term.constant
         assert _bits(batched.constant[i - 1]) == _bits(ref.self_term.constant)
         assert _bits(batched.linear[i - 1:i]) == _bits(ref.self_term.linear)
         assert _bits(batched.quadratic[i - 1:i]) == _bits(ref.self_term.quadratic)
-        row = layout.in_source[i - 1][layout.in_mask[i - 1]] + 1
+        row = layout.source[edges] + 1
         assert tuple(row.tolist()) == tuple(ref.coupling)
         for c, j in enumerate(ref.coupling):
-            assert _bits(batched.coupling[i - 1, c:c + 1]) == _bits(ref.coupling[j])
+            assert _bits(batched.coupling[edges][c:c + 1]) == _bits(ref.coupling[j])
 
 
 @settings(max_examples=60)

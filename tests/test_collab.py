@@ -150,12 +150,12 @@ def test_terminal_infeasibility_detected_at_cap():
 def test_array_sums_on_an_edge_free_network_stay_float(n):
     # np.bincount returns integer zeros when it is given no terms at all
     layout = edge_layout(NetworkGraph(n, []))
-    psi2 = Psi2Arrays(np.full(n, 0.1), np.zeros(n), np.zeros(n), np.zeros((n, 0)))
+    psi2 = Psi2Arrays(np.full(n, 0.1), np.zeros(n), np.zeros(n), np.zeros(0))
     out = collaborative_safety_arrays(layout, psi2, np.zeros(n), np.ones(n))
     assert out.allocated.dtype == out.capability.dtype == np.float64
-    shares = partition_arrays(np.full(n, -0.5), np.zeros((n, 0)), np.ones((n, 0), dtype=bool),
-                              layout.in_row)
-    assert shares.dtype == np.float64 and shares.shape == (n, 0)
+    shares = partition_arrays(np.full(n, -0.5), np.zeros(0), np.ones(0, dtype=bool),
+                              layout.target)
+    assert shares.dtype == np.float64 and shares.shape == (0,)
     with pytest.raises(TerminallyInfeasibleError):
         collaborative_safety_arrays(layout, psi2._replace(constant=np.full(n, -1.0)),
                                     np.zeros(n), np.ones(n))

@@ -233,11 +233,12 @@ def test_neighborhood_snapshot_structure(paper_graph):
     assert nbr.two_hop[3].self_state[0] == 0.3
 
 
-def _lie_terms(n: int = 5, width: int = 2) -> dict[str, np.ndarray]:
-    """Finite Lie terms of n nodes with `width` in-neighbor slots each."""
+def _lie_terms(n: int = 5, degree: int = 2) -> dict[str, np.ndarray]:
+    """Finite Lie terms of n nodes with `degree` in-edges each, and the edges' targets."""
     rng = np.random.default_rng(7)
     terms = {name: rng.uniform(-1.0, 1.0, n) for name in ("x", "f", "lf2_h", "lg_lf_h")}
-    terms.update({name: rng.uniform(-1.0, 1.0, (n, width)) for name in ("lfj_lf_h", "lgj_lf_h")})
+    terms.update({name: rng.uniform(-1.0, 1.0, n * degree) for name in ("lfj_lf_h", "lgj_lf_h")})
+    terms["target"] = np.repeat(np.arange(n), degree)
     return terms
 
 
@@ -248,14 +249,17 @@ def test_lie_probe_names_lowest_node_with_a_non_finite_term(term, bad):
     for nodes in ([4], [2, 5], [3, 1]):
         terms = _lie_terms()
         for node in nodes:
-            # only this term goes bad, in one slot of each bad node
-            terms[term][(node - 1, node % 2) if term != "lg_lf_h" else node - 1] = bad
+            # only this term goes bad, on one in-edge of each bad node
+            edge = np.flatnonzero(terms["target"] == node - 1)[node % 2]
+            terms[term][edge if term != "lg_lf_h" else node - 1] = bad
         with pytest.raises(NumericsError, match=rf"^node {min(nodes)}: non-finite Lie derivative"):
             _check_lie_terms(**terms)
 
 
 def test_lie_probe_overflow_of_finite_terms_does_not_raise():
-    terms = {name: np.full(v.shape, 1.5e308) for name, v in _lie_terms(3).items()}
+    terms = _lie_terms(3)
+    target = terms.pop("target")
+    terms = {name: np.full(v.shape, 1.5e308) for name, v in terms.items()}
     with np.errstate(over="ignore"):
         assert not math.isfinite(float(sum(v.sum() for v in terms.values())))
-        _check_lie_terms(**terms)
+        _check_lie_terms(**terms, target=target)

@@ -72,26 +72,23 @@ def loop_edge_layout(graph: NetworkGraph) -> EdgeLayout:
     """edge_layout written as one element at a time: the reference it must match."""
     nodes = graph.nodes()
     n = graph.node_count
-    ins = [in_neighbors(graph, i) for i in nodes]
     outs = [out_neighbors(graph, j) for j in nodes]
-    w_in = max((len(v) for v in ins), default=0)
     w_out = max((len(v) for v in outs), default=0)
-    in_source = np.repeat(np.arange(n, dtype=np.intp)[:, None], w_in, axis=1)
-    in_mask = np.zeros((n, w_in), dtype=bool)
-    slot_of: dict[tuple[int, int], int] = {}
-    for i, js in zip(nodes, ins):
-        for c, j in enumerate(js):
-            in_source[i - 1, c] = j - 1
-            in_mask[i - 1, c] = True
-            slot_of[j, i] = (i - 1) * w_in + c
+    source, target = [], []
+    edge_of: dict[tuple[int, int], int] = {}
+    for i in nodes:
+        for j in in_neighbors(graph, i):
+            edge_of[j, i] = len(source)
+            source.append(j - 1)
+            target.append(i - 1)
     out_slot = np.zeros((n, w_out), dtype=np.intp)
     out_mask = np.zeros((n, w_out), dtype=bool)
     for j, ks in zip(nodes, outs):
         for d, k in enumerate(ks):
-            out_slot[j - 1, d] = slot_of[j, k]
+            out_slot[j - 1, d] = edge_of[j, k]
             out_mask[j - 1, d] = True
-    in_row = np.array([i - 1 for i in nodes for _ in range(w_in)], dtype=np.intp)
-    return EdgeLayout(in_source, in_mask, in_row, out_slot, out_mask)
+    return EdgeLayout(np.array(source, dtype=np.intp), np.array(target, dtype=np.intp),
+                      out_slot, out_mask)
 
 
 def _random_graphs():
@@ -114,7 +111,7 @@ def _random_graphs():
 ], ids=repr)
 def test_edge_layout_matches_the_loop_reference(graph):
     got, want = edge_layout(graph), loop_edge_layout(graph)
-    assert EdgeLayout._fields == ("in_source", "in_mask", "in_row", "out_slot", "out_mask")
+    assert EdgeLayout._fields == ("source", "target", "out_slot", "out_mask")
     for name, g, w in zip(EdgeLayout._fields, got, want):
         assert g.dtype == w.dtype, name
         assert g.dtype in (np.intp, np.bool_), name

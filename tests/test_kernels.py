@@ -91,7 +91,7 @@ def test_float_kernel_negotiates_and_settles_like_the_array_kernel(caplog):
             graph, layout, psi2, lo, hi, options = _random_instance(rng)
             n = graph.node_count
             lists = (psi2.constant.tolist(), psi2.linear.tolist(), psi2.quadratic.tolist(),
-                     psi2.coupling.ravel().tolist())
+                     psi2.coupling.tolist())
             model = _model_on(graph, rng)
             gains = barrier_arrays({i: BarrierSpec(0.5) for i in graph.nodes()}, graph.nodes())
             lg_h = np.array([_value(rng, 1.0) for _ in range(n)])
@@ -126,10 +126,9 @@ def test_float_kernel_negotiates_and_settles_like_the_array_kernel(caplog):
                 hits["cap_trip"] += outcome.cap_tripped
                 hits["settled"] += outcome.sub_rounds > 0 and not outcome.cap_tripped
                 hits["certified"] += bool((outcome.allocated < 0.0).any())
-            refusals = [(s, e) for _, _, _, eps in ref[1] for s, e in enumerate(eps) if e > 0.0]
+            refusals = [(e, v) for _, _, _, eps in ref[1] for e, v in enumerate(eps) if v > 0.0]
             hits["refusal"] += bool(refusals)
-            hits["dead_channel"] += any(abs(psi2.coupling.ravel()[s]) <= 1e-12
-                                        for s, _ in refusals)
+            hits["dead_channel"] += any(abs(psi2.coupling[e]) <= 1e-12 for e, _ in refusals)
             hits["degenerate"] += bool(ref_warned)
 
             # the whole settle: negotiation, then the certificate filter
@@ -153,7 +152,7 @@ def test_float_kernel_raises_on_contradictory_demands_like_the_array_kernel():
     # sign, for u_2 >= 10 and u_2 <= -10: node 2's request polytope is empty
     graph = NetworkGraph(3, [(2, 1), (2, 3)])
     psi2 = Psi2Arrays(np.array([-1.0, 0.0, -1.0]), np.zeros(3), np.zeros(3),
-                      np.array([[1.0], [0.0], [-1.0]]))
+                      np.array([1.0, -1.0]))
     model = _model_on(graph, np.random.default_rng(3))
     gains = barrier_arrays({i: BarrierSpec(0.5) for i in (1, 2, 3)}, (1, 2, 3))
     arrays, floats = _kernels(model, gains, np.zeros(3), np.zeros(3), np.full(3, 0.1),
@@ -161,7 +160,7 @@ def test_float_kernel_raises_on_contradictory_demands_like_the_array_kernel():
     with pytest.raises(CcbfError) as ref:
         arrays.settle(np.ones(3), np.ones(3), psi2, None, True)
     with pytest.raises(type(ref.value)) as got:
-        floats.settle([1.0] * 3, [1.0] * 3, *[v.ravel().tolist() for v in psi2], None, True)
+        floats.settle([1.0] * 3, [1.0] * 3, *[v.tolist() for v in psi2], None, True)
     assert type(ref.value).__name__ == "GeometryConvergenceError"
     assert str(got.value) == str(ref.value)
     assert _bits(got.value.last_iterate) == _bits(ref.value.last_iterate)
@@ -177,7 +176,7 @@ def test_float_certificate_point_matches_the_array_choice():
         hi = lo + float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
         cases.append((*_random_form(rng), float(rng.uniform(-0.5, 1.0)), lo, hi))
     c, l, q, want, flo, fhi = map(np.array, zip(*cases))
-    best, found = _certificate_choice(Psi2Arrays(c, l, q, np.zeros((len(c), 0))),
+    best, found = _certificate_choice(Psi2Arrays(c, l, q, np.zeros(0)),
                                       want, flo, fhi)
     got = [_certificate_point(*case) for case in cases]
     assert [v is not None for v in got] == found.tolist()
@@ -197,7 +196,7 @@ def test_float_capability_matches_the_array_capability_on_signed_zeros():
     point = [0.0 if v is None else v for v in p]
     lo, hi = [b[0] for b in box], [b[1] for b in box]
     ref = capability_function(
-        Psi2Arrays(np.array(c), np.array(l), np.array(q), np.zeros((len(c), 0))))(
+        Psi2Arrays(np.array(c), np.array(l), np.array(q), np.zeros(0)))(
         IntervalRegions(np.array(lo), np.array(hi), np.array(frozen), np.array(point)))
     got = FloatKernel._capability(list(c), list(l), list(q), lo, hi, frozen, point)
     assert _bits(got) == _bits(ref)
@@ -227,7 +226,7 @@ def test_shared_filter_rule_matches_the_array_filter_on_signed_zeros():
         IntervalRegions(np.array(lo), np.array(hi), np.array(frozen),
                         np.array([0.0 if v is None else v for v in p])),
         np.array(base), np.array(a),
-        Psi2Arrays(*map(np.array, zip(*forms)), np.zeros((len(combos), 0))),
+        Psi2Arrays(*map(np.array, zip(*forms)), np.zeros(0)),
         np.array([f is not None for f in cert]))
     for k, (a_k, base_k, (lo_k, hi_k), want_k, cert_k, p_k) in enumerate(combos):
         if p_k is None:  # the rule itself, as FloatKernel.settle calls it
@@ -359,6 +358,21 @@ def _weak_two_node():
     return model, {1: BarrierSpec(0.1), 2: BarrierSpec(0.5)}, np.array([0.02, 0.05])
 
 
+def _hub(n: int = 30):
+    # node 1 hears every other node, and those form the chain 2 -> ... -> n;
+    # node 1 cannot hold its threshold alone, so every step negotiates
+    edges = [(j, 1) for j in range(2, n + 1)] + [(k, k + 1) for k in range(2, n)]
+    beta = np.diag(np.full(n, 0.2))
+    for j, i in edges:
+        beta[i - 1, j - 1] = 0.05
+    u_max = np.full(n, 0.75)
+    u_max[0] = 0.05
+    model = SisModel(NetworkGraph(n, edges), SisParams(beta, np.full(n, 0.3), u_max))
+    x0 = np.full(n, 0.02)
+    x0[0] = 0.09
+    return model, {i: BarrierSpec(0.1 if i == 1 else 0.5) for i in range(1, n + 1)}, x0
+
+
 RUNS = {
     "paper_traced_20s": (_paper, dict(t_final=20.0, collect_messages=True)),
     "weak_halt": (_weak_two_node, dict(t_final=30.0, collect_messages=True)),
@@ -368,6 +382,7 @@ RUNS = {
                                                udot_policy="backward_difference")),
     "paper_uniform": (_paper, dict(t_final=5.0, collect_messages=True,
                                    weights_mode="uniform")),
+    "hub": (_hub, dict(t_final=1.0, collect_messages=True)),
 }
 
 
@@ -395,6 +410,12 @@ def test_whole_runs_match_across_kernels(name, monkeypatch, caplog):
             for res in (got, ref) for _, records in res.messages]
     assert rows[:len(got.messages)] == rows[len(got.messages):]
     assert got.messages, "every run here negotiates"
+    # every sub-round record holds one entry per edge
+    edges = len(model.layout.source)
+    assert all(len(v) == edges for res in (got, ref) for _, records in res.messages
+               for record in records for v in record[1:])
+    if name == "hub":
+        assert got.halted_at is None and (got.inner_rounds > 0).all()
     if name == "weak_halt":
         # the halting step runs outer rounds up to the cap: 30 sub-rounds in all
         assert got.halt_reason == "infeasible"

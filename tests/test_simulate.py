@@ -292,9 +292,9 @@ def test_result_csv_schema_and_roundtrip(tmp_path: Path):
 
 def test_csv_writers_spell_every_float_with_17_digits(tmp_path: Path):
     # one edge, 1 -> 2: node 2 may ask node 1, and node 1 answers each
-    # sub-round; a record holds flat lists over the by-target slots
+    # sub-round; a record holds lists over the edges
     layout = edge_layout(NetworkGraph(2, [(1, 2)]))
-    asks, quiet = [False, True], [False, False]
+    asks, quiet = [True], [False]
     res = ScenarioResult(
         times=np.array([0.0, 0.1]),
         states=np.array([[-0.0, 5e-324], [np.nan, np.inf]]),
@@ -302,8 +302,8 @@ def test_csv_writers_spell_every_float_with_17_digits(tmp_path: Path):
         capabilities=np.array([[0.5, -np.inf], [7.0, 0.25]]),
         outer_rounds=np.array([1, 2]), inner_rounds=np.array([0, 3]),
         thresholds=(0.1, 0.2),
-        messages=[(0.1, [(1, asks, [0.0, 0.1], [0.0, 5e-324])]),
-                  (0.2, [(3, quiet, [0.0, 0.0], [0.0, -0.0])])],
+        messages=[(0.1, [(1, asks, [0.1], [5e-324])]),
+                  (0.2, [(3, quiet, [0.0], [-0.0])])],
         layout=layout)
     write_result_csv(tmp_path / "result.csv", res)
     write_messages_csv(tmp_path / "messages.csv", res)
@@ -348,8 +348,9 @@ def _per_row_messages_csv(res: ScenarioResult) -> str:
 
 
 def test_messages_csv_matches_the_per_row_format(tmp_path: Path):
-    # the random protocol instances log padding, dead channels, refusals and
-    # many eligibility patterns; the weak network logs up to its halt
+    # the random protocol instances log nodes without in-edges, dead
+    # channels, refusals and many eligibility patterns; the weak network
+    # logs up to its halt
     rng = np.random.default_rng(4242)
     out = tmp_path / "messages.csv"
     empty = np.zeros((0, 1))
