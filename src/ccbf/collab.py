@@ -134,9 +134,11 @@ def _split(deficit: float, weights: list[float]) -> list[float] | None:
             total += w
     if not total > 0.0:
         return None
-    shares = [deficit * (w / total) if w > NEGLIGIBLE_NORMAL else 0.0 for w in weights]
+    shares = []
     spread = 0.0
-    for share in shares:
+    for w in weights:
+        share = deficit * (w / total) if w > NEGLIGIBLE_NORMAL else 0.0
+        shares.append(share)
         spread += share
     spread -= deficit
     assert abs(spread) <= 1e-12 * max(1.0, abs(deficit)), "partition must conserve the margin"
@@ -326,7 +328,7 @@ def exchange_order(layout: EdgeLayout) -> tuple[list, list, list]:
     """The (from, to) of a request per edge, in edge order; of an
     adjustment per edge, by source; and each adjustment's edge."""
     requester, helper = layout.target + 1, layout.source + 1
-    edges = layout.out_slot[layout.out_mask]
+    edges = layout.by_source
     return (list(zip(requester.tolist(), helper.tolist())),
             list(zip(helper[edges].tolist(), requester[edges].tolist())), edges.tolist())
 
@@ -397,26 +399,50 @@ def partition_arrays(deficit: np.ndarray, weights: np.ndarray,
     return shares
 
 
-def _fold_bounds(bound: np.ndarray, rising: np.ndarray, falling: np.ndarray,
-                 lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tighten each node's [lo, hi] by its request bounds, one column at a time.
+def _tighten(bound: np.ndarray, tighter: np.ndarray, helper: np.ndarray, end: np.ndarray,
+             extreme: np.ufunc) -> np.ndarray:
+    """end, where each node takes the first of its tighter bounds at their extreme.
 
-    A rising request raises lo and a falling one lowers hi, as
-    ControlRegion.interval folds them; ties keep the earlier value.
+    The bounds are in by-source order, helper (ascending) names each one's
+    node, and extreme is np.maximum or np.minimum.  Bounds equal to the
+    extreme differ at most in the sign of a zero; `extreme.at` may keep
+    either, so the first of them, the one a strict fold keeps, is written
+    back.
     """
-    # -inf never raises lo and +inf never lowers hi, so the other requests
-    # drop out of the fold
-    for b_lo, b_hi in zip(np.where(rising, bound, -np.inf).T,
-                          np.where(falling, bound, np.inf).T):
-        lo = np.where(b_lo > lo, b_lo, lo)
-        hi = np.where(b_hi < hi, b_hi, hi)
-    return lo, hi
+    if not np.count_nonzero(tighter):
+        return end
+    value, node = bound[tighter], helper[tighter]
+    tight = end.copy()
+    extreme.at(tight, node, value)
+    hit = np.flatnonzero(value == tight[node])
+    first = hit[np.diff(node[hit], prepend=-1) != 0]
+    tight[node[first]] = value[first]
+    return tight
+
+
+def _fold_bounds(bound: np.ndarray, rising: np.ndarray, falling: np.ndarray,
+                 helper: np.ndarray, lo: np.ndarray, hi: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Tighten each node's [lo, hi] by its request bounds, in O(E).
+
+    bound, rising and falling are over the edges in by-source order (see
+    EdgeLayout.by_source), and helper is each edge's source there.  A
+    rising request raises lo and a falling one lowers hi, as
+    ControlRegion.interval folds them: in ascending requester order, where
+    only a strictly tighter bound replaces the end.  So a node's new end is
+    the first of its bounds at their extreme, if that beats the old end;
+    ties keep the earlier value, +0.0 and -0.0 included, and a NaN bound
+    never replaces one.
+    """
+    return (_tighten(bound, rising & (bound > lo[helper]), helper, lo, np.maximum),
+            _tighten(bound, falling & (bound < hi[helper]), helper, hi, np.minimum))
 
 
 def _closest_points(frozen: np.ndarray, bound: np.ndarray, rising: np.ndarray,
-                    falling: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray) -> np.ndarray:
+                    falling: np.ndarray, helper: np.ndarray, box_lo: np.ndarray,
+                    box_hi: np.ndarray) -> np.ndarray:
     """closest_point of each node's box to its request polytope (1-D)."""
-    plo, phi = _fold_bounds(bound, rising, falling, np.full(box_lo.shape, -np.inf),
+    plo, phi = _fold_bounds(bound, rising, falling, helper, np.full(box_lo.shape, -np.inf),
                             np.full(box_lo.shape, np.inf))
     contradictory = frozen & (plo > phi)
     if contradictory.any():
@@ -454,19 +480,18 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
                          f"got {weights_mode!r}")
     capability_on = capability_function(psi2)
     a = psi2.coupling
-    helper, asker, out_slot = layout.source, layout.target, layout.out_slot
+    helper, asker, by_source = layout.source, layout.target, layout.by_source
     strength = np.abs(a)
     live = strength > NEGLIGIBLE_NORMAL
     dead = ~live
     any_dead = np.count_nonzero(dead)
     a_live = np.where(live, a, 1.0)
     # which requests bound each helper's interval from below and from above,
-    # in its out-neighbors' ascending order (every by-source slot off the
-    # padding is an edge, so its coupling is live exactly when it passes
-    # one of these tests)
-    a_out = a[out_slot]
-    rising = (a_out > NEGLIGIBLE_NORMAL) & layout.out_mask
-    falling = (a_out < -NEGLIGIBLE_NORMAL) & layout.out_mask
+    # by source in its out-neighbors' ascending order (a coupling is live
+    # exactly when it passes one of these tests)
+    a_out, out_helper = a[by_source], helper[by_source]
+    rising = a_out > NEGLIGIBLE_NORMAL
+    falling = a_out < -NEGLIGIBLE_NORMAL
     weights = np.ones_like(a) if weights_mode == "uniform" else strength
 
     # no array here is ever written in place, so the zeros can be shared
@@ -515,11 +540,12 @@ def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
             target = out_alloc + shares
             neg_target = -target
             eps = np.where(dead & (target < 0.0), neg_target, 0.0) if any_dead else no_edges
-            bound = (neg_target / a_live)[out_slot]
-            lo, hi = _fold_bounds(bound, rising, falling, box_lo, box_hi)
+            bound = (neg_target / a_live)[by_source]
+            lo, hi = _fold_bounds(bound, rising, falling, out_helper, box_lo, box_hi)
             frozen = lo > hi
             if np.count_nonzero(frozen):
-                point = _closest_points(frozen, bound, rising, falling, box_lo, box_hi)
+                point = _closest_points(frozen, bound, rising, falling, out_helper, box_lo,
+                                        box_hi)
                 short = a * point[helper] + target
                 eps = np.where(live & frozen[helper] & (short < 0.0), -short, eps)
             out_alloc = target + eps

@@ -4,8 +4,10 @@
 node's Lie terms and psi2 blocks, the negotiation of its region, and the
 certificate filter; `advance` its RK4 step and clamp.  It works one node
 at a time on Python floats, but for `SisModel.pressure`, the BLAS product
-of each RK4 stage.  At a few nodes numpy's per-call dispatch costs the
-array kernel more than its arithmetic, and this loop skips that cost.
+`beta @ y` of each RK4 stage, which both kernels call.  No other product
+will do: on a one-node network np.dot rounds beta_11 * y to -0.0 where
+`@` gives +0.0.  At a few nodes numpy's per-call dispatch costs the array
+kernel more than its arithmetic, and this loop skips that cost.
 
 Both kernels give the same bits.  Every expression keeps the array
 kernel's operation order.  Every sum starts from +0.0 and adds its terms
@@ -13,7 +15,10 @@ in EdgeLayout's order: by target, then ascending source.  Both raise the
 same errors with the same messages and log the same warnings.  Edge data
 lives in lists over the edges of the model's EdgeLayout, in its order, so
 a sub-round's record is the (sub_round, eligible, shares, eps) that
-`collab.message_rows` reads.
+`collab.message_rows` reads.  Each node's in-edges (a run of the edge
+order) and each helper's out-edges (in EdgeLayout.by_source order) are
+listed at construction, so every pass of a step is one loop over nodes or
+edges.
 
 The per-node reference calls the same scalar rules: the capability on an
 interval (`barrier._max_quadratic_on_interval`, as `max_capability`), the
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import logging
 import math
+from itertools import compress
 
 import numpy as np
 
@@ -133,19 +139,21 @@ class FloatKernel:
         self.source, self.target = layout.source.tolist(), layout.target.tolist()
         self.outer_cap, self.inner_cap = outer_cap, inner_cap
         self.uniform = weights_mode == "uniform"
-        # per node: -gamma, beta_ii, threshold, eta, kappa, eta + kappa
-        self.own = list(zip((-model.params.gamma).tolist(), model.self_weight.tolist(),
-                            gains.threshold.tolist(), gains.eta.tolist(),
-                            gains.kappa.tolist(), gains.eta_kappa.tolist()))
         # per node: its in-edges, a run of the edge order, ascending source
         ends = np.cumsum(np.bincount(layout.target, minlength=n)).tolist()
         self.rows = [range(start, end) for start, end in zip([0, *ends], ends)]
-        # per node: (source, beta weight) of each in-edge
+        # per node: -gamma, beta_ii, and the (source, beta weight) of each in-edge
         weight = model.edge_weight.tolist()
-        self.in_edges = [tuple((self.source[e], weight[e]) for e in row) for row in self.rows]
-        # per helper: its out-edges, ascending target
-        self.out_slots = [slots[real].tolist()
-                          for slots, real in zip(layout.out_slot, layout.out_mask)]
+        self.rates = list(zip((-model.params.gamma).tolist(), model.self_weight.tolist(),
+                              [tuple((self.source[e], weight[e]) for e in row)
+                               for row in self.rows]))
+        # per node: threshold, eta, kappa, eta + kappa
+        self.gains = list(zip(gains.threshold.tolist(), gains.eta.tolist(),
+                              gains.kappa.tolist(), gains.eta_kappa.tolist()))
+        # per helper: its out-edges in by-source order, ascending target
+        self.out_edges = [[] for _ in range(n)]
+        for e in layout.by_source.tolist():
+            self.out_edges[self.source[e]].append(e)
         self.box_lo, self.box_hi = box_lo.tolist(), box_hi.tolist()
         self.nominal = nominal.tolist()
         self.gamma, self.pressure = model.params.gamma.tolist(), model.pressure
@@ -157,28 +165,24 @@ class FloatKernel:
         x may be a list; the controls, capability and relaxed flags come back as lists.
         """
         x = x if isinstance(x, list) else x.tolist()
-        rate = udot.tolist()
-        n, own, in_edges = self.n, self.own, self.in_edges
-        drift = [0.0] * n
-        slope = [0.0] * n
-        for i, (neg_gamma, b_ii, _, _, _, _) in enumerate(own):
-            xi = x[i]
+        drift, slope = [], []
+        for (neg_gamma, b_ii, edges), xi in zip(self.rates, x):
             pressure = 0.0 + b_ii * xi
-            for j, w in in_edges[i]:
+            for j, w in edges:
                 pressure += w * x[j]
             one_minus = 1.0 - xi
-            drift[i] = neg_gamma * xi + one_minus * pressure
-            slope[i] = neg_gamma - pressure + one_minus * b_ii
+            drift.append(neg_gamma * xi + one_minus * pressure)
+            slope.append(neg_gamma - pressure + one_minus * b_ii)
 
         # psi2's self-term blocks, its coupling over the edges, and psi1 at
         # zero control
         constant, linear, base, coupling = [], [], [], []
         probe = 0.0
-        for i, (_, _, threshold, eta, kappa, eta_kappa) in enumerate(own):
-            xi, f, dfdx = x[i], drift[i], slope[i]
+        for (_, _, edges), (threshold, eta, kappa, eta_kappa), xi, f, dfdx, rate in zip(
+                self.rates, self.gains, x, drift, slope, udot.tolist()):
             one_minus = 1.0 - xi
             cross = 0.0
-            for j, w in in_edges[i]:
+            for j, w in edges:
                 shared = one_minus * w
                 lfj = -shared * drift[j]
                 lgj = shared * x[j]
@@ -190,7 +194,7 @@ class FloatKernel:
             lg_lf_h = dfdx * xi
             probe += xi + f + lf2_h + lg_lf_h
             pull = eta * (threshold - xi)
-            constant.append(cross + lf2_h + xi * rate[i] + eta * lf_h + kappa * (lf_h + pull))
+            constant.append(cross + lf2_h + xi * rate + eta * lf_h + kappa * (lf_h + pull))
             linear.append(f + lg_lf_h + eta_kappa * xi)
             base.append(lf_h + pull)
         if not math.isfinite(probe):  # some term is not finite, or their sum overflowed
@@ -208,23 +212,24 @@ class FloatKernel:
         else:
             lo, hi, frozen, point = self.box_lo, self.box_hi, [False] * n, [0.0] * n
             caps = self._capability(constant, linear, quadratic, lo, hi, frozen, point)
+            allocated = [0.0] * n  # so no node owes a certificate
             rounds = 0, 0, False
 
-        for i in range(n):
-            if not frozen[i] and lo[i] > hi[i]:
-                raise EmptyRegionError(f"node {i + 1}: negotiated region is empty")
         controls, relaxed = [], []
-        for i, (a, b) in enumerate(zip(x, base)):  # L_g h of a scalar node is its state
-            if frozen[i]:
-                u = point[i]
-                relaxed.append(b + a * u < -PSI1_TOL)
+        for i, (a, b, c, l, q, lo_i, hi_i, stuck, p, want, got) in enumerate(zip(
+                x, base, constant, linear, quadratic, lo, hi, frozen, point, self.nominal,
+                allocated)):  # L_g h of a scalar node is its state
+            if stuck:
+                controls.append(p)
+                relaxed.append(b + a * p < -PSI1_TOL)
+            elif lo_i > hi_i:  # the filter raises nothing, so the first such node is named
+                raise EmptyRegionError(f"node {i + 1}: negotiated region is empty")
             else:
                 # a node that negotiated help owes its own share of the closed margin
-                certificate = (constant[i] - allocated[i], linear[i], quadratic[i]) \
-                    if negotiate and allocated[i] < 0.0 else None
-                u, lax = filter_point(a, b, lo[i], hi[i], self.nominal[i], certificate)
+                u, lax = filter_point(a, b, lo_i, hi_i, want,
+                                      (c - got, l, q) if got < 0.0 else None)
+                controls.append(u)
                 relaxed.append(lax)
-            controls.append(u)
         return (controls, caps, *rounds, relaxed)
 
     def advance(self, x, u, dt: float) -> tuple[list, float]:
@@ -234,27 +239,30 @@ class FloatKernel:
         """
         x = x if isinstance(x, list) else x.tolist()
         loss = [-(g + v) for g, v in zip(self.gamma, u)]
+        pressure = self.pressure
         half = 0.5 * dt
-
-        def flow(y: list) -> list:
-            p = self.pressure(y).tolist()
-            return [a * yi + (1.0 - yi) * pi for a, yi, pi in zip(loss, y, p)]
-
-        k1 = flow(x)
-        k2 = flow([xi + half * k for xi, k in zip(x, k1)])
-        k3 = flow([xi + half * k for xi, k in zip(x, k2)])
-        k4 = flow([xi + dt * k for xi, k in zip(x, k3)])
-        out = [xi + dt / 6.0 * (((a + 2.0 * b) + 2.0 * c) + d)
+        # each stage's flow, loss * y + (1 - y) * pressure(y), then the next stage's y
+        k1 = [a * xi + (1.0 - xi) * p for a, xi, p in zip(loss, x, pressure(x).tolist())]
+        y = [xi + half * k for xi, k in zip(x, k1)]
+        k2 = [a * yi + (1.0 - yi) * p for a, yi, p in zip(loss, y, pressure(y).tolist())]
+        y = [xi + half * k for xi, k in zip(x, k2)]
+        k3 = [a * yi + (1.0 - yi) * p for a, yi, p in zip(loss, y, pressure(y).tolist())]
+        y = [xi + dt * k for xi, k in zip(x, k3)]
+        k4 = [a * yi + (1.0 - yi) * p for a, yi, p in zip(loss, y, pressure(y).tolist())]
+        sixth = dt / 6.0
+        out = [xi + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
                for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
         if not all(map(math.isfinite, out)):
             node = next(i for i, v in enumerate(out) if not math.isfinite(v)) + 1
             raise NumericsError(f"node {node}: non-finite state after step")
-        clipped = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in out]  # -0.0 stays
-        return clipped, max(abs(c - v) for c, v in zip(clipped, out))
+        if min(out) < 0.0 or max(out) > 1.0:
+            clipped = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in out]  # -0.0 stays
+            return clipped, max(abs(c - v) for c, v in zip(clipped, out))
+        return out, 0.0
 
     def _check_lie_terms(self, x: list, drift: list, slope: list) -> None:
         """Raise NumericsError naming the lowest node with a non-finite Lie term."""
-        for i, edges in enumerate(self.in_edges):
+        for i, (_, _, edges) in enumerate(self.rates):
             xi, f, dfdx = x[i], drift[i], slope[i]
             one_minus = 1.0 - xi
             terms = [xi, f, -dfdx * f, dfdx * xi]
@@ -268,32 +276,40 @@ class FloatKernel:
                     frozen: list, point: list) -> list:
         """Each node's best self term on its region; its value at a frozen point."""
         caps = []
-        for i, (c, l, q) in enumerate(zip(constant, linear, quadratic)):
-            if frozen[i]:
-                p = point[i]
+        for i, (c, l, q, lo_i, hi_i, stuck, p) in enumerate(
+                zip(constant, linear, quadratic, lo, hi, frozen, point)):
+            if stuck:
                 # QuadraticForm.value: its one-element dot products add to +0.0
                 caps.append((c + (l * p + 0.0)) + ((p * q + 0.0) * p + 0.0))
-            elif lo[i] > hi[i]:
+            elif lo_i > hi_i:
                 raise EmptyRegionError(f"node {i + 1}: admissible interval is empty "
-                                       f"({lo[i]} > {hi[i]})")
+                                       f"({lo_i} > {hi_i})")
             else:
-                caps.append(_max_quadratic_on_interval(c, l, q, lo[i], hi[i])[0])
+                caps.append(_max_quadratic_on_interval(c, l, q, lo_i, hi_i)[0])
         return caps
 
     def _partition(self, deficit: list, weight: list, eligible: list) -> list:
         """Each asking node's deficit split over its eligible in-edges by weight."""
-        shares = [0.0] * len(eligible)
+        shares = []
         for i, row in enumerate(self.rows):
-            ask = [e for e in row if eligible[e]]
-            if not ask:
+            asks = eligible[row.start:row.stop]
+            if not any(asks):
+                shares += [0.0] * len(asks)
                 continue
-            parts = _split(deficit[i], [weight[e] for e in ask])
+            every = all(asks)
+            weights = weight[row.start:row.stop]
+            if not every:
+                weights = list(compress(weights, asks))
+            parts = _split(deficit[i], weights)
             if parts is None:
                 log.warning("node %d: all coupling weights negligible, splitting uniformly",
                             i + 1)
-                parts = _split(deficit[i], [1.0] * len(ask))
-            for e, share in zip(ask, parts):
-                shares[e] = share
+                parts = _split(deficit[i], [1.0] * len(weights))
+            if every:
+                shares += parts
+            else:
+                parts = iter(parts)
+                shares += [next(parts) if ask else 0.0 for ask in asks]
         return shares
 
     def negotiate(self, constant: list, linear: list, quadratic: list, a: list,
@@ -310,7 +326,7 @@ class FloatKernel:
         tables = None
         out_alloc = [0.0] * edges
         allocated = [0.0] * n
-        constrained = [False] * edges
+        eligible = [True] * edges
         lo, hi, frozen, point = box_lo, box_hi, [False] * n, [0.0] * n
         outer = total_sub = 0
         cap_tripped = False
@@ -321,8 +337,8 @@ class FloatKernel:
             if all(d >= -MARGIN_TOL for d in deficit):
                 break
             if outer >= self.outer_cap:
-                stuck = tuple(i + 1 for i in range(n) if deficit[i] < -MARGIN_TOL
-                              and all(constrained[e] for e in rows[i]))
+                stuck = tuple(i + 1 for i, row in enumerate(rows) if deficit[i] < -MARGIN_TOL
+                              and not any(eligible[row.start:row.stop]))
                 if stuck:
                     raise _infeasible(stuck)
                 cap_tripped = True
@@ -330,14 +346,13 @@ class FloatKernel:
             if tables is None:  # built once the first sub-round runs
                 tables = self._edge_tables(a)
             dead, weight, rising, falling = tables
-            constrained = [False] * edges
+            eligible = [True] * edges  # a fresh capability estimate deserves fresh refusals
             sub = 0
             while True:
                 if sub >= self.inner_cap:
                     raise ProtocolStallError(f"no agreement after {self.inner_cap} sub-rounds")
                 sub += 1
 
-                eligible = [not v for v in constrained]
                 shares = self._partition(deficit, weight, eligible)
                 target = [held + share for held, share in zip(out_alloc, shares)]
                 eps = [0.0] * edges
@@ -345,13 +360,12 @@ class FloatKernel:
                     if target[e] < 0.0:
                         eps[e] = -target[e]
                 lo, hi, frozen = [], [], []
-                for j in range(n):
-                    lo_j, hi_j = box_lo[j], box_hi[j]
-                    for s, a_s in rising[j]:
+                for j, (lo_j, hi_j, up, down) in enumerate(zip(box_lo, box_hi, rising, falling)):
+                    for s, a_s in up:
                         b = -target[s] / a_s
                         if b > lo_j:
                             lo_j = b
-                    for s, a_s in falling[j]:
+                    for s, a_s in down:
                         b = -target[s] / a_s
                         if b < hi_j:
                             hi_j = b
@@ -359,8 +373,8 @@ class FloatKernel:
                     hi.append(hi_j)
                     frozen.append(lo_j > hi_j)
                     if lo_j > hi_j:
-                        point[j] = p = self._closest_point(j, target, rising[j], falling[j])
-                        for s, a_s in rising[j] + falling[j]:
+                        point[j] = p = self._closest_point(j, target, up, down)
+                        for s, a_s in up + down:
                             short = a_s * p + target[s]
                             if short < 0.0:
                                 eps[s] = -short
@@ -377,16 +391,16 @@ class FloatKernel:
 
                 # a sub-round without a refusal touches no node, which ends
                 # the negotiation for this capability estimate
-                refused = [e for e, v in enumerate(eps) if v > 0.0]
-                if not refused:
+                refused = [v > 0.0 for v in eps]
+                if not any(refused):
                     break
+                eligible = [ask and not no for ask, no in zip(eligible, refused)]
                 touched = set()
-                for e in refused:
-                    constrained[e] = True
+                for e in compress(range(edges), refused):
                     touched.add(asker[e])
                     touched.add(helper[e])
-                if all(i not in touched or all(constrained[e] for e in rows[i])
-                       for i in range(n)):
+                # done once no touched node has an in-neighbor left to ask
+                if not any(any(eligible[rows[i].start:rows[i].stop]) for i in touched):
                     break
                 deficit = [cap - got for cap, got in zip(caps, allocated)]
             total_sub += sub
@@ -395,12 +409,20 @@ class FloatKernel:
     def _edge_tables(self, a: list) -> tuple:
         """The edges whose coupling is negligible, the split weights, and per
         helper the requests that bound its interval from below and above."""
-        dead = [e for e, v in enumerate(a) if not abs(v) > NEGLIGIBLE_NORMAL]
-        weight = [1.0] * len(a) if self.uniform else [abs(v) for v in a]
-        rising = [[(s, a[s]) for s in out if a[s] > NEGLIGIBLE_NORMAL]
-                  for out in self.out_slots]
-        falling = [[(s, a[s]) for s in out if a[s] < -NEGLIGIBLE_NORMAL]
-                   for out in self.out_slots]
+        dead, rising, falling = [], [], []
+        for out in self.out_edges:
+            up, down = [], []
+            for s in out:
+                a_s = a[s]
+                if a_s > NEGLIGIBLE_NORMAL:
+                    up.append((s, a_s))
+                elif a_s < -NEGLIGIBLE_NORMAL:
+                    down.append((s, a_s))
+                else:
+                    dead.append(s)
+            rising.append(up)
+            falling.append(down)
+        weight = [1.0] * len(a) if self.uniform else list(map(abs, a))
         return dead, weight, rising, falling
 
     def _closest_point(self, j: int, target: list, rising: list, falling: list) -> float:

@@ -77,10 +77,10 @@ class EdgeLayout(NamedTuple):
 
     Edge e runs from node source[e]+1 into node target[e]+1 (0-based
     indices), and the E edges are sorted by target, then source: every
-    per-edge array of the kernels has length E in this order.  By source:
-    row j-1, column d of out_slot is the index of the edge from node j to
-    its d-th out-neighbor in ascending id order, and out_mask is False on
-    the padding of nodes with fewer out-neighbors.
+    per-edge array of the kernels has length E in this order.  by_source
+    lists the same edges by source, then ascending target: its m-th entry
+    is the index of the m-th edge in that order, so each node's out-edges
+    form one run of it.
 
     Every sum over a node's in-neighborhood, but for the RK4 flow's, is
     one `np.bincount(target, terms, n)`.  It adds the terms in edge order
@@ -92,24 +92,18 @@ class EdgeLayout(NamedTuple):
 
     source: np.ndarray
     target: np.ndarray
-    out_slot: np.ndarray
-    out_mask: np.ndarray
+    by_source: np.ndarray
 
 
 def edge_layout(graph: NetworkGraph) -> EdgeLayout:
-    """The graph's edges by target, and its by-source table of them.
+    """The graph's edges by target, and their order by source.
 
     graph.edges is sorted by (source, target), which is by-source order
-    already; a lexsort by (target, source) gives the edge order.  Each
-    edge's by-source column is its rank among the edges of its source.
+    already; a lexsort by (target, source) gives the edge order, and its
+    inverse permutation the by-source order of the edge indices.
     """
-    n = graph.node_count
     src, dst = edge_index(graph)
     by_target = np.lexsort((src, dst))
-    out_deg = np.bincount(src, minlength=n)
-    s_col = np.arange(len(src)) - (np.cumsum(out_deg) - out_deg)[src]
-    out_slot = np.zeros((n, int(out_deg.max())), dtype=np.intp)
-    out_slot[src[by_target], s_col[by_target]] = np.arange(len(src))
-    out_mask = np.zeros(out_slot.shape, dtype=bool)
-    out_mask[src, s_col] = True
-    return EdgeLayout(src[by_target], dst[by_target], out_slot, out_mask)
+    by_source = np.empty_like(by_target)
+    by_source[by_target] = np.arange(len(src))
+    return EdgeLayout(src[by_target], dst[by_target], by_source)

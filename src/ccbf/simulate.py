@@ -305,9 +305,14 @@ class ArrayKernel:
 
 # A network with fewer nodes than this steps on FloatKernel, any other on
 # ArrayKernel: below it numpy's per-call dispatch costs more than a loop
-# over the nodes.  On generated networks whose every step negotiates, the
-# two kernels break even at about 28 nodes (see CHANGES.md); the bench has
-# workloads on both sides of it.
+# over the nodes.  On the bench's generated tight networks (seed 1, 1 s,
+# every step negotiating) the float kernel's run_scenario time over the
+# array kernel's, medians of 15 interleaved runs on a shared 2-core Xeon
+# VM, was
+#     N        12    20    24    28    32    36    44
+#     ratio  0.52  0.78  0.88  0.98  1.08  1.22  1.57
+# so the two break even at about 28 nodes; the bench has workloads on both
+# sides of it.
 FLOAT_KERNEL_NODES = 28
 
 
@@ -390,10 +395,12 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
     relaxed_steps = np.zeros(n, dtype=int)
     rows = 0
 
+    udot = zero_rate
     for k in range(nsteps + 1):
         t = k * dt
-        # the last two applied controls are the rows before this one
-        udot = _udot_for(udot_policy, controls[max(k - 2, 0):k], zero_rate, dt, warned)
+        if udot_policy != "zero":
+            # the last two applied controls are the rows before this one
+            udot = _udot_for(udot_policy, controls[max(k - 2, 0):k], zero_rate, dt, warned)
         records: list[tuple] | None = [] if collect_messages else None
         try:
             u, caps, outer, sub, tripped, relaxed = kernel.step(x, udot, records, collaboration)
@@ -418,10 +425,11 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
         outer_rounds[k] = outer
         inner_rounds[k] = sub
         cap_tripped_steps += tripped
-        relaxed_steps += relaxed
-        if log.isEnabledFor(logging.DEBUG):
-            for i in np.flatnonzero(relaxed):
-                log.debug("t=%.6g node %d: psi1 constraint relaxed", t, i + 1)
+        if any(relaxed):
+            relaxed_steps += relaxed
+            if log.isEnabledFor(logging.DEBUG):
+                for i in np.flatnonzero(relaxed):
+                    log.debug("t=%.6g node %d: psi1 constraint relaxed", t, i + 1)
 
         times[k] = t
         states[k] = x
@@ -474,8 +482,9 @@ def write_result_csv(path, result: ScenarioResult) -> None:
     """One row per step: state, control, capability, rounds, violation.
 
     Floats are written with 17 significant digits, enough to read back
-    every value bit for bit.  Rows are formatted one at a time, so the
-    table's text is never held whole.
+    every value bit for bit.  Rows are formatted one at a time, so neither
+    the table's text nor a whole-table list is ever held: a list entry and
+    its Python float take four times the memory of an array entry.
     """
     n = result.node_count
     viol = result.violations()
@@ -499,15 +508,14 @@ def write_result_csv(path, result: ScenarioResult) -> None:
 def write_messages_csv(path, result: ScenarioResult) -> None:
     """Protocol trace: every request and adjustment in exchange order, one `%` a sub-round."""
     requests, adjusts, edges = exchange_order(result.layout)
-    request_lines = ["%%s,%%d,request,%d,%d,%%.17g\n" % pair for pair in requests]
-    adjust_block = "".join("%%s,%%d,adjust,%d,%d,%%.17g\n" % pair for pair in adjusts)
+    # one line per message; "\0" stands for its time and sub-round
+    request_lines = ["\0request,%d,%d,%%.17g\n" % pair for pair in requests]
+    adjust_block = "".join("\0adjust,%d,%d,%%.17g\n" % pair for pair in adjusts)
     with open(path, "w", newline="") as fh:
         fh.write("sim_time,sub_round,kind,from,to,value\n")
         for t, records in result.messages:
             stamp = "%.17g" % t
             for sub_round, eligible, shares, eps in records:
-                values = [*compress(shares, eligible), *map(eps.__getitem__, edges)]
-                fields = [stamp, sub_round, 0.0] * len(values)
-                fields[2::3] = values
-                fh.write(("".join(compress(request_lines, eligible)) + adjust_block)
-                         % tuple(fields))
+                block = "".join(compress(request_lines, eligible)) + adjust_block
+                fh.write(block.replace("\0", "%s,%d," % (stamp, sub_round))
+                         % (*compress(shares, eligible), *map(eps.__getitem__, edges)))

@@ -20,8 +20,8 @@ import pytest
 
 from ccbf.barrier import (BarrierSpec, Psi2Arrays, Psi2Decomposition, QuadraticForm,
                           capability_function, max_capability)
-from ccbf.collab import (CollabMessage, collaborative_safety, collaborative_safety_arrays,
-                         message_rows)
+from ccbf.collab import (CollabMessage, _fold_bounds, collaborative_safety,
+                         collaborative_safety_arrays, message_rows)
 from ccbf.errors import CcbfError
 from ccbf.geometry import ControlRegion, IntervalRegions
 from ccbf.graph import NetworkGraph, edge_layout
@@ -310,3 +310,55 @@ def test_array_capability_matches_per_node_on_signed_zeros():
         region = ControlRegion((bk,), frozen_point=None if pk is None else np.array([pk]))
         ref, _ = max_capability(Psi2Decomposition({}, form), region)
         assert _bits(got[k]) == _bits(ref), combos[k]
+
+
+def _column_fold(bound, rising, falling, helper, lo, hi):
+    """_fold_bounds as a loop over the columns of the padded by-source table.
+
+    Column d holds each node's d-th out-edge; a request that does not bound
+    an end, and the padding, hold -inf or +inf, which never tighten it.
+    This was the protocol's fold before the edges were flat.
+    """
+    n = len(lo)
+    degree = np.bincount(helper, minlength=n)
+    column = np.arange(len(helper)) - (np.cumsum(degree) - degree)[helper]
+    b_lo = np.full((n, degree.max(initial=0)), -np.inf)
+    b_hi = np.full(b_lo.shape, np.inf)
+    b_lo[helper[rising], column[rising]] = bound[rising]
+    b_hi[helper[falling], column[falling]] = bound[falling]
+    for up, down in zip(b_lo.T, b_hi.T):
+        lo = np.where(up > lo, up, lo)
+        hi = np.where(down < hi, down, hi)
+    return lo, hi
+
+
+def test_edge_fold_matches_the_column_fold():
+    # bounds drawn from a few values, so that ties are common, with both
+    # zeros among them: which of two equal zeros an end keeps prints in
+    # result.csv as 0 or -0.  NaN bounds and ends never beat anything.
+    rng = np.random.default_rng(1906)
+    few = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, np.inf, -np.inf, np.nan])
+    hits = dict.fromkeys(["zero_tie", "kept_end", "nan_bound"], 0)
+    for _ in range(3000):
+        n = int(rng.integers(1, 8))
+        edges = int(rng.integers(0, 4 * n))
+        helper = np.sort(rng.integers(0, n, edges))  # by-source order
+        bound = np.where(rng.random(edges) < 0.7, rng.choice(few, edges),
+                         rng.uniform(-2.0, 2.0, edges))
+        side = rng.integers(0, 3, edges)  # 0 rising, 1 falling, 2 dead
+        rising, falling = side == 0, side == 1
+        lo, hi = (np.where(rng.random(n) < 0.5, rng.choice(few[:5], n), rng.uniform(-2, 2, n))
+                  for _ in range(2))
+        if rng.random() < 0.3:  # the request interval of a frozen node
+            lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+        got = _fold_bounds(bound, rising, falling, helper, lo, hi)
+        ref = _column_fold(bound, rising, falling, helper, lo, hi)
+        assert _bits(got[0]) == _bits(ref[0]) and _bits(got[1]) == _bits(ref[1])
+        for mask in (rising, falling):
+            for j in range(n):  # one node's requests on one side include +0.0 and -0.0
+                signs = np.signbit(bound[mask & (helper == j) & (bound == 0.0)])
+                hits["zero_tie"] += bool(signs.any() and not signs.all())
+        hits["kept_end"] += bool(np.any((got[0] == lo) & (np.bincount(helper[rising],
+                                                                     minlength=n) > 0)))
+        hits["nan_bound"] += bool(np.any(np.isnan(bound) & (rising | falling)))
+    assert all(hits.values()), hits

@@ -71,9 +71,6 @@ def test_duality_on_random_graphs():
 def loop_edge_layout(graph: NetworkGraph) -> EdgeLayout:
     """edge_layout written as one element at a time: the reference it must match."""
     nodes = graph.nodes()
-    n = graph.node_count
-    outs = [out_neighbors(graph, j) for j in nodes]
-    w_out = max((len(v) for v in outs), default=0)
     source, target = [], []
     edge_of: dict[tuple[int, int], int] = {}
     for i in nodes:
@@ -81,14 +78,9 @@ def loop_edge_layout(graph: NetworkGraph) -> EdgeLayout:
             edge_of[j, i] = len(source)
             source.append(j - 1)
             target.append(i - 1)
-    out_slot = np.zeros((n, w_out), dtype=np.intp)
-    out_mask = np.zeros((n, w_out), dtype=bool)
-    for j, ks in zip(nodes, outs):
-        for d, k in enumerate(ks):
-            out_slot[j - 1, d] = edge_of[j, k]
-            out_mask[j - 1, d] = True
+    by_source = [edge_of[j, k] for j in nodes for k in out_neighbors(graph, j)]
     return EdgeLayout(np.array(source, dtype=np.intp), np.array(target, dtype=np.intp),
-                      out_slot, out_mask)
+                      np.array(by_source, dtype=np.intp))
 
 
 def _random_graphs():
@@ -111,8 +103,8 @@ def _random_graphs():
 ], ids=repr)
 def test_edge_layout_matches_the_loop_reference(graph):
     got, want = edge_layout(graph), loop_edge_layout(graph)
-    assert EdgeLayout._fields == ("source", "target", "out_slot", "out_mask")
+    assert EdgeLayout._fields == ("source", "target", "by_source")
     for name, g, w in zip(EdgeLayout._fields, got, want):
         assert g.dtype == w.dtype, name
-        assert g.dtype in (np.intp, np.bool_), name
+        assert g.dtype == np.intp, name
         assert g.shape == w.shape and np.array_equal(g, w), name

@@ -35,11 +35,17 @@ from conftest import PAPER_BETA, PAPER_GAMMA, PAPER_UMAX, PAPER_X0, PAPER_XBAR
 from test_array_protocol import _bits, _random_form, _random_instance, _value
 
 
-def _model_on(graph: NetworkGraph, rng, scale: float = 1.0) -> SisModel:
-    """A SIS model on graph with random rates; beta is positive exactly on the edges."""
+def _model_on(graph: NetworkGraph, rng, scale: float = 1.0, idle: float = 0.0) -> SisModel:
+    """A SIS model on graph with random rates; beta is positive exactly on the edges.
+
+    Each on-node rate beta_ii is exactly 0 with probability idle.
+    """
     n = graph.node_count
     beta = np.zeros((n, n))
     beta[np.arange(n), np.arange(n)] = rng.uniform(0.0, 0.6, n) * scale
+    if idle:
+        still = np.flatnonzero(rng.random(n) < idle)
+        beta[still, still] = 0.0
     for j, i in graph.edges:
         beta[i - 1, j - 1] = rng.uniform(0.05, 1.0) * scale
     return SisModel(graph, SisParams(beta, rng.uniform(0.1, 0.5, n), rng.uniform(0.0, 1.0, n)))
@@ -254,8 +260,10 @@ def test_shared_nearest_point_matches_the_array_closest_points_on_signed_zeros()
               if plo <= phi and lo <= hi]
     plo, phi, lo, hi = map(np.array, zip(*combos))
     n = len(combos)
-    ref = _closest_points(np.ones(n, dtype=bool), np.stack([plo, phi], axis=1),
-                          np.tile([True, False], (n, 1)), np.tile([False, True], (n, 1)), lo, hi)
+    # each node has two out-edges, one request from below and one from above
+    ref = _closest_points(np.ones(n, dtype=bool), np.stack([plo, phi], axis=1).ravel(),
+                          np.tile([True, False], n), np.tile([False, True], n),
+                          np.repeat(np.arange(n), 2), lo, hi)
     got = [nearest_point(*case) for case in combos]
     assert _bits(got) == _bits(ref)
     assert any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in got)
@@ -265,7 +273,7 @@ def test_float_kernel_steps_like_the_array_kernel_on_random_states(caplog):
     # the Lie terms and psi2 blocks of random SIS models, through a whole
     # step; some models have rates large enough to overflow a Lie term
     rng = np.random.default_rng(515)
-    hits = dict.fromkeys(["negotiated", "non_finite", "rate"], 0)
+    hits = dict.fromkeys(["negotiated", "non_finite", "rate", "one_idle_node"], 0)
     with caplog.at_level(logging.WARNING, logger="ccbf"):
         for _ in range(400):
             n = int(rng.integers(1, 7))
@@ -273,12 +281,14 @@ def test_float_kernel_steps_like_the_array_kernel_on_random_states(caplog):
                      for j in rng.choice([j for j in range(1, n + 1) if j != i],
                                          size=int(rng.integers(0, n)), replace=False)]
             graph = NetworkGraph(n, edges)
-            model = _model_on(graph, rng, scale=1e300 if rng.random() < 0.05 else 1.0)
+            model = _model_on(graph, rng, scale=1e300 if rng.random() < 0.05 else 1.0,
+                              idle=0.3)
             specs = {i: BarrierSpec(rng.uniform(0.05, 1.0), rng.uniform(0.2, 3.0),
                                     rng.uniform(0.2, 3.0)) for i in graph.nodes()}
             gains = barrier_arrays(specs, graph.nodes())
             x = rng.uniform(0.0, 1.0, n)
             x[rng.random(n) < 0.15] = 0.0
+            x[rng.random(n) < 0.1] = -0.0  # the clamp keeps -0.0
             x[rng.random(n) < 0.1] = 1.0
             udot = rng.uniform(-1.0, 1.0, n) if rng.random() < 0.5 else np.zeros(n)
             options = dict(outer_cap=int(rng.choice([2, 16])), inner_cap=64,
@@ -297,23 +307,31 @@ def test_float_kernel_steps_like_the_array_kernel_on_random_states(caplog):
                     _same_step(got[0], ref[0])
                     hits["negotiated"] += ref[0][3] > 0
                     hits["rate"] += bool(udot.any())
+                    hits["one_idle_node"] += n == 1 and model.self_weight[0] == 0.0
                 hits["non_finite"] += type(ref_err).__name__ == "NumericsError"
     assert all(hits.values()), hits
 
 
 def test_float_advance_matches_the_array_advance():
-    # RK4 and the clamp on random SIS models over the float kernel's node
-    # counts: signed zeros (a negative dt keeps -0.0), states the step
-    # carries outside [0, 1], and rates or states large enough to overflow
+    # RK4 and the clamp on random SIS models of 1 to 40 nodes, a range that
+    # does not follow FLOAT_KERNEL_NODES: signed zeros (a negative dt keeps
+    # -0.0), states the step carries outside [0, 1], and rates or states
+    # large enough to overflow.  One node in four is alone with beta_11 = 0:
+    # its pressure beta_11 * y is a zero whose sign the shared product fixes
+    # (`beta @ y` gives +0.0 at y <= 0, np.dot gives -0.0), and a healing
+    # rate u < -gamma carries that sign into the next state from y = -0.0.
     rng = np.random.default_rng(1906)
-    hits = dict.fromkeys(["moved", "negative_zero", "non_finite", "at_rest"], 0)
-    for _ in range(600):
-        n = int(rng.integers(2, simulate_mod.FLOAT_KERNEL_NODES))
+    hits = dict.fromkeys(["moved", "negative_zero", "non_finite", "at_rest",
+                          "zero_product_sign"], 0)
+    for _ in range(800):  # about 600 of them with two or more nodes
+        alone = rng.random() < 0.25
+        n = 1 if alone else int(rng.integers(2, 41))
         edges = [(int(j), i) for i in range(1, n + 1)
                  for j in rng.choice([j for j in range(1, n + 1) if j != i],
                                      size=int(rng.integers(0, min(n, 5))), replace=False)]
         graph = NetworkGraph(n, edges)
-        model = _model_on(graph, rng, scale=1e300 if rng.random() < 0.05 else 1.0)
+        model = _model_on(graph, rng, scale=1e300 if rng.random() < 0.05 else 1.0,
+                          idle=1.0 if alone else 0.0)
         arrays, floats = _kernels(model, barrier_arrays({i: BarrierSpec(0.5) for i in
                                                          graph.nodes()}, graph.nodes()),
                                   np.zeros(n), np.zeros(n), model.params.u_max.copy(),
@@ -325,6 +343,8 @@ def test_float_advance_matches_the_array_advance():
         if rng.random() < 0.05:
             x[int(rng.integers(n))] = rng.choice([1e200, -1e200, np.inf, np.nan])
         u = rng.uniform(-0.5, 2.0, n) * (rng.random(n) < 0.7)
+        if alone and rng.random() < 0.5:  # gains infection at rate u + gamma < 0 from -0.0
+            x[0], u[0] = -0.0, -model.params.gamma[0] - rng.uniform(0.01, 0.5)
         dt = float(rng.choice([0.01, -0.01, 0.5, 3.0]))
         results = []
         for kernel, state, control in ((arrays, x, u), (floats, x, u.tolist()),
@@ -343,6 +363,8 @@ def test_float_advance_matches_the_array_advance():
             hits["moved"] += float(np.frombuffer(ref_moved)[0]) > 0.0
             hits["at_rest"] += float(np.frombuffer(ref_moved)[0]) == 0.0
             hits["negative_zero"] += bool(np.any((state == 0.0) & np.signbit(state)))
+            hits["zero_product_sign"] += alone and x[0] == 0.0 and np.signbit(x[0]) and \
+                u[0] < -model.params.gamma[0]
     assert all(hits.values()), hits
 
 
