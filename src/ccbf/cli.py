@@ -90,9 +90,11 @@ def run_config(cfg: ScenarioConfig, out_dir: Path) -> int:
     result = run_scenario(model, specs, x0, **cfg.run_kwargs())
     elapsed = time.perf_counter() - started
 
+    started = time.perf_counter()
     write_result_csv(out_dir / "result.csv", result)
     if cfg.trace:
         write_messages_csv(out_dir / "messages.csv", result)
+    written = time.perf_counter() - started
     meta = {
         "config": normalize_config(cfg),
         "versions": {
@@ -101,6 +103,7 @@ def run_config(cfg: ScenarioConfig, out_dir: Path) -> int:
             "numpy": np.__version__,
         },
         "wall_time_s": round(elapsed, 6),
+        "write_s": round(written, 6),
         "halted_at": result.halted_at,
         "halt_reason": result.halt_reason,
         "infeasible_nodes": list(result.infeasible_nodes),

@@ -458,20 +458,23 @@ def parse_config(text: str, overrides: dict[str, object] | None = None) -> Scena
 def _emit_beta(cfg: ScenarioConfig) -> str:
     """model.beta as json.dumps writes it, formatting only its n + E entries.
 
-    Every other entry is zero, so each row starts from a row of "0.0"; an
-    entry of -0.0 off the diagonal and off the edges is written as 0.0.
+    Every other entry is zero, so a row is its entries in column order, each
+    after a run of "0.0, " cut from one precomputed string; an entry of -0.0
+    off the diagonal and off the edges is written as 0.0.
     """
-    sources = [[i] for i in range(cfg.nodes)]  # the diagonal, then in-edges
+    columns = [[i] for i in range(cfg.nodes)]  # the diagonal, then in-edges
     for j, i in cfg.edges:
-        sources[i - 1].append(j - 1)
-    zeros = ["0.0"] * cfg.nodes
+        columns[i - 1].append(j - 1)
+    zeros = "0.0, " * cfg.nodes
     rows = []
-    for row, cols in zip(cfg.beta, sources):
-        cells = zeros.copy()
-        for j in cols:
-            cells[j] = repr(row[j])  # json.dumps writes numbers by repr
-        rows.append("[" + ", ".join(cells) + "]")
-    return "[" + ", ".join(rows) + "]"
+    for row, cols in zip(cfg.beta, columns):
+        cols.sort()
+        cells = []
+        for last, j in zip([-1] + cols, cols):
+            cells += zeros[:5 * (j - last - 1)], repr(row[j]), ", "  # json.dumps writes repr
+        cells.append(zeros[:5 * (cfg.nodes - 1 - cols[-1])])
+        rows.append("".join(cells)[:-2])
+    return "[[" + "], [".join(rows) + "]]"
 
 
 def _emit(cfg: ScenarioConfig, key: str, name: str) -> str:

@@ -22,6 +22,12 @@ The recorded row at t = k dt carries the state at t, the control applied
 on [t, t+dt), the negotiated capability, and the round counts for that
 step; the final row repeats the pipeline at t_final without integrating
 further, so a run over N steps yields N+1 rows.
+
+`write_result_csv` and `write_messages_csv` spell every float as
+`'%.17g' % value` does.  They format blocks of at least BLOCK_VALUES
+values at once with `ccbf.g17`, which is exact for decimal exponents -6
+to 16; a value outside that range, or not finite, goes through `%` by
+itself.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, islice
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +48,7 @@ from .dynamics import SisModel, rk4_step
 from .errors import (DimensionError, EmptyRegionError, ProtocolStallError,
                      TerminallyInfeasibleError)
 from .floatkernel import FloatKernel, filter_point
+from .g17 import NEWLINE, g17_rows, g17_slots, joined
 from .geometry import NEGLIGIBLE_NORMAL, ControlRegion, IntervalRegions
 from .graph import EdgeLayout
 
@@ -478,44 +485,85 @@ def run_uncontrolled(model: SisModel, x0: np.ndarray, *,
     return np.arange(nsteps + 1) * dt, states
 
 
+# The writers format whole rows (or sub-rounds) of at least this many values
+# at once: enough to spread numpy's cost per call, few enough that a block's
+# slots and text stay small beside the run's own arrays.
+BLOCK_VALUES = 2048
+
+
 def write_result_csv(path, result: ScenarioResult) -> None:
     """One row per step: state, control, capability, rounds, violation.
 
-    Floats are written with 17 significant digits, enough to read back
-    every value bit for bit.  Rows are formatted one at a time, so neither
-    the table's text nor a whole-table list is ever held: a list entry and
-    its Python float take four times the memory of an array entry.
+    Floats are written as `'%.17g' % value` spells them, enough to read
+    back every value bit for bit, and the round counts as integers, which
+    '%.17g' spells as %d does.  Whole rows of at least BLOCK_VALUES values
+    at a time are copied into one float table and formatted by `g17_rows`
+    (see `ccbf.g17` for its exact range and the per-value fallback), so
+    neither the table's text nor a whole-table copy is ever held.
     """
     n = result.node_count
-    viol = result.violations()
     header = (["t"]
               + [f"x_{i}" for i in range(1, n + 1)]
               + [f"u_{i}" for i in range(1, n + 1)]
               + [f"cbar_{i}" for i in range(1, n + 1)]
               + ["outer_rounds", "inner_rounds"]
               + [f"viol_{i}" for i in range(1, n + 1)])
-    floats_before = 1 + n + result.controls.shape[1] + result.capabilities.shape[1]
-    row_format = ",".join(["%.17g"] * floats_before + ["%d", "%d"] + ["%.17g"] * n) + "\n"
-    rows = zip(result.times.tolist(), result.states, result.controls, result.capabilities,
-               result.outer_rounds.tolist(), result.inner_rounds.tolist(), viol)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(row_format % (t, *x.tolist(), *u.tolist(), *cbar.tolist(),
-                                    outer, inner, *v.tolist())
-                      for t, x, u, cbar, outer, inner, v in rows)
+    thresholds = np.asarray(result.thresholds, dtype=float)
+    step = -(-BLOCK_VALUES // len(header))  # whole rows, at least BLOCK_VALUES values
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, len(result.times), step):
+            rows = slice(start, start + step)
+            states = result.states[rows]
+            fh.write(g17_rows(np.hstack([
+                result.times[rows, None], states, result.controls[rows],
+                result.capabilities[rows], result.outer_rounds[rows, None],
+                result.inner_rounds[rows, None],
+                np.minimum(thresholds - states, 0.0)])))  # result.violations() of these rows
+
+
+def _padded(texts: list[bytes]) -> np.ndarray:
+    """Byte strings as rows of words, zero-padded to one whole number of words."""
+    width = -(-max(map(len, texts), default=1) // 8)
+    return np.array(texts, dtype=f"S{8 * width}").view(np.uint64).reshape(len(texts), width)
+
+
+def _flat(lists, dtype, shape: tuple[int, int]) -> np.ndarray:
+    """Equal-length lists as the rows of an array: fromiter, twice as fast as np.array."""
+    return np.fromiter(chain.from_iterable(lists), dtype, shape[0] * shape[1]).reshape(shape)
+
+
+def _message_lines(block: list[tuple], edges: list[int], labels: np.ndarray) -> bytes:
+    """The messages.csv lines of a block of (t, sub_round, eligible, shares, eps) sub-rounds."""
+    times, numbers, eligible, shares, eps = zip(*block)
+    stamps = _padded(g17_rows(np.array([times, numbers]).T).split(b"\n")[:-1])
+    shape = len(block), len(edges)
+    eps = _flat(eps, float, shape)
+    written = np.hstack([_flat(eligible, bool, shape), np.ones(shape, bool)])
+    values = np.hstack([_flat(shares, float, shape), eps[:, edges]])[written]
+    row, column = np.nonzero(written)  # each line's sub-round and label
+    slots, rest = g17_slots(values)
+    slots[:, -1] ^= NEWLINE
+    return joined(np.hstack([stamps[row], labels[column], slots]), rest, values[rest])
 
 
 def write_messages_csv(path, result: ScenarioResult) -> None:
-    """Protocol trace: every request and adjustment in exchange order, one `%` a sub-round."""
+    """Protocol trace: every request and adjustment in exchange order.
+
+    Times and values are written as `'%.17g' % value` spells them.  Each
+    logged sub-round has a request line per edge, kept where the edge is
+    eligible, and an adjust line per edge in by-source order; sub-rounds
+    with at least BLOCK_VALUES such lines are laid out at once.  A line is
+    three zero-padded runs of words, its sub-round's "time,sub_round", its
+    ",kind,from,to," and its value's `g17_slots` slot; `g17.joined` drops
+    the padding.
+    """
     requests, adjusts, edges = exchange_order(result.layout)
-    # one line per message; "\0" stands for its time and sub-round
-    request_lines = ["\0request,%d,%d,%%.17g\n" % pair for pair in requests]
-    adjust_block = "".join("\0adjust,%d,%d,%%.17g\n" % pair for pair in adjusts)
-    with open(path, "w", newline="") as fh:
-        fh.write("sim_time,sub_round,kind,from,to,value\n")
-        for t, records in result.messages:
-            stamp = "%.17g" % t
-            for sub_round, eligible, shares, eps in records:
-                block = "".join(compress(request_lines, eligible)) + adjust_block
-                fh.write(block.replace("\0", "%s,%d," % (stamp, sub_round))
-                         % (*compress(shares, eligible), *map(eps.__getitem__, edges)))
+    labels = _padded([b",request,%d,%d," % pair for pair in requests]
+                     + [b",adjust,%d,%d," % pair for pair in adjusts])
+    per_block = -(-BLOCK_VALUES // max(1, len(labels)))
+    sub_rounds = ((t, *record) for t, records in result.messages for record in records)
+    with open(path, "wb") as fh:
+        fh.write(b"sim_time,sub_round,kind,from,to,value\n")
+        while block := list(islice(sub_rounds, per_block)):
+            fh.write(_message_lines(block, edges, labels))

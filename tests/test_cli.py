@@ -74,6 +74,8 @@ def test_run_writes_artifacts_and_trace(tmp_path):
     assert meta["versions"]["ccbf"]
     assert "sim.trace = on" in meta["config"]
     assert "sim.t_final = 1.0" in meta["config"]
+    # the seconds spent writing result.csv and messages.csv, beside the run's
+    assert meta["write_s"] >= 0.0 and meta["wall_time_s"] >= 0.0
 
 
 def _paper_config(overrides):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -376,6 +377,78 @@ def test_messages_csv_matches_the_per_row_format(tmp_path: Path):
     assert res.halt_reason == "infeasible"
     write_messages_csv(out, res)
     assert out.read_bytes() == _per_row_messages_csv(res).encode()
+
+
+def _per_row_result_csv(res: ScenarioResult) -> str:
+    """result.csv formatted one row at a time with `%`: the writer's oracle."""
+    n = res.node_count
+    header = (["t"] + [f"{name}_{i}" for name in ("x", "u", "cbar") for i in range(1, n + 1)]
+              + ["outer_rounds", "inner_rounds"] + [f"viol_{i}" for i in range(1, n + 1)])
+    row_format = ",".join(["%.17g"] * (1 + 3 * n) + ["%d", "%d"] + ["%.17g"] * n) + "\n"
+    rows = zip(res.times.tolist(), res.states, res.controls, res.capabilities,
+               res.outer_rounds.tolist(), res.inner_rounds.tolist(), res.violations())
+    return ",".join(header) + "\n" + "".join(
+        row_format % (t, *x.tolist(), *u.tolist(), *cbar.tolist(), outer, inner, *v.tolist())
+        for t, x, u, cbar, outer, inner, v in rows)
+
+
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -2.5e-308, np.inf, -np.inf, np.nan, 1e-6, 9.9e-7,
+                     1.5e-6, 1e16, 1e17, 2.0 ** 53, 1e300, 0.1, 1 / 3])
+
+
+def _random_result(rng, rows: int, n: int) -> ScenarioResult:
+    def floats(*shape):
+        # plain values over many decades, with the special ones sprinkled in
+        out = rng.random(shape) * 10.0 ** rng.integers(-9, 18, shape)
+        out *= rng.choice([-1.0, 1.0], shape)
+        pick = rng.random(shape) < 0.2
+        out[pick] = rng.choice(_SPECIAL, int(pick.sum()))
+        return out
+    return ScenarioResult(
+        times=floats(rows), states=floats(rows, n), controls=floats(rows, n),
+        capabilities=floats(rows, n), outer_rounds=rng.integers(0, 2 ** 53, rows),
+        inner_rounds=rng.integers(0, 100, rows), thresholds=tuple(rng.random(n).tolist()))
+
+
+@pytest.mark.parametrize("n", [1, 300])
+@pytest.mark.parametrize("rows", [0, 1, 57])
+def test_result_csv_matches_the_per_row_format(tmp_path: Path, n: int, rows: int):
+    rng = np.random.default_rng(1000 * n + rows)
+    out = tmp_path / "result.csv"
+    for _ in range(3):
+        res = _random_result(rng, rows, n)
+        write_result_csv(out, res)
+        assert out.read_bytes() == _per_row_result_csv(res).encode()
+    model, specs = _paper_model()
+    res = run_scenario(model, specs, np.array(PAPER_X0), dt=0.01, t_final=3.0)
+    write_result_csv(out, res)
+    assert out.read_bytes() == _per_row_result_csv(res).encode()
+
+
+# A writer's traced peak stays below this however long the run: far below the
+# 50 000-row tables of the test, whose text is 11 MB and more.
+WRITER_PEAK_BYTES = 2 * 2 ** 20
+
+
+def test_writers_hold_a_bounded_block_in_memory(tmp_path: Path):
+    rows = 50_000
+    rng = np.random.default_rng(7)
+    res = _random_result(rng, rows, 3)
+    # a long message log on the paper's six edges: one sub-round a step
+    layout = edge_layout(NetworkGraph(3, [(j, i) for j in (1, 2, 3) for i in (1, 2, 3) if i != j]))
+    logged = [(0.01 * k, [(1, [k % 2 == 0] * 6, rng.random(6).tolist(), rng.random(6).tolist())])
+              for k in range(rows)]
+    res = ScenarioResult(**{**vars(res), "messages": logged, "layout": layout})
+    for write, name in ((write_result_csv, "result.csv"), (write_messages_csv, "messages.csv")):
+        tracemalloc.start()
+        try:
+            write(tmp_path / name, res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / name).stat().st_size
+        assert size > 5 * WRITER_PEAK_BYTES
+        assert peak < WRITER_PEAK_BYTES, (name, peak, size)
 
 
 def test_identical_runs_write_identical_bytes(tmp_path: Path):
