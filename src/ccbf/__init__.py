@@ -10,15 +10,19 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
+from .arraykernel import (
+    IntervalRegions,
+    Psi2Arrays,
+    collaborative_safety_arrays,
+    safety_filter_arrays,
+)
 from .barrier import (
     BarrierArrays,
     BarrierSpec,
-    Psi2Arrays,
     Psi2Decomposition,
     QuadraticForm,
     barrier_arrays,
     decompose_psi2,
-    decompose_psi2_all,
     max_capability,
     psi0,
     psi1,
@@ -29,14 +33,12 @@ from .collab import (
     ProtocolOutcome,
     collaborate,
     collaborative_safety,
-    collaborative_safety_arrays,
     coordinate,
     message_rows,
     partition,
 )
 from .config import ScenarioConfig, normalize_config, parse_config
 from .dynamics import (
-    LieArrays,
     LieTable,
     NeighborhoodState,
     SisModel,
@@ -59,7 +61,6 @@ from .errors import (
 from .geometry import (
     ControlRegion,
     Halfspace,
-    IntervalRegions,
     closest_point,
     is_empty,
     weakly_non_interfering,
@@ -70,7 +71,6 @@ from .simulate import (
     run_scenario,
     run_uncontrolled,
     safety_filter,
-    safety_filter_arrays,
     write_messages_csv,
     write_result_csv,
 )
@@ -92,7 +92,6 @@ __all__ = [
     "edge_layout",
     "NeighborhoodState",
     "LieTable",
-    "LieArrays",
     "SisParams",
     "SisModel",
     "neighborhood",
@@ -106,7 +105,6 @@ __all__ = [
     "psi1",
     "decompose_psi2",
     "barrier_arrays",
-    "decompose_psi2_all",
     "max_capability",
     "Halfspace",
     "ControlRegion",

@@ -22,20 +22,21 @@ node's own control:
 
 The node's capability is the maximum of self_term over its admissible
 control region; everything beyond that must come from neighbors through
-the coupling terms.
+the coupling terms.  `decompose_psi2` and `max_capability` are the
+per-node reference; the step kernels in `floatkernel` and `arraykernel`
+build the same blocks and capabilities for every node, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .dynamics import LieArrays, LieTable
+from .dynamics import LieTable
 from .errors import DimensionError, EmptyRegionError, NumericsError
-from .geometry import ControlRegion, IntervalRegions
-from .graph import EdgeLayout
+from .geometry import ControlRegion
 
 # a psi1 this far below zero counts as violated
 PSI1_TOL = 1e-9
@@ -142,21 +143,6 @@ def decompose_psi2(spec: BarrierSpec, lie: LieTable, state: np.ndarray,
     return Psi2Decomposition(coupling, QuadraticForm(constant, linear, lie.lg2_h))
 
 
-class Psi2Arrays(NamedTuple):
-    """Every scalar node's psi2 decomposition at one state, as arrays.
-
-    Entry i-1 of constant, linear and quadratic is node i's self term
-    constant + linear u + quadratic u^2.  coupling is over the edges of
-    the model's EdgeLayout: in node target[e]+1's psi2, coupling[e]
-    multiplies the control of its in-neighbor source[e]+1.
-    """
-
-    constant: np.ndarray
-    linear: np.ndarray
-    quadratic: np.ndarray
-    coupling: np.ndarray
-
-
 class BarrierArrays(NamedTuple):
     """Every node's barrier threshold and chain gains, as arrays.
 
@@ -177,28 +163,6 @@ def barrier_arrays(specs: Mapping[int, BarrierSpec], nodes: Iterable[int]) -> Ba
     eta = np.array([s.eta for s in chosen])
     kappa = np.array([s.kappa for s in chosen])
     return BarrierArrays(np.array([s.threshold for s in chosen]), eta, kappa, eta + kappa)
-
-
-def decompose_psi2_all(layout: EdgeLayout, gains: BarrierArrays, lie: LieArrays,
-                       udot: np.ndarray) -> Psi2Arrays:
-    """decompose_psi2 for every scalar node at once, bit for bit.
-
-    layout is the model's EdgeLayout, gains every node's spec
-    (barrier_arrays) and udot the packed control rate.  Every block is
-    elementwise array arithmetic in decompose_psi2's operation order; the
-    cross-drift is one `np.bincount` over layout.target (see EdgeLayout).
-    """
-    x = lie.x
-    udot = np.asarray(udot, dtype=float)
-    if udot.shape != x.shape:
-        raise DimensionError(f"udot has shape {udot.shape}, expected {x.shape}")
-    eta = gains.eta
-    h0 = gains.threshold - x
-    cross_drift = np.bincount(layout.target, lie.lfj_lf_h, x.shape[0])
-    constant = (cross_drift + lie.lf2_h + x * udot
-                + eta * lie.lf_h + gains.kappa * (lie.lf_h + eta * h0))
-    linear = lie.drift + lie.lg_lf_h + gains.eta_kappa * x
-    return Psi2Arrays(constant, linear, -x, lie.lgj_lf_h)
 
 
 def _max_quadratic_on_interval(c: float, l: float, q: float,
@@ -241,39 +205,3 @@ def max_capability(decomp: Psi2Decomposition, region: ControlRegion
     val, t = _max_quadratic_on_interval(form.constant, float(form.linear[0]),
                                         float(form.quadratic[0, 0]), lo, hi)
     return val, np.array([t])
-
-
-def capability_function(psi2: Psi2Arrays) -> Callable[[IntervalRegions], np.ndarray]:
-    """The map region -> every scalar node's max_capability on it, bit for bit.
-
-    A frozen node takes its own quadratic's value at the frozen point,
-    rounded as QuadraticForm.value rounds it; any other node takes the
-    exact maximum over [lo, hi], comparing the candidates lo, hi and the
-    interior stationary point in that order and keeping the first of equal
-    values.  Each node's stationary point and the value there are found
-    once, for every region the map is given.
-    """
-    c, l, q = psi2.constant, psi2.linear, psi2.quadratic
-    curved = q != 0.0
-    t = np.divide(-l, 2.0 * q, out=np.zeros(q.shape), where=curved)
-    f_t = c + l * t + q * t * t
-
-    def capability(region: IntervalRegions) -> np.ndarray:
-        lo, hi, frozen, p = region
-        if np.count_nonzero(lo > hi):
-            empty = ~frozen & (lo > hi)
-            if empty.any():
-                i = int(np.flatnonzero(empty)[0])
-                raise EmptyRegionError(f"node {i + 1}: admissible interval is empty "
-                                       f"({lo[i]} > {hi[i]})")
-        best = c + l * lo + q * lo * lo
-        f_hi = c + l * hi + q * hi * hi
-        best = np.where(f_hi > best, f_hi, best)
-        best = np.where(curved & (lo < t) & (t < hi) & (f_t > best), f_t, best)
-        if np.count_nonzero(frozen):
-            # QuadraticForm.value: its one-element dot products add to +0.0
-            at_point = (c + (l * p + 0.0)) + ((p * q + 0.0) * p + 0.0)
-            best = np.where(frozen, at_point, best)
-        return best
-
-    return capability

@@ -29,10 +29,10 @@ Three nested loops:
 All iteration is in ascending node order and all exchanges are
 synchronous, which makes the protocol bit-for-bit deterministic.
 
-`collaborative_safety` runs the protocol on per-node ledgers and regions.
-The closed loop runs `collaborative_safety_arrays`, the same protocol on
-edge arrays: every sub-round is O(E) array arithmetic, and its results
-match the per-node protocol bit for bit.
+`collaborative_safety` runs the protocol on per-node ledgers and regions:
+it is the reference.  The closed loop runs it in a step kernel, on Python
+floats in `floatkernel` or on edge arrays, O(E) per sub-round, in
+`arraykernel`; both match this one bit for bit.
 """
 
 from __future__ import annotations
@@ -44,18 +44,12 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .barrier import Psi2Arrays, Psi2Decomposition, capability_function, max_capability
-from .errors import (
-    DegenerateWeightsError,
-    GeometryConvergenceError,
-    ProtocolStallError,
-    TerminallyInfeasibleError,
-)
+from .barrier import Psi2Decomposition, max_capability
+from .errors import DegenerateWeightsError, ProtocolStallError, TerminallyInfeasibleError
 from .geometry import (
     NEGLIGIBLE_NORMAL,
     ControlRegion,
     Halfspace,
-    IntervalRegions,
     closest_point,
     intersect,
     is_empty,
@@ -345,226 +339,3 @@ def message_rows(layout: EdgeLayout, records: Iterable[tuple]) -> Iterator[tuple
         yield from ((sub_round, "request", *pair, share) for pair, share in
                     zip(compress(requests, eligible), compress(shares, eligible)))
         yield from ((sub_round, "adjust", *pair, eps[e]) for pair, e in zip(adjusts, edges))
-
-
-class ArrayOutcome(NamedTuple):
-    """What collaborative_safety_arrays settled on, as arrays.
-
-    regions and capability hold node i's final region and capability at
-    entry i-1.  out_alloc is over the edges of the layout: entry e is what
-    node target[e]+1 counts on from its in-neighbor j = source[e]+1, and
-    what j committed to it (CollabLedger.out_alloc[j] of the requester,
-    which the ledgers mirror as CollabLedger.in_req of node j).  allocated
-    is each node's total allocation, its edges' out_alloc summed in
-    EdgeLayout's bincount order, as _allocated sums a ledger's.
-    """
-
-    regions: IntervalRegions
-    capability: np.ndarray
-    out_alloc: np.ndarray
-    allocated: np.ndarray
-    outer_rounds: int
-    sub_rounds: int
-    cap_tripped: bool = False
-
-
-def _any_by_node(flags: np.ndarray, node: np.ndarray, n: int) -> np.ndarray:
-    """For each of the n nodes, whether flags is set on some edge e with node[e] there."""
-    return np.bincount(node[flags], minlength=n) > 0
-
-
-def partition_arrays(deficit: np.ndarray, weights: np.ndarray,
-                     eligible: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """partition for every node at once, bit for bit.
-
-    Node i splits deficit[i-1] over its eligible in-edges, those with
-    target i-1, in proportion to their weights; negligible weights and
-    edges that are not eligible get exactly 0.  Totals are bincounts over
-    EdgeLayout.target.
-    """
-    n = len(deficit)
-    live = eligible & (weights > NEGLIGIBLE_NORMAL)
-    live_weights = np.where(live, weights, 0.0)
-    # a sum of weights above NEGLIGIBLE_NORMAL is positive, and +0.0 without any
-    total = np.bincount(target, live_weights, n)
-    asking = _any_by_node(eligible, target, n)
-    if np.count_nonzero(asking & ~(total > 0.0)):
-        raise DegenerateWeightsError(
-            "every eligible neighbor has negligible coupling weight")
-    ratio = np.divide(live_weights, total[target], out=np.zeros(weights.shape), where=live)
-    shares = np.where(live, deficit[target] * ratio, 0.0)
-    spread = np.bincount(target, shares, n) - deficit
-    assert (~asking | (np.abs(spread) <= 1e-12 * np.maximum(1.0, np.abs(deficit)))).all(), \
-        "partition must conserve the margin"
-    return shares
-
-
-def _tighten(bound: np.ndarray, tighter: np.ndarray, helper: np.ndarray, end: np.ndarray,
-             extreme: np.ufunc) -> np.ndarray:
-    """end, where each node takes the first of its tighter bounds at their extreme.
-
-    The bounds are in by-source order, helper (ascending) names each one's
-    node, and extreme is np.maximum or np.minimum.  Bounds equal to the
-    extreme differ at most in the sign of a zero; `extreme.at` may keep
-    either, so the first of them, the one a strict fold keeps, is written
-    back.
-    """
-    if not np.count_nonzero(tighter):
-        return end
-    value, node = bound[tighter], helper[tighter]
-    tight = end.copy()
-    extreme.at(tight, node, value)
-    hit = np.flatnonzero(value == tight[node])
-    first = hit[np.diff(node[hit], prepend=-1) != 0]
-    tight[node[first]] = value[first]
-    return tight
-
-
-def _fold_bounds(bound: np.ndarray, rising: np.ndarray, falling: np.ndarray,
-                 helper: np.ndarray, lo: np.ndarray, hi: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tighten each node's [lo, hi] by its request bounds, in O(E).
-
-    bound, rising and falling are over the edges in by-source order (see
-    EdgeLayout.by_source), and helper is each edge's source there.  A
-    rising request raises lo and a falling one lowers hi, as
-    ControlRegion.interval folds them: in ascending requester order, where
-    only a strictly tighter bound replaces the end.  So a node's new end is
-    the first of its bounds at their extreme, if that beats the old end;
-    ties keep the earlier value, +0.0 and -0.0 included, and a NaN bound
-    never replaces one.
-    """
-    return (_tighten(bound, rising & (bound > lo[helper]), helper, lo, np.maximum),
-            _tighten(bound, falling & (bound < hi[helper]), helper, hi, np.minimum))
-
-
-def _closest_points(frozen: np.ndarray, bound: np.ndarray, rising: np.ndarray,
-                    falling: np.ndarray, helper: np.ndarray, box_lo: np.ndarray,
-                    box_hi: np.ndarray) -> np.ndarray:
-    """closest_point of each node's box to its request polytope (1-D)."""
-    plo, phi = _fold_bounds(bound, rising, falling, helper, np.full(box_lo.shape, -np.inf),
-                            np.full(box_lo.shape, np.inf))
-    contradictory = frozen & (plo > phi)
-    if contradictory.any():
-        i = int(np.flatnonzero(contradictory)[0])
-        raise GeometryConvergenceError("empty request polytope",
-                                       last_iterate=np.array([box_lo[i]]),
-                                       residual=plo[i] - phi[i])
-    inside = np.where(box_lo > plo, box_lo, plo)
-    inside = np.where(box_hi < inside, box_hi, inside)
-    return np.where(phi < box_lo, box_lo, np.where(plo > box_hi, box_hi, inside))
-
-
-def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
-                                box_lo: np.ndarray, box_hi: np.ndarray,
-                                *,
-                                outer_cap: int = DEFAULT_OUTER_CAP,
-                                inner_cap: int = DEFAULT_INNER_CAP,
-                                weights_mode: str = "coupling",
-                                records: list[tuple] | None = None
-                                ) -> ArrayOutcome:
-    """collaborative_safety for a scalar network, on edge arrays.
-
-    Node i's control box is [box_lo[i-1], box_hi[i-1]], and psi2.coupling
-    is over the edges of layout.  Every sub-round runs partition,
-    coordinate and the requesters' bookkeeping for all nodes at once with
-    collaborate's synchronous, ascending-id semantics: the rounds, regions,
-    capabilities, ledgers, messages and raised errors are the per-node
-    protocol's, bit for bit.  A stall raises ProtocolStallError without
-    ledgers.  Each sub-round, up to a raise, appends (sub_round, eligible,
-    shares, eps) to records for message_rows, the last three as lists over
-    the edges.
-    """
-    if weights_mode not in WEIGHT_MODES:
-        raise ValueError(f"weights_mode must be one of {', '.join(WEIGHT_MODES)}, "
-                         f"got {weights_mode!r}")
-    capability_on = capability_function(psi2)
-    a = psi2.coupling
-    helper, asker, by_source = layout.source, layout.target, layout.by_source
-    strength = np.abs(a)
-    live = strength > NEGLIGIBLE_NORMAL
-    dead = ~live
-    any_dead = np.count_nonzero(dead)
-    a_live = np.where(live, a, 1.0)
-    # which requests bound each helper's interval from below and from above,
-    # by source in its out-neighbors' ascending order (a coupling is live
-    # exactly when it passes one of these tests)
-    a_out, out_helper = a[by_source], helper[by_source]
-    rising = a_out > NEGLIGIBLE_NORMAL
-    falling = a_out < -NEGLIGIBLE_NORMAL
-    weights = np.ones_like(a) if weights_mode == "uniform" else strength
-
-    # no array here is ever written in place, so the zeros can be shared
-    no_edges = out_alloc = np.zeros(a.shape)
-    n = box_lo.shape[0]
-    # the node sums of out_alloc, kept from the sub-round that last changed it
-    allocated = np.zeros(n)
-    constrained = np.zeros_like(live)
-    lo, hi, frozen, point = box_lo, box_hi, np.zeros(n, dtype=bool), np.zeros(n)
-    outer = total_sub = 0
-    cap_tripped = False
-    while True:
-        outer += 1
-        capability = capability_on(IntervalRegions(lo, hi, frozen, point))
-        deficit = capability - allocated
-        if np.count_nonzero(deficit >= -MARGIN_TOL) == n:
-            break
-        if outer >= outer_cap:
-            stuck = (deficit < -MARGIN_TOL) & ~_any_by_node(~constrained, asker, n)
-            if stuck.any():
-                raise _infeasible(tuple(int(i) + 1 for i in np.flatnonzero(stuck)))
-            cap_tripped = True
-            break
-        constrained = np.zeros_like(live)
-        sub = 0
-        while True:
-            if sub >= inner_cap:
-                raise ProtocolStallError(f"no agreement after {inner_cap} sub-rounds")
-            sub += 1
-
-            # every node splits its margin over unconstrained in-neighbors
-            eligible = ~constrained
-            try:
-                shares = partition_arrays(deficit, weights, eligible, asker)
-            except DegenerateWeightsError:
-                degenerate = _any_by_node(eligible, asker, n) & \
-                    ~_any_by_node(eligible & (weights > NEGLIGIBLE_NORMAL), asker, n)
-                for i in np.flatnonzero(degenerate):
-                    log.warning("node %d: all coupling weights negligible, splitting uniformly",
-                                i + 1)
-                shares = partition_arrays(deficit, np.where(degenerate[asker], 1.0, weights),
-                                          eligible, asker)
-
-            # every helper re-derives its interval from the demands on it; what
-            # a helper committed to a requester is what the requester counts on
-            target = out_alloc + shares
-            neg_target = -target
-            eps = np.where(dead & (target < 0.0), neg_target, 0.0) if any_dead else no_edges
-            bound = (neg_target / a_live)[by_source]
-            lo, hi = _fold_bounds(bound, rising, falling, out_helper, box_lo, box_hi)
-            frozen = lo > hi
-            if np.count_nonzero(frozen):
-                point = _closest_points(frozen, bound, rising, falling, out_helper, box_lo,
-                                        box_hi)
-                short = a * point[helper] + target
-                eps = np.where(live & frozen[helper] & (short < 0.0), -short, eps)
-            out_alloc = target + eps
-            allocated = np.bincount(asker, out_alloc, n).astype(float, copy=False)
-
-            if records is not None:
-                records.append((total_sub + sub, eligible.tolist(), shares.tolist(),
-                                eps.tolist()))
-
-            # a sub-round without a refusal touches no node, which ends the
-            # negotiation for this capability estimate
-            refused = eps > 0.0
-            if not np.count_nonzero(refused):
-                break
-            constrained = constrained | refused
-            touched = _any_by_node(refused, asker, n) | _any_by_node(refused, helper, n)
-            if (~_any_by_node(~constrained, asker, n) | ~touched).all():
-                break
-            deficit = capability - allocated
-        total_sub += sub
-    return ArrayOutcome(IntervalRegions(lo, hi, frozen, point), capability, out_alloc,
-                        allocated, outer, total_sub, cap_tripped)

@@ -28,19 +28,20 @@ D = d f_i / d x_i = -gamma_i - S + (1 - x_i) beta_ii:
     L_gi L_fi h =  D x_i                L_fi L_gi h = f_i
 
 Each closed form is pinned to a central finite difference in the tests.
-`SisModel` is the network the closed loop runs on.  Its `lie_arrays`
-evaluates every node's table at once with array arithmetic over the
-graph's edges (`SisModel.layout`), and every pressure S in one
-`np.bincount`; the per-node `lie_table` on a snapshot is its
-reference, which it matches bit for bit.  `rk4_step`, the array kernel's
-RK4 through `packed_flow`, shares only `SisModel.pressure` with the float's.
+`SisModel` is the network the closed loop runs on.  This module holds the
+model and the per-node reference, `lie_table` on a snapshot.  The step
+kernels evaluate the same closed forms for every node at once, each in its
+own module: `floatkernel` on Python floats and `arraykernel` on arrays over
+the graph's edges (`SisModel.layout`); both match `lie_table` bit for bit.
+`rk4_step`, the array kernel's RK4 through `packed_flow`, shares only
+`SisModel.pressure` with the float kernel's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -81,24 +82,6 @@ class LieTable:
     lf_lg_h: np.ndarray
 
 
-class LieArrays(NamedTuple):
-    """Every node's constraint Lie terms at one packed state, scalar nodes only.
-
-    Entry i-1 of a node array belongs to node i, whose L_g h is x[i-1]
-    and L_f L_g h is drift[i-1].  Entry e of an edge array belongs to edge
-    e of the model's EdgeLayout: the term of node target[e]+1's constraint
-    through its in-neighbor source[e]+1.
-    """
-
-    x: np.ndarray
-    drift: np.ndarray
-    lg_lf_h: np.ndarray
-    lf_h: np.ndarray
-    lf2_h: np.ndarray
-    lfj_lf_h: np.ndarray
-    lgj_lf_h: np.ndarray
-
-
 def neighborhood(graph: NetworkGraph, states: dict[int, np.ndarray], i: int) -> NeighborhoodState:
     """Build node i's two-hop snapshot from a full state map."""
     nbrs = in_neighbors(graph, i)
@@ -111,25 +94,6 @@ def neighborhood(graph: NetworkGraph, states: dict[int, np.ndarray], i: int) -> 
             one_hop={k: np.asarray(states[k], dtype=float) for k in jn},
         )
     return NeighborhoodState(np.asarray(states[i], dtype=float), one, two)
-
-
-def _check_lie_terms(x: np.ndarray, f: np.ndarray, lf2_h: np.ndarray, lg_lf_h: np.ndarray,
-                     lfj_lf_h: np.ndarray, lgj_lf_h: np.ndarray, target: np.ndarray) -> None:
-    """Raise NumericsError naming the lowest node with a non-finite Lie term.
-
-    The edge terms belong to the nodes in target.  One probe sums every
-    term: a NaN or an infinity in any of them makes the sum non-finite.
-    Finite terms whose sum overflows fail the probe too, and pass the
-    exact per-node check that follows it.
-    """
-    probe = float((x + f + lf2_h + lg_lf_h).sum()) + float((lfj_lf_h + lgj_lf_h).sum())
-    if math.isfinite(probe):
-        return
-    ok = np.isfinite(x) & np.isfinite(f) & np.isfinite(lf2_h) & np.isfinite(lg_lf_h)
-    ok[target[~(np.isfinite(lfj_lf_h) & np.isfinite(lgj_lf_h))]] = False
-    if not ok.all():
-        i = int(np.flatnonzero(~ok)[0]) + 1
-        raise NumericsError(f"node {i}: non-finite Lie derivative")
 
 
 @dataclass(frozen=True)
@@ -198,13 +162,6 @@ class SisModel:
         # beta_ij of every edge j -> i, in edge order, and every beta_ii
         self.edge_weight = params.beta[layout.target, layout.source]
         self.self_weight = np.diagonal(params.beta).copy()
-        # _pressure's N + E terms in its order: per target, the diagonal, then in-edges
-        rows = np.arange(graph.node_count)
-        first = np.argsort(np.concatenate([rows, layout.target]), kind="stable")
-        self._pull_row = np.concatenate([rows, layout.target])[first]
-        self._pull_source = np.concatenate([rows, layout.source])[first]
-        self._pull_weight = params.beta[self._pull_row, self._pull_source]
-        self._neg_gamma = -params.gamma
 
     def _check_neighborhood(self, nbr: NeighborhoodState, i: int) -> None:
         if np.shape(nbr.self_state) != (1,):
@@ -233,13 +190,8 @@ class SisModel:
             raise NumericsError(f"node {i}: drift is not finite")
         return np.array([f])
 
-    def control_matrix(self, x_i: np.ndarray, i: int) -> np.ndarray:
-        if np.shape(x_i) != (1,):
-            raise DimensionError(f"node {i}: SIS state must have shape (1,)")
-        return np.array([[-float(x_i[0])]])
-
     def lie_table(self, nbr: NeighborhoodState, i: int) -> LieTable:
-        """One node's table from its snapshot: the reference for lie_arrays."""
+        """One node's table from its snapshot: the reference for both step kernels."""
         # The constraint h = xbar - x_i has slope -1 everywhere, so the
         # table does not depend on the threshold.
         self._check_neighborhood(nbr, i)
@@ -278,34 +230,6 @@ class SisModel:
             raise NumericsError(f"node {i}: non-finite Lie derivative")
         return table
 
-    def lie_arrays(self, x: np.ndarray) -> LieArrays:
-        """Every node's lie_table at once, bit for bit.
-
-        Each expression keeps lie_table's operation order.  The pressure is
-        one `np.bincount` over _pressure's terms in its order from +0.0 (see
-        EdgeLayout); a reduction (`@`, `np.sum`) would reorder the
-        floating-point additions.
-        """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.graph.node_count,):
-            raise DimensionError(f"SIS packed state must have shape ({self.graph.node_count},)")
-        source, target = self.layout.source, self.layout.target
-        neg_gamma = self._neg_gamma
-        b_ii = self.self_weight
-        pressure = np.bincount(self._pull_row, self._pull_weight * x[self._pull_source], len(x))
-        one_minus = 1.0 - x
-        f = neg_gamma * x + one_minus * pressure
-        dfdx = neg_gamma - pressure + one_minus * b_ii
-        # (-a) * b is -(a * b) bit for bit, so both edge terms share a * b
-        shared = one_minus[target] * self.edge_weight
-        lfj = -shared * f[source]
-        lgj = shared * x[source]
-        lf_h = -f
-        lf2_h = -dfdx * f
-        lg_lf_h = dfdx * x
-        _check_lie_terms(x, f, lf2_h, lg_lf_h, lfj, lgj, target)
-        return LieArrays(x, f, lg_lf_h, lf_h, lf2_h, lfj, lgj)
-
     def clamp_state(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         clipped = x.clip(0.0, 1.0)
         return clipped, float(np.abs(clipped - x).max())
@@ -317,8 +241,7 @@ class SisModel:
     def packed_flow(self, u: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """Vectorized full-network derivative under the packed control u.
 
-        Returns x -> dx/dt; it matches drift + control_matrix @ u node by
-        node.
+        Returns x -> dx/dt; it matches drift - x_i * u_i node by node.
         """
         n = self.graph.node_count
         if np.shape(u) != (n,):

@@ -1,6 +1,6 @@
 """The closed-loop step on Python floats, for small networks.
 
-`FloatKernel.step` does what `simulate.ArrayKernel.step` does: every
+`FloatKernel.step` does what `arraykernel.ArrayKernel.step` does: every
 node's Lie terms and psi2 blocks, the negotiation of its region, and the
 certificate filter; `advance` its RK4 step and clamp.  It works one node
 at a time on Python floats, but for `SisModel.pressure`, the BLAS product
@@ -20,13 +20,16 @@ order) and each helper's out-edges (in EdgeLayout.by_source order) are
 listed at construction, so every pass of a step is one loop over nodes or
 edges.
 
-The per-node reference calls the same scalar rules: the capability on an
-interval (`barrier._max_quadratic_on_interval`, as `max_capability`), the
-certificate filter (`filter_point` here, as `simulate.safety_filter`),
-the proportional split (`collab._split`, as `partition`) and the nearest
-point (`geometry.nearest_point`, as `closest_point`).  The array stages
-share no arithmetic with either: they are the independent implementation
-that both are pinned to.
+Each implementation of the step has its own home: the per-node reference
+in `dynamics`, `barrier`, `geometry`, `collab` and `simulate`, this kernel
+here, and the array kernel in `arraykernel`.  The reference calls the same
+scalar rules as this kernel: the capability on an interval
+(`barrier._max_quadratic_on_interval`, as `max_capability`), the
+certificate filter (`filter_point` here, as `simulate.safety_filter`), the
+proportional split (`collab._split`, as `partition`) and the nearest point
+(`geometry.nearest_point`, as `closest_point`).  The array kernel shares no
+arithmetic with either: it is the independent implementation that both
+are pinned to.
 """
 
 from __future__ import annotations
@@ -314,7 +317,7 @@ class FloatKernel:
 
     def negotiate(self, constant: list, linear: list, quadratic: list, a: list,
                   records: list[tuple] | None) -> tuple:
-        """collaborative_safety_arrays on lists; a is psi2's coupling over the edges.
+        """arraykernel.collaborative_safety_arrays on lists; a is psi2's coupling over the edges.
 
         Returns lo, hi, frozen, point, capability and allocated per node,
         then the outer rounds, the sub-rounds and whether the cap tripped.

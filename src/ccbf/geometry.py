@@ -7,13 +7,13 @@ model in the package has a scalar control, and the 1-D case is handled with
 exact interval arithmetic.  `closest_point` and `is_empty` also take higher
 dimensions, by alternating projection between box and polytope with
 Dykstra's correction inside the polytope projection, which converges for
-this polyhedral family.
+this polyhedral family.  These are the per-node reference's regions;
+`floatkernel` shares `nearest_point`, and `arraykernel` keeps its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,9 +50,6 @@ class Halfspace:
 
     def value(self, u: np.ndarray) -> float:
         return float(self.normal @ np.asarray(u, dtype=float) + self.offset)
-
-    def contains(self, u: np.ndarray, tol: float = 0.0) -> bool:
-        return self.value(u) >= -tol
 
 
 Box = tuple[tuple[float, float], ...]
@@ -108,17 +105,6 @@ class ControlRegion:
     def frozen(self) -> bool:
         return self.frozen_point is not None
 
-    def contains(self, u: np.ndarray, tol: float = PROJECTION_TOL) -> bool:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.dim,):
-            raise DimensionError(f"point has dim {u.shape}, region has dim {self.dim}")
-        if self.frozen:
-            return bool(np.max(np.abs(u - self.frozen_point)) <= tol)
-        for (lo, hi), v in zip(self.box, u):
-            if v < lo - tol or v > hi + tol:
-                return False
-        return all(h.contains(u, tol) for h in self.requests)
-
     def interval(self) -> tuple[float, float]:
         """Exact [lo, hi] reduction for 1-D regions; lo > hi means empty.
 
@@ -143,20 +129,6 @@ class ControlRegion:
             else:
                 hi = min(hi, bound)
         return lo, hi
-
-
-class IntervalRegions(NamedTuple):
-    """Every scalar node's admissible region, as arrays.
-
-    Entry i-1 belongs to node i: the interval [lo, hi], or, where frozen is
-    True, the single point `point` (lo, hi and point are then as the
-    negotiation left them).
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-    frozen: np.ndarray
-    point: np.ndarray
 
 
 def intersect(box, halfspaces) -> ControlRegion:

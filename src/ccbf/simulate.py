@@ -8,15 +8,16 @@ pass the nominal controls through the certificate filter, record a row,
 then advance one RK4 step under those controls and clamp to [0, 1].  A
 kernel's `step` runs the pipeline up to the record and its `advance` the
 rest; a network with fewer than FLOAT_KERNEL_NODES nodes runs on
-`FloatKernel`, a loop over the nodes on Python floats, and a larger one
-on `ArrayKernel`, whose every stage works on arrays over nodes and edges.
-The two give the same bits; each has its own RK4 around the one shared
-`SisModel.pressure` product.  The per-node `safety_filter` and
-`collaborative_safety` are the reference.  It shares one copy of each
-scalar rule with `FloatKernel`: the certificate filter, the capability on
-an interval, the proportional split and the nearest point.  The array
-stages share none of them; they are the independent implementation that
-both per-node paths are pinned to, bit for bit.
+`floatkernel.FloatKernel`, a loop over the nodes on Python floats, and a
+larger one on `arraykernel.ArrayKernel`, whose every stage works on arrays
+over nodes and edges.  The two give the same bits; each has its own RK4
+around the one shared `SisModel.pressure` product.  Each kernel lives in
+its own module; this one holds the loop, the writers and the per-node
+reference filter `safety_filter`, which with the other reference modules
+(`dynamics`, `barrier`, `geometry`, `collab`) shares one copy of each
+scalar rule with `FloatKernel`.  The array kernel shares none of them; it
+is the independent implementation that both per-node paths are pinned to,
+bit for bit.
 
 The recorded row at t = k dt carries the state at t, the control applied
 on [t, t+dt), the negotiated capability, and the round counts for that
@@ -40,16 +41,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .barrier import (CERT_TOL, PSI1_TOL, BarrierArrays, BarrierSpec, Psi2Arrays,
-                      QuadraticForm, barrier_arrays, capability_function, decompose_psi2_all)
-from .collab import (DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP, WEIGHT_MODES,
-                     collaborative_safety_arrays, exchange_order)
-from .dynamics import SisModel, rk4_step
+from .arraykernel import ArrayKernel
+from .barrier import PSI1_TOL, BarrierSpec, QuadraticForm, barrier_arrays
+from .collab import DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP, WEIGHT_MODES, exchange_order
+from .dynamics import SisModel
 from .errors import (DimensionError, EmptyRegionError, ProtocolStallError,
                      TerminallyInfeasibleError)
 from .floatkernel import FloatKernel, filter_point
 from .g17 import NEWLINE, g17_rows, g17_slots, joined
-from .geometry import NEGLIGIBLE_NORMAL, ControlRegion, IntervalRegions
+from .geometry import ControlRegion
 from .graph import EdgeLayout
 
 log = logging.getLogger("ccbf.simulate")
@@ -126,104 +126,6 @@ def safety_filter(nominal: np.ndarray, region: ControlRegion, spec: BarrierSpec,
     return np.array([u]), relaxed
 
 
-def _clamp(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """min(max(v, lo), hi) elementwise, keeping the first argument on ties."""
-    v = np.where(lo > v, lo, v)
-    return np.where(hi < v, hi, v)
-
-
-def _certificate_choice(certificate: Psi2Arrays, want: np.ndarray, flo: np.ndarray,
-                        fhi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The scalar filter's certificate step for every node at once.
-
-    Returns the point of c + l u + q u^2 >= -CERT_TOL inside [flo, fhi]
-    nearest the nominal, first piece first, and whether any piece met
-    [flo, fhi] (see floatkernel._certificate_point).
-    """
-    q, l = certificate.quadratic, certificate.linear
-    c = certificate.constant + CERT_TOL
-    inf = np.inf
-    disc = l * l - 4.0 * q * c
-    flat = np.abs(q) <= NEGLIGIBLE_NORMAL
-    curved = ~flat
-    crossing = curved & (disc > 0.0)
-    root = np.sqrt(disc, out=np.zeros(c.shape), where=crossing)
-    two_q = 2.0 * q
-    neg_l = -l
-    ra = np.divide(neg_l - root, two_q, out=np.zeros(c.shape), where=curved)
-    rb = np.divide(neg_l + root, two_q, out=np.zeros(c.shape), where=curved)
-    swap = rb < ra
-    r1, r2 = np.where(swap, rb, ra), np.where(swap, ra, rb)
-    concave = q < 0.0
-    convex = ~concave
-    cup = crossing & convex  # two pieces, outside the roots
-    # first piece: between the roots, below the lower root, or the whole
-    # line where the curve never crosses zero and opens upward
-    lo1 = np.where(crossing & concave, r1, -inf)
-    hi1 = np.where(crossing, np.where(concave, r2, r1), inf)
-    has1 = crossing | convex
-    if np.count_nonzero(flat):
-        level = flat & (np.abs(l) <= NEGLIGIBLE_NORMAL)
-        sloped = flat & ~level
-        cut = np.divide(-c, l, out=np.zeros(c.shape), where=sloped)
-        rising = l > 0.0
-        lo1 = np.where(sloped & rising, cut, lo1)
-        hi1 = np.where(sloped & ~rising, cut, hi1)
-        has1 = np.where(level, c >= 0.0, has1 | sloped)
-    seg_lo = np.where(lo1 > flo, lo1, flo)
-    seg_hi = np.where(hi1 < fhi, hi1, fhi)
-    found = has1 & ~(seg_lo > seg_hi)
-    best = _clamp(want, seg_lo, seg_hi)
-    if np.count_nonzero(cup):
-        seg_lo = np.where(r2 > flo, r2, flo)
-        usable = cup & ~(seg_lo > fhi)
-        u = _clamp(want, seg_lo, fhi)
-        better = usable & (~found | (np.abs(u - want) < np.abs(best - want)))
-        best = np.where(better, u, best)
-        found = found | usable
-    return best, found
-
-
-def safety_filter_arrays(nominal: np.ndarray, regions: IntervalRegions, base: np.ndarray,
-                         lg_h: np.ndarray, certificate: Psi2Arrays | None = None,
-                         certified: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """safety_filter for every scalar node at once, bit for bit.
-
-    base is each node's psi1 at zero control, L_f h + eta * h, and lg_h its
-    L_g h.  The self-term blocks of `certificate` are the own-margin forms
-    of the nodes where `certified` is True; the other nodes filter without
-    one.  Returns the packed controls and the per-node relaxation flags.
-    """
-    lo, hi, frozen, point = regions
-    if np.count_nonzero(lo > hi):
-        empty = ~frozen & (lo > hi)
-        if empty.any():
-            raise EmptyRegionError(
-                f"node {int(np.flatnonzero(empty)[0]) + 1}: negotiated region is empty")
-    a = lg_h
-    up = a > NEGLIGIBLE_NORMAL
-    down = a < -NEGLIGIBLE_NORMAL
-    steer = up | down
-    bound = np.divide(-base, a, out=np.zeros(a.shape), where=steer)
-    flo = np.where(up & (bound > lo), bound, lo)
-    fhi = np.where(down & (bound < hi), bound, hi)
-    blind = ~steer & (base < -PSI1_TOL)  # control cannot reach psi1 at all
-    if np.count_nonzero(blind):
-        flo, fhi = np.where(blind, hi, flo), np.where(blind, lo, fhi)
-    feasible = flo <= fhi
-    u = _clamp(nominal, flo, fhi)
-    if certificate is not None and np.count_nonzero(certified):
-        best, found = _certificate_choice(certificate, nominal, flo, fhi)
-        u = np.where(certified & found, best, u)
-    relaxed = ~feasible
-    if np.count_nonzero(relaxed):
-        u = np.where(feasible, u, np.where(steer, np.where(up, hi, lo), _clamp(nominal, lo, hi)))
-    if np.count_nonzero(frozen):
-        u = np.where(frozen, point, u)
-        relaxed = np.where(frozen, base + a * point < -PSI1_TOL, relaxed)
-    return u, relaxed
-
-
 # psi2's own control rate: zero, or the difference of the last two controls
 UDOT_POLICIES = ("zero", "backward_difference")
 
@@ -242,72 +144,6 @@ def _udot_for(policy: str, history: Sequence[np.ndarray], zero: np.ndarray, dt: 
             warned[0] = True
         return zero
     return (history[-1] - history[-2]) / dt
-
-
-class ArrayKernel:
-    """The closed-loop step on arrays over nodes and edges.
-
-    Every stage is array arithmetic: the model's Lie terms, the psi2
-    blocks, the array protocol and the array filter.  Its cost per call
-    barely grows with the node count, so it serves large networks;
-    `FloatKernel` is its twin on Python floats for small ones.  Node i's
-    control box is [box_lo[i-1], box_hi[i-1]].
-    """
-
-    def __init__(self, model: SisModel, gains: BarrierArrays, nominal: np.ndarray,
-                 box_lo: np.ndarray, box_hi: np.ndarray, *,
-                 outer_cap: int, inner_cap: int, weights_mode: str):
-        n = model.graph.node_count
-        self.model, self.gains, self.nominal = model, gains, nominal
-        self.box_lo, self.box_hi = box_lo, box_hi
-        self.full_boxes = IntervalRegions(box_lo, box_hi, np.zeros(n, dtype=bool), np.zeros(n))
-        self.protocol = dict(outer_cap=outer_cap, inner_cap=inner_cap,
-                             weights_mode=weights_mode)
-
-    def step(self, x: np.ndarray, udot: np.ndarray, records: list[tuple] | None,
-             negotiate: bool) -> tuple:
-        """One step at the packed state x under the packed control rate udot.
-
-        Builds every node's Lie terms and psi2 blocks, then settles.
-        """
-        lie = self.model.lie_arrays(x)
-        psi2 = decompose_psi2_all(self.model.layout, self.gains, lie, udot)
-        base = lie.lf_h + self.gains.eta * (self.gains.threshold - x)
-        return self.settle(x, base, psi2, records, negotiate)
-
-    def settle(self, x: np.ndarray, base: np.ndarray, psi2: Psi2Arrays,
-               records: list[tuple] | None, negotiate: bool) -> tuple:
-        """Negotiate the regions, then filter the nominal controls through them.
-
-        base is each node's psi1 at zero control, and x its L_g h.  With
-        negotiate set the nodes negotiate their regions, appending each
-        sub-round to records (see collaborative_safety_arrays); otherwise
-        every node keeps its full box.  Returns (controls, capability,
-        outer_rounds, sub_rounds, cap_tripped, relaxed); a halting protocol
-        outcome raises.
-        """
-        certified = certificate = None
-        if negotiate:
-            outcome = collaborative_safety_arrays(self.model.layout, psi2, self.box_lo,
-                                                  self.box_hi, records=records, **self.protocol)
-            regions, caps = outcome.regions, outcome.capability
-            # A node that negotiated help owes its own share of the closed
-            # margin, a floor of -allocated; self-sufficient nodes stay
-            # minimally invasive.  (c - a is c + (-a) bit for bit.)
-            certified = outcome.allocated < 0.0
-            certificate = Psi2Arrays(psi2.constant - outcome.allocated, psi2.linear,
-                                     psi2.quadratic, psi2.coupling)
-            rounds = outcome.outer_rounds, outcome.sub_rounds, outcome.cap_tripped
-        else:
-            regions = self.full_boxes
-            caps = capability_function(psi2)(regions)
-            rounds = 0, 0, False
-        u, relaxed = safety_filter_arrays(self.nominal, regions, base, x, certificate, certified)
-        return (u, caps, *rounds, relaxed)
-
-    def advance(self, x: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
-        """One rk4_step of dt under the controls u, then the model's clamp_state."""
-        return self.model.clamp_state(rk4_step(self.model, x, u, dt))
 
 
 # A network with fewer nodes than this steps on FloatKernel, any other on
@@ -361,8 +197,10 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
                  collect_messages: bool = False) -> ScenarioResult:
     """Run the closed loop from x0 to t_final and record every step.
 
-    nominal is the packed nominal control, zero when None.  t_final must be
-    a whole number of dt steps (see step_count).  Each step runs on
+    specs holds every node's BarrierSpec, and nominal is the packed nominal
+    control, zero when None; a node without a spec, or an x0 or nominal of
+    the wrong shape, raises DimensionError.  t_final must be a whole number
+    of dt steps (see step_count).  Each step runs on
     FloatKernel below FLOAT_KERNEL_NODES nodes and on ArrayKernel from
     there on; both give the same bits.  A terminally infeasible step halts
     the run unless continue_on_infeasible is set, which reruns the step on
@@ -373,13 +211,16 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
         if value not in allowed:
             raise ValueError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
     nodes = list(model.graph.nodes())
+    missing = [i for i in nodes if i not in specs]
+    if missing:
+        raise DimensionError(f"specs has no entry for nodes {', '.join(map(str, missing))}")
     n = len(nodes)
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (n,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({n},) for this graph")
+        raise DimensionError(f"x0 has shape {x.shape}, expected ({n},) for this graph")
     want = np.zeros(n) if nominal is None else np.asarray(nominal, dtype=float)
     if want.shape != (n,):
-        raise ValueError(f"nominal has shape {want.shape}, expected ({n},) for this graph")
+        raise DimensionError(f"nominal has shape {want.shape}, expected ({n},) for this graph")
     nsteps = step_count(t_final, dt, n)
     kernel = _kernel(model, specs, want, outer_cap=outer_cap, inner_cap=inner_cap,
                      weights_mode=weights_mode)

@@ -15,10 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ccbf.arraykernel as arraykernel_mod
 import ccbf.collab as collab_mod
 import ccbf.simulate as simulate_mod
-from ccbf.barrier import (BarrierSpec, Psi2Arrays, Psi2Decomposition, QuadraticForm,
-                          barrier_arrays, decompose_psi2, psi0, psi1)
+from ccbf.arraykernel import ArrayKernel, Psi2Arrays
+from ccbf.barrier import (BarrierSpec, Psi2Decomposition, QuadraticForm, barrier_arrays,
+                          decompose_psi2, psi0, psi1)
 from ccbf.cli import main as cli_main
 from ccbf.dynamics import SisModel, SisParams, neighborhood
 from ccbf.errors import TerminallyInfeasibleError
@@ -26,7 +28,7 @@ from ccbf.floatkernel import FloatKernel
 from ccbf.geometry import ControlRegion, Halfspace, closest_point, is_empty, weakly_non_interfering
 from ccbf.graph import NetworkGraph, edge_layout
 from ccbf.plot import read_result_csv
-from ccbf.simulate import ArrayKernel, run_scenario, run_uncontrolled
+from ccbf.simulate import run_scenario, run_uncontrolled
 
 from conftest import PAPER_BETA, PAPER_GAMMA, PAPER_UMAX, PAPER_X0, PAPER_XBAR
 
@@ -171,7 +173,7 @@ def _kernel_negotiations(graph, decomps, boxes):
     floats = FloatKernel(model, gains, box_lo=lo, box_hi=hi, **_kernel_kwargs(n))
     array_log: list = []
     float_log: list = []
-    got = collab_mod.collaborative_safety_arrays(layout, psi2, lo, hi, records=array_log)
+    got = arraykernel_mod.collaborative_safety_arrays(layout, psi2, lo, hi, records=array_log)
     f_lo, f_hi, f_frozen, _, f_caps, f_allocated, _, _, f_tripped = floats.negotiate(
         *(v.tolist() for v in psi2), float_log)
     runs = [(*got.regions[:3], got.capability, got.allocated, got.cap_tripped, array_log),
@@ -482,7 +484,7 @@ def test_criterion_8_partition_conservation(capsys, monkeypatch):
     def record(kernel, total, deficit):
         residuals[kernel].append(abs(total - deficit) / max(1.0, abs(deficit)))
 
-    real_arrays = collab_mod.partition_arrays
+    real_arrays = arraykernel_mod.partition_arrays
 
     def recording_arrays(deficit, weights, eligible, target):
         shares = real_arrays(deficit, weights, eligible, target)
@@ -501,7 +503,7 @@ def test_criterion_8_partition_conservation(capsys, monkeypatch):
                 record("float", sum(sent), deficit[i])
         return shares
 
-    monkeypatch.setattr(collab_mod, "partition_arrays", recording_arrays)
+    monkeypatch.setattr(arraykernel_mod, "partition_arrays", recording_arrays)
     monkeypatch.setattr(FloatKernel, "_partition", recording_floats)
     model, specs = _paper_model()
     run_scenario(model, specs, np.asarray(PAPER_X0, dtype=float))

@@ -18,14 +18,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ccbf.barrier import (BarrierSpec, Psi2Arrays, Psi2Decomposition, QuadraticForm,
-                          capability_function, max_capability)
-from ccbf.collab import (CollabMessage, _fold_bounds, collaborative_safety,
-                         collaborative_safety_arrays, message_rows)
+from ccbf.arraykernel import (IntervalRegions, Psi2Arrays, _fold_bounds, capability_function,
+                              collaborative_safety_arrays, safety_filter_arrays)
+from ccbf.barrier import BarrierSpec, Psi2Decomposition, QuadraticForm, max_capability
+from ccbf.collab import CollabMessage, collaborative_safety, message_rows
 from ccbf.errors import CcbfError
-from ccbf.geometry import ControlRegion, IntervalRegions
+from ccbf.geometry import ControlRegion
 from ccbf.graph import NetworkGraph, edge_layout
-from ccbf.simulate import run_scenario, safety_filter, safety_filter_arrays
+from ccbf.simulate import run_scenario, safety_filter
 
 
 def _bits(v) -> bytes:

@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ccbf.arraykernel import ArrayKernel
 from ccbf.barrier import (
     BarrierSpec,
     Psi2Decomposition,
     QuadraticForm,
     barrier_arrays,
     decompose_psi2,
-    decompose_psi2_all,
     max_capability,
     psi0,
     psi1,
 )
+from ccbf.collab import DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP
 from ccbf.dynamics import SisModel, SisParams, neighborhood, rk4_step
 from ccbf.errors import DimensionError, EmptyRegionError, NumericsError
 from ccbf.geometry import ControlRegion, Halfspace
@@ -196,10 +197,6 @@ def test_decompose_udot_shape_check():
     lie = model.lie_table(neighborhood(graph, states, 1), 1)
     with pytest.raises(DimensionError):
         decompose_psi2(spec, lie, states[1], np.array([0.0, 0.0]))
-    specs = {i: spec for i in graph.nodes()}
-    with pytest.raises(DimensionError):
-        decompose_psi2_all(model.layout, barrier_arrays(specs, graph.nodes()),
-                           model.lie_arrays(np.array(PAPER_X0)), np.zeros(2))
 
 
 def _random_network(seed: int):
@@ -237,6 +234,18 @@ def _bits(v) -> bytes:
     return np.asarray(v, dtype=float).tobytes()
 
 
+def _kernel_pass(model: SisModel, specs, x: np.ndarray, udot: np.ndarray):
+    """The psi1 at zero control and the Psi2Arrays that ArrayKernel.step builds at x."""
+    n = model.graph.node_count
+    kernel = ArrayKernel(model, barrier_arrays(specs, model.graph.nodes()), np.zeros(n),
+                         np.zeros(n), model.params.u_max, outer_cap=DEFAULT_OUTER_CAP,
+                         inner_cap=DEFAULT_INNER_CAP, weights_mode="coupling")
+    handed = []
+    kernel.settle = lambda x, base, psi2, records, negotiate: handed.append((base, psi2))
+    kernel.step(x, udot, None, False)
+    return handed[0]
+
+
 # a seed of _random_network whose network has no edges at all (K = 0)
 EDGE_FREE_SEED = 38
 
@@ -247,29 +256,20 @@ EDGE_FREE_SEED = 38
 def test_batched_decomposition_is_bit_identical_to_per_node(seed, policy):
     graph, model, x, specs, history = _random_network(seed)
     udot = _udot_for(policy, history, np.zeros(graph.node_count), 0.01, [True])
-    lie = model.lie_arrays(x)
-    batched = decompose_psi2_all(model.layout, barrier_arrays(specs, graph.nodes()), lie, udot)
+    base, batched = _kernel_pass(model, specs, x, udot)
     states = {i: np.array([x[i - 1]]) for i in graph.nodes()}
     layout = model.layout
-    assert all(v.dtype == np.float64 for v in (*lie, *batched))
-    assert batched.coupling.shape == lie.lfj_lf_h.shape == lie.lgj_lf_h.shape == \
-        layout.source.shape
+    assert all(v.dtype == np.float64 for v in (base, *batched))
+    assert batched.coupling.shape == layout.source.shape
     for i in graph.nodes():
         table = model.lie_table(neighborhood(graph, states, i), i)
         ref = decompose_psi2(specs[i], table, states[i], udot[i - 1:i])
-        assert lie.lf_h[i - 1] == table.lf_h
-        for got, want in [(lie.x[i - 1:i], table.lg_h), (lie.drift[i - 1:i], table.lf_lg_h),
-                          (lie.lf_h[i - 1], table.lf_h), (lie.lf2_h[i - 1], table.lf2_h),
-                          (lie.lg_lf_h[i - 1:i], table.lg_lf_h)]:
-            assert _bits(got) == _bits(want)
-        edges = layout.target == i - 1
-        assert _bits(lie.lfj_lf_h[edges]) == _bits(list(table.lfj_lf_h.values()))
-        assert _bits(lie.lgj_lf_h[edges]) == \
-            _bits([v for a in table.lgj_lf_h.values() for v in a])
+        assert _bits(base[i - 1]) == _bits(psi1(specs[i], table, states[i], np.zeros(1)))
         assert batched.constant[i - 1] == ref.self_term.constant
         assert _bits(batched.constant[i - 1]) == _bits(ref.self_term.constant)
         assert _bits(batched.linear[i - 1:i]) == _bits(ref.self_term.linear)
         assert _bits(batched.quadratic[i - 1:i]) == _bits(ref.self_term.quadratic)
+        edges = layout.target == i - 1
         row = layout.source[edges] + 1
         assert tuple(row.tolist()) == tuple(ref.coupling)
         for c, j in enumerate(ref.coupling):
@@ -279,7 +279,7 @@ def test_batched_decomposition_is_bit_identical_to_per_node(seed, policy):
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_batched_lie_terms_name_lowest_non_finite_node(seed, data):
-    graph, model, x, _, _ = _random_network(seed)
+    graph, model, x, specs, _ = _random_network(seed)
     bad = data.draw(st.integers(1, graph.node_count))
     x[bad - 1] = np.nan
     states = {i: np.array([x[i - 1]]) for i in graph.nodes()}
@@ -292,4 +292,4 @@ def test_batched_lie_terms_name_lowest_non_finite_node(seed, data):
             break
     assert expected is not None and expected <= bad
     with pytest.raises(NumericsError, match=rf"^node {expected}: "):
-        model.lie_arrays(x)
+        _kernel_pass(model, specs, x, np.zeros(graph.node_count))

@@ -7,17 +7,16 @@ import logging
 import numpy as np
 import pytest
 
-from ccbf.barrier import (BarrierSpec, Psi2Arrays, Psi2Decomposition, QuadraticForm,
-                          decompose_psi2, max_capability)
+from ccbf.arraykernel import Psi2Arrays, collaborative_safety_arrays, partition_arrays
+from ccbf.barrier import (BarrierSpec, Psi2Decomposition, QuadraticForm, decompose_psi2,
+                          max_capability)
 from ccbf.collab import (
     CollabLedger,
     CollabMessage,
     collaborate,
     collaborative_safety,
-    collaborative_safety_arrays,
     coordinate,
     partition,
-    partition_arrays,
 )
 from ccbf.dynamics import SisModel, SisParams, neighborhood
 from ccbf.errors import (

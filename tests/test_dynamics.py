@@ -7,13 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from ccbf.dynamics import (
-    SisModel,
-    SisParams,
-    _check_lie_terms,
-    neighborhood,
-    rk4_step,
-)
+from ccbf.arraykernel import _check_lie_terms
+from ccbf.dynamics import SisModel, SisParams, neighborhood, rk4_step
 from ccbf.errors import (
     DimensionError,
     NumericsError,
@@ -36,12 +31,6 @@ def test_drift_matches_worked_value(paper_graph, paper_model):
     f = paper_model.drift(nbr, 1)
     assert f.shape == (1,)
     assert abs(f[0] - 0.0144) < 1e-12
-
-
-def test_control_matrix_is_negative_state(paper_model):
-    g = paper_model.control_matrix(np.array([0.3]), 2)
-    assert g.shape == (1, 1)
-    assert g[0, 0] == -0.3
 
 
 def test_cross_control_channel_frozen_value():
@@ -78,8 +67,6 @@ def test_bad_state_shape_raises(paper_model):
     nbr = NeighborhoodState(np.array([0.1, 0.2]), {})
     with pytest.raises(DimensionError):
         paper_model.drift(nbr, 1)
-    with pytest.raises(DimensionError):
-        paper_model.control_matrix(np.array([0.1, 0.2]), 1)
 
 
 def test_params_edge_consistency(paper_graph):
@@ -199,7 +186,7 @@ def test_packed_derivative_matches_per_node_path(paper_graph, paper_model):
         states = state_map(x)
         slow = np.array([
             float(paper_model.drift(neighborhood(paper_graph, states, i), i)[0]
-                  + paper_model.control_matrix(states[i], i)[0, 0] * u[i - 1])
+                  - states[i][0] * u[i - 1])
             for i in paper_graph.nodes()
         ])
         assert np.max(np.abs(fast - slow)) < 1e-14

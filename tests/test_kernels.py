@@ -20,16 +20,17 @@ import numpy as np
 import pytest
 
 import ccbf.simulate as simulate_mod
-from ccbf.barrier import (BarrierSpec, Psi2Arrays, QuadraticForm, barrier_arrays,
-                          capability_function)
-from ccbf.collab import _closest_points, collaborative_safety_arrays, message_rows
+from ccbf.arraykernel import (ArrayKernel, IntervalRegions, Psi2Arrays, _certificate_choice,
+                              _closest_points, capability_function,
+                              collaborative_safety_arrays, safety_filter_arrays)
+from ccbf.barrier import BarrierSpec, QuadraticForm, barrier_arrays
+from ccbf.collab import message_rows
 from ccbf.dynamics import SisModel, SisParams
 from ccbf.errors import CcbfError
 from ccbf.floatkernel import FloatKernel, _certificate_point, filter_point
-from ccbf.geometry import ControlRegion, IntervalRegions, nearest_point
+from ccbf.geometry import ControlRegion, nearest_point
 from ccbf.graph import NetworkGraph
-from ccbf.simulate import (ArrayKernel, _certificate_choice, run_scenario, safety_filter,
-                           safety_filter_arrays)
+from ccbf.simulate import run_scenario, safety_filter
 
 from conftest import PAPER_BETA, PAPER_GAMMA, PAPER_UMAX, PAPER_X0, PAPER_XBAR
 from test_array_protocol import _bits, _random_form, _random_instance, _value

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import ccbf.simulate as simulate_mod
+from ccbf.arraykernel import collaborative_safety_arrays
 from ccbf.barrier import BarrierSpec
-from ccbf.collab import collaborative_safety_arrays, message_rows
+from ccbf.collab import message_rows
 from ccbf.dynamics import SisModel, SisParams
 from ccbf.errors import CcbfError, DimensionError
 from ccbf.geometry import ControlRegion
@@ -493,6 +494,19 @@ def test_bad_x0_shape_rejected():
     model, specs = _paper_model()
     with pytest.raises(ValueError):
         run_scenario(model, specs, np.zeros(4), dt=0.01, t_final=1.0)
+
+
+def test_missing_specs_and_bad_shapes_raise_dimension_errors():
+    model, specs = _weak_two_node()
+    with pytest.raises(DimensionError, match=r"^specs has no entry for nodes 2$"):
+        run_scenario(model, {1: specs[1]}, np.full(2, 0.05), t_final=0.1)
+    model, specs = _paper_model()
+    with pytest.raises(DimensionError, match=r"^specs has no entry for nodes 1, 3$"):
+        run_scenario(model, {2: specs[2]}, np.full(3, 0.05), t_final=0.1)
+    with pytest.raises(DimensionError, match=r"^x0 has shape \(4,\)"):
+        run_scenario(model, specs, np.zeros(4), t_final=0.1)
+    with pytest.raises(DimensionError, match=r"^nominal has shape \(2,\)"):
+        run_scenario(model, specs, np.zeros(3), t_final=0.1, nominal=np.zeros(2))
 
 
 @pytest.mark.parametrize("dt, t_final", [(0.3, 1.0), (0.1, 0.25)])
