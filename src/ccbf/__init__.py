@@ -10,12 +10,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .arraykernel import (
-    IntervalRegions,
-    Psi2Arrays,
-    collaborative_safety_arrays,
-    safety_filter_arrays,
-)
+from .arraykernel import safety_filter_arrays
 from .barrier import (
     BarrierArrays,
     BarrierSpec,
@@ -100,7 +95,6 @@ __all__ = [
     "BarrierArrays",
     "QuadraticForm",
     "Psi2Decomposition",
-    "Psi2Arrays",
     "psi0",
     "psi1",
     "decompose_psi2",
@@ -108,7 +102,6 @@ __all__ = [
     "max_capability",
     "Halfspace",
     "ControlRegion",
-    "IntervalRegions",
     "closest_point",
     "is_empty",
     "weakly_non_interfering",
@@ -119,7 +112,6 @@ __all__ = [
     "coordinate",
     "collaborate",
     "collaborative_safety",
-    "collaborative_safety_arrays",
     "message_rows",
     "ScenarioResult",
     "safety_filter",

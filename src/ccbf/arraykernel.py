@@ -1,9 +1,11 @@
 """The closed-loop step on arrays over nodes and edges, for large networks.
 
-`ArrayKernel.step` does what `floatkernel.FloatKernel.step` does, with
-every stage elementwise arithmetic over the nodes or over the edges of the
-model's EdgeLayout, and every network sum one `np.bincount` in its order
-from +0.0, so its cost per call barely grows with the node count.  The
+`ArrayKernel` has `floatkernel.FloatKernel`'s interface: `step`, `settle`,
+`negotiate` and `advance` take the same arguments and return the same
+fields, as arrays where the float kernel has lists.  Every stage is
+elementwise arithmetic over the nodes or over the edges of the model's
+EdgeLayout, and every network sum one `np.bincount` in its order from
++0.0, so its cost per call barely grows with the node count.  The
 per-node reference (`dynamics`, `barrier`, `geometry`, `collab`,
 `simulate`) and `FloatKernel` share one copy of each scalar rule; this
 module shares none, and is the independent implementation that both are
@@ -13,48 +15,16 @@ pinned to, bit for bit.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .barrier import CERT_TOL, PSI1_TOL, BarrierArrays
 # log is the protocol's logger: the array negotiation warns as the per-node one does
-from .collab import (DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP, MARGIN_TOL, WEIGHT_MODES,
-                     _infeasible, log)
+from .collab import MARGIN_TOL, _infeasible, log
 from .dynamics import SisModel, rk4_step
 from .errors import (DegenerateWeightsError, EmptyRegionError, GeometryConvergenceError,
                      NumericsError, ProtocolStallError)
 from .geometry import NEGLIGIBLE_NORMAL
-from .graph import EdgeLayout
-
-
-class Psi2Arrays(NamedTuple):
-    """Every scalar node's psi2 decomposition at one state, as arrays.
-
-    Entry i-1 of constant, linear and quadratic is node i's self term
-    constant + linear u + quadratic u^2.  coupling is over the edges of
-    the model's EdgeLayout: in node target[e]+1's psi2, coupling[e]
-    multiplies the control of its in-neighbor source[e]+1.
-    """
-
-    constant: np.ndarray
-    linear: np.ndarray
-    quadratic: np.ndarray
-    coupling: np.ndarray
-
-
-class IntervalRegions(NamedTuple):
-    """Every scalar node's admissible region, as arrays.
-
-    Entry i-1 belongs to node i: the interval [lo, hi], or, where frozen is
-    True, the single point `point` (lo, hi and point are then as the
-    negotiation left them).
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-    frozen: np.ndarray
-    point: np.ndarray
 
 
 def _check_lie_terms(x: np.ndarray, f: np.ndarray, lf2_h: np.ndarray, lg_lf_h: np.ndarray,
@@ -76,61 +46,43 @@ def _check_lie_terms(x: np.ndarray, f: np.ndarray, lf2_h: np.ndarray, lg_lf_h: n
         raise NumericsError(f"node {i}: non-finite Lie derivative")
 
 
-def capability_function(psi2: Psi2Arrays) -> Callable[[IntervalRegions], np.ndarray]:
-    """The map region -> every scalar node's max_capability on it, bit for bit.
+def _self_terms(constant: np.ndarray, linear: np.ndarray, quadratic: np.ndarray) -> tuple:
+    """psi2's self-term blocks c, l and q, then where each node's term curves,
+    its stationary point t there and its value at t: a step finds t once,
+    for every region _capability is given."""
+    curved = quadratic != 0.0
+    t = np.divide(-linear, 2.0 * quadratic, out=np.zeros(quadratic.shape), where=curved)
+    return constant, linear, quadratic, curved, t, constant + linear * t + quadratic * t * t
 
-    A frozen node takes its own quadratic's value at the frozen point,
-    rounded as QuadraticForm.value rounds it; any other node takes the
-    exact maximum over [lo, hi], comparing the candidates lo, hi and the
-    interior stationary point in that order and keeping the first of equal
-    values.  Each node's stationary point and the value there are found
-    once, for every region the map is given.
+
+def _capability(self_terms: tuple, lo: np.ndarray, hi: np.ndarray, frozen: np.ndarray,
+                point: np.ndarray) -> np.ndarray:
+    """Every scalar node's max_capability on its region, bit for bit.
+
+    self_terms is what _self_terms returns.  Node i's region is the
+    interval [lo, hi] at entry i-1, or, where frozen is True, the single
+    point `point`.  A frozen node takes its own quadratic's value at the
+    point, rounded as QuadraticForm.value rounds it; any other node takes
+    the exact maximum over [lo, hi], comparing the candidates lo, hi and
+    the interior stationary point in that order and keeping the first of
+    equal values.
     """
-    c, l, q = psi2.constant, psi2.linear, psi2.quadratic
-    curved = q != 0.0
-    t = np.divide(-l, 2.0 * q, out=np.zeros(q.shape), where=curved)
-    f_t = c + l * t + q * t * t
-
-    def capability(region: IntervalRegions) -> np.ndarray:
-        lo, hi, frozen, p = region
-        if np.count_nonzero(lo > hi):
-            empty = ~frozen & (lo > hi)
-            if empty.any():
-                i = int(np.flatnonzero(empty)[0])
-                raise EmptyRegionError(f"node {i + 1}: admissible interval is empty "
-                                       f"({lo[i]} > {hi[i]})")
-        best = c + l * lo + q * lo * lo
-        f_hi = c + l * hi + q * hi * hi
-        best = np.where(f_hi > best, f_hi, best)
-        best = np.where(curved & (lo < t) & (t < hi) & (f_t > best), f_t, best)
-        if np.count_nonzero(frozen):
-            # QuadraticForm.value: its one-element dot products add to +0.0
-            at_point = (c + (l * p + 0.0)) + ((p * q + 0.0) * p + 0.0)
-            best = np.where(frozen, at_point, best)
-        return best
-
-    return capability
-
-
-class ArrayOutcome(NamedTuple):
-    """What collaborative_safety_arrays settled on, as arrays.
-
-    regions and capability hold node i's final region and capability at
-    entry i-1.  out_alloc is over the edges of the layout: entry e is what
-    node target[e]+1 counts on from its in-neighbor j = source[e]+1, and
-    what j committed to it (CollabLedger.out_alloc[j] of the requester,
-    which the ledgers mirror as CollabLedger.in_req of node j).  allocated
-    is each node's total allocation, its edges' out_alloc summed in
-    EdgeLayout's bincount order, as _allocated sums a ledger's.
-    """
-
-    regions: IntervalRegions
-    capability: np.ndarray
-    out_alloc: np.ndarray
-    allocated: np.ndarray
-    outer_rounds: int
-    sub_rounds: int
-    cap_tripped: bool = False
+    c, l, q, curved, t, f_t = self_terms
+    if np.count_nonzero(lo > hi):
+        empty = ~frozen & (lo > hi)
+        if empty.any():
+            i = int(np.flatnonzero(empty)[0])
+            raise EmptyRegionError(f"node {i + 1}: admissible interval is empty "
+                                   f"({lo[i]} > {hi[i]})")
+    best = c + l * lo + q * lo * lo
+    f_hi = c + l * hi + q * hi * hi
+    best = np.where(f_hi > best, f_hi, best)
+    best = np.where(curved & (lo < t) & (t < hi) & (f_t > best), f_t, best)
+    if np.count_nonzero(frozen):
+        # QuadraticForm.value: its one-element dot products add to +0.0
+        at_point = (c + (l * point + 0.0)) + ((point * q + 0.0) * point + 0.0)
+        best = np.where(frozen, at_point, best)
+    return best
 
 
 def _any_by_node(flags: np.ndarray, node: np.ndarray, n: int) -> np.ndarray:
@@ -220,137 +172,21 @@ def _closest_points(frozen: np.ndarray, bound: np.ndarray, rising: np.ndarray,
     return np.where(phi < box_lo, box_lo, np.where(plo > box_hi, box_hi, inside))
 
 
-def collaborative_safety_arrays(layout: EdgeLayout, psi2: Psi2Arrays,
-                                box_lo: np.ndarray, box_hi: np.ndarray,
-                                *,
-                                outer_cap: int = DEFAULT_OUTER_CAP,
-                                inner_cap: int = DEFAULT_INNER_CAP,
-                                weights_mode: str = "coupling",
-                                records: list[tuple] | None = None
-                                ) -> ArrayOutcome:
-    """collaborative_safety for a scalar network, on edge arrays.
-
-    Node i's control box is [box_lo[i-1], box_hi[i-1]], and psi2.coupling
-    is over the edges of layout.  Every sub-round runs partition,
-    coordinate and the requesters' bookkeeping for all nodes at once with
-    collaborate's synchronous, ascending-id semantics: the rounds, regions,
-    capabilities, ledgers, messages and raised errors are the per-node
-    protocol's, bit for bit.  A stall raises ProtocolStallError without
-    ledgers.  Each sub-round, up to a raise, appends (sub_round, eligible,
-    shares, eps) to records for message_rows, the last three as lists over
-    the edges.
-    """
-    if weights_mode not in WEIGHT_MODES:
-        raise ValueError(f"weights_mode must be one of {', '.join(WEIGHT_MODES)}, "
-                         f"got {weights_mode!r}")
-    capability_on = capability_function(psi2)
-    a = psi2.coupling
-    helper, asker, by_source = layout.source, layout.target, layout.by_source
-    strength = np.abs(a)
-    live = strength > NEGLIGIBLE_NORMAL
-    dead = ~live
-    any_dead = np.count_nonzero(dead)
-    a_live = np.where(live, a, 1.0)
-    # which requests bound each helper's interval from below and from above,
-    # by source in its out-neighbors' ascending order (a coupling is live
-    # exactly when it passes one of these tests)
-    a_out, out_helper = a[by_source], helper[by_source]
-    rising = a_out > NEGLIGIBLE_NORMAL
-    falling = a_out < -NEGLIGIBLE_NORMAL
-    weights = np.ones_like(a) if weights_mode == "uniform" else strength
-
-    # no array here is ever written in place, so the zeros can be shared
-    no_edges = out_alloc = np.zeros(a.shape)
-    n = box_lo.shape[0]
-    # the node sums of out_alloc, kept from the sub-round that last changed it
-    allocated = np.zeros(n)
-    constrained = np.zeros_like(live)
-    lo, hi, frozen, point = box_lo, box_hi, np.zeros(n, dtype=bool), np.zeros(n)
-    outer = total_sub = 0
-    cap_tripped = False
-    while True:
-        outer += 1
-        capability = capability_on(IntervalRegions(lo, hi, frozen, point))
-        deficit = capability - allocated
-        if np.count_nonzero(deficit >= -MARGIN_TOL) == n:
-            break
-        if outer >= outer_cap:
-            stuck = (deficit < -MARGIN_TOL) & ~_any_by_node(~constrained, asker, n)
-            if stuck.any():
-                raise _infeasible(tuple(int(i) + 1 for i in np.flatnonzero(stuck)))
-            cap_tripped = True
-            break
-        constrained = np.zeros_like(live)
-        sub = 0
-        while True:
-            if sub >= inner_cap:
-                raise ProtocolStallError(f"no agreement after {inner_cap} sub-rounds")
-            sub += 1
-
-            # every node splits its margin over unconstrained in-neighbors
-            eligible = ~constrained
-            try:
-                shares = partition_arrays(deficit, weights, eligible, asker)
-            except DegenerateWeightsError:
-                degenerate = _any_by_node(eligible, asker, n) & \
-                    ~_any_by_node(eligible & (weights > NEGLIGIBLE_NORMAL), asker, n)
-                for i in np.flatnonzero(degenerate):
-                    log.warning("node %d: all coupling weights negligible, splitting uniformly",
-                                i + 1)
-                shares = partition_arrays(deficit, np.where(degenerate[asker], 1.0, weights),
-                                          eligible, asker)
-
-            # every helper re-derives its interval from the demands on it; what
-            # a helper committed to a requester is what the requester counts on
-            target = out_alloc + shares
-            neg_target = -target
-            eps = np.where(dead & (target < 0.0), neg_target, 0.0) if any_dead else no_edges
-            bound = (neg_target / a_live)[by_source]
-            lo, hi = _fold_bounds(bound, rising, falling, out_helper, box_lo, box_hi)
-            frozen = lo > hi
-            if np.count_nonzero(frozen):
-                point = _closest_points(frozen, bound, rising, falling, out_helper, box_lo,
-                                        box_hi)
-                short = a * point[helper] + target
-                eps = np.where(live & frozen[helper] & (short < 0.0), -short, eps)
-            out_alloc = target + eps
-            allocated = np.bincount(asker, out_alloc, n).astype(float, copy=False)
-
-            if records is not None:
-                records.append((total_sub + sub, eligible.tolist(), shares.tolist(),
-                                eps.tolist()))
-
-            # a sub-round without a refusal touches no node, which ends the
-            # negotiation for this capability estimate
-            refused = eps > 0.0
-            if not np.count_nonzero(refused):
-                break
-            constrained = constrained | refused
-            touched = _any_by_node(refused, asker, n) | _any_by_node(refused, helper, n)
-            if (~_any_by_node(~constrained, asker, n) | ~touched).all():
-                break
-            deficit = capability - allocated
-        total_sub += sub
-    return ArrayOutcome(IntervalRegions(lo, hi, frozen, point), capability, out_alloc,
-                        allocated, outer, total_sub, cap_tripped)
-
-
 def _clamp(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """min(max(v, lo), hi) elementwise, keeping the first argument on ties."""
     v = np.where(lo > v, lo, v)
     return np.where(hi < v, hi, v)
 
 
-def _certificate_choice(certificate: Psi2Arrays, want: np.ndarray, flo: np.ndarray,
-                        fhi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _certificate_choice(c: np.ndarray, l: np.ndarray, q: np.ndarray, want: np.ndarray,
+                        flo: np.ndarray, fhi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The scalar filter's certificate step for every node at once.
 
     Returns the point of c + l u + q u^2 >= -CERT_TOL inside [flo, fhi]
-    nearest the nominal, first piece first, and whether any piece met
-    [flo, fhi] (see floatkernel._certificate_point).
+    nearest want, first piece first, and whether any piece met [flo, fhi]
+    (see floatkernel._certificate_point, which takes the same arguments).
     """
-    q, l = certificate.quadratic, certificate.linear
-    c = certificate.constant + CERT_TOL
+    c = c + CERT_TOL
     inf = np.inf
     disc = l * l - 4.0 * q * c
     flat = np.abs(q) <= NEGLIGIBLE_NORMAL
@@ -393,17 +229,19 @@ def _certificate_choice(certificate: Psi2Arrays, want: np.ndarray, flo: np.ndarr
     return best, found
 
 
-def safety_filter_arrays(nominal: np.ndarray, regions: IntervalRegions, base: np.ndarray,
-                         lg_h: np.ndarray, certificate: Psi2Arrays | None = None,
+def safety_filter_arrays(nominal: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                         frozen: np.ndarray, point: np.ndarray, base: np.ndarray,
+                         lg_h: np.ndarray, certificate: tuple | None = None,
                          certified: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """safety_filter for every scalar node at once, bit for bit.
 
-    base is each node's psi1 at zero control, L_f h + eta * h, and lg_h its
-    L_g h.  The self-term blocks of `certificate` are the own-margin forms
-    of the nodes where `certified` is True; the other nodes filter without
-    one.  Returns the packed controls and the per-node relaxation flags.
+    Node i's region is [lo, hi] at entry i-1, or `point` where frozen is
+    True.  base is each node's psi1 at zero control, L_f h + eta * h, and
+    lg_h its L_g h.  certificate holds the constant, linear and quadratic
+    blocks of the own-margin forms of the nodes where `certified` is True;
+    the other nodes filter without one.  Returns the packed controls and
+    the per-node relaxation flags.
     """
-    lo, hi, frozen, point = regions
     if np.count_nonzero(lo > hi):
         empty = ~frozen & (lo > hi)
         if empty.any():
@@ -422,7 +260,7 @@ def safety_filter_arrays(nominal: np.ndarray, regions: IntervalRegions, base: np
     feasible = flo <= fhi
     u = _clamp(nominal, flo, fhi)
     if certificate is not None and np.count_nonzero(certified):
-        best, found = _certificate_choice(certificate, nominal, flo, fhi)
+        best, found = _certificate_choice(*certificate, nominal, flo, fhi)
         u = np.where(certified & found, best, u)
     relaxed = ~feasible
     if np.count_nonzero(relaxed):
@@ -440,12 +278,16 @@ class ArrayKernel:
                  box_lo: np.ndarray, box_hi: np.ndarray, *,
                  outer_cap: int, inner_cap: int, weights_mode: str):
         layout = model.layout
-        n = model.graph.node_count
+        n = self.n = model.graph.node_count
         self.model, self.gains, self.nominal = model, gains, nominal
         self.box_lo, self.box_hi = box_lo, box_hi
-        self.full_boxes = IntervalRegions(box_lo, box_hi, np.zeros(n, dtype=bool), np.zeros(n))
-        self.protocol = dict(outer_cap=outer_cap, inner_cap=inner_cap,
-                             weights_mode=weights_mode)
+        self.unfrozen, self.no_point = np.zeros(n, dtype=bool), np.zeros(n)
+        self.outer_cap, self.inner_cap = outer_cap, inner_cap
+        self.source, self.target, self.by_source = layout
+        # each edge's helper in by-source order, and the split weights when
+        # they do not follow the coupling
+        self.out_helper = layout.source[layout.by_source]
+        self.uniform_weights = np.ones(len(layout.source)) if weights_mode == "uniform" else None
         # the pressure's N + E terms in SisModel._pressure's order: per target, the
         # diagonal, then the in-edges
         rows = np.arange(n)
@@ -465,8 +307,7 @@ class ArrayKernel:
         cross-drift are bincounts (see EdgeLayout); a reduction (`@`,
         `np.sum`) would reorder the floating-point additions.
         """
-        model = self.model
-        source, target = model.layout.source, model.layout.target
+        model, source, target = self.model, self.source, self.target
         threshold, eta, kappa, eta_kappa = self.gains
         neg_gamma = self._neg_gamma
         n = len(x)
@@ -486,37 +327,149 @@ class ArrayKernel:
         constant = (np.bincount(target, lfj, n) + lf2_h + x * udot
                     + eta * lf_h + kappa * base)
         linear = f + lg_lf_h + eta_kappa * x
-        return self.settle(x, base, Psi2Arrays(constant, linear, -x, lgj), records, negotiate)
+        return self.settle(x, base, constant, linear, -x, lgj, records, negotiate)
 
-    def settle(self, x: np.ndarray, base: np.ndarray, psi2: Psi2Arrays,
+    def settle(self, x: np.ndarray, base: np.ndarray, constant: np.ndarray,
+               linear: np.ndarray, quadratic: np.ndarray, coupling: np.ndarray,
                records: list[tuple] | None, negotiate: bool) -> tuple:
         """Negotiate the regions, then filter the nominal controls through them.
 
-        base is each node's psi1 at zero control, and x its L_g h.  With
-        negotiate set the nodes negotiate their regions, appending each
-        sub-round to records (see collaborative_safety_arrays); otherwise
-        every node keeps its full box.  Returns (controls, capability,
-        outer_rounds, sub_rounds, cap_tripped, relaxed); a halting protocol
-        outcome raises.
+        base is each node's psi1 at zero control, and x its L_g h; constant,
+        linear and quadratic are psi2's self-term blocks, and coupling is
+        over the edges.  With negotiate set the nodes negotiate their
+        regions, appending each sub-round to records (see negotiate);
+        otherwise every node keeps its full box.  Returns (controls,
+        capability, outer_rounds, sub_rounds, cap_tripped, relaxed); a
+        halting protocol outcome raises.
         """
         certified = certificate = None
         if negotiate:
-            outcome = collaborative_safety_arrays(self.model.layout, psi2, self.box_lo,
-                                                  self.box_hi, records=records, **self.protocol)
-            regions, caps = outcome.regions, outcome.capability
+            lo, hi, frozen, point, caps, allocated, _, *rounds = self.negotiate(
+                constant, linear, quadratic, coupling, records)
             # A node that negotiated help owes its own share of the closed
             # margin, a floor of -allocated; self-sufficient nodes stay
             # minimally invasive.  (c - a is c + (-a) bit for bit.)
-            certified = outcome.allocated < 0.0
-            certificate = Psi2Arrays(psi2.constant - outcome.allocated, psi2.linear,
-                                     psi2.quadratic, psi2.coupling)
-            rounds = outcome.outer_rounds, outcome.sub_rounds, outcome.cap_tripped
+            certified = allocated < 0.0
+            certificate = constant - allocated, linear, quadratic
         else:
-            regions = self.full_boxes
-            caps = capability_function(psi2)(regions)
+            lo, hi, frozen, point = self.box_lo, self.box_hi, self.unfrozen, self.no_point
+            caps = _capability(_self_terms(constant, linear, quadratic), lo, hi, frozen, point)
             rounds = 0, 0, False
-        u, relaxed = safety_filter_arrays(self.nominal, regions, base, x, certificate, certified)
+        u, relaxed = safety_filter_arrays(self.nominal, lo, hi, frozen, point, base, x,
+                                          certificate, certified)
         return (u, caps, *rounds, relaxed)
+
+    def negotiate(self, constant: np.ndarray, linear: np.ndarray, quadratic: np.ndarray,
+                  a: np.ndarray, records: list[tuple] | None) -> tuple:
+        """collaborative_safety for a scalar network, on edge arrays.
+
+        a is psi2's coupling over the edges.  Every sub-round runs
+        partition, coordinate and the requesters' bookkeeping for all nodes
+        at once with collaborate's synchronous, ascending-id semantics, so
+        the rounds, regions, capabilities, ledgers, messages and raised
+        errors are the per-node protocol's, bit for bit.  Each sub-round,
+        up to a raise, appends (sub_round, eligible, shares, eps) to
+        records for message_rows, the last three as lists over the edges.
+
+        Returns lo, hi, frozen, point, capability and allocated per node,
+        out_alloc per edge, then the outer rounds, the sub-rounds and
+        whether the cap tripped.  Node i's region is [lo, hi] at entry i-1,
+        or its point where frozen is True.  out_alloc[e] is what node
+        target[e]+1 counts on from its in-neighbor source[e]+1, and what
+        that neighbor committed to it: the ledgers' out_alloc, which in_req
+        mirrors.  allocated sums each node's out_alloc in EdgeLayout's
+        bincount order.
+        """
+        n, helper, asker, by_source = self.n, self.source, self.target, self.by_source
+        box_lo, box_hi, out_helper = self.box_lo, self.box_hi, self.out_helper
+        self_terms = _self_terms(constant, linear, quadratic)
+        strength = np.abs(a)
+        live = strength > NEGLIGIBLE_NORMAL
+        dead = ~live
+        any_dead = np.count_nonzero(dead)
+        a_live = np.where(live, a, 1.0)
+        # which requests bound each helper's interval from below and from above,
+        # by source in its out-neighbors' ascending order (a coupling is live
+        # exactly when it passes one of these tests)
+        a_out = a[by_source]
+        rising = a_out > NEGLIGIBLE_NORMAL
+        falling = a_out < -NEGLIGIBLE_NORMAL
+        weights = strength if self.uniform_weights is None else self.uniform_weights
+        # no array here is ever written in place, so the zeros can be shared
+        no_edges = out_alloc = np.zeros(a.shape)
+        # the node sums of out_alloc, kept from the sub-round that last changed it
+        allocated = np.zeros(n)
+        constrained = np.zeros_like(live)
+        lo, hi, frozen, point = box_lo, box_hi, np.zeros(n, dtype=bool), np.zeros(n)
+        outer = total_sub = 0
+        cap_tripped = False
+        while True:
+            outer += 1
+            capability = _capability(self_terms, lo, hi, frozen, point)
+            deficit = capability - allocated
+            if np.count_nonzero(deficit >= -MARGIN_TOL) == n:
+                break
+            if outer >= self.outer_cap:
+                stuck = (deficit < -MARGIN_TOL) & ~_any_by_node(~constrained, asker, n)
+                if stuck.any():
+                    raise _infeasible(tuple(int(i) + 1 for i in np.flatnonzero(stuck)))
+                cap_tripped = True
+                break
+            constrained = np.zeros_like(live)
+            sub = 0
+            while True:
+                if sub >= self.inner_cap:
+                    raise ProtocolStallError(f"no agreement after {self.inner_cap} sub-rounds")
+                sub += 1
+
+                # every node splits its margin over unconstrained in-neighbors
+                eligible = ~constrained
+                try:
+                    shares = partition_arrays(deficit, weights, eligible, asker)
+                except DegenerateWeightsError:
+                    degenerate = _any_by_node(eligible, asker, n) & \
+                        ~_any_by_node(eligible & (weights > NEGLIGIBLE_NORMAL), asker, n)
+                    for i in np.flatnonzero(degenerate):
+                        log.warning("node %d: all coupling weights negligible, "
+                                    "splitting uniformly", i + 1)
+                    shares = partition_arrays(deficit,
+                                              np.where(degenerate[asker], 1.0, weights),
+                                              eligible, asker)
+
+                # every helper re-derives its interval from the demands on it;
+                # what a helper committed to a requester is what the requester
+                # counts on
+                target = out_alloc + shares
+                neg_target = -target
+                eps = np.where(dead & (target < 0.0), neg_target, 0.0) if any_dead else no_edges
+                bound = (neg_target / a_live)[by_source]
+                lo, hi = _fold_bounds(bound, rising, falling, out_helper, box_lo, box_hi)
+                frozen = lo > hi
+                if np.count_nonzero(frozen):
+                    point = _closest_points(frozen, bound, rising, falling, out_helper, box_lo,
+                                            box_hi)
+                    short = a * point[helper] + target
+                    eps = np.where(live & frozen[helper] & (short < 0.0), -short, eps)
+                out_alloc = target + eps
+                allocated = np.bincount(asker, out_alloc, n).astype(float, copy=False)
+
+                if records is not None:
+                    records.append((total_sub + sub, eligible.tolist(), shares.tolist(),
+                                    eps.tolist()))
+
+                # a sub-round without a refusal touches no node, which ends
+                # the negotiation for this capability estimate
+                refused = eps > 0.0
+                if not np.count_nonzero(refused):
+                    break
+                constrained = constrained | refused
+                touched = _any_by_node(refused, asker, n) | _any_by_node(refused, helper, n)
+                if (~_any_by_node(~constrained, asker, n) | ~touched).all():
+                    break
+                deficit = capability - allocated
+            total_sub += sub
+        return (lo, hi, frozen, point, capability, allocated, out_alloc, outer, total_sub,
+                cap_tripped)
 
     def advance(self, x: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
         """One rk4_step of dt under the controls u, then the model's clamp_state."""

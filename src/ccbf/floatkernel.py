@@ -1,13 +1,15 @@
 """The closed-loop step on Python floats, for small networks.
 
-`FloatKernel.step` does what `arraykernel.ArrayKernel.step` does: every
-node's Lie terms and psi2 blocks, the negotiation of its region, and the
-certificate filter; `advance` its RK4 step and clamp.  It works one node
-at a time on Python floats, but for `SisModel.pressure`, the BLAS product
-`beta @ y` of each RK4 stage, which both kernels call.  No other product
-will do: on a one-node network np.dot rounds beta_11 * y to -0.0 where
-`@` gives +0.0.  At a few nodes numpy's per-call dispatch costs the array
-kernel more than its arithmetic, and this loop skips that cost.
+`FloatKernel` has `arraykernel.ArrayKernel`'s interface: `step` builds
+every node's Lie terms and psi2 blocks and hands them to `settle`, which
+calls `negotiate` for the regions and runs the certificate filter, and
+`advance` takes the RK4 step and clamp.  Each stage takes the arguments
+and returns the fields of the array kernel's, as lists.  It works one
+node at a time on Python floats, but for `SisModel.pressure`, the BLAS
+product `beta @ y` of each RK4 stage, which both kernels call.  No other
+product will do: on a one-node network np.dot rounds beta_11 * y to -0.0
+where `@` gives +0.0.  At a few nodes numpy's per-call dispatch costs the
+array kernel more than its arithmetic, and this loop skips that cost.
 
 Both kernels give the same bits.  Every expression keeps the array
 kernel's operation order.  Every sum starts from +0.0 and adds its terms
@@ -34,20 +36,16 @@ are pinned to.
 
 from __future__ import annotations
 
-import logging
 import math
 from itertools import compress
 
 import numpy as np
 
 from .barrier import CERT_TOL, PSI1_TOL, BarrierArrays, _max_quadratic_on_interval
-from .collab import MARGIN_TOL, _infeasible, _split
+from .collab import MARGIN_TOL, _infeasible, _split, log
 from .dynamics import SisModel
 from .errors import EmptyRegionError, NumericsError, ProtocolStallError
 from .geometry import NEGLIGIBLE_NORMAL, nearest_point
-
-# the negotiation's warnings are the protocol's, as the array kernel logs them
-log = logging.getLogger("ccbf.collab")
 
 
 def _clamp(v: float, lo: float, hi: float) -> float:
@@ -210,7 +208,7 @@ class FloatKernel:
         """ArrayKernel.settle on lists; coupling is over the edges."""
         n = self.n
         if negotiate:
-            lo, hi, frozen, point, caps, allocated, *rounds = self.negotiate(
+            lo, hi, frozen, point, caps, allocated, _, *rounds = self.negotiate(
                 constant, linear, quadratic, coupling, records)
         else:
             lo, hi, frozen, point = self.box_lo, self.box_hi, [False] * n, [0.0] * n
@@ -317,11 +315,11 @@ class FloatKernel:
 
     def negotiate(self, constant: list, linear: list, quadratic: list, a: list,
                   records: list[tuple] | None) -> tuple:
-        """arraykernel.collaborative_safety_arrays on lists; a is psi2's coupling over the edges.
+        """ArrayKernel.negotiate on lists; a is psi2's coupling over the edges.
 
         Returns lo, hi, frozen, point, capability and allocated per node,
-        then the outer rounds, the sub-rounds and whether the cap tripped.
-        Only a frozen node's point is meaningful.
+        out_alloc per edge, then the outer rounds, the sub-rounds and
+        whether the cap tripped.  Only a frozen node's point is meaningful.
         """
         n, rows, edges = self.n, self.rows, len(a)
         box_lo, box_hi = self.box_lo, self.box_hi
@@ -407,7 +405,7 @@ class FloatKernel:
                     break
                 deficit = [cap - got for cap, got in zip(caps, allocated)]
             total_sub += sub
-        return lo, hi, frozen, point, caps, allocated, outer, total_sub, cap_tripped
+        return lo, hi, frozen, point, caps, allocated, out_alloc, outer, total_sub, cap_tripped
 
     def _edge_tables(self, a: list) -> tuple:
         """The edges whose coupling is negligible, the split weights, and per

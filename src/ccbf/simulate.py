@@ -7,7 +7,8 @@ edge layout (or hand every node its full box when collaboration is off),
 pass the nominal controls through the certificate filter, record a row,
 then advance one RK4 step under those controls and clamp to [0, 1].  A
 kernel's `step` runs the pipeline up to the record and its `advance` the
-rest; a network with fewer than FLOAT_KERNEL_NODES nodes runs on
+rest; both kernels take the same arguments and return the same fields at
+every stage.  A network with fewer than FLOAT_KERNEL_NODES nodes runs on
 `floatkernel.FloatKernel`, a loop over the nodes on Python floats, and a
 larger one on `arraykernel.ArrayKernel`, whose every stage works on arrays
 over nodes and edges.  The two give the same bits; each has its own RK4
@@ -170,9 +171,14 @@ def _kernel(model: SisModel, specs: dict[int, BarrierSpec], nominal: np.ndarray,
 def step_count(t_final: float, dt: float, nodes: int = 1) -> int:
     """How many dt steps reach t_final; ValueError unless a whole number, to 1e-9 relative.
 
-    OverflowError when numpy cannot size the run's table: a row of `nodes`
-    floats for t = 0 and for every step.
+    dt must be finite and positive, and t_final finite and >= 0; a
+    t_final of 0 takes no step.  OverflowError when numpy cannot size the
+    run's table: a row of `nodes` floats for t = 0 and for every step.
     """
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    if not (math.isfinite(t_final) and t_final >= 0.0):
+        raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
     steps = t_final / dt
     if not math.isfinite(steps) or (round(steps) + 1) * nodes * 8 > np.iinfo(np.intp).max:
         raise OverflowError(f"t_final {t_final} takes too many dt {dt} steps for a table "

@@ -18,7 +18,7 @@ import pytest
 import ccbf.arraykernel as arraykernel_mod
 import ccbf.collab as collab_mod
 import ccbf.simulate as simulate_mod
-from ccbf.arraykernel import ArrayKernel, Psi2Arrays
+from ccbf.arraykernel import ArrayKernel
 from ccbf.barrier import (BarrierSpec, Psi2Decomposition, QuadraticForm, barrier_arrays,
                           decompose_psi2, psi0, psi1)
 from ccbf.cli import main as cli_main
@@ -31,6 +31,7 @@ from ccbf.plot import read_result_csv
 from ccbf.simulate import run_scenario, run_uncontrolled
 
 from conftest import PAPER_BETA, PAPER_GAMMA, PAPER_UMAX, PAPER_X0, PAPER_XBAR
+from test_array_protocol import _protocol_kernel
 
 
 def report(capsys, num: int, ok: bool, detail: str) -> None:
@@ -142,50 +143,35 @@ def _random_protocol_instance(rng):
     return graph, decomps, boxes
 
 
-def _kernel_kwargs(n: int) -> dict:
-    return dict(nominal=np.zeros(n), outer_cap=collab_mod.DEFAULT_OUTER_CAP,
-                inner_cap=collab_mod.DEFAULT_INNER_CAP, weights_mode="coupling")
-
-
 def _kernel_negotiations(graph, decomps, boxes):
-    """The instance negotiated by collaborative_safety_arrays and FloatKernel.negotiate.
+    """The instance negotiated by both step kernels' negotiate.
 
     Returns each edge's coupling and helper, and per kernel (lo, hi,
     frozen, capability, allocated, cap_tripped, commitments): the
     commitment of each edge is summed from the sub-round records, as the
-    kernels sum it.
+    kernels sum it, and must be the kernel's own out_alloc.
     """
-    n = graph.node_count
     layout = edge_layout(graph)
     source, target = layout.source, layout.target
     coupling = np.array([float(decomps[i + 1].coupling[j + 1][0])
                          for j, i in zip(source.tolist(), target.tolist())])
     forms = [decomps[i].self_term for i in graph.nodes()]
-    psi2 = Psi2Arrays(np.array([f.constant for f in forms]),
-                      np.array([float(f.linear[0]) for f in forms]),
-                      np.array([float(f.quadratic[0, 0]) for f in forms]), coupling)
+    psi2 = (np.array([f.constant for f in forms]),
+            np.array([float(f.linear[0]) for f in forms]),
+            np.array([float(f.quadratic[0, 0]) for f in forms]), coupling)
     lo = np.array([boxes[i][0][0] for i in graph.nodes()])
     hi = np.array([boxes[i][0][1] for i in graph.nodes()])
-    beta = np.zeros((n, n))
-    beta[target, source] = 1.0
-    model = SisModel(graph, SisParams(beta, np.ones(n), hi))
-    gains = barrier_arrays(dict.fromkeys(graph.nodes(), BarrierSpec(1.0)), graph.nodes())
-    floats = FloatKernel(model, gains, box_lo=lo, box_hi=hi, **_kernel_kwargs(n))
-    array_log: list = []
-    float_log: list = []
-    got = arraykernel_mod.collaborative_safety_arrays(layout, psi2, lo, hi, records=array_log)
-    f_lo, f_hi, f_frozen, _, f_caps, f_allocated, _, _, f_tripped = floats.negotiate(
-        *(v.tolist() for v in psi2), float_log)
-    runs = [(*got.regions[:3], got.capability, got.allocated, got.cap_tripped, array_log),
-            (f_lo, f_hi, f_frozen, f_caps, f_allocated, f_tripped, float_log)]
     results = []
-    for lo_k, hi_k, frozen, caps, allocated, tripped, records in runs:
+    for kind in (ArrayKernel, FloatKernel):
+        records: list = []
+        lo_k, hi_k, frozen, _, caps, allocated, out_alloc, _, _, tripped = \
+            _protocol_kernel(kind, graph, lo, hi).negotiate(*psi2, records)
         committed = np.zeros(len(coupling))
         for _, _, shares, eps in records:
             committed = (committed + np.array(shares)) + np.array(eps)
+        assert np.array_equal(committed, out_alloc)
         results.append((np.asarray(lo_k), np.asarray(hi_k), np.asarray(frozen),
                         np.asarray(caps), np.asarray(allocated), tripped, committed))
-    assert np.array_equal(results[0][-1], got.out_alloc)
     return coupling, source, results
 
 
@@ -243,8 +229,9 @@ def _step_kernels(model: SisModel, specs: dict[int, BarrierSpec]) -> list:
     """Both step kernels on the model, with every box [0, u_max]."""
     nodes = model.graph.nodes()
     n = len(nodes)
-    return [kind(model, barrier_arrays(specs, nodes), box_lo=np.zeros(n),
-                 box_hi=model.params.u_max.copy(), **_kernel_kwargs(n))
+    return [kind(model, barrier_arrays(specs, nodes), np.zeros(n), np.zeros(n),
+                 model.params.u_max.copy(), outer_cap=collab_mod.DEFAULT_OUTER_CAP,
+                 inner_cap=collab_mod.DEFAULT_INNER_CAP, weights_mode="coupling")
             for kind in (ArrayKernel, FloatKernel)]
 
 
@@ -254,10 +241,7 @@ def _settled_blocks(kernel, x: np.ndarray, udot: np.ndarray) -> list[np.ndarray]
     handed = []
     kernel.settle = lambda *args: handed.append(args[1:-2])
     kernel.step(x, udot, None, True)
-    base, *blocks = handed[0]
-    if len(blocks) == 1:  # ArrayKernel hands over Psi2Arrays
-        blocks = list(blocks[0])
-    return [np.asarray(v, dtype=float) for v in (base, *blocks)]
+    return [np.asarray(v, dtype=float) for v in handed[0]]
 
 
 def _grouped_psi2(model: SisModel, blocks: list[np.ndarray], u: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """The array protocol and filter against the per-node reference, bit for bit.
 
-Seeded random scalar networks drive `collaborative_safety_arrays` and
+Seeded random scalar networks drive `ArrayKernel.negotiate` and
 `collaborative_safety` side by side, and random regions and certificates
 drive `safety_filter_arrays` and `safety_filter`.  Each comparison is exact
 on the float bits.  The instances are drawn wide enough to reach every
@@ -18,10 +18,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ccbf.arraykernel import (IntervalRegions, Psi2Arrays, _fold_bounds, capability_function,
-                              collaborative_safety_arrays, safety_filter_arrays)
-from ccbf.barrier import BarrierSpec, Psi2Decomposition, QuadraticForm, max_capability
-from ccbf.collab import CollabMessage, collaborative_safety, message_rows
+from ccbf.arraykernel import (ArrayKernel, _capability, _fold_bounds, _self_terms,
+                              safety_filter_arrays)
+from ccbf.barrier import (BarrierSpec, Psi2Decomposition, QuadraticForm, barrier_arrays,
+                          max_capability)
+from ccbf.collab import (DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP, CollabMessage,
+                         collaborative_safety, message_rows)
+from ccbf.dynamics import SisModel, SisParams
 from ccbf.errors import CcbfError
 from ccbf.geometry import ControlRegion
 from ccbf.graph import NetworkGraph, edge_layout
@@ -43,7 +46,11 @@ def _value(rng, scale: float) -> float:
 
 
 def _random_instance(rng):
-    """A scalar network with synthetic psi2 blocks, boxes and protocol caps."""
+    """A scalar network with synthetic psi2 blocks, boxes and protocol caps.
+
+    The blocks are psi2's constant, linear and quadratic self-term blocks
+    and its coupling over the edges, in the order the kernels take them.
+    """
     n = int(rng.integers(1, 7))
     edges = []
     for i in range(1, n + 1):
@@ -57,17 +64,33 @@ def _random_instance(rng):
     for e in range(len(coupling)):  # by target, then source
         v = _value(rng, 1.0)
         coupling[e] = abs(v) if positive else v
-    psi2 = Psi2Arrays(
-        constant=rng.uniform(-0.6, 0.4, n),
-        linear=np.array([_value(rng, 0.5) for _ in range(n)]),
-        quadratic=np.array([_value(rng, 0.5) for _ in range(n)]),
-        coupling=coupling)
+    constant = rng.uniform(-0.6, 0.4, n)
+    linear = np.array([_value(rng, 0.5) for _ in range(n)])
+    quadratic = np.array([_value(rng, 0.5) for _ in range(n)])
+    psi2 = constant, linear, quadratic, coupling
     lo = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-0.3, 0.3, n))
     hi = lo + np.where(rng.random(n) < 0.1, 0.0, rng.uniform(0.0, 1.5, n))
     options = dict(outer_cap=int(rng.choice([1, 2, 16, 16])),
                    inner_cap=int(rng.choice([1, 64, 64])),
                    weights_mode=str(rng.choice(["coupling", "uniform"])))
     return graph, layout, psi2, lo, hi, options
+
+
+def _protocol_kernel(kind, graph, lo, hi, **options):
+    """A step kernel of kind on graph, node i's box [lo[i-1], hi[i-1]].
+
+    Its negotiate reads only the boxes, the caps and the weights mode: the
+    rates are fixed, one on every edge, and draw nothing from an rng.
+    """
+    n = graph.node_count
+    layout = edge_layout(graph)
+    beta = np.zeros((n, n))
+    beta[layout.target, layout.source] = 1.0
+    model = SisModel(graph, SisParams(beta, np.ones(n), np.ones(n)))
+    gains = barrier_arrays(dict.fromkeys(graph.nodes(), BarrierSpec(1.0)), graph.nodes())
+    protocol = dict(outer_cap=DEFAULT_OUTER_CAP, inner_cap=DEFAULT_INNER_CAP,
+                    weights_mode="coupling") | options
+    return kind(model, gains, np.zeros(n), lo, hi, **protocol)
 
 
 def _edges(graph):
@@ -77,14 +100,15 @@ def _edges(graph):
 
 
 def _per_node(graph, psi2):
+    constant, linear, quadratic, a = psi2
     decomps = {}
     couplings = {i: {} for i in graph.nodes()}
-    for (j, i), a in zip(_edges(graph), psi2.coupling.tolist()):
-        couplings[i][j] = np.array([a])
+    for (j, i), a_e in zip(_edges(graph), a.tolist()):
+        couplings[i][j] = np.array([a_e])
     for i in graph.nodes():
         coupling = couplings[i]
-        form = QuadraticForm(float(psi2.constant[i - 1]), np.array([psi2.linear[i - 1]]),
-                             np.array([[psi2.quadratic[i - 1]]]))
+        form = QuadraticForm(float(constant[i - 1]), np.array([linear[i - 1]]),
+                             np.array([[quadratic[i - 1]]]))
         decomps[i] = Psi2Decomposition(coupling, form)
     return decomps
 
@@ -114,8 +138,8 @@ def test_array_protocol_matches_per_node_protocol(caplog):
                 graph, _per_node(graph, psi2), boxes, messages=m, **options))
             warned = [r.getMessage() for r in caplog.records]
             caplog.clear()
-            got, got_log, got_err = _run(lambda m: collaborative_safety_arrays(
-                layout, psi2, lo, hi, records=m, **options))
+            kernel = _protocol_kernel(ArrayKernel, graph, lo, hi, **options)
+            got, got_log, got_err = _run(lambda m: kernel.negotiate(*psi2, m))
             got_msgs = [CollabMessage(*row) for row in message_rows(layout, got_log)]
             assert [r.getMessage() for r in caplog.records] == warned
 
@@ -127,34 +151,34 @@ def test_array_protocol_matches_per_node_protocol(caplog):
                 hits["stall"] += type(ref_err).__name__ == "ProtocolStallError"
                 continue
             assert _message_bits(got_msgs) == _message_bits(ref_msgs)
-            assert (got.outer_rounds, got.sub_rounds, got.cap_tripped) == \
-                (ref.outer_rounds, ref.sub_rounds, ref.cap_tripped)
+            g_lo, g_hi, frozen, point, capability, allocated, out_alloc, *rounds = got
+            assert tuple(rounds) == (ref.outer_rounds, ref.sub_rounds, ref.cap_tripped)
             for i in graph.nodes():
                 ledger, region = ref.ledgers[i], ref.regions[i]
-                assert _bits(got.capability[i - 1]) == _bits(ledger.capability)
-                assert bool(got.regions.frozen[i - 1]) == region.frozen
+                assert _bits(capability[i - 1]) == _bits(ledger.capability)
+                assert bool(frozen[i - 1]) == region.frozen
                 if region.frozen:
-                    assert _bits(got.regions.point[i - 1]) == _bits(region.frozen_point[0])
+                    assert _bits(point[i - 1]) == _bits(region.frozen_point[0])
                 else:
-                    assert _bits([got.regions.lo[i - 1], got.regions.hi[i - 1]]) == \
-                        _bits(region.interval())
+                    assert _bits([g_lo[i - 1], g_hi[i - 1]]) == _bits(region.interval())
             # the ledger mirror: what i counts on from j is what j committed to i
             edges = _edges(graph)
-            assert len(got.out_alloc) == len(edges)
+            assert len(out_alloc) == len(edges)
             for e, (j, i) in enumerate(edges):
-                assert _bits(got.out_alloc[e]) == _bits(ref.ledgers[i].out_alloc.get(j, 0.0))
-                assert _bits(got.out_alloc[e]) == _bits(ref.ledgers[j].in_req.get(i, 0.0))
+                assert _bits(out_alloc[e]) == _bits(ref.ledgers[i].out_alloc.get(j, 0.0))
+                assert _bits(out_alloc[e]) == _bits(ref.ledgers[j].in_req.get(i, 0.0))
             # each total in order from +0.0: builtin sum() compensates from Python 3.12 on
             totals = []
             for i in graph.nodes():
                 totals.append(0.0)
                 for v in ref.ledgers[i].out_alloc.values():
                     totals[-1] += v
-            assert _bits(got.allocated) == _bits(totals)
+            assert _bits(allocated) == _bits(totals)
 
             # a refusal on a live channel comes from a frozen region, one on
             # a dead channel refuses the whole net demand
-            refused = [abs(psi2.coupling[edges.index((m.from_node, m.to_node))])
+            coupling = psi2[-1]
+            refused = [abs(coupling[edges.index((m.from_node, m.to_node))])
                        for m in ref_msgs if m.kind == "adjust" and m.value > 0.0]
             hits["frozen"] += any(a > 1e-12 for a in refused)
             hits["dead_channel"] += any(a <= 1e-12 for a in refused)
@@ -199,11 +223,10 @@ def test_array_filter_matches_per_node_filter():
         nominal[rng.random(n) < 0.2] = rng.choice([0.0, -0.0])  # ties with a box end
         forms = [_random_form(rng) for _ in range(n)]
         certified = rng.random(n) < 0.7
-        certificate = Psi2Arrays(np.array([f[0] for f in forms]), np.array([f[1] for f in forms]),
-                                 np.array([f[2] for f in forms]), np.zeros(0))
-        regions = IntervalRegions(lo, hi, frozen, np.where(frozen, point, 0.0))
+        certificate = tuple(np.array(block) for block in zip(*forms))
         base = lf_h + eta * (threshold - x)
-        u, relaxed = safety_filter_arrays(nominal, regions, base, gain, certificate, certified)
+        u, relaxed = safety_filter_arrays(nominal, lo, hi, frozen, np.where(frozen, point, 0.0),
+                                          base, gain, certificate, certified)
         for i in range(n):
             region = ControlRegion(((lo[i], hi[i]),),
                                    frozen_point=np.array([point[i]]) if frozen[i] else None)
@@ -236,15 +259,13 @@ def test_empty_region_and_contradictory_demands_raise_like_the_reference():
     # nodes 1 and 3 both ask node 2 for help through channels of opposite
     # sign, for u_2 >= 10 and u_2 <= -10: node 2's request polytope is empty
     graph = NetworkGraph(3, [(2, 1), (2, 3)])
-    layout = edge_layout(graph)
-    psi2 = Psi2Arrays(np.array([-1.0, 0.0, -1.0]), np.zeros(3), np.zeros(3),
-                      np.array([1.0, -1.0]))
-    lo, hi = np.zeros(3), np.full(3, 0.1)
+    psi2 = np.array([-1.0, 0.0, -1.0]), np.zeros(3), np.zeros(3), np.array([1.0, -1.0])
+    kernel = _protocol_kernel(ArrayKernel, graph, np.zeros(3), np.full(3, 0.1))
     boxes = {i: ((0.0, 0.1),) for i in (1, 2, 3)}
     with pytest.raises(CcbfError) as ref:
         collaborative_safety(graph, _per_node(graph, psi2), boxes)
     with pytest.raises(type(ref.value)) as got:
-        collaborative_safety_arrays(layout, psi2, lo, hi)
+        kernel.negotiate(*psi2, None)
     assert type(ref.value).__name__ == "GeometryConvergenceError"
     assert str(got.value) == str(ref.value)
 
@@ -254,20 +275,17 @@ def test_empty_region_and_contradictory_demands_raise_like_the_reference():
     ("run_scenario", "udot_policy"),
     ("run_scenario", "weights_mode"),
     ("collaborative_safety", "weights_mode"),
-    ("collaborative_safety_arrays", "weights_mode"),
 ])
 def test_unknown_policy_names_are_rejected(paper_model, entry, keyword, misspelt):
     # a name outside the allowed set must not run as one of them
-    graph, layout = paper_model.graph, paper_model.layout
-    psi2 = Psi2Arrays(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(len(layout.source)))
+    graph = paper_model.graph
+    psi2 = np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(len(paper_model.layout.source))
     calls = {
         "run_scenario": lambda kw: run_scenario(
             paper_model, {i: BarrierSpec(0.5) for i in (1, 2, 3)}, np.full(3, 0.01),
             dt=0.01, t_final=0.02, **kw),
         "collaborative_safety": lambda kw: collaborative_safety(
             graph, _per_node(graph, psi2), {i: ((0.0, 0.75),) for i in (1, 2, 3)}, **kw),
-        "collaborative_safety_arrays": lambda kw: collaborative_safety_arrays(
-            layout, psi2, np.zeros(3), np.full(3, 0.75), **kw),
     }
     allowed = {"udot_policy": "zero, backward_difference",
                "weights_mode": "coupling, uniform"}[keyword]
@@ -279,11 +297,10 @@ def test_unknown_policy_names_are_rejected(paper_model, entry, keyword, misspelt
 def test_array_filter_takes_the_first_of_equidistant_pieces():
     # convex certificate with roots at -r and r: the nominal 0 is as far
     # from (-inf, -r] as from [r, inf), and the per-node loop keeps the first
-    certificate = Psi2Arrays(np.array([-0.25]), np.zeros(1), np.ones(1), np.zeros(0))
-    regions = IntervalRegions(np.array([-1.0]), np.array([1.0]), np.zeros(1, dtype=bool),
-                              np.zeros(1))
-    u, relaxed = safety_filter_arrays(np.zeros(1), regions, np.ones(1), np.ones(1),
-                                      certificate, np.ones(1, dtype=bool))
+    certificate = np.array([-0.25]), np.zeros(1), np.ones(1)
+    u, relaxed = safety_filter_arrays(np.zeros(1), np.array([-1.0]), np.array([1.0]),
+                                      np.zeros(1, dtype=bool), np.zeros(1), np.ones(1),
+                                      np.ones(1), certificate, np.ones(1, dtype=bool))
     ref, _ = safety_filter(np.zeros(1), ControlRegion(((-1.0, 1.0),)), BarrierSpec(1.0),
                            SimpleNamespace(lf_h=1.0, lg_h=np.ones(1)), np.ones(1),
                            certificate=QuadraticForm(-0.25, np.zeros(1), np.ones((1, 1))))
@@ -302,9 +319,7 @@ def test_array_capability_matches_per_node_on_signed_zeros():
     frozen = np.array([v is not None for v in p])
     point = np.array([0.0 if v is None else v for v in p])
     lo, hi = np.array([b[0] for b in box]), np.array([b[1] for b in box])
-    got = capability_function(
-        Psi2Arrays(np.array(c), np.array(l), np.array(q), np.zeros(0)))(
-        IntervalRegions(lo, hi, frozen, point))
+    got = _capability(_self_terms(np.array(c), np.array(l), np.array(q)), lo, hi, frozen, point)
     for k, (ck, lk, qk, pk, bk) in enumerate(combos):
         form = QuadraticForm(ck, np.array([lk]), np.array([[qk]]))
         region = ControlRegion((bk,), frozen_point=None if pk is None else np.array([pk]))

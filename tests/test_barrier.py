@@ -235,13 +235,14 @@ def _bits(v) -> bytes:
 
 
 def _kernel_pass(model: SisModel, specs, x: np.ndarray, udot: np.ndarray):
-    """The psi1 at zero control and the Psi2Arrays that ArrayKernel.step builds at x."""
+    """The psi1 at zero control and the psi2 constant, linear, quadratic and
+    coupling blocks that ArrayKernel.step builds at x."""
     n = model.graph.node_count
     kernel = ArrayKernel(model, barrier_arrays(specs, model.graph.nodes()), np.zeros(n),
                          np.zeros(n), model.params.u_max, outer_cap=DEFAULT_OUTER_CAP,
                          inner_cap=DEFAULT_INNER_CAP, weights_mode="coupling")
     handed = []
-    kernel.settle = lambda x, base, psi2, records, negotiate: handed.append((base, psi2))
+    kernel.settle = lambda *args: handed.append(args[1:-2])
     kernel.step(x, udot, None, False)
     return handed[0]
 
@@ -256,24 +257,25 @@ EDGE_FREE_SEED = 38
 def test_batched_decomposition_is_bit_identical_to_per_node(seed, policy):
     graph, model, x, specs, history = _random_network(seed)
     udot = _udot_for(policy, history, np.zeros(graph.node_count), 0.01, [True])
-    base, batched = _kernel_pass(model, specs, x, udot)
+    blocks = _kernel_pass(model, specs, x, udot)
+    base, constant, linear, quadratic, coupling = blocks
     states = {i: np.array([x[i - 1]]) for i in graph.nodes()}
     layout = model.layout
-    assert all(v.dtype == np.float64 for v in (base, *batched))
-    assert batched.coupling.shape == layout.source.shape
+    assert all(v.dtype == np.float64 for v in blocks)
+    assert coupling.shape == layout.source.shape
     for i in graph.nodes():
         table = model.lie_table(neighborhood(graph, states, i), i)
         ref = decompose_psi2(specs[i], table, states[i], udot[i - 1:i])
         assert _bits(base[i - 1]) == _bits(psi1(specs[i], table, states[i], np.zeros(1)))
-        assert batched.constant[i - 1] == ref.self_term.constant
-        assert _bits(batched.constant[i - 1]) == _bits(ref.self_term.constant)
-        assert _bits(batched.linear[i - 1:i]) == _bits(ref.self_term.linear)
-        assert _bits(batched.quadratic[i - 1:i]) == _bits(ref.self_term.quadratic)
+        assert constant[i - 1] == ref.self_term.constant
+        assert _bits(constant[i - 1]) == _bits(ref.self_term.constant)
+        assert _bits(linear[i - 1:i]) == _bits(ref.self_term.linear)
+        assert _bits(quadratic[i - 1:i]) == _bits(ref.self_term.quadratic)
         edges = layout.target == i - 1
         row = layout.source[edges] + 1
         assert tuple(row.tolist()) == tuple(ref.coupling)
         for c, j in enumerate(ref.coupling):
-            assert _bits(batched.coupling[edges][c:c + 1]) == _bits(ref.coupling[j])
+            assert _bits(coupling[edges][c:c + 1]) == _bits(ref.coupling[j])
 
 
 @settings(max_examples=60)

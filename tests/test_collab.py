@@ -7,7 +7,7 @@ import logging
 import numpy as np
 import pytest
 
-from ccbf.arraykernel import Psi2Arrays, collaborative_safety_arrays, partition_arrays
+from ccbf.arraykernel import ArrayKernel, partition_arrays
 from ccbf.barrier import (BarrierSpec, Psi2Decomposition, QuadraticForm, decompose_psi2,
                           max_capability)
 from ccbf.collab import (
@@ -28,6 +28,7 @@ from ccbf.geometry import ControlRegion
 from ccbf.graph import NetworkGraph, edge_layout, in_neighbors
 
 from conftest import PAPER_BETA, PAPER_GAMMA, PAPER_UMAX, PAPER_XBAR
+from test_array_protocol import _protocol_kernel
 
 
 def _const(c: float) -> QuadraticForm:
@@ -148,16 +149,16 @@ def test_terminal_infeasibility_detected_at_cap():
 @pytest.mark.parametrize("n", [1, 4])
 def test_array_sums_on_an_edge_free_network_stay_float(n):
     # np.bincount returns integer zeros when it is given no terms at all
-    layout = edge_layout(NetworkGraph(n, []))
-    psi2 = Psi2Arrays(np.full(n, 0.1), np.zeros(n), np.zeros(n), np.zeros(0))
-    out = collaborative_safety_arrays(layout, psi2, np.zeros(n), np.ones(n))
-    assert out.allocated.dtype == out.capability.dtype == np.float64
+    graph = NetworkGraph(n, [])
+    kernel = _protocol_kernel(ArrayKernel, graph, np.zeros(n), np.ones(n))
+    blocks = np.zeros(n), np.zeros(n), np.zeros(0)
+    _, _, _, _, capability, allocated, *_ = kernel.negotiate(np.full(n, 0.1), *blocks, None)
+    assert allocated.dtype == capability.dtype == np.float64
     shares = partition_arrays(np.full(n, -0.5), np.zeros(0), np.ones(0, dtype=bool),
-                              layout.target)
+                              edge_layout(graph).target)
     assert shares.dtype == np.float64 and shares.shape == (0,)
     with pytest.raises(TerminallyInfeasibleError):
-        collaborative_safety_arrays(layout, psi2._replace(constant=np.full(n, -1.0)),
-                                    np.zeros(n), np.ones(n))
+        kernel.negotiate(np.full(n, -1.0), *blocks, None)
 
 
 def test_walked_back_commitment_is_exact():

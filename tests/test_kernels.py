@@ -1,16 +1,18 @@
 """The float step kernel against the array step kernel, bit for bit.
 
 `run_scenario` steps a small network on `FloatKernel` and a large one on
-`ArrayKernel`.  The same random instances as test_array_protocol.py drive
-both kernels' negotiation and filter; random SIS models and states drive
-their whole step; and whole runs are compared with each kernel forced
-through `simulate.FLOAT_KERNEL_NODES`.  No bench workload refuses a
-request, so the output digests do not cover the protocol's branches: the
-tests assert that every branch was reached.
+`ArrayKernel`.  Both have one interface, and every test here drives them
+through it by the same call.  The same random instances as
+test_array_protocol.py drive both kernels' negotiation and filter; random
+SIS models and states drive their whole step; and whole runs are compared
+with each kernel forced through `simulate.FLOAT_KERNEL_NODES`.  No bench
+workload refuses a request, so the output digests do not cover the
+protocol's branches: the tests assert that every branch was reached.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import logging
 import math
@@ -20,9 +22,8 @@ import numpy as np
 import pytest
 
 import ccbf.simulate as simulate_mod
-from ccbf.arraykernel import (ArrayKernel, IntervalRegions, Psi2Arrays, _certificate_choice,
-                              _closest_points, capability_function,
-                              collaborative_safety_arrays, safety_filter_arrays)
+from ccbf.arraykernel import (ArrayKernel, _capability, _certificate_choice, _closest_points,
+                              _self_terms, safety_filter_arrays)
 from ccbf.barrier import BarrierSpec, QuadraticForm, barrier_arrays
 from ccbf.collab import message_rows
 from ccbf.dynamics import SisModel, SisParams
@@ -33,7 +34,7 @@ from ccbf.graph import NetworkGraph
 from ccbf.simulate import run_scenario, safety_filter
 
 from conftest import PAPER_BETA, PAPER_GAMMA, PAPER_UMAX, PAPER_X0, PAPER_XBAR
-from test_array_protocol import _bits, _random_form, _random_instance, _value
+from test_array_protocol import _bits, _protocol_kernel, _random_form, _random_instance, _value
 
 
 def _model_on(graph: NetworkGraph, rng, scale: float = 1.0, idle: float = 0.0) -> SisModel:
@@ -80,6 +81,24 @@ def _same_records(got, ref):
         [(k, list(e), _bits(s), _bits(p)) for k, e, s, p in ref]
 
 
+def _same_negotiation(got, ref):
+    """Two negotiate results, field by field: a node's lo and hi where it
+    is not frozen, its point where it is, and every per-edge commitment."""
+    lo, hi, frozen, point, caps, allocated, out_alloc, *rounds = got
+    ref_lo, ref_hi, ref_frozen, ref_point, ref_caps, ref_allocated, ref_out_alloc, \
+        *ref_rounds = ref
+    frozen, ref_frozen = np.array(frozen, dtype=bool), np.array(ref_frozen, dtype=bool)
+    assert frozen.tolist() == ref_frozen.tolist()
+    assert _bits(np.array(point)[frozen]) == _bits(np.array(ref_point)[frozen])
+    assert _bits(np.array(lo)[~frozen]) == _bits(np.array(ref_lo)[~frozen])
+    assert _bits(np.array(hi)[~frozen]) == _bits(np.array(ref_hi)[~frozen])
+    assert _bits(caps) == _bits(ref_caps)
+    assert _bits(allocated) == _bits(ref_allocated)
+    # the ledger mirror: what each requester counts on is what its helper committed
+    assert _bits(out_alloc) == _bits(ref_out_alloc)
+    assert tuple(rounds) == tuple(ref_rounds)
+
+
 def _same_step(got, ref):
     u, caps, outer, sub, tripped, relaxed = got
     ref_u, ref_caps, ref_outer, ref_sub, ref_tripped, ref_relaxed = ref
@@ -89,28 +108,39 @@ def _same_step(got, ref):
     assert list(map(bool, relaxed)) == list(map(bool, ref_relaxed))
 
 
+def test_both_kernels_have_one_interface():
+    # every stage takes the same parameters, and negotiate returns the same fields
+    for stage in ("step", "settle", "negotiate", "advance"):
+        assert list(inspect.signature(getattr(ArrayKernel, stage)).parameters) == \
+            list(inspect.signature(getattr(FloatKernel, stage)).parameters), stage
+    # node 1 needs 0.1 from node 2, which can give it
+    graph = NetworkGraph(2, [(1, 2), (2, 1)])
+    psi2 = np.array([-0.1, 0.5]), np.zeros(2), np.zeros(2), np.ones(2)
+    fields = [len(_protocol_kernel(kind, graph, np.zeros(2), np.ones(2)).negotiate(*psi2, None))
+              for kind in (ArrayKernel, FloatKernel)]
+    assert fields == [10, 10]
+
+
 def test_float_kernel_negotiates_and_settles_like_the_array_kernel(caplog):
     rng = np.random.default_rng(20240611)
     hits = dict.fromkeys(["frozen", "dead_channel", "degenerate", "refusal", "cap_trip",
                           "infeasible", "stall", "settled", "relaxed", "certified"], 0)
     with caplog.at_level(logging.WARNING, logger="ccbf"):
         for _ in range(2000):
-            graph, layout, psi2, lo, hi, options = _random_instance(rng)
+            graph, _, psi2, lo, hi, options = _random_instance(rng)
             n = graph.node_count
-            lists = (psi2.constant.tolist(), psi2.linear.tolist(), psi2.quadratic.tolist(),
-                     psi2.coupling.tolist())
             model = _model_on(graph, rng)
             gains = barrier_arrays({i: BarrierSpec(0.5) for i in graph.nodes()}, graph.nodes())
             lg_h = np.array([_value(rng, 1.0) for _ in range(n)])
             base = rng.uniform(-1.0, 1.0, n)
             nominal = rng.uniform(-0.5, 1.0, n)
             nominal[rng.random(n) < 0.2] = 0.0
-            arrays, floats = _kernels(model, gains, nominal, lo, hi, **options)
+            kernels = _kernels(model, gains, nominal, lo, hi, **options)
 
-            # the negotiation: regions, capabilities, allocations and records
-            ref, ref_warned, ref_err = _run(lambda m: collaborative_safety_arrays(
-                layout, psi2, lo, hi, records=m, **options), caplog)
-            got, warned, err = _run(lambda m: floats.negotiate(*lists, m), caplog)
+            # the negotiation: regions, capabilities, commitments and records;
+            # the float kernel reads the arrays one float at a time
+            (ref, ref_warned, ref_err), (got, warned, err) = (
+                _run(lambda m: kernel.negotiate(*psi2, m), caplog) for kernel in kernels)
             assert warned == ref_warned
             _same_error(err, ref_err)
             _same_records(got[1], ref[1])
@@ -118,33 +148,23 @@ def test_float_kernel_negotiates_and_settles_like_the_array_kernel(caplog):
                 hits["infeasible"] += type(ref_err).__name__ == "TerminallyInfeasibleError"
                 hits["stall"] += type(ref_err).__name__ == "ProtocolStallError"
             else:
-                outcome = ref[0]
-                g_lo, g_hi, g_frozen, g_point, g_caps, g_alloc, *rounds = got[0]
-                assert tuple(rounds) == (outcome.outer_rounds, outcome.sub_rounds,
-                                         outcome.cap_tripped)
-                frozen = outcome.regions.frozen
-                assert g_frozen == frozen.tolist()
-                assert _bits(np.array(g_point)[frozen]) == _bits(outcome.regions.point[frozen])
-                assert _bits(np.array(g_lo)[~frozen]) == _bits(outcome.regions.lo[~frozen])
-                assert _bits(np.array(g_hi)[~frozen]) == _bits(outcome.regions.hi[~frozen])
-                assert _bits(g_caps) == _bits(outcome.capability)
-                assert _bits(g_alloc) == _bits(outcome.allocated)
+                _same_negotiation(got[0], ref[0])
+                _, _, frozen, _, _, allocated, _, _, sub_rounds, cap_tripped = ref[0]
                 hits["frozen"] += bool(frozen.any())
-                hits["cap_trip"] += outcome.cap_tripped
-                hits["settled"] += outcome.sub_rounds > 0 and not outcome.cap_tripped
-                hits["certified"] += bool((outcome.allocated < 0.0).any())
+                hits["cap_trip"] += cap_tripped
+                hits["settled"] += sub_rounds > 0 and not cap_tripped
+                hits["certified"] += bool((allocated < 0.0).any())
             refusals = [(e, v) for _, _, _, eps in ref[1] for e, v in enumerate(eps) if v > 0.0]
+            coupling = psi2[-1]
             hits["refusal"] += bool(refusals)
-            hits["dead_channel"] += any(abs(psi2.coupling[e]) <= 1e-12 for e, _ in refusals)
+            hits["dead_channel"] += any(abs(coupling[e]) <= 1e-12 for e, _ in refusals)
             hits["degenerate"] += bool(ref_warned)
 
             # the whole settle: negotiation, then the certificate filter
             for negotiate in (True, False):
-                ref, ref_warned, ref_err = _run(
-                    lambda m: arrays.settle(lg_h, base, psi2, m, negotiate), caplog)
-                got, warned, err = _run(
-                    lambda m: floats.settle(lg_h.tolist(), base.tolist(), *lists, m, negotiate),
-                    caplog)
+                (ref, ref_warned, ref_err), (got, warned, err) = (
+                    _run(lambda m: kernel.settle(lg_h, base, *psi2, m, negotiate), caplog)
+                    for kernel in kernels)
                 assert warned == ref_warned
                 _same_error(err, ref_err)
                 _same_records(got[1], ref[1])
@@ -158,19 +178,19 @@ def test_float_kernel_raises_on_contradictory_demands_like_the_array_kernel():
     # nodes 1 and 3 both ask node 2 for help through channels of opposite
     # sign, for u_2 >= 10 and u_2 <= -10: node 2's request polytope is empty
     graph = NetworkGraph(3, [(2, 1), (2, 3)])
-    psi2 = Psi2Arrays(np.array([-1.0, 0.0, -1.0]), np.zeros(3), np.zeros(3),
-                      np.array([1.0, -1.0]))
+    psi2 = np.array([-1.0, 0.0, -1.0]), np.zeros(3), np.zeros(3), np.array([1.0, -1.0])
     model = _model_on(graph, np.random.default_rng(3))
     gains = barrier_arrays({i: BarrierSpec(0.5) for i in (1, 2, 3)}, (1, 2, 3))
-    arrays, floats = _kernels(model, gains, np.zeros(3), np.zeros(3), np.full(3, 0.1),
-                              outer_cap=16, inner_cap=64, weights_mode="coupling")
-    with pytest.raises(CcbfError) as ref:
-        arrays.settle(np.ones(3), np.ones(3), psi2, None, True)
-    with pytest.raises(type(ref.value)) as got:
-        floats.settle([1.0] * 3, [1.0] * 3, *[v.tolist() for v in psi2], None, True)
-    assert type(ref.value).__name__ == "GeometryConvergenceError"
-    assert str(got.value) == str(ref.value)
-    assert _bits(got.value.last_iterate) == _bits(ref.value.last_iterate)
+    raised = []
+    for kernel in _kernels(model, gains, np.zeros(3), np.zeros(3), np.full(3, 0.1),
+                           outer_cap=16, inner_cap=64, weights_mode="coupling"):
+        with pytest.raises(CcbfError) as caught:
+            kernel.settle(np.ones(3), np.ones(3), *psi2, None, True)
+        raised.append(caught.value)
+    ref, got = raised
+    assert type(ref).__name__ == "GeometryConvergenceError"
+    assert type(got) is type(ref) and str(got) == str(ref)
+    assert _bits(got.last_iterate) == _bits(ref.last_iterate)
 
 
 def test_float_certificate_point_matches_the_array_choice():
@@ -182,9 +202,7 @@ def test_float_certificate_point_matches_the_array_choice():
         lo = float(rng.choice([0.0, rng.uniform(-0.5, 0.5)]))
         hi = lo + float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
         cases.append((*_random_form(rng), float(rng.uniform(-0.5, 1.0)), lo, hi))
-    c, l, q, want, flo, fhi = map(np.array, zip(*cases))
-    best, found = _certificate_choice(Psi2Arrays(c, l, q, np.zeros(0)),
-                                      want, flo, fhi)
+    best, found = _certificate_choice(*map(np.array, zip(*cases)))
     got = [_certificate_point(*case) for case in cases]
     assert [v is not None for v in got] == found.tolist()
     assert _bits([v for v in got if v is not None]) == _bits(best[found])
@@ -202,9 +220,8 @@ def test_float_capability_matches_the_array_capability_on_signed_zeros():
     frozen = [v is not None for v in p]
     point = [0.0 if v is None else v for v in p]
     lo, hi = [b[0] for b in box], [b[1] for b in box]
-    ref = capability_function(
-        Psi2Arrays(np.array(c), np.array(l), np.array(q), np.zeros(0)))(
-        IntervalRegions(np.array(lo), np.array(hi), np.array(frozen), np.array(point)))
+    ref = _capability(_self_terms(np.array(c), np.array(l), np.array(q)), np.array(lo),
+                      np.array(hi), np.array(frozen), np.array(point))
     got = FloatKernel._capability(list(c), list(l), list(q), lo, hi, frozen, point)
     assert _bits(got) == _bits(ref)
 
@@ -229,12 +246,9 @@ def test_shared_filter_rule_matches_the_array_filter_on_signed_zeros():
     frozen = [v is not None for v in p]
     forms = [(0.0, 0.0, 0.0) if f is None else f for f in cert]
     ref_u, ref_relaxed = safety_filter_arrays(
-        np.array(want),
-        IntervalRegions(np.array(lo), np.array(hi), np.array(frozen),
-                        np.array([0.0 if v is None else v for v in p])),
-        np.array(base), np.array(a),
-        Psi2Arrays(*map(np.array, zip(*forms)), np.zeros(0)),
-        np.array([f is not None for f in cert]))
+        np.array(want), np.array(lo), np.array(hi), np.array(frozen),
+        np.array([0.0 if v is None else v for v in p]), np.array(base), np.array(a),
+        tuple(map(np.array, zip(*forms))), np.array([f is not None for f in cert]))
     for k, (a_k, base_k, (lo_k, hi_k), want_k, cert_k, p_k) in enumerate(combos):
         if p_k is None:  # the rule itself, as FloatKernel.settle calls it
             u, relaxed = filter_point(a_k, base_k, lo_k, hi_k, want_k, cert_k)
@@ -294,13 +308,13 @@ def test_float_kernel_steps_like_the_array_kernel_on_random_states(caplog):
             udot = rng.uniform(-1.0, 1.0, n) if rng.random() < 0.5 else np.zeros(n)
             options = dict(outer_cap=int(rng.choice([2, 16])), inner_cap=64,
                            weights_mode=str(rng.choice(["coupling", "uniform"])))
-            arrays, floats = _kernels(model, gains, rng.uniform(0.0, 0.5, n), np.zeros(n),
-                                      model.params.u_max.copy(), **options)
+            kernels = _kernels(model, gains, rng.uniform(0.0, 0.5, n), np.zeros(n),
+                               model.params.u_max.copy(), **options)
             for negotiate in (True, False):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    ref, ref_warned, ref_err = _run(
-                        lambda m: arrays.step(x, udot, m, negotiate), caplog)
-                got, warned, err = _run(lambda m: floats.step(x, udot, m, negotiate), caplog)
+                    (ref, ref_warned, ref_err), (got, warned, err) = [
+                        _run(lambda m: kernel.step(x, udot, m, negotiate), caplog)
+                        for kernel in kernels]
                 assert warned == ref_warned
                 _same_error(err, ref_err)
                 _same_records(got[1], ref[1])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ccbf.simulate as simulate_mod
-from ccbf.arraykernel import collaborative_safety_arrays
+from ccbf.arraykernel import ArrayKernel
 from ccbf.barrier import BarrierSpec
 from ccbf.collab import message_rows
 from ccbf.dynamics import SisModel, SisParams
@@ -29,7 +29,7 @@ from ccbf.simulate import (
 )
 
 from conftest import PAPER_BETA, PAPER_GAMMA, PAPER_UMAX, PAPER_X0, PAPER_XBAR
-from test_array_protocol import _random_instance
+from test_array_protocol import _protocol_kernel, _random_instance
 
 
 def _paper_model():
@@ -358,11 +358,12 @@ def test_messages_csv_matches_the_per_row_format(tmp_path: Path):
     empty = np.zeros((0, 1))
     for _ in range(2000):
         graph, layout, psi2, lo, hi, options = _random_instance(rng)
+        kernel = _protocol_kernel(ArrayKernel, graph, lo, hi, **options)
         logged = []
         for t in rng.choice([0.0, 0.01, 1 / 3, 99.99], size=int(rng.integers(1, 3))):
             records: list = []
             try:
-                collaborative_safety_arrays(layout, psi2, lo, hi, records=records, **options)
+                kernel.negotiate(*psi2, records)
             except CcbfError:
                 pass
             logged.append((float(t), records))
@@ -527,6 +528,32 @@ def test_horizon_beyond_an_array_raises_before_allocating(dt):
                 lambda: run_uncontrolled(model, np.array(PAPER_X0), dt=dt)):
         with pytest.raises(OverflowError, match="too many dt"):
             run()
+
+
+@pytest.mark.parametrize("dt, t_final, name", [
+    (-0.01, 1.0, "dt"), (0.0, 1.0, "dt"), (-0.0, 1.0, "dt"), (float("nan"), 1.0, "dt"),
+    (float("inf"), 1.0, "dt"), (0.01, -1.0, "t_final"), (0.01, float("nan"), "t_final"),
+    (0.01, float("inf"), "t_final"), (float("nan"), float("nan"), "dt"),
+])
+def test_step_and_horizon_are_checked_before_counting_steps(dt, t_final, name):
+    # without the check these raised numpy's "negative dimensions",
+    # ZeroDivisionError or an OverflowError about too many steps
+    model, specs = _weak_two_node()
+    x0 = np.array([0.02, 0.05])
+    limit = "> 0" if name == "dt" else ">= 0"
+    for run in (lambda: run_scenario(model, specs, x0, dt=dt, t_final=t_final),
+                lambda: run_uncontrolled(model, x0, dt=dt, t_final=t_final)):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and {limit}, got "):
+            run()
+
+
+def test_zero_horizon_runs_one_row():
+    model, specs = _weak_two_node()
+    x0 = np.array([0.02, 0.05])
+    res = run_scenario(model, specs, x0, dt=0.01, t_final=0.0)
+    times, states = run_uncontrolled(model, x0, dt=0.01, t_final=0.0)
+    assert len(res.times) == len(times) == 1
+    assert res.states.tobytes() == states.tobytes() == x0[None].tobytes()
 
 
 def test_horizon_within_rounding_of_whole_steps_runs_to_the_end():
