@@ -5,11 +5,14 @@
 fields, as arrays where the float kernel has lists.  Every stage is
 elementwise arithmetic over the nodes or over the edges of the model's
 EdgeLayout, and every network sum one `np.bincount` in its order from
-+0.0, so its cost per call barely grows with the node count.  The
-per-node reference (`dynamics`, `barrier`, `geometry`, `collab`,
-`simulate`) and `FloatKernel` share one copy of each scalar rule; this
-module shares none, and is the independent implementation that both are
-pinned to, bit for bit.
++0.0, so its cost per call barely grows with the node count.  A
+helper's requests fold into its box; only a sub-round that freezes a
+helper folds them again, from +-inf, for the box point nearest them.
+Negligible split weights split evenly (`partition_arrays`).  The per-node
+reference (`dynamics`, `barrier`, `geometry`, `collab`, `simulate`) and
+`FloatKernel` share one copy of each scalar rule; this module shares
+none, and is the independent implementation that both are pinned to, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from .barrier import CERT_TOL, PSI1_TOL, BarrierArrays
 # log is the protocol's logger: the array negotiation warns as the per-node one does
 from .collab import MARGIN_TOL, _infeasible, log
 from .dynamics import SisModel, rk4_step
-from .errors import (DegenerateWeightsError, EmptyRegionError, GeometryConvergenceError,
-                     NumericsError, ProtocolStallError)
+from .errors import EmptyRegionError, GeometryConvergenceError, NumericsError, ProtocolStallError
 from .geometry import NEGLIGIBLE_NORMAL
 
 
@@ -68,12 +70,6 @@ def _capability(self_terms: tuple, lo: np.ndarray, hi: np.ndarray, frozen: np.nd
     equal values.
     """
     c, l, q, curved, t, f_t = self_terms
-    if np.count_nonzero(lo > hi):
-        empty = ~frozen & (lo > hi)
-        if empty.any():
-            i = int(np.flatnonzero(empty)[0])
-            raise EmptyRegionError(f"node {i + 1}: admissible interval is empty "
-                                   f"({lo[i]} > {hi[i]})")
     best = c + l * lo + q * lo * lo
     f_hi = c + l * hi + q * hi * hi
     best = np.where(f_hi > best, f_hi, best)
@@ -97,7 +93,9 @@ def partition_arrays(deficit: np.ndarray, weights: np.ndarray,
     Node i splits deficit[i-1] over its eligible in-edges, those with
     target i-1, in proportion to their weights; negligible weights and
     edges that are not eligible get exactly 0.  Totals are bincounts over
-    EdgeLayout.target.
+    EdgeLayout.target.  A node whose eligible weights are all negligible
+    splits uniformly, with the warning FloatKernel._partition logs, where
+    the per-node partition raises DegenerateWeightsError.
     """
     n = len(deficit)
     live = eligible & (weights > NEGLIGIBLE_NORMAL)
@@ -105,9 +103,15 @@ def partition_arrays(deficit: np.ndarray, weights: np.ndarray,
     # a sum of weights above NEGLIGIBLE_NORMAL is positive, and +0.0 without any
     total = np.bincount(target, live_weights, n)
     asking = _any_by_node(eligible, target, n)
-    if np.count_nonzero(asking & ~(total > 0.0)):
-        raise DegenerateWeightsError(
-            "every eligible neighbor has negligible coupling weight")
+    degenerate = asking & ~(total > 0.0)
+    if np.count_nonzero(degenerate):
+        for i in np.flatnonzero(degenerate):
+            log.warning("node %d: all coupling weights negligible, splitting uniformly", i + 1)
+        # every other node keeps its terms, in the same order
+        weights = np.where(degenerate[target], 1.0, weights)
+        live = eligible & (weights > NEGLIGIBLE_NORMAL)
+        live_weights = np.where(live, weights, 0.0)
+        total = np.bincount(target, live_weights, n)
     ratio = np.divide(live_weights, total[target], out=np.zeros(weights.shape), where=live)
     shares = np.where(live, deficit[target] * ratio, 0.0)
     spread = np.bincount(target, shares, n) - deficit
@@ -155,20 +159,16 @@ def _fold_bounds(bound: np.ndarray, rising: np.ndarray, falling: np.ndarray,
             _tighten(bound, falling & (bound < hi[helper]), helper, hi, np.minimum))
 
 
-def _closest_points(frozen: np.ndarray, bound: np.ndarray, rising: np.ndarray,
-                    falling: np.ndarray, helper: np.ndarray, box_lo: np.ndarray,
-                    box_hi: np.ndarray) -> np.ndarray:
-    """closest_point of each node's box to its request polytope (1-D)."""
-    plo, phi = _fold_bounds(bound, rising, falling, helper, np.full(box_lo.shape, -np.inf),
-                            np.full(box_lo.shape, np.inf))
+def _closest_points(frozen: np.ndarray, plo: np.ndarray, phi: np.ndarray,
+                    box_lo: np.ndarray, box_hi: np.ndarray) -> np.ndarray:
+    """nearest_point of each node's box [box_lo, box_hi] to its request interval [plo, phi]."""
     contradictory = frozen & (plo > phi)
     if contradictory.any():
         i = int(np.flatnonzero(contradictory)[0])
         raise GeometryConvergenceError("empty request polytope",
                                        last_iterate=np.array([box_lo[i]]),
                                        residual=plo[i] - phi[i])
-    inside = np.where(box_lo > plo, box_lo, plo)
-    inside = np.where(box_hi < inside, box_hi, inside)
+    inside = _clamp(plo, box_lo, box_hi)
     return np.where(phi < box_lo, box_lo, np.where(plo > box_hi, box_hi, inside))
 
 
@@ -288,13 +288,12 @@ class ArrayKernel:
         # they do not follow the coupling
         self.out_helper = layout.source[layout.by_source]
         self.uniform_weights = np.ones(len(layout.source)) if weights_mode == "uniform" else None
-        # the pressure's N + E terms in SisModel._pressure's order: per target, the
-        # diagonal, then the in-edges
+        # the pressure's N + E terms in SisModel._pressure's order: bincount adds
+        # each node's in input order, so its diagonal comes first, then its in-edges
         rows = np.arange(n)
-        first = np.argsort(np.concatenate([rows, layout.target]), kind="stable")
-        self._pull_row = np.concatenate([rows, layout.target])[first]
-        self._pull_source = np.concatenate([rows, layout.source])[first]
-        self._pull_weight = model.params.beta[self._pull_row, self._pull_source]
+        self._pull_row = np.concatenate([rows, layout.target])
+        self._pull_source = np.concatenate([rows, layout.source])
+        self._pull_weight = np.concatenate([model.self_weight, model.edge_weight])
         self._neg_gamma = -model.params.gamma
 
     def step(self, x: np.ndarray, udot: np.ndarray, records: list[tuple] | None,
@@ -424,17 +423,7 @@ class ArrayKernel:
 
                 # every node splits its margin over unconstrained in-neighbors
                 eligible = ~constrained
-                try:
-                    shares = partition_arrays(deficit, weights, eligible, asker)
-                except DegenerateWeightsError:
-                    degenerate = _any_by_node(eligible, asker, n) & \
-                        ~_any_by_node(eligible & (weights > NEGLIGIBLE_NORMAL), asker, n)
-                    for i in np.flatnonzero(degenerate):
-                        log.warning("node %d: all coupling weights negligible, "
-                                    "splitting uniformly", i + 1)
-                    shares = partition_arrays(deficit,
-                                              np.where(degenerate[asker], 1.0, weights),
-                                              eligible, asker)
+                shares = partition_arrays(deficit, weights, eligible, asker)
 
                 # every helper re-derives its interval from the demands on it;
                 # what a helper committed to a requester is what the requester
@@ -446,8 +435,9 @@ class ArrayKernel:
                 lo, hi = _fold_bounds(bound, rising, falling, out_helper, box_lo, box_hi)
                 frozen = lo > hi
                 if np.count_nonzero(frozen):
-                    point = _closest_points(frozen, bound, rising, falling, out_helper, box_lo,
-                                            box_hi)
+                    plo, phi = _fold_bounds(bound, rising, falling, out_helper,
+                                            np.full(n, -np.inf), np.full(n, np.inf))
+                    point = _closest_points(frozen, plo, phi, box_lo, box_hi)
                     short = a * point[helper] + target
                     eps = np.where(live & frozen[helper] & (short < 0.0), -short, eps)
                 out_alloc = target + eps

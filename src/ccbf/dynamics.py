@@ -115,7 +115,7 @@ class SisParams:
         object.__setattr__(self, "u_max", np.array(self.u_max, dtype=float))
 
     def validate(self, graph: NetworkGraph) -> list[str]:
-        """Shape and sign checks plus edge consistency against the graph."""
+        """Shape, finiteness and sign checks plus edge consistency against the graph."""
         n = graph.node_count
         problems = []
         if self.beta.shape != (n, n):
@@ -125,6 +125,9 @@ class SisParams:
             problems.append(f"gamma must have length {n}, got {self.gamma.shape}")
         if self.u_max.shape != (n,):
             problems.append(f"u_max must have length {n}, got {self.u_max.shape}")
+        # NaN passes every sign check below
+        problems += [f"{name} entries must be finite" for name in ("beta", "gamma", "u_max")
+                     if not np.isfinite(getattr(self, name)).all()]
         if problems:
             return problems
         if np.any(self.beta < 0.0):

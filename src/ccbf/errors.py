@@ -37,7 +37,10 @@ class ProtocolStateError(CcbfError):
 
 
 class DegenerateWeightsError(CcbfError):
-    """Every eligible neighbor weight is zero but there is capability to split."""
+    """Every eligible neighbor weight is zero but there is capability to split.
+
+    Only `collab.partition` raises it; `collaborate` and both step kernels
+    split uniformly instead, with a warning."""
 
 
 class ProtocolStallError(CcbfError):

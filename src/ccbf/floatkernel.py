@@ -20,7 +20,9 @@ a sub-round's record is the (sub_round, eligible, shares, eps) that
 `collab.message_rows` reads.  Each node's in-edges (a run of the edge
 order) and each helper's out-edges (in EdgeLayout.by_source order) are
 listed at construction, so every pass of a step is one loop over nodes or
-edges.
+edges.  Each sub-round folds a helper's requests once, from +-inf, into
+its request interval: its region is that clipped to its box, or where that
+is empty the box point nearest it.  Negligible split weights split evenly.
 
 Each implementation of the step has its own home: the per-node reference
 in `dynamics`, `barrier`, `geometry`, `collab` and `simulate`, this kernel
@@ -44,7 +46,7 @@ import numpy as np
 from .barrier import CERT_TOL, PSI1_TOL, BarrierArrays, _max_quadratic_on_interval
 from .collab import MARGIN_TOL, _infeasible, _split, log
 from .dynamics import SisModel
-from .errors import EmptyRegionError, NumericsError, ProtocolStallError
+from .errors import NumericsError, ProtocolStallError
 from .geometry import NEGLIGIBLE_NORMAL, nearest_point
 
 
@@ -217,20 +219,17 @@ class FloatKernel:
             rounds = 0, 0, False
 
         controls, relaxed = [], []
-        for i, (a, b, c, l, q, lo_i, hi_i, stuck, p, want, got) in enumerate(zip(
+        for a, b, c, l, q, lo_i, hi_i, stuck, p, want, got in zip(
                 x, base, constant, linear, quadratic, lo, hi, frozen, point, self.nominal,
-                allocated)):  # L_g h of a scalar node is its state
+                allocated):  # L_g h of a scalar node is its state
             if stuck:
-                controls.append(p)
-                relaxed.append(b + a * p < -PSI1_TOL)
-            elif lo_i > hi_i:  # the filter raises nothing, so the first such node is named
-                raise EmptyRegionError(f"node {i + 1}: negotiated region is empty")
+                u, lax = p, b + a * p < -PSI1_TOL
             else:
                 # a node that negotiated help owes its own share of the closed margin
                 u, lax = filter_point(a, b, lo_i, hi_i, want,
                                       (c - got, l, q) if got < 0.0 else None)
-                controls.append(u)
-                relaxed.append(lax)
+            controls.append(u)
+            relaxed.append(lax)
         return (controls, caps, *rounds, relaxed)
 
     def advance(self, x, u, dt: float) -> tuple[list, float]:
@@ -276,18 +275,11 @@ class FloatKernel:
     def _capability(constant: list, linear: list, quadratic: list, lo: list, hi: list,
                     frozen: list, point: list) -> list:
         """Each node's best self term on its region; its value at a frozen point."""
-        caps = []
-        for i, (c, l, q, lo_i, hi_i, stuck, p) in enumerate(
-                zip(constant, linear, quadratic, lo, hi, frozen, point)):
-            if stuck:
-                # QuadraticForm.value: its one-element dot products add to +0.0
-                caps.append((c + (l * p + 0.0)) + ((p * q + 0.0) * p + 0.0))
-            elif lo_i > hi_i:
-                raise EmptyRegionError(f"node {i + 1}: admissible interval is empty "
-                                       f"({lo_i} > {hi_i})")
-            else:
-                caps.append(_max_quadratic_on_interval(c, l, q, lo_i, hi_i)[0])
-        return caps
+        # a point's value is QuadraticForm.value's: its one-element dot products add to +0.0
+        return [(c + (l * p + 0.0)) + ((p * q + 0.0) * p + 0.0) if stuck
+                else _max_quadratic_on_interval(c, l, q, lo_i, hi_i)[0]
+                for c, l, q, lo_i, hi_i, stuck, p in zip(constant, linear, quadratic, lo, hi,
+                                                         frozen, point)]
 
     def _partition(self, deficit: list, weight: list, eligible: list) -> list:
         """Each asking node's deficit split over its eligible in-edges by weight."""
@@ -362,19 +354,22 @@ class FloatKernel:
                         eps[e] = -target[e]
                 lo, hi, frozen = [], [], []
                 for j, (lo_j, hi_j, up, down) in enumerate(zip(box_lo, box_hi, rising, falling)):
+                    plo, phi = -math.inf, math.inf
                     for s, a_s in up:
                         b = -target[s] / a_s
-                        if b > lo_j:
-                            lo_j = b
+                        if b > plo:
+                            plo = b
                     for s, a_s in down:
                         b = -target[s] / a_s
-                        if b < hi_j:
-                            hi_j = b
+                        if b < phi:
+                            phi = b
+                    lo_j = plo if plo > lo_j else lo_j
+                    hi_j = phi if phi < hi_j else hi_j
                     lo.append(lo_j)
                     hi.append(hi_j)
                     frozen.append(lo_j > hi_j)
                     if lo_j > hi_j:
-                        point[j] = p = self._closest_point(j, target, up, down)
+                        point[j] = p = nearest_point(plo, phi, box_lo[j], box_hi[j])
                         for s, a_s in up + down:
                             short = a_s * p + target[s]
                             if short < 0.0:
@@ -425,16 +420,3 @@ class FloatKernel:
             falling.append(down)
         weight = [1.0] * len(a) if self.uniform else list(map(abs, a))
         return dead, weight, rising, falling
-
-    def _closest_point(self, j: int, target: list, rising: list, falling: list) -> float:
-        """The point of helper j's box nearest its request polytope."""
-        plo, phi = -math.inf, math.inf
-        for s, a_s in rising:
-            b = -target[s] / a_s
-            if b > plo:
-                plo = b
-        for s, a_s in falling:
-            b = -target[s] / a_s
-            if b < phi:
-                phi = b
-        return nearest_point(plo, phi, self.box_lo[j], self.box_hi[j])

@@ -105,8 +105,9 @@ def _exact_product(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _decimal(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each value's decimal exponent k and its 17 digits d, and where k is in [-6, 16].
 
-    Every other value, zero among them, reads as 1.0: k = 0, d = 10**16,
-    or k = 17 where 17 digits of a value just below 10**17 round up.
+    Every other value, zero among them, reads as 1.0: k = 0, d = 10**16.
+    d never rounds up to 10**17: the exact product is below it, by at least
+    2**-54 * 10**17, over ten times the 0.5 a carry would need.
     """
     a = np.abs(values)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -126,11 +127,6 @@ def _decimal(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         hi[missed], lo[missed] = _exact_product(a[missed], 16 - k[missed])
     # hi is an even integer, so hi + rint(lo) is hi + lo rounded half to even
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    carried = np.flatnonzero(d == 10 ** 17)
-    if carried.size:  # rounded up to 18 digits: one more decade
-        d[carried] = 10 ** 16
-        k[carried] += 1
-        exact[carried] &= k[carried] <= _MAX_K
     return k, d, exact
 
 

@@ -25,7 +25,7 @@ from ccbf.barrier import (BarrierSpec, Psi2Decomposition, QuadraticForm, barrier
 from ccbf.collab import (DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP, CollabMessage,
                          collaborative_safety, message_rows)
 from ccbf.dynamics import SisModel, SisParams
-from ccbf.errors import CcbfError
+from ccbf.errors import CcbfError, EmptyRegionError
 from ccbf.geometry import ControlRegion
 from ccbf.graph import NetworkGraph, edge_layout
 from ccbf.simulate import run_scenario, safety_filter
@@ -306,6 +306,17 @@ def test_array_filter_takes_the_first_of_equidistant_pieces():
                            certificate=QuadraticForm(-0.25, np.zeros(1), np.ones((1, 1))))
     assert u[0] < 0.0 and not relaxed[0]
     assert _bits(u) == _bits(ref)
+
+
+def test_array_filter_names_the_first_empty_unfrozen_region():
+    # a kernel hands the filter only boxes and negotiated regions, which are
+    # frozen where empty; a direct caller can pass an empty one.  Node 2's
+    # empty interval is frozen to its point, so node 4 is named.
+    lo, hi = np.array([0.0, 1.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0, 0.0])
+    frozen = np.array([False, True, False, False])
+    with pytest.raises(EmptyRegionError, match=r"^node 4: negotiated region is empty$"):
+        safety_filter_arrays(np.zeros(4), lo, hi, frozen, np.full(4, 0.5), np.ones(4),
+                             np.ones(4))
 
 
 def test_array_capability_matches_per_node_on_signed_zeros():

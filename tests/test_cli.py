@@ -259,6 +259,20 @@ def test_terminal_halt_exits_with_distinct_code(tmp_path, capsys):
     assert meta["infeasible_nodes"] == [1]
 
 
+def test_continue_on_infeasible_runs_past_the_halt(tmp_path, caplog):
+    # the weak pair's infeasible rounds are logged and the run goes on
+    cfg = tmp_path / "weak.cfg"
+    cfg.write_text(WEAK)
+    out = tmp_path / "onward"
+    with caplog.at_level(logging.WARNING, logger="ccbf"):
+        assert main(["run", str(cfg), "--out", str(out), "--continue-on-infeasible"]) == EXIT_OK
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["halted_at"] is None
+    assert meta["infeasible_nodes"] == [1]
+    assert any(rec.getMessage() == "continued past infeasible rounds at nodes [1]"
+               for rec in caplog.records)
+
+
 @pytest.mark.parametrize("keep_going", ["off", "on"])
 def test_stalled_negotiation_halts_with_its_own_code(tmp_path, capsys, keep_going):
     # one sub-round cannot settle the weak pair's negotiation at t = 0.92;

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,28 @@ def test_params_edge_consistency_lists_every_mismatch_in_order():
         "beta[1][2] > 0 but edge (3, 2) is missing",
         "beta[2][0] > 0 but edge (1, 3) is missing",
     ]
+
+
+@pytest.mark.parametrize("name, value, problem", [
+    ("beta", [[0.5, math.nan], [0.3, 0.5]], "beta entries must be finite"),
+    ("gamma", [math.nan, 0.3], "gamma entries must be finite"),
+    ("u_max", [0.6, math.nan], "u_max entries must be finite"),
+    ("u_max", [math.inf, 0.6], "u_max entries must be finite"),
+    ("beta", np.full((3, 3), 0.5), "beta must be 2x2, got (3, 3)"),
+    ("gamma", [0.3, 0.3, 0.3], "gamma must have length 2, got (3,)"),
+    ("u_max", [0.6], "u_max must have length 2, got (1,)"),
+    ("beta", [[-0.5, 0.3], [0.3, 0.5]], "beta entries must be >= 0"),
+    ("gamma", [0.3, 0.0], "gamma entries must be > 0"),
+    ("u_max", [-0.6, 0.6], "u_max entries must be >= 0"),
+])
+def test_params_validate_names_each_bad_entry(name, value, problem):
+    # the two-node model of README's "Library use" with one bad field
+    graph = NetworkGraph(2, [(1, 2), (2, 1)])
+    fields = dict(beta=[[0.5, 0.3], [0.3, 0.5]], gamma=[0.3, 0.3], u_max=[0.6, 0.6])
+    params = SisParams(**{**fields, name: value})
+    assert params.validate(graph) == [problem]
+    with pytest.raises(DimensionError, match=re.escape(problem)):
+        SisModel(graph, params)
 
 
 def _lf_h(model, graph, x, i):

@@ -274,11 +274,7 @@ def test_shared_nearest_point_matches_the_array_closest_points_on_signed_zeros()
     combos = [(plo, phi, lo, hi) for plo, phi, lo, hi in itertools.product(ends, repeat=4)
               if plo <= phi and lo <= hi]
     plo, phi, lo, hi = map(np.array, zip(*combos))
-    n = len(combos)
-    # each node has two out-edges, one request from below and one from above
-    ref = _closest_points(np.ones(n, dtype=bool), np.stack([plo, phi], axis=1).ravel(),
-                          np.tile([True, False], n), np.tile([False, True], n),
-                          np.repeat(np.arange(n), 2), lo, hi)
+    ref = _closest_points(np.ones(len(combos), dtype=bool), plo, phi, lo, hi)
     got = [nearest_point(*case) for case in combos]
     assert _bits(got) == _bits(ref)
     assert any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in got)
