@@ -38,7 +38,6 @@ import logging
 import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Sequence
 
 import numpy as np
 
@@ -60,6 +59,7 @@ log = logging.getLogger("ccbf.simulate")
 class ScenarioResult:
     """Trajectory plus per-step protocol accounting for one closed-loop run.
 
+    times is the exact grid k * dt, one entry per recorded row.
     cap_tripped_steps counts the steps whose negotiation hit the outer
     round cap with some node's margin still open: such a step is neither
     halted nor certified safe.  relaxed_steps[i-1] counts the rows whose
@@ -129,22 +129,6 @@ def safety_filter(nominal: np.ndarray, region: ControlRegion, spec: BarrierSpec,
 
 # psi2's own control rate: zero, or the difference of the last two controls
 UDOT_POLICIES = ("zero", "backward_difference")
-
-
-def _udot_for(policy: str, history: Sequence[np.ndarray], zero: np.ndarray, dt: float,
-              warned: list[bool]) -> np.ndarray:
-    """The packed control rate for the psi2 blocks; `zero` is the zero rate.
-
-    history holds the applied packed controls, the latest last.
-    """
-    if policy == "zero":
-        return zero
-    if len(history) < 2:
-        if not warned[0]:
-            log.debug("control-rate history not yet available, using zero rate")
-            warned[0] = True
-        return zero
-    return (history[-1] - history[-2]) / dt
 
 
 # A network with fewer nodes than this steps on FloatKernel, any other on
@@ -230,9 +214,7 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
     nsteps = step_count(t_final, dt, n)
     kernel = _kernel(model, specs, want, outer_cap=outer_cap, inner_cap=inner_cap,
                      weights_mode=weights_mode)
-    zero_rate = np.zeros(n)
 
-    times = np.zeros(nsteps + 1)
     states = np.zeros((nsteps + 1, n))
     controls = np.zeros((nsteps + 1, n))
     capabilities = np.zeros((nsteps + 1, n))
@@ -240,21 +222,18 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
     inner_rounds = np.zeros(nsteps + 1, dtype=int)
     logged: list[tuple[float, list[tuple]]] = []
 
-    warned = [False]
     halted_at: float | None = None
     halt_reason: str | None = None
     infeasible_nodes: tuple[int, ...] = ()
     max_clamp = 0.0
     cap_tripped_steps = 0
     relaxed_steps = np.zeros(n, dtype=int)
-    rows = 0
 
-    udot = zero_rate
+    udot = np.zeros(n)
     for k in range(nsteps + 1):
         t = k * dt
-        if udot_policy != "zero":
-            # the last two applied controls are the rows before this one
-            udot = _udot_for(udot_policy, controls[max(k - 2, 0):k], zero_rate, dt, warned)
+        if udot_policy == "backward_difference" and k >= 2:
+            udot = (controls[k - 1] - controls[k - 2]) / dt
         records: list[tuple] | None = [] if collect_messages else None
         try:
             u, caps, outer, sub, tripped, relaxed = kernel.step(x, udot, records, collaboration)
@@ -285,22 +264,21 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
                 for i in np.flatnonzero(relaxed):
                     log.debug("t=%.6g node %d: psi1 constraint relaxed", t, i + 1)
 
-        times[k] = t
         states[k] = x
         controls[k] = u
         capabilities[k] = caps
-        rows = k + 1
 
         if k < nsteps:
             x, moved = kernel.advance(x, u, dt)
             max_clamp = max(max_clamp, moved)
 
+    rows = k if halted_at is not None else nsteps + 1
     if cap_tripped_steps:
         log.warning("%d of %d steps hit the outer round cap (%d) with negotiation still open",
                     cap_tripped_steps, rows, outer_cap)
     thresholds = tuple(specs[i].threshold for i in nodes)
     return ScenarioResult(
-        times=times[:rows], states=states[:rows], controls=controls[:rows],
+        times=np.arange(rows) * dt, states=states[:rows], controls=controls[:rows],
         capabilities=capabilities[:rows], outer_rounds=outer_rounds[:rows],
         inner_rounds=inner_rounds[:rows], thresholds=thresholds,
         halted_at=halted_at, halt_reason=halt_reason, infeasible_nodes=infeasible_nodes,

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from ccbf.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_STALL, build_parser,
-                      effective_config, main, read_scenario_text, run_config)
+from ccbf.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_STALL,
+                      build_parser, effective_config, main, read_scenario_text, run_config)
 from ccbf.config import normalize_config, parse_config
 
 # sha256 of the bundled paper_sis3 outputs over its first 20 s with the
@@ -89,6 +89,27 @@ def test_paper_scenario_golden_digests(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
     # negotiation keeps every filter feasible (over the full 100 s too)
     assert json.loads((tmp_path / "meta.json").read_text())["relaxed_steps"] == [0, 0, 0]
+
+
+# sha256 of paper_sis3 with the message log on under the backward-difference
+# control rate: the run chatters and halts at t = 2.92 (the same bytes at a
+# t_final of 20 s)
+PAPER_BACKWARD_SHA256 = {
+    "result.csv": "3d49ebe226dcaac222b3d8b30ca761d99a8182153c2211b2d3d58ff3fce536ad",
+    "messages.csv": "7c84f2782b3fcc372d2fa8960cd49de6f76ecaf4c421fee6b3b2c385051f8181",
+}
+
+
+@pytest.mark.parametrize("cutoff", [0, 10 ** 9], ids=["array", "float"])
+def test_paper_scenario_backward_difference_digests(cutoff, tmp_path, monkeypatch):
+    monkeypatch.setattr("ccbf.simulate.FLOAT_KERNEL_NODES", cutoff)
+    cfg = _paper_config({"barrier.udot_policy": "backward_difference", "sim.trace": True,
+                         "sim.t_final": 5.0})
+    assert run_config(cfg, tmp_path) == EXIT_INFEASIBLE
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert (meta["halted_at"], meta["infeasible_nodes"]) == (2.92, [1])
+    for name, digest in PAPER_BACKWARD_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_filter_relaxations_are_counted_per_node(tmp_path):
@@ -364,6 +385,39 @@ def test_plot_missing_header_column(tmp_path, capsys):
     csv_path.write_text("t,x_1,x_2,u_1\n0.0,0.1,0.1,0.0\n")
     assert main(["plot", str(csv_path)]) == EXIT_CONFIG
     assert "u_2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "table.csv: empty file, expected a header row"),
+    ("x,y\n0,1\n", "header: first column must be t, got ['x']"),
+    ("t,u_1\n0,1\n", "header: expected column x_1 after t"),
+    ("t,x_1,u_1\n0.0,0.1,0.0\n0.01,0.1\n", "row 2: expected 3 cells, got 2"),
+], ids=["empty", "first-column", "no-state", "short-row"])
+def test_plot_rejects_a_malformed_table(text, message, tmp_path, capsys):
+    csv_path = tmp_path / "table.csv"
+    csv_path.write_text(text)
+    assert main(["plot", str(csv_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.rstrip("\n").endswith(message)
+    assert not csv_path.with_suffix(".svg").exists()
+
+
+def test_run_into_a_regular_file_reports_the_os_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a file where the output directory goes")
+    assert main(["run", "paper_sis3", "--out", str(out), "--t-final", "0.1"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 17] File exists: ")
+    assert "Traceback" not in err
+
+
+def test_sweep_numbers_a_repeated_scenario(tmp_path, capsys):
+    root = tmp_path / "sweepout"
+    code = main(["sweep", "paper_sis3", "paper_sis3", "--workers", "1", "--t-final", "0.1",
+                 "--out", str(root)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["paper_sis3: ok", "paper_sis3-2: ok"]
+    assert ((root / "paper_sis3" / "result.csv").read_bytes()
+            == (root / "paper_sis3-2" / "result.csv").read_bytes())
 
 
 def test_sweep_fans_out_to_subdirectories(tmp_path, capsys):

@@ -204,11 +204,12 @@ def test_a_node_count_too_large_for_memory_is_a_violation():
 
 def test_unknown_duplicate_and_malformed_lines():
     with pytest.raises(ConfigError) as excinfo:
-        parse_config(GOOD + "mystery.key = 1\nsim.dt = 0.01\nsim.dt = 0.02\nnoequals\n")
+        parse_config(GOOD + "mystery.key = 1\nsim.dt = 0.01\nsim.dt = 0.02\nnoequals\n= 3\n")
     violations = dict.fromkeys(paths(excinfo))
     assert "mystery.key" in violations
     assert "sim.dt" in violations  # duplicate
     assert any(p.startswith("line ") for p in violations)
+    assert ("line 16", "missing key before `=`") in excinfo.value.violations
 
 
 def test_unterminated_array_is_reported():
@@ -332,12 +333,14 @@ def test_violations_come_in_field_order():
                                                  "sim.collaboration"]
     assert got[11] == ("sim.t_final", "must be > sim.dt (0.5), got 0.25")
     # with no node count, the keys shaped by it report nothing
-    with pytest.raises(ConfigError) as excinfo:
-        parse_config(GOOD, {**EVERY_KEY_FAULTY, "graph.nodes": 0})
-    assert [path for path, _ in excinfo.value.violations] == [
-        "graph.nodes", "model.type", "barrier.udot_policy", "sim.dt", "sim.t_final",
-        "sim.collaboration", "sim.weights", "sim.outer_cap", "sim.inner_cap", "sim.trace",
-        "sim.continue_on_infeasible", "output.dir"]
+    for nodes, fault in ((0, "must be >= 1, got 0"), (2.5, "must be an integer, got 2.5")):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(GOOD, {**EVERY_KEY_FAULTY, "graph.nodes": nodes})
+        assert excinfo.value.violations[0] == ("graph.nodes", fault)
+        assert [path for path, _ in excinfo.value.violations] == [
+            "graph.nodes", "model.type", "barrier.udot_policy", "sim.dt", "sim.t_final",
+            "sim.collaboration", "sim.weights", "sim.outer_cap", "sim.inner_cap", "sim.trace",
+            "sim.continue_on_infeasible", "output.dir"]
 
 
 def test_readme_key_table_is_the_schema():

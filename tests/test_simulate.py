@@ -16,11 +16,11 @@ from ccbf.barrier import BarrierSpec
 from ccbf.collab import message_rows
 from ccbf.dynamics import SisModel, SisParams
 from ccbf.errors import CcbfError, DimensionError
+from ccbf.floatkernel import FloatKernel
 from ccbf.geometry import ControlRegion
 from ccbf.graph import NetworkGraph, edge_layout
 from ccbf.simulate import (
     ScenarioResult,
-    _udot_for,
     run_scenario,
     run_uncontrolled,
     safety_filter,
@@ -155,14 +155,31 @@ def test_backward_difference_policy_runs_and_matches_zero_at_start():
     assert res.halted_at is None
 
 
-def test_udot_policy_arithmetic():
-    warned = [False]
-    zero = np.zeros(1)
-    assert np.all(_udot_for("zero", [np.array([1.0]), np.array([2.0])], zero, 0.1, warned) == 0.0)
-    assert np.all(_udot_for("backward_difference", [], zero, 0.1, warned) == 0.0)
-    assert np.all(_udot_for("backward_difference", [np.array([1.0])], zero, 0.1, warned) == 0.0)
-    rate = _udot_for("backward_difference", [np.array([1.0]), np.array([1.5])], zero, 0.1, warned)
-    assert rate[0] == pytest.approx(5.0, abs=1e-12)
+@pytest.mark.parametrize("cutoff", [0, 10 ** 9], ids=["array", "float"])
+@pytest.mark.parametrize("policy", ["zero", "backward_difference"])
+def test_each_step_gets_the_policy_control_rate(policy, cutoff, monkeypatch):
+    # zero, or zero for rows 0 and 1 and then the difference of the two
+    # controls applied before the row over dt, bit for bit; the nominal
+    # control makes row 0's control nonzero
+    monkeypatch.setattr(simulate_mod, "FLOAT_KERNEL_NODES", cutoff)
+    rates = []
+    for cls in (FloatKernel, ArrayKernel):
+        def spy(self, x, udot, *rest, step=cls.step):
+            rates.append(udot.copy())
+            return step(self, x, udot, *rest)
+        monkeypatch.setattr(cls, "step", spy)
+    model, specs = _paper_model()
+    dt = 0.01
+    res = run_scenario(model, specs, np.array(PAPER_X0), dt=dt, t_final=2.0,
+                       nominal=np.full(3, 0.1), udot_policy=policy)
+    controls = res.controls
+    assert len(rates) == len(controls) == 201
+    assert np.all(controls[0] != 0.0)
+    want = [np.zeros(3)] * 201
+    if policy == "backward_difference":
+        want[2:] = [(controls[k - 1] - controls[k - 2]) / dt for k in range(2, 201)]
+        assert any(np.any(rate != 0.0) for rate in want)
+    assert [rate.tobytes() for rate in rates] == [rate.tobytes() for rate in want]
 
 
 def test_safety_filter_clamps_nominal_into_constraint():
@@ -508,6 +525,8 @@ def test_missing_specs_and_bad_shapes_raise_dimension_errors():
         run_scenario(model, specs, np.zeros(4), t_final=0.1)
     with pytest.raises(DimensionError, match=r"^nominal has shape \(2,\)"):
         run_scenario(model, specs, np.zeros(3), t_final=0.1, nominal=np.zeros(2))
+    with pytest.raises(DimensionError, match=r"^packed state must have shape \(2,\)$"):
+        run_uncontrolled(_weak_two_node()[0], np.zeros(3), t_final=0.1)
 
 
 @pytest.mark.parametrize("dt, t_final", [(0.3, 1.0), (0.1, 0.25)])
