@@ -5,14 +5,26 @@
 fields, as arrays where the float kernel has lists.  Every stage is
 elementwise arithmetic over the nodes or over the edges of the model's
 EdgeLayout, and every network sum one `np.bincount` in its order from
-+0.0, so its cost per call barely grows with the node count.  A
-helper's requests fold into its box; only a sub-round that freezes a
-helper folds them again, from +-inf, for the box point nearest them.
-Negligible split weights split evenly (`partition_arrays`).  The per-node
-reference (`dynamics`, `barrier`, `geometry`, `collab`, `simulate`) and
-`FloatKernel` share one copy of each scalar rule; this module shares
-none, and is the independent implementation that both are pinned to, bit
-for bit.
++0.0.  A helper's requests fold into its box; only a sub-round that
+freezes a helper folds them again, from +-inf, for the box point nearest
+them.  Negligible split weights split evenly (`partition_arrays`).  The
+per-node reference (`dynamics`, `barrier`, `geometry`, `collab`,
+`simulate`) and `FloatKernel` share one copy of each scalar rule; this
+module shares none, and is the independent implementation that both are
+pinned to, bit for bit.
+
+Cost model: at the sizes this kernel runs (tens to hundreds of nodes), a
+numpy call costs about the same whatever its length, so a stage costs
+its number of calls.  The step path therefore keeps to C-level calls: a
+select is `np.putmask` into an array the stage has just made (a third of
+`np.where`'s cost, which only the rare branches pay), a count is
+`np.count_nonzero`, and a per-node fold is one `reduceat` or `bincount`.
+Python-level numpy functions such as `np.diff`, `np.full`,
+`np.zeros_like`, `np.stack` and the `any`/`all`/`sum` methods stay off
+it.  A branch that no node takes in a step (a flat or two-piece
+certificate, a dead coupling, a frozen helper, a control that cannot
+steer psi1) costs one count, and a step that does not negotiate builds
+no per-edge array.
 """
 
 from __future__ import annotations
@@ -38,23 +50,26 @@ def _check_lie_terms(x: np.ndarray, f: np.ndarray, lf2_h: np.ndarray, lg_lf_h: n
     Finite terms whose sum overflows fail the probe too, and pass the
     exact per-node check that follows it.
     """
-    probe = float((x + f + lf2_h + lg_lf_h).sum()) + float((lfj_lf_h + lgj_lf_h).sum())
+    probe = (float(np.add.reduce(x + f + lf2_h + lg_lf_h))
+             + float(np.add.reduce(lfj_lf_h + lgj_lf_h)))
     if math.isfinite(probe):
         return
     ok = np.isfinite(x) & np.isfinite(f) & np.isfinite(lf2_h) & np.isfinite(lg_lf_h)
     ok[target[~(np.isfinite(lfj_lf_h) & np.isfinite(lgj_lf_h))]] = False
-    if not ok.all():
+    if np.count_nonzero(ok) < len(ok):
         i = int(np.flatnonzero(~ok)[0]) + 1
         raise NumericsError(f"node {i}: non-finite Lie derivative")
 
 
 def _self_terms(constant: np.ndarray, linear: np.ndarray, quadratic: np.ndarray) -> tuple:
-    """psi2's self-term blocks c, l and q, then where each node's term curves,
-    its stationary point t there and its value at t: a step finds t once,
-    for every region _capability is given."""
-    curved = quadratic != 0.0
-    t = np.divide(-linear, 2.0 * quadratic, out=np.zeros(quadratic.shape), where=curved)
-    return constant, linear, quadratic, curved, t, constant + linear * t + quadratic * t * t
+    """psi2's self-term blocks c, l and q, then each node's stationary point t
+    and its value at t: a step finds t once, for every region _capability
+    is given.  t is NaN where the term does not curve, so that no interval
+    holds it."""
+    two_q = 2.0 * quadratic
+    np.putmask(two_q, quadratic == 0.0, np.nan)
+    t = -linear / two_q
+    return constant, linear, quadratic, t, constant + linear * t + quadratic * t * t
 
 
 def _capability(self_terms: tuple, lo: np.ndarray, hi: np.ndarray, frozen: np.ndarray,
@@ -69,21 +84,20 @@ def _capability(self_terms: tuple, lo: np.ndarray, hi: np.ndarray, frozen: np.nd
     the interior stationary point in that order and keeping the first of
     equal values.
     """
-    c, l, q, curved, t, f_t = self_terms
+    c, l, q, t, f_t = self_terms
     best = c + l * lo + q * lo * lo
     f_hi = c + l * hi + q * hi * hi
-    best = np.where(f_hi > best, f_hi, best)
-    best = np.where(curved & (lo < t) & (t < hi) & (f_t > best), f_t, best)
+    np.putmask(best, f_hi > best, f_hi)
+    np.putmask(best, (lo < t) & (t < hi) & (f_t > best), f_t)
     if np.count_nonzero(frozen):
         # QuadraticForm.value: its one-element dot products add to +0.0
-        at_point = (c + (l * point + 0.0)) + ((point * q + 0.0) * point + 0.0)
-        best = np.where(frozen, at_point, best)
+        np.putmask(best, frozen, (c + (l * point + 0.0)) + ((point * q + 0.0) * point + 0.0))
     return best
 
 
 def _any_by_node(flags: np.ndarray, node: np.ndarray, n: int) -> np.ndarray:
     """For each of the n nodes, whether flags is set on some edge e with node[e] there."""
-    return np.bincount(node[flags], minlength=n) > 0
+    return np.bincount(node, flags, n) > 0.0
 
 
 def partition_arrays(deficit: np.ndarray, weights: np.ndarray,
@@ -99,12 +113,14 @@ def partition_arrays(deficit: np.ndarray, weights: np.ndarray,
     """
     n = len(deficit)
     live = eligible & (weights > NEGLIGIBLE_NORMAL)
-    live_weights = np.where(live, weights, 0.0)
+    live_weights = np.zeros(weights.shape)
+    np.putmask(live_weights, live, weights)
     # a sum of weights above NEGLIGIBLE_NORMAL is positive, and +0.0 without any
     total = np.bincount(target, live_weights, n)
-    asking = _any_by_node(eligible, target, n)
-    degenerate = asking & ~(total > 0.0)
-    if np.count_nonzero(degenerate):
+    bare = total == 0.0
+    stranded = eligible & bare[target]  # an eligible edge of a node without live weights
+    if np.count_nonzero(stranded):
+        degenerate = _any_by_node(stranded, target, n)
         for i in np.flatnonzero(degenerate):
             log.warning("node %d: all coupling weights negligible, splitting uniformly", i + 1)
         # every other node keeps its terms, in the same order
@@ -112,42 +128,65 @@ def partition_arrays(deficit: np.ndarray, weights: np.ndarray,
         live = eligible & (weights > NEGLIGIBLE_NORMAL)
         live_weights = np.where(live, weights, 0.0)
         total = np.bincount(target, live_weights, n)
-    ratio = np.divide(live_weights, total[target], out=np.zeros(weights.shape), where=live)
-    shares = np.where(live, deficit[target] * ratio, 0.0)
+        bare = total == 0.0
+    # every node with an eligible in-edge has live weights now; the others
+    # divide their zeros by 1, and none of their shares is live
+    np.putmask(total, bare, 1.0)
+    shares = np.zeros(weights.shape)
+    np.putmask(shares, live, deficit[target] * (live_weights / total[target]))
     spread = np.bincount(target, shares, n) - deficit
-    assert (~asking | (np.abs(spread) <= 1e-12 * np.maximum(1.0, np.abs(deficit)))).all(), \
+    assert np.count_nonzero(
+        bare | (np.abs(spread) <= 1e-12 * np.maximum(1.0, np.abs(deficit)))) == n, \
         "partition must conserve the margin"
     return shares
 
 
-def _tighten(bound: np.ndarray, tighter: np.ndarray, helper: np.ndarray, end: np.ndarray,
-             extreme: np.ufunc) -> np.ndarray:
+def _out_runs(helper: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges in by-source order as one run per helper.
+
+    helper is each edge's source there (ascending).  Returns it, the
+    helpers that have out-edges and the position of each one's first edge,
+    so that `ufunc.reduceat(values, starts)` folds every run at once.
+    """
+    return (helper, *np.unique(helper, return_index=True))
+
+
+def _tighten(bound: np.ndarray, side: np.ndarray, runs: tuple, end: np.ndarray,
+             beyond: np.ufunc, extreme: np.ufunc) -> np.ndarray:
     """end, where each node takes the first of its tighter bounds at their extreme.
 
-    The bounds are in by-source order, helper (ascending) names each one's
-    node, and extreme is np.maximum or np.minimum.  Bounds equal to the
-    extreme differ at most in the sign of a zero; `extreme.at` may keep
-    either, so the first of them, the one a strict fold keeps, is written
-    back.
+    The bounds are in by-source order, side marks those on this end, and
+    beyond and extreme are np.greater and np.maximum, or np.less and
+    np.minimum.  Bounds equal to the extreme differ at most in the sign of
+    a zero, and `extreme` may keep either: where a zero beat a nonzero end,
+    the first zero, the one a strict fold keeps, is written back.
     """
+    helper, nodes, starts = runs
+    candidates = end[helper]
+    tighter = side & beyond(bound, candidates)
     if not np.count_nonzero(tighter):
         return end
-    value, node = bound[tighter], helper[tighter]
+    np.putmask(candidates, tighter, bound)
     tight = end.copy()
-    extreme.at(tight, node, value)
-    hit = np.flatnonzero(value == tight[node])
-    first = hit[np.diff(node[hit], prepend=-1) != 0]
-    tight[node[first]] = value[first]
+    tight[nodes] = extreme.reduceat(candidates, starts)
+    tie = (tight == 0.0) & (end != 0.0)
+    if np.count_nonzero(tie):
+        hit = (tighter & (bound == 0.0) & tie[helper]).nonzero()[0]
+        at = helper[hit]
+        first = np.empty(len(at), dtype=bool)
+        first[:1] = True
+        np.not_equal(at[1:], at[:-1], out=first[1:])
+        tight[at[first]] = bound[hit[first]]
     return tight
 
 
 def _fold_bounds(bound: np.ndarray, rising: np.ndarray, falling: np.ndarray,
-                 helper: np.ndarray, lo: np.ndarray, hi: np.ndarray
+                 runs: tuple, lo: np.ndarray, hi: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Tighten each node's [lo, hi] by its request bounds, in O(E).
 
     bound, rising and falling are over the edges in by-source order (see
-    EdgeLayout.by_source), and helper is each edge's source there.  A
+    EdgeLayout.by_source), and runs groups them by helper (_out_runs).  A
     rising request raises lo and a falling one lowers hi, as
     ControlRegion.interval folds them: in ascending requester order, where
     only a strictly tighter bound replaces the end.  So a node's new end is
@@ -155,27 +194,31 @@ def _fold_bounds(bound: np.ndarray, rising: np.ndarray, falling: np.ndarray,
     ties keep the earlier value, +0.0 and -0.0 included, and a NaN bound
     never replaces one.
     """
-    return (_tighten(bound, rising & (bound > lo[helper]), helper, lo, np.maximum),
-            _tighten(bound, falling & (bound < hi[helper]), helper, hi, np.minimum))
+    return (_tighten(bound, rising, runs, lo, np.greater, np.maximum),
+            _tighten(bound, falling, runs, hi, np.less, np.minimum))
 
 
 def _closest_points(frozen: np.ndarray, plo: np.ndarray, phi: np.ndarray,
                     box_lo: np.ndarray, box_hi: np.ndarray) -> np.ndarray:
     """nearest_point of each node's box [box_lo, box_hi] to its request interval [plo, phi]."""
     contradictory = frozen & (plo > phi)
-    if contradictory.any():
+    if np.count_nonzero(contradictory):
         i = int(np.flatnonzero(contradictory)[0])
         raise GeometryConvergenceError("empty request polytope",
                                        last_iterate=np.array([box_lo[i]]),
                                        residual=plo[i] - phi[i])
-    inside = _clamp(plo, box_lo, box_hi)
-    return np.where(phi < box_lo, box_lo, np.where(plo > box_hi, box_hi, inside))
+    point = _clamp(plo, box_lo, box_hi)
+    np.putmask(point, plo > box_hi, box_hi)
+    np.putmask(point, phi < box_lo, box_lo)
+    return point
 
 
 def _clamp(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """min(max(v, lo), hi) elementwise, keeping the first argument on ties."""
-    v = np.where(lo > v, lo, v)
-    return np.where(hi < v, hi, v)
+    """min(max(v, lo), hi) elementwise as a new array, keeping the first argument on ties."""
+    v = v.copy()
+    np.putmask(v, lo > v, lo)
+    np.putmask(v, hi < v, hi)
+    return v
 
 
 def _certificate_choice(c: np.ndarray, l: np.ndarray, q: np.ndarray, want: np.ndarray,
@@ -187,44 +230,51 @@ def _certificate_choice(c: np.ndarray, l: np.ndarray, q: np.ndarray, want: np.nd
     (see floatkernel._certificate_point, which takes the same arguments).
     """
     c = c + CERT_TOL
-    inf = np.inf
     disc = l * l - 4.0 * q * c
     flat = np.abs(q) <= NEGLIGIBLE_NORMAL
-    curved = ~flat
-    crossing = curved & (disc > 0.0)
-    root = np.sqrt(disc, out=np.zeros(c.shape), where=crossing)
+    any_flat = np.count_nonzero(flat)
+    crossing = ~flat & (disc > 0.0)
+    # the roots; only where the curve crosses zero does a piece use them
+    root = np.sqrt(np.fmax(disc, 0.0))
     two_q = 2.0 * q
+    if any_flat:
+        np.putmask(two_q, flat, 1.0)
     neg_l = -l
-    ra = np.divide(neg_l - root, two_q, out=np.zeros(c.shape), where=curved)
-    rb = np.divide(neg_l + root, two_q, out=np.zeros(c.shape), where=curved)
-    swap = rb < ra
-    r1, r2 = np.where(swap, rb, ra), np.where(swap, ra, rb)
+    r1 = (neg_l - root) / two_q
+    r2 = (neg_l + root) / two_q
+    swap = r2 < r1
+    lower = r2.copy()
+    np.putmask(r2, swap, r1)
+    np.putmask(r1, swap, lower)
     concave = q < 0.0
     convex = ~concave
     cup = crossing & convex  # two pieces, outside the roots
-    # first piece: between the roots, below the lower root, or the whole
-    # line where the curve never crosses zero and opens upward
-    lo1 = np.where(crossing & concave, r1, -inf)
-    hi1 = np.where(crossing, np.where(concave, r2, r1), inf)
+    # the first piece [seg_lo, seg_hi] within [flo, fhi]: between the roots,
+    # below the lower root, or the whole line where the curve never crosses
+    # zero and opens upward; an end a piece does not have stays flo or fhi
+    seg_lo = flo.copy()
+    np.putmask(seg_lo, crossing & concave & (r1 > flo), r1)
+    np.putmask(r1, concave, r2)  # the first piece's upper end
+    seg_hi = fhi.copy()
+    np.putmask(seg_hi, crossing & (r1 < fhi), r1)
     has1 = crossing | convex
-    if np.count_nonzero(flat):
+    if any_flat:
         level = flat & (np.abs(l) <= NEGLIGIBLE_NORMAL)
         sloped = flat & ~level
         cut = np.divide(-c, l, out=np.zeros(c.shape), where=sloped)
         rising = l > 0.0
-        lo1 = np.where(sloped & rising, cut, lo1)
-        hi1 = np.where(sloped & ~rising, cut, hi1)
+        np.putmask(seg_lo, sloped & rising & (cut > flo), cut)
+        np.putmask(seg_hi, sloped & ~rising & (cut < fhi), cut)
         has1 = np.where(level, c >= 0.0, has1 | sloped)
-    seg_lo = np.where(lo1 > flo, lo1, flo)
-    seg_hi = np.where(hi1 < fhi, hi1, fhi)
     found = has1 & ~(seg_lo > seg_hi)
     best = _clamp(want, seg_lo, seg_hi)
     if np.count_nonzero(cup):
-        seg_lo = np.where(r2 > flo, r2, flo)
+        seg_lo = flo.copy()
+        np.putmask(seg_lo, r2 > flo, r2)
         usable = cup & ~(seg_lo > fhi)
         u = _clamp(want, seg_lo, fhi)
         better = usable & (~found | (np.abs(u - want) < np.abs(best - want)))
-        best = np.where(better, u, best)
+        np.putmask(best, better, u)
         found = found | usable
     return best, found
 
@@ -244,30 +294,36 @@ def safety_filter_arrays(nominal: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     """
     if np.count_nonzero(lo > hi):
         empty = ~frozen & (lo > hi)
-        if empty.any():
+        if np.count_nonzero(empty):
             raise EmptyRegionError(
                 f"node {int(np.flatnonzero(empty)[0]) + 1}: negotiated region is empty")
     a = lg_h
     up = a > NEGLIGIBLE_NORMAL
     down = a < -NEGLIGIBLE_NORMAL
     steer = up | down
-    bound = np.divide(-base, a, out=np.zeros(a.shape), where=steer)
-    flo = np.where(up & (bound > lo), bound, lo)
-    fhi = np.where(down & (bound < hi), bound, hi)
-    blind = ~steer & (base < -PSI1_TOL)  # control cannot reach psi1 at all
-    if np.count_nonzero(blind):
+    # psi1's root in u, where the control steers it
+    weak = np.count_nonzero(steer) < len(a)
+    bound = -base / (np.where(steer, a, 1.0) if weak else a)
+    flo = lo.copy()
+    np.putmask(flo, up & (bound > lo), bound)
+    fhi = hi
+    if np.count_nonzero(down):
+        fhi = hi.copy()
+        np.putmask(fhi, down & (bound < hi), bound)
+    if weak:
+        blind = ~steer & (base < -PSI1_TOL)  # control cannot reach psi1 at all
         flo, fhi = np.where(blind, hi, flo), np.where(blind, lo, fhi)
     feasible = flo <= fhi
     u = _clamp(nominal, flo, fhi)
     if certificate is not None and np.count_nonzero(certified):
         best, found = _certificate_choice(*certificate, nominal, flo, fhi)
-        u = np.where(certified & found, best, u)
+        np.putmask(u, certified & found, best)
     relaxed = ~feasible
     if np.count_nonzero(relaxed):
         u = np.where(feasible, u, np.where(steer, np.where(up, hi, lo), _clamp(nominal, lo, hi)))
     if np.count_nonzero(frozen):
-        u = np.where(frozen, point, u)
-        relaxed = np.where(frozen, base + a * point < -PSI1_TOL, relaxed)
+        np.putmask(u, frozen, point)
+        np.putmask(relaxed, frozen, base + a * point < -PSI1_TOL)
     return u, relaxed
 
 
@@ -281,12 +337,18 @@ class ArrayKernel:
         n = self.n = model.graph.node_count
         self.model, self.gains, self.nominal = model, gains, nominal
         self.box_lo, self.box_hi = box_lo, box_hi
+        # the regions before a negotiation, and the ends a frozen helper's
+        # requests fold from; read-only, so every step can share them
         self.unfrozen, self.no_point = np.zeros(n, dtype=bool), np.zeros(n)
+        self.open_lo, self.open_hi = np.full(n, -np.inf), np.full(n, np.inf)
+        self.every_edge = np.ones(len(layout.source), dtype=bool)
+        for shared in (self.unfrozen, self.no_point, self.open_lo, self.open_hi, self.every_edge):
+            shared.flags.writeable = False
         self.outer_cap, self.inner_cap = outer_cap, inner_cap
         self.source, self.target, self.by_source = layout
-        # each edge's helper in by-source order, and the split weights when
-        # they do not follow the coupling
-        self.out_helper = layout.source[layout.by_source]
+        # the edges by helper, and the split weights when they do not follow
+        # the coupling
+        self.out_runs = _out_runs(layout.source[layout.by_source])
         self.uniform_weights = np.ones(len(layout.source)) if weights_mode == "uniform" else None
         # the pressure's N + E terms in SisModel._pressure's order: bincount adds
         # each node's in input order, so its diagonal comes first, then its in-edges
@@ -349,7 +411,8 @@ class ArrayKernel:
             # margin, a floor of -allocated; self-sufficient nodes stay
             # minimally invasive.  (c - a is c + (-a) bit for bit.)
             certified = allocated < 0.0
-            certificate = constant - allocated, linear, quadratic
+            if np.count_nonzero(certified):
+                certificate = constant - allocated, linear, quadratic
         else:
             lo, hi, frozen, point = self.box_lo, self.box_hi, self.unfrozen, self.no_point
             caps = _capability(_self_terms(constant, linear, quadratic), lo, hi, frozen, point)
@@ -380,28 +443,18 @@ class ArrayKernel:
         bincount order.
         """
         n, helper, asker, by_source = self.n, self.source, self.target, self.by_source
-        box_lo, box_hi, out_helper = self.box_lo, self.box_hi, self.out_helper
+        box_lo, box_hi, runs = self.box_lo, self.box_hi, self.out_runs
         self_terms = _self_terms(constant, linear, quadratic)
-        strength = np.abs(a)
-        live = strength > NEGLIGIBLE_NORMAL
-        dead = ~live
-        any_dead = np.count_nonzero(dead)
-        a_live = np.where(live, a, 1.0)
-        # which requests bound each helper's interval from below and from above,
-        # by source in its out-neighbors' ascending order (a coupling is live
-        # exactly when it passes one of these tests)
-        a_out = a[by_source]
-        rising = a_out > NEGLIGIBLE_NORMAL
-        falling = a_out < -NEGLIGIBLE_NORMAL
-        weights = strength if self.uniform_weights is None else self.uniform_weights
         # no array here is ever written in place, so the zeros can be shared
         no_edges = out_alloc = np.zeros(a.shape)
         # the node sums of out_alloc, kept from the sub-round that last changed it
         allocated = np.zeros(n)
-        constrained = np.zeros_like(live)
-        lo, hi, frozen, point = box_lo, box_hi, np.zeros(n, dtype=bool), np.zeros(n)
+        # the edges whose requester may still ask its helper
+        eligible = self.every_edge
+        lo, hi, frozen, point = box_lo, box_hi, self.unfrozen, self.no_point
         outer = total_sub = 0
         cap_tripped = False
+        rising = None  # the per-edge terms, built when the first sub-round starts
         while True:
             outer += 1
             capability = _capability(self_terms, lo, hi, frozen, point)
@@ -409,12 +462,24 @@ class ArrayKernel:
             if np.count_nonzero(deficit >= -MARGIN_TOL) == n:
                 break
             if outer >= self.outer_cap:
-                stuck = (deficit < -MARGIN_TOL) & ~_any_by_node(~constrained, asker, n)
-                if stuck.any():
+                stuck = (deficit < -MARGIN_TOL) & ~_any_by_node(eligible, asker, n)
+                if np.count_nonzero(stuck):
                     raise _infeasible(tuple(int(i) + 1 for i in np.flatnonzero(stuck)))
                 cap_tripped = True
                 break
-            constrained = np.zeros_like(live)
+            if rising is None:
+                strength = np.abs(a)
+                live = strength > NEGLIGIBLE_NORMAL
+                any_dead = np.count_nonzero(live) < len(a)
+                a_live = np.where(live, a, 1.0) if any_dead else a
+                # which requests bound each helper's interval from below and
+                # from above, by source in its out-neighbors' ascending order
+                # (a coupling is live exactly when it passes one of these tests)
+                a_out = a[by_source]
+                rising = a_out > NEGLIGIBLE_NORMAL
+                falling = a_out < -NEGLIGIBLE_NORMAL
+                weights = strength if self.uniform_weights is None else self.uniform_weights
+            eligible = self.every_edge
             sub = 0
             while True:
                 if sub >= self.inner_cap:
@@ -422,21 +487,23 @@ class ArrayKernel:
                 sub += 1
 
                 # every node splits its margin over unconstrained in-neighbors
-                eligible = ~constrained
                 shares = partition_arrays(deficit, weights, eligible, asker)
 
                 # every helper re-derives its interval from the demands on it;
                 # what a helper committed to a requester is what the requester
-                # counts on
+                # counts on, less what a dead coupling or a frozen helper refuses
                 target = out_alloc + shares
                 neg_target = -target
-                eps = np.where(dead & (target < 0.0), neg_target, 0.0) if any_dead else no_edges
+                eps = no_edges
+                if any_dead:
+                    eps = np.zeros(a.shape)
+                    np.putmask(eps, ~live & (target < 0.0), neg_target)
                 bound = (neg_target / a_live)[by_source]
-                lo, hi = _fold_bounds(bound, rising, falling, out_helper, box_lo, box_hi)
+                lo, hi = _fold_bounds(bound, rising, falling, runs, box_lo, box_hi)
                 frozen = lo > hi
                 if np.count_nonzero(frozen):
-                    plo, phi = _fold_bounds(bound, rising, falling, out_helper,
-                                            np.full(n, -np.inf), np.full(n, np.inf))
+                    plo, phi = _fold_bounds(bound, rising, falling, runs,
+                                            self.open_lo, self.open_hi)
                     point = _closest_points(frozen, plo, phi, box_lo, box_hi)
                     short = a * point[helper] + target
                     eps = np.where(live & frozen[helper] & (short < 0.0), -short, eps)
@@ -448,13 +515,16 @@ class ArrayKernel:
                                     eps.tolist()))
 
                 # a sub-round without a refusal touches no node, which ends
-                # the negotiation for this capability estimate
+                # the negotiation for this capability estimate; only a dead
+                # coupling or a frozen helper refuses
+                if eps is no_edges:
+                    break
                 refused = eps > 0.0
                 if not np.count_nonzero(refused):
                     break
-                constrained = constrained | refused
+                eligible = eligible & ~refused
                 touched = _any_by_node(refused, asker, n) | _any_by_node(refused, helper, n)
-                if (~_any_by_node(~constrained, asker, n) | ~touched).all():
+                if np.count_nonzero(~_any_by_node(eligible, asker, n) | ~touched) == n:
                     break
                 deficit = capability - allocated
             total_sub += sub

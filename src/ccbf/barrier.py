@@ -29,6 +29,7 @@ build the same blocks and capabilities for every node, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
@@ -57,8 +58,10 @@ class BarrierSpec:
         object.__setattr__(self, "threshold", float(self.threshold))
         object.__setattr__(self, "eta", float(self.eta))
         object.__setattr__(self, "kappa", float(self.kappa))
-        if not np.isfinite(self.threshold):
+        if not math.isfinite(self.threshold):
             raise NumericsError("barrier threshold must be finite")
+        if not (math.isfinite(self.eta) and math.isfinite(self.kappa)):
+            raise NumericsError("chain gains eta and kappa must be finite")
         if self.eta <= 0.0 or self.kappa <= 0.0:
             raise DimensionError("chain gains eta and kappa must be positive")
 

@@ -137,11 +137,11 @@ UDOT_POLICIES = ("zero", "backward_difference")
 # every step negotiating) the float kernel's run_scenario time over the
 # array kernel's, medians of 15 interleaved runs on a shared 2-core Xeon
 # VM, was
-#     N        12    20    24    28    32    36    44
-#     ratio  0.52  0.78  0.88  0.98  1.08  1.22  1.57
-# so the two break even at about 28 nodes; the bench has workloads on both
-# sides of it.
-FLOAT_KERNEL_NODES = 28
+#     N        12    16    17    18    20    24    28    32    36    44
+#     ratio  0.81  0.92  1.04  1.09  1.19  1.40  1.51  1.69  1.57  2.00
+# so the two break even between 16 and 17 nodes; the bench has workloads
+# on both sides of it.
+FLOAT_KERNEL_NODES = 17
 
 
 def _kernel(model: SisModel, specs: dict[int, BarrierSpec], nominal: np.ndarray, **protocol):

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ccbf.arraykernel import (ArrayKernel, _capability, _fold_bounds, _self_terms,
+from ccbf.arraykernel import (ArrayKernel, _capability, _fold_bounds, _out_runs, _self_terms,
                               safety_filter_arrays)
 from ccbf.barrier import (BarrierSpec, Psi2Decomposition, QuadraticForm, barrier_arrays,
                           max_capability)
@@ -377,7 +377,7 @@ def test_edge_fold_matches_the_column_fold():
                   for _ in range(2))
         if rng.random() < 0.3:  # the request interval of a frozen node
             lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
-        got = _fold_bounds(bound, rising, falling, helper, lo, hi)
+        got = _fold_bounds(bound, rising, falling, _out_runs(helper), lo, hi)
         ref = _column_fold(bound, rising, falling, helper, lo, hi)
         assert _bits(got[0]) == _bits(ref[0]) and _bits(got[1]) == _bits(ref[1])
         for mask in (rising, falling):

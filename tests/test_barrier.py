@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -188,6 +190,13 @@ def test_barrier_spec_validation():
         BarrierSpec(0.1, eta=0.0)
     with pytest.raises(DimensionError):
         BarrierSpec(0.1, kappa=-1.0)
+    # NaN fails every comparison, so a sign check alone lets it through
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NumericsError, match="^barrier threshold must be finite$"):
+            BarrierSpec(bad)
+        for gain in ("eta", "kappa"):
+            with pytest.raises(NumericsError, match="^chain gains eta and kappa must be finite$"):
+                BarrierSpec(0.1, **{gain: bad})
 
 
 def test_decompose_udot_shape_check():
