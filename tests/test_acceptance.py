@@ -21,7 +21,6 @@ import ccbf.simulate as simulate_mod
 from ccbf.arraykernel import ArrayKernel
 from ccbf.barrier import (BarrierSpec, Psi2Decomposition, QuadraticForm, barrier_arrays,
                           decompose_psi2, psi0, psi1)
-from ccbf.cli import main as cli_main
 from ccbf.dynamics import SisModel, SisParams, neighborhood
 from ccbf.errors import TerminallyInfeasibleError
 from ccbf.floatkernel import FloatKernel
@@ -30,7 +29,7 @@ from ccbf.graph import NetworkGraph, edge_layout
 from ccbf.plot import read_result_csv
 from ccbf.simulate import run_scenario, run_uncontrolled
 
-from conftest import PAPER_BETA, PAPER_GAMMA, PAPER_UMAX, PAPER_X0, PAPER_XBAR
+from conftest import PAPER_BETA, PAPER_GAMMA, PAPER_UMAX, PAPER_X0, PAPER_XBAR, run_paper
 from test_array_protocol import _protocol_kernel
 
 
@@ -53,24 +52,6 @@ def _read_messages(path: Path) -> list[dict[str, str]]:
         return list(csv.DictReader(fh))
 
 
-@pytest.fixture(scope="module")
-def paper_run(tmp_path_factory):
-    """Traced CLI run of the bundled three-node scenario, timed."""
-    out = tmp_path_factory.mktemp("paper_run")
-    argv = ["run", "paper_sis3", "--out", str(out), "--trace"]
-    start = time.perf_counter()
-    rc = cli_main(argv)
-    wall = time.perf_counter() - start
-    assert rc == 0, f"run exited with {rc}"
-    return {
-        "out": out,
-        "argv": argv,
-        "wall": wall,
-        "table": read_result_csv(out / "result.csv"),
-        "messages": _read_messages(out / "messages.csv"),
-    }
-
-
 def test_criterion_1_uncontrolled_endemic_baseline(capsys):
     # with no curing effort every node settles at the endemic level
     # 1 - gamma/(sum of incoming infection rates) = 1 - 0.3/1.0 = 0.7
@@ -87,12 +68,14 @@ def test_criterion_1_uncontrolled_endemic_baseline(capsys):
 
 
 def test_criterion_2_paper_scenario_safety(capsys, paper_run):
-    table = paper_run["table"]
+    rc, out, wall = paper_run("traced")
+    assert rc == 0, f"run exited with {rc}"
+    table = read_result_csv(out / "result.csv")
     margins = np.asarray(PAPER_XBAR) - table.states
     min_margin = float(margins.min())
     u1_max = float(table.controls[:, 0].max())
 
-    requests_from_1 = [float(m["sim_time"]) for m in paper_run["messages"]
+    requests_from_1 = [float(m["sim_time"]) for m in _read_messages(out / "messages.csv")
                        if m["kind"] == "request" and m["from"] == "1"]
     t_req = min(requests_from_1) if requests_from_1 else float("inf")
     u3 = table.controls[:, 2]
@@ -105,16 +88,15 @@ def test_criterion_2_paper_scenario_safety(capsys, paper_run):
           and u1_max >= 0.75 - 1e-6
           and np.isfinite(t_req) and t_req > 0.0
           and quiet_start and wakes_after
-          and paper_run["wall"] < 30.0)
+          and wall < 30.0)
     report(capsys, 2, ok,
            f"min margin {min_margin:.2e} >= -1e-3, max u1 {u1_max:.8f} reaches 0.75, "
            f"u3 silent until node 1's first request at t={t_req:.2f}, "
-           f"wall {paper_run['wall']:.1f}s < 30s")
+           f"wall {wall:.1f}s < 30s")
 
 
-def test_criterion_3_no_collaboration_counterfactual(capsys, tmp_path):
-    out = tmp_path / "solo"
-    rc = cli_main(["run", "paper_sis3", "--out", str(out), "--no-collab"])
+def test_criterion_3_no_collaboration_counterfactual(capsys, paper_run):
+    rc, out, _ = paper_run("no_collab")
     table = read_result_csv(out / "result.csv")
     h1_min = float((PAPER_XBAR[0] - table.states[:, 0]).min())
     ok = rc == 0 and h1_min < 0.0
@@ -503,14 +485,12 @@ def test_criterion_8_partition_conservation(capsys, monkeypatch):
 
 
 def test_criterion_9_determinism(capsys, paper_run, tmp_path):
-    out = tmp_path / "again"
-    argv = ["run", "paper_sis3", "--out", str(out), "--trace"]
-    rc = cli_main(argv)
-    assert rc == 0
-    same_result = ((out / "result.csv").read_bytes()
-                   == (paper_run["out"] / "result.csv").read_bytes())
-    same_messages = ((out / "messages.csv").read_bytes()
-                     == (paper_run["out"] / "messages.csv").read_bytes())
+    _, first, _ = paper_run("traced")
+    assert run_paper("traced", tmp_path) == 0
+    same_result = ((tmp_path / "result.csv").read_bytes()
+                   == (first / "result.csv").read_bytes())
+    same_messages = ((tmp_path / "messages.csv").read_bytes()
+                     == (first / "messages.csv").read_bytes())
     ok = same_result and same_messages
     report(capsys, 9, ok,
            "repeat run reproduced result.csv and messages.csv byte for byte")

@@ -26,7 +26,7 @@ from ccbf.collab import (DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP, CollabMessage,
                          collaborative_safety, message_rows)
 from ccbf.dynamics import SisModel, SisParams
 from ccbf.errors import CcbfError, EmptyRegionError
-from ccbf.geometry import ControlRegion
+from ccbf.geometry import ControlRegion, Halfspace
 from ccbf.graph import NetworkGraph, edge_layout
 from ccbf.simulate import run_scenario, safety_filter
 
@@ -317,6 +317,12 @@ def test_array_filter_names_the_first_empty_unfrozen_region():
     with pytest.raises(EmptyRegionError, match=r"^node 4: negotiated region is empty$"):
         safety_filter_arrays(np.zeros(4), lo, hi, frozen, np.full(4, 0.5), np.ones(4),
                              np.ones(4))
+    # the per-node reference raises alike on node 4's region, a box cut
+    # empty by a request
+    region = ControlRegion(((0.0, 1.0),), (Halfspace(np.array([1.0]), -2.0),))
+    with pytest.raises(EmptyRegionError, match=r"^negotiated region is empty$"):
+        safety_filter(np.zeros(1), region, BarrierSpec(1.0),
+                      SimpleNamespace(lf_h=1.0, lg_h=np.ones(1)), np.ones(1))
 
 
 def test_array_capability_matches_per_node_on_signed_zeros():

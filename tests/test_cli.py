@@ -18,12 +18,7 @@ from ccbf.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT
                       build_parser, effective_config, main, read_scenario_text, run_config)
 from ccbf.config import normalize_config, parse_config
 
-# sha256 of the bundled paper_sis3 outputs over its first 20 s with the
-# message log on; any change to these bytes must be explained
-PAPER_20S_SHA256 = {
-    "result.csv": "06fd9d8fbe9d898bb40db18902629c11991ad1dc19dff8fb68f7090a487554b2",
-    "messages.csv": "727cbdf93db57dc4d66dfddea79448fa9f888b9d2e7435acc169dc394e281403",
-}
+from conftest import PAPER_RUNS, run_paper
 
 WEAK = """\
 graph.nodes = 2
@@ -53,12 +48,33 @@ def svg_counts(svg_path):
     return counts
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _meta(out_dir) -> dict:
+    return json.loads((out_dir / "meta.json").read_text())
+
+
+def _edited(text: str, edits: dict[str, str]) -> str:
+    """Config text with each key's line replaced by its assignment, or the assignment appended."""
+    lines = text.splitlines()
+    for key, value in edits.items():
+        at = [k for k, line in enumerate(lines) if line.startswith(f"{key} =")]
+        if at:
+            lines[at[0]] = f"{key} = {value}"
+        else:
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
 def test_validate_bundled_scenario_prints_fixed_point(capsys):
     assert main(["validate", "paper_sis3"]) == EXIT_OK
     out = capsys.readouterr().out
-    from ccbf import normalize_config, parse_config
-
     assert normalize_config(parse_config(out)) == out
+    # the normalized bundled scenario: the config text meta.json embeds
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "e7be6fe3175261b2554ee17a9f069206bb2d5927ae28ddb3d3d69409e8838392"
 
 
 def test_run_writes_artifacts_and_trace(tmp_path):
@@ -68,7 +84,7 @@ def test_run_writes_artifacts_and_trace(tmp_path):
     assert code == EXIT_OK
     assert (out / "result.csv").exists()
     assert (out / "messages.csv").exists()
-    meta = json.loads((out / "meta.json").read_text())
+    meta = _meta(out)
     assert meta["halted_at"] is None
     assert meta["cap_tripped_steps"] == 0
     assert meta["versions"]["ccbf"]
@@ -82,34 +98,57 @@ def _paper_config(overrides):
     return parse_config(read_scenario_text("paper_sis3"), overrides)
 
 
-def test_paper_scenario_golden_digests(tmp_path):
-    cfg = _paper_config({"sim.t_final": 20.0, "sim.trace": True})
-    assert run_config(cfg, tmp_path) == EXIT_OK
-    for name, digest in PAPER_20S_SHA256.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
-    # negotiation keeps every filter feasible (over the full 100 s too)
-    assert json.loads((tmp_path / "meta.json").read_text())["relaxed_steps"] == [0, 0, 0]
-
-
-# sha256 of paper_sis3 with the message log on under the backward-difference
-# control rate: the run chatters and halts at t = 2.92 (the same bytes at a
-# t_final of 20 s)
-PAPER_BACKWARD_SHA256 = {
-    "result.csv": "3d49ebe226dcaac222b3d8b30ca761d99a8182153c2211b2d3d58ff3fce536ad",
-    "messages.csv": "7c84f2782b3fcc372d2fa8960cd49de6f76ecaf4c421fee6b3b2c385051f8181",
+# sha256 of the bundled paper_sis3 outputs; any change to these bytes must be
+# explained.  traced and no_collab are PAPER_RUNS' 100 s runs; under the
+# backward-difference control rate the traced run chatters and halts at
+# t = 2.92 (the same bytes at a t_final of 20 s)
+PAPER_SHA256 = {
+    "traced": {
+        "result.csv": "51247f2d772d853ea98c9144517a1de5176f96ad113d5168f53c9b51e5b35071",
+        "messages.csv": "6278e9566c8fb43db14aa06c8b2ef733c432460a5569069182d3760d2f301f6d",
+    },
+    "no_collab": {
+        "result.csv": "1fd5bcb2b5f9227ce2537cf4a4327a9f19554a7e717183d045b6eb0e85bc8a66",
+    },
+    "backward_difference": {
+        "result.csv": "3d49ebe226dcaac222b3d8b30ca761d99a8182153c2211b2d3d58ff3fce536ad",
+        "messages.csv": "7c84f2782b3fcc372d2fa8960cd49de6f76ecaf4c421fee6b3b2c385051f8181",
+    },
 }
+# negotiation keeps every filter feasible; without it node 1 relaxes 9 630 of
+# the 10 001 rows
+PAPER_RELAXED_STEPS = {"traced": [0, 0, 0], "no_collab": [9630, 0, 0]}
 
 
-@pytest.mark.parametrize("cutoff", [0, 10 ** 9], ids=["array", "float"])
-def test_paper_scenario_backward_difference_digests(cutoff, tmp_path, monkeypatch):
-    monkeypatch.setattr("ccbf.simulate.FLOAT_KERNEL_NODES", cutoff)
-    cfg = _paper_config({"barrier.udot_policy": "backward_difference", "sim.trace": True,
-                         "sim.t_final": 5.0})
-    assert run_config(cfg, tmp_path) == EXIT_INFEASIBLE
-    meta = json.loads((tmp_path / "meta.json").read_text())
-    assert (meta["halted_at"], meta["infeasible_nodes"]) == (2.92, [1])
-    for name, digest in PAPER_BACKWARD_SHA256.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+@pytest.mark.parametrize("kernel", ["float", "array"])
+@pytest.mark.parametrize("case", list(PAPER_SHA256))
+def test_paper_scenario_digests(case, kernel, paper_run, tmp_path, monkeypatch):
+    # the three nodes step on the float kernel; forcing the array kernel must
+    # give the same bytes, so both kernels stay pinned over every step
+    monkeypatch.setattr("ccbf.simulate.FLOAT_KERNEL_NODES", 10 ** 9 if kernel == "float" else 0)
+    if case == "backward_difference":
+        out = tmp_path
+        cfg = _paper_config({"barrier.udot_policy": "backward_difference", "sim.trace": True,
+                             "sim.t_final": 5.0})
+        assert run_config(cfg, out) == EXIT_INFEASIBLE
+        meta = _meta(out)
+        assert (meta["halted_at"], meta["infeasible_nodes"]) == (2.92, [1])
+    else:
+        if kernel == "float":
+            code, out, _ = paper_run(case)
+        else:
+            code, out = run_paper(case, tmp_path), tmp_path
+        assert code == EXIT_OK
+        meta = _meta(out)
+        assert meta["relaxed_steps"] == PAPER_RELAXED_STEPS[case]
+        # a flag is exactly a text assignment: the config the flagged run
+        # embeds is what `ccbf validate` makes of the bundled file with the
+        # same keys edited in
+        edits = {**PAPER_RUNS[case][1], "output.dir": str(out)}
+        assert meta["config"] == normalize_config(parse_config(
+            _edited(read_scenario_text("paper_sis3"), edits)))
+    for name, digest in PAPER_SHA256[case].items():
+        assert _sha256(out / name) == digest, name
 
 
 def test_filter_relaxations_are_counted_per_node(tmp_path):
@@ -117,7 +156,7 @@ def test_filter_relaxations_are_counted_per_node(tmp_path):
     # 2 001 rows of the first 20 s relax (9 630 of 10 001 over 100 s)
     cfg = _paper_config({"sim.t_final": 20.0, "sim.collaboration": False})
     assert run_config(cfg, tmp_path) == EXIT_OK
-    assert json.loads((tmp_path / "meta.json").read_text())["relaxed_steps"] == [1630, 0, 0]
+    assert _meta(tmp_path)["relaxed_steps"] == [1630, 0, 0]
 
 
 # three nodes where 25 of the 501 steps need a third capability round
@@ -147,22 +186,31 @@ def test_outer_cap_trips_are_counted_and_reported(tmp_path, caplog):
     assert free.count(3) == 25 and max(free) == 3
     with caplog.at_level(logging.WARNING, logger="ccbf.simulate"):
         assert run_config(parse_config(RELAY + "sim.outer_cap = 2\n"), tmp_path) == EXIT_OK
-    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta = _meta(tmp_path)
     assert meta["halted_at"] is None
     assert meta["cap_tripped_steps"] == 25
     assert max(_outer_rounds(tmp_path)) == 2
     assert any("outer round cap" in r.getMessage() for r in caplog.records)
 
 
-def test_manifest_reproduces_result_bytes(tmp_path):
-    first = tmp_path / "a"
-    assert main(["run", "paper_sis3", "--out", str(first), "--t-final", "1.0"]) == EXIT_OK
-    meta = json.loads((first / "meta.json").read_text())
-    cfg_file = tmp_path / "replay.cfg"
-    cfg_file.write_text(meta["config"])
-    second = tmp_path / "b"
-    assert main(["run", str(cfg_file), "--out", str(second)]) == EXIT_OK
-    assert (first / "result.csv").read_bytes() == (second / "result.csv").read_bytes()
+def test_manifest_reproduces_result_bytes(tmp_path, monkeypatch, capsys):
+    # any directory name, one with a `#` or one that reads as a boolean too,
+    # reproduces its run: the config meta.json embeds is a fixed point of
+    # `ccbf validate`, its output.dir names that directory, and running it
+    # again writes the same bytes
+    monkeypatch.chdir(tmp_path)
+    for k, out in enumerate([str(tmp_path / "a#b"), str(tmp_path / "on"), "on"]):
+        assert main(["run", "paper_sis3", "--out", out, "--t-final", "1.0"]) == EXIT_OK
+        embedded = _meta(Path(out))["config"]
+        cfg_file = tmp_path / f"replay{k}.cfg"
+        cfg_file.write_text(embedded)
+        capsys.readouterr()
+        assert main(["validate", str(cfg_file)]) == EXIT_OK
+        assert capsys.readouterr().out == embedded
+        assert parse_config(embedded).output_dir == out
+        again = tmp_path / f"again{k}"
+        assert main(["run", str(cfg_file), "--out", str(again)]) == EXIT_OK
+        assert (Path(out) / "result.csv").read_bytes() == (again / "result.csv").read_bytes()
 
 
 def test_broken_config_reports_schema_errors(tmp_path, capsys):
@@ -244,14 +292,7 @@ RUN_FLAGS["all"] = (sum((argv for argv, _ in RUN_FLAGS.values()), []),
 def test_a_run_flag_is_its_config_assignment(flags):
     argv, edits = RUN_FLAGS[flags]
     text = read_scenario_text("paper_sis3")
-    lines = text.splitlines()
-    for key, value in edits.items():
-        at = [k for k, line in enumerate(lines) if line.startswith(f"{key} =")]
-        if at:
-            lines[at[0]] = f"{key} = {value}"
-        else:
-            lines.append(f"{key} = {value}")
-    edited = parse_config("\n".join(lines) + "\n")
+    edited = parse_config(_edited(text, edits))
     cfg = effective_config("paper_sis3", build_parser().parse_args(["run", "paper_sis3", *argv]))
     assert cfg == edited != parse_config(text)
     assert normalize_config(cfg) == normalize_config(edited)
@@ -274,24 +315,39 @@ def test_terminal_halt_exits_with_distinct_code(tmp_path, capsys):
     assert "terminally infeasible" in capsys.readouterr().err
     # partial artifacts still land
     assert (out / "result.csv").exists()
-    meta = json.loads((out / "meta.json").read_text())
+    meta = _meta(out)
     assert meta["halted_at"] == pytest.approx(0.92)
     assert meta["halt_reason"] == "infeasible"
     assert meta["infeasible_nodes"] == [1]
 
 
-def test_continue_on_infeasible_runs_past_the_halt(tmp_path, caplog):
-    # the weak pair's infeasible rounds are logged and the run goes on
+# sha256 of the weak pair's traced run past its halt: 501 rows, and 50 890
+# messages with refusals and frozen helpers among them
+WEAK_CONTINUED_SHA256 = {
+    "result.csv": "d276276356e16bedbecb4c30ba3422eb8f050d5703e3fec307e9ae1bc2c3a121",
+    "messages.csv": "13490642bfa91cd7efb8ed1f6d12955e53a952b4215b33c8bde71ec2eb117618",
+}
+
+
+def test_continue_on_infeasible_runs_past_the_halt(tmp_path, monkeypatch, caplog):
+    # the weak pair's infeasible rounds are logged and the run goes on, to
+    # the same bytes on both step kernels
     cfg = tmp_path / "weak.cfg"
     cfg.write_text(WEAK)
-    out = tmp_path / "onward"
-    with caplog.at_level(logging.WARNING, logger="ccbf"):
-        assert main(["run", str(cfg), "--out", str(out), "--continue-on-infeasible"]) == EXIT_OK
-    meta = json.loads((out / "meta.json").read_text())
-    assert meta["halted_at"] is None
-    assert meta["infeasible_nodes"] == [1]
-    assert any(rec.getMessage() == "continued past infeasible rounds at nodes [1]"
-               for rec in caplog.records)
+    for kernel, cutoff in (("float", 10 ** 9), ("array", 0)):
+        monkeypatch.setattr("ccbf.simulate.FLOAT_KERNEL_NODES", cutoff)
+        out = tmp_path / kernel
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="ccbf"):
+            assert main(["run", str(cfg), "--out", str(out), "--continue-on-infeasible",
+                         "--trace"]) == EXIT_OK
+        meta = _meta(out)
+        assert meta["halted_at"] is None
+        assert meta["infeasible_nodes"] == [1]
+        assert any(rec.getMessage() == "continued past infeasible rounds at nodes [1]"
+                   for rec in caplog.records)
+        for name, digest in WEAK_CONTINUED_SHA256.items():
+            assert _sha256(out / name) == digest, (kernel, name)
 
 
 @pytest.mark.parametrize("keep_going", ["off", "on"])
@@ -304,7 +360,7 @@ def test_stalled_negotiation_halts_with_its_own_code(tmp_path, capsys, keep_goin
     out = tmp_path / "stallout"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_STALL
     assert "negotiation stalled at t=0.92" in capsys.readouterr().err
-    meta = json.loads((out / "meta.json").read_text())
+    meta = _meta(out)
     assert meta["halt_reason"] == "stall"
     assert meta["halted_at"] == pytest.approx(0.92)
     assert meta["infeasible_nodes"] == []
@@ -317,7 +373,7 @@ def test_no_collab_flag_disables_negotiation(tmp_path):
     out = tmp_path / "nc"
     assert main(["run", "paper_sis3", "--out", str(out), "--t-final", "0.5",
                  "--no-collab", "--trace"]) == EXIT_OK
-    meta = json.loads((out / "meta.json").read_text())
+    meta = _meta(out)
     assert "sim.collaboration = off" in meta["config"]
     # trace file exists but holds only the header: nothing was negotiated
     lines = (out / "messages.csv").read_text().splitlines()

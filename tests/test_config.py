@@ -15,6 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 from ccbf import ConfigError, normalize_config, parse_config
 from ccbf.config import KNOWN_KEYS, ScenarioConfig, _parse_value
 
+from conftest import bench_config_text
+
 GOOD = """\
 # demo scenario
 graph.nodes = 3
@@ -56,11 +58,13 @@ def test_parse_good_text_fills_defaults():
 
 
 def test_normalization_is_a_fixed_point():
-    cfg = parse_config(GOOD)
-    dump = normalize_config(cfg)
-    again = parse_config(dump)
-    assert again == cfg
-    assert normalize_config(again) == dump
+    # the demo, and the bench's 300-node network with its 0.5 MB of text
+    for text in (GOOD, bench_config_text("sis_quiet_n300")):
+        cfg = parse_config(text)
+        dump = normalize_config(cfg)
+        again = parse_config(dump)
+        assert again == cfg
+        assert normalize_config(again) == dump
 
 
 def test_missing_required_keys_all_reported():

@@ -68,6 +68,11 @@ def test_bad_state_shape_raises(paper_model):
     nbr = NeighborhoodState(np.array([0.1, 0.2]), {})
     with pytest.raises(DimensionError):
         paper_model.drift(nbr, 1)
+    nbr = NeighborhoodState(np.array([0.1]), {2: np.array([0.2]), 3: np.array([0.3, 0.3])})
+    with pytest.raises(DimensionError, match="neighbor 3 state"):
+        paper_model.drift(nbr, 1)
+    with pytest.raises(DimensionError, match="packed state"):
+        rk4_step(paper_model, np.array([0.1, 0.2]), np.zeros(3), 0.01)
 
 
 def test_params_edge_consistency(paper_graph):

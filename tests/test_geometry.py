@@ -95,6 +95,12 @@ def test_bad_box_rejected():
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionError):
         ControlRegion(((0.0, 1.0),), (Halfspace(np.array([1.0, 0.0]), 0.0),))
+    with pytest.raises(DimensionError, match="must be a vector"):
+        Halfspace(np.eye(2), 0.0)
+    with pytest.raises(DimensionError, match="frozen point"):
+        ControlRegion(((0.0, 1.0),), frozen_point=np.array([0.4, 0.4]))
+    with pytest.raises(DimensionError, match="1-D regions"):
+        ControlRegion(((0.0, 1.0), (0.0, 1.0))).interval()
 
 
 def test_frozen_region_contains_only_its_point():
@@ -156,6 +162,9 @@ def test_is_empty_2d_cases():
     box = ((0.0, 1.0), (0.0, 1.0))
     assert not is_empty(intersect(box, [Halfspace(np.array([1.0, 1.0]), -1.0)]))
     assert is_empty(intersect(box, [Halfspace(np.array([1.0, 1.0]), -3.0)]))
+    # a zero normal excludes every control when its offset is negative
+    assert is_empty(intersect(box, [Halfspace(np.zeros(2), -0.3)]))
+    assert not is_empty(intersect(box, [Halfspace(np.zeros(2), 0.3)]))
 
 
 def test_weakly_non_interfering_witness():
