@@ -5,9 +5,9 @@
 fields, as arrays where the float kernel has lists.  Every stage is
 elementwise arithmetic over the nodes or over the edges of the model's
 EdgeLayout, and every network sum one `np.bincount` in its order from
-+0.0.  A helper's requests fold into its box; only a sub-round that
-freezes a helper folds them again, from +-inf, for the box point nearest
-them.  Negligible split weights split evenly (`partition_arrays`).  The
++0.0.  No SIS coupling is negative, so every request raises its helper's
+floor, and a helper whose floor passes the top of its box freezes there.
+Negligible split weights split evenly (`partition_arrays`).  The
 per-node reference (`dynamics`, `barrier`, `geometry`, `collab`,
 `simulate`) and `FloatKernel` share one copy of each scalar rule; this
 module shares none, and is the independent implementation that both are
@@ -37,7 +37,7 @@ from .barrier import CERT_TOL, PSI1_TOL, BarrierArrays
 # log is the protocol's logger: the array negotiation warns as the per-node one does
 from .collab import MARGIN_TOL, _infeasible, log
 from .dynamics import SisModel, rk4_step
-from .errors import EmptyRegionError, GeometryConvergenceError, NumericsError, ProtocolStallError
+from .errors import EmptyRegionError, NumericsError, ProtocolStallError
 from .geometry import NEGLIGIBLE_NORMAL
 
 
@@ -151,25 +151,26 @@ def _out_runs(helper: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (helper, *np.unique(helper, return_index=True))
 
 
-def _tighten(bound: np.ndarray, side: np.ndarray, runs: tuple, end: np.ndarray,
-             beyond: np.ufunc, extreme: np.ufunc) -> np.ndarray:
-    """end, where each node takes the first of its tighter bounds at their extreme.
+def _raise_lo(bound: np.ndarray, rising: np.ndarray, runs: tuple, lo: np.ndarray) -> np.ndarray:
+    """Raise each node's lo to its rising request bounds, in O(E).
 
-    The bounds are in by-source order, side marks those on this end, and
-    beyond and extreme are np.greater and np.maximum, or np.less and
-    np.minimum.  Bounds equal to the extreme differ at most in the sign of
-    a zero, and `extreme` may keep either: where a zero beat a nonzero end,
-    the first zero, the one a strict fold keeps, is written back.
+    bound and rising are over the edges in by-source order, and runs groups
+    them by helper (_out_runs).  As ControlRegion.interval folds them, in
+    ascending requester order, only a strictly greater bound replaces lo:
+    ties keep the earlier value and a NaN bound never wins.  Bounds equal
+    to the maximum differ at most in the sign of a zero, and np.maximum may
+    keep either: where a zero beat a nonzero lo, the first zero, the one
+    the strict fold keeps, is written back.
     """
     helper, nodes, starts = runs
-    candidates = end[helper]
-    tighter = side & beyond(bound, candidates)
+    candidates = lo[helper]
+    tighter = rising & (bound > candidates)
     if not np.count_nonzero(tighter):
-        return end
+        return lo
     np.putmask(candidates, tighter, bound)
-    tight = end.copy()
-    tight[nodes] = extreme.reduceat(candidates, starts)
-    tie = (tight == 0.0) & (end != 0.0)
+    tight = lo.copy()
+    tight[nodes] = np.maximum.reduceat(candidates, starts)
+    tie = (tight == 0.0) & (lo != 0.0)
     if np.count_nonzero(tie):
         hit = (tighter & (bound == 0.0) & tie[helper]).nonzero()[0]
         at = helper[hit]
@@ -178,39 +179,6 @@ def _tighten(bound: np.ndarray, side: np.ndarray, runs: tuple, end: np.ndarray,
         np.not_equal(at[1:], at[:-1], out=first[1:])
         tight[at[first]] = bound[hit[first]]
     return tight
-
-
-def _fold_bounds(bound: np.ndarray, rising: np.ndarray, falling: np.ndarray,
-                 runs: tuple, lo: np.ndarray, hi: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tighten each node's [lo, hi] by its request bounds, in O(E).
-
-    bound, rising and falling are over the edges in by-source order (see
-    EdgeLayout.by_source), and runs groups them by helper (_out_runs).  A
-    rising request raises lo and a falling one lowers hi, as
-    ControlRegion.interval folds them: in ascending requester order, where
-    only a strictly tighter bound replaces the end.  So a node's new end is
-    the first of its bounds at their extreme, if that beats the old end;
-    ties keep the earlier value, +0.0 and -0.0 included, and a NaN bound
-    never replaces one.
-    """
-    return (_tighten(bound, rising, runs, lo, np.greater, np.maximum),
-            _tighten(bound, falling, runs, hi, np.less, np.minimum))
-
-
-def _closest_points(frozen: np.ndarray, plo: np.ndarray, phi: np.ndarray,
-                    box_lo: np.ndarray, box_hi: np.ndarray) -> np.ndarray:
-    """nearest_point of each node's box [box_lo, box_hi] to its request interval [plo, phi]."""
-    contradictory = frozen & (plo > phi)
-    if np.count_nonzero(contradictory):
-        i = int(np.flatnonzero(contradictory)[0])
-        raise GeometryConvergenceError("empty request polytope",
-                                       last_iterate=np.array([box_lo[i]]),
-                                       residual=plo[i] - phi[i])
-    point = _clamp(plo, box_lo, box_hi)
-    np.putmask(point, plo > box_hi, box_hi)
-    np.putmask(point, phi < box_lo, box_lo)
-    return point
 
 
 def _clamp(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -337,12 +305,11 @@ class ArrayKernel:
         n = self.n = model.graph.node_count
         self.model, self.gains, self.nominal = model, gains, nominal
         self.box_lo, self.box_hi = box_lo, box_hi
-        # the regions before a negotiation, and the ends a frozen helper's
-        # requests fold from; read-only, so every step can share them
-        self.unfrozen, self.no_point = np.zeros(n, dtype=bool), np.zeros(n)
-        self.open_lo, self.open_hi = np.full(n, -np.inf), np.full(n, np.inf)
+        # no node frozen and every edge eligible, as a negotiation starts;
+        # read-only, so every step can share them
+        self.unfrozen = np.zeros(n, dtype=bool)
         self.every_edge = np.ones(len(layout.source), dtype=bool)
-        for shared in (self.unfrozen, self.no_point, self.open_lo, self.open_hi, self.every_edge):
+        for shared in (self.unfrozen, self.every_edge):
             shared.flags.writeable = False
         self.outer_cap, self.inner_cap = outer_cap, inner_cap
         self.source, self.target, self.by_source = layout
@@ -414,7 +381,7 @@ class ArrayKernel:
             if np.count_nonzero(certified):
                 certificate = constant - allocated, linear, quadratic
         else:
-            lo, hi, frozen, point = self.box_lo, self.box_hi, self.unfrozen, self.no_point
+            lo, hi, frozen, point = self.box_lo, self.box_hi, self.unfrozen, self.box_hi
             caps = _capability(_self_terms(constant, linear, quadratic), lo, hi, frozen, point)
             rounds = 0, 0, False
         u, relaxed = safety_filter_arrays(self.nominal, lo, hi, frozen, point, base, x,
@@ -436,11 +403,11 @@ class ArrayKernel:
         Returns lo, hi, frozen, point, capability and allocated per node,
         out_alloc per edge, then the outer rounds, the sub-rounds and
         whether the cap tripped.  Node i's region is [lo, hi] at entry i-1,
-        or its point where frozen is True.  out_alloc[e] is what node
-        target[e]+1 counts on from its in-neighbor source[e]+1, and what
-        that neighbor committed to it: the ledgers' out_alloc, which in_req
-        mirrors.  allocated sums each node's out_alloc in EdgeLayout's
-        bincount order.
+        or its point, box_hi, where frozen is True.  out_alloc[e] is what
+        node target[e]+1 counts on from its in-neighbor source[e]+1, and
+        what that neighbor committed to it: the ledgers' out_alloc, which
+        in_req mirrors.  allocated sums each node's out_alloc in
+        EdgeLayout's bincount order.
         """
         n, helper, asker, by_source = self.n, self.source, self.target, self.by_source
         box_lo, box_hi, runs = self.box_lo, self.box_hi, self.out_runs
@@ -451,13 +418,13 @@ class ArrayKernel:
         allocated = np.zeros(n)
         # the edges whose requester may still ask its helper
         eligible = self.every_edge
-        lo, hi, frozen, point = box_lo, box_hi, self.unfrozen, self.no_point
+        lo, frozen = box_lo, self.unfrozen
         outer = total_sub = 0
         cap_tripped = False
         rising = None  # the per-edge terms, built when the first sub-round starts
         while True:
             outer += 1
-            capability = _capability(self_terms, lo, hi, frozen, point)
+            capability = _capability(self_terms, lo, box_hi, frozen, box_hi)
             deficit = capability - allocated
             if np.count_nonzero(deficit >= -MARGIN_TOL) == n:
                 break
@@ -472,12 +439,9 @@ class ArrayKernel:
                 live = strength > NEGLIGIBLE_NORMAL
                 any_dead = np.count_nonzero(live) < len(a)
                 a_live = np.where(live, a, 1.0) if any_dead else a
-                # which requests bound each helper's interval from below and
-                # from above, by source in its out-neighbors' ascending order
-                # (a coupling is live exactly when it passes one of these tests)
-                a_out = a[by_source]
-                rising = a_out > NEGLIGIBLE_NORMAL
-                falling = a_out < -NEGLIGIBLE_NORMAL
+                # the requests that raise each helper's floor, by source in
+                # its out-neighbors' ascending order
+                rising = live[by_source]
                 weights = strength if self.uniform_weights is None else self.uniform_weights
             eligible = self.every_edge
             sub = 0
@@ -489,7 +453,7 @@ class ArrayKernel:
                 # every node splits its margin over unconstrained in-neighbors
                 shares = partition_arrays(deficit, weights, eligible, asker)
 
-                # every helper re-derives its interval from the demands on it;
+                # every helper raises its floor to the demands on it;
                 # what a helper committed to a requester is what the requester
                 # counts on, less what a dead coupling or a frozen helper refuses
                 target = out_alloc + shares
@@ -499,13 +463,12 @@ class ArrayKernel:
                     eps = np.zeros(a.shape)
                     np.putmask(eps, ~live & (target < 0.0), neg_target)
                 bound = (neg_target / a_live)[by_source]
-                lo, hi = _fold_bounds(bound, rising, falling, runs, box_lo, box_hi)
-                frozen = lo > hi
+                lo = _raise_lo(bound, rising, runs, box_lo)
+                frozen = lo > box_hi
                 if np.count_nonzero(frozen):
-                    plo, phi = _fold_bounds(bound, rising, falling, runs,
-                                            self.open_lo, self.open_hi)
-                    point = _closest_points(frozen, plo, phi, box_lo, box_hi)
-                    short = a * point[helper] + target
+                    # a frozen helper sits at box_hi and refuses each
+                    # request by its shortfall there
+                    short = a * box_hi[helper] + target
                     eps = np.where(live & frozen[helper] & (short < 0.0), -short, eps)
                 out_alloc = target + eps
                 allocated = np.bincount(asker, out_alloc, n).astype(float, copy=False)
@@ -528,7 +491,7 @@ class ArrayKernel:
                     break
                 deficit = capability - allocated
             total_sub += sub
-        return (lo, hi, frozen, point, capability, allocated, out_alloc, outer, total_sub,
+        return (lo, box_hi, frozen, box_hi, capability, allocated, out_alloc, outer, total_sub,
                 cap_tripped)
 
     def advance(self, x: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray, float]:

@@ -39,8 +39,6 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_STALL = 4
 
-log = logging.getLogger("ccbf.cli")
-
 # what a command reports as a failure instead of a traceback
 _FAILURES = (CcbfError, OSError)
 
@@ -124,9 +122,6 @@ def run_config(cfg: ScenarioConfig, out_dir: Path) -> int:
         print(f"terminally infeasible at t={result.halted_at:g} (nodes {nodes}); "
               f"partial results in {out_dir}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    if result.infeasible_nodes:
-        log.warning("continued past infeasible rounds at nodes %s",
-                    sorted(result.infeasible_nodes))
     print(f"wrote {out_dir / 'result.csv'}")
     return EXIT_OK
 

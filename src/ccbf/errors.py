@@ -20,10 +20,11 @@ class EmptyRegionError(CcbfError):
 
 
 class GeometryConvergenceError(CcbfError):
-    """Projection iterations failed to converge.
+    """Projection iterations failed to converge, or 1-D requests contradict.
 
     Carries the last iterate and residual so callers can see how close the
-    solver got before giving up.
+    solver got before giving up.  Only the per-node reference raises it: a
+    step kernel's requests only ever raise a helper's floor.
     """
 
     def __init__(self, message: str, last_iterate=None, residual=None):
@@ -47,8 +48,8 @@ class ProtocolStallError(CcbfError):
     """The negotiation hit its sub-round cap without settling.
 
     `ledgers` holds the full per-node ledger map at the time of the stall
-    when the per-node protocol raises it, and is None when the array
-    protocol does.
+    when the per-node protocol raises it, and is None when a step kernel
+    does.
     """
 
     def __init__(self, message: str, ledgers=None):

@@ -20,20 +20,20 @@ a sub-round's record is the (sub_round, eligible, shares, eps) that
 `collab.message_rows` reads.  Each node's in-edges (a run of the edge
 order) and each helper's out-edges (in EdgeLayout.by_source order) are
 listed at construction, so every pass of a step is one loop over nodes or
-edges.  Each sub-round folds a helper's requests once, from +-inf, into
-its request interval: its region is that clipped to its box, or where that
-is empty the box point nearest it.  Negligible split weights split evenly.
+edges.  No SIS coupling is negative, so every request raises its
+helper's floor: each sub-round folds a helper's requests once into the low
+end of its box, and a helper whose floor passes the top of its box freezes
+there.  Negligible split weights split evenly.
 
 Each implementation of the step has its own home: the per-node reference
 in `dynamics`, `barrier`, `geometry`, `collab` and `simulate`, this kernel
 here, and the array kernel in `arraykernel`.  The reference calls the same
 scalar rules as this kernel: the capability on an interval
 (`barrier._max_quadratic_on_interval`, as `max_capability`), the
-certificate filter (`filter_point` here, as `simulate.safety_filter`), the
-proportional split (`collab._split`, as `partition`) and the nearest point
-(`geometry.nearest_point`, as `closest_point`).  The array kernel shares no
-arithmetic with either: it is the independent implementation that both
-are pinned to.
+certificate filter (`filter_point` here, as `simulate.safety_filter`) and
+the proportional split (`collab._split`, as `partition`).  The array kernel
+shares no arithmetic with either: it is the independent implementation
+that both are pinned to.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .barrier import CERT_TOL, PSI1_TOL, BarrierArrays, _max_quadratic_on_interv
 from .collab import MARGIN_TOL, _infeasible, _split, log
 from .dynamics import SisModel
 from .errors import NumericsError, ProtocolStallError
-from .geometry import NEGLIGIBLE_NORMAL, nearest_point
+from .geometry import NEGLIGIBLE_NORMAL
 
 
 def _clamp(v: float, lo: float, hi: float) -> float:
@@ -213,7 +213,7 @@ class FloatKernel:
             lo, hi, frozen, point, caps, allocated, _, *rounds = self.negotiate(
                 constant, linear, quadratic, coupling, records)
         else:
-            lo, hi, frozen, point = self.box_lo, self.box_hi, [False] * n, [0.0] * n
+            lo, hi, frozen, point = self.box_lo, self.box_hi, [False] * n, self.box_hi
             caps = self._capability(constant, linear, quadratic, lo, hi, frozen, point)
             allocated = [0.0] * n  # so no node owes a certificate
             rounds = 0, 0, False
@@ -311,7 +311,8 @@ class FloatKernel:
 
         Returns lo, hi, frozen, point, capability and allocated per node,
         out_alloc per edge, then the outer rounds, the sub-rounds and
-        whether the cap tripped.  Only a frozen node's point is meaningful.
+        whether the cap tripped.  Only a frozen node's point, box_hi, is
+        meaningful.
         """
         n, rows, edges = self.n, self.rows, len(a)
         box_lo, box_hi = self.box_lo, self.box_hi
@@ -320,12 +321,12 @@ class FloatKernel:
         out_alloc = [0.0] * edges
         allocated = [0.0] * n
         eligible = [True] * edges
-        lo, hi, frozen, point = box_lo, box_hi, [False] * n, [0.0] * n
+        lo, frozen = box_lo, [False] * n
         outer = total_sub = 0
         cap_tripped = False
         while True:
             outer += 1
-            caps = self._capability(constant, linear, quadratic, lo, hi, frozen, point)
+            caps = self._capability(constant, linear, quadratic, lo, box_hi, frozen, box_hi)
             deficit = [cap - got for cap, got in zip(caps, allocated)]
             if all(d >= -MARGIN_TOL for d in deficit):
                 break
@@ -338,7 +339,7 @@ class FloatKernel:
                 break
             if tables is None:  # built once the first sub-round runs
                 tables = self._edge_tables(a)
-            dead, weight, rising, falling = tables
+            dead, weight, rising = tables
             eligible = [True] * edges  # a fresh capability estimate deserves fresh refusals
             sub = 0
             while True:
@@ -352,26 +353,17 @@ class FloatKernel:
                 for e in dead:  # nothing the helper does reaches this requester
                     if target[e] < 0.0:
                         eps[e] = -target[e]
-                lo, hi, frozen = [], [], []
-                for j, (lo_j, hi_j, up, down) in enumerate(zip(box_lo, box_hi, rising, falling)):
-                    plo, phi = -math.inf, math.inf
+                lo, frozen = [], []
+                for lo_j, hi_j, up in zip(box_lo, box_hi, rising):
                     for s, a_s in up:
                         b = -target[s] / a_s
-                        if b > plo:
-                            plo = b
-                    for s, a_s in down:
-                        b = -target[s] / a_s
-                        if b < phi:
-                            phi = b
-                    lo_j = plo if plo > lo_j else lo_j
-                    hi_j = phi if phi < hi_j else hi_j
+                        if b > lo_j:
+                            lo_j = b
                     lo.append(lo_j)
-                    hi.append(hi_j)
                     frozen.append(lo_j > hi_j)
-                    if lo_j > hi_j:
-                        point[j] = p = nearest_point(plo, phi, box_lo[j], box_hi[j])
-                        for s, a_s in up + down:
-                            short = a_s * p + target[s]
+                    if lo_j > hi_j:  # frozen at hi_j: refuse each request's shortfall there
+                        for s, a_s in up:
+                            short = a_s * hi_j + target[s]
                             if short < 0.0:
                                 eps[s] = -short
                 out_alloc = [t + e for t, e in zip(target, eps)]
@@ -400,23 +392,21 @@ class FloatKernel:
                     break
                 deficit = [cap - got for cap, got in zip(caps, allocated)]
             total_sub += sub
-        return lo, hi, frozen, point, caps, allocated, out_alloc, outer, total_sub, cap_tripped
+        return (lo, box_hi, frozen, box_hi, caps, allocated, out_alloc, outer, total_sub,
+                cap_tripped)
 
     def _edge_tables(self, a: list) -> tuple:
         """The edges whose coupling is negligible, the split weights, and per
-        helper the requests that bound its interval from below and above."""
-        dead, rising, falling = [], [], []
+        helper the requests that raise its floor."""
+        dead, rising = [], []
         for out in self.out_edges:
-            up, down = [], []
+            up = []
             for s in out:
                 a_s = a[s]
                 if a_s > NEGLIGIBLE_NORMAL:
                     up.append((s, a_s))
-                elif a_s < -NEGLIGIBLE_NORMAL:
-                    down.append((s, a_s))
                 else:
                     dead.append(s)
             rising.append(up)
-            falling.append(down)
         weight = [1.0] * len(a) if self.uniform else list(map(abs, a))
-        return dead, weight, rising, falling
+        return dead, weight, rising

@@ -7,8 +7,8 @@ model in the package has a scalar control, and the 1-D case is handled with
 exact interval arithmetic.  `closest_point` and `is_empty` also take higher
 dimensions, by alternating projection between box and polytope with
 Dykstra's correction inside the polytope projection, which converges for
-this polyhedral family.  These are the per-node reference's regions;
-`floatkernel` shares `nearest_point`, and `arraykernel` keeps its own.
+this polyhedral family.  These are the per-node reference's regions; the
+step kernels' requests only raise a helper's floor and need none of them.
 """
 
 from __future__ import annotations

@@ -189,12 +189,15 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
 
     specs holds every node's BarrierSpec, and nominal is the packed nominal
     control, zero when None; a node without a spec, or an x0 or nominal of
-    the wrong shape, raises DimensionError.  t_final must be a whole number
+    the wrong shape, raises DimensionError, and an x0 entry outside [0, 1]
+    or NaN raises ValueError: the kernels' negotiation takes every coupling
+    (1 - x_i) beta_ij x_j to be nonnegative.  t_final must be a whole number
     of dt steps (see step_count).  Each step runs on
     FloatKernel below FLOAT_KERNEL_NODES nodes and on ArrayKernel from
     there on; both give the same bits.  A terminally infeasible step halts
     the run unless continue_on_infeasible is set, which reruns the step on
-    the full boxes; a stalled negotiation always halts it.
+    the full boxes and logs one warning for the run; a stalled negotiation
+    always halts it.
     """
     for name, value, allowed in (("udot_policy", udot_policy, UDOT_POLICIES),
                                  ("weights_mode", weights_mode, WEIGHT_MODES)):
@@ -208,6 +211,10 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (n,):
         raise DimensionError(f"x0 has shape {x.shape}, expected ({n},) for this graph")
+    outside = np.flatnonzero(~((x >= 0.0) & (x <= 1.0)))
+    if len(outside):
+        i = int(outside[0])
+        raise ValueError(f"x0 entries must be in [0, 1], got {float(x[i])} at node {i + 1}")
     want = np.zeros(n) if nominal is None else np.asarray(nominal, dtype=float)
     if want.shape != (n,):
         raise DimensionError(f"nominal has shape {want.shape}, expected ({n},) for this graph")
@@ -226,7 +233,7 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
     halt_reason: str | None = None
     infeasible_nodes: tuple[int, ...] = ()
     max_clamp = 0.0
-    cap_tripped_steps = 0
+    cap_tripped_steps = continued_steps = 0
     relaxed_steps = np.zeros(n, dtype=int)
 
     udot = np.zeros(n)
@@ -243,7 +250,8 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
                 halted_at, halt_reason = t, "infeasible"
                 infeasible_nodes = err.nodes
                 break
-            log.warning("t=%.6g: %s; continuing with unconstrained boxes", t, err)
+            log.debug("t=%.6g: %s; continuing with unconstrained boxes", t, err)
+            continued_steps += 1
             infeasible_nodes = tuple(sorted(set(infeasible_nodes) | set(err.nodes)))
             # the same step on the full boxes, without a certificate
             u, caps, outer, sub, tripped, relaxed = kernel.step(x, udot, None, False)
@@ -276,6 +284,10 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
     if cap_tripped_steps:
         log.warning("%d of %d steps hit the outer round cap (%d) with negotiation still open",
                     cap_tripped_steps, rows, outer_cap)
+    if continued_steps:
+        log.warning("%d of %d steps were terminally infeasible at nodes %s and continued "
+                    "with unconstrained boxes", continued_steps, rows,
+                    ", ".join(map(str, infeasible_nodes)))
     thresholds = tuple(specs[i].threshold for i in nodes)
     return ScenarioResult(
         times=np.arange(rows) * dt, states=states[:rows], controls=controls[:rows],

@@ -15,22 +15,21 @@ from __future__ import annotations
 import inspect
 import itertools
 import logging
-import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import ccbf.simulate as simulate_mod
-from ccbf.arraykernel import (ArrayKernel, _capability, _certificate_choice, _closest_points,
-                              _self_terms, safety_filter_arrays)
+from ccbf.arraykernel import (ArrayKernel, _capability, _certificate_choice, _self_terms,
+                              safety_filter_arrays)
 from ccbf.barrier import BarrierSpec, QuadraticForm, barrier_arrays
 from ccbf.collab import message_rows
 from ccbf.config import parse_config
 from ccbf.dynamics import SisModel, SisParams
 from ccbf.errors import CcbfError
 from ccbf.floatkernel import FloatKernel, _certificate_point, filter_point
-from ccbf.geometry import ControlRegion, nearest_point
+from ccbf.geometry import ControlRegion
 from ccbf.graph import NetworkGraph
 from ccbf.simulate import run_scenario, safety_filter
 
@@ -175,25 +174,6 @@ def test_float_kernel_negotiates_and_settles_like_the_array_kernel(caplog):
     assert all(hits.values()), hits
 
 
-def test_float_kernel_raises_on_contradictory_demands_like_the_array_kernel():
-    # nodes 1 and 3 both ask node 2 for help through channels of opposite
-    # sign, for u_2 >= 10 and u_2 <= -10: node 2's request polytope is empty
-    graph = NetworkGraph(3, [(2, 1), (2, 3)])
-    psi2 = np.array([-1.0, 0.0, -1.0]), np.zeros(3), np.zeros(3), np.array([1.0, -1.0])
-    model = _model_on(graph, np.random.default_rng(3))
-    gains = barrier_arrays({i: BarrierSpec(0.5) for i in (1, 2, 3)}, (1, 2, 3))
-    raised = []
-    for kernel in _kernels(model, gains, np.zeros(3), np.zeros(3), np.full(3, 0.1),
-                           outer_cap=16, inner_cap=64, weights_mode="coupling"):
-        with pytest.raises(CcbfError) as caught:
-            kernel.settle(np.ones(3), np.ones(3), *psi2, None, True)
-        raised.append(caught.value)
-    ref, got = raised
-    assert type(ref).__name__ == "GeometryConvergenceError"
-    assert type(got) is type(ref) and str(got) == str(ref)
-    assert _bits(got.last_iterate) == _bits(ref.last_iterate)
-
-
 def test_float_certificate_point_matches_the_array_choice():
     # random certificates of every shape, and a convex one whose two pieces
     # are equally far from the nominal 0, where the first piece must win
@@ -268,24 +248,25 @@ def test_shared_filter_rule_matches_the_array_filter_on_signed_zeros():
     assert ref_relaxed[~np.array(frozen)].any() and ref_relaxed[np.array(frozen)].any()
 
 
-def test_shared_nearest_point_matches_the_array_closest_points_on_signed_zeros():
-    # a frozen helper's point lands in result.csv as its control: every sign
-    # of zero at the request interval's ends and the box's ends
-    ends = [-1.0, -0.0, 0.0, 1.0]
-    combos = [(plo, phi, lo, hi) for plo, phi, lo, hi in itertools.product(ends, repeat=4)
-              if plo <= phi and lo <= hi]
-    plo, phi, lo, hi = map(np.array, zip(*combos))
-    ref = _closest_points(np.ones(len(combos), dtype=bool), plo, phi, lo, hi)
-    got = [nearest_point(*case) for case in combos]
-    assert _bits(got) == _bits(ref)
-    assert any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in got)
+def _spy_on_coupling(kernel, couplings: list) -> None:
+    """Make kernel's settle append the coupling its step passes it to couplings."""
+    settle = kernel.settle
+
+    def spy(*args):
+        couplings.append(np.array(args[5], dtype=float))
+        return settle(*args)
+    kernel.settle = spy
 
 
 def test_float_kernel_steps_like_the_array_kernel_on_random_states(caplog):
     # the Lie terms and psi2 blocks of random SIS models, through a whole
-    # step; some models have rates large enough to overflow a Lie term
+    # step; some models have rates large enough to overflow a Lie term.
+    # Every coupling a step hands its negotiation is (1 - x_i) beta_ij x_j
+    # with x in [0, 1] and beta >= 0: never below 0, which both kernels'
+    # one-sided negotiation relies on
     rng = np.random.default_rng(515)
-    hits = dict.fromkeys(["negotiated", "non_finite", "rate", "one_idle_node"], 0)
+    hits = dict.fromkeys(["negotiated", "non_finite", "rate", "one_idle_node",
+                          "negative_zero_coupling"], 0)
     with caplog.at_level(logging.WARNING, logger="ccbf"):
         for _ in range(400):
             n = int(rng.integers(1, 7))
@@ -307,6 +288,9 @@ def test_float_kernel_steps_like_the_array_kernel_on_random_states(caplog):
                            weights_mode=str(rng.choice(["coupling", "uniform"])))
             kernels = _kernels(model, gains, rng.uniform(0.0, 0.5, n), np.zeros(n),
                                model.params.u_max.copy(), **options)
+            couplings: list = []
+            for kernel in kernels:
+                _spy_on_coupling(kernel, couplings)
             for negotiate in (True, False):
                 with np.errstate(over="ignore", invalid="ignore"):
                     (ref, ref_warned, ref_err), (got, warned, err) = [
@@ -321,6 +305,10 @@ def test_float_kernel_steps_like_the_array_kernel_on_random_states(caplog):
                     hits["rate"] += bool(udot.any())
                     hits["one_idle_node"] += n == 1 and model.self_weight[0] == 0.0
                 hits["non_finite"] += type(ref_err).__name__ == "NumericsError"
+            for coupling in couplings:
+                assert not np.any(coupling < 0.0), coupling
+                hits["negative_zero_coupling"] += bool(np.any((coupling == 0.0)
+                                                              & np.signbit(coupling)))
     assert all(hits.values()), hits
 
 

@@ -514,6 +514,21 @@ def test_bad_x0_shape_rejected():
         run_scenario(model, specs, np.zeros(4), dt=0.01, t_final=1.0)
 
 
+@pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
+def test_x0_outside_the_unit_interval_is_rejected(bad):
+    # a state outside [0, 1] would give a negative coupling (1 - x_i) beta_ij x_j,
+    # which the kernels' one-sided negotiation does not take
+    model, specs = _paper_model()
+    x0 = np.array([0.5, bad, bad])
+    with pytest.raises(ValueError,
+                       match=rf"^x0 entries must be in \[0, 1\], got {bad} at node 2$"):
+        run_scenario(model, specs, x0, t_final=0.01)
+    # either zero and 1 are inside; without collaboration nothing halts the run
+    x0 = np.array([-0.0, 1.0, 0.0])
+    res = run_scenario(model, specs, x0, t_final=0.01, collaboration=False)
+    assert res.halted_at is None and res.states[0].tobytes() == x0.tobytes()
+
+
 def test_missing_specs_and_bad_shapes_raise_dimension_errors():
     model, specs = _weak_two_node()
     with pytest.raises(DimensionError, match=r"^specs has no entry for nodes 2$"):
