@@ -4,6 +4,9 @@ Second-order control barrier chains whose cross terms couple neighbor
 controls, a negotiation protocol that turns capability deficits into
 neighbor control regions, and a minimally invasive safety filter, packaged
 with a networked SIS epidemic instance and a scenario CLI.
+
+The per-node reference protocol and its region geometry, `ccbf.collab`
+and `ccbf.geometry`, load on first use: no run calls them.
 """
 
 from __future__ import annotations
@@ -21,16 +24,6 @@ from .barrier import (
     max_capability,
     psi0,
     psi1,
-)
-from .collab import (
-    CollabLedger,
-    CollabMessage,
-    ProtocolOutcome,
-    collaborate,
-    collaborative_safety,
-    coordinate,
-    message_rows,
-    partition,
 )
 from .config import ScenarioConfig, normalize_config, parse_config
 from .dynamics import (
@@ -52,13 +45,6 @@ from .errors import (
     ProtocolStallError,
     ProtocolStateError,
     TerminallyInfeasibleError,
-)
-from .geometry import (
-    ControlRegion,
-    Halfspace,
-    closest_point,
-    is_empty,
-    weakly_non_interfering,
 )
 from .graph import NetworkGraph, edge_layout, in_neighbors, out_neighbors
 from .simulate import (
@@ -125,3 +111,29 @@ __all__ = [
     "normalize_config",
     "__version__",
 ]
+
+# what __getattr__ loads on first use: the per-node reference modules and
+# the names of __all__ that they define
+_REFERENCE = {
+    "collab": "collab",
+    "geometry": "geometry",
+    **dict.fromkeys(["CollabLedger", "CollabMessage", "ProtocolOutcome", "collaborate",
+                     "collaborative_safety", "coordinate", "message_rows", "partition"],
+                    "collab"),
+    **dict.fromkeys(["ControlRegion", "Halfspace", "closest_point", "is_empty",
+                     "weakly_non_interfering"], "geometry"),
+}
+
+
+def __getattr__(name: str):
+    module = _REFERENCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    owner = import_module(f"{__name__}.{module}")
+    return owner if module == name else getattr(owner, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_REFERENCE})

@@ -33,12 +33,11 @@ import math
 
 import numpy as np
 
-from .barrier import CERT_TOL, PSI1_TOL, BarrierArrays
 # log is the protocol's logger: the array negotiation warns as the per-node one does
-from .collab import MARGIN_TOL, _infeasible, log
+from .barrier import (CERT_TOL, MARGIN_TOL, NEGLIGIBLE_NORMAL, PSI1_TOL, BarrierArrays,
+                      _infeasible, log)
 from .dynamics import SisModel, rk4_step
 from .errors import EmptyRegionError, NumericsError, ProtocolStallError
-from .geometry import NEGLIGIBLE_NORMAL
 
 
 def _check_lie_terms(x: np.ndarray, f: np.ndarray, lf2_h: np.ndarray, lg_lf_h: np.ndarray,
@@ -72,13 +71,13 @@ def _self_terms(constant: np.ndarray, linear: np.ndarray, quadratic: np.ndarray)
     return constant, linear, quadratic, t, constant + linear * t + quadratic * t * t
 
 
-def _capability(self_terms: tuple, lo: np.ndarray, hi: np.ndarray, frozen: np.ndarray,
-                point: np.ndarray) -> np.ndarray:
+def _capability(self_terms: tuple, lo: np.ndarray, hi: np.ndarray,
+                frozen: np.ndarray) -> np.ndarray:
     """Every scalar node's max_capability on its region, bit for bit.
 
     self_terms is what _self_terms returns.  Node i's region is the
     interval [lo, hi] at entry i-1, or, where frozen is True, the single
-    point `point`.  A frozen node takes its own quadratic's value at the
+    point hi.  A frozen node takes its own quadratic's value at that
     point, rounded as QuadraticForm.value rounds it; any other node takes
     the exact maximum over [lo, hi], comparing the candidates lo, hi and
     the interior stationary point in that order and keeping the first of
@@ -91,7 +90,7 @@ def _capability(self_terms: tuple, lo: np.ndarray, hi: np.ndarray, frozen: np.nd
     np.putmask(best, (lo < t) & (t < hi) & (f_t > best), f_t)
     if np.count_nonzero(frozen):
         # QuadraticForm.value: its one-element dot products add to +0.0
-        np.putmask(best, frozen, (c + (l * point + 0.0)) + ((point * q + 0.0) * point + 0.0))
+        np.putmask(best, frozen, (c + (l * hi + 0.0)) + ((hi * q + 0.0) * hi + 0.0))
     return best
 
 
@@ -248,13 +247,13 @@ def _certificate_choice(c: np.ndarray, l: np.ndarray, q: np.ndarray, want: np.nd
 
 
 def safety_filter_arrays(nominal: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                         frozen: np.ndarray, point: np.ndarray, base: np.ndarray,
-                         lg_h: np.ndarray, certificate: tuple | None = None,
+                         frozen: np.ndarray, base: np.ndarray, lg_h: np.ndarray,
+                         certificate: tuple | None = None,
                          certified: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """safety_filter for every scalar node at once, bit for bit.
 
-    Node i's region is [lo, hi] at entry i-1, or `point` where frozen is
-    True.  base is each node's psi1 at zero control, L_f h + eta * h, and
+    Node i's region is [lo, hi] at entry i-1, or the point hi where frozen
+    is True.  base is each node's psi1 at zero control, L_f h + eta * h, and
     lg_h its L_g h.  certificate holds the constant, linear and quadratic
     blocks of the own-margin forms of the nodes where `certified` is True;
     the other nodes filter without one.  Returns the packed controls and
@@ -290,8 +289,8 @@ def safety_filter_arrays(nominal: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     if np.count_nonzero(relaxed):
         u = np.where(feasible, u, np.where(steer, np.where(up, hi, lo), _clamp(nominal, lo, hi)))
     if np.count_nonzero(frozen):
-        np.putmask(u, frozen, point)
-        np.putmask(relaxed, frozen, base + a * point < -PSI1_TOL)
+        np.putmask(u, frozen, hi)
+        np.putmask(relaxed, frozen, base + a * hi < -PSI1_TOL)
     return u, relaxed
 
 
@@ -372,7 +371,7 @@ class ArrayKernel:
         """
         certified = certificate = None
         if negotiate:
-            lo, hi, frozen, point, caps, allocated, _, *rounds = self.negotiate(
+            lo, hi, frozen, caps, allocated, _, *rounds = self.negotiate(
                 constant, linear, quadratic, coupling, records)
             # A node that negotiated help owes its own share of the closed
             # margin, a floor of -allocated; self-sufficient nodes stay
@@ -381,10 +380,10 @@ class ArrayKernel:
             if np.count_nonzero(certified):
                 certificate = constant - allocated, linear, quadratic
         else:
-            lo, hi, frozen, point = self.box_lo, self.box_hi, self.unfrozen, self.box_hi
-            caps = _capability(_self_terms(constant, linear, quadratic), lo, hi, frozen, point)
+            lo, hi, frozen = self.box_lo, self.box_hi, self.unfrozen
+            caps = _capability(_self_terms(constant, linear, quadratic), lo, hi, frozen)
             rounds = 0, 0, False
-        u, relaxed = safety_filter_arrays(self.nominal, lo, hi, frozen, point, base, x,
+        u, relaxed = safety_filter_arrays(self.nominal, lo, hi, frozen, base, x,
                                           certificate, certified)
         return (u, caps, *rounds, relaxed)
 
@@ -400,10 +399,10 @@ class ArrayKernel:
         up to a raise, appends (sub_round, eligible, shares, eps) to
         records for message_rows, the last three as lists over the edges.
 
-        Returns lo, hi, frozen, point, capability and allocated per node,
-        out_alloc per edge, then the outer rounds, the sub-rounds and
-        whether the cap tripped.  Node i's region is [lo, hi] at entry i-1,
-        or its point, box_hi, where frozen is True.  out_alloc[e] is what
+        Returns lo, hi, frozen, capability and allocated per node, out_alloc
+        per edge, then the outer rounds, the sub-rounds and whether the cap
+        tripped.  Node i's region is [lo, hi] at entry i-1, or the point hi,
+        its box_hi, where frozen is True.  out_alloc[e] is what
         node target[e]+1 counts on from its in-neighbor source[e]+1, and
         what that neighbor committed to it: the ledgers' out_alloc, which
         in_req mirrors.  allocated sums each node's out_alloc in
@@ -424,7 +423,7 @@ class ArrayKernel:
         rising = None  # the per-edge terms, built when the first sub-round starts
         while True:
             outer += 1
-            capability = _capability(self_terms, lo, box_hi, frozen, box_hi)
+            capability = _capability(self_terms, lo, box_hi, frozen)
             deficit = capability - allocated
             if np.count_nonzero(deficit >= -MARGIN_TOL) == n:
                 break
@@ -491,8 +490,7 @@ class ArrayKernel:
                     break
                 deficit = capability - allocated
             total_sub += sub
-        return (lo, box_hi, frozen, box_hi, capability, allocated, out_alloc, outer, total_sub,
-                cap_tripped)
+        return lo, box_hi, frozen, capability, allocated, out_alloc, outer, total_sub, cap_tripped
 
     def advance(self, x: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
         """One rk4_step of dt under the controls u, then the model's clamp_state."""

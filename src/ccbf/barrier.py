@@ -29,21 +29,37 @@ build the same blocks and capabilities for every node, bit for bit.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from .dynamics import LieTable
-from .errors import DimensionError, EmptyRegionError, NumericsError
-from .geometry import ControlRegion
+from .errors import (DimensionError, EmptyRegionError, NumericsError,
+                     TerminallyInfeasibleError)
+
+if TYPE_CHECKING:
+    from .geometry import ControlRegion
+
+# the protocol's logger: both kernels' negotiations warn under the name the
+# per-node one always had
+log = logging.getLogger("ccbf.collab")
 
 # a psi1 this far below zero counts as violated
 PSI1_TOL = 1e-9
 # The own-margin constraint is enforced with this much slack so that a
 # negotiation that closed a deficit exactly leaves a nonempty control set.
 CERT_TOL = 1e-9
+# margins above this are treated as satisfied
+MARGIN_TOL = 1e-9
+DEFAULT_OUTER_CAP = 16
+DEFAULT_INNER_CAP = 64
+# how a node weighs its in-neighbors when it splits a request
+WEIGHT_MODES = ("coupling", "uniform")
+# request normals and split weights smaller than this are treated as absent
+NEGLIGIBLE_NORMAL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -208,3 +224,34 @@ def max_capability(decomp: Psi2Decomposition, region: ControlRegion
     val, t = _max_quadratic_on_interval(form.constant, float(form.linear[0]),
                                         float(form.quadratic[0, 0]), lo, hi)
     return val, np.array([t])
+
+
+def _infeasible(stuck: tuple[int, ...]) -> TerminallyInfeasibleError:
+    return TerminallyInfeasibleError(
+        "nodes "
+        + ", ".join(str(i) for i in stuck)
+        + " cannot close their safety margin with every in-neighbor refusing",
+        nodes=stuck)
+
+
+def _split(deficit: float, weights: list[float]) -> list[float] | None:
+    """deficit split over weights in proportion; negligible weights get exactly 0.
+
+    None when every weight is negligible.  Each sum runs from +0.0 in list
+    order.
+    """
+    total = 0.0
+    for w in weights:
+        if w > NEGLIGIBLE_NORMAL:
+            total += w
+    if not total > 0.0:
+        return None
+    shares = []
+    spread = 0.0
+    for w in weights:
+        share = deficit * (w / total) if w > NEGLIGIBLE_NORMAL else 0.0
+        shares.append(share)
+        spread += share
+    spread -= deficit
+    assert abs(spread) <= 1e-12 * max(1.0, abs(deficit)), "partition must conserve the margin"
+    return shares

@@ -16,8 +16,6 @@ several scenarios across worker processes, one subdirectory each.
 
 from __future__ import annotations
 
-import argparse
-import importlib.resources
 import json
 import logging
 import os
@@ -25,6 +23,7 @@ import platform
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,6 +31,9 @@ from . import __version__
 from .config import KNOWN_KEYS, ScenarioConfig, normalize_config, parse_config
 from .errors import CcbfError, ConfigError
 from .simulate import run_scenario, write_messages_csv, write_result_csv
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -60,6 +62,8 @@ def read_scenario_text(name: str) -> str:
         return path.read_text(encoding="utf-8")
     base = name if name.endswith(".cfg") else name + ".cfg"
     if os.sep not in name and "/" not in name:
+        import importlib.resources  # only a bundled name reads the package data
+
         bundled = importlib.resources.files("ccbf").joinpath("scenarios", base)
         if bundled.is_file():
             return bundled.read_text(encoding="utf-8")
@@ -191,6 +195,8 @@ def cmd_sweep(args) -> int:
 
 def _worker_count(text: str) -> int:
     """The --workers value: an integer of at least 1, or a usage error."""
+    import argparse
+
     try:
         count = int(text)
     except ValueError:
@@ -201,6 +207,8 @@ def _worker_count(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # a run driven through run_config parses no command line
+
     parser = argparse.ArgumentParser(
         prog="ccbf",
         description="Simulate decentralized barrier-certified control of "

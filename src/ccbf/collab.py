@@ -32,38 +32,27 @@ synchronous, which makes the protocol bit-for-bit deterministic.
 `collaborative_safety` runs the protocol on per-node ledgers and regions:
 it is the reference.  The closed loop runs it in a step kernel, on Python
 floats in `floatkernel` or on edge arrays, O(E) per sub-round, in
-`arraykernel`; both match this one bit for bit.
+`arraykernel`; both match this one bit for bit.  What the kernels share
+with it, the margin tolerance, the round caps, the weight modes, the
+proportional split `_split`, the infeasibility error and the logger
+"ccbf.collab", lives in `barrier`, and the message order `exchange_order`
+in `graph`: a run does not load this module.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .barrier import Psi2Decomposition, max_capability
-from .errors import DegenerateWeightsError, ProtocolStallError, TerminallyInfeasibleError
-from .geometry import (
-    NEGLIGIBLE_NORMAL,
-    ControlRegion,
-    Halfspace,
-    closest_point,
-    intersect,
-    is_empty,
-)
-from .graph import EdgeLayout, NetworkGraph, in_neighbors, out_neighbors
-
-log = logging.getLogger("ccbf.collab")
-
-# margins above this are treated as satisfied
-MARGIN_TOL = 1e-9
-DEFAULT_OUTER_CAP = 16
-DEFAULT_INNER_CAP = 64
-# how a node weighs its in-neighbors when it splits a request
-WEIGHT_MODES = ("coupling", "uniform")
+from .barrier import (DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP, MARGIN_TOL, NEGLIGIBLE_NORMAL,
+                      WEIGHT_MODES, Psi2Decomposition, _infeasible, _split, log,
+                      max_capability)
+from .errors import DegenerateWeightsError, ProtocolStallError
+from .geometry import ControlRegion, Halfspace, closest_point, intersect, is_empty
+from .graph import EdgeLayout, NetworkGraph, exchange_order, in_neighbors, out_neighbors
 
 
 class CollabMessage(NamedTuple):
@@ -101,42 +90,11 @@ class ProtocolOutcome:
     cap_tripped: bool = False
 
 
-def _infeasible(stuck: tuple[int, ...]) -> TerminallyInfeasibleError:
-    return TerminallyInfeasibleError(
-        "nodes "
-        + ", ".join(str(i) for i in stuck)
-        + " cannot close their safety margin with every in-neighbor refusing",
-        nodes=stuck)
-
-
 def _allocated(ledger: CollabLedger) -> float:
     total = 0.0  # builtin sum() compensates its additions from Python 3.12 on
     for j in sorted(ledger.out_alloc):
         total += ledger.out_alloc[j]
     return total
-
-
-def _split(deficit: float, weights: list[float]) -> list[float] | None:
-    """deficit split over weights in proportion; negligible weights get exactly 0.
-
-    None when every weight is negligible.  Each sum runs from +0.0 in list
-    order.
-    """
-    total = 0.0
-    for w in weights:
-        if w > NEGLIGIBLE_NORMAL:
-            total += w
-    if not total > 0.0:
-        return None
-    shares = []
-    spread = 0.0
-    for w in weights:
-        share = deficit * (w / total) if w > NEGLIGIBLE_NORMAL else 0.0
-        shares.append(share)
-        spread += share
-    spread -= deficit
-    assert abs(spread) <= 1e-12 * max(1.0, abs(deficit)), "partition must conserve the margin"
-    return shares
 
 
 def partition(deficit: float, weights: Mapping[int, float]) -> dict[int, float]:
@@ -316,15 +274,6 @@ def collaborative_safety(graph: NetworkGraph,
                                  messages=messages, sub_round_start=total_sub)
     regions = {i: ledgers[i].region for i in nodes}
     return ProtocolOutcome(regions, ledgers, outer, total_sub, cap_tripped)
-
-
-def exchange_order(layout: EdgeLayout) -> tuple[list, list, list]:
-    """The (from, to) of a request per edge, in edge order; of an
-    adjustment per edge, by source; and each adjustment's edge."""
-    requester, helper = layout.target + 1, layout.source + 1
-    edges = layout.by_source
-    return (list(zip(requester.tolist(), helper.tolist())),
-            list(zip(helper[edges].tolist(), requester[edges].tolist())), edges.tolist())
 
 
 def message_rows(layout: EdgeLayout, records: Iterable[tuple]) -> Iterator[tuple]:

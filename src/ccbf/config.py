@@ -34,8 +34,7 @@ from itertools import compress
 
 import numpy as np
 
-from .barrier import BarrierSpec
-from .collab import DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP, WEIGHT_MODES
+from .barrier import DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP, WEIGHT_MODES, BarrierSpec
 from .dynamics import SisModel, SisParams
 from .errors import ConfigError
 from .graph import NetworkGraph, edge_index

@@ -234,8 +234,9 @@ class SisModel:
         return table
 
     def clamp_state(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        clipped = x.clip(0.0, 1.0)
-        return clipped, float(np.abs(clipped - x).max())
+        clipped = x.clip(0.0, 1.0)  # clip keeps a -0.0 state
+        # np.maximum.reduce is max()'s reduction without its Python-level wrapper
+        return clipped, float(np.maximum.reduce(np.abs(clipped - x)))
 
     def pressure(self, x) -> np.ndarray:
         """Every node's sum_j beta_ij x_j in one BLAS product, for both kernels' RK4."""

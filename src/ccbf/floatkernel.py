@@ -31,9 +31,11 @@ here, and the array kernel in `arraykernel`.  The reference calls the same
 scalar rules as this kernel: the capability on an interval
 (`barrier._max_quadratic_on_interval`, as `max_capability`), the
 certificate filter (`filter_point` here, as `simulate.safety_filter`) and
-the proportional split (`collab._split`, as `partition`).  The array kernel
-shares no arithmetic with either: it is the independent implementation
-that both are pinned to.
+the proportional split (`barrier._split`, as `partition`).  The tolerances,
+caps and logger it shares with the reference live in `barrier` too, so a
+run never loads `collab` or `geometry`.  The array kernel shares no
+arithmetic with either: it is the independent implementation that both
+are pinned to.
 """
 
 from __future__ import annotations
@@ -43,11 +45,10 @@ from itertools import compress
 
 import numpy as np
 
-from .barrier import CERT_TOL, PSI1_TOL, BarrierArrays, _max_quadratic_on_interval
-from .collab import MARGIN_TOL, _infeasible, _split, log
+from .barrier import (CERT_TOL, MARGIN_TOL, NEGLIGIBLE_NORMAL, PSI1_TOL, BarrierArrays,
+                      _infeasible, _max_quadratic_on_interval, _split, log)
 from .dynamics import SisModel
 from .errors import NumericsError, ProtocolStallError
-from .geometry import NEGLIGIBLE_NORMAL
 
 
 def _clamp(v: float, lo: float, hi: float) -> float:
@@ -210,20 +211,20 @@ class FloatKernel:
         """ArrayKernel.settle on lists; coupling is over the edges."""
         n = self.n
         if negotiate:
-            lo, hi, frozen, point, caps, allocated, _, *rounds = self.negotiate(
+            lo, hi, frozen, caps, allocated, _, *rounds = self.negotiate(
                 constant, linear, quadratic, coupling, records)
         else:
-            lo, hi, frozen, point = self.box_lo, self.box_hi, [False] * n, self.box_hi
-            caps = self._capability(constant, linear, quadratic, lo, hi, frozen, point)
+            lo, hi, frozen = self.box_lo, self.box_hi, [False] * n
+            caps = self._capability(constant, linear, quadratic, lo, hi, frozen)
             allocated = [0.0] * n  # so no node owes a certificate
             rounds = 0, 0, False
 
         controls, relaxed = [], []
-        for a, b, c, l, q, lo_i, hi_i, stuck, p, want, got in zip(
-                x, base, constant, linear, quadratic, lo, hi, frozen, point, self.nominal,
+        for a, b, c, l, q, lo_i, hi_i, stuck, want, got in zip(
+                x, base, constant, linear, quadratic, lo, hi, frozen, self.nominal,
                 allocated):  # L_g h of a scalar node is its state
-            if stuck:
-                u, lax = p, b + a * p < -PSI1_TOL
+            if stuck:  # frozen at the top of its box
+                u, lax = hi_i, b + a * hi_i < -PSI1_TOL
             else:
                 # a node that negotiated help owes its own share of the closed margin
                 u, lax = filter_point(a, b, lo_i, hi_i, want,
@@ -273,13 +274,13 @@ class FloatKernel:
 
     @staticmethod
     def _capability(constant: list, linear: list, quadratic: list, lo: list, hi: list,
-                    frozen: list, point: list) -> list:
-        """Each node's best self term on its region; its value at a frozen point."""
+                    frozen: list) -> list:
+        """Each node's best self term on its region; a frozen node's value at hi."""
         # a point's value is QuadraticForm.value's: its one-element dot products add to +0.0
-        return [(c + (l * p + 0.0)) + ((p * q + 0.0) * p + 0.0) if stuck
+        return [(c + (l * hi_i + 0.0)) + ((hi_i * q + 0.0) * hi_i + 0.0) if stuck
                 else _max_quadratic_on_interval(c, l, q, lo_i, hi_i)[0]
-                for c, l, q, lo_i, hi_i, stuck, p in zip(constant, linear, quadratic, lo, hi,
-                                                         frozen, point)]
+                for c, l, q, lo_i, hi_i, stuck in zip(constant, linear, quadratic, lo, hi,
+                                                      frozen)]
 
     def _partition(self, deficit: list, weight: list, eligible: list) -> list:
         """Each asking node's deficit split over its eligible in-edges by weight."""
@@ -309,10 +310,9 @@ class FloatKernel:
                   records: list[tuple] | None) -> tuple:
         """ArrayKernel.negotiate on lists; a is psi2's coupling over the edges.
 
-        Returns lo, hi, frozen, point, capability and allocated per node,
-        out_alloc per edge, then the outer rounds, the sub-rounds and
-        whether the cap tripped.  Only a frozen node's point, box_hi, is
-        meaningful.
+        Returns lo, hi, frozen, capability and allocated per node, out_alloc
+        per edge, then the outer rounds, the sub-rounds and whether the cap
+        tripped.  A frozen node's region is the point hi, its box_hi.
         """
         n, rows, edges = self.n, self.rows, len(a)
         box_lo, box_hi = self.box_lo, self.box_hi
@@ -326,7 +326,7 @@ class FloatKernel:
         cap_tripped = False
         while True:
             outer += 1
-            caps = self._capability(constant, linear, quadratic, lo, box_hi, frozen, box_hi)
+            caps = self._capability(constant, linear, quadratic, lo, box_hi, frozen)
             deficit = [cap - got for cap, got in zip(caps, allocated)]
             if all(d >= -MARGIN_TOL for d in deficit):
                 break
@@ -392,8 +392,7 @@ class FloatKernel:
                     break
                 deficit = [cap - got for cap, got in zip(caps, allocated)]
             total_sub += sub
-        return (lo, box_hi, frozen, box_hi, caps, allocated, out_alloc, outer, total_sub,
-                cap_tripped)
+        return lo, box_hi, frozen, caps, allocated, out_alloc, outer, total_sub, cap_tripped
 
     def _edge_tables(self, a: list) -> tuple:
         """The edges whose coupling is negligible, the split weights, and per

@@ -8,7 +8,8 @@ exact interval arithmetic.  `closest_point` and `is_empty` also take higher
 dimensions, by alternating projection between box and polytope with
 Dykstra's correction inside the polytope projection, which converges for
 this polyhedral family.  These are the per-node reference's regions; the
-step kernels' requests only raise a helper's floor and need none of them.
+step kernels' requests only raise a helper's floor and need none of them,
+so a run does not load this module.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .barrier import NEGLIGIBLE_NORMAL
 from .errors import DimensionError, EmptyRegionError, GeometryConvergenceError
 
 # iteration budget and tolerance for the projection loops
 PROJECTION_TOL = 1e-9
 PROJECTION_SWEEP_CAP = 100_000
-# request normals smaller than this are treated as absent channels
-NEGLIGIBLE_NORMAL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,7 @@ self-loop or an edge outside 1..node_count; the config loader reports such
 edges by key path before it builds a graph.  Neighbor listings are always
 in ascending id order; the whole pipeline relies on that for determinism.
 `edge_layout` lists the edges by target, as flat arrays, for the step
-kernels.
+kernels, and `exchange_order` the order the message log lists them in.
 """
 
 from __future__ import annotations
@@ -107,3 +107,12 @@ def edge_layout(graph: NetworkGraph) -> EdgeLayout:
     by_source = np.empty_like(by_target)
     by_source[by_target] = np.arange(len(src))
     return EdgeLayout(src[by_target], dst[by_target], by_source)
+
+
+def exchange_order(layout: EdgeLayout) -> tuple[list, list, list]:
+    """The (from, to) of a request per edge, in edge order; of an
+    adjustment per edge, by source; and each adjustment's edge."""
+    requester, helper = layout.target + 1, layout.source + 1
+    edges = layout.by_source
+    return (list(zip(requester.tolist(), helper.tolist())),
+            list(zip(helper[edges].tolist(), requester[edges].tolist())), edges.tolist())

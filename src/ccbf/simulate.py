@@ -38,19 +38,22 @@ import logging
 import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .arraykernel import ArrayKernel
-from .barrier import PSI1_TOL, BarrierSpec, QuadraticForm, barrier_arrays
-from .collab import DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP, WEIGHT_MODES, exchange_order
+from .barrier import (DEFAULT_INNER_CAP, DEFAULT_OUTER_CAP, PSI1_TOL, WEIGHT_MODES,
+                      BarrierSpec, QuadraticForm, barrier_arrays)
 from .dynamics import SisModel
 from .errors import (DimensionError, EmptyRegionError, ProtocolStallError,
                      TerminallyInfeasibleError)
 from .floatkernel import FloatKernel, filter_point
 from .g17 import NEWLINE, g17_rows, g17_slots, joined
-from .geometry import ControlRegion
-from .graph import EdgeLayout
+from .graph import EdgeLayout, exchange_order
+
+if TYPE_CHECKING:
+    from .geometry import ControlRegion
 
 log = logging.getLogger("ccbf.simulate")
 

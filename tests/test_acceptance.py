@@ -146,7 +146,7 @@ def _kernel_negotiations(graph, decomps, boxes):
     results = []
     for kind in (ArrayKernel, FloatKernel):
         records: list = []
-        lo_k, hi_k, frozen, _, caps, allocated, out_alloc, _, _, tripped = \
+        lo_k, hi_k, frozen, caps, allocated, out_alloc, _, _, tripped = \
             _protocol_kernel(kind, graph, lo, hi).negotiate(*psi2, records)
         committed = np.zeros(len(coupling))
         for _, _, shares, eps in records:

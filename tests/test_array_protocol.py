@@ -150,14 +150,14 @@ def test_array_protocol_matches_per_node_protocol(caplog):
                 hits["stall"] += type(ref_err).__name__ == "ProtocolStallError"
                 continue
             assert _message_bits(got_msgs) == _message_bits(ref_msgs)
-            g_lo, g_hi, frozen, point, capability, allocated, out_alloc, *rounds = got
+            g_lo, g_hi, frozen, capability, allocated, out_alloc, *rounds = got
             assert tuple(rounds) == (ref.outer_rounds, ref.sub_rounds, ref.cap_tripped)
             for i in graph.nodes():
                 ledger, region = ref.ledgers[i], ref.regions[i]
                 assert _bits(capability[i - 1]) == _bits(ledger.capability)
                 assert bool(frozen[i - 1]) == region.frozen
                 if region.frozen:
-                    assert _bits(point[i - 1]) == _bits(region.frozen_point[0])
+                    assert _bits(g_hi[i - 1]) == _bits(region.frozen_point[0])
                 else:
                     assert _bits([g_lo[i - 1], g_hi[i - 1]]) == _bits(region.interval())
             # the ledger mirror: what i counts on from j is what j committed to i
@@ -224,7 +224,8 @@ def test_array_filter_matches_per_node_filter():
         certified = rng.random(n) < 0.7
         certificate = tuple(np.array(block) for block in zip(*forms))
         base = lf_h + eta * (threshold - x)
-        u, relaxed = safety_filter_arrays(nominal, lo, hi, frozen, np.where(frozen, point, 0.0),
+        # a frozen node's region is the point hi
+        u, relaxed = safety_filter_arrays(nominal, lo, np.where(frozen, point, hi), frozen,
                                           base, gain, certificate, certified)
         for i in range(n):
             region = ControlRegion(((lo[i], hi[i]),),
@@ -296,8 +297,8 @@ def test_array_filter_takes_the_first_of_equidistant_pieces():
     # from (-inf, -r] as from [r, inf), and the per-node loop keeps the first
     certificate = np.array([-0.25]), np.zeros(1), np.ones(1)
     u, relaxed = safety_filter_arrays(np.zeros(1), np.array([-1.0]), np.array([1.0]),
-                                      np.zeros(1, dtype=bool), np.zeros(1), np.ones(1),
-                                      np.ones(1), certificate, np.ones(1, dtype=bool))
+                                      np.zeros(1, dtype=bool), np.ones(1), np.ones(1),
+                                      certificate, np.ones(1, dtype=bool))
     ref, _ = safety_filter(np.zeros(1), ControlRegion(((-1.0, 1.0),)), BarrierSpec(1.0),
                            SimpleNamespace(lf_h=1.0, lg_h=np.ones(1)), np.ones(1),
                            certificate=QuadraticForm(-0.25, np.zeros(1), np.ones((1, 1))))
@@ -308,12 +309,11 @@ def test_array_filter_takes_the_first_of_equidistant_pieces():
 def test_array_filter_names_the_first_empty_unfrozen_region():
     # a kernel hands the filter only boxes and negotiated regions, which are
     # frozen where empty; a direct caller can pass an empty one.  Node 2's
-    # empty interval is frozen to its point, so node 4 is named.
+    # empty interval is frozen to its hi, so node 4 is named.
     lo, hi = np.array([0.0, 1.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0, 0.0])
     frozen = np.array([False, True, False, False])
     with pytest.raises(EmptyRegionError, match=r"^node 4: negotiated region is empty$"):
-        safety_filter_arrays(np.zeros(4), lo, hi, frozen, np.full(4, 0.5), np.ones(4),
-                             np.ones(4))
+        safety_filter_arrays(np.zeros(4), lo, hi, frozen, np.ones(4), np.ones(4))
     # the per-node reference raises alike on node 4's region, a box cut
     # empty by a request
     region = ControlRegion(((0.0, 1.0),), (Halfspace(np.array([1.0]), -2.0),))
@@ -331,9 +331,10 @@ def test_array_capability_matches_per_node_on_signed_zeros():
                                     [(0.0, 0.0), (-0.0, 0.0), (0.0, 1.0), (-1.0, -0.0)]))
     c, l, q, p, box = zip(*combos)
     frozen = np.array([v is not None for v in p])
-    point = np.array([0.0 if v is None else v for v in p])
-    lo, hi = np.array([b[0] for b in box]), np.array([b[1] for b in box])
-    got = _capability(_self_terms(np.array(c), np.array(l), np.array(q)), lo, hi, frozen, point)
+    # a frozen node's region is the point hi
+    lo = np.array([b[0] for b in box])
+    hi = np.array([b[1] if v is None else v for b, v in zip(box, p)])
+    got = _capability(_self_terms(np.array(c), np.array(l), np.array(q)), lo, hi, frozen)
     for k, (ck, lk, qk, pk, bk) in enumerate(combos):
         form = QuadraticForm(ck, np.array([lk]), np.array([[qk]]))
         region = ControlRegion((bk,), frozen_point=None if pk is None else np.array([pk]))

@@ -540,12 +540,59 @@ def test_console_entry_point_exists():
     assert proc.stdout.startswith("ccbf ")
 
 
-def test_run_path_does_not_import_plot():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, ccbf.cli; print('ccbf.plot' in sys.modules)"],
-        capture_output=True, text=True)
+# what `ccbf run` and the bench's samples drive, in a fresh interpreter; the
+# last line it prints is the exit code and every module it loaded beyond
+# the interpreter's own start-up
+RUN_PATH = """\
+import sys
+started = set(sys.modules)
+from pathlib import Path
+import ccbf
+from ccbf import cli, config
+cfg = config.parse_config(cli.read_scenario_text(sys.argv[1]))
+code = cli.run_config(cfg, Path(sys.argv[2]))
+print(code, *sorted(set(sys.modules) - started))
+"""
+
+
+def test_run_path_loads_only_what_a_run_executes(tmp_path):
+    # the per-node reference, the plotter, the command-line parser, the
+    # package data reader and the sweep's pool: no run calls any of them.
+    # The start-up set is the baseline because a site hook may preload some.
+    cfg = tmp_path / "paper.cfg"
+    cfg.write_text(_edited(read_scenario_text("paper_sis3"),
+                           {"sim.trace": "true", "sim.t_final": "3.0"}), encoding="utf-8")
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", RUN_PATH, str(cfg), str(out)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    assert code == str(EXIT_OK)
+    assert (out / "messages.csv").read_text().count("\n") > 1, "the run negotiated"
+    assert "ccbf.simulate" in loaded
+    assert sorted(set(loaded) & {"ccbf.collab", "ccbf.geometry", "ccbf.plot", "argparse",
+                                 "importlib.resources", "concurrent.futures"}) == []
+
+
+def test_public_names_resolve_to_their_submodules():
+    import ccbf
+
+    star: dict = {}
+    exec("from ccbf import *", star)
+    assert sorted(star.keys() - {"__builtins__"}) == sorted(ccbf.__all__)
+    for name in ccbf.__all__:
+        value = getattr(ccbf, name)
+        assert star[name] is value, name
+        if name != "__version__":
+            assert getattr(sys.modules[value.__module__], name) is value, name
+    # the reference's modules and names, looked up as on first use
+    for name in ccbf._REFERENCE:
+        assert ccbf.__getattr__(name) is getattr(ccbf, name), name
+    for name in ("collab", "geometry"):
+        assert ccbf.__getattr__(name) is sys.modules[f"ccbf.{name}"]
+    assert {*ccbf._REFERENCE, *ccbf.__all__} <= set(dir(ccbf))
+    with pytest.raises(AttributeError, match="^module 'ccbf' has no attribute 'nope'$"):
+        ccbf.nope
 
 
 def test_bundled_scenario_file_is_packaged():

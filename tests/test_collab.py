@@ -152,7 +152,7 @@ def test_array_sums_on_an_edge_free_network_stay_float(n):
     graph = NetworkGraph(n, [])
     kernel = _protocol_kernel(ArrayKernel, graph, np.zeros(n), np.ones(n))
     blocks = np.zeros(n), np.zeros(n), np.zeros(0)
-    _, _, _, _, capability, allocated, *_ = kernel.negotiate(np.full(n, 0.1), *blocks, None)
+    _, _, _, capability, allocated, *_ = kernel.negotiate(np.full(n, 0.1), *blocks, None)
     assert allocated.dtype == capability.dtype == np.float64
     shares = partition_arrays(np.full(n, -0.5), np.zeros(0), np.ones(0, dtype=bool),
                               edge_layout(graph).target)

@@ -82,16 +82,15 @@ def _same_records(got, ref):
 
 
 def _same_negotiation(got, ref):
-    """Two negotiate results, field by field: a node's lo and hi where it
-    is not frozen, its point where it is, and every per-edge commitment."""
-    lo, hi, frozen, point, caps, allocated, out_alloc, *rounds = got
-    ref_lo, ref_hi, ref_frozen, ref_point, ref_caps, ref_allocated, ref_out_alloc, \
-        *ref_rounds = ref
+    """Two negotiate results, field by field: a node's hi, which is its
+    point where it is frozen, its lo where it is not, and every per-edge
+    commitment."""
+    lo, hi, frozen, caps, allocated, out_alloc, *rounds = got
+    ref_lo, ref_hi, ref_frozen, ref_caps, ref_allocated, ref_out_alloc, *ref_rounds = ref
     frozen, ref_frozen = np.array(frozen, dtype=bool), np.array(ref_frozen, dtype=bool)
     assert frozen.tolist() == ref_frozen.tolist()
-    assert _bits(np.array(point)[frozen]) == _bits(np.array(ref_point)[frozen])
     assert _bits(np.array(lo)[~frozen]) == _bits(np.array(ref_lo)[~frozen])
-    assert _bits(np.array(hi)[~frozen]) == _bits(np.array(ref_hi)[~frozen])
+    assert _bits(hi) == _bits(ref_hi)
     assert _bits(caps) == _bits(ref_caps)
     assert _bits(allocated) == _bits(ref_allocated)
     # the ledger mirror: what each requester counts on is what its helper committed
@@ -118,7 +117,7 @@ def test_both_kernels_have_one_interface():
     psi2 = np.array([-0.1, 0.5]), np.zeros(2), np.zeros(2), np.ones(2)
     fields = [len(_protocol_kernel(kind, graph, np.zeros(2), np.ones(2)).negotiate(*psi2, None))
               for kind in (ArrayKernel, FloatKernel)]
-    assert fields == [10, 10]
+    assert fields == [9, 9]
 
 
 def test_float_kernel_negotiates_and_settles_like_the_array_kernel(caplog):
@@ -149,7 +148,7 @@ def test_float_kernel_negotiates_and_settles_like_the_array_kernel(caplog):
                 hits["stall"] += type(ref_err).__name__ == "ProtocolStallError"
             else:
                 _same_negotiation(got[0], ref[0])
-                _, _, frozen, _, _, allocated, _, _, sub_rounds, cap_tripped = ref[0]
+                _, _, frozen, _, allocated, _, _, sub_rounds, cap_tripped = ref[0]
                 hits["frozen"] += bool(frozen.any())
                 hits["cap_trip"] += cap_tripped
                 hits["settled"] += sub_rounds > 0 and not cap_tripped
@@ -199,11 +198,11 @@ def test_float_capability_matches_the_array_capability_on_signed_zeros():
                                     [(0.0, 0.0), (-0.0, 0.0), (0.0, 1.0), (-1.0, -0.0)]))
     c, l, q, p, box = zip(*combos)
     frozen = [v is not None for v in p]
-    point = [0.0 if v is None else v for v in p]
-    lo, hi = [b[0] for b in box], [b[1] for b in box]
+    # a frozen node's region is the point hi
+    lo, hi = [b[0] for b in box], [b[1] if v is None else v for b, v in zip(box, p)]
     ref = _capability(_self_terms(np.array(c), np.array(l), np.array(q)), np.array(lo),
-                      np.array(hi), np.array(frozen), np.array(point))
-    got = FloatKernel._capability(list(c), list(l), list(q), lo, hi, frozen, point)
+                      np.array(hi), np.array(frozen))
+    got = FloatKernel._capability(list(c), list(l), list(q), lo, hi, frozen)
     assert _bits(got) == _bits(ref)
 
 
@@ -227,8 +226,8 @@ def test_shared_filter_rule_matches_the_array_filter_on_signed_zeros():
     frozen = [v is not None for v in p]
     forms = [(0.0, 0.0, 0.0) if f is None else f for f in cert]
     ref_u, ref_relaxed = safety_filter_arrays(
-        np.array(want), np.array(lo), np.array(hi), np.array(frozen),
-        np.array([0.0 if v is None else v for v in p]), np.array(base), np.array(a),
+        np.array(want), np.array(lo), np.array([h if v is None else v for h, v in zip(hi, p)]),
+        np.array(frozen), np.array(base), np.array(a),
         tuple(map(np.array, zip(*forms))), np.array([f is not None for f in cert]))
     for k, (a_k, base_k, (lo_k, hi_k), want_k, cert_k, p_k) in enumerate(combos):
         if p_k is None:  # the rule itself, as FloatKernel.settle calls it
