@@ -22,6 +22,7 @@ import os
 import platform
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -88,15 +89,22 @@ def run_config(cfg: ScenarioConfig, out_dir: Path) -> int:
     model = cfg.build_model()
     specs = cfg.build_specs()
     x0 = np.array(cfg.x0)
-    started = time.perf_counter()
-    result = run_scenario(model, specs, x0, **cfg.run_kwargs())
-    elapsed = time.perf_counter() - started
+    (out_dir / "meta.json").unlink(missing_ok=True)  # a run that fails midway leaves none
+    written = 0.0
+    with open(out_dir / "result.csv", "wb") as table, \
+            open(out_dir / "messages.csv", "wb") if cfg.trace else nullcontext() as trace:
 
-    started = time.perf_counter()
-    write_result_csv(out_dir / "result.csv", result)
-    if cfg.trace:
-        write_messages_csv(out_dir / "messages.csv", result)
-    written = time.perf_counter() - started
+        def write(block):  # the run's sink: each block is written as it fills
+            nonlocal written
+            started = time.perf_counter()
+            write_result_csv(table, block)
+            if trace is not None:
+                write_messages_csv(trace, block)
+            written += time.perf_counter() - started
+
+        started = time.perf_counter()
+        result = run_scenario(model, specs, x0, **cfg.run_kwargs(), sink=write)
+        elapsed = time.perf_counter() - started - written
     meta = {
         "config": normalize_config(cfg),
         "versions": {

@@ -1,4 +1,4 @@
-"""Closed-loop simulation: snapshot, negotiate, filter, integrate.
+"""Closed-loop simulation: snapshot, negotiate, filter, integrate, stream.
 
 `run_scenario` runs a `SisModel`.  Every step runs the same pipeline at
 the current state: build every node's Lie terms and psi2 blocks,
@@ -23,7 +23,9 @@ bit for bit.
 The recorded row at t = k dt carries the state at t, the control applied
 on [t, t+dt), the negotiated capability, and the round counts for that
 step; the final row repeats the pipeline at t_final without integrating
-further, so a run over N steps yields N+1 rows.
+further, so a run over N steps yields N+1 rows.  The loop hands each block
+of rows, with the sub-rounds logged at them, to a sink: the CLI's writes it
+out, so a run holds one block, and the default one joins the blocks.
 
 `write_result_csv` and `write_messages_csv` spell every float as
 `'%.17g' % value` does.  They format blocks of at least BLOCK_VALUES
@@ -36,7 +38,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 from itertools import chain, islice
 from typing import TYPE_CHECKING
 
@@ -176,6 +180,24 @@ def step_count(t_final: float, dt: float, nodes: int = 1) -> int:
     return whole
 
 
+# A run streams, and the writers format, whole rows (or sub-rounds) of at
+# least this many values at once: enough to spread numpy's cost per call, few
+# enough that a block's tables, slots and text stay small.
+BLOCK_VALUES = 2048
+
+
+def block_rows(nodes: int) -> int:
+    """Rows of a streamed block: whole result.csv rows of at least BLOCK_VALUES values."""
+    return -(-BLOCK_VALUES // (4 * nodes + 3))
+
+
+def _joined(blocks: list[ScenarioResult]) -> ScenarioResult:
+    """The blocks of one run as one result."""
+    return replace(blocks[0], messages=[m for b in blocks for m in b.messages], **{
+        name: np.concatenate([getattr(b, name) for b in blocks]) for name in (
+            "times", "states", "controls", "capabilities", "outer_rounds", "inner_rounds")})
+
+
 def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
                  *,
                  dt: float = 0.01,
@@ -187,7 +209,8 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
                  outer_cap: int = DEFAULT_OUTER_CAP,
                  inner_cap: int = DEFAULT_INNER_CAP,
                  continue_on_infeasible: bool = False,
-                 collect_messages: bool = False) -> ScenarioResult:
+                 collect_messages: bool = False,
+                 sink: Callable[[ScenarioResult], object] | None = None) -> ScenarioResult:
     """Run the closed loop from x0 to t_final and record every step.
 
     specs holds every node's BarrierSpec, and nominal is the packed nominal
@@ -201,6 +224,11 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
     the run unless continue_on_infeasible is set, which reruns the step on
     the full boxes and logs one warning for the run; a stalled negotiation
     always halts it.
+
+    Each block of block_rows(n) rows goes to sink as a ScenarioResult of
+    its rows and their sub-rounds, the last one partial, with a halting
+    step's sub-rounds.  Without a sink the blocks are joined into the
+    result returned; with one, that result has the run's fields, no rows.
     """
     for name, value, allowed in (("udot_policy", udot_policy, UDOT_POLICIES),
                                  ("weights_mode", weights_mode, WEIGHT_MODES)):
@@ -224,13 +252,18 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
     nsteps = step_count(t_final, dt, n)
     kernel = _kernel(model, specs, want, outer_cap=outer_cap, inner_cap=inner_cap,
                      weights_mode=weights_mode)
+    thresholds = tuple(specs[i].threshold for i in nodes)
+    width = block_rows(n)
+    kept: list[ScenarioResult] = []
+    emit = kept.append if sink is None else sink
 
-    states = np.zeros((nsteps + 1, n))
-    controls = np.zeros((nsteps + 1, n))
-    capabilities = np.zeros((nsteps + 1, n))
-    outer_rounds = np.zeros(nsteps + 1, dtype=int)
-    inner_rounds = np.zeros(nsteps + 1, dtype=int)
-    logged: list[tuple[float, list[tuple]]] = []
+    def block(stop: int, sub_rounds: list) -> ScenarioResult:
+        rows = stop - start  # rows start..stop-1, with the sub-rounds logged at them
+        return ScenarioResult(np.arange(start, stop) * dt, states[:rows], controls[2:rows + 2],
+                              capabilities[:rows], outer_rounds[:rows], inner_rounds[:rows],
+                              thresholds, messages=sub_rounds, layout=model.layout)
+
+    start, logged, carried = 0, [], np.zeros((2, n))
 
     halted_at: float | None = None
     halt_reason: str | None = None
@@ -241,9 +274,17 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
 
     udot = np.zeros(n)
     for k in range(nsteps + 1):
+        if k - start == width:  # a full block: hand it on and start the next
+            emit(block(k, logged))
+            start, logged, carried = k, [], controls[-2:]
+        if k == start:  # a block's tables; its controls begin with the two rows before it
+            states, capabilities = np.empty((2, width, n))
+            outer_rounds, inner_rounds = np.empty((2, width), dtype=int)
+            controls = np.concatenate([carried, np.empty((width, n))])
+        row = k - start
         t = k * dt
         if udot_policy == "backward_difference" and k >= 2:
-            udot = (controls[k - 1] - controls[k - 2]) / dt
+            udot = (controls[row + 1] - controls[row]) / dt
         records: list[tuple] | None = [] if collect_messages else None
         try:
             u, caps, outer, sub, tripped, relaxed = kernel.step(x, udot, records, collaboration)
@@ -266,8 +307,8 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
             if records:
                 logged.append((t, records))
 
-        outer_rounds[k] = outer
-        inner_rounds[k] = sub
+        outer_rounds[row] = outer
+        inner_rounds[row] = sub
         cap_tripped_steps += tripped
         if any(relaxed):
             relaxed_steps += relaxed
@@ -275,15 +316,16 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
                 for i in np.flatnonzero(relaxed):
                     log.debug("t=%.6g node %d: psi1 constraint relaxed", t, i + 1)
 
-        states[k] = x
-        controls[k] = u
-        capabilities[k] = caps
+        states[row] = x
+        controls[row + 2] = u
+        capabilities[row] = caps
 
         if k < nsteps:
             x, moved = kernel.advance(x, u, dt)
             max_clamp = max(max_clamp, moved)
 
     rows = k if halted_at is not None else nsteps + 1
+    emit(block(rows, logged))
     if cap_tripped_steps:
         log.warning("%d of %d steps hit the outer round cap (%d) with negotiation still open",
                     cap_tripped_steps, rows, outer_cap)
@@ -291,14 +333,11 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
         log.warning("%d of %d steps were terminally infeasible at nodes %s and continued "
                     "with unconstrained boxes", continued_steps, rows,
                     ", ".join(map(str, infeasible_nodes)))
-    thresholds = tuple(specs[i].threshold for i in nodes)
-    return ScenarioResult(
-        times=np.arange(rows) * dt, states=states[:rows], controls=controls[:rows],
-        capabilities=capabilities[:rows], outer_rounds=outer_rounds[:rows],
-        inner_rounds=inner_rounds[:rows], thresholds=thresholds,
+    return replace(
+        _joined(kept) if sink is None else block(start, []),
         halted_at=halted_at, halt_reason=halt_reason, infeasible_nodes=infeasible_nodes,
         max_clamp=max_clamp, cap_tripped_steps=cap_tripped_steps,
-        relaxed_steps=tuple(relaxed_steps.tolist()), messages=logged, layout=model.layout)
+        relaxed_steps=tuple(relaxed_steps.tolist()))
 
 
 def run_uncontrolled(model: SisModel, x0: np.ndarray, *,
@@ -325,10 +364,9 @@ def run_uncontrolled(model: SisModel, x0: np.ndarray, *,
     return np.arange(nsteps + 1) * dt, states
 
 
-# The writers format whole rows (or sub-rounds) of at least this many values
-# at once: enough to spread numpy's cost per call, few enough that a block's
-# slots and text stay small beside the run's own arrays.
-BLOCK_VALUES = 2048
+def _opened(path):
+    """A context for writing to path: the file object itself, or the named file opened anew."""
+    return nullcontext(path) if hasattr(path, "write") else open(path, "wb")
 
 
 def write_result_csv(path, result: ScenarioResult) -> None:
@@ -339,19 +377,19 @@ def write_result_csv(path, result: ScenarioResult) -> None:
     '%.17g' spells as %d does.  Whole rows of at least BLOCK_VALUES values
     at a time are copied into one float table and formatted by `g17_rows`
     (see `ccbf.g17` for its exact range and the per-value fallback), so
-    neither the table's text nor a whole-table copy is ever held.
+    neither the table's text nor a whole-table copy is ever held.  path is
+    a file name, or a binary file open for writing, which gets the header
+    only at its start: a streamed run appends its blocks to one file.
     """
     n = result.node_count
-    header = (["t"]
-              + [f"x_{i}" for i in range(1, n + 1)]
-              + [f"u_{i}" for i in range(1, n + 1)]
-              + [f"cbar_{i}" for i in range(1, n + 1)]
-              + ["outer_rounds", "inner_rounds"]
-              + [f"viol_{i}" for i in range(1, n + 1)])
     thresholds = np.asarray(result.thresholds, dtype=float)
-    step = -(-BLOCK_VALUES // len(header))  # whole rows, at least BLOCK_VALUES values
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
+    step = block_rows(n)
+    with _opened(path) as fh:
+        if not fh.tell():
+            fh.write((",".join(["t"] + [f"{name}_{i}" for name in ("x", "u", "cbar")
+                                        for i in range(1, n + 1)]
+                               + ["outer_rounds", "inner_rounds"]
+                               + [f"viol_{i}" for i in range(1, n + 1)]) + "\n").encode())
         for start in range(0, len(result.times), step):
             rows = slice(start, start + step)
             states = result.states[rows]
@@ -387,6 +425,22 @@ def _message_lines(block: list[tuple], edges: list[int], labels: np.ndarray) -> 
     return joined(np.hstack([stamps[row], labels[column], slots]), rest, values[rest])
 
 
+# the last layout written, with its labels: a streamed run's blocks share them
+_labelled: tuple = (None,)
+
+
+def _message_labels(layout: EdgeLayout) -> tuple:
+    """(layout, each adjust line's edge, every line's ",kind,from,to," as padded words)."""
+    global _labelled
+    labelled = _labelled
+    if labelled[0] is not layout:
+        requests, adjusts, edges = exchange_order(layout)
+        labelled = _labelled = (layout, edges, _padded(
+            [b",request,%d,%d," % pair for pair in requests]
+            + [b",adjust,%d,%d," % pair for pair in adjusts]))
+    return labelled
+
+
 def write_messages_csv(path, result: ScenarioResult) -> None:
     """Protocol trace: every request and adjustment in exchange order.
 
@@ -396,14 +450,14 @@ def write_messages_csv(path, result: ScenarioResult) -> None:
     with at least BLOCK_VALUES such lines are laid out at once.  A line is
     three zero-padded runs of words, its sub-round's "time,sub_round", its
     ",kind,from,to," and its value's `g17_slots` slot; `g17.joined` drops
-    the padding.
+    the padding.  path is a file name or an open binary file, as in
+    write_result_csv.
     """
-    requests, adjusts, edges = exchange_order(result.layout)
-    labels = _padded([b",request,%d,%d," % pair for pair in requests]
-                     + [b",adjust,%d,%d," % pair for pair in adjusts])
+    _, edges, labels = _message_labels(result.layout)
     per_block = -(-BLOCK_VALUES // max(1, len(labels)))
     sub_rounds = ((t, *record) for t, records in result.messages for record in records)
-    with open(path, "wb") as fh:
-        fh.write(b"sim_time,sub_round,kind,from,to,value\n")
+    with _opened(path) as fh:
+        if not fh.tell():
+            fh.write(b"sim_time,sub_round,kind,from,to,value\n")
         while block := list(islice(sub_rounds, per_block)):
             fh.write(_message_lines(block, edges, labels))

@@ -9,14 +9,19 @@ import logging
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import ccbf.cli
 from ccbf.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_STALL,
-                      build_parser, effective_config, main, read_scenario_text, run_config)
+                      _sweep_one, build_parser, effective_config, main, read_scenario_text,
+                      run_config)
 from ccbf.config import normalize_config, parse_config
+from ccbf.simulate import block_rows
 
 from conftest import PAPER_RUNS, run_paper
 
@@ -90,8 +95,18 @@ def test_run_writes_artifacts_and_trace(tmp_path):
     assert meta["versions"]["ccbf"]
     assert "sim.trace = on" in meta["config"]
     assert "sim.t_final = 1.0" in meta["config"]
-    # the seconds spent writing result.csv and messages.csv, beside the run's
-    assert meta["write_s"] >= 0.0 and meta["wall_time_s"] >= 0.0
+
+
+def test_meta_splits_the_loop_from_its_writes(tmp_path):
+    # the writers run inside the loop, block by block: write_s sums their
+    # time, and wall_time_s is the loop's without it
+    started = time.perf_counter()
+    assert run_config(_paper_config({"sim.t_final": 1.0, "sim.trace": True}), tmp_path) \
+        == EXIT_OK
+    elapsed = time.perf_counter() - started
+    meta = _meta(tmp_path)
+    assert meta["write_s"] > 0.0 and meta["wall_time_s"] > 0.0
+    assert meta["wall_time_s"] + meta["write_s"] <= elapsed
 
 
 def _paper_config(overrides):
@@ -149,6 +164,48 @@ def test_paper_scenario_digests(case, kernel, paper_run, tmp_path, monkeypatch):
             _edited(read_scenario_text("paper_sis3"), edits)))
     for name, digest in PAPER_SHA256[case].items():
         assert _sha256(out / name) == digest, name
+
+
+# A traced paper run's tracemalloc peak stays below this however long its
+# horizon: one block of rows and the sub-rounds logged at them.  Holding the
+# whole run took 1.4 MB at 1 000 steps and 8.7 MB at 10 000.
+RUN_PEAK_BYTES = 2 ** 20
+
+
+@pytest.mark.parametrize("kernel", ["float", "array"])
+def test_a_run_holds_one_block_in_memory(kernel, tmp_path, monkeypatch):
+    monkeypatch.setattr("ccbf.simulate.FLOAT_KERNEL_NODES", 10 ** 9 if kernel == "float" else 0)
+    for steps in (1_000, 10_000):
+        cfg = _paper_config({"sim.t_final": steps * 0.01, "sim.trace": True})
+        tracemalloc.start()
+        try:
+            assert run_config(cfg, tmp_path) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "result.csv").read_text().count("\n") == steps + 2
+        assert peak < RUN_PEAK_BYTES, (steps, peak)
+
+
+def test_a_run_that_fails_midway_leaves_its_blocks_and_no_manifest(tmp_path, monkeypatch):
+    # the blocks written before the failure stay, and no meta.json, not even
+    # an earlier run's, passes them off as a finished run
+    cfg = _paper_config({"sim.t_final": 5.0})
+    assert run_config(cfg, tmp_path) == EXIT_OK
+    run_scenario = ccbf.cli.run_scenario
+
+    def full_disk(*args, sink, **kwargs):
+        def write_once(block):
+            sink(block)
+            raise OSError(28, "No space left on device")
+        return run_scenario(*args, sink=write_once, **kwargs)
+
+    monkeypatch.setattr("ccbf.cli.run_scenario", full_disk)
+    assert main(["run", "paper_sis3", "--t-final", "5.0", "--out", str(tmp_path)]) \
+        == EXIT_INTERNAL
+    assert not (tmp_path / "meta.json").exists()
+    rows = (tmp_path / "result.csv").read_text().count("\n") - 1
+    assert rows == block_rows(3) < 501
 
 
 def test_filter_relaxations_are_counted_per_node(tmp_path):
@@ -319,6 +376,29 @@ def test_terminal_halt_exits_with_distinct_code(tmp_path, capsys):
     assert meta["halted_at"] == pytest.approx(0.92)
     assert meta["halt_reason"] == "infeasible"
     assert meta["infeasible_nodes"] == [1]
+
+
+# sha256 of the weak pair's traced run from x0 = [0.1, 0.3], which halts at
+# its first step: no row, and the 150 messages of step 0
+WEAK_FIRST_STEP_SHA256 = {
+    "result.csv": "c99e54349b2424ec655818f7a30ffaf066056008cfb7059b27d0b7ffbe984222",
+    "messages.csv": "161344cb52b723b4a3bf1c329b4d5e95dca28e58d974a2b0b721a4273588d532",
+}
+
+
+def test_a_halt_at_the_first_step_still_writes_its_messages(tmp_path, monkeypatch):
+    # the run's only block is empty but for the halting step's sub-rounds
+    for kernel, cutoff in (("float", 10 ** 9), ("array", 0)):
+        monkeypatch.setattr("ccbf.simulate.FLOAT_KERNEL_NODES", cutoff)
+        out = tmp_path / kernel
+        cfg = parse_config(WEAK, {"sim.x0": [0.1, 0.3], "sim.trace": True})
+        assert run_config(cfg, out) == EXIT_INFEASIBLE
+        assert (_meta(out)["halted_at"], _meta(out)["infeasible_nodes"]) == (0.0, [1])
+        assert (out / "result.csv").read_text().count("\n") == 1
+        lines = (out / "messages.csv").read_text().splitlines()
+        assert len(lines) == 151 and all(line.startswith("0,") for line in lines[1:])
+        for name, digest in WEAK_FIRST_STEP_SHA256.items():
+            assert _sha256(out / name) == digest, (kernel, name)
 
 
 # sha256 of the weak pair's traced run past its halt: 501 rows, and 50 890
@@ -494,6 +574,20 @@ def test_sweep_fans_out_to_subdirectories(tmp_path, capsys):
     assert "paper_sis3: ok" in out
     assert "weak: halted" in out
     assert "blocked: error" in out  # one worker's OSError does not end the sweep
+
+
+def test_a_sweep_job_runs_in_process(tmp_path, capsys):
+    # what each pool worker runs: a good job, then one whose output
+    # directory is a regular file, reported under the job's name
+    good = parse_config(WEAK, {"output.dir": str(tmp_path / "good"), "sim.t_final": 0.5})
+    assert _sweep_one(("good", good)) == ("good", EXIT_OK)
+    assert (tmp_path / "good" / "result.csv").read_text().count("\n") == 52
+    (tmp_path / "taken").write_text("a file where the output directory goes")
+    taken = parse_config(WEAK, {"output.dir": str(tmp_path / "taken")})
+    assert _sweep_one(("taken", taken)) == ("taken", EXIT_INTERNAL)
+    err = capsys.readouterr().err
+    assert err.startswith("taken: [Errno 17] File exists: ")
+    assert "Traceback" not in err
 
 
 def test_sweep_rejects_an_empty_out(tmp_path, monkeypatch, capsys):

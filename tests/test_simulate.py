@@ -136,6 +136,28 @@ def test_halted_run_logs_the_halting_step(tmp_path: Path):
                and row["from"] == "2" and float(row["value"]) > 0.0 for row in rows)
 
 
+def test_a_sink_takes_in_blocks_what_the_result_joins():
+    # under the backward-difference rate the paper run halts at t = 2.92: its
+    # 292 rows cross two block edges, each carrying the two controls the next
+    # step's rate reads, and the halting step's sub-rounds end the last block
+    model, specs = _paper_model()
+    kwargs = dict(dt=0.01, t_final=5.0, udot_policy="backward_difference",
+                  collect_messages=True)
+    whole = run_scenario(model, specs, np.array(PAPER_X0), **kwargs)
+    blocks: list[ScenarioResult] = []
+    streamed = run_scenario(model, specs, np.array(PAPER_X0), **kwargs, sink=blocks.append)
+    width = simulate_mod.block_rows(3)
+    assert [len(b.times) for b in blocks] == [width, width, 292 - 2 * width]
+    for name in ("times", "states", "controls", "capabilities", "outer_rounds", "inner_rounds"):
+        assert np.array_equal(np.concatenate([getattr(b, name) for b in blocks]),
+                              getattr(whole, name)), name
+        assert len(getattr(streamed, name)) == 0, name  # the sink has every row
+    assert [m for b in blocks for m in b.messages] == whole.messages
+    assert blocks[-1].messages[-1][0] == whole.halted_at == streamed.halted_at == 2.92
+    assert (streamed.halt_reason, streamed.infeasible_nodes, streamed.relaxed_steps) == \
+        (whole.halt_reason, whole.infeasible_nodes, whole.relaxed_steps)
+
+
 def test_continue_on_infeasible_runs_to_completion():
     model, specs = _weak_two_node()
     res = run_scenario(model, specs, np.array([0.02, 0.05]), dt=0.01, t_final=5.0,
