@@ -134,9 +134,9 @@ def partition_arrays(deficit: np.ndarray, weights: np.ndarray,
     shares = np.zeros(weights.shape)
     np.putmask(shares, live, deficit[target] * (live_weights / total[target]))
     spread = np.bincount(target, shares, n) - deficit
-    assert np.count_nonzero(
-        bare | (np.abs(spread) <= 1e-12 * np.maximum(1.0, np.abs(deficit)))) == n, \
-        "partition must conserve the margin"
+    if np.count_nonzero(
+            bare | (np.abs(spread) <= 1e-12 * np.maximum(1.0, np.abs(deficit)))) < n:
+        raise NumericsError("partition must conserve the margin")
     return shares
 
 

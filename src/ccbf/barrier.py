@@ -238,7 +238,7 @@ def _split(deficit: float, weights: list[float]) -> list[float] | None:
     """deficit split over weights in proportion; negligible weights get exactly 0.
 
     None when every weight is negligible.  Each sum runs from +0.0 in list
-    order.
+    order.  NumericsError when the shares do not add up to the deficit.
     """
     total = 0.0
     for w in weights:
@@ -253,5 +253,6 @@ def _split(deficit: float, weights: list[float]) -> list[float] | None:
         shares.append(share)
         spread += share
     spread -= deficit
-    assert abs(spread) <= 1e-12 * max(1.0, abs(deficit)), "partition must conserve the margin"
+    if not abs(spread) <= 1e-12 * max(1.0, abs(deficit)):  # an infinite deficit spreads NaN
+        raise NumericsError("partition must conserve the margin")
     return shares

@@ -20,7 +20,9 @@ a sub-round's record is the (sub_round, eligible, shares, eps) that
 `collab.message_rows` reads.  Each node's in-edges (a run of the edge
 order) and each helper's out-edges (in EdgeLayout.by_source order) are
 listed at construction, so every pass of a step is one loop over nodes or
-edges.  No SIS coupling is negative, so every request raises its
+edges, most of them plain loops that append: on Python 3.11 a comprehension
+or generator scan is a call of its own, which costs more at a few nodes
+than the appends.  No SIS coupling is negative, so every request raises its
 helper's floor: each sub-round folds a helper's requests once into the low
 end of its box, and a helper whose floor passes the top of its box freezes
 there.  Negligible split weights split evenly.
@@ -49,6 +51,10 @@ from .barrier import (CERT_TOL, MARGIN_TOL, NEGLIGIBLE_NORMAL, PSI1_TOL, Barrier
                       _infeasible, _max_quadratic_on_interval, _split, log)
 from .dynamics import SisModel
 from .errors import NumericsError, ProtocolStallError
+
+
+# whether a margin is closed: d >= -MARGIN_TOL, False for NaN as that comparison is
+_NOT_SHORT = (-MARGIN_TOL).__le__
 
 
 def _clamp(v: float, lo: float, hi: float) -> float:
@@ -142,10 +148,11 @@ class FloatKernel:
         n = self.n = model.graph.node_count
         self.source, self.target = layout.source.tolist(), layout.target.tolist()
         self.outer_cap, self.inner_cap = outer_cap, inner_cap
-        self.uniform = weights_mode == "uniform"
         # per node: its in-edges, a run of the edge order, ascending source
         ends = np.cumsum(np.bincount(layout.target, minlength=n)).tolist()
         self.rows = [range(start, end) for start, end in zip([0, *ends], ends)]
+        # uniform mode's split weights, per node over its in-edges
+        self.uniform = weights_mode == "uniform" and [[1.0] * len(row) for row in self.rows]
         # per node: -gamma, beta_ii, and the (source, beta weight) of each in-edge
         weight = model.edge_weight.tolist()
         self.rates = list(zip((-model.params.gamma).tolist(), model.self_weight.tolist(),
@@ -161,6 +168,7 @@ class FloatKernel:
         self.box_lo, self.box_hi = box_lo.tolist(), box_hi.tolist()
         self.nominal = nominal.tolist()
         self.gamma, self.pressure = model.params.gamma.tolist(), model.pressure
+        self.every_edge = [True] * len(weight)  # never written: no request refused
 
     def step(self, x, udot: np.ndarray, records: list[tuple] | None,
              negotiate: bool) -> tuple:
@@ -180,43 +188,37 @@ class FloatKernel:
 
         # psi2's self-term blocks, its coupling over the edges, and psi1 at
         # zero control
-        constant, linear, base, coupling = [], [], [], []
-        probe = 0.0
+        constant, linear, quadratic, base, coupling = [], [], [], [], []
         for (_, _, edges), (threshold, eta, kappa, eta_kappa), xi, f, dfdx, rate in zip(
                 self.rates, self.gains, x, drift, slope, udot.tolist()):
             one_minus = 1.0 - xi
             cross = 0.0
             for j, w in edges:
                 shared = one_minus * w
-                lfj = -shared * drift[j]
-                lgj = shared * x[j]
-                coupling.append(lgj)
-                cross += lfj
-                probe += lfj + lgj
+                cross += -shared * drift[j]
+                coupling.append(shared * x[j])
             lf_h = -f
-            lf2_h = -dfdx * f
-            lg_lf_h = dfdx * xi
-            probe += xi + f + lf2_h + lg_lf_h
-            pull = eta * (threshold - xi)
-            constant.append(cross + lf2_h + xi * rate + eta * lf_h + kappa * (lf_h + pull))
-            linear.append(f + lg_lf_h + eta_kappa * xi)
-            base.append(lf_h + pull)
-        if not math.isfinite(probe):  # some term is not finite, or their sum overflowed
+            psi1 = lf_h + eta * (threshold - xi)
+            constant.append(cross + -dfdx * f + xi * rate + eta * lf_h + kappa * psi1)
+            linear.append(f + dfdx * xi + eta_kappa * xi)
+            quadratic.append(-xi)
+            base.append(psi1)
+        # each Lie term enters these as a summand or times a finite nonzero gain,
+        # so a non-finite one leaves their sum non-finite (as may an overflow)
+        if not math.isfinite(sum(constant) + sum(linear) + sum(coupling)):
             self._check_lie_terms(x, drift, slope)
-        quadratic = [-xi for xi in x]
         return self.settle(x, base, constant, linear, quadratic, coupling, records, negotiate)
 
     def settle(self, x: list, base: list, constant: list, linear: list, quadratic: list,
                coupling: list, records: list[tuple] | None, negotiate: bool) -> tuple:
         """ArrayKernel.settle on lists; coupling is over the edges."""
-        n = self.n
         if negotiate:
             lo, hi, frozen, caps, allocated, _, *rounds = self.negotiate(
                 constant, linear, quadratic, coupling, records)
         else:
-            lo, hi, frozen = self.box_lo, self.box_hi, [False] * n
+            lo, hi, frozen = self.box_lo, self.box_hi, [False] * self.n
             caps = self._capability(constant, linear, quadratic, lo, hi, frozen)
-            allocated = [0.0] * n  # so no node owes a certificate
+            allocated = [0.0] * self.n  # so no node owes a certificate
             rounds = 0, 0, False
 
         controls, relaxed = [], []
@@ -239,20 +241,29 @@ class FloatKernel:
         x may be an array, u is a list as step returns it, and the next state is a list.
         """
         x = x if isinstance(x, list) else x.tolist()
-        loss = [-(g + v) for g, v in zip(self.gamma, u)]
         pressure = self.pressure
         half = 0.5 * dt
         # each stage's flow, loss * y + (1 - y) * pressure(y), then the next stage's y
-        k1 = [a * xi + (1.0 - xi) * p for a, xi, p in zip(loss, x, pressure(x).tolist())]
-        y = [xi + half * k for xi, k in zip(x, k1)]
-        k2 = [a * yi + (1.0 - yi) * p for a, yi, p in zip(loss, y, pressure(y).tolist())]
-        y = [xi + half * k for xi, k in zip(x, k2)]
-        k3 = [a * yi + (1.0 - yi) * p for a, yi, p in zip(loss, y, pressure(y).tolist())]
-        y = [xi + dt * k for xi, k in zip(x, k3)]
-        k4 = [a * yi + (1.0 - yi) * p for a, yi, p in zip(loss, y, pressure(y).tolist())]
+        loss, k1, y = [], [], []
+        for g, v, xi, p in zip(self.gamma, u, x, pressure(x).tolist()):
+            a = -(g + v)
+            k = a * xi + (1.0 - xi) * p
+            loss.append(a)
+            k1.append(k)
+            y.append(xi + half * k)
+        k2, y2 = [], []
+        for a, xi, yi, p in zip(loss, x, y, pressure(y).tolist()):
+            k = a * yi + (1.0 - yi) * p
+            k2.append(k)
+            y2.append(xi + half * k)
+        k3, y = [], []
+        for a, xi, yi, p in zip(loss, x, y2, pressure(y2).tolist()):
+            k = a * yi + (1.0 - yi) * p
+            k3.append(k)
+            y.append(xi + dt * k)
         sixth = dt / 6.0
-        out = [xi + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
-               for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+        out = [xi + sixth * (((d1 + 2.0 * d2) + 2.0 * d3) + (a * yi + (1.0 - yi) * p))
+               for a, xi, yi, p, d1, d2, d3 in zip(loss, x, y, pressure(y).tolist(), k1, k2, k3)]
         if not all(map(math.isfinite, out)):
             node = next(i for i, v in enumerate(out) if not math.isfinite(v)) + 1
             raise NumericsError(f"node {node}: non-finite state after step")
@@ -282,23 +293,22 @@ class FloatKernel:
                 for c, l, q, lo_i, hi_i, stuck in zip(constant, linear, quadratic, lo, hi,
                                                       frozen)]
 
-    def _partition(self, deficit: list, weight: list, eligible: list) -> list:
-        """Each asking node's deficit split over its eligible in-edges by weight."""
+    def _partition(self, deficit: list, weights: list, eligible: list) -> list:
+        """Each asking node's deficit split over its eligible in-edges by weight;
+        weights[i] lists node i+1's in-edge weights, eligible is over the edges."""
+        every = eligible is self.every_edge  # no request refused yet
         shares = []
         for i, row in enumerate(self.rows):
-            asks = eligible[row.start:row.stop]
-            if not any(asks):
-                shares += [0.0] * len(asks)
+            asks = None if every else eligible[row.start:row.stop]
+            row_weights = weights[i] if every else list(compress(weights[i], asks))
+            if not row_weights:  # no in-edge left to ask
+                shares += [0.0] * len(row)
                 continue
-            every = all(asks)
-            weights = weight[row.start:row.stop]
-            if not every:
-                weights = list(compress(weights, asks))
-            parts = _split(deficit[i], weights)
+            parts = _split(deficit[i], row_weights)
             if parts is None:
                 log.warning("node %d: all coupling weights negligible, splitting uniformly",
                             i + 1)
-                parts = _split(deficit[i], [1.0] * len(weights))
+                parts = _split(deficit[i], [1.0] * len(row_weights))
             if every:
                 shares += parts
             else:
@@ -317,10 +327,10 @@ class FloatKernel:
         n, rows, edges = self.n, self.rows, len(a)
         box_lo, box_hi = self.box_lo, self.box_hi
         helper, asker = self.source, self.target
-        tables = None
+        weights = None
         out_alloc = [0.0] * edges
         allocated = [0.0] * n
-        eligible = [True] * edges
+        eligible = self.every_edge
         lo, frozen = box_lo, [False] * n
         outer = total_sub = 0
         cap_tripped = False
@@ -328,7 +338,7 @@ class FloatKernel:
             outer += 1
             caps = self._capability(constant, linear, quadratic, lo, box_hi, frozen)
             deficit = [cap - got for cap, got in zip(caps, allocated)]
-            if all(d >= -MARGIN_TOL for d in deficit):
+            if all(map(_NOT_SHORT, deficit)):
                 break
             if outer >= self.outer_cap:
                 stuck = tuple(i + 1 for i, row in enumerate(rows) if deficit[i] < -MARGIN_TOL
@@ -337,41 +347,51 @@ class FloatKernel:
                     raise _infeasible(stuck)
                 cap_tripped = True
                 break
-            if tables is None:  # built once the first sub-round runs
-                tables = self._edge_tables(a)
-            dead, weight, rising = tables
-            eligible = [True] * edges  # a fresh capability estimate deserves fresh refusals
+            if weights is None:  # each node's split weights over its in-edges
+                weights = self.uniform or [list(map(abs, a[row.start:row.stop]))
+                                           for row in rows]
+            eligible = self.every_edge  # a fresh capability estimate deserves fresh refusals
             sub = 0
             while True:
                 if sub >= self.inner_cap:
                     raise ProtocolStallError(f"no agreement after {self.inner_cap} sub-rounds")
                 sub += 1
 
-                shares = self._partition(deficit, weight, eligible)
+                shares = self._partition(deficit, weights, eligible)
                 target = [held + share for held, share in zip(out_alloc, shares)]
-                eps = [0.0] * edges
-                for e in dead:  # nothing the helper does reaches this requester
-                    if target[e] < 0.0:
-                        eps[e] = -target[e]
+                # every helper raises its floor to the requests whose coupling
+                # reaches it, and refuses the others what they ask; a helper
+                # whose floor passes its top freezes there and refuses each
+                # request its shortfall
+                eps, refused = [0.0] * edges, []
                 lo, frozen = [], []
-                for lo_j, hi_j, up in zip(box_lo, box_hi, rising):
-                    for s, a_s in up:
-                        b = -target[s] / a_s
-                        if b > lo_j:
-                            lo_j = b
+                for lo_j, hi_j, out in zip(box_lo, box_hi, self.out_edges):
+                    for s in out:
+                        a_s = a[s]
+                        if a_s > NEGLIGIBLE_NORMAL:
+                            b = -target[s] / a_s
+                            if b > lo_j:
+                                lo_j = b
+                        elif target[s] < 0.0:
+                            eps[s] = -target[s]
+                            refused.append(s)
                     lo.append(lo_j)
                     frozen.append(lo_j > hi_j)
-                    if lo_j > hi_j:  # frozen at hi_j: refuse each request's shortfall there
-                        for s, a_s in up:
-                            short = a_s * hi_j + target[s]
-                            if short < 0.0:
-                                eps[s] = -short
-                out_alloc = [t + e for t, e in zip(target, eps)]
-                allocated = []
+                    if lo_j > hi_j:
+                        for s in out:
+                            a_s = a[s]
+                            if a_s > NEGLIGIBLE_NORMAL:
+                                short = a_s * hi_j + target[s]
+                                if short < 0.0:
+                                    eps[s] = -short
+                                    refused.append(s)
+                out_alloc, allocated = [], []
                 for row in rows:
                     total = 0.0
                     for e in row:
-                        total += out_alloc[e]
+                        held = target[e] + eps[e]
+                        out_alloc.append(held)
+                        total += held
                     allocated.append(total)
 
                 if records is not None:
@@ -379,12 +399,12 @@ class FloatKernel:
 
                 # a sub-round without a refusal touches no node, which ends
                 # the negotiation for this capability estimate
-                refused = [v > 0.0 for v in eps]
-                if not any(refused):
+                if not refused:
                     break
-                eligible = [ask and not no for ask, no in zip(eligible, refused)]
+                eligible = eligible.copy()  # a record may hold the last one
                 touched = set()
-                for e in compress(range(edges), refused):
+                for e in refused:
+                    eligible[e] = False
                     touched.add(asker[e])
                     touched.add(helper[e])
                 # done once no touched node has an in-neighbor left to ask
@@ -393,19 +413,3 @@ class FloatKernel:
                 deficit = [cap - got for cap, got in zip(caps, allocated)]
             total_sub += sub
         return lo, box_hi, frozen, caps, allocated, out_alloc, outer, total_sub, cap_tripped
-
-    def _edge_tables(self, a: list) -> tuple:
-        """The edges whose coupling is negligible, the split weights, and per
-        helper the requests that raise its floor."""
-        dead, rising = [], []
-        for out in self.out_edges:
-            up = []
-            for s in out:
-                a_s = a[s]
-                if a_s > NEGLIGIBLE_NORMAL:
-                    up.append((s, a_s))
-                else:
-                    dead.append(s)
-            rising.append(up)
-        weight = [1.0] * len(a) if self.uniform else list(map(abs, a))
-        return dead, weight, rising

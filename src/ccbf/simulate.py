@@ -25,7 +25,8 @@ on [t, t+dt), the negotiated capability, and the round counts for that
 step; the final row repeats the pipeline at t_final without integrating
 further, so a run over N steps yields N+1 rows.  The loop hands each block
 of rows, with the sub-rounds logged at them, to a sink: the CLI's writes it
-out, so a run holds one block, and the default one joins the blocks.
+out, so a run holds one block.  Without a sink the run is one block, the
+result.
 
 `write_result_csv` and `write_messages_csv` spell every float as
 `'%.17g' % value` does.  They format blocks of at least BLOCK_VALUES
@@ -144,11 +145,11 @@ UDOT_POLICIES = ("zero", "backward_difference")
 # every step negotiating) the float kernel's run_scenario time over the
 # array kernel's, medians of 15 interleaved runs on a shared 2-core Xeon
 # VM, was
-#     N        12    16    17    18    20    24    28    32    36    44
-#     ratio  0.81  0.92  1.04  1.09  1.19  1.40  1.51  1.69  1.57  2.00
-# so the two break even between 16 and 17 nodes; the bench has workloads
+#     N       12   16   17   18   20   21   22   23   24   28   32   36   44
+#     ratio 0.61 0.74 0.64 0.84 0.93 0.93 0.95 1.02 1.02 1.15 1.37 1.38 1.75
+# so the two break even between 22 and 23 nodes; the bench has workloads
 # on both sides of it.
-FLOAT_KERNEL_NODES = 17
+FLOAT_KERNEL_NODES = 23
 
 
 def _kernel(model: SisModel, specs: dict[int, BarrierSpec], nominal: np.ndarray, **protocol):
@@ -191,13 +192,6 @@ def block_rows(nodes: int) -> int:
     return -(-BLOCK_VALUES // (4 * nodes + 3))
 
 
-def _joined(blocks: list[ScenarioResult]) -> ScenarioResult:
-    """The blocks of one run as one result."""
-    return replace(blocks[0], messages=[m for b in blocks for m in b.messages], **{
-        name: np.concatenate([getattr(b, name) for b in blocks]) for name in (
-            "times", "states", "controls", "capabilities", "outer_rounds", "inner_rounds")})
-
-
 def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
                  *,
                  dt: float = 0.01,
@@ -227,7 +221,7 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
 
     Each block of block_rows(n) rows goes to sink as a ScenarioResult of
     its rows and their sub-rounds, the last one partial, with a halting
-    step's sub-rounds.  Without a sink the blocks are joined into the
+    step's sub-rounds.  Without a sink the whole run is one block, the
     result returned; with one, that result has the run's fields, no rows.
     """
     for name, value, allowed in (("udot_policy", udot_policy, UDOT_POLICIES),
@@ -253,9 +247,8 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
     kernel = _kernel(model, specs, want, outer_cap=outer_cap, inner_cap=inner_cap,
                      weights_mode=weights_mode)
     thresholds = tuple(specs[i].threshold for i in nodes)
-    width = block_rows(n)
-    kept: list[ScenarioResult] = []
-    emit = kept.append if sink is None else sink
+    # without a sink the run is one block, whose tables are the result's
+    width = nsteps + 1 if sink is None else block_rows(n)
 
     def block(stop: int, sub_rounds: list) -> ScenarioResult:
         rows = stop - start  # rows start..stop-1, with the sub-rounds logged at them
@@ -275,7 +268,7 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
     udot = np.zeros(n)
     for k in range(nsteps + 1):
         if k - start == width:  # a full block: hand it on and start the next
-            emit(block(k, logged))
+            sink(block(k, logged))
             start, logged, carried = k, [], controls[-2:]
         if k == start:  # a block's tables; its controls begin with the two rows before it
             states, capabilities = np.empty((2, width, n))
@@ -325,7 +318,10 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
             max_clamp = max(max_clamp, moved)
 
     rows = k if halted_at is not None else nsteps + 1
-    emit(block(rows, logged))
+    last = block(rows, logged)
+    if sink is not None:
+        sink(last)
+        last = block(start, [])
     if cap_tripped_steps:
         log.warning("%d of %d steps hit the outer round cap (%d) with negotiation still open",
                     cap_tripped_steps, rows, outer_cap)
@@ -334,8 +330,7 @@ def run_scenario(model: SisModel, specs: dict[int, BarrierSpec], x0: np.ndarray,
                     "with unconstrained boxes", continued_steps, rows,
                     ", ".join(map(str, infeasible_nodes)))
     return replace(
-        _joined(kept) if sink is None else block(start, []),
-        halted_at=halted_at, halt_reason=halt_reason, infeasible_nodes=infeasible_nodes,
+        last, halted_at=halted_at, halt_reason=halt_reason, infeasible_nodes=infeasible_nodes,
         max_clamp=max_clamp, cap_tripped_steps=cap_tripped_steps,
         relaxed_steps=tuple(relaxed_steps.tolist()))
 

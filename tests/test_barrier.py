@@ -304,3 +304,18 @@ def test_batched_lie_terms_name_lowest_non_finite_node(seed, data):
     assert expected is not None and expected <= bad
     with pytest.raises(NumericsError, match=rf"^node {expected}: "):
         _kernel_pass(model, specs, x, np.zeros(graph.node_count))
+
+
+def test_a_split_that_loses_the_margin_raises_on_both_kernels():
+    # an infinite deficit spreads infinite shares, whose spread is NaN: the
+    # conservation check must raise, under python -O too, and not hand them on
+    from ccbf.arraykernel import partition_arrays
+    from ccbf.barrier import _split
+
+    with pytest.raises(NumericsError, match="^partition must conserve the margin$"):
+        _split(math.inf, [1.0, 2.0])
+    with pytest.raises(NumericsError, match="^partition must conserve the margin$"), \
+            np.errstate(invalid="ignore"):  # inf - inf
+        partition_arrays(np.array([math.inf, 1.0]), np.array([1.0, 2.0, 1.0]),
+                         np.ones(3, dtype=bool), np.array([0, 0, 1]))
+    assert _split(1.0, [1.0, 3.0]) == [0.25, 0.75]

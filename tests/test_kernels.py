@@ -15,6 +15,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import logging
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -453,3 +454,32 @@ def test_whole_runs_match_across_kernels(name, monkeypatch, caplog):
         # the halting step runs outer rounds up to the cap: 30 sub-rounds in all
         assert got.halt_reason == "infeasible"
         assert got.messages[-1][1][-1][0] == 30
+
+
+# The float kernel's work per step on the 20 s paper run, counted without a
+# clock: the Python-level calls and the C calls that sys.setprofile sees,
+# per recorded row.  Both repeat exactly on a given Python version, and the
+# bounds are the Python 3.11 counts, 33.29 and 99.75, rounded up by under 2 %.
+# They are upper bounds because Python 3.12 inlines comprehensions, which
+# then count no call.  The kernel made 49.9 Python calls a step before its
+# passes became plain loops.
+CALLS_PER_STEP, C_CALLS_PER_STEP = 33.9, 101.7
+
+
+def test_the_float_kernel_keeps_its_calls_per_step():
+    model, specs, x0 = _paper()
+    counts = dict.fromkeys(("call", "c_call"), 0)
+
+    def count(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    sys.setprofile(count)
+    try:
+        res = run_scenario(model, specs, x0, dt=0.01, t_final=20.0)
+    finally:
+        sys.setprofile(None)
+    steps = len(res.times)
+    assert steps == 2001 and res.inner_rounds.sum() > steps / 2  # most steps negotiate
+    assert counts["call"] <= CALLS_PER_STEP * steps, counts
+    assert counts["c_call"] <= C_CALLS_PER_STEP * steps, counts

@@ -158,6 +158,23 @@ def test_a_sink_takes_in_blocks_what_the_result_joins():
         (whole.halt_reason, whole.infeasible_nodes, whole.relaxed_steps)
 
 
+def test_a_run_without_a_sink_holds_its_tables_once():
+    # without a sink the run is one block, so its tables are never copied:
+    # the peak stays within a quarter of what the result itself holds.  Joining
+    # blocks at the end of the run held both, a peak of 2.1 times the result
+    model, specs = _paper_model()
+    tracemalloc.start()
+    try:
+        res = run_scenario(model, specs, np.array(PAPER_X0), dt=0.01, t_final=100.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(getattr(res, name).nbytes for name in (
+        "times", "states", "controls", "capabilities", "outer_rounds", "inner_rounds"))
+    assert len(res.times) == 10_001
+    assert peak < 1.25 * held, (peak, held)
+
+
 def test_continue_on_infeasible_runs_to_completion():
     model, specs = _weak_two_node()
     res = run_scenario(model, specs, np.array([0.02, 0.05]), dt=0.01, t_final=5.0,
