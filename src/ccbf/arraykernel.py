@@ -133,7 +133,8 @@ def partition_arrays(deficit: np.ndarray, weights: np.ndarray,
     np.putmask(total, bare, 1.0)
     shares = np.zeros(weights.shape)
     np.putmask(shares, live, deficit[target] * (live_weights / total[target]))
-    spread = np.bincount(target, shares, n) - deficit
+    with np.errstate(invalid="ignore"):  # an infinite deficit spreads inf - inf: NaN fails
+        spread = np.bincount(target, shares, n) - deficit
     if np.count_nonzero(
             bare | (np.abs(spread) <= 1e-12 * np.maximum(1.0, np.abs(deficit)))) < n:
         raise NumericsError("partition must conserve the margin")
@@ -434,14 +435,13 @@ class ArrayKernel:
                 cap_tripped = True
                 break
             if rising is None:
-                strength = np.abs(a)
-                live = strength > NEGLIGIBLE_NORMAL
+                live = a > NEGLIGIBLE_NORMAL
                 any_dead = np.count_nonzero(live) < len(a)
                 a_live = np.where(live, a, 1.0) if any_dead else a
                 # the requests that raise each helper's floor, by source in
                 # its out-neighbors' ascending order
                 rising = live[by_source]
-                weights = strength if self.uniform_weights is None else self.uniform_weights
+                weights = np.abs(a) if self.uniform_weights is None else self.uniform_weights
             eligible = self.every_edge
             sub = 0
             while True:

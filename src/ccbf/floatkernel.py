@@ -4,12 +4,28 @@
 every node's Lie terms and psi2 blocks and hands them to `settle`, which
 calls `negotiate` for the regions and runs the certificate filter, and
 `advance` takes the RK4 step and clamp.  Each stage takes the arguments
-and returns the fields of the array kernel's, as lists.  It works one
-node at a time on Python floats, but for `SisModel.pressure`, the BLAS
-product `beta @ y` of each RK4 stage, which both kernels call.  No other
-product will do: on a one-node network np.dot rounds beta_11 * y to -0.0
-where `@` gives +0.0.  At a few nodes numpy's per-call dispatch costs the
-array kernel more than its arithmetic, and this loop skips that cost.
+and returns the fields of the array kernel's, as lists.  It works on
+Python floats, but for `SisModel.pressure`, the BLAS product `beta @ y` of
+each RK4 stage, which both kernels call.  No other product will do: on a
+one-node network np.dot rounds beta_11 * y to -0.0 where `@` gives +0.0.
+At a few nodes numpy's per-call dispatch costs the array kernel more than
+its arithmetic, and this kernel skips that cost.
+
+`step` and `advance` are written out for each network.  When a kernel is
+built, `_generate` writes Python source for the Lie-term and psi2-block
+pass of `step` and for the four RK4 stages of `advance`, with the finite
+check and the clamp, unrolled over the nodes and over each node's
+in-edges in EdgeLayout order, and the kernel compiles it once.  The text
+holds only identifiers and integer indices, so it depends on the graph
+alone: -gamma, gamma, beta_ii, the edge weights, the thresholds and the
+gains are names bound in the namespace the code runs in, and no float is
+ever formatted into it.  `generated_source` holds the text, and the file
+name it is compiled under, `<ccbf.floatkernel n=N e=E crc32>`, is
+registered in `linecache`, so tracebacks, cProfile and sys.settrace show
+its lines.  A stage's flat code does only the arithmetic: at three nodes
+the loops it replaced spent most of a step on their own machinery.
+`settle` and `negotiate` stay loops over nodes or edges that call the
+shared scalar rules.
 
 Both kernels give the same bits.  Every expression keeps the array
 kernel's operation order.  Every sum starts from +0.0 and adds its terms
@@ -19,13 +35,13 @@ lives in lists over the edges of the model's EdgeLayout, in its order, so
 a sub-round's record is the (sub_round, eligible, shares, eps) that
 `collab.message_rows` reads.  Each node's in-edges (a run of the edge
 order) and each helper's out-edges (in EdgeLayout.by_source order) are
-listed at construction, so every pass of a step is one loop over nodes or
-edges, most of them plain loops that append: on Python 3.11 a comprehension
-or generator scan is a call of its own, which costs more at a few nodes
-than the appends.  No SIS coupling is negative, so every request raises its
-helper's floor: each sub-round folds a helper's requests once into the low
-end of its box, and a helper whose floor passes the top of its box freezes
-there.  Negligible split weights split evenly.
+listed at construction, so every pass of `settle` and `negotiate` is one
+loop over nodes or edges, most of them plain loops that append: on Python
+3.11 a comprehension or generator scan is a call of its own, which costs
+more at a few nodes than the appends.  No SIS coupling is negative, so
+every request raises its helper's floor: each sub-round folds a helper's
+requests once into the low end of its box, and a helper whose floor passes
+the top of its box freezes there.  Negligible split weights split evenly.
 
 Each implementation of the step has its own home: the per-node reference
 in `dynamics`, `barrier`, `geometry`, `collab` and `simulate`, this kernel
@@ -42,7 +58,9 @@ are pinned to.
 
 from __future__ import annotations
 
+import linecache
 import math
+import zlib
 from itertools import compress
 
 import numpy as np
@@ -138,6 +156,114 @@ def filter_point(a: float, base: float, lo: float, hi: float, want: float,
     return ((hi if up else lo) if up or down else _clamp(want, lo, hi)), True
 
 
+# terms per generated statement: the compiler recurses once per term of a sum
+_TERMS = 256
+
+
+def _sum(name: str, terms: list[str]) -> list[str]:
+    """Indented statements that add terms into name left to right, as one sum would."""
+    chunks = [terms[k:k + _TERMS] for k in range(0, len(terms), _TERMS)]
+    return [f"    {name} = {' + '.join(chunk if k == 0 else [name, *chunk])}"
+            for k, chunk in enumerate(chunks)]
+
+
+def _names(prefix: str, count: int) -> str:
+    """[prefix0, prefix1, ...]: count values to unpack or to list."""
+    return f"[{', '.join(f'{prefix}{i}' for i in range(count))}]"
+
+
+def _generate(rows: list[range], source: list[int]) -> str:
+    """The source of FloatKernel's step and advance for one network; see the module docstring.
+
+    rows[i] are node i+1's in-edges and source[e] is edge e's source.
+    """
+    n = len(rows)
+    lines = [
+        f'"""FloatKernel.step and .advance for a network of {n} nodes and {len(source)} edges.',
+        "",
+        "A name ending in k is node k+1's (x0 is node 1's state) or, for w, edge k's",
+        "beta weight in EdgeLayout order.  The kernel binds the rates and gains by",
+        "name when it is built: ng and gamma are -gamma and gamma, bii is beta_ii,",
+        "xbar the threshold, eta and kappa the gains and ek eta + kappa.",
+        '"""',
+        "",
+        "",
+        "def step(self, x, udot, records, negotiate):",
+        "    if not isinstance(x, list):",
+        "        x = x.tolist()",
+        f"    {_names('x', n)} = x",
+        f"    {_names('r', n)} = udot.tolist()",
+        "    # every node's infection pressure, 1 - x, drift and drift slope",
+    ]
+    for i, row in enumerate(rows):
+        lines += _sum(f"p{i}", ["0.0", f"bii{i} * x{i}",
+                                *(f"w{e} * x{source[e]}" for e in row)])
+        lines += [f"    m{i} = 1.0 - x{i}",
+                  f"    f{i} = ng{i} * x{i} + m{i} * p{i}",
+                  f"    df{i} = ng{i} - p{i} + m{i} * bii{i}"]
+    lines.append("    # every node's psi1 at zero control and psi2 blocks")
+    for i, row in enumerate(rows):
+        lines.append(f"    psi{i} = -f{i} + eta{i} * (xbar{i} - x{i})")
+        lines += _sum(f"c{i}", ["0.0", *(f"-(m{i} * w{e}) * f{source[e]}" for e in row),
+                                f"-df{i} * f{i}", f"x{i} * r{i}", f"eta{i} * -f{i}",
+                                f"kappa{i} * psi{i}"])
+        lines.append(f"    l{i} = f{i} + df{i} * x{i} + ek{i} * x{i}")
+    coupling = ", ".join(f"m{i} * w{e} * x{source[e]}" for i, row in enumerate(rows)
+                         for e in row)
+    lines += [
+        f"    constant = {_names('c', n)}",
+        f"    linear = {_names('l', n)}",
+        f"    coupling = [{coupling}]",
+        "    # each Lie term enters these as a summand or times a finite nonzero gain,",
+        "    # so a non-finite one leaves their sum non-finite (as may an overflow)",
+        "    if not isfinite(sum(constant) + sum(linear) + sum(coupling)):",
+        f"        self._check_lie_terms(x, {_names('f', n)}, {_names('df', n)})",
+        f"    quadratic = [{', '.join(f'-x{i}' for i in range(n))}]",
+        f"    return self.settle(x, {_names('psi', n)}, constant, linear, quadratic, coupling,",
+        "                       records, negotiate)",
+        "",
+        "",
+        "def advance(self, x, u, dt):",
+        "    if not isinstance(x, list):",
+        "        x = x.tolist()",
+        f"    {_names('x', n)} = x",
+        f"    {_names('u', n)} = u",
+        "    half = 0.5 * dt",
+        "    # each stage's flow, loss * y + (1 - y) * pressure(y), then the next stage's y",
+        f"    {_names('p', n)} = pressure(x).tolist()",
+    ]
+    for i in range(n):
+        lines += [f"    a{i} = -(gamma{i} + u{i})",
+                  f"    k1_{i} = a{i} * x{i} + (1.0 - x{i}) * p{i}",
+                  f"    y{i} = x{i} + half * k1_{i}"]
+    for stage, step_of in ((2, "half"), (3, "dt")):
+        lines.append(f"    {_names('p', n)} = pressure({_names('y', n)}).tolist()")
+        for i in range(n):
+            lines += [f"    k{stage}_{i} = a{i} * y{i} + (1.0 - y{i}) * p{i}",
+                      f"    y{i} = x{i} + {step_of} * k{stage}_{i}"]
+    lines += [f"    {_names('p', n)} = pressure({_names('y', n)}).tolist()",
+              "    sixth = dt / 6.0"]
+    for i in range(n):
+        lines.append(f"    o{i} = x{i} + sixth * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i})"
+                     f" + (a{i} * y{i} + (1.0 - y{i}) * p{i}))")
+    inside = " and ".join(f"0.0 <= o{i} <= 1.0" for i in range(n))
+    lines += [f"    if {inside}:  # finite, and nothing to clamp",
+              f"        return {_names('o', n)}, 0.0",
+              f"    return clamped({_names('o', n)})",
+              ""]
+    return "\n".join(lines)
+
+
+def _clamped(out: list) -> tuple[list, float]:
+    """An RK4 result with a node outside [0, 1]: NumericsError at the first
+    non-finite node, else the clamp_state of it."""
+    for i, v in enumerate(out):
+        if not math.isfinite(v):
+            raise NumericsError(f"node {i + 1}: non-finite state after step")
+    clipped = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in out]  # -0.0 stays
+    return clipped, max(abs(c - v) for c, v in zip(clipped, out))
+
+
 class FloatKernel:
     """The closed-loop step on Python floats; see the module docstring."""
 
@@ -153,61 +279,39 @@ class FloatKernel:
         self.rows = [range(start, end) for start, end in zip([0, *ends], ends)]
         # uniform mode's split weights, per node over its in-edges
         self.uniform = weights_mode == "uniform" and [[1.0] * len(row) for row in self.rows]
-        # per node: -gamma, beta_ii, and the (source, beta weight) of each in-edge
-        weight = model.edge_weight.tolist()
-        self.rates = list(zip((-model.params.gamma).tolist(), model.self_weight.tolist(),
-                              [tuple((self.source[e], weight[e]) for e in row)
-                               for row in self.rows]))
-        # per node: threshold, eta, kappa, eta + kappa
-        self.gains = list(zip(gains.threshold.tolist(), gains.eta.tolist(),
-                              gains.kappa.tolist(), gains.eta_kappa.tolist()))
+        self.weight = model.edge_weight.tolist()
         # per helper: its out-edges in by-source order, ascending target
         self.out_edges = [[] for _ in range(n)]
         for e in layout.by_source.tolist():
             self.out_edges[self.source[e]].append(e)
         self.box_lo, self.box_hi = box_lo.tolist(), box_hi.tolist()
         self.nominal = nominal.tolist()
-        self.gamma, self.pressure = model.params.gamma.tolist(), model.pressure
-        self.every_edge = [True] * len(weight)  # never written: no request refused
+        self.every_edge = [True] * len(self.weight)  # never written: no request refused
+
+        # step and advance, written out for this network: the text names
+        # every rate and gain, and this namespace binds them
+        self.generated_source = text = _generate(self.rows, self.source)
+        filename = f"<ccbf.floatkernel n={n} e={len(self.weight)} {zlib.crc32(text.encode()):08x}>"
+        linecache.cache[filename] = len(text), None, text.splitlines(True), filename
+        namespace = {"isfinite": math.isfinite, "clamped": _clamped, "pressure": model.pressure}
+        for name, values in (("ng", (-model.params.gamma).tolist()),
+                             ("gamma", model.params.gamma.tolist()),
+                             ("bii", model.self_weight.tolist()), ("w", self.weight),
+                             ("xbar", gains.threshold.tolist()), ("eta", gains.eta.tolist()),
+                             ("kappa", gains.kappa.tolist()), ("ek", gains.eta_kappa.tolist())):
+            namespace.update((f"{name}{k}", v) for k, v in enumerate(values))
+        exec(compile(text, filename, "exec"), namespace)
+        self._step, self._advance = namespace["step"], namespace["advance"]
 
     def step(self, x, udot: np.ndarray, records: list[tuple] | None,
              negotiate: bool) -> tuple:
         """ArrayKernel.step on Python floats: the same arguments and results.
 
-        x may be a list; the controls, capability and relaxed flags come back as lists.
+        x may be a list; the controls, capability and relaxed flags come back
+        as lists.  Every node's Lie terms, psi2 blocks and psi1 at zero
+        control go to settle, from the step generated for this network.
         """
-        x = x if isinstance(x, list) else x.tolist()
-        drift, slope = [], []
-        for (neg_gamma, b_ii, edges), xi in zip(self.rates, x):
-            pressure = 0.0 + b_ii * xi
-            for j, w in edges:
-                pressure += w * x[j]
-            one_minus = 1.0 - xi
-            drift.append(neg_gamma * xi + one_minus * pressure)
-            slope.append(neg_gamma - pressure + one_minus * b_ii)
-
-        # psi2's self-term blocks, its coupling over the edges, and psi1 at
-        # zero control
-        constant, linear, quadratic, base, coupling = [], [], [], [], []
-        for (_, _, edges), (threshold, eta, kappa, eta_kappa), xi, f, dfdx, rate in zip(
-                self.rates, self.gains, x, drift, slope, udot.tolist()):
-            one_minus = 1.0 - xi
-            cross = 0.0
-            for j, w in edges:
-                shared = one_minus * w
-                cross += -shared * drift[j]
-                coupling.append(shared * x[j])
-            lf_h = -f
-            psi1 = lf_h + eta * (threshold - xi)
-            constant.append(cross + -dfdx * f + xi * rate + eta * lf_h + kappa * psi1)
-            linear.append(f + dfdx * xi + eta_kappa * xi)
-            quadratic.append(-xi)
-            base.append(psi1)
-        # each Lie term enters these as a summand or times a finite nonzero gain,
-        # so a non-finite one leaves their sum non-finite (as may an overflow)
-        if not math.isfinite(sum(constant) + sum(linear) + sum(coupling)):
-            self._check_lie_terms(x, drift, slope)
-        return self.settle(x, base, constant, linear, quadratic, coupling, records, negotiate)
+        return self._step(self, x, udot, records, negotiate)
 
     def settle(self, x: list, base: list, constant: list, linear: list, quadratic: list,
                coupling: list, records: list[tuple] | None, negotiate: bool) -> tuple:
@@ -238,47 +342,19 @@ class FloatKernel:
     def advance(self, x, u, dt: float) -> tuple[list, float]:
         """ArrayKernel.advance in rk4_step's and clamp_state's operation order.
 
-        x may be an array, u is a list as step returns it, and the next state is a list.
+        x may be an array, u is a list as step returns it, and the next state
+        is a list.  It runs the advance generated for this network.
         """
-        x = x if isinstance(x, list) else x.tolist()
-        pressure = self.pressure
-        half = 0.5 * dt
-        # each stage's flow, loss * y + (1 - y) * pressure(y), then the next stage's y
-        loss, k1, y = [], [], []
-        for g, v, xi, p in zip(self.gamma, u, x, pressure(x).tolist()):
-            a = -(g + v)
-            k = a * xi + (1.0 - xi) * p
-            loss.append(a)
-            k1.append(k)
-            y.append(xi + half * k)
-        k2, y2 = [], []
-        for a, xi, yi, p in zip(loss, x, y, pressure(y).tolist()):
-            k = a * yi + (1.0 - yi) * p
-            k2.append(k)
-            y2.append(xi + half * k)
-        k3, y = [], []
-        for a, xi, yi, p in zip(loss, x, y2, pressure(y2).tolist()):
-            k = a * yi + (1.0 - yi) * p
-            k3.append(k)
-            y.append(xi + dt * k)
-        sixth = dt / 6.0
-        out = [xi + sixth * (((d1 + 2.0 * d2) + 2.0 * d3) + (a * yi + (1.0 - yi) * p))
-               for a, xi, yi, p, d1, d2, d3 in zip(loss, x, y, pressure(y).tolist(), k1, k2, k3)]
-        if not all(map(math.isfinite, out)):
-            node = next(i for i, v in enumerate(out) if not math.isfinite(v)) + 1
-            raise NumericsError(f"node {node}: non-finite state after step")
-        if min(out) < 0.0 or max(out) > 1.0:
-            clipped = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in out]  # -0.0 stays
-            return clipped, max(abs(c - v) for c, v in zip(clipped, out))
-        return out, 0.0
+        return self._advance(self, x, u, dt)
 
     def _check_lie_terms(self, x: list, drift: list, slope: list) -> None:
         """Raise NumericsError naming the lowest node with a non-finite Lie term."""
-        for i, (_, _, edges) in enumerate(self.rates):
+        for i, row in enumerate(self.rows):
             xi, f, dfdx = x[i], drift[i], slope[i]
             one_minus = 1.0 - xi
             terms = [xi, f, -dfdx * f, dfdx * xi]
-            for j, w in edges:
+            for e in row:
+                j, w = self.source[e], self.weight[e]
                 terms += (-(one_minus * w) * drift[j], one_minus * w * x[j])
             if not all(map(math.isfinite, terms)):
                 raise NumericsError(f"node {i + 1}: non-finite Lie derivative")
@@ -287,11 +363,12 @@ class FloatKernel:
     def _capability(constant: list, linear: list, quadratic: list, lo: list, hi: list,
                     frozen: list) -> list:
         """Each node's best self term on its region; a frozen node's value at hi."""
-        # a point's value is QuadraticForm.value's: its one-element dot products add to +0.0
-        return [(c + (l * hi_i + 0.0)) + ((hi_i * q + 0.0) * hi_i + 0.0) if stuck
-                else _max_quadratic_on_interval(c, l, q, lo_i, hi_i)[0]
-                for c, l, q, lo_i, hi_i, stuck in zip(constant, linear, quadratic, lo, hi,
-                                                      frozen)]
+        caps = []
+        for c, l, q, lo_i, hi_i, stuck in zip(constant, linear, quadratic, lo, hi, frozen):
+            # a point's value is QuadraticForm.value's: its one-element dot products add to +0.0
+            caps.append((c + (l * hi_i + 0.0)) + ((hi_i * q + 0.0) * hi_i + 0.0) if stuck
+                        else _max_quadratic_on_interval(c, l, q, lo_i, hi_i)[0])
+        return caps
 
     def _partition(self, deficit: list, weights: list, eligible: list) -> list:
         """Each asking node's deficit split over its eligible in-edges by weight;

@@ -140,16 +140,18 @@ UDOT_POLICIES = ("zero", "backward_difference")
 
 
 # A network with fewer nodes than this steps on FloatKernel, any other on
-# ArrayKernel: below it numpy's per-call dispatch costs more than a loop
-# over the nodes.  On the bench's generated tight networks (seed 1, 1 s,
-# every step negotiating) the float kernel's run_scenario time over the
-# array kernel's, medians of 15 interleaved runs on a shared 2-core Xeon
-# VM, was
-#     N       12   16   17   18   20   21   22   23   24   28   32   36   44
-#     ratio 0.61 0.74 0.64 0.84 0.93 0.93 0.95 1.02 1.02 1.15 1.37 1.38 1.75
-# so the two break even between 22 and 23 nodes; the bench has workloads
-# on both sides of it.
-FLOAT_KERNEL_NODES = 23
+# ArrayKernel: below it numpy's per-call dispatch costs more than the float
+# kernel's code, which a run generates and compiles once.  On the bench's
+# generated tight networks (seed 1, 1 s, every step negotiating) the float
+# kernel's run_scenario time over the array kernel's, that compile
+# included, medians of 21 interleaved runs on a shared 2-core Xeon VM, was
+#     N       12   13   14   15   16   17   18   20   22   24   28
+#     ratio 0.84 0.90 0.92 0.97 1.05 1.07 1.12 1.22 1.35 1.47 1.77
+# so the two break even between 15 and 16 nodes; the bench has workloads
+# on both sides of it.  The compile grows with the nodes and edges (about
+# 5 ms at 22 nodes, where a step took 139 us against the array kernel's
+# 145 us), so on longer runs the float kernel breaks even at more nodes.
+FLOAT_KERNEL_NODES = 16
 
 
 def _kernel(model: SisModel, specs: dict[int, BarrierSpec], nominal: np.ndarray, **protocol):

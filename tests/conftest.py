@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import sys
 import time
@@ -77,12 +78,16 @@ def paper_run(tmp_path_factory):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def bench_config_text(workload: str) -> str:
-    """The config text the bench runs for a generated workload's seed 1."""
+def bench_config_text(workload: str, nodes: int | None = None) -> str:
+    """The config text the bench runs for a generated workload's seed 1,
+    or its generator's network of another size."""
     scenarios = sys.modules.get("bench_scenarios")
     if scenarios is None:  # bench/ is no package: load its generator by path
         spec = importlib.util.spec_from_file_location("bench_scenarios",
                                                       ROOT / "bench" / "scenarios.py")
         scenarios = sys.modules["bench_scenarios"] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(scenarios)
-    return scenarios.scenario_text(scenarios.WORKLOADS[workload], 1, ROOT / "src")
+    kind = scenarios.WORKLOADS[workload]
+    if nodes is not None:
+        kind = dataclasses.replace(kind, nodes=nodes)
+    return scenarios.scenario_text(kind, 1, ROOT / "src")

@@ -12,10 +12,13 @@ protocol's branches: the tests assert that every branch was reached.
 
 from __future__ import annotations
 
+import ast
 import inspect
 import itertools
 import logging
+import math
 import sys
+import traceback
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,8 +31,8 @@ from ccbf.barrier import BarrierSpec, QuadraticForm, barrier_arrays
 from ccbf.collab import message_rows
 from ccbf.config import parse_config
 from ccbf.dynamics import SisModel, SisParams
-from ccbf.errors import CcbfError
-from ccbf.floatkernel import FloatKernel, _certificate_point, filter_point
+from ccbf.errors import CcbfError, NumericsError, TerminallyInfeasibleError
+from ccbf.floatkernel import _TERMS, FloatKernel, _certificate_point, filter_point
 from ccbf.geometry import ControlRegion
 from ccbf.graph import NetworkGraph
 from ccbf.simulate import run_scenario, safety_filter
@@ -380,13 +383,13 @@ def _weak_two_node():
     return model, {1: BarrierSpec(0.1), 2: BarrierSpec(0.5)}, np.array([0.02, 0.05])
 
 
-def _hub(n: int = 30):
+def _hub(n: int = 30, weight: float = 0.05):
     # node 1 hears every other node, and those form the chain 2 -> ... -> n;
     # node 1 cannot hold its threshold alone, so every step negotiates
     edges = [(j, 1) for j in range(2, n + 1)] + [(k, k + 1) for k in range(2, n)]
     beta = np.diag(np.full(n, 0.2))
     for j, i in edges:
-        beta[i - 1, j - 1] = 0.05
+        beta[i - 1, j - 1] = weight
     u_max = np.full(n, 0.75)
     u_max[0] = 0.05
     model = SisModel(NetworkGraph(n, edges), SisParams(beta, np.full(n, 0.3), u_max))
@@ -395,9 +398,30 @@ def _hub(n: int = 30):
     return model, {i: BarrierSpec(0.1 if i == 1 else 0.5) for i in range(1, n + 1)}, x0
 
 
-def _generated(workload: str):
-    """The seed-1 network of a generated bench workload, as `ccbf run` builds it."""
-    cfg = parse_config(bench_config_text(workload))
+def _one_node():
+    # no edge and beta_11 = 0: every pressure is a product beta_11 * y of a
+    # zero, and the run starts at -0.0
+    model = SisModel(NetworkGraph(1, []), SisParams([[0.0]], [0.3], [0.5]))
+    return model, {1: BarrierSpec(0.1)}, np.array([-0.0])
+
+
+def _unheard():
+    # node 2 hears no one but helps nodes 1 and 3; node 1 cannot hold its
+    # threshold alone
+    edges = [(2, 1), (3, 1), (2, 3), (4, 3), (1, 4)]
+    beta = np.diag([0.2, 0.3, 0.2, 0.2])
+    for j, i in edges:
+        beta[i - 1, j - 1] = 0.2 if i == 1 else 0.05
+    model = SisModel(NetworkGraph(4, edges),
+                     SisParams(beta, np.full(4, 0.3), [0.05, 0.75, 0.75, 0.75]))
+    specs = {i: BarrierSpec(0.1 if i == 1 else 0.5) for i in range(1, 5)}
+    return model, specs, np.array([0.09, 0.1, 0.1, 0.02])
+
+
+def _generated(workload: str, nodes: int | None = None):
+    """The seed-1 network of a generated bench workload, as `ccbf run` builds it,
+    or its generator's network of another size."""
+    cfg = parse_config(bench_config_text(workload, nodes))
     return cfg.build_model(), cfg.build_specs(), np.array(cfg.x0)
 
 
@@ -411,6 +435,13 @@ RUNS = {
     "paper_uniform": (_paper, dict(t_final=5.0, collect_messages=True,
                                    weights_mode="uniform")),
     "hub": (_hub, dict(t_final=1.0, collect_messages=True)),
+    # node 1 hears more nodes than the float kernel adds in one statement
+    "hub_n300": (lambda: _hub(300, 0.005), dict(t_final=0.1, collect_messages=True)),
+    "one_node": (_one_node, dict(t_final=1.0, nominal=np.array([0.2]))),
+    "unheard_node": (_unheard, dict(t_final=1.0, collect_messages=True)),
+    # the bench's tight generator at 22 nodes
+    "tight_n22": (lambda: _generated("sis_tight_n60", 22),
+                  dict(t_final=1.0, collect_messages=True)),
     # the bench's networks, traced over their bench horizons: 60 nodes where
     # every step negotiates, and 300 where none does
     "sis_tight_n60": (lambda: _generated("sis_tight_n60"),
@@ -443,27 +474,68 @@ def test_whole_runs_match_across_kernels(name, monkeypatch, caplog):
     rows = [[(*row[:4], _bits(row[4])) for row in message_rows(res.layout, records)]
             for res in (got, ref) for _, records in res.messages]
     assert rows[:len(got.messages)] == rows[len(got.messages):]
-    assert bool(got.messages) == (name != "sis_quiet_n300"), "negotiates"
+    assert bool(got.messages) == (name not in ("sis_quiet_n300", "one_node")), "negotiates"
     # every sub-round record holds one entry per edge
     edges = len(model.layout.source)
     assert all(len(v) == edges for res in (got, ref) for _, records in res.messages
                for record in records for v in record[1:])
-    if name == "hub":
+    if name in ("hub", "hub_n300", "unheard_node", "tight_n22"):
         assert got.halted_at is None and (got.inner_rounds > 0).all()
+    if name == "hub_n300":
+        assert sum(i == 1 for _, i in model.graph.edges) > _TERMS
     if name == "weak_halt":
         # the halting step runs outer rounds up to the cap: 30 sub-rounds in all
         assert got.halt_reason == "infeasible"
         assert got.messages[-1][1][-1][0] == 30
 
 
+def test_both_kernels_refuse_a_negative_coupling():
+    # node 1 above 1 makes its couplings negative, which no run reaches:
+    # both kernels count a coupling at or below NEGLIGIBLE_NORMAL as dead,
+    # so every helper refuses node 1
+    model, specs, _ = _paper()
+    gains = barrier_arrays(specs, model.graph.nodes())
+    for kernel in _kernels(model, gains, np.zeros(3), np.zeros(3), model.params.u_max.copy(),
+                           outer_cap=16, inner_cap=64, weights_mode="coupling"):
+        with pytest.raises(TerminallyInfeasibleError) as err:
+            kernel.step(np.array([1.2, 0.05, 0.05]), np.zeros(3), [], True)
+        assert err.value.nodes == (1,), type(kernel).__name__
+
+
+def test_the_generated_kernel_holds_no_network_value():
+    # the text of a network's step and advance depends on its graph alone:
+    # its only float literals are the constants of the update rules, and
+    # every rate and gain is a name
+    rng = np.random.default_rng(31)
+    graph = NetworkGraph(5, [(2, 1), (3, 1), (1, 2), (5, 2), (4, 3), (1, 5)])
+    kernels = [FloatKernel(model, barrier_arrays({i: BarrierSpec(rng.uniform(0.05, 1.0),
+                                                                 rng.uniform(0.2, 3.0))
+                                                  for i in graph.nodes()}, graph.nodes()),
+                           np.zeros(5), np.zeros(5), model.params.u_max.copy(),
+                           outer_cap=16, inner_cap=64, weights_mode="coupling")
+               for model in (_model_on(graph, rng), _model_on(graph, rng))]
+    text = kernels[0].generated_source
+    assert kernels[1].generated_source == text
+    floats = {node.value for node in ast.walk(ast.parse(text))
+              if isinstance(node, ast.Constant) and isinstance(node.value, float)}
+    assert floats == {0.0, 0.5, 1.0, 2.0, 6.0}
+    # its lines show in a traceback, by the file name the kernel compiled it under
+    with pytest.raises(NumericsError) as err, np.errstate(invalid="ignore"):
+        kernels[0].advance([0.5, math.inf, 0.1, 0.0, 0.2], [0.0] * 5, 0.01)
+    frame = traceback.extract_tb(err.value.__traceback__)[-2]  # the caller of clamped
+    assert frame.filename.startswith("<ccbf.floatkernel n=5 e=6 ")
+    assert (frame.name, frame.line) == ("advance", "return clamped([o0, o1, o2, o3, o4])")
+
+
 # The float kernel's work per step on the 20 s paper run, counted without a
 # clock: the Python-level calls and the C calls that sys.setprofile sees,
 # per recorded row.  Both repeat exactly on a given Python version, and the
-# bounds are the Python 3.11 counts, 33.29 and 99.75, rounded up by under 2 %.
+# bounds are the Python 3.11 counts, 32.49 and 57.45, rounded up by under 2 %.
 # They are upper bounds because Python 3.12 inlines comprehensions, which
 # then count no call.  The kernel made 49.9 Python calls a step before its
-# passes became plain loops.
-CALLS_PER_STEP, C_CALLS_PER_STEP = 33.9, 101.7
+# passes became plain loops, and 99.75 C calls before its step and advance
+# were generated per network.
+CALLS_PER_STEP, C_CALLS_PER_STEP = 33.1, 58.6
 
 
 def test_the_float_kernel_keeps_its_calls_per_step():
